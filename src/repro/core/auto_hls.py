@@ -22,8 +22,8 @@ from repro.hw.analytical import (
     DNNPerformanceModel,
     PerformanceEstimate,
 )
-from repro.hw.batch import BatchedDNNEstimator
 from repro.hw.device import FPGADevice
+from repro.hw.evaluator import evaluator_for
 from repro.hw.hls.codegen import GeneratedDesign, HLSCodeGenerator
 from repro.hw.hls.report import HLSReport
 from repro.hw.hls.synthesis import HLSSynthesisSimulator
@@ -67,9 +67,6 @@ class AutoHLS:
         self.device = device
         self.clock_mhz = clock_mhz or device.default_clock_mhz
         self.coefficients = coefficients
-        # Lazily built; its group-statics caches survive fit_models refits
-        # because coefficients and clock are per-call inputs.
-        self._batch_estimator: Optional[BatchedDNNEstimator] = None
 
     # ----------------------------------------------------------- accelerator
     def build_accelerator(
@@ -85,22 +82,23 @@ class AutoHLS:
         )
 
     def estimate(self, config: DNNConfig) -> PerformanceEstimate:
-        """Fast analytical latency / resource estimate (used inside SCD)."""
-        accelerator = self.build_accelerator(config)
-        return DNNPerformanceModel(accelerator, self.coefficients).estimate()
+        """Fast analytical latency / resource estimate (used inside SCD).
+
+        Runs through the device's shared :class:`repro.hw.evaluator.FPGAEvaluator`;
+        the result equals the reference :class:`DNNPerformanceModel` on
+        :meth:`build_accelerator` bit for bit.
+        """
+        return evaluator_for(self.device).estimate(config, self.coefficients, self.clock_mhz)
 
     def estimate_batch(self, configs: Sequence[DNNConfig]) -> list[PerformanceEstimate]:
-        """Vectorized :meth:`estimate` over many configs (bit-identical).
+        """:meth:`estimate` over many configs in one call.
 
         ``EvaluationCache.evaluate_batch`` discovers this method through
         :func:`repro.search.cache.resolve_batch_estimator` even when it was
-        handed the bound ``estimate`` method, so every generation-sized batch
-        in the search strategies takes the NumPy path automatically.
+        handed the bound ``estimate`` method.
         """
-        if self._batch_estimator is None:
-            self._batch_estimator = BatchedDNNEstimator(self.device)
-        return self._batch_estimator.estimate_batch(
-            configs, coefficients=self.coefficients, clock_mhz=self.clock_mhz
+        return evaluator_for(self.device).estimate_batch(
+            configs, self.coefficients, self.clock_mhz
         )
 
     # --------------------------------------------------------------- synthesis

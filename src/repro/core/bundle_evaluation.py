@@ -26,12 +26,10 @@ from repro.core.dnn_config import DNNConfig
 from repro.core.pareto import group_by, pareto_front
 from repro.detection.accuracy_model import AccuracyModel, SurrogateAccuracyModel
 from repro.detection.task import DetectionTask
-from repro.hw.analytical import AnalyticalModelCoefficients, DEFAULT_COEFFICIENTS, DNNPerformanceModel
-from repro.hw.batch import BatchedDNNEstimator
+from repro.hw.analytical import AnalyticalModelCoefficients, DEFAULT_COEFFICIENTS
 from repro.hw.device import FPGADevice
+from repro.hw.evaluator import evaluator_for
 from repro.hw.resource import ResourceVector
-from repro.hw.tile_arch import TileArchAccelerator
-from repro.hw.workload import NetworkWorkload
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
@@ -97,11 +95,8 @@ class BundleEvaluator:
     """Coarse- and fine-grained bundle evaluation and Pareto selection.
 
     Both evaluation passes score their whole bundle cross-product (bundle x
-    parallel factor, or bundle x replication x activation) through the
-    vectorized :class:`repro.hw.batch.BatchedDNNEstimator` in one call;
-    ``batched=False`` forces the scalar per-config path.  The two paths are
-    bit-identical — the golden-equivalence suite asserts it — so the switch
-    only changes speed.
+    parallel factor, or bundle x replication x activation) in one call to
+    the device's :class:`repro.hw.evaluator.FPGAEvaluator`.
     """
 
     def __init__(
@@ -113,7 +108,6 @@ class BundleEvaluator:
         clock_mhz: Optional[float] = None,
         stem_channels: int = 48,
         method2_repetitions: int = 3,
-        batched: bool = True,
     ) -> None:
         self.task = task
         self.device = device
@@ -122,8 +116,6 @@ class BundleEvaluator:
         self.clock_mhz = clock_mhz or device.default_clock_mhz
         self.stem_channels = stem_channels
         self.method2_repetitions = method2_repetitions
-        self.batched = batched
-        self._batch_estimator: Optional[BatchedDNNEstimator] = None
 
     # ----------------------------------------------------------- construction
     def _config_for(
@@ -155,45 +147,16 @@ class BundleEvaluator:
             name=f"eval-m{method}-b{bundle.bundle_id}-pf{parallel_factor}",
         )
 
-    def _estimate(self, config: DNNConfig) -> tuple[float, ResourceVector]:
-        """Scalar analytical latency (ms) and resources of one configuration."""
-        workload = config.to_workload()
-        accelerator = TileArchAccelerator.build(
-            workload, self.device, parallel_factor=config.parallel_factor,
-            clock_mhz=self.clock_mhz,
-        )
-        estimate = DNNPerformanceModel(accelerator, self.coefficients).estimate()
-        return estimate.latency_ms, estimate.resources
-
     def _estimate_many(self, configs: Sequence[DNNConfig]) -> list[tuple[float, ResourceVector]]:
-        """Latency / resources of many configurations, batched when enabled."""
-        if not self.batched:
-            return [self._estimate(config) for config in configs]
-        if self._batch_estimator is None:
-            self._batch_estimator = BatchedDNNEstimator(self.device)
-        estimates = self._batch_estimator.estimate_batch(
-            configs, coefficients=self.coefficients, clock_mhz=self.clock_mhz
+        """Analytical latency (ms) and resources of many configurations."""
+        estimates = evaluator_for(self.device).estimate_batch(
+            configs, self.coefficients, self.clock_mhz
         )
         return [(est.latency_ms, est.resources) for est in estimates]
 
-    def _cached_workload(self, config: DNNConfig) -> Optional[NetworkWorkload]:
-        """The batched estimator's workload for ``config``, if one exists.
-
-        Handed to :meth:`DNNConfig.features` so the accuracy pass does not
-        rebuild a workload the latency pass already constructed.
-        """
-        if self._batch_estimator is None:
-            return None
-        return self._batch_estimator.workload_for(config)
-
-    def _accuracy(
-        self,
-        config: DNNConfig,
-        epochs: int = PROXY_EPOCHS,
-        workload: Optional[NetworkWorkload] = None,
-    ) -> float:
+    def _accuracy(self, config: DNNConfig, epochs: int = PROXY_EPOCHS) -> float:
         """Accuracy of the evaluation DNN after proxy training."""
-        return self.accuracy_model.predict(config.features(epochs=epochs, workload=workload))
+        return self.accuracy_model.predict(config.features(epochs=epochs))
 
     # --------------------------------------------------------- coarse-grained
     def coarse_evaluate(
@@ -223,8 +186,7 @@ class BundleEvaluator:
             estimates = self._estimate_many(configs)
             cursor = 0
             for bundle in bundles:
-                probe = self._config_for(bundle, method, parallel_factors[0])
-                accuracy = self._accuracy(probe, workload=self._cached_workload(probe))
+                accuracy = self._accuracy(self._config_for(bundle, method, parallel_factors[0]))
                 for pf in parallel_factors:
                     config = configs[cursor]
                     latency, resources = estimates[cursor]
@@ -340,7 +302,7 @@ class BundleEvaluator:
             for (bundle, reps, activation), config, (latency, resources) in zip(
                 grid, configs, estimates
             ):
-                accuracy = self._accuracy(config, workload=self._cached_workload(config))
+                accuracy = self._accuracy(config)
                 results.append(FineGrainedEvaluation(
                     bundle=bundle,
                     num_repetitions=reps,

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.core.bundle import Bundle
+from repro.core.bundle import Bundle, LayerSpec
 from repro.detection.accuracy_model import CandidateFeatures
 from repro.detection.task import DetectionTask
 from repro.hw.workload import LayerWorkload, NetworkWorkload
@@ -155,78 +155,92 @@ class DNNConfig:
         return sizes
 
     # -------------------------------------------------------------- workload
-    def to_workload(self) -> NetworkWorkload:
-        """Build the hardware workload description of this candidate."""
+    def stem_layer(self) -> LayerWorkload:
+        """The stem: a fixed 3x3 stride-2 convolution lifting the input to
+        ``stem_channels`` (the "fixed head" of construction method #1)."""
         c_in, h_in, w_in = self.task.input_shape
-        layers: list[LayerWorkload] = []
-
-        # Stem: a fixed 3x3 convolution with stride 2 that lifts the input to
-        # stem_channels (the "fixed head" of construction method #1).
-        layers.append(LayerWorkload(
+        return LayerWorkload(
             kind="conv", kernel=3, in_channels=c_in, out_channels=self.stem_channels,
             in_height=h_in, in_width=w_in, stride=2, bundle_index=-1,
-        ))
+        )
 
-        channels = self.channel_schedule()
+    @staticmethod
+    def head_layer(in_channels: int, size: tuple[int, int]) -> LayerWorkload:
+        """Detection head: a 1x1 convolution to 4 outputs followed by global
+        pooling (modelled as the "head" workload kind)."""
+        return LayerWorkload(
+            kind="head", kernel=1, in_channels=in_channels, out_channels=4,
+            in_height=size[0], in_width=size[1], bundle_index=-1,
+        )
+
+    @staticmethod
+    def repetition_layers(
+        specs: Sequence[LayerSpec],
+        index: int,
+        in_channels: int,
+        out_channels: int,
+        size: tuple[int, int],
+        downsample: int,
+    ) -> tuple[list[LayerWorkload], int]:
+        """Workload layers of one bundle repetition, and the channels it emits.
+
+        ``size`` is the repetition's entry of :meth:`spatial_schedule`,
+        ``out_channels`` its entry of :meth:`channel_schedule`.  This is the
+        only copy of the per-repetition layer rules: :meth:`to_workload` and
+        the FPGA evaluator (:mod:`repro.hw.evaluator`) both build from it.
+        """
+        h, w = size
+        stride_pending = bool(downsample)
+        current_in = in_channels
+        layers: list[LayerWorkload] = []
+        for spec in specs:
+            if spec.kind in ("activation", "norm"):
+                layers.append(LayerWorkload(
+                    kind=spec.kind, kernel=1, in_channels=current_in,
+                    out_channels=current_in, in_height=h, in_width=w,
+                    bundle_index=index,
+                ))
+                continue
+            if spec.kind == "pool":
+                layers.append(LayerWorkload(
+                    kind="pool", kernel=2, in_channels=current_in,
+                    out_channels=current_in, in_height=h, in_width=w,
+                    stride=2, bundle_index=index,
+                ))
+                h, w = max(h // 2, 1), max(w // 2, 1)
+                continue
+            # Computational layer.  The down-sampling spot reserved before
+            # this repetition is realised as stride 2 on its first
+            # computational layer.
+            stride = 2 if stride_pending else 1
+            stride_pending = False
+            if spec.kind == "dwconv":
+                layer_out = current_in
+            else:
+                layer_out = out_channels if spec.expand else current_in
+            # A stride-2 layer keeps the pre-halving spatial size as its
+            # input; the workload spatial bookkeeping already reflects the
+            # halved size, so undo it for this layer's input dims.
+            in_h, in_w = (h * 2, w * 2) if stride == 2 else (h, w)
+            layers.append(LayerWorkload(
+                kind=spec.kind, kernel=spec.kernel, in_channels=current_in,
+                out_channels=layer_out, in_height=in_h, in_width=in_w,
+                stride=stride, bundle_index=index,
+            ))
+            current_in = layer_out
+        return layers, current_in
+
+    def to_workload(self) -> NetworkWorkload:
+        """Build the hardware workload description of this candidate."""
+        layers = [self.stem_layer()]
         sizes = self.spatial_schedule()
         in_channels = self.stem_channels
-        for rep in range(self.num_repetitions):
-            h, w = sizes[rep]
-            out_channels = channels[rep]
-            stride_pending = bool(self.downsample[rep])
-            current_in = in_channels
-            for spec in self.bundle.layers:
-                if spec.kind == "activation":
-                    layers.append(LayerWorkload(
-                        kind="activation", kernel=1, in_channels=current_in,
-                        out_channels=current_in, in_height=h, in_width=w,
-                        bundle_index=rep,
-                    ))
-                    continue
-                if spec.kind == "norm":
-                    layers.append(LayerWorkload(
-                        kind="norm", kernel=1, in_channels=current_in,
-                        out_channels=current_in, in_height=h, in_width=w,
-                        bundle_index=rep,
-                    ))
-                    continue
-                if spec.kind == "pool":
-                    layers.append(LayerWorkload(
-                        kind="pool", kernel=2, in_channels=current_in,
-                        out_channels=current_in, in_height=h, in_width=w,
-                        stride=2, bundle_index=rep,
-                    ))
-                    h, w = max(h // 2, 1), max(w // 2, 1)
-                    continue
-                # Computational layer.  The down-sampling spot reserved before
-                # this repetition is realised as stride 2 on its first
-                # computational layer.
-                stride = 2 if stride_pending else 1
-                stride_pending = False
-                if spec.kind == "dwconv":
-                    layer_out = current_in
-                else:
-                    layer_out = out_channels if spec.expand else current_in
-                # A stride-2 layer keeps the pre-halving spatial size as its
-                # input; the workload spatial bookkeeping already reflects the
-                # halved size, so undo it for this layer's input dims.
-                in_h, in_w = (h * 2, w * 2) if stride == 2 else (h, w)
-                layers.append(LayerWorkload(
-                    kind=spec.kind, kernel=spec.kernel, in_channels=current_in,
-                    out_channels=layer_out, in_height=in_h, in_width=in_w,
-                    stride=stride, bundle_index=rep,
-                ))
-                current_in = layer_out
-            in_channels = current_in
-
-        # Detection head: a 1x1 convolution to 4 outputs followed by global
-        # pooling (modelled as the "head" workload kind).
-        final_h, final_w = sizes[-1] if sizes else (max(h_in // 2, 1), max(w_in // 2, 1))
-        layers.append(LayerWorkload(
-            kind="head", kernel=1, in_channels=in_channels, out_channels=4,
-            in_height=final_h, in_width=final_w, bundle_index=-1,
-        ))
-
+        for rep, (size, out_channels) in enumerate(zip(sizes, self.channel_schedule())):
+            rep_layers, in_channels = self.repetition_layers(
+                self.bundle.layers, rep, in_channels, out_channels, size, self.downsample[rep]
+            )
+            layers.extend(rep_layers)
+        layers.append(self.head_layer(in_channels, sizes[-1]))
         return NetworkWorkload(
             layers=layers,
             input_shape=self.task.input_shape,
@@ -277,17 +291,9 @@ class DNNConfig:
         return model
 
     # -------------------------------------------------------------- features
-    def features(
-        self, epochs: int = 200, workload: Optional[NetworkWorkload] = None
-    ) -> CandidateFeatures:
-        """Structural features for the surrogate accuracy model.
-
-        ``workload`` accepts a precomputed :meth:`to_workload` result so
-        callers that already built one (e.g. the batched estimator's workload
-        cache) do not pay for a second construction.
-        """
-        if workload is None:
-            workload = self.to_workload()
+    def features(self, epochs: int = 200) -> CandidateFeatures:
+        """Structural features for the surrogate accuracy model."""
+        workload = self.to_workload()
         return CandidateFeatures(
             macs=float(workload.total_macs),
             params=workload.total_params,

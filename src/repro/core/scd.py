@@ -323,7 +323,7 @@ class SCDUnit:
 
         converged = len(candidates) >= num_candidates
         if not converged:
-            logger.warning(
+            logger.debug(
                 "SCD stopped after %d iterations with %d/%d candidates",
                 iterations, len(candidates), num_candidates,
             )

@@ -14,8 +14,8 @@ side of the paper:
   cycle-level tile-pipeline simulator,
 * :mod:`repro.hw.analytical` — the paper's analytical Bundle / DNN latency
   and resource models (Eqs. 1-5) with coefficients fitted by sampling,
-* :mod:`repro.hw.batch` — the vectorized batch evaluator of those models
-  (bit-identical to the scalar path, array-at-a-time over NumPy),
+* :mod:`repro.hw.evaluator` — the segment-memoized evaluator of those
+  models that search traffic runs through (bit-identical to the reference),
 * :mod:`repro.hw.power` — board-level power / energy model,
 * :mod:`repro.hw.hls` — Auto-HLS: C code generation and simulated synthesis.
 """
@@ -34,7 +34,7 @@ from repro.hw.analytical import (
     DNNPerformanceModel,
     PerformanceEstimate,
 )
-from repro.hw.batch import BatchedDNNEstimator, estimate_batch
+from repro.hw.evaluator import FPGAEvaluator, evaluator_for
 from repro.hw.power import FPGAPowerModel, EnergyReport
 
 __all__ = [
@@ -63,8 +63,8 @@ __all__ = [
     "BundlePerformanceModel",
     "DNNPerformanceModel",
     "PerformanceEstimate",
-    "BatchedDNNEstimator",
-    "estimate_batch",
+    "FPGAEvaluator",
+    "evaluator_for",
     "FPGAPowerModel",
     "EnergyReport",
 ]

@@ -24,7 +24,8 @@ import repro.telemetry as telemetry
 from repro.hw.device import FPGADevice
 from repro.hw.memory import DRAMTrafficModel
 from repro.hw.resource import ResourceVector
-from repro.hw.tile_arch import CONTROL_OVERHEAD, TileArchAccelerator
+from repro.hw.tile_arch import CONTROL_OVERHEAD, BundleHardware, TileArchAccelerator
+from repro.hw.tiling import TileConfig
 from repro.hw.workload import LayerWorkload, NetworkWorkload
 
 
@@ -106,6 +107,90 @@ class PerformanceEstimate:
         return 1000.0 / self.latency_ms
 
 
+def segment_cycles(bundle_hw: BundleHardware, tile: TileConfig, layers) -> float:
+    """The ``sum_j Comp_j`` term of Eq. 2 for one layer group: IP compute,
+    reuse-weighted (Eq. 3), accumulated in layer order."""
+    total = 0.0
+    for layer in layers:
+        instance = bundle_hw.instance_for(layer)
+        reuse = tile.num_tiles(layer.out_height, layer.out_width)
+        total += reuse * instance.cycles_for_layer_share(layer, reuse)
+    return total
+
+
+def segment_transfer_ms(
+    dram: DRAMTrafficModel, layers, feature_bits: int, weight_bits: int
+) -> float:
+    """DMA latency of ``Theta(Data_i)`` (Eq. 2): the bytes a layer group moves
+    for its input, output and weights, one burst per layer."""
+    data_bytes = 0.0
+    if layers:
+        input_bytes = layers[0].input_elements * feature_bits / 8.0
+        output_bytes = layers[-1].output_elements * feature_bits / 8.0
+        weight_bytes = sum(l.params for l in layers) * weight_bits / 8.0
+        data_bytes = input_bytes + output_bytes + weight_bytes
+    return dram.transfer_latency_ms(data_bytes, bursts=max(len(layers), 1))
+
+
+def glue_overhead(
+    coefficients: AnalyticalModelCoefficients, num_instances: int
+) -> ResourceVector:
+    """The ``Gamma_i`` term of Eq. 1: glue logic per stitched IP instance."""
+    return ResourceVector(
+        lut=coefficients.gamma_lut * num_instances,
+        ff=coefficients.gamma_ff * num_instances,
+        dsp=0.0,
+        bram=coefficients.gamma_bram,
+    )
+
+
+def combine_segments(
+    segments,
+    lat_dm_ms: float,
+    bundle_resources: ResourceVector,
+    buffer_bram: float,
+    coefficients: AnalyticalModelCoefficients,
+    clock_mhz: float,
+) -> PerformanceEstimate:
+    """Eqs. 2, 4 and 5 from the coefficient-free pieces of one network.
+
+    ``segments`` holds one ``(Eq. 3 cycles, Theta(Data) transfer ms)`` pair
+    per Eq. 4 layer group, in :func:`bundle_layer_groups` order;
+    ``bundle_resources`` is the Eq. 1 bundle total.  Every estimate —
+    :class:`DNNPerformanceModel` and the FPGA evaluator alike — is folded
+    here, so both perform the same float operations in the same order.
+    """
+    coeff = coefficients
+    denom = clock_mhz * 1e3
+    total_latency = 0.0
+    compute_ms = 0.0
+    transfer_ms = 0.0
+    for cycles, seg_transfer_ms in segments:
+        seg_compute = coeff.alpha * (cycles / denom)
+        seg_transfer = coeff.beta * seg_transfer_ms
+        total_latency += seg_compute + seg_transfer
+        compute_ms += seg_compute
+        transfer_ms += seg_transfer
+    # phi * Lat_DM: inter-bundle data movement plus frame I/O.
+    phi_dm = coeff.phi * lat_dm_ms
+    total_latency += phi_dm
+    transfer_ms += phi_dm
+    # Eq. 5: the folded architecture shares one bundle's hardware across
+    # repetitions, so the DNN resource is the bundle resource plus buffers
+    # and control overhead.
+    resources = (
+        bundle_resources
+        + ResourceVector(bram=buffer_bram)
+        + CONTROL_OVERHEAD.scale(coeff.ctl_gamma)
+    )
+    return PerformanceEstimate(
+        latency_ms=total_latency,
+        resources=resources,
+        compute_ms=compute_ms,
+        data_movement_ms=transfer_ms,
+    )
+
+
 class BundlePerformanceModel:
     """Latency / resource model of one Bundle repetition (Eqs. 1-3)."""
 
@@ -121,24 +206,12 @@ class BundlePerformanceModel:
     # --------------------------------------------------------------- latency
     def compute_latency_cycles(self, layers: list[LayerWorkload]) -> float:
         """The ``sum_j Comp_j`` term of Eq. 2: IP compute, reuse-weighted (Eq. 3)."""
-        acc = self.accelerator
-        total = 0.0
-        for layer in layers:
-            instance = acc.bundle_hw.instance_for(layer)
-            reuse = acc.tiles_per_layer(layer)
-            tile_cycles = instance.cycles_for_layer_share(layer, reuse)
-            total += reuse * tile_cycles
-        return total
+        return segment_cycles(self.accelerator.bundle_hw, self.accelerator.tile, layers)
 
-    def data_amount_bytes(self, layers: list[LayerWorkload]) -> float:
-        """``Theta(Data_i)``: bytes moved for the bundle's inputs and outputs."""
-        if not layers:
-            return 0.0
-        feature_bits = self.accelerator.workload.feature_bits
-        input_bytes = layers[0].input_elements * feature_bits / 8.0
-        output_bytes = layers[-1].output_elements * feature_bits / 8.0
-        weight_bytes = sum(l.params for l in layers) * self.accelerator.workload.weight_bits / 8.0
-        return input_bytes + output_bytes + weight_bytes
+    def transfer_ms(self, layers: list[LayerWorkload]) -> float:
+        """DMA latency of ``Theta(Data_i)`` for one layer group."""
+        workload = self.accelerator.workload
+        return segment_transfer_ms(self.dram, layers, workload.feature_bits, workload.weight_bits)
 
     def latency_ms(
         self,
@@ -149,14 +222,11 @@ class BundlePerformanceModel:
 
         ``resources`` accepts a precomputed :meth:`resources` vector so
         callers scoring many layer groups against the same bundle hardware
-        (e.g. :class:`DNNPerformanceModel`) pay for Eq. 1 once, not once per
-        group.
+        pay for Eq. 1 once, not once per group.
         """
         coeff = self.coefficients
-        cycles = self.compute_latency_cycles(layers)
-        compute_ms = cycles / (self.accelerator.clock_mhz * 1e3)
-        data_bytes = self.data_amount_bytes(layers)
-        transfer_ms = self.dram.transfer_latency_ms(data_bytes, bursts=max(len(layers), 1))
+        compute_ms = self.compute_latency_cycles(layers) / (self.accelerator.clock_mhz * 1e3)
+        transfer_ms = self.transfer_ms(layers)
         latency = coeff.alpha * compute_ms + coeff.beta * transfer_ms
         return PerformanceEstimate(
             latency_ms=latency,
@@ -169,25 +239,19 @@ class BundlePerformanceModel:
     def resources(self) -> ResourceVector:
         """Eq. 1 resource usage of the bundle hardware."""
         acc = self.accelerator
-        coeff = self.coefficients
-        max_in = max((l.in_channels for l in acc.workload.layers if l.is_compute),
-                     default=acc.workload.max_channels)
-        max_out = max((l.out_channels for l in acc.workload.layers if l.is_compute),
-                      default=acc.workload.max_channels)
-        total = ResourceVector.zero()
-        for instance in acc.bundle_hw.instances:
-            total = total + instance.resources(acc.tile.tile_width, max_in, max_out)
-        gamma = ResourceVector(
-            lut=coeff.gamma_lut * len(acc.bundle_hw.instances),
-            ff=coeff.gamma_ff * len(acc.bundle_hw.instances),
-            dsp=0.0,
-            bram=coeff.gamma_bram,
-        )
-        return total + gamma
+        _, max_in, max_out = acc.workload.compute_extents()
+        total = acc.bundle_hw.instance_resources(acc.tile.tile_width, max_in, max_out)
+        return total + glue_overhead(self.coefficients, len(acc.bundle_hw.instances))
 
 
 class DNNPerformanceModel:
-    """Whole-DNN latency / resource model (Eqs. 4-5)."""
+    """Whole-DNN latency / resource model (Eqs. 4-5).
+
+    The reference implementation: it rebuilds everything from one
+    :class:`TileArchAccelerator`.  Search traffic goes through
+    :class:`repro.hw.evaluator.FPGAEvaluator`, which memoizes the same
+    pieces and must equal this model bit for bit.
+    """
 
     def __init__(
         self,
@@ -212,41 +276,20 @@ class DNNPerformanceModel:
 
     def _estimate(self) -> PerformanceEstimate:
         workload = self.accelerator.workload
-        coeff = self.coefficients
-
-        total_latency = 0.0
-        compute_ms = 0.0
-        transfer_ms = 0.0
         # Eq. 1 depends only on the bundle hardware, not on the layer group
         # being scored — compute it once per estimate, not once per group.
         bundle_resources = self.bundle_model.resources()
-        for layers in bundle_layer_groups(workload):
-            est = self.bundle_model.latency_ms(layers, resources=bundle_resources)
-            total_latency += est.latency_ms
-            compute_ms += est.compute_ms
-            transfer_ms += est.data_movement_ms
-
-        # phi * Lat_DM: inter-bundle data movement plus frame I/O.
+        segments = [
+            (self.bundle_model.compute_latency_cycles(layers), self.bundle_model.transfer_ms(layers))
+            for layers in bundle_layer_groups(workload)
+        ]
         lat_dm = (
             self.dram.inter_bundle_latency_ms(workload)
             + self.dram.input_output_latency_ms(workload)
         )
-        total_latency += coeff.phi * lat_dm
-        transfer_ms += coeff.phi * lat_dm
-
-        # Eq. 5: the folded architecture shares one bundle's hardware across
-        # repetitions, so the DNN resource is the bundle resource plus buffers
-        # and control overhead.
-        resources = (
-            bundle_resources
-            + self.accelerator.buffers.as_resource()
-            + CONTROL_OVERHEAD.scale(coeff.ctl_gamma)
-        )
-        return PerformanceEstimate(
-            latency_ms=total_latency,
-            resources=resources,
-            compute_ms=compute_ms,
-            data_movement_ms=transfer_ms,
+        return combine_segments(
+            segments, lat_dm, bundle_resources, self.accelerator.buffers.total_bram,
+            self.coefficients, self.accelerator.clock_mhz,
         )
 
     def latency_ms(self) -> float:

@@ -144,7 +144,7 @@ class HLSCodeGenerator:
         """Produce the header and source files of the accelerator."""
         acc = self.accelerator
         workload = acc.workload
-        max_kernel = max((l.kernel for l in workload.layers if l.is_compute), default=3)
+        max_kernel = workload.compute_extents()[0]
         halo = max_kernel - 1
         accum_bits = min(workload.weight_bits + workload.feature_bits + 8, 48)
         guard = f"{self.design_name.upper()}_H"

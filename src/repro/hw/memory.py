@@ -114,41 +114,23 @@ class DRAMTrafficModel:
         setup_s = self.dma_setup_us * 1e-6 * max(bursts, 1)
         return (transfer_s + setup_s) * 1e3
 
-    def transfer_latency_ms_many(
-        self, num_bytes: "list[float]", bursts: "list[int]"
-    ) -> "list[float]":
-        """Bulk :meth:`transfer_latency_ms` over parallel byte/burst lists.
+    def boundary_latency_ms(self, layers: list[LayerWorkload], feature_bits: int) -> float:
+        """DMA latency of one bundle repetition's output crossing DRAM.
 
-        Element ``i`` is exactly ``transfer_latency_ms(num_bytes[i],
-        bursts[i])`` — the batched estimator relies on bit-identical results.
+        The output feature map of the repetition's last layer is written to
+        DRAM and read back by the next bundle (inter-Bundle communication).
         """
-        if len(num_bytes) != len(bursts):
-            raise ValueError("num_bytes and bursts must have the same length")
-        return [
-            self.transfer_latency_ms(n, bursts=b) for n, b in zip(num_bytes, bursts)
-        ]
-
-    def bundle_boundary_bytes(
-        self, workload: NetworkWorkload, bundle_index: int
-    ) -> float:
-        """Bytes crossing the DRAM boundary at the end of one bundle repetition.
-
-        The output feature map of the bundle's last layer is written to DRAM
-        and read back by the next bundle (inter-Bundle communication).
-        """
-        layers = workload.layers_in_bundle(bundle_index)
-        if not layers:
-            return 0.0
-        last = layers[-1]
-        return last.output_elements * workload.feature_bits / 8.0 * 2.0  # write + read back
+        num_bytes = layers[-1].output_elements * feature_bits / 8.0 * 2.0 if layers else 0.0
+        return self.transfer_latency_ms(num_bytes, bursts=2)
 
     def inter_bundle_latency_ms(self, workload: NetworkWorkload) -> float:
         """Total inter-Bundle data-movement latency (the ``Lat_DM`` of Eq. 4)."""
         total = 0.0
         indices = workload.bundle_indices()
         for idx in indices[:-1]:  # the final bundle's output stays tiny (head)
-            num_bytes = self.bundle_boundary_bytes(workload, idx)
-            total += self.transfer_latency_ms(num_bytes, bursts=2)
+            total += self.boundary_latency_ms(
+                workload.layers_in_bundle(idx), workload.feature_bits
+            )
         return total
 
     def weight_streaming_latency_ms(self, workload: NetworkWorkload) -> float:
@@ -157,8 +139,12 @@ class DRAMTrafficModel:
 
     def input_output_latency_ms(self, workload: NetworkWorkload) -> float:
         """Latency to load the input image and store the final output."""
-        c, h, w = workload.input_shape
-        input_bytes = c * h * w * workload.feature_bits / 8.0
+        return self.frame_io_latency_ms(workload.input_shape, workload.feature_bits)
+
+    def frame_io_latency_ms(self, input_shape: tuple[int, int, int], feature_bits: int) -> float:
+        """:meth:`input_output_latency_ms` from the two workload fields it reads."""
+        c, h, w = input_shape
+        input_bytes = c * h * w * feature_bits / 8.0
         output_bytes = 4 * 4.0
         return self.transfer_latency_ms(input_bytes + output_bytes, bursts=2)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.hw.device import FPGADevice
 from repro.hw.ip import IPConfig, IPInstance
@@ -45,14 +45,21 @@ class BundleHardware:
     instances: list[IPInstance]
     signature: str = ""
 
+    def instance_resources(
+        self, tile_width: int, max_in_channels: int, max_out_channels: int
+    ) -> ResourceVector:
+        """The ``sum_j Res_j`` term of Eq. 1, accumulated in instance order."""
+        total = ResourceVector.zero()
+        for instance in self.instances:
+            total = total + instance.resources(tile_width, max_in_channels, max_out_channels)
+        return total
+
     def resources(
         self, tile_width: int, max_in_channels: int, max_out_channels: int,
         overhead: ResourceVector | None = None,
     ) -> ResourceVector:
         """Bundle resource usage: sum of IP resources plus glue logic (Eq. 1)."""
-        total = ResourceVector.zero()
-        for instance in self.instances:
-            total = total + instance.resources(tile_width, max_in_channels, max_out_channels)
+        total = self.instance_resources(tile_width, max_in_channels, max_out_channels)
         # Gamma_i: multiplexing / control overhead that grows with the number
         # of IP instances stitched together.
         glue = overhead or ResourceVector(
@@ -69,22 +76,23 @@ class BundleHardware:
 
 
 def build_bundle_hardware(
-    workload: NetworkWorkload,
+    layers: Iterable[LayerWorkload],
     config: IPConfig,
     library: Optional[IPLibrary] = None,
 ) -> BundleHardware:
-    """Instantiate one IP per distinct template the workload needs.
+    """Instantiate one IP per distinct template the layers need.
 
-    Shared by :meth:`TileArchAccelerator.build` and the batched estimator
-    (:mod:`repro.hw.batch`), which must agree exactly on the instance order —
-    :meth:`BundleHardware.instance_for` resolves layers to the *first*
-    supporting instance, so the order is semantically load-bearing.
+    Shared by :meth:`TileArchAccelerator.build` and the FPGA evaluator
+    (:mod:`repro.hw.evaluator`), which must agree exactly on the instance
+    order — :meth:`BundleHardware.instance_for` resolves layers to the
+    *first* supporting instance, so the order is semantically load-bearing.
+    ``layers`` may be a :class:`NetworkWorkload` (it iterates its layers).
     """
     library = library or default_ip_library()
     instances: list[IPInstance] = []
     seen: set[str] = set()
     signature_parts: list[str] = []
-    for layer in workload.layers:
+    for layer in layers:
         template = library.template_for_layer(layer)
         if template.name in seen:
             continue
@@ -95,6 +103,25 @@ def build_bundle_hardware(
         if template.kind in ("conv", "dwconv"):
             signature_parts.append(template.name)
     return BundleHardware(instances=instances, signature="+".join(signature_parts))
+
+
+def plan_buffers(
+    tile: TileConfig,
+    max_channels: int,
+    feature_bits: int,
+    weight_bits: int,
+    extents: tuple[int, int, int],
+    parallel_factor: int,
+) -> OnChipBufferPlan:
+    """The accelerator's on-chip buffer plan (``extents`` as
+    :meth:`NetworkWorkload.compute_extents` returns them).  The shared weight
+    buffer streams ``max(sqrt(PF), 4)`` output channels at a time."""
+    max_kernel, max_in, max_out = extents
+    return plan_on_chip_buffers(
+        tile.tile_height, tile.tile_width, max_channels, feature_bits, weight_bits,
+        max_kernel, max_in, max_out,
+        weight_group=max(int(math.sqrt(parallel_factor)), 4),
+    )
 
 
 @dataclass
@@ -153,20 +180,9 @@ class TileArchAccelerator:
         bundle_hw = build_bundle_hardware(workload, config, library)
 
         tile = tile or choose_tile_config(workload, device)
-        max_kernel = max((l.kernel for l in workload.layers if l.is_compute), default=3)
-        max_in = max((l.in_channels for l in workload.layers if l.is_compute), default=workload.max_channels)
-        max_out = max((l.out_channels for l in workload.layers if l.is_compute), default=workload.max_channels)
-        weight_group = max(int(math.sqrt(parallel_factor)), 4)
-        buffers = plan_on_chip_buffers(
-            tile.tile_height,
-            tile.tile_width,
-            workload.max_channels,
-            workload.feature_bits,
-            workload.weight_bits,
-            max_kernel,
-            max_in,
-            max_out,
-            weight_group=weight_group,
+        buffers = plan_buffers(
+            tile, workload.max_channels, workload.feature_bits, workload.weight_bits,
+            workload.compute_extents(), parallel_factor,
         )
         return cls(
             workload=workload,
@@ -180,10 +196,7 @@ class TileArchAccelerator:
     # ------------------------------------------------------------- resources
     def resources(self) -> ResourceVector:
         """Total resource usage of the accelerator (Eq. 5)."""
-        max_in = max((l.in_channels for l in self.workload.layers if l.is_compute),
-                     default=self.workload.max_channels)
-        max_out = max((l.out_channels for l in self.workload.layers if l.is_compute),
-                      default=self.workload.max_channels)
+        _, max_in, max_out = self.workload.compute_extents()
         bundle_res = self.bundle_hw.resources(self.tile.tile_width, max_in, max_out)
         return bundle_res + self.buffers.as_resource() + CONTROL_OVERHEAD
 

@@ -67,13 +67,29 @@ def choose_tile_config(
     stay within ``bram_budget_fraction`` of the device BRAM (the remainder is
     reserved for weight buffers and control).
     """
+    return choose_tile(
+        workload.input_shape, workload.max_channels, workload.compute_extents(),
+        workload.feature_bits, workload.weight_bits, device,
+        bram_budget_fraction, candidates,
+    )
+
+
+def choose_tile(
+    input_shape: tuple[int, int, int],
+    max_channels: int,
+    extents: tuple[int, int, int],
+    feature_bits: int,
+    weight_bits: int,
+    device: FPGADevice,
+    bram_budget_fraction: float = 0.55,
+    candidates: tuple[TileConfig, ...] = CANDIDATE_TILES,
+) -> TileConfig:
+    """:func:`choose_tile_config` from the workload aggregates it reads
+    (``extents`` as :meth:`NetworkWorkload.compute_extents` returns them)."""
     if not 0.0 < bram_budget_fraction <= 1.0:
         raise ValueError("bram_budget_fraction must be in (0, 1]")
-    _, in_h, in_w = workload.input_shape
-    max_channels = workload.max_channels
-    max_kernel = max((l.kernel for l in workload.layers if l.is_compute), default=3)
-    max_in = max((l.in_channels for l in workload.layers if l.is_compute), default=max_channels)
-    max_out = max((l.out_channels for l in workload.layers if l.is_compute), default=max_channels)
+    _, in_h, in_w = input_shape
+    max_kernel, max_in, max_out = extents
     budget = device.resources.bram * bram_budget_fraction
 
     viable: list[TileConfig] = []
@@ -81,14 +97,8 @@ def choose_tile_config(
         if tile.tile_height > in_h or tile.tile_width > in_w:
             continue
         plan = plan_on_chip_buffers(
-            tile.tile_height,
-            tile.tile_width,
-            max_channels,
-            workload.feature_bits,
-            workload.weight_bits,
-            max_kernel,
-            max_in,
-            max_out,
+            tile.tile_height, tile.tile_width, max_channels, feature_bits, weight_bits,
+            max_kernel, max_in, max_out,
         )
         if plan.data_buffer_bram + plan.output_buffer_bram <= budget:
             viable.append(tile)

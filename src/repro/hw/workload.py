@@ -180,6 +180,20 @@ class NetworkWorkload:
     def max_channels(self) -> int:
         return max(max(l.in_channels, l.out_channels) for l in self.layers)
 
+    def compute_extents(self) -> tuple[int, int, int]:
+        """``(max kernel, max in-channels, max out-channels)`` of the compute
+        layers, the aggregates that size tiles and buffers.  A workload
+        without compute layers falls back to ``(3, max_channels,
+        max_channels)``."""
+        compute = [l for l in self.layers if l.is_compute]
+        if not compute:
+            return 3, self.max_channels, self.max_channels
+        return (
+            max(l.kernel for l in compute),
+            max(l.in_channels for l in compute),
+            max(l.out_channels for l in compute),
+        )
+
     @property
     def num_downsamples(self) -> int:
         return sum(1 for layer in self.layers if layer.stride > 1)

@@ -25,6 +25,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ClassVar, Optional
 
+import repro.telemetry as telemetry
 from repro.search.cache import EvaluationCache
 from repro.search.parallel import ParallelEvaluator
 from repro.search.session import SearchSession
@@ -70,7 +71,7 @@ class Explorer(ABC):
         Optional journal; every evaluation and accepted candidate is
         recorded into it.
     workers:
-        Worker threads used for population batches (``evaluate_batch``).
+        Worker threads used for population batches (:meth:`score_generation`).
         ``1`` keeps everything serial and bit-reproducible.
     parallel:
         An existing :class:`ParallelEvaluator` to share (its worker pool
@@ -145,10 +146,6 @@ class Explorer(ABC):
             self._note(config, estimate, cached)
         return [estimate for estimate, _ in pairs]
 
-    def evaluate_batch(self, configs) -> list:
-        """Alias of :meth:`score_generation` (the historical name)."""
-        return self.score_generation(configs)
-
     def _note(self, config, estimate, cached: bool) -> None:
         self._evaluations += 1
         if self.session is not None:
@@ -201,10 +198,14 @@ class Explorer(ABC):
         iterations = self._explore(initial, num_candidates)
         converged = len(self._candidates) >= num_candidates
         if not converged:
-            logger.warning(
+            # A normal outcome on tight targets, hence DEBUG, not WARNING.
+            logger.debug(
                 "%s explorer stopped after %d evaluations with %d/%d candidates",
                 self.strategy_name, self._evaluations, len(self._candidates), num_candidates,
             )
+            reg = telemetry.registry()
+            if reg is not None:
+                reg.counter("search.explorer.unconverged").inc()
         return ExplorationResult(
             strategy=self.strategy_name,
             candidates=list(self._candidates),

@@ -1,17 +1,18 @@
 """Batched-evaluation wiring tests: caches, evaluators, explorers, sweeps.
 
-The vectorized estimator (tested for bit-exactness in
-``test_hw_batch.py``) is wired into every layer of the pipeline.  These
-tests assert the wiring contracts:
+The FPGA evaluator (tested for bit-exactness in ``test_hw_batch.py``) is
+wired into every layer of the pipeline.  These tests assert the wiring
+contracts:
 
 * ``EvaluationCache`` / ``DiskEvaluationCache`` dispatch whole batches to an
   estimator's ``estimate_batch`` and keep their hit / miss accounting
   identical to the scalar path,
 * shard files written by the batched disk path are byte-identical to the
   scalar ones under a frozen clock,
-* ``BundleEvaluator`` produces identical records with ``batched`` on or off,
+* ``BundleEvaluator`` records equal the reference ``DNNPerformanceModel``,
 * explorer session journals and whole-sweep fingerprints do not depend on
-  which path scored the candidates.
+  which path scored the candidates — batched or per config, evaluator or
+  reference model.
 """
 
 from __future__ import annotations
@@ -30,8 +31,11 @@ from repro.core.bundle_generation import get_bundle
 from repro.core.constraints import LatencyTarget, ResourceConstraint
 from repro.core.dnn_config import DNNConfig
 from repro.detection.task import TINY_DETECTION_TASK
+from repro.hw.analytical import DNNPerformanceModel
 from repro.hw.device import PYNQ_Z1
+from repro.hw.evaluator import FPGAEvaluator
 from repro.hw.resource import ResourceVector
+from repro.hw.tile_arch import TileArchAccelerator
 from repro.search.base import create_explorer
 from repro.search.cache import EvaluationCache, resolve_batch_estimator
 from repro.search.session import SearchSession
@@ -261,37 +265,59 @@ def _fine_key(record):
     )
 
 
+def _reference_estimate(self, config, coefficients=None, clock_mhz=None):
+    """``FPGAEvaluator.estimate`` replaced by the reference model."""
+    accelerator = TileArchAccelerator.build(
+        config.to_workload(), self.device, parallel_factor=config.parallel_factor,
+        clock_mhz=clock_mhz,
+    )
+    if coefficients is None:
+        return DNNPerformanceModel(accelerator).estimate()
+    return DNNPerformanceModel(accelerator, coefficients).estimate()
+
+
+def _force_reference(monkeypatch):
+    """Route every FPGA evaluator call through the reference model."""
+    monkeypatch.setattr(FPGAEvaluator, "estimate", _reference_estimate)
+    monkeypatch.setattr(
+        FPGAEvaluator, "estimate_batch",
+        lambda self, configs, *args: [self.estimate(c, *args) for c in configs],
+    )
+
+
 class TestBundleEvaluatorBatched:
-    def test_coarse_records_identical(self):
+    KWARGS = dict(task=TINY_DETECTION_TASK, device=PYNQ_Z1, stem_channels=16)
+
+    def test_coarse_records_identical(self, monkeypatch):
         bundles = [get_bundle(i) for i in (1, 5, 13)]
-        kwargs = dict(task=TINY_DETECTION_TASK, device=PYNQ_Z1, stem_channels=16)
-        batched = BundleEvaluator(batched=True, **kwargs).coarse_evaluate(
+        batched = BundleEvaluator(**self.KWARGS).coarse_evaluate(
             bundles, parallel_factors=(4, 8)
         )
-        scalar = BundleEvaluator(batched=False, **kwargs).coarse_evaluate(
+        _force_reference(monkeypatch)
+        scalar = BundleEvaluator(**self.KWARGS).coarse_evaluate(
             bundles, parallel_factors=(4, 8)
         )
         assert [_evaluation_key(r) for r in batched] == [
             _evaluation_key(r) for r in scalar
         ]
 
-    def test_fine_records_identical(self):
+    def test_fine_records_identical(self, monkeypatch):
         bundles = [get_bundle(i) for i in (5, 13)]
-        kwargs = dict(task=TINY_DETECTION_TASK, device=PYNQ_Z1, stem_channels=16)
-        batched = BundleEvaluator(batched=True, **kwargs).fine_evaluate(
+        batched = BundleEvaluator(**self.KWARGS).fine_evaluate(
             bundles, repetition_counts=(2, 3)
         )
-        scalar = BundleEvaluator(batched=False, **kwargs).fine_evaluate(
+        _force_reference(monkeypatch)
+        scalar = BundleEvaluator(**self.KWARGS).fine_evaluate(
             bundles, repetition_counts=(2, 3)
         )
         assert [_fine_key(r) for r in batched] == [_fine_key(r) for r in scalar]
 
-    def test_selection_identical(self):
+    def test_selection_identical(self, monkeypatch):
         bundles = [get_bundle(i) for i in (1, 5, 9, 13, 17)]
-        kwargs = dict(task=TINY_DETECTION_TASK, device=PYNQ_Z1, stem_channels=16)
-        batched_eval = BundleEvaluator(batched=True, **kwargs)
-        scalar_eval = BundleEvaluator(batched=False, **kwargs)
+        batched_eval = BundleEvaluator(**self.KWARGS)
         batched = batched_eval.coarse_evaluate(bundles)
+        _force_reference(monkeypatch)
+        scalar_eval = BundleEvaluator(**self.KWARGS)
         scalar = scalar_eval.coarse_evaluate(bundles)
         assert batched_eval.pareto_bundles(batched) == scalar_eval.pareto_bundles(scalar)
         assert [
@@ -300,19 +326,13 @@ class TestBundleEvaluatorBatched:
 
 
 def _force_scalar(monkeypatch):
-    """Disable every batched dispatch, reverting to the scalar code paths."""
+    """Disable every batched dispatch and score with the reference model."""
     import repro.search.cache as cache_module
     import repro.sweep.disk_cache as disk_module
 
     monkeypatch.setattr(cache_module, "resolve_batch_estimator", lambda e: None)
     monkeypatch.setattr(disk_module, "resolve_batch_estimator", lambda e: None)
-    original_init = BundleEvaluator.__init__
-
-    def scalar_init(self, *args, **kwargs):
-        kwargs["batched"] = False
-        original_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(BundleEvaluator, "__init__", scalar_init)
+    _force_reference(monkeypatch)
 
 
 class TestJournalInvariance:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
+
+import repro.telemetry as telemetry
 
 from repro.core.auto_dnn import AutoDNN
 from repro.core.auto_hls import AutoHLS
@@ -527,3 +530,42 @@ class TestBundleEvaluatorGuards:
         ]
         with pytest.raises(ValueError, match="non-positive"):
             evaluator.select_top_bundles(degenerate, top_n=2)
+
+
+class TestUnconvergedLogging:
+    """Falling short of K candidates is a normal outcome: DEBUG, plus a counter."""
+
+    @pytest.mark.parametrize("strategy", ["scd", "random"])
+    def test_unconverged_explorer_logs_debug_not_warning(
+        self, strategy, engine, constraint, initial, caplog
+    ):
+        unreachable = LatencyTarget(fps=10000.0, tolerance_ms=0.001)
+        telemetry.disable()
+        reg = telemetry.enable()
+        try:
+            with caplog.at_level(logging.DEBUG, logger="repro"):
+                explorer = make_explorer(strategy, engine, unreachable, constraint,
+                                         max_iterations=20)
+                result = explorer.explore(initial, num_candidates=2)
+        finally:
+            telemetry.disable()
+        assert not result.converged
+        records = [r for r in caplog.records if r.name.startswith("repro")]
+        assert [r for r in records if r.levelno >= logging.WARNING] == []
+        stopped = [r for r in records if "stopped after" in r.getMessage()]
+        assert stopped and all(r.levelno == logging.DEBUG for r in stopped)
+        assert reg.counter("search.explorer.unconverged").value == 1
+
+    def test_converged_explorer_leaves_counter_alone(
+        self, engine, constraint, target, initial
+    ):
+        telemetry.disable()
+        reg = telemetry.enable()
+        try:
+            result = make_explorer("scd", engine, target, constraint).explore(
+                initial, num_candidates=1
+            )
+        finally:
+            telemetry.disable()
+        assert result.converged
+        assert reg.counter("search.explorer.unconverged").value == 0
