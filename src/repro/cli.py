@@ -295,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="worker display name (default: hostname-pid)")
     worker.add_argument("--idle-timeout-s", type=_positive_float, default=None,
                         help="against a multi-job service: exit 0 after this long "
-                             "with no lease granted (default: poll forever)")
+                             "with no lease granted (default: wait forever)")
     _add_token_arg(worker)
 
     status = shard_sub.add_parser(

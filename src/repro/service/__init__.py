@@ -12,10 +12,11 @@ shared, job-agnostic worker fleet.
   unchanged), and a fsynced ``_service.jsonl`` journal that survives
   SIGKILL (torn-tail-tolerant replay requeues unfinished jobs).
 * :mod:`repro.service.coordinator` — :class:`ServiceCoordinator`: the
-  PR 5 HTTP surface extended with ``/v1/jobs`` routes, fair interleaved
-  leasing across concurrent jobs (one :class:`~repro.shard.LeaseBoard`
-  per running job), shared-secret auth, and an estimator-cache exchange
-  hub at ``<root>/cache``.
+  shard tier's :class:`~repro.shard.LeaseCoordinator` made persistent and
+  extended with ``/v1/jobs`` routes — fair interleaved leasing across
+  concurrent jobs (one :class:`~repro.shard.LeaseBoard` per running
+  job), one worker registry, shared-secret auth, and an estimator-cache
+  exchange hub at ``<root>/cache``.
 * :mod:`repro.service.client` — :class:`ServiceClient`: thin typed
   wrapper over the job routes for the CLI (`serve` / `submit` / `jobs` /
   `job status|cancel|result`).

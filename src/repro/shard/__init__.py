@@ -13,8 +13,12 @@ single-machine ``workers=1`` run of the same grid and seed.
 
 Dead or stalled workers are handled with heartbeats and lease expiry:
 an expired lease requeues its cell (bounded per-cell reassignment with
-the PR-4 retry/backoff/cost-hint machinery), and duplicate completions
+the runner's retry/backoff/cost-hint machinery), and duplicate completions
 are resolved deterministically by task uid — first settled record wins.
+
+One :class:`LeaseCoordinator` serves both shapes of deployment: a
+one-shot grid here, and every job of the persistent service
+(:mod:`repro.service`), which subclasses it.
 
 Quickstart (two terminals)::
 
@@ -38,13 +42,19 @@ Programmatically the distributed tier is one argument::
     ).run()
 """
 
-from repro.shard.coordinator import LeaseBoard, ShardCoordinator, parse_report
+from repro.shard.coordinator import (
+    LeaseBoard,
+    LeaseCoordinator,
+    WorkerRegistry,
+    parse_report,
+)
 from repro.shard.protocol import (
     AUTH_HEADER,
     DEFAULT_HEARTBEAT_S,
     DEFAULT_LEASE_TTL_S,
     DEFAULT_POLL_S,
     DEFAULT_PORT,
+    MAX_LEASE_WAIT_S,
     PROTOCOL_VERSION,
     SERVICE_TOKEN_ENV,
     ShardProtocolError,
@@ -72,6 +82,7 @@ __all__ = [
     "DEFAULT_LEASE_TTL_S",
     "DEFAULT_HEARTBEAT_S",
     "DEFAULT_POLL_S",
+    "MAX_LEASE_WAIT_S",
     "AUTH_HEADER",
     "SERVICE_TOKEN_ENV",
     "ShardProtocolError",
@@ -91,7 +102,8 @@ __all__ = [
     "prepared_to_wire",
     "prepared_from_wire",
     "LeaseBoard",
-    "ShardCoordinator",
+    "LeaseCoordinator",
+    "WorkerRegistry",
     "Transport",
     "LocalTransport",
     "CoordinatorTransport",

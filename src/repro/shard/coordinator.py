@@ -1,12 +1,28 @@
-"""Lease-based shard coordinator: owns the grid, leases cells to workers.
+"""The lease coordinator: one HTTP lease surface for one-shot grids and jobs.
 
-The coordinator is the *only* writer of sweep state.  It owns the task
-grid, hands cells out as bounded-lifetime **leases**, collects streamed
-:class:`~repro.sweep.runner.SweepOutcome` / ``SweepFailure`` records, and
-settles each cell exactly once — the settle callbacks append to the very
-same fsynced ``_checkpoint.jsonl`` the single-machine sweep writes, so a
-distributed run is checkpointed, resumable and comparable with the
-existing tooling, byte for byte.
+The coordinator is the *only* writer of sweep state.  Every grid it
+serves — the single grid of a one-shot ``shard coordinator`` run, or one
+job of the persistent service (:mod:`repro.service`) — is a
+:class:`LeaseBoard`: it hands cells out as bounded-lifetime **leases**,
+collects streamed :class:`~repro.sweep.runner.SweepOutcome` /
+``SweepFailure`` records, and settles each cell exactly once — the settle
+callbacks append to the very same fsynced ``_checkpoint.jsonl`` the
+single-machine sweep writes, so a distributed run is checkpointed,
+resumable and comparable with the existing tooling, byte for byte.
+
+:class:`LeaseCoordinator` is the one HTTP surface over the attached boards
+and one :class:`WorkerRegistry`.  Workers register once and stay
+job-agnostic: ``/v1/lease`` round-robins one cell per board per pass (a
+wide job cannot starve a small one), ``/v1/report`` routes by the echoed
+``job`` field (or by uid) and ``/v1/heartbeat`` by the lease-id prefix.
+A one-shot coordinator answers ``done`` once its board settled and stays
+up until every live worker heard so; the service subclass is persistent —
+never done, and it re-adopts worker ids issued before a restart.
+
+Nothing polls on a fixed tick.  Board changes, cancellation and shutdown
+wake one condition variable: the lease reaper sleeps until the next lease
+deadline or change, and a ``/v1/lease`` request carrying ``wait_s`` parks
+until a cell is ready, the grid is done or the wait runs out.
 
 Fault model
 -----------
@@ -15,7 +31,7 @@ Fault model
   cell is bounded by the runner's ``retries`` budget; a cell whose every
   assignment dies becomes a structured ``SweepFailure(kind="crash")``.
 * **Stalled cell** — heartbeats keep arriving but the cell exceeds its
-  effective per-cell timeout (the PR-4 cost-hint-scaled deadline); the
+  effective per-cell timeout (the runner's cost-hint-scaled deadline); the
   lease is revoked and the cell requeued / failed as ``kind="timeout"``.
 * **Duplicate completion** — a revoked lease's worker may still finish
   and report.  Settlement is keyed by task uid and **first record wins**;
@@ -27,14 +43,15 @@ Fault model
   runner's deterministic exponential backoff, exactly like the local
   work-stealing schedule.
 
-Ordering is the runner's longest-expected-first cost order: the lease
-queue is primed with the cost-sorted indices, so remote fleets see the
-same dispatch policy as local pools.
+Ordering is the runner's longest-expected-first cost order: each board's
+lease queue is primed with the cost-sorted indices, so remote fleets see
+the same dispatch policy as local pools.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -45,8 +62,10 @@ from repro.shard.protocol import (
     DEFAULT_HEARTBEAT_S,
     DEFAULT_LEASE_TTL_S,
     DEFAULT_POLL_S,
+    MAX_LEASE_WAIT_S,
     PROTOCOL_VERSION,
     ShardProtocolError,
+    check_lease_timing,
     outcome_from_wire,
     prepared_to_wire,
     require,
@@ -54,13 +73,110 @@ from repro.shard.protocol import (
     token_matches,
 )
 import repro.telemetry as telemetry
-from repro.sweep.runner import PreparedTarget, SweepFailure, SweepOutcome, SweepTask
+from repro.sweep.runner import SweepFailure, SweepOutcome, SweepTask
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sweep.runner import SweepRunner
+    from repro.sweep.runner import PreparedTarget, SweepRunner
 
 logger = get_logger(__name__)
+
+#: Lease-lifecycle counters each board keeps and the coordinator sums.
+LEASE_COUNTERS = ("granted", "heartbeats", "completed", "failed", "requeued",
+                  "expired", "revoked", "duplicates")
+
+#: Added to timed waits so a wake-up lands strictly past the deadline it
+#: was computed for (lease expiry compares with ``>``).
+_WAKE_SLACK_S = 0.001
+
+
+class WorkerRegistry:
+    """A coordinator's one table of workers: ids, liveness, per-worker tallies.
+
+    Every board of a coordinator shares it, so a worker registers once and
+    is accounted once however many jobs it serves.  With ``adopt_unknown``
+    an id this registry never issued is re-admitted on first contact (a
+    persistent service's workers outlive a coordinator restart);
+    otherwise it is a protocol error.
+    """
+
+    def __init__(self, *, adopt_unknown: bool = False) -> None:
+        self.adopt_unknown = adopt_unknown
+        self._lock = threading.Lock()
+        self._workers: dict[str, dict] = {}
+        self._seq = 0
+
+    @staticmethod
+    def _entry(name: str) -> dict:
+        return {"name": name, "last_seen": time.monotonic(), "leased": 0,
+                "completed": 0, "errors": 0, "busy_s": 0.0, "told_done": False}
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._workers)
+
+    def register(self, name: str) -> str:
+        with self._lock:
+            self._seq += 1
+            while f"w{self._seq}" in self._workers:  # an adopted id took it
+                self._seq += 1
+            worker_id = f"w{self._seq}"
+            self._workers[worker_id] = self._entry(name)
+        logger.info("shard: worker %s (%s) registered", worker_id, name)
+        telemetry.event("shard.worker.registered", worker=worker_id,
+                        worker_name=name)
+        return worker_id
+
+    def touch(self, worker_id: str) -> None:
+        """Record a sign of life from ``worker_id``; unknown ids are adopted or rejected."""
+        with self._lock:
+            info = self._workers.get(worker_id)
+            if info is None:
+                if not self.adopt_unknown:
+                    raise ShardProtocolError(f"unknown worker id '{worker_id}'")
+                info = self._workers[worker_id] = self._entry(f"reattached-{worker_id}")
+            info["last_seen"] = time.monotonic()
+
+    def tally(self, worker_id: str, **amounts: float) -> None:
+        """Add to a worker's ``leased`` / ``completed`` / ``errors`` / ``busy_s``."""
+        with self._lock:
+            info = self._workers.get(worker_id)
+            if info is not None:
+                for key, amount in amounts.items():
+                    info[key] += amount
+
+    def tell_done(self, worker_id: str) -> bool:
+        """Note that ``worker_id`` heard the grid is done; True the first time."""
+        with self._lock:
+            info = self._workers.get(worker_id)
+            if info is None or info["told_done"]:
+                return False
+            info["told_done"] = True
+            return True
+
+    def awaiting_done(self, horizon_s: float) -> bool:
+        """Whether a worker seen within ``horizon_s`` has not heard ``done`` yet."""
+        now = time.monotonic()
+        with self._lock:
+            return any(not info["told_done"] and now - info["last_seen"] < horizon_s
+                       for info in self._workers.values())
+
+    def stats(self) -> list[dict]:
+        """Per-worker accounting for `/v1/metrics` and `shard status`."""
+        now = time.monotonic()
+        with self._lock:
+            return [
+                {
+                    "worker_id": worker_id,
+                    "name": info["name"],
+                    "leased": info["leased"],
+                    "completed": info["completed"],
+                    "errors": info["errors"],
+                    "busy_s": round(info["busy_s"], 3),
+                    "last_seen_s": round(max(now - info["last_seen"], 0.0), 3),
+                }
+                for worker_id, info in sorted(self._workers.items())
+            ]
 
 
 class _Cell:
@@ -92,9 +208,12 @@ class LeaseBoard:
     """Thread-safe lease-based work queue over (part of) a sweep grid.
 
     Pure in-memory state machine, independent of HTTP: the coordinator's
-    request handlers and the tests drive it directly.  ``on_outcome`` /
-    ``on_failure`` fire exactly once per cell, in the handler thread that
-    settled it (the checkpoint writer behind them is thread-safe).
+    request handlers and the tests drive it directly.  Workers come from
+    the coordinator's shared :class:`WorkerRegistry`.  ``on_outcome`` /
+    ``on_failure`` fire exactly once per cell, in the thread that settled
+    it (the checkpoint writer behind them is thread-safe).  A board owned
+    by a service job carries the job uid: it labels telemetry events and
+    prefixes lease ids (``<job>:``) so heartbeats partition across boards.
     """
 
     def __init__(
@@ -102,28 +221,27 @@ class LeaseBoard:
         tasks: Mapping[int, SweepTask],
         order: list[int],
         *,
+        workers: WorkerRegistry,
         retries: int = 1,
         backoff: Callable[[int], float] = lambda attempts: 0.0,
         timeouts: Optional[Mapping[int, Optional[float]]] = None,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         on_outcome: Optional[Callable[[int, SweepOutcome], None]] = None,
         on_failure: Optional[Callable[[int, SweepFailure], None]] = None,
-        lease_prefix: str = "l",
         job: Optional[str] = None,
     ) -> None:
         if lease_ttl_s <= 0:
             raise ValueError("lease_ttl_s must be positive")
         if retries < 0:
             raise ValueError("retries must be >= 0")
+        self.workers = workers
         self.retries = retries
         self.backoff = backoff
         self.lease_ttl_s = lease_ttl_s
         self.on_outcome = on_outcome
         self.on_failure = on_failure
-        # Multi-board deployments (the job service) namespace lease ids with
-        # a per-board prefix and label telemetry with the owning job uid.
-        self.lease_prefix = lease_prefix
         self.job = job
+        self.lease_prefix = f"{job}:" if job is not None else "l"
         self._lock = threading.Lock()
         self._cells: dict[int, _Cell] = {
             index: _Cell(index, tasks[index],
@@ -135,17 +253,12 @@ class LeaseBoard:
         }
         self._queue: list[int] = list(order)
         self._lease_seq = 0
-        self._workers: dict[str, dict] = {}
-        self._worker_seq = 0
         self.outcomes: dict[int, SweepOutcome] = {}
         self.failures: dict[int, SweepFailure] = {}
         # Lease-lifecycle counters, always on (they are a handful of integer
         # adds under the lock the handlers hold anyway): `/v1/metrics` and
         # `repro-codesign shard status` must work without --telemetry.
-        self.metrics: dict[str, int] = {
-            "granted": 0, "heartbeats": 0, "completed": 0, "failed": 0,
-            "requeued": 0, "expired": 0, "revoked": 0, "duplicates": 0,
-        }
+        self.metrics: dict[str, int] = dict.fromkeys(LEASE_COUNTERS, 0)
 
     # ---------------------------------------------------------------- helpers
     @property
@@ -166,9 +279,20 @@ class LeaseBoard:
                 "leased": status["leased"],
                 "settled": status["settled"],
                 "failed": len(self.failures),
-                "workers": len(self._workers),
                 "done": status["settled"] == len(self._cells),
             }
+
+    def next_deadline(self, now: float) -> Optional[float]:
+        """Earliest monotonic time a lease falls due or a backed-off cell turns ready."""
+        with self._lock:
+            times = [
+                cell.expires_at if cell.deadline_at is None
+                else min(cell.expires_at, cell.deadline_at)
+                for cell in self._cells.values() if cell.status == "leased"
+            ]
+            times.extend(ready for ready in (self._cells[i].ready_at for i in self._queue)
+                         if ready > now)
+        return min(times, default=None)
 
     # ----------------------------------------------------------- introspection
     def metrics_counts(self) -> dict:
@@ -194,59 +318,14 @@ class LeaseBoard:
         with self._lock:
             return uid in self._by_uid
 
-    def worker_stats(self) -> list[dict]:
-        """Per-worker accounting for `/v1/metrics` and `shard status`."""
-        now = time.monotonic()
-        with self._lock:
-            return [
-                {
-                    "worker_id": worker_id,
-                    "name": info["name"],
-                    "leased": info.get("leased", 0),
-                    "completed": info.get("completed", 0),
-                    "errors": info.get("errors", 0),
-                    "busy_s": round(info.get("busy_s", 0.0), 3),
-                    "last_seen_s": round(max(now - info["last_seen"], 0.0), 3),
-                }
-                for worker_id, info in sorted(self._workers.items())
-            ]
-
     # --------------------------------------------------------------- protocol
-    def register(self, name: str) -> str:
-        with self._lock:
-            self._worker_seq += 1
-            worker_id = f"w{self._worker_seq}"
-            self._workers[worker_id] = {
-                "name": name, "last_seen": time.monotonic(),
-                "leased": 0, "completed": 0, "errors": 0, "busy_s": 0.0,
-            }
-            logger.info("shard: worker %s (%s) registered", worker_id, name)
-        telemetry.event("shard.worker.registered", worker=worker_id,
-                        worker_name=name, **self._job_tag())
-        return worker_id
-
-    def adopt_worker(self, worker_id: str, name: str = "worker") -> None:
-        """Insert an externally-issued worker id (idempotent).
-
-        The multi-job service registers each worker once at the service
-        level and adopts it into every job board it touches, so lease /
-        report / heartbeat accounting still works per board without the
-        worker re-registering per job.
-        """
-        with self._lock:
-            if worker_id not in self._workers:
-                self._workers[worker_id] = {
-                    "name": name, "last_seen": time.monotonic(),
-                    "leased": 0, "completed": 0, "errors": 0, "busy_s": 0.0,
-                }
-
     def lease(self, worker_id: str, slots: int) -> list[_Cell]:
         """Lease up to ``slots`` ready cells to ``worker_id``."""
+        self.workers.touch(worker_id)
         now = time.monotonic()
         self._expire_locked_leases(now)
         leased: list[_Cell] = []
         with self._lock:
-            self._touch(worker_id, now)
             while len(leased) < max(slots, 0):
                 position = next(
                     (p for p, index in enumerate(self._queue)
@@ -269,10 +348,9 @@ class LeaseBoard:
                 )
                 cell.status = "leased"
                 self.metrics["granted"] += 1
-                worker = self._workers.get(worker_id)
-                if worker is not None:
-                    worker["leased"] = worker.get("leased", 0) + 1
                 leased.append(cell)
+        if leased:
+            self.workers.tally(worker_id, leased=len(leased))
         # Telemetry events fire outside the lock: the sink fsyncs per record,
         # and handler threads must never block each other on disk.
         for cell in leased:
@@ -284,11 +362,11 @@ class LeaseBoard:
 
     def heartbeat(self, worker_id: str, lease_ids: list[str]) -> list[str]:
         """Extend the worker's live leases; return the ids it has lost."""
+        self.workers.touch(worker_id)
         now = time.monotonic()
         self._expire_locked_leases(now)
         lost: list[str] = []
         with self._lock:
-            self._touch(worker_id, now)
             self.metrics["heartbeats"] += 1
             live = {
                 cell.lease_id: cell
@@ -329,12 +407,13 @@ class LeaseBoard:
         completing.  Only reports whose lease id was never issued for the
         cell are rejected outright.
         """
+        self.workers.touch(worker_id)
         settle_outcome: Optional[tuple[int, SweepOutcome]] = None
         settle_failure: Optional[tuple[int, SweepFailure]] = None
         events: list[tuple[str, dict]] = []
+        duration = max(float(duration_s), 0.0)
         now = time.monotonic()
         with self._lock:
-            self._touch(worker_id, now)
             index = self._by_uid.get(uid)
             if index is None:
                 return (False, "unknown-cell")
@@ -344,8 +423,7 @@ class LeaseBoard:
             if cell.status == "settled":
                 self.metrics["duplicates"] += 1
                 return (False, "duplicate")
-            cell.spent_s += max(float(duration_s), 0.0)
-            worker = self._workers.get(worker_id)
+            cell.spent_s += duration
             if outcome is not None:
                 outcome.attempts = cell.attempts
                 if cell.status == "pending" and index in self._queue:
@@ -356,13 +434,10 @@ class LeaseBoard:
                 self.outcomes[index] = outcome
                 settle_outcome = (index, outcome)
                 self.metrics["completed"] += 1
-                if worker is not None:
-                    worker["completed"] = worker.get("completed", 0) + 1
-                    worker["busy_s"] = worker.get("busy_s", 0.0) + max(float(duration_s), 0.0)
+                tally = {"completed": 1, "busy_s": duration}
                 events.append(("shard.cell.completed", {
                     "uid": uid, "worker": worker_id,
-                    "duration_s": round(max(float(duration_s), 0.0), 6),
-                    **self._job_tag(),
+                    "duration_s": round(duration, 6), **self._job_tag(),
                 }))
             else:
                 if cell.status != "leased" or lease_id != cell.lease_id:
@@ -370,12 +445,12 @@ class LeaseBoard:
                     # worker holds the cell now); the stale failure must
                     # not be charged a second time.
                     return (False, "stale-lease")
-                if worker is not None:
-                    worker["errors"] = worker.get("errors", 0) + 1
+                tally = {"errors": 1}
                 verdict = ("error", error or "worker reported an unspecified error")
                 settled = self._requeue_or_fail(cell, verdict, now)
                 if settled is not None:
                     settle_failure = (index, settled)
+        self.workers.tally(worker_id, **tally)
         # Callbacks and telemetry events run outside the lock: they fsync.
         if settle_outcome is not None and self.on_outcome is not None:
             self.on_outcome(*settle_outcome)
@@ -393,12 +468,6 @@ class LeaseBoard:
     def _job_tag(self) -> dict:
         """Job label merged into telemetry events (empty for one-shot grids)."""
         return {"job": self.job} if self.job is not None else {}
-
-    def _touch(self, worker_id: str, now: float) -> None:
-        worker = self._workers.get(worker_id)
-        if worker is None:
-            raise ShardProtocolError(f"unknown worker id '{worker_id}'")
-        worker["last_seen"] = now
 
     def _requeue_or_fail(
         self, cell: _Cell, verdict: tuple[str, str], now: float
@@ -476,8 +545,6 @@ def parse_report(payload: Mapping) -> tuple[str, str, str, dict]:
 
     Returns ``(worker_id, lease_id, uid, kwargs)`` where ``kwargs`` carries
     either a parsed ``outcome`` or an ``error`` string plus ``duration_s``.
-    Shared by the one-shot coordinator and the multi-job service so both
-    enforce identical wire validation.
     """
     worker_id = require(payload, "worker_id", str)
     lease_id = require(payload, "lease_id", str)
@@ -502,10 +569,10 @@ def parse_report(payload: Mapping) -> tuple[str, str, str, dict]:
 
 
 class _CoordinatorHandler(BaseHTTPRequestHandler):
-    """One HTTP request against the coordinator's lease board."""
+    """One HTTP request against a :class:`LeaseCoordinator`."""
 
-    # Set by ShardCoordinator when the server is built.
-    coordinator: "ShardCoordinator"
+    # Set by LeaseCoordinator when the server is built.
+    coordinator: "LeaseCoordinator"
 
     server_version = "repro-shard"
     protocol_version = "HTTP/1.1"
@@ -534,8 +601,7 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
 
     def _authorized(self) -> bool:
         """Shared-secret gate for mutating routes; replies 401 on failure."""
-        expected = getattr(self.coordinator, "token", None)
-        if token_matches(expected, self.headers.get(AUTH_HEADER)):
+        if token_matches(self.coordinator.token, self.headers.get(AUTH_HEADER)):
             return True
         self._reply({"error": f"missing or invalid {AUTH_HEADER} header"},
                     status=401)
@@ -596,44 +662,55 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
         self._dispatch(lambda: self._handle_delete(self.path.rstrip("/")))
 
 
-class ShardCoordinator:
-    """HTTP front-end over a :class:`LeaseBoard` plus the shipped artifacts.
+class LeaseCoordinator:
+    """The HTTP lease surface over any number of boards and one worker registry.
 
-    Constructed per run by :class:`repro.shard.CoordinatorTransport` (or
-    directly in tests).  ``serve_until_done`` owns the listening socket;
-    lease expiry is evaluated on a fixed tick *and* lazily on every lease
-    / heartbeat, so a fleet of busy workers cannot starve the reaper.
+    :meth:`attach` turns a :class:`~repro.sweep.runner.SweepRunner`'s
+    pending cells into a board (keyed by its job uid, ``None`` for a
+    one-shot grid) and :meth:`wait` blocks the board's owner until it
+    settles.  The base class is one-shot: it answers ``done`` once every
+    attached board settled.  A :attr:`persistent` subclass (the job
+    service) is never done and re-adopts worker ids from a previous run.
     """
+
+    #: Never ``done``; re-adopts worker ids issued before a restart.
+    persistent = False
+    handler_class: type = _CoordinatorHandler
 
     def __init__(
         self,
-        board: LeaseBoard,
-        prepared: Mapping[str, PreparedTarget],
-        prep_keys: Mapping[int, Optional[str]],
+        bind: tuple[str, int] = ("127.0.0.1", 0),
         *,
-        host: str = "127.0.0.1",
-        port: int = 0,
+        token: Optional[str] = None,
+        lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         poll_s: float = DEFAULT_POLL_S,
-        token: Optional[str] = None,
-        cache_dir: Optional[str] = None,
+        cache_dir=None,
     ) -> None:
-        self.board = board
-        self.prepared = dict(prepared)
-        self.prep_keys = dict(prep_keys)
+        check_lease_timing(lease_ttl_s, heartbeat_s)
+        self.token = token or None
+        self.lease_ttl_s = lease_ttl_s
         self.heartbeat_s = heartbeat_s
         self.poll_s = poll_s
-        self.token = token or None
-        # Estimator-cache exchange hub: workers pull this directory's records
-        # in bulk after registering and push back what they compute.
+        #: Estimator-cache exchange hub: workers pull this directory's records
+        #: in bulk after registering and push back what they compute.
         self.cache_dir = cache_dir
-        self._prepared_wire = {
-            key: prepared_to_wire(artifact) for key, artifact in self.prepared.items()
-        }
-        handler = type("BoundCoordinatorHandler", (_CoordinatorHandler,),
+        self.workers = WorkerRegistry(adopt_unknown=self.persistent)
+        # Leaf lock over the board tables: no board method runs under it.
+        self._lock = threading.Lock()
+        self._boards: dict[Optional[str], LeaseBoard] = {}  # round-robin order
+        self._prep_keys: dict[Optional[str], dict[int, Optional[str]]] = {}
+        self._prepared_wire: dict[str, dict] = {}
+        self._retired = dict.fromkeys(LEASE_COUNTERS, 0)
+        # Every board change bumps the generation and wakes the waiters.
+        self._changed = threading.Condition()
+        self._generation = 0
+        self._closing = False
+        handler = type("BoundCoordinatorHandler", (self.handler_class,),
                        {"coordinator": self})
-        self.server = ThreadingHTTPServer((host, port), handler)
+        self.server = ThreadingHTTPServer(bind, handler)
         self.server.daemon_threads = True
+        self._server_thread: Optional[threading.Thread] = None
 
     # ---------------------------------------------------------------- address
     @property
@@ -645,14 +722,179 @@ class ShardCoordinator:
         host, port = self.address
         return f"http://{host}:{port}"
 
+    # -------------------------------------------------------------- lifecycle
+    def start(self) -> None:
+        """Serve HTTP from a daemon thread; returns at once."""
+        self._server_thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.05},
+            daemon=True, name="lease-coordinator-http",
+        )
+        self._server_thread.start()
+
+    def close(self, join_timeout_s: float = 5.0) -> None:
+        """Stop serving: release parked requests and waiters, close the socket."""
+        with self._changed:
+            self._closing = True
+            self._generation += 1
+            self._changed.notify_all()
+        if self._server_thread is not None:
+            self.server.shutdown()
+            self._server_thread.join(timeout=join_timeout_s)
+        self.server.server_close()
+
+    # ----------------------------------------------------------------- boards
+    def attach(
+        self,
+        runner: "SweepRunner",
+        order: list[int],
+        preparations: Mapping[tuple, "PreparedTarget"],
+        *,
+        job: Optional[str] = None,
+    ) -> LeaseBoard:
+        """Serve ``runner``'s cost-ordered pending cells as one new board.
+
+        Reassignment bounds, retry backoff and per-cell timeouts come from
+        the runner, and settled cells stream into its checkpoint — remote
+        attempts are retried, paced and timed out exactly like local ones.
+        """
+        board = LeaseBoard(
+            {index: runner.tasks[index] for index in order},
+            list(order),
+            workers=self.workers,
+            retries=runner.retries,
+            backoff=runner._backoff_delay,
+            timeouts={index: runner.effective_timeout_for(index) for index in order},
+            lease_ttl_s=self.lease_ttl_s,
+            on_outcome=lambda index, outcome: runner.settle_outcome(outcome),
+            on_failure=lambda index, failure: runner.settle_failure(failure),
+            job=job,
+        )
+        artifacts = {index: preparations.get(runner.tasks[index].prep_key)
+                     for index in order}
+        unique = {a.wire_key: a for a in artifacts.values() if a is not None}
+        wire = {key: prepared_to_wire(a) for key, a in unique.items()
+                if key not in self._prepared_wire}
+        with self._lock:
+            self._boards[job] = board
+            self._prep_keys[job] = {
+                index: a.wire_key if a is not None else None
+                for index, a in artifacts.items()
+            }
+            for key, payload in wire.items():
+                self._prepared_wire.setdefault(key, payload)
+        self.notify()
+        return board
+
+    def detach(self, board: LeaseBoard) -> None:
+        """Stop serving ``board``: no new leases; its reports and heartbeats drop."""
+        counters = board.metrics_counts()
+        with self._lock:
+            if self._boards.get(board.job) is board:
+                del self._boards[board.job]
+                del self._prep_keys[board.job]
+                for key, value in counters.items():
+                    self._retired[key] += value
+        self.notify()
+
+    def board(self, job: Optional[str]) -> Optional[LeaseBoard]:
+        with self._lock:
+            return self._boards.get(job)
+
+    def wait(self, board: LeaseBoard, stopped: Callable[[], bool] = lambda: False) -> None:
+        """Block until ``board`` settles, ``stopped()`` or close.
+
+        Expired leases are reaped exactly when they fall due; whoever makes
+        ``stopped()`` true must call :meth:`notify` afterwards.
+        """
+        while True:
+            seen = self._generation
+            if board.expire_leases():
+                self.notify()
+            if board.done or stopped() or self._closing:
+                return
+            self._await_change(seen, [board])
+
+    def linger(self, timeout_s: float) -> None:
+        """Keep answering ``done`` until every live worker heard it (at most ``timeout_s``).
+
+        A worker silent for longer than a lease TTL is presumed dead, as
+        the boards presume it, and not waited for.
+        """
+        until = time.monotonic() + timeout_s
+        while True:
+            seen = self._generation
+            if not self.workers.awaiting_done(self.lease_ttl_s) \
+                    or self._closing or time.monotonic() >= until:
+                return
+            self._await_change(seen, [], until)
+
+    def notify(self) -> None:
+        """Wake everything waiting on a board change (reapers, parked leases, linger)."""
+        with self._changed:
+            self._generation += 1
+            self._changed.notify_all()
+
+    def _await_change(self, seen: int, boards: list[LeaseBoard],
+                      until: Optional[float] = None,
+                      since: Optional[float] = None) -> None:
+        """Sleep until a change after generation ``seen``, the boards' next
+        timed event after ``since`` (default: now), ``until`` or close —
+        whichever comes first."""
+        now = time.monotonic()
+        after = now if since is None else since
+        wake = [d for d in (board.next_deadline(after) for board in boards) if d is not None]
+        if until is not None:
+            wake.append(until)
+        timeout = max(min(wake) - now, 0.0) + _WAKE_SLACK_S if wake else None
+        with self._changed:
+            if self._generation == seen and not self._closing:
+                self._changed.wait(timeout)
+
+    def _attached(self) -> list[LeaseBoard]:
+        with self._lock:
+            return list(self._boards.values())
+
+    def _done(self) -> bool:
+        """One-shot: every attached board settled.  Persistent: never."""
+        if self.persistent:
+            return False
+        boards = self._attached()
+        return bool(boards) and all(board.done for board in boards)
+
+    def _reply_done(self, worker_id: str) -> bool:
+        """The ``done`` flag of a reply to ``worker_id`` (noting who heard it)."""
+        done = self._done()
+        if done and self.workers.tell_done(worker_id):
+            self.notify()
+        return done
+
     # --------------------------------------------------------------- handlers
+    def counts(self) -> dict:
+        """Cell counts over the attached boards, plus fleet size and ``done``."""
+        totals = dict.fromkeys(("cells", "pending", "leased", "settled", "failed"), 0)
+        for board in self._attached():
+            counts = board.counts()
+            for key in totals:
+                totals[key] += counts[key]
+        totals["workers"] = len(self.workers)
+        totals["done"] = self._done()
+        return totals
+
     def status(self) -> dict:
-        counts = self.board.counts()
-        counts["version"] = PROTOCOL_VERSION
-        return counts
+        return {"version": PROTOCOL_VERSION, **self.counts()}
+
+    def lease_metrics(self) -> dict:
+        """Lease-lifecycle counters summed over live and detached boards."""
+        with self._lock:
+            totals = dict(self._retired)
+            boards = list(self._boards.values())
+        for board in boards:
+            for key, value in board.metrics_counts().items():
+                totals[key] += value
+        return totals
 
     def metrics(self) -> dict:
-        """`/v1/metrics`: lease counters, per-worker stats, telemetry snapshot.
+        """`/v1/metrics`: counts, lease counters, per-worker stats, telemetry snapshot.
 
         The lease counters and worker stats are always on; the ``telemetry``
         key is ``None`` unless the coordinator process runs with telemetry
@@ -661,9 +903,9 @@ class ShardCoordinator:
         snap = telemetry.snapshot()
         return {
             "version": PROTOCOL_VERSION,
-            "counts": self.board.counts(),
-            "lease_metrics": self.board.metrics_counts(),
-            "workers": self.board.worker_stats(),
+            "counts": self.counts(),
+            "lease_metrics": self.lease_metrics(),
+            "workers": self.workers.stats(),
             "telemetry": snap.as_dict() if snap is not None else None,
         }
 
@@ -673,52 +915,123 @@ class ShardCoordinator:
             raise ShardProtocolError(
                 f"worker speaks protocol v{version}, coordinator is v{PROTOCOL_VERSION}"
             )
-        name = str(payload.get("name") or "worker")
-        return {
-            "worker_id": self.board.register(name),
-            "lease_ttl_s": self.board.lease_ttl_s,
+        reply = {
+            "worker_id": self.workers.register(str(payload.get("name") or "worker")),
+            "lease_ttl_s": self.lease_ttl_s,
             "heartbeat_s": self.heartbeat_s,
             "poll_s": self.poll_s,
-            "grid_size": self.board.counts()["cells"],
+            "grid_size": sum(board.counts()["cells"] for board in self._attached()),
             "cache": self.cache_dir is not None,
         }
+        if self.persistent:
+            reply["service"] = True
+        return reply
 
     def handle_lease(self, payload: Mapping) -> dict:
         worker_id = require(payload, "worker_id", str)
-        slots = int(payload.get("slots", 1))
+        slots = max(int(payload.get("slots", 1)), 0)
         known = {str(key) for key in payload.get("known_preps", [])}
-        cells = self.board.lease(worker_id, slots)
-        prepared: dict[str, dict] = {}
-        wire_cells = []
-        for cell in cells:
-            prep_key = self.prep_keys.get(cell.index)
-            if prep_key is not None and prep_key not in known:
-                prepared[prep_key] = self._prepared_wire[prep_key]
-            wire_cells.append({
-                "lease_id": cell.lease_id,
-                "uid": cell.task.uid,
-                "task": task_to_wire(cell.task),
-                "prep": prep_key,
-                "timeout_s": cell.timeout_s,
-                "job": self.board.job,
-            })
+        wait_s = payload.get("wait_s", 0.0)
+        if isinstance(wait_s, bool) or not isinstance(wait_s, (int, float)) \
+                or not math.isfinite(wait_s):
+            raise ShardProtocolError("message field 'wait_s' must be a finite number")
+        until = time.monotonic() + min(max(float(wait_s), 0.0), MAX_LEASE_WAIT_S)
+        self.workers.touch(worker_id)
+        while True:
+            seen, started = self._generation, time.monotonic()
+            leased = self._lease_round(worker_id, slots)
+            if leased or not slots or self._done() or self._closing \
+                    or time.monotonic() >= until:
+                break
+            # Long poll: park until a board changes or a backoff ends,
+            # counting one that ended while this round ran.
+            self._await_change(seen, self._attached(), until, since=started)
+        if leased:
+            self.notify()  # the reapers' next lease deadline moved
+        with self._lock:
+            prep_keys = [self._prep_keys.get(board.job, {}).get(cell.index)
+                         for board, cell in leased]
+            prepared = {key: self._prepared_wire[key] for key in prep_keys
+                        if key is not None and key not in known
+                        and key in self._prepared_wire}
         return {
-            "cells": wire_cells,
+            "cells": [
+                {
+                    "lease_id": cell.lease_id,
+                    "uid": cell.task.uid,
+                    "task": task_to_wire(cell.task),
+                    "prep": prep_key,
+                    "timeout_s": cell.timeout_s,
+                    "job": board.job,
+                }
+                for (board, cell), prep_key in zip(leased, prep_keys)
+            ],
             "prepared": prepared,
-            "done": self.board.done,
+            "done": self._reply_done(worker_id),
             "retry_after_s": self.poll_s,
         }
 
+    def _lease_round(self, worker_id: str, slots: int) -> list[tuple[LeaseBoard, _Cell]]:
+        """Lease up to ``slots`` cells, one per board per pass (fair interleave)."""
+        with self._lock:
+            boards = list(self._boards.values())
+            if boards:
+                # Rotate the round-robin start so successive lease calls
+                # begin with a different board even at one cell per call.
+                first = next(iter(self._boards))
+                self._boards[first] = self._boards.pop(first)
+        leased: list[tuple[LeaseBoard, _Cell]] = []
+        progress = True
+        while progress and len(leased) < slots:
+            progress = False
+            for board in boards:
+                if len(leased) >= slots:
+                    break
+                for cell in board.lease(worker_id, 1):
+                    leased.append((board, cell))
+                    progress = True
+        return leased
+
     def handle_report(self, payload: Mapping) -> dict:
         worker_id, lease_id, uid, kwargs = parse_report(payload)
-        accepted, reason = self.board.report(worker_id, lease_id, uid, **kwargs)
-        return {"accepted": accepted, "reason": reason, "done": self.board.done}
+        self.workers.touch(worker_id)
+        job = payload.get("job")
+        if isinstance(job, str) and job:
+            board = self.board(job)
+        else:
+            # One-shot grids and job-oblivious workers route by uid.
+            board = next((b for b in self._attached() if b.has_cell(uid)), None)
+        if board is None:
+            # Cancelled / settled / unknown job: acknowledge without acting,
+            # exactly like a duplicate — requeue suppression on cancel.
+            accepted, reason = False, "unknown-job"
+        else:
+            accepted, reason = board.report(worker_id, lease_id, uid, **kwargs)
+            self.notify()
+        return {"accepted": accepted, "reason": reason,
+                "done": self._reply_done(worker_id)}
 
     def handle_heartbeat(self, payload: Mapping) -> dict:
         worker_id = require(payload, "worker_id", str)
         lease_ids = [str(l) for l in payload.get("lease_ids", [])]
-        lost = self.board.heartbeat(worker_id, lease_ids)
-        return {"ok": True, "lost": lost, "done": self.board.done}
+        self.workers.touch(worker_id)
+        by_board: dict[LeaseBoard, list[str]] = {}
+        lost: list[str] = []
+        with self._lock:
+            for lease_id in lease_ids:
+                job, sep, _ = lease_id.rpartition(":")
+                board = self._boards.get(job if sep else None)
+                if board is None:
+                    # The owning board is gone (job cancelled, settled, or
+                    # the lease predates a restart): the lease is lost.
+                    lost.append(lease_id)
+                else:
+                    by_board.setdefault(board, []).append(lease_id)
+        # No wake-up needed: extended leases fall due later than the
+        # deadlines the waiters already sleep towards.
+        for board, ids in by_board.items():
+            lost.extend(board.heartbeat(worker_id, ids))
+        return {"ok": True, "lost": lost, "done": self._reply_done(worker_id)}
 
     # ------------------------------------------------------------ cache sync
     def handle_cache_pull(self, payload: Mapping) -> dict:
@@ -746,35 +1059,3 @@ class ShardCoordinator:
         if accepted:
             telemetry.event("shard.cache.pushed", records=accepted)
         return {"accepted": accepted, "enabled": True}
-
-    # ------------------------------------------------------------------ serve
-    def serve_until_done(
-        self,
-        stop: Optional[threading.Event] = None,
-        tick_s: float = 0.25,
-        linger_s: float = 2.0,
-    ) -> None:
-        """Serve requests until every cell settled (or ``stop`` is set).
-
-        After the last cell settles the server lingers for ``linger_s`` so
-        polling workers observe ``done=True`` and exit cleanly instead of
-        hitting a connection refusal.
-        """
-        thread = threading.Thread(target=self.server.serve_forever,
-                                  kwargs={"poll_interval": 0.05}, daemon=True)
-        thread.start()
-        try:
-            while not self.board.done:
-                if stop is not None and stop.is_set():
-                    break
-                self.board.expire_leases()
-                time.sleep(tick_s)
-            if self.board.done and linger_s > 0:
-                time.sleep(linger_s)
-        finally:
-            self.server.shutdown()
-            thread.join(timeout=5.0)
-            self.server.server_close()
-
-    def close(self) -> None:
-        self.server.server_close()

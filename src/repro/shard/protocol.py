@@ -23,14 +23,17 @@ unless noted):
     the ``/v1/cache/*`` exchange below.
 
 ``/v1/lease``
-    ``{"worker_id", "slots", "known_preps": [wire_key, ...]}`` →
-    ``{"cells": [{"lease_id", "uid", "task", "prep", "timeout_s",
+    ``{"worker_id", "slots", "known_preps": [wire_key, ...], "wait_s"?}``
+    → ``{"cells": [{"lease_id", "uid", "task", "prep", "timeout_s",
     "job"}, ...], "prepared": {wire_key: PreparedTarget.to_wire(), ...},
     "done": bool, "retry_after_s": float}``.  Cells are leased
     longest-expected-first; the serialized :class:`PreparedTarget` for a
     cell's target key ships inline exactly once per worker (the worker
-    advertises the keys it already holds).  ``done=True`` tells the
-    worker the whole grid has settled and it should exit.  ``job`` is the
+    advertises the keys it already holds).  With ``wait_s`` (long poll,
+    capped at :data:`MAX_LEASE_WAIT_S`) a request that finds no ready cell
+    is held until one is ready, the grid is done or the wait ran out.
+    ``done=True`` tells the worker the whole grid has settled and it
+    should exit; a persistent service never sends it.  ``job`` is the
     owning job uid under a multi-job service coordinator and ``None``
     (or absent) for a one-shot grid — workers echo it back verbatim.
 
@@ -42,8 +45,7 @@ unless noted):
     first settled record wins and later reports are acknowledged but
     dropped (``accepted=False, reason="duplicate"``), so a settled cell
     is never lost *or* double-counted.  ``job`` routes the report to the
-    right job's board under a service coordinator; one-shot coordinators
-    ignore it.
+    right job's board; without it the report is routed by ``uid``.
 
 ``/v1/heartbeat``
     ``{"worker_id", "lease_ids": [...]}`` → ``{"ok", "lost": [...]}``.
@@ -98,8 +100,12 @@ DEFAULT_LEASE_TTL_S = 30.0
 #: Default worker heartbeat period (well under the lease TTL).
 DEFAULT_HEARTBEAT_S = 5.0
 
-#: Default idle-poll period suggested to workers when no cell is ready.
+#: Retry pacing suggested to workers whose lease found no ready cell.
 DEFAULT_POLL_S = 0.5
+
+#: Longest a long-polling ``/v1/lease`` request is held at the coordinator;
+#: well under a worker's default request timeout.
+MAX_LEASE_WAIT_S = 10.0
 
 #: Header carrying the shared secret on mutating requests.
 AUTH_HEADER = "X-Repro-Token"
@@ -110,6 +116,14 @@ SERVICE_TOKEN_ENV = "REPRO_SERVICE_TOKEN"
 
 class ShardProtocolError(RuntimeError):
     """A malformed or unexpected message crossed the shard wire."""
+
+
+def check_lease_timing(lease_ttl_s: float, heartbeat_s: float) -> None:
+    """Reject a lease TTL / heartbeat pair under which live workers would expire."""
+    if lease_ttl_s <= 0:
+        raise ValueError("lease_ttl_s must be positive")
+    if heartbeat_s <= 0 or heartbeat_s >= lease_ttl_s:
+        raise ValueError("heartbeat_s must be positive and below lease_ttl_s")
 
 
 def resolve_token(token: Optional[str]) -> Optional[str]:

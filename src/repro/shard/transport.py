@@ -15,22 +15,23 @@ runs.
   process schedules; ``SweepRunner(transport=LocalTransport())`` is
   exactly ``SweepRunner()``.  Exists so callers can treat "local" and
   "distributed" uniformly.
-* :class:`CoordinatorTransport` — binds the lease-based HTTP coordinator
-  (:mod:`repro.shard.coordinator`) and serves the cells to remote
+* :class:`CoordinatorTransport` — serves the cells from a one-shot
+  :class:`~repro.shard.coordinator.LeaseCoordinator` to remote
   :mod:`repro.shard.worker` processes instead of forking local ones.
+  The job service serves each job from the same coordinator class.
 """
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Mapping, Optional
 
-from repro.shard.coordinator import LeaseBoard, ShardCoordinator
+from repro.shard.coordinator import LeaseCoordinator
 from repro.shard.protocol import (
     DEFAULT_HEARTBEAT_S,
     DEFAULT_LEASE_TTL_S,
     DEFAULT_POLL_S,
+    check_lease_timing,
 )
 from repro.utils.logging import get_logger
 
@@ -74,10 +75,11 @@ class LocalTransport(Transport):
 class CoordinatorTransport(Transport):
     """Serve the pending cells to remote workers over the shard protocol.
 
-    The transport owns the coordinator's listening socket for the
-    duration of one :meth:`SweepRunner.run` call.  Reassignment bounds,
-    retry backoff and per-cell timeouts are taken from the runner — the
-    PR-4 machinery applies to remote attempts exactly as to local ones.
+    The transport owns a one-shot :class:`LeaseCoordinator` for the
+    duration of one :meth:`SweepRunner.run` call: the run's cells are its
+    only board, ``done`` goes out once they all settled, and the socket
+    closes as soon as every live worker heard so — ``linger_s`` caps that
+    wait.
     """
 
     def __init__(
@@ -88,24 +90,19 @@ class CoordinatorTransport(Transport):
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         poll_s: float = DEFAULT_POLL_S,
         linger_s: float = 2.0,
-        stop: Optional[threading.Event] = None,
         on_bound=None,
         token: Optional[str] = None,
     ) -> None:
-        if lease_ttl_s <= 0:
-            raise ValueError("lease_ttl_s must be positive")
-        if heartbeat_s <= 0 or heartbeat_s >= lease_ttl_s:
-            raise ValueError("heartbeat_s must be positive and below lease_ttl_s")
+        check_lease_timing(lease_ttl_s, heartbeat_s)
         self.bind = bind
         self.lease_ttl_s = lease_ttl_s
         self.heartbeat_s = heartbeat_s
         self.poll_s = poll_s
         self.linger_s = linger_s
-        self.stop = stop
         self.on_bound = on_bound
         self.token = token or None
         #: The coordinator of the in-flight run (exposed for tests/status).
-        self.coordinator: Optional[ShardCoordinator] = None
+        self.coordinator: Optional[LeaseCoordinator] = None
         #: Lease metrics / per-worker stats of the last finished run, kept
         #: after the server socket closes so the CLI can print a recap.
         self.final_counts: Optional[dict] = None
@@ -114,48 +111,30 @@ class CoordinatorTransport(Transport):
     def execute(self, runner, order, preparations):
         if not order:
             return {}, {}
-        board = LeaseBoard(
-            {index: runner.tasks[index] for index in order},
-            list(order),
-            retries=runner.retries,
-            backoff=runner._backoff_delay,
-            timeouts={index: runner.effective_timeout_for(index) for index in order},
+        coordinator = LeaseCoordinator(
+            self.bind,
+            token=self.token,
             lease_ttl_s=self.lease_ttl_s,
-            on_outcome=lambda index, outcome: runner.settle_outcome(outcome),
-            on_failure=lambda index, failure: runner.settle_failure(failure),
-        )
-        prepared_by_key: dict[str, "PreparedTarget"] = {}
-        prep_keys: dict[int, Optional[str]] = {}
-        for index in order:
-            artifact = preparations.get(runner.tasks[index].prep_key)
-            if artifact is None:
-                prep_keys[index] = None
-            else:
-                prepared_by_key[artifact.wire_key] = artifact
-                prep_keys[index] = artifact.wire_key
-        coordinator = ShardCoordinator(
-            board,
-            prepared_by_key,
-            prep_keys,
-            host=self.bind[0],
-            port=self.bind[1],
             heartbeat_s=self.heartbeat_s,
             poll_s=self.poll_s,
-            token=self.token,
             # The run's cache dir doubles as the cache-exchange hub: fresh
             # workers pull it in bulk and push back what they compute.
             cache_dir=runner.cache_dir,
         )
+        board = coordinator.attach(runner, order, preparations)
+        coordinator.start()
         self.coordinator = coordinator
         logger.info(
             "shard: coordinator serving %d cell(s) on %s", len(order), coordinator.url
         )
-        if self.on_bound is not None:
-            self.on_bound(coordinator)
         try:
-            coordinator.serve_until_done(stop=self.stop, linger_s=self.linger_s)
+            if self.on_bound is not None:
+                self.on_bound(coordinator)
+            coordinator.wait(board)
+            coordinator.linger(self.linger_s)
         finally:
-            self.final_counts = board.metrics_counts()
-            self.final_workers = board.worker_stats()
+            self.final_counts = coordinator.lease_metrics()
+            self.final_workers = coordinator.workers.stats()
+            coordinator.close()
             self.coordinator = None
         return dict(board.outcomes), dict(board.failures)

@@ -37,6 +37,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Callable, Optional
 
 from repro.shard.protocol import (
+    MAX_LEASE_WAIT_S,
     PROTOCOL_VERSION,
     ShardProtocolError,
     outcome_to_wire,
@@ -120,8 +121,8 @@ class ShardWorker:
         self.reconnect_delay_s = reconnect_delay_s
         self.token = token or None
         # None keeps the one-shot contract (exit only on done); a number
-        # makes an idle worker (no work in any job) back off and exit 0
-        # after that many seconds without a lease — the multi-job default.
+        # makes an idle worker (no work in any job) exit 0 after that many
+        # seconds without a lease — the multi-job default.
         self.idle_timeout_s = idle_timeout_s
 
         self.worker_id: Optional[str] = None
@@ -135,7 +136,6 @@ class ShardWorker:
         self._saw_done = threading.Event()
         self._stop = threading.Event()
         self._idle_since: Optional[float] = None
-        self._idle_rounds = 0
         self._cache_sync = False
         self._cache_pushed: set[tuple[str, str]] = set()
 
@@ -226,17 +226,26 @@ class ShardWorker:
                     self.worker_id, ", ".join(map(str, lost)),
                 )
 
-    def _lease(self, slots: int) -> dict:
-        reply = self._post("/v1/lease", {
+    def _lease(self, slots: int, wait_s: float = 0.0) -> dict:
+        payload = {
             "worker_id": self.worker_id,
             "slots": slots,
             "known_preps": sorted(self._prepared),
-        })
+        }
+        if wait_s > 0:
+            payload["wait_s"] = wait_s
+        started = time.monotonic()
+        reply = self._post("/v1/lease", payload)
         for key, wire in (reply.get("prepared") or {}).items():
             if key not in self._prepared:
                 self._prepared[key] = prepared_from_wire(wire)
         if reply.get("done"):
             self._saw_done.set()
+        elif wait_s > 0 and not reply.get("cells"):
+            # A coordinator that does not hold lease requests answers at
+            # once: pace the retry instead of spinning.
+            pace = min(wait_s, float(reply.get("retry_after_s", self.poll_s)))
+            time.sleep(max(pace - (time.monotonic() - started), 0.0))
         return reply
 
     def _report(self, lease_id: str, uid: str, status: str, value,
@@ -311,48 +320,49 @@ class ShardWorker:
                     raise
                 time.sleep(self.reconnect_delay_s)
 
-    def _idle_pause(self, reply: dict) -> bool:
-        """Backoff sleep between empty leases; True once the idle budget is spent.
+    def _idle_wait_s(self) -> float:
+        """Start the idle clock; how long a lease with nothing in flight may park.
 
-        One-shot grids never get here with ``done`` unset for long, so the
-        default (``idle_timeout_s=None``) polls forever — the coordinator's
-        ``done`` reply is the shutdown signal.  Against a persistent
-        multi-job service, "no work in any job" is an ordinary steady
-        state: the worker backs off exponentially (bounded) and only exits
-        0 when a configured idle timeout elapses with no lease granted.
+        The coordinator holds such a request until a cell is ready (long
+        poll), so waiting for work costs no polling.  One-shot grids wait
+        until the coordinator's ``done`` reply; against a persistent
+        multi-job service, "no work in any job" is an ordinary steady state
+        and the wait is bounded by the idle budget left.
         """
         now = time.monotonic()
         if self._idle_since is None:
             self._idle_since = now
-        elif self.idle_timeout_s is not None \
-                and now - self._idle_since >= self.idle_timeout_s:
-            logger.info("shard worker %s: no work for %.1fs; exiting on idle timeout",
-                        self.worker_id, now - self._idle_since)
-            return True
-        base = max(float(reply.get("retry_after_s", self.poll_s)), 0.05)
-        delay = min(base * (2.0 ** self._idle_rounds), max(base, 2.0))
-        self._idle_rounds += 1
+        wait_s = min(MAX_LEASE_WAIT_S, self.request_timeout_s / 2)
         if self.idle_timeout_s is not None:
-            remaining = self.idle_timeout_s - (time.monotonic() - self._idle_since)
-            delay = min(delay, max(remaining, 0.05))
-        time.sleep(delay)
-        return False
+            wait_s = min(wait_s, self.idle_timeout_s - (now - self._idle_since))
+        return max(wait_s, 0.0)
+
+    def _idle_expired(self) -> bool:
+        """True once the idle timeout elapsed without a lease (exit 0)."""
+        if self.idle_timeout_s is None or self._idle_since is None:
+            return False
+        idle_s = time.monotonic() - self._idle_since
+        if idle_s < self.idle_timeout_s:
+            return False
+        logger.info("shard worker %s: no work for %.1fs; exiting on idle timeout",
+                    self.worker_id, idle_s)
+        return True
 
     def _note_work(self) -> None:
         self._idle_since = None
-        self._idle_rounds = 0
 
     def _run_serial(self) -> int:
         try:
-            while True:
-                reply = self._checked(lambda: self._lease(1))
+            # A worker that heard "done" leaves at once: the coordinator
+            # closes as soon as every live worker heard it.
+            while not self._saw_done.is_set():
+                wait_s = self._idle_wait_s()
+                reply = self._checked(lambda: self._lease(1, wait_s))
                 if reply is None:
                     return 0
                 cells = reply.get("cells") or []
                 if not cells:
-                    if reply.get("done"):
-                        return 0
-                    if self._idle_pause(reply):
+                    if self._idle_expired():
                         return 0
                     continue
                 self._note_work()
@@ -372,6 +382,7 @@ class ShardWorker:
                         j=job: self._report(lid, u, s, v, d, j) or {}
                     ) is None:
                         return 0
+            return 0
         except ShardProtocolError:
             return 1
 
@@ -379,10 +390,13 @@ class ShardWorker:
         in_flight: dict = {}  # future -> (lease_id, uid, job)
         try:
             with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                while True:
+                while in_flight or not self._saw_done.is_set():
                     free = self.workers - len(in_flight)
                     if free > 0:
-                        reply = self._checked(lambda: self._lease(free))
+                        # Park only when idle: results of running cells
+                        # must not wait behind a long poll.
+                        wait_s = 0.0 if in_flight else self._idle_wait_s()
+                        reply = self._checked(lambda: self._lease(free, wait_s))
                         if reply is None:
                             return 0
                         cells = reply.get("cells") or []
@@ -399,9 +413,7 @@ class ShardWorker:
                         if cells:
                             self._note_work()
                         elif not in_flight:
-                            if reply.get("done"):
-                                return 0
-                            if self._idle_pause(reply):
+                            if self._idle_expired():
                                 return 0
                             continue
                     if in_flight:
@@ -423,5 +435,6 @@ class ShardWorker:
                                 d=duration, j=job: self._report(lid, u, s, v, d, j) or {}
                             ) is None:
                                 return 0
+            return 0
         except ShardProtocolError:
             return 1

@@ -47,8 +47,10 @@ def local_journal_map(spec: SweepSpec, tmp_path) -> dict[str, str]:
     return journal_map(run_dir / CHECKPOINT_FILENAME)
 
 
-def run_worker(url: str, cache_dir, *, token=None, idle_timeout_s=3.0,
+def run_worker(url: str, cache_dir, *, token=None, idle_timeout_s=1.5,
                task_fn=None) -> int:
+    # The worker's idle lease is held at the service until a cell is ready,
+    # so the timeout only has to outlast a tiny job's preparation.
     kwargs = dict(cache_dir=str(cache_dir), token=token,
                   idle_timeout_s=idle_timeout_s)
     if task_fn is not None:
@@ -200,7 +202,7 @@ class TestServiceLifecycle:
             service.stop()
 
     def test_cancel_running_job_releases_its_leases(self, tmp_path):
-        service = ServiceCoordinator(tmp_path / "root", tick_s=0.05)
+        service = ServiceCoordinator(tmp_path / "root")
         service.start()
         try:
             client = ServiceClient(service.url)
@@ -417,24 +419,29 @@ class TestInterleavingDeterminism:
 # --------------------------------------------------------- lease board units
 class TestLeaseBoardServiceHooks:
     def _board(self, **kwargs):
-        from repro.shard import LeaseBoard
+        from repro.shard import LeaseBoard, WorkerRegistry
         from repro.sweep import build_grid
 
         tasks = build_grid("pynq-z1", "scd", [10.0], **TINY)
+        kwargs.setdefault("workers", WorkerRegistry())
         return LeaseBoard({0: tasks[0]}, [0], **kwargs)
 
     def test_lease_prefix_namespaces_lease_ids(self):
-        board = self._board(lease_prefix="j0001:", job="j0001")
-        board.adopt_worker("w1")
-        cells = board.lease("w1", 1)
+        board = self._board(job="j0001")
+        cells = board.lease(board.workers.register("w"), 1)
         assert cells[0].lease_id.startswith("j0001:")
         assert cells[0].lease_id.rpartition(":")[0] == "j0001"
 
     def test_adopt_worker_is_idempotent_and_enables_leasing(self):
-        board = self._board()
+        from repro.shard import WorkerRegistry
+
         with pytest.raises(ShardProtocolError, match="unknown worker"):
-            board.lease("ghost", 1)
-        board.adopt_worker("ghost", "revenant")
-        board.adopt_worker("ghost", "other-name")  # no-op, keeps the first
+            self._board().lease("ghost", 1)
+        # A persistent service re-adopts ids issued before a restart.
+        registry = WorkerRegistry(adopt_unknown=True)
+        board = self._board(workers=registry)
         assert board.lease("ghost", 1)
-        assert board.worker_stats()[0]["name"] == "revenant"
+        board.heartbeat("ghost", [])  # a second contact adds no second entry
+        assert [(s["worker_id"], s["name"], s["leased"]) for s in registry.stats()] \
+            == [("ghost", "reattached-ghost", 1)]
+        assert registry.register("fresh") == "w1"

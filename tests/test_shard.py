@@ -14,9 +14,10 @@ from repro.hw.device import get_device
 from repro.shard import (
     CoordinatorTransport,
     LeaseBoard,
-    ShardCoordinator,
+    LeaseCoordinator,
     ShardProtocolError,
     ShardWorker,
+    WorkerRegistry,
     get_json,
     parse_bind,
     post_json,
@@ -131,6 +132,7 @@ class TestPreparedDeviceWire:
 # ------------------------------------------------------------------ lease board
 def make_board(tasks, **kwargs):
     order = list(range(len(tasks)))
+    kwargs.setdefault("workers", WorkerRegistry())
     return LeaseBoard(dict(enumerate(tasks)), order, **kwargs)
 
 
@@ -153,7 +155,7 @@ class TestLeaseBoard:
     def test_lease_order_and_attempts(self):
         tasks = self.tasks(3)
         board = make_board(tasks)
-        worker = board.register("a")
+        worker = board.workers.register("a")
         cells = board.lease(worker, 2)
         assert [c.index for c in cells] == [0, 1]
         assert all(c.attempts == 1 and c.status == "leased" for c in cells)
@@ -164,7 +166,7 @@ class TestLeaseBoard:
         tasks = self.tasks(1)
         settled = []
         board = make_board(tasks, on_outcome=lambda i, o: settled.append(i))
-        worker = board.register("a")
+        worker = board.workers.register("a")
         lease_id = board.lease(worker, 1)[0].lease_id
         accepted, reason = board.report(worker, lease_id, tasks[0].uid,
                                         outcome=fake_outcome(tasks[0]))
@@ -178,7 +180,7 @@ class TestLeaseBoard:
     def test_report_validates_lease_and_uid(self):
         tasks = self.tasks(1)
         board = make_board(tasks)
-        worker = board.register("a")
+        worker = board.workers.register("a")
         cell = board.lease(worker, 1)[0]
         assert board.report(worker, "l999", tasks[0].uid,
                             outcome=fake_outcome(tasks[0])) == (False, "unknown-lease")
@@ -193,7 +195,7 @@ class TestLeaseBoard:
         failures = []
         board = make_board(tasks, retries=1,
                            on_failure=lambda i, f: failures.append(f))
-        worker = board.register("a")
+        worker = board.workers.register("a")
         cell = board.lease(worker, 1)[0]
         accepted, reason = board.report(worker, cell.lease_id, tasks[0].uid,
                                         error="boom")
@@ -212,7 +214,7 @@ class TestLeaseBoard:
         failures = []
         board = make_board(tasks, retries=1, lease_ttl_s=0.05,
                            on_failure=lambda i, f: failures.append(f))
-        worker = board.register("dying")
+        worker = board.workers.register("dying")
         assert board.lease(worker, 1)
         time.sleep(0.08)
         assert board.expire_leases() == 1
@@ -227,7 +229,7 @@ class TestLeaseBoard:
     def test_heartbeat_extends_lease_and_reports_lost(self):
         tasks = self.tasks(1)
         board = make_board(tasks, lease_ttl_s=0.3)
-        worker = board.register("a")
+        worker = board.workers.register("a")
         cell = board.lease(worker, 1)[0]
         for _ in range(3):
             time.sleep(0.15)
@@ -240,7 +242,7 @@ class TestLeaseBoard:
         tasks = self.tasks(1)
         board = make_board(tasks, retries=0, lease_ttl_s=30.0,
                            timeouts={0: 0.05})
-        worker = board.register("staller")
+        worker = board.workers.register("staller")
         lease_id = board.lease(worker, 1)[0].lease_id
         assert board.heartbeat(worker, [lease_id]) == []
         time.sleep(0.08)
@@ -254,11 +256,11 @@ class TestLeaseBoard:
         """A revoked worker's result still counts when it arrives first."""
         tasks = self.tasks(1)
         board = make_board(tasks, retries=2, lease_ttl_s=0.05)
-        slow = board.register("slow")
+        slow = board.workers.register("slow")
         stale_lease = board.lease(slow, 1)[0].lease_id
         time.sleep(0.08)
         board.expire_leases()
-        fast = board.register("fast")
+        fast = board.workers.register("fast")
         fresh_lease = board.lease(fast, 1)[0].lease_id
         assert fresh_lease != stale_lease
         # The presumed-dead worker reports first: accepted (work not wasted).
@@ -277,7 +279,7 @@ class TestLeaseBoard:
         settled = []
         board = make_board(tasks, retries=3, lease_ttl_s=0.05,
                            on_outcome=lambda i, o: settled.append(i))
-        worker = board.register("slow")
+        worker = board.workers.register("slow")
         stale_lease = board.lease(worker, 1)[0].lease_id
         time.sleep(0.08)
         board.expire_leases()  # cell requeued, back in the lease queue
@@ -292,13 +294,13 @@ class TestLeaseBoard:
         must not double-requeue the cell or fail it under another worker."""
         tasks = self.tasks(1)
         board = make_board(tasks, retries=1, lease_ttl_s=0.05)
-        slow = board.register("slow")
+        slow = board.workers.register("slow")
         stale_lease = board.lease(slow, 1)[0].lease_id
         time.sleep(0.08)
         board.expire_leases()  # requeued: that attempt is already accounted
         assert board.report(slow, stale_lease, tasks[0].uid,
                             error="late boom") == (False, "stale-lease")
-        fast = board.register("fast")
+        fast = board.workers.register("fast")
         cells = board.lease(fast, 5)
         assert len(cells) == 1, "exactly one queued copy of the cell"
         fresh_lease = cells[0].lease_id
@@ -313,7 +315,7 @@ class TestLeaseBoard:
     def test_backoff_delays_requeued_cell(self):
         tasks = self.tasks(1)
         board = make_board(tasks, retries=1, backoff=lambda attempts: 0.2)
-        worker = board.register("a")
+        worker = board.workers.register("a")
         cell = board.lease(worker, 1)[0]
         board.report(worker, cell.lease_id, tasks[0].uid, error="flaky")
         assert board.lease(worker, 1) == [], "cell must be inside its backoff window"
@@ -321,26 +323,55 @@ class TestLeaseBoard:
         assert board.lease(worker, 1), "cell must come back after the backoff"
 
 
+class TestWorkerRegistry:
+    def test_concurrent_leases_across_boards_tally_each_cell_once(self):
+        """Stress: more leasing threads than cores over two boards sharing one
+        registry lose no per-worker tally and grant no cell twice."""
+        import sys
+
+        registry = WorkerRegistry()
+        tasks = build_grid("pynq-z1,ultra96", "scd,random,annealing",
+                           [40.0, 50.0, 60.0, 70.0], **TINY)
+        boards = [LeaseBoard(dict(enumerate(tasks)), list(range(len(tasks))),
+                             workers=registry, job=job) for job in ("a", "b")]
+        leased = []
+
+        def grab(worker_id):
+            for board in boards:
+                while cells := board.lease(worker_id, 1):
+                    leased.extend(cells)
+
+        threads = [threading.Thread(target=grab, args=(registry.register(f"w{i}"),))
+                   for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len({cell.lease_id for cell in leased}) == len(leased) == 2 * len(tasks)
+        assert sum(entry["leased"] for entry in registry.stats()) == 2 * len(tasks)
+
+
 # ------------------------------------------------------------- HTTP coordinator
-def serve(coordinator, **kwargs):
-    stop = threading.Event()
-    thread = threading.Thread(
-        target=coordinator.serve_until_done,
-        kwargs={"stop": stop, "tick_s": 0.05, "linger_s": 0.2, **kwargs},
-        daemon=True,
-    )
-    thread.start()
-    return stop, thread
+def serve(tasks, preparations=None, **runner_kwargs):
+    """A started one-shot coordinator serving ``tasks`` as its one board."""
+    coordinator = LeaseCoordinator()
+    coordinator.attach(SweepRunner(tasks, **runner_kwargs),
+                       list(range(len(tasks))), preparations or {})
+    coordinator.start()
+    return coordinator
 
 
 class TestCoordinatorHTTP:
     def test_protocol_round_trip_over_real_sockets(self):
         tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
-        board = make_board(tasks)
         prepared = prepare_device(tasks[0])
-        coordinator = ShardCoordinator(
-            board, {prepared.wire_key: prepared}, {0: prepared.wire_key}, port=0)
-        stop, thread = serve(coordinator)
+        coordinator = serve(tasks, {tasks[0].prep_key: prepared})
         try:
             url = coordinator.url
             registration = post_json(url, "/v1/register", {"name": "t", "version": 1})
@@ -376,14 +407,17 @@ class TestCoordinatorHTTP:
             assert report["accepted"] and report["done"]
             status = get_json(url, "/v1/status")
             assert status["settled"] == 1 and status["done"]
+            # The only worker heard "done": the one-shot coordinator need
+            # not linger for anybody.
+            started = time.monotonic()
+            coordinator.linger(30.0)
+            assert time.monotonic() - started < 5.0
         finally:
-            stop.set()
-            thread.join(timeout=10.0)
+            coordinator.close()
 
     def test_malformed_requests_rejected_not_fatal(self):
         tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
-        coordinator = ShardCoordinator(make_board(tasks), {}, {0: None}, port=0)
-        stop, thread = serve(coordinator)
+        coordinator = serve(tasks)
         try:
             url = coordinator.url
             with pytest.raises(ShardProtocolError, match="missing required field"):
@@ -394,12 +428,68 @@ class TestCoordinatorHTTP:
                 post_json(url, "/v1/nope", {})
             with pytest.raises(ShardProtocolError, match="protocol v99"):
                 post_json(url, "/v1/register", {"name": "x", "version": 99})
+            worker_id = post_json(url, "/v1/register", {"name": "x"})["worker_id"]
+            with pytest.raises(ShardProtocolError, match="wait_s"):
+                post_json(url, "/v1/lease", {"worker_id": worker_id, "wait_s": "soon"})
             # The server survived all of it.
             assert get_json(url, "/v1/status")["cells"] == 1
         finally:
-            stop.set()
-            thread.join(timeout=10.0)
+            coordinator.close()
 
+    def test_parked_lease_is_answered_when_a_backoff_ends(self):
+        """Long poll: a lease that finds no ready cell is held and answered
+        the moment the requeued cell's retry backoff ends."""
+        tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
+        coordinator = serve(tasks, retry_backoff_s=0.5)
+        try:
+            url = coordinator.url
+            worker = post_json(url, "/v1/register", {"name": "w"})["worker_id"]
+            cell = post_json(url, "/v1/lease", {"worker_id": worker})["cells"][0]
+            post_json(url, "/v1/report", {
+                "worker_id": worker, "lease_id": cell["lease_id"],
+                "uid": cell["uid"], "status": "error", "error": "flaky",
+            })
+            reply = post_json(url, "/v1/lease", {"worker_id": worker, "wait_s": 8.0},
+                              timeout_s=30.0)
+            assert [c["uid"] for c in reply["cells"]] == [tasks[0].uid]
+            assert reply["cells"][0]["lease_id"] != cell["lease_id"]
+        finally:
+            coordinator.close()
+
+
+    def test_backoff_ending_mid_round_still_wakes_the_parked_lease(self, monkeypatch):
+        """Regression: a retry backoff that ends while an empty lease round is
+        still returning must wake the parked request at once, not when its
+        wait runs out."""
+        tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
+        coordinator = serve(tasks, retry_backoff_s=1.0)
+        try:
+            url = coordinator.url
+            worker = post_json(url, "/v1/register", {"name": "w"})["worker_id"]
+            cell = post_json(url, "/v1/lease", {"worker_id": worker})["cells"][0]
+            post_json(url, "/v1/report", {
+                "worker_id": worker, "lease_id": cell["lease_id"],
+                "uid": cell["uid"], "status": "error", "error": "flaky",
+            })
+            lease_round = coordinator._lease_round
+            rounds = []
+
+            def slow_round(worker_id, slots):
+                leased = lease_round(worker_id, slots)
+                if not rounds:
+                    rounds.append(leased)
+                    time.sleep(1.5)  # the backoff ends before this round returns
+                return leased
+
+            monkeypatch.setattr(coordinator, "_lease_round", slow_round)
+            started = time.monotonic()
+            reply = post_json(url, "/v1/lease", {"worker_id": worker, "wait_s": 8.0},
+                              timeout_s=30.0)
+            assert rounds == [[]], "the first round must find the cell backing off"
+            assert [c["uid"] for c in reply["cells"]] == [tasks[0].uid]
+            assert time.monotonic() - started < 5.0
+        finally:
+            coordinator.close()
 
 # -------------------------------------------------------------------- end to end
 def run_distributed(tasks, *, worker_count=2, worker_workers=1, cache_dir=None,

@@ -16,7 +16,6 @@ import json
 import os
 import pickle
 import tempfile
-import threading
 import time
 
 import pytest
@@ -24,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.shard import LeaseBoard, ShardCoordinator, get_json, post_json
+from repro.shard import LeaseBoard, LeaseCoordinator, WorkerRegistry, get_json, post_json
 from repro.sweep import SweepRunner, build_grid, prepare_device
 from repro.sweep.checkpoint import (
     CHECKPOINT_FILENAME,
@@ -57,7 +56,7 @@ def journal_bytes(outcomes):
 
 def make_board(tasks, **kwargs):
     order = list(range(len(tasks)))
-    return LeaseBoard(dict(enumerate(tasks)), order, **kwargs)
+    return LeaseBoard(dict(enumerate(tasks)), order, workers=WorkerRegistry(), **kwargs)
 
 
 def fake_outcome(task):
@@ -392,7 +391,7 @@ class TestLeaseMetrics:
     def test_counters_reconcile_over_a_full_lifecycle(self):
         tasks = self.tasks(2)
         board = make_board(tasks, retries=1)
-        worker = board.register("a")
+        worker = board.workers.register("a")
         first, second = board.lease(worker, 2)  # cost-ordered, not grid-ordered
         first_lease, second_lease = first.lease_id, second.lease_id
         board.heartbeat(worker, [first_lease, second_lease])
@@ -408,7 +407,7 @@ class TestLeaseMetrics:
             "granted": 3, "heartbeats": 1, "completed": 1, "failed": 1,
             "requeued": 1, "expired": 0, "revoked": 0, "duplicates": 1,
         }
-        stats = board.worker_stats()
+        stats = board.workers.stats()
         assert len(stats) == 1
         assert stats[0]["name"] == "a"
         assert stats[0]["leased"] == 3
@@ -419,7 +418,7 @@ class TestLeaseMetrics:
     def test_expired_lease_increments_expired_counter(self):
         tasks = self.tasks(1)
         board = make_board(tasks, retries=1, lease_ttl_s=0.05)
-        worker = board.register("dying")
+        worker = board.workers.register("dying")
         assert board.lease(worker, 1)
         time.sleep(0.1)
         assert board.expire_leases() == 1
@@ -432,7 +431,7 @@ class TestLeaseMetrics:
         tasks = self.tasks(1)
         telemetry.enable(fresh=True)
         board = make_board(tasks)
-        worker = board.register("a")
+        worker = board.workers.register("a")
         cell = board.lease(worker, 1)[0]
         board.report(worker, cell.lease_id, tasks[0].uid,
                      outcome=fake_outcome(tasks[0]), duration_s=0.1)
@@ -443,25 +442,13 @@ class TestLeaseMetrics:
 
 
 # -------------------------------------------------------- coordinator metrics
-def serve(coordinator, **kwargs):
-    stop = threading.Event()
-    thread = threading.Thread(
-        target=coordinator.serve_until_done,
-        kwargs={"stop": stop, "tick_s": 0.05, "linger_s": 0.2, **kwargs},
-        daemon=True,
-    )
-    thread.start()
-    return stop, thread
-
-
 class TestCoordinatorMetricsEndpoint:
     def test_v1_metrics_scrape_mid_run(self):
         tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
-        board = make_board(tasks)
         prepared = prepare_device(tasks[0])
-        coordinator = ShardCoordinator(
-            board, {prepared.wire_key: prepared}, {0: prepared.wire_key}, port=0)
-        stop, thread = serve(coordinator)
+        coordinator = LeaseCoordinator()
+        coordinator.attach(SweepRunner(tasks), [0], {tasks[0].prep_key: prepared})
+        coordinator.start()
         try:
             url = coordinator.url
             registration = post_json(url, "/v1/register", {"name": "t", "version": 1})
@@ -491,15 +478,16 @@ class TestCoordinatorMetricsEndpoint:
             assert payload["lease_metrics"]["completed"] == 1
             assert payload["workers"][0]["completed"] == 1
         finally:
-            stop.set()
-            thread.join(timeout=10.0)
+            coordinator.close()
 
     def test_metrics_payload_embeds_snapshot_when_enabled(self):
-        tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
-        coordinator = ShardCoordinator(make_board(tasks), {}, {0: None}, port=0)
-        telemetry.enable(fresh=True)
-        telemetry.registry().counter("c").inc()
-        payload = coordinator.metrics()
+        coordinator = LeaseCoordinator()
+        try:
+            telemetry.enable(fresh=True)
+            telemetry.registry().counter("c").inc()
+            payload = coordinator.metrics()
+        finally:
+            coordinator.close()
         assert payload["telemetry"]["counters"]["c"] == 1
         snap = MetricsSnapshot.from_dict(json.loads(json.dumps(payload["telemetry"])))
         assert snap.counters == {"c": 1}
