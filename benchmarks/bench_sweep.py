@@ -59,43 +59,12 @@ def test_serial_vs_process_fanout(benchmark):
     assert serial.estimator_calls == pooled.estimator_calls
 
 
-def test_shared_vs_per_cell_preparation(benchmark):
-    """Hoisting the per-device fit + bundle selection out of the cells.
-
-    A 1-device x 2-strategy x 2-target grid repeats the identical model fit
-    and bundle selection four times without sharing; the shared-preparation
-    schedule runs them once and ships the artifact, with byte-identical
-    journals.
-    """
-    tasks = build_grid("pynq-z1", "scd,random", [30.0, 40.0], **BUDGET)
-
-    start = time.perf_counter()
-    per_cell = SweepRunner(tasks, workers=1, share_preparation=False).run()
-    per_cell_time = time.perf_counter() - start
-
-    shared = benchmark.pedantic(
-        lambda: SweepRunner(tasks, workers=1, share_preparation=True).run(),
-        rounds=3, iterations=1, warmup_rounds=1,
-    )
-    shared_time = benchmark.stats.stats.mean
-
-    speedup = per_cell_time / shared_time if shared_time > 0 else float("inf")
-    print(f"\n[sweep shared prep] {len(tasks)} cells: per-cell {per_cell_time * 1e3:.0f} ms, "
-          f"shared {shared_time * 1e3:.0f} ms ({speedup:.2f}x, "
-          f"{len(shared.preparations)} preparation(s))")
-    # Sharing the preparation must be a pure execution-mode change.
-    assert _journals(per_cell) == _journals(shared)
-    assert len(shared.preparations) == 1
-    assert all(outcome.used_shared_prep for outcome in shared.outcomes)
-    assert not any(outcome.used_shared_prep for outcome in per_cell.outcomes)
-
-
 def test_work_stealing_on_skewed_costs(benchmark):
-    """Cost-ordered stealing vs static chunking on a deliberately skewed grid.
+    """Cost-ordered work stealing on a deliberately skewed grid.
 
     The heavy high-iteration cells are interleaved with cheap ones; cost
-    hints let the stealing scheduler start the long cells first so the
-    cheap ones fill the tail.  Journals stay identical either way.
+    order starts the long cells first so the cheap ones fill the tail.
+    The journals must equal a ``workers=1`` (in-process, grid-order) run.
     """
     heavy = build_grid("pynq-z1,ultra96", "scd,random", [30.0],
                        tolerance_ms=10.0, iterations=160, num_candidates=2,
@@ -106,20 +75,20 @@ def test_work_stealing_on_skewed_costs(benchmark):
     tasks = [cell for pair in zip(light, heavy) for cell in pair]
 
     start = time.perf_counter()
-    chunked = SweepRunner(tasks, workers=2, schedule="chunked").run()
-    chunked_time = time.perf_counter() - start
+    serial = SweepRunner(tasks, workers=1).run()
+    serial_time = time.perf_counter() - start
 
     stealing = benchmark.pedantic(
-        lambda: SweepRunner(tasks, workers=2, schedule="steal").run(),
+        lambda: SweepRunner(tasks, workers=2).run(),
         rounds=3, iterations=1, warmup_rounds=1,
     )
     stealing_time = benchmark.stats.stats.mean
 
-    ratio = chunked_time / stealing_time if stealing_time > 0 else float("inf")
-    print(f"\n[sweep stealing] {len(tasks)} skewed cells: chunked "
-          f"{chunked_time * 1e3:.0f} ms, stealing {stealing_time * 1e3:.0f} ms "
+    ratio = serial_time / stealing_time if stealing_time > 0 else float("inf")
+    print(f"\n[sweep stealing] {len(tasks)} skewed cells: serial "
+          f"{serial_time * 1e3:.0f} ms, stealing {stealing_time * 1e3:.0f} ms "
           f"({ratio:.2f}x)")
-    assert _journals(chunked) == _journals(stealing)
+    assert _journals(serial) == _journals(stealing)
 
 
 def test_checkpoint_resume_reuses_completed_cells(benchmark, tmp_path):

@@ -10,9 +10,8 @@ worker, far from the constructor that planted it.
 
 A class is treated as boundary-crossing when it
 
-* is one of the repo's known payload classes (``PreparedTarget`` — or its
-  legacy alias ``PreparedDevice`` — ``SweepTask``, ``SweepOutcome``,
-  ``SweepFailure``, ``MetricsSnapshot``),
+* is one of the repo's known payload classes (``PreparedTarget``,
+  ``SweepTask``, ``SweepOutcome``, ``SweepFailure``, ``MetricsSnapshot``),
 * subclasses one of them by name (a backend-specific ``PreparedTarget``
   variant is a payload wherever its base is), or
 * defines ``to_wire`` / ``from_wire`` (the PR 5 wire-marshalling marker
@@ -37,8 +36,8 @@ from repro.analysis.core import (
 
 #: Classes that cross process/wire boundaries by design (worker payloads).
 BOUNDARY_CLASS_NAMES = frozenset({
-    "PreparedTarget", "PreparedDevice", "SweepTask", "SweepOutcome",
-    "SweepFailure", "MetricsSnapshot",
+    "PreparedTarget", "SweepTask", "SweepOutcome", "SweepFailure",
+    "MetricsSnapshot",
 })
 
 #: Methods whose presence marks a class as wire-crossing.

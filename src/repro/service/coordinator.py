@@ -354,7 +354,6 @@ class ServiceCoordinator(LeaseCoordinator):
             workers=0,
             cache_dir=str(job.directory),
             failures=failures,
-            schedule="service",
             reused=len(outcomes),
         )
 

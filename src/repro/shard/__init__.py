@@ -30,7 +30,9 @@ Quickstart (two terminals)::
     # terminal 2..N — workers on any machine that can reach it
     repro-codesign shard worker --connect coordinator-host:8765 --workers 4
 
-Programmatically the distributed tier is one argument::
+Programmatically the distributed tier is one argument —
+:class:`CoordinatorTransport`, the only transport class; without it the
+runner executes the cells locally::
 
     from repro.shard import CoordinatorTransport
     from repro.sweep import SweepRunner, build_grid
@@ -73,7 +75,7 @@ from repro.shard.protocol import (
     task_to_wire,
     token_matches,
 )
-from repro.shard.transport import CoordinatorTransport, LocalTransport, Transport
+from repro.shard.transport import CoordinatorTransport
 from repro.shard.worker import ShardWorker, execute_cell
 
 __all__ = [
@@ -104,8 +106,6 @@ __all__ = [
     "LeaseBoard",
     "LeaseCoordinator",
     "WorkerRegistry",
-    "Transport",
-    "LocalTransport",
     "CoordinatorTransport",
     "ShardWorker",
     "execute_cell",

@@ -41,7 +41,7 @@ Fault model
   single-valued.)
 * **Retry pacing** — a requeued cell re-enters the queue after the
   runner's deterministic exponential backoff, exactly like the local
-  work-stealing schedule.
+  attempt loop.
 
 Ordering is the runner's longest-expected-first cost order: each board's
 lease queue is primed with the cost-sorted indices, so remote fleets see
@@ -62,6 +62,7 @@ from repro.shard.protocol import (
     DEFAULT_HEARTBEAT_S,
     DEFAULT_LEASE_TTL_S,
     DEFAULT_POLL_S,
+    MAX_BODY_BYTES,
     MAX_LEASE_WAIT_S,
     PROTOCOL_VERSION,
     ShardProtocolError,
@@ -568,6 +569,12 @@ def parse_report(payload: Mapping) -> tuple[str, str, str, dict]:
     raise ShardProtocolError(f"unknown report status '{status}'")
 
 
+class _BodyTooLarge(ShardProtocolError):
+    """A request body above :data:`MAX_BODY_BYTES`, answered with 413."""
+
+    status = 413
+
+
 class _CoordinatorHandler(BaseHTTPRequestHandler):
     """One HTTP request against a :class:`LeaseCoordinator`."""
 
@@ -589,7 +596,19 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body is left unread, so the connection cannot be reused.
+            self.close_connection = True
+            if length < 0:
+                raise ShardProtocolError(f"invalid Content-Length {declared!r}")
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b"{}"
         try:
             payload = json.loads(raw.decode("utf-8"))
@@ -642,7 +661,7 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
             else:
                 self._reply(reply)
         except ShardProtocolError as exc:
-            self._reply({"error": str(exc)}, status=400)
+            self._reply({"error": str(exc)}, status=getattr(exc, "status", 400))
         except Exception as exc:  # noqa: BLE001 - one bad request must not kill the server
             logger.exception("shard: unhandled error serving %s", self.path)
             self._reply({"error": f"{type(exc).__name__}: {exc}"}, status=500)

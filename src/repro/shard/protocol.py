@@ -110,6 +110,12 @@ MAX_LEASE_WAIT_S = 10.0
 #: Header carrying the shared secret on mutating requests.
 AUTH_HEADER = "X-Repro-Token"
 
+#: Largest request body a coordinator reads (bytes); longer ones get 413.
+#: On the paper grid (seed 2019) the largest ``/v1/report`` body is ~0.6 MB
+#: and the largest ``/v1/cache/push`` ~2.1 MB (a worker pushing the whole
+#: grid's estimator cache at once), so 64 MiB leaves a 30x margin.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
 #: Environment variable consulted when no ``--token`` flag is given.
 SERVICE_TOKEN_ENV = "REPRO_SERVICE_TOKEN"
 

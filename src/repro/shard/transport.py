@@ -1,6 +1,6 @@
-"""Execution transports: one `SweepRunner` code path, local or distributed.
+"""The distributed transport: serve a `SweepRunner`'s cells to remote workers.
 
-:class:`~repro.sweep.runner.SweepRunner` accepts a ``transport``: an
+:class:`~repro.sweep.runner.SweepRunner` accepts a ``transport``: any
 object whose ``execute(runner, order, preparations)`` runs the
 cost-ordered pending cells and returns
 ``(outcomes_by_index, failures_by_index)``, streaming every settled cell
@@ -9,22 +9,18 @@ incremental checkpoint is written identically in every mode.  Grid
 validation, shared preparation, resume, cost hints, timings and result
 assembly all stay in the runner — a transport only decides *where* the
 single-cell execution path (:func:`repro.sweep.runner.run_sweep_task`)
-runs.
+runs.  Without one the runner executes the cells locally.
 
-* :class:`LocalTransport` — delegates back to the runner's built-in
-  process schedules; ``SweepRunner(transport=LocalTransport())`` is
-  exactly ``SweepRunner()``.  Exists so callers can treat "local" and
-  "distributed" uniformly.
-* :class:`CoordinatorTransport` — serves the cells from a one-shot
-  :class:`~repro.shard.coordinator.LeaseCoordinator` to remote
-  :mod:`repro.shard.worker` processes instead of forking local ones.
-  The job service serves each job from the same coordinator class.
+:class:`CoordinatorTransport` serves the cells from a one-shot
+:class:`~repro.shard.coordinator.LeaseCoordinator` to remote
+:mod:`repro.shard.worker` processes instead of forking local ones.  The
+job service serves each job from the same coordinator class through its
+own per-job transport.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import Optional
 
 from repro.shard.coordinator import LeaseCoordinator
 from repro.shard.protocol import (
@@ -35,44 +31,10 @@ from repro.shard.protocol import (
 )
 from repro.utils.logging import get_logger
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sweep.runner import (
-        PreparedTarget,
-        SweepFailure,
-        SweepOutcome,
-        SweepRunner,
-    )
-
 logger = get_logger(__name__)
 
 
-class Transport(ABC):
-    """Strategy object deciding where a sweep's pending cells execute."""
-
-    @abstractmethod
-    def execute(
-        self,
-        runner: "SweepRunner",
-        order: list[int],
-        preparations: Mapping[tuple, "PreparedTarget"],
-    ) -> tuple[dict[int, "SweepOutcome"], dict[int, "SweepFailure"]]:
-        """Run the cells listed in ``order`` (cost-sorted grid indices)."""
-
-
-class LocalTransport(Transport):
-    """Run cells with the runner's built-in local process schedules."""
-
-    def execute(self, runner, order, preparations):
-        if not order:
-            return {}, {}
-        if runner.workers == 1 and runner.timeout_s is None:
-            return runner._run_serial(sorted(order), preparations)
-        if runner.schedule == "chunked":
-            return runner._run_chunked(sorted(order), preparations)
-        return runner._run_stealing(order, preparations)
-
-
-class CoordinatorTransport(Transport):
+class CoordinatorTransport:
     """Serve the pending cells to remote workers over the shard protocol.
 
     The transport owns a one-shot :class:`LeaseCoordinator` for the

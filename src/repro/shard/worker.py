@@ -6,7 +6,7 @@ report, with a daemon heartbeat thread keeping the leases alive.  Nothing
 about cell execution is distributed-specific — the worker rebuilds the
 :class:`~repro.sweep.runner.PreparedTarget` shipped by the coordinator
 (bit-exact JSON round trip) and calls the same function the local
-schedules call, so a cell's journal is byte-identical no matter which
+attempt loop calls, so a cell's journal is byte-identical no matter which
 machine ran it.
 
 ``workers=1`` executes leased cells serially in-process (easiest to debug

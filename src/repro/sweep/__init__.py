@@ -10,8 +10,9 @@ limits at once:
   out across worker processes under a two-phase schedule: per-target
   preparation (model fit + bundle selection on the FPGA backend, fit-free
   prep on the GPU one; once per target, shipped as a
-  :class:`PreparedTarget`) followed by cost-ordered work-stealing
-  execution with per-task timeout, bounded retry and structured
+  :class:`PreparedTarget`) followed by one attempt loop — in-process and
+  in grid order at ``workers=1``, otherwise forked per attempt in cost
+  order — with per-task timeout, bounded retry and structured
   :class:`SweepFailure` records — one archivable journal per task.
   Targets span backends (see :mod:`repro.backend`): ``fpga:pynq-z1`` and
   ``gpu:jetson-tx2`` mix in one grid,
@@ -86,7 +87,6 @@ from repro.sweep.disk_cache import (
 )
 from repro.sweep.spec import SweepSpec
 from repro.sweep.runner import (
-    PreparedDevice,
     PreparedTarget,
     SweepFailure,
     SweepOutcome,
@@ -96,7 +96,6 @@ from repro.sweep.runner import (
     build_grid,
     expected_cost,
     prepare_device,
-    prepare_target,
     run_sweep_task,
 )
 
@@ -106,12 +105,10 @@ __all__ = [
     "SweepFailure",
     "SweepResult",
     "SweepRunner",
-    "PreparedDevice",
     "PreparedTarget",
     "build_grid",
     "expected_cost",
     "prepare_device",
-    "prepare_target",
     "run_sweep_task",
     "DiskEvaluationCache",
     "CacheDirStats",

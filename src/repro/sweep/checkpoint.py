@@ -251,7 +251,7 @@ class CheckpointWriter:
     The writer is **thread-safe**: a lock serialises appends and the
     recorded-uid bookkeeping, because the shard coordinator settles cells
     from concurrent HTTP handler threads (several workers reporting at
-    once) while the local schedules settle from a single thread.
+    once) while the local attempt loop settles from a single thread.
 
     All timestamps come from the injected ``clock`` (default
     :func:`time.time`): tests freeze it to make checkpoint bytes

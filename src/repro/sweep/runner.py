@@ -18,27 +18,29 @@ Execution is a **two-phase schedule**:
    target, so they run *once per device* in the parent and are shipped to
    workers as a serializable :class:`PreparedTarget` artifact instead of
    being recomputed in every grid cell.
-2. **Execution** — cells are dispatched longest-expected-first to a
-   work-stealing pool of single-task worker processes (``schedule="steal"``,
-   the default) or to a classic statically-chunked process pool
-   (``schedule="chunked"``).  Expected costs come from the previous run's
-   journal timings when a cache directory is given (``_timings.json``) and
-   fall back to a deterministic budget heuristic.
+2. **Execution** — one attempt loop owns every local cell: the pending
+   queue, the retry backoff, the attempt ledger and the retry-or-fail
+   step.  Only the launch differs: ``workers=1`` without a timeout calls
+   the cell in-process, in grid order; otherwise each attempt is a forked
+   single-task process, dispatched longest-expected-first to up to
+   ``workers`` slots (work stealing: an idle slot pulls the next cell).
+   Expected costs come from the previous run's journal timings when a
+   cache directory is given (``_timings.json``) and fall back to a
+   deterministic budget heuristic.
 
-The stealing scheduler owns each worker process, so it can enforce a
-per-task wall-clock **timeout**, kill the stuck process and **retry** the
-cell a bounded number of times.  A cell that keeps failing (timeout, raise,
-crash or a garbage return value) ends up as a structured
-:class:`SweepFailure` in the :class:`SweepResult` — the sweep always
-completes and reports, it never hangs or silently drops cells.
+Owning each worker process lets the loop enforce a per-task wall-clock
+**timeout**, kill the stuck process and **retry** the cell a bounded
+number of times.  A cell that keeps failing (timeout, raise, crash or a
+garbage return value) ends up as a structured :class:`SweepFailure` in
+the :class:`SweepResult` — the sweep always completes and reports, it
+never hangs or silently drops cells.
 
 Each task runs the remaining co-design pipeline (strategy-driven DNN
 search, Auto-HLS refinement) and produces a :class:`SweepOutcome`: the
 archivable :class:`~repro.search.session.SearchSession` journal plus cache
 and timing accounting.  A task's journal depends only on the task itself —
-never on the worker count, the schedule or the warmth of the disk cache —
-so ``workers=8`` and ``workers=1``, stealing and chunked, all produce
-identical journals.
+never on the worker count, the dispatch order or the warmth of the disk
+cache — so ``workers=8`` and ``workers=1`` produce identical journals.
 
 When a cache directory is given, every worker layers the persistent
 :class:`~repro.sweep.disk_cache.DiskEvaluationCache` under its in-memory
@@ -57,20 +59,13 @@ cell that keeps timing out carries its real cost into the next run, where
 the per-cell timeout scales with the hint (``timeout_s`` acts as a floor
 under ``timeout_scale x expected seconds``) and retries back off
 exponentially (deterministic, no jitter).
-
-Fault injection (tests / CI): the environment variables
-``REPRO_SWEEP_FAIL_TASKS`` and ``REPRO_SWEEP_STALL_TASKS`` hold
-comma-separated task names (or uids); :func:`run_sweep_task` raises for
-the former and blocks for the latter, which lets a smoke test poison
-exactly one grid cell without patching code inside worker processes.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
@@ -87,15 +82,6 @@ logger = get_logger(__name__)
 
 #: Name of the per-cache-dir journal-timings file feeding the cost model.
 TIMINGS_FILENAME = "_timings.json"
-
-#: Fault-injection environment variables (comma-separated task names).
-FAIL_TASKS_ENV = "REPRO_SWEEP_FAIL_TASKS"
-STALL_TASKS_ENV = "REPRO_SWEEP_STALL_TASKS"
-
-
-def _env_task_names(variable: str) -> set[str]:
-    return {part.strip() for part in os.environ.get(variable, "").split(",") if part.strip()}
-
 
 def _fields_payload(cls, payload: Mapping) -> dict:
     """The subset of ``payload`` matching ``cls``'s dataclass fields.
@@ -412,11 +398,6 @@ class PreparedTarget:
         )
 
 
-#: Backward-compatible alias: the artifact was FPGA-only before the unified
-#: backend seam; existing imports keep working.
-PreparedDevice = PreparedTarget
-
-
 def _task_flow(task: SweepTask):
     """Build the co-design flow for one sweep task (target resolved inside)."""
     from repro.core import CoDesignFlow, CoDesignInputs, LatencyTarget
@@ -472,10 +453,6 @@ def prepare_device(task: SweepTask) -> PreparedTarget:
         prep_duration_s=time.perf_counter() - start,
         backend=flow.backend.name,
     )
-
-
-#: Backward-compatible alias of :func:`prepare_device`.
-prepare_target = prepare_device
 
 
 def _prepare_device_pooled(task: SweepTask) -> tuple:
@@ -614,13 +591,6 @@ def _run_sweep_task(
     from repro.search import EvaluationCache, SearchSession
     from repro.sweep.disk_cache import DiskEvaluationCache
 
-    fail_names = _env_task_names(FAIL_TASKS_ENV)
-    if task.name in fail_names or task.uid in fail_names:
-        raise RuntimeError(f"injected failure for task {task.name}")
-    stall_names = _env_task_names(STALL_TASKS_ENV)
-    if task.name in stall_names or task.uid in stall_names:
-        time.sleep(3600.0)  # simulates a hung cell; killed by the scheduler
-
     start = time.perf_counter()
     flow, _, target = _task_flow(task)
     if prepared is not None and not prepared.matches(task):
@@ -659,8 +629,8 @@ def _run_sweep_task(
         )
         flow.attach_evaluation_cache(EvaluationCache(disk))
 
-    # Journal metadata excludes worker count, schedule, preparation mode and
-    # cache warmth on purpose: the journal of a task must be identical
+    # Journal metadata excludes worker count, dispatch order, preparation mode
+    # and cache warmth on purpose: the journal of a task must be identical
     # across execution modes.  The device value is the canonical device
     # string (== the legacy display name for FPGA cells, byte-identical).
     session = SearchSession(
@@ -730,7 +700,6 @@ class SweepResult:
     cache_dir: Optional[str] = None
     wall_time_s: float = 0.0
     failures: list[SweepFailure] = field(default_factory=list)
-    schedule: str = "steal"
     preparations: list[PreparedTarget] = field(default_factory=list)
     prep_time_s: float = 0.0
     #: Cells reused verbatim from a checkpoint / prior result (resume).
@@ -768,7 +737,6 @@ class SweepResult:
     def as_dict(self) -> dict:
         return {
             "workers": self.workers,
-            "schedule": self.schedule,
             "cache_dir": self.cache_dir,
             "wall_time_s": self.wall_time_s,
             "prep_time_s": self.prep_time_s,
@@ -806,35 +774,13 @@ class SweepResult:
             cache_dir=payload.get("cache_dir"),
             wall_time_s=float(payload.get("wall_time_s", 0.0)),
             failures=[SweepFailure.from_dict(f) for f in payload.get("failures", [])],
-            schedule=str(payload.get("schedule", "steal")),
             prep_time_s=float(payload.get("prep_time_s", 0.0)),
             reused=int(payload.get("reused", 0)),
         )
 
 
-def _timed_call(task_fn, task, cache_dir, prepared) -> tuple:
-    """Pool-side wrapper: run one cell and report its wall-clock either way.
-
-    The chunked schedule cannot observe per-cell timing from the parent (a
-    pool future's latency includes queue wait), and a raised exception
-    carries no duration — so the worker measures it and ships
-    ``("ok", value, seconds, metrics)`` or ``("error", message, seconds,
-    metrics)`` back, where ``metrics`` is the worker's telemetry snapshot
-    (``None`` when telemetry is disabled) for the parent to merge.
-    Module-level so it pickles under any start method.
-    """
-    telemetry.reset()  # drop fork-inherited state; parent merges the snapshot
-    start = time.perf_counter()
-    try:
-        value = task_fn(task, cache_dir, prepared)
-    except Exception as exc:  # noqa: BLE001 - converted to a record
-        return ("error", f"{type(exc).__name__}: {exc}",
-                time.perf_counter() - start, telemetry.snapshot())
-    return ("ok", value, time.perf_counter() - start, telemetry.snapshot())
-
-
 def _dispatch_worker(conn, task_fn, task, cache_dir, prepared) -> None:
-    """Child-process entry of the stealing scheduler: run, then report.
+    """Child-process entry of a forked attempt: run, then report.
 
     The payload's third element is the worker's telemetry snapshot
     (``None`` when telemetry is disabled), merged into the parent registry;
@@ -861,38 +807,30 @@ def _dispatch_worker(conn, task_fn, task, cache_dir, prepared) -> None:
 class _Attempt:
     """Parent-side bookkeeping of one in-flight worker process."""
 
-    __slots__ = ("process", "conn", "started", "attempt")
+    __slots__ = ("process", "conn", "started")
 
-    def __init__(self, process, conn, attempt: int) -> None:
+    def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
         self.started = time.monotonic()
-        self.attempt = attempt
 
 
 class SweepRunner:
     """Fan a sweep grid out across worker processes, resiliently.
 
-    ``workers=1`` (without a timeout) runs every task in-process (serial,
-    easiest to debug); otherwise cells run in worker processes under one of
-    two schedules:
-
-    * ``"steal"`` (default) — a work-stealing pool of single-task
-      processes: cells are dispatched longest-expected-first, an idle slot
-      immediately pulls the next cell, and each attempt runs under the
-      per-task wall-clock ``timeout_s`` with up to ``retries`` retries.
-    * ``"chunked"`` — the classic static process-pool map; kept for
-      comparison and as the determinism baseline.  It cannot kill a stuck
-      worker, so combining it with ``timeout_s`` is rejected.
+    ``workers=1`` (without a timeout) runs every task in-process, in grid
+    order (serial, easiest to debug); otherwise each attempt runs in its
+    own forked process: cells are dispatched longest-expected-first, an
+    idle slot immediately pulls the next cell, and each attempt runs under
+    the per-task wall-clock ``timeout_s``.  Either way a failed attempt is
+    retried up to ``retries`` times, after a backoff.
 
     Preparation (model fit + bundle selection) runs once per unique
     :attr:`SweepTask.prep_key` — fanned across a process pool when
     ``workers > 1`` and several preparations are needed — and is shipped
-    to workers (see :class:`PreparedTarget`); pass
-    ``share_preparation=False`` to restore the per-cell behaviour.
-    Results are collected in task order in every mode, and each task's
-    journal is independent of the execution mode, so all modes are
-    interchangeable.
+    to workers (see :class:`PreparedTarget`).  Results are collected in
+    task order in every mode, and each task's journal is independent of
+    the execution mode, so all modes are interchangeable.
 
     ``resume_from`` accepts a checkpoint file (``_checkpoint.jsonl``), a
     saved result JSON (:meth:`SweepResult.save`, or the CLI's report
@@ -911,12 +849,10 @@ class SweepRunner:
     ``(outcomes_by_index, failures_by_index)``, streaming each settled
     cell through ``runner.settle_outcome`` / ``runner.settle_failure`` so
     the incremental checkpoint stays live.  ``transport=None`` (the
-    default) keeps the built-in local schedules;
+    default) runs the cells locally;
     :class:`repro.shard.CoordinatorTransport` serves the same cells to
     remote workers over HTTP instead.
     """
-
-    SCHEDULES = ("steal", "chunked")
 
     #: Upper bound on one exponential retry-backoff delay (seconds).
     MAX_BACKOFF_S = 60.0
@@ -934,13 +870,11 @@ class SweepRunner:
         workers: int = 1,
         cache_dir: Optional[str] = None,
         *,
-        schedule: str = "steal",
         timeout_s: Optional[float] = None,
         timeout_scale: float = 3.0,
         retries: int = 1,
         retry_backoff_s: float = 0.1,
         cost_hints: Optional[Mapping[str, float]] = None,
-        share_preparation: bool = True,
         resume_from: Union[str, pathlib.Path, SweepResult, None] = None,
         task_fn: Callable[..., SweepOutcome] = run_sweep_task,
         transport=None,
@@ -950,8 +884,6 @@ class SweepRunner:
             raise ValueError("At least one sweep task is required")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if schedule not in self.SCHEDULES:
-            raise ValueError(f"schedule must be one of {self.SCHEDULES}, got '{schedule}'")
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         if timeout_scale <= 0:
@@ -960,11 +892,6 @@ class SweepRunner:
             raise ValueError("retries must be >= 0")
         if retry_backoff_s < 0:
             raise ValueError("retry_backoff_s must be >= 0")
-        if schedule == "chunked" and timeout_s is not None:
-            raise ValueError(
-                "per-task timeouts require the work-stealing schedule "
-                "(a chunked pool cannot kill a stuck worker)"
-            )
         seen: set[str] = set()
         for task in tasks:
             if task.uid in seen:
@@ -976,13 +903,11 @@ class SweepRunner:
         self.tasks = list(tasks)
         self.workers = workers
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
-        self.schedule = schedule
         self.timeout_s = timeout_s
         self.timeout_scale = timeout_scale
         self.retries = retries
         self.retry_backoff_s = retry_backoff_s
         self.cost_hints = dict(cost_hints) if cost_hints else None
-        self.share_preparation = share_preparation
         self.resume_from = resume_from
         self.task_fn = task_fn
         if transport is not None and not callable(getattr(transport, "execute", None)):
@@ -1177,10 +1102,6 @@ class SweepRunner:
             kind=failure.kind, attempts=failure.attempts,
         )
 
-    # Internal spellings kept for the built-in schedules.
-    _settled_outcome = settle_outcome
-    _settled_failure = settle_failure
-
     def effective_timeout_for(self, index: int) -> Optional[float]:
         """The hint-scaled per-cell timeout computed for this run (or None)."""
         return self._timeouts.get(index, self.timeout_s)
@@ -1267,7 +1188,7 @@ class SweepRunner:
         to_run = [i for i in range(len(self.tasks)) if i not in reused]
 
         preparations: dict[tuple, PreparedTarget] = {}
-        if self.share_preparation and to_run:
+        if to_run:
             with telemetry.trace("sweep.prep", cells=len(to_run)) as prep_span:
                 preparations = self._prepare_devices([self.tasks[i] for i in to_run])
                 prep_span.annotate(preparations=len(preparations))
@@ -1291,12 +1212,8 @@ class SweepRunner:
             elif self.transport is not None:
                 outcomes_by_index, failures_by_index = \
                     self.transport.execute(self, order, preparations)
-            elif self.workers == 1 and self.timeout_s is None:
-                outcomes_by_index, failures_by_index = self._run_serial(to_run, preparations)
-            elif self.schedule == "chunked":
-                outcomes_by_index, failures_by_index = self._run_chunked(to_run, preparations)
             else:
-                outcomes_by_index, failures_by_index = self._run_stealing(order, preparations)
+                outcomes_by_index, failures_by_index = self._run_cells(order, preparations)
         finally:
             self._writer = None
 
@@ -1319,197 +1236,91 @@ class SweepRunner:
             cache_dir=self.cache_dir,
             wall_time_s=wall,
             failures=failures,
-            schedule=self.schedule,
             preparations=list(preparations.values()),
             prep_time_s=prep_time,
             reused=len(reused),
         )
 
-    def _prepared_for(
-        self, task: SweepTask, preparations: Mapping[tuple, PreparedTarget]
-    ) -> Optional[PreparedTarget]:
-        return preparations.get(task.prep_key)
+    def _run_cells(self, order, preparations):
+        """The one local attempt loop: queue, backoff, ledger, retry-or-fail.
 
-    def _classify(self, value) -> tuple[Optional[SweepOutcome], Optional[tuple[str, str]]]:
-        """Sort a worker return value into outcome vs (kind, error)."""
-        if isinstance(value, SweepOutcome):
-            return value, None
-        return None, (
-            "invalid-result",
-            f"worker returned {type(value).__name__!s} instead of SweepOutcome",
-        )
-
-    def _run_serial(self, indices, preparations):
-        """In-process execution (workers=1, no timeout): retry on raise."""
-        outcomes: dict[int, SweepOutcome] = {}
-        failures: dict[int, SweepFailure] = {}
-        for index in indices:
-            task = self.tasks[index]
-            elapsed = 0.0
-            for attempt in range(1, self.retries + 2):
-                if attempt > 1:
-                    time.sleep(self._backoff_delay(attempt - 1))
-                attempt_start = time.perf_counter()
-                try:
-                    value = self.task_fn(task, self.cache_dir,
-                                         self._prepared_for(task, preparations))
-                except Exception as exc:  # noqa: BLE001 - converted to a record
-                    elapsed += time.perf_counter() - attempt_start
-                    verdict = ("error", f"{type(exc).__name__}: {exc}")
-                else:
-                    elapsed += time.perf_counter() - attempt_start
-                    outcome, verdict = self._classify(value)
-                    if outcome is not None:
-                        outcome.attempts = attempt
-                        outcomes[index] = outcome
-                        self._settled_outcome(outcome)
-                        break
-                if attempt > self.retries:
-                    failures[index] = SweepFailure(
-                        task=task, kind=verdict[0], error=verdict[1],
-                        attempts=attempt, duration_s=elapsed,
-                    )
-                    self._settled_failure(failures[index])
-                else:
-                    telemetry.event("sweep.cell.retry", uid=task.uid,
-                                    attempt=attempt, kind=verdict[0])
-                    logger.warning("task %s attempt %d failed (%s); retrying",
-                                   task.name, attempt, verdict[1])
-        return outcomes, failures
-
-    def _run_chunked(self, indices, preparations):
-        """Static chunked process-pool map (no timeout enforcement)."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        outcomes: dict[int, SweepOutcome] = {}
-        failures: dict[int, SweepFailure] = {}
-        attempts = dict.fromkeys(indices, 0)
-        spent = dict.fromkeys(indices, 0.0)
-        remaining = list(indices)
-        rounds_done = 0
-        while remaining:
-            if rounds_done:  # a retry round: deterministic exponential backoff
-                time.sleep(self._backoff_delay(rounds_done))
-            rounds_done += 1
-            # Fresh pool per round: a worker that dies hard (segfault,
-            # OOM-kill) breaks the whole executor, and a broken pool rejects
-            # further submits — the retry round must not inherit it.
-            broken: list[int] = []
-            with ProcessPoolExecutor(max_workers=min(self.workers, len(remaining))) as pool:
-                futures = {
-                    pool.submit(
-                        _timed_call, self.task_fn, self.tasks[index], self.cache_dir,
-                        self._prepared_for(self.tasks[index], preparations),
-                    ): index
-                    for index in remaining
-                }
-                next_round: list[int] = []
-                # Consume in completion order, not submission order: the
-                # checkpoint must record each cell the moment it settles,
-                # or a kill while one slow cell blocks the loop would lose
-                # every finished-but-unconsumed cell.
-                for future in as_completed(futures):
-                    index = futures[future]
-                    task = self.tasks[index]
-                    attempts[index] += 1
-                    worker_metrics = None
-                    try:
-                        status, value, duration, worker_metrics = future.result()
-                    except BrokenProcessPool:
-                        # One dying worker poisons every in-flight future of
-                        # the pool; the blame cannot be attributed here, so
-                        # the round does not count as an attempt for anyone
-                        # and the affected cells rerun isolated (below).
-                        attempts[index] -= 1
-                        broken.append(index)
-                        continue
-                    except Exception as exc:  # unpicklable result, pool error
-                        status, value, duration = \
-                            "error", f"{type(exc).__name__}: {exc}", 0.0
-                    telemetry.merge(worker_metrics)
-                    spent[index] += duration
-                    if status == "ok":
-                        outcome, verdict = self._classify(value)
-                    else:
-                        outcome, verdict = None, ("error", str(value))
-                    if outcome is not None:
-                        outcome.attempts = attempts[index]
-                        outcomes[index] = outcome
-                        self._settled_outcome(outcome)
-                    elif attempts[index] <= self.retries:
-                        telemetry.event("sweep.cell.retry", uid=task.uid,
-                                        attempt=attempts[index], kind=verdict[0])
-                        logger.warning("task %s attempt %d failed (%s); retrying",
-                                       task.name, attempts[index], verdict[1])
-                        next_round.append(index)
-                    else:
-                        failures[index] = SweepFailure(
-                            task=task, kind=verdict[0], error=verdict[1],
-                            attempts=attempts[index], duration_s=spent[index],
-                        )
-                        self._settled_failure(failures[index])
-                remaining = sorted(next_round)
-            if broken:
-                # Per-task process isolation attributes the crash to the
-                # actual culprit instead of failing innocent cells.
-                unresolved = sorted(broken + remaining)
-                logger.warning(
-                    "chunked pool broke (worker died); isolating %d remaining "
-                    "cell(s) in per-task processes", len(unresolved),
-                )
-                iso_outcomes, iso_failures = self._run_stealing(
-                    unresolved, preparations, attempts=attempts, spent=spent,
-                )
-                outcomes.update(iso_outcomes)
-                failures.update(iso_failures)
-                break
-        return outcomes, failures
-
-    def _run_stealing(self, order, preparations, attempts=None, spent=None):
-        """Cost-ordered work-stealing pool with timeout kill and retry.
-
-        ``order`` lists the task indices to run (dispatch order);
-        ``attempts`` and ``spent`` optionally carry attempt counts and
-        wall-clock already consumed (used when the chunked schedule
-        degrades to isolated dispatch — losing them would undercount the
-        failure records and the persisted cost hints).  Retried cells
-        re-enter the queue after a deterministic exponential backoff, and
-        each cell runs under its own effective timeout (``timeout_s``
-        floor, scaled from the recorded cost hint).
+        ``order`` lists the task indices to run, longest-expected-first.
+        Only the launch of an attempt depends on the mode: ``workers=1``
+        without a timeout calls ``task_fn`` in-process, in grid order, and
+        lets anything but an ``Exception`` (``KeyboardInterrupt``)
+        propagate; otherwise each attempt is a forked process, dispatched
+        in ``order`` to up to ``workers`` slots and killed once it exceeds
+        its effective timeout (``timeout_s`` floor, scaled from the
+        recorded cost hint).  A failed attempt re-enters the queue after a
+        deterministic exponential backoff until ``retries`` is spent.
         """
         import multiprocessing
         from multiprocessing import connection as mp_connection
 
+        inline = self.workers == 1 and self.timeout_s is None
         ctx = multiprocessing.get_context()
-        pending = list(order)
-        if attempts is None:
-            attempts = dict.fromkeys(order, 0)
-        if spent is None:
-            spent = dict.fromkeys(order, 0.0)
+        pending = sorted(order) if inline else list(order)
+        attempts = dict.fromkeys(pending, 0)
+        spent = dict.fromkeys(pending, 0.0)
         ready_at: dict[int, float] = {}
         running: dict[int, _Attempt] = {}
         outcomes: dict[int, SweepOutcome] = {}
         failures: dict[int, SweepFailure] = {}
-        max_slots = min(self.workers, len(order))
+        max_slots = min(self.workers, len(pending))
 
-        def settle(index: int, verdict: tuple[str, str]) -> None:
-            """Retry the cell (after backoff) or record the failure."""
+        def settle(index: int, kind: str, detail) -> None:
+            """Settle one attempt: ``kind == "ok"`` carries the return value,
+            any other kind is a failure verdict with its message."""
             task = self.tasks[index]
+            if kind == "ok":
+                if isinstance(detail, SweepOutcome):
+                    detail.attempts = attempts[index]
+                    outcomes[index] = detail
+                    self.settle_outcome(detail)
+                    return
+                kind, detail = "invalid-result", (
+                    f"worker returned {type(detail).__name__!s} instead of SweepOutcome"
+                )
             if attempts[index] <= self.retries:
                 telemetry.event("sweep.cell.retry", uid=task.uid,
-                                attempt=attempts[index], kind=verdict[0])
+                                attempt=attempts[index], kind=kind)
                 logger.warning("task %s attempt %d failed (%s); retrying",
-                               task.name, attempts[index], verdict[1])
+                               task.name, attempts[index], detail)
                 delay = self._backoff_delay(attempts[index])
                 if delay > 0:
                     ready_at[index] = time.monotonic() + delay
                 pending.append(index)
             else:
                 failures[index] = SweepFailure(
-                    task=task, kind=verdict[0], error=verdict[1],
+                    task=task, kind=kind, error=detail,
                     attempts=attempts[index], duration_s=spent[index],
                 )
-                self._settled_failure(failures[index])
+                self.settle_failure(failures[index])
+
+        def launch(index: int) -> None:
+            attempts[index] += 1
+            task = self.tasks[index]
+            prepared = preparations.get(task.prep_key)
+            if inline:
+                start = time.perf_counter()
+                try:
+                    kind, detail = "ok", self.task_fn(task, self.cache_dir, prepared)
+                except Exception as exc:  # noqa: BLE001 - converted to a record
+                    kind, detail = "error", f"{type(exc).__name__}: {exc}"
+                spent[index] += time.perf_counter() - start
+                settle(index, kind, detail)
+                return
+            parent_conn, child_conn = ctx.Pipe(duplex=False)
+            process = ctx.Process(
+                target=_dispatch_worker,
+                args=(child_conn, self.task_fn, task, self.cache_dir, prepared),
+                daemon=True,
+            )
+            process.start()
+            child_conn.close()
+            running[index] = _Attempt(process, parent_conn)
+            telemetry.event("sweep.cell.dispatch", uid=task.uid,
+                            attempt=attempts[index])
 
         def reap(index: int) -> _Attempt:
             state = running.pop(index)
@@ -1519,9 +1330,9 @@ class SweepRunner:
 
         try:
             while pending or running:
-                now = time.monotonic()
                 while pending and len(running) < max_slots:
                     # First queued cell whose backoff window has passed.
+                    now = time.monotonic()
                     position = next(
                         (p for p, i in enumerate(pending)
                          if ready_at.get(i, 0.0) <= now),
@@ -1529,28 +1340,16 @@ class SweepRunner:
                     )
                     if position is None:
                         break
-                    index = pending.pop(position)
-                    attempts[index] += 1
-                    task = self.tasks[index]
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
-                    process = ctx.Process(
-                        target=_dispatch_worker,
-                        args=(child_conn, self.task_fn, task, self.cache_dir,
-                              self._prepared_for(task, preparations)),
-                        daemon=True,
-                    )
-                    process.start()
-                    child_conn.close()
-                    running[index] = _Attempt(process, parent_conn, attempts[index])
-                    telemetry.event("sweep.cell.dispatch", uid=task.uid,
-                                    attempt=attempts[index])
+                    launch(pending.pop(position))
 
+                now = time.monotonic()
                 backing_off = [i for i in pending if ready_at.get(i, 0.0) > now]
                 if not running:
-                    # Every queued cell is inside its backoff window: sleep to
-                    # the earliest release instead of spinning.
-                    soonest = min(ready_at[i] for i in backing_off)
-                    time.sleep(max(min(soonest - now, 1.0), 0.005))
+                    if backing_off:
+                        # Every queued cell is inside its backoff window:
+                        # sleep to the earliest release instead of spinning.
+                        soonest = min(ready_at[i] for i in backing_off)
+                        time.sleep(max(min(soonest - now, 1.0), 0.005))
                     continue
 
                 # Without a timeout (and with no backoff release to watch for)
@@ -1580,19 +1379,10 @@ class SweepRunner:
                         except (EOFError, OSError):
                             # The worker died without reporting (crash/kill).
                             reap(index).process.join(timeout=5.0)
-                            settle(index, ("crash", "worker process died without a result"))
+                            settle(index, "crash", "worker process died without a result")
                             continue
                         reap(index).process.join(timeout=5.0)
-                        if status == "ok":
-                            outcome, verdict = self._classify(value)
-                            if outcome is not None:
-                                outcome.attempts = attempts[index]
-                                outcomes[index] = outcome
-                                self._settled_outcome(outcome)
-                            else:
-                                settle(index, verdict)
-                        else:
-                            settle(index, ("error", str(value)))
+                        settle(index, status, value)
                     elif limit is not None and now - state.started > limit:
                         state.process.terminate()
                         state.process.join(timeout=1.0)
@@ -1602,10 +1392,7 @@ class SweepRunner:
                         reap(index)
                         telemetry.event("sweep.cell.timeout", uid=self.tasks[index].uid,
                                         attempt=attempts[index], limit_s=limit)
-                        settle(index, (
-                            "timeout",
-                            f"exceeded the {limit:g}s per-task timeout",
-                        ))
+                        settle(index, "timeout", f"exceeded the {limit:g}s per-task timeout")
         finally:
             for state in running.values():  # pragma: no cover - crash cleanup
                 state.process.terminate()

@@ -47,7 +47,7 @@ from repro.sweep import (
     build_grid,
     compare,
     diff_results,
-    prepare_target,
+    prepare_device,
 )
 from repro.utils.serialization import to_jsonable
 
@@ -327,7 +327,7 @@ class TestMixedBackendSweep:
 
     def test_gpu_preparation_is_fit_free(self):
         task = build_grid("gpu:jetson-tx2", "scd", [20.0], **TINY)[0]
-        prepared = prepare_target(task)
+        prepared = prepare_device(task)
         assert prepared.backend == "gpu"
         assert prepared.coefficients is None
         assert prepared.fingerprint.startswith("gpu-roofline-")

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from fault_cli import faulty
 from repro.cli import main
 
 #: Tiny shared budget flags: every full run finishes in well under a second.
@@ -48,7 +49,7 @@ class TestArgumentParsing:
     @pytest.mark.parametrize("argv", [
         ["frobnicate"],                               # unknown command
         ["search", "--strategy", "gradient-descent"],  # bad choice
-        ["sweep", "--schedule", "magic"],              # bad choice
+        ["sweep", "--schedule", "steal"],              # removed option
         ["cache"],                                     # missing action
         ["cache", "stats"],                            # missing --cache-dir
         ["cache", "defrag", "--cache-dir", "x"],       # bad action
@@ -61,6 +62,7 @@ class TestArgumentParsing:
         ["telemetry", "report", "--cache-dir", "x", "--top", "0"],  # bad value
         ["shard", "status"],                           # missing --connect
         ["sweep", "--log-level", "loud"],              # bad choice
+        ["sweep", "--per-cell-prep"],                  # removed option
     ])
     def test_parse_errors_exit_2(self, argv, capsys):
         assert _exit_code(argv) == 2
@@ -99,7 +101,7 @@ class TestCommandRuns:
         assert "Sweep: 1 tasks" in out
         assert "shared preparations" in out
         payload = json.loads(report.read_text())
-        assert payload["sweep"]["schedule"] == "steal"
+        assert "schedule" not in payload["sweep"]
         assert payload["sweep"]["failures"] == []
         assert payload["sweep"]["preparations"][0]["device"] == "PYNQ-Z1"
 
@@ -112,9 +114,9 @@ class TestCommandRuns:
 
     def test_sweep_with_poisoned_cell_reports_and_exits_1(
             self, tmp_path, capsys, monkeypatch):
-        from repro.sweep.runner import FAIL_TASKS_ENV
-
-        monkeypatch.setenv(FAIL_TASKS_ENV, "PYNQ-Z1-random-40fps")
+        # Forked worker processes inherit the patched cell function.
+        monkeypatch.setattr("repro.sweep.runner._run_sweep_task",
+                            faulty(fail=["PYNQ-Z1-random-40fps"]))
         code = main(["sweep", "--devices", "pynq-z1", "--strategies",
                      "scd,random", "--retries", "0", "--workers", "2"] + BUDGET)
         assert code == 1, "a sweep with failed cells signals partial failure"
@@ -127,22 +129,36 @@ class TestCommandRuns:
         """The checkpoint/resume acceptance flow at the CLI level: a failed
         sweep exits 1, the resumed run re-executes only the failed cell,
         exits 0 and still renders a complete comparison."""
-        from repro.sweep.runner import FAIL_TASKS_ENV
-
         cache_dir = tmp_path / "cache"
         argv = ["sweep", "--devices", "pynq-z1", "--strategies", "scd,random",
                 "--retries", "0", "--retry-backoff-s", "0",
                 "--cache-dir", str(cache_dir)] + BUDGET
-        monkeypatch.setenv(FAIL_TASKS_ENV, "PYNQ-Z1-random-40fps")
-        assert main(argv) == 1
+        with monkeypatch.context() as patched:
+            patched.setattr("repro.sweep.runner._run_sweep_task",
+                            faulty(fail=["PYNQ-Z1-random-40fps"]))
+            assert main(argv) == 1
         capsys.readouterr()
-        monkeypatch.delenv(FAIL_TASKS_ENV)
         assert main(argv + ["--resume"]) == 0
         out = capsys.readouterr().out
         assert "1 reused from checkpoint" in out
         assert "1 reused cells" in out
         assert "Per-strategy comparison" in out
         assert "FAILED" not in out
+
+    def test_fault_cli_wrapper_fails_the_named_cell(self, capsys, monkeypatch):
+        """The wrapper the CI smokes run: ``--fail NAME -- <cli args>``."""
+        import fault_cli
+        import repro.sweep.runner as runner
+
+        # Registered so monkeypatch restores the cell function the wrapper replaces.
+        monkeypatch.setattr(runner, "_run_sweep_task", runner._run_sweep_task)
+        code = fault_cli.main(["--fail", "PYNQ-Z1-random-40fps", "--", "sweep",
+                               "--devices", "pynq-z1", "--strategies", "scd,random",
+                               "--retries", "0"] + BUDGET)
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "PYNQ-Z1-random-40fps: FAILED (error) after 1 attempt" in out
+        assert "injected failure" in out
 
     def test_sweep_resume_from_report_json(self, tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -170,10 +186,6 @@ class TestCommandRuns:
                      "--clocks", "100", "--utilizations", "0.9"] + BUDGET)
         assert code == 0
         assert "PYNQ-Z1-scd-40fps-100MHz-u0.9" in capsys.readouterr().out
-
-    def test_sweep_rejects_timeout_with_chunked_schedule(self):
-        with pytest.raises(ValueError, match="work-stealing"):
-            main(["sweep", "--schedule", "chunked", "--timeout-s", "5"] + BUDGET)
 
     def test_cache_stats_on_empty_directory(self, tmp_path, capsys):
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0

@@ -25,7 +25,7 @@ from repro.shard import (
 )
 from repro.sweep import (
     CHECKPOINT_FILENAME,
-    PreparedDevice,
+    PreparedTarget,
     SweepRunner,
     build_grid,
     load_checkpoint,
@@ -60,7 +60,7 @@ class TestParseBind:
             parse_bind("host:70000")
 
 
-# --------------------------------------------------- PreparedDevice wire trip
+# --------------------------------------------------- PreparedTarget wire trip
 class TestPreparedDeviceWire:
     def test_wire_round_trip_is_bit_exact(self):
         task = build_grid("pynq-z1", "scd", [40.0], **TINY)[0]
@@ -85,7 +85,7 @@ class TestPreparedDeviceWire:
         payload = prepare_device(task).to_wire()
         del payload["coefficients"]
         with pytest.raises(ValueError, match="coefficients"):
-            PreparedDevice.from_wire(payload)
+            PreparedTarget.from_wire(payload)
 
     def test_wire_key_separates_prep_axes(self):
         base = build_grid("pynq-z1", "scd", [40.0], **TINY)[0]
@@ -367,6 +367,59 @@ def serve(tasks, preparations=None, **runner_kwargs):
     return coordinator
 
 
+# --------------------------------------------------------- request body bounds
+@pytest.fixture(params=["coordinator", "service"])
+def lease_surface(request, tmp_path):
+    """A started coordinator of each handler table: one-shot and service."""
+    if request.param == "coordinator":
+        surface = LeaseCoordinator()
+        stop = surface.close
+    else:
+        from repro.service import ServiceCoordinator
+
+        surface = ServiceCoordinator(tmp_path / "root")
+        stop = surface.stop
+    surface.start()
+    yield surface
+    stop()
+
+
+def post_declaring_length(url: str, declared: str) -> tuple[int, dict]:
+    """POST /v1/report with a ``Content-Length`` header and no body bytes."""
+    import http.client
+    from urllib.parse import urlsplit
+
+    parts = urlsplit(url)
+    connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10.0)
+    try:
+        connection.putrequest("POST", "/v1/report")
+        connection.putheader("Content-Length", declared)
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class TestRequestBodyBounds:
+    """``Content-Length`` is checked before a single body byte is read."""
+
+    def test_non_integer_length_is_rejected_with_400(self, lease_surface):
+        status, reply = post_declaring_length(lease_surface.url, "abc")
+        assert status == 400 and "Content-Length" in reply["error"]
+
+    def test_negative_length_is_rejected_with_400(self, lease_surface):
+        # Regression: rfile.read(-1) parked the handler thread, no reply.
+        status, reply = post_declaring_length(lease_surface.url, "-1")
+        assert status == 400 and "Content-Length" in reply["error"]
+
+    def test_oversized_length_is_rejected_with_413(self, lease_surface):
+        from repro.shard.protocol import MAX_BODY_BYTES
+
+        status, reply = post_declaring_length(lease_surface.url, str(MAX_BODY_BYTES + 1))
+        assert status == 413 and "exceeds" in reply["error"]
+
+
 class TestCoordinatorHTTP:
     def test_protocol_round_trip_over_real_sockets(self):
         tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
@@ -619,10 +672,11 @@ class TestDistributedSweep:
         assert journal_bytes(local.outcomes) == journal_bytes(distributed.outcomes)
 
     def test_poisoned_cell_becomes_failure_with_exit_semantics(self, tmp_path, monkeypatch):
-        from repro.sweep.runner import FAIL_TASKS_ENV
+        from fault_cli import faulty
 
         tasks = build_grid("pynq-z1", "scd,random", [40.0], **TINY)
-        monkeypatch.setenv(FAIL_TASKS_ENV, tasks[1].name)
+        monkeypatch.setattr("repro.sweep.runner._run_sweep_task",
+                            faulty(fail=[tasks[1].name]))
         result, _, codes = run_distributed(
             tasks, worker_count=1, cache_dir=str(tmp_path),
             runner_kwargs={"retries": 0},
@@ -656,14 +710,6 @@ class TestTransportWiring:
             CoordinatorTransport(lease_ttl_s=1.0, heartbeat_s=2.0)
         with pytest.raises(ValueError, match="lease_ttl_s"):
             CoordinatorTransport(lease_ttl_s=0.0)
-
-    def test_local_transport_matches_default(self, tmp_path):
-        from repro.shard import LocalTransport
-
-        tasks = build_grid("pynq-z1", "scd,random", [40.0], **TINY)
-        default = SweepRunner(tasks, workers=1).run()
-        explicit = SweepRunner(tasks, workers=1, transport=LocalTransport()).run()
-        assert journal_bytes(default.outcomes) == journal_bytes(explicit.outcomes)
 
     def test_worker_validation(self):
         with pytest.raises(ValueError, match="workers"):

@@ -14,7 +14,6 @@ from repro.hw.device import PYNQ_Z1, resolve_devices
 from repro.search import EvaluationCache
 from repro.sweep import (
     DiskEvaluationCache,
-    PreparedDevice,
     SweepFailure,
     SweepOutcome,
     SweepRunner,
@@ -680,12 +679,6 @@ class TestPreparedDevice:
         assert len(result.preparations) == 1
         assert result.prep_time_s > 0
 
-    def test_per_cell_preparation_opt_out(self):
-        tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
-        result = SweepRunner(tasks, workers=1, share_preparation=False).run()
-        assert not result.preparations
-        assert not result.outcomes[0].used_shared_prep
-
     def test_mismatched_artifact_rejected(self):
         tasks = build_grid("pynq-z1,ultra96", "scd", [40.0], **TINY)
         prepared = prepare_device(tasks[0])
@@ -767,28 +760,33 @@ class TestCostOrdering:
 class TestRunnerOptions:
     def test_schedule_and_timeout_validation(self):
         tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
-        with pytest.raises(ValueError, match="schedule"):
-            SweepRunner(tasks, schedule="magic")
+        # One local execution path per mode: no schedule or preparation knob.
+        with pytest.raises(TypeError, match="schedule"):
+            SweepRunner(tasks, schedule="steal")
+        with pytest.raises(TypeError, match="share_preparation"):
+            SweepRunner(tasks, share_preparation=False)
         with pytest.raises(ValueError, match="timeout_s"):
             SweepRunner(tasks, timeout_s=0.0)
         with pytest.raises(ValueError, match="retries"):
             SweepRunner(tasks, retries=-1)
-        with pytest.raises(ValueError, match="work-stealing"):
-            SweepRunner(tasks, schedule="chunked", timeout_s=5.0)
 
-    def test_result_dict_includes_failures_and_schedule(self):
+    def test_result_dict_includes_failures_and_schedule(self, tmp_path):
+        """The dict carries every failure; the ``schedule`` key it used to
+        carry is no longer written, and older files holding it still load."""
         task = SweepTask(device="PYNQ-Z1", strategy="scd", fps=40.0)
         from repro.sweep import SweepResult
+        from repro.utils.serialization import dump_json
 
         result = SweepResult(
             outcomes=[],
             workers=2,
             failures=[SweepFailure(task=task, kind="timeout",
                                    error="exceeded 1s", attempts=2)],
-            schedule="steal",
         )
         payload = json.loads(json.dumps(result.as_dict()))
-        assert payload["schedule"] == "steal"
+        assert "schedule" not in payload
+        legacy = dump_json({**payload, "schedule": "chunked"}, tmp_path / "old.json")
+        assert SweepResult.load(legacy).as_dict() == payload
         assert payload["failures"][0]["kind"] == "timeout"
         assert payload["failures"][0]["attempts"] == 2
         assert payload["failures"][0]["task"]["device"] == "PYNQ-Z1"

@@ -35,7 +35,7 @@ from repro.sweep import (
     run_sweep_task,
     save_timings,
 )
-from repro.sweep.runner import FAIL_TASKS_ENV, TIMINGS_FILENAME
+from repro.sweep.runner import TIMINGS_FILENAME
 
 TINY = dict(tolerance_ms=10.0, iterations=25, num_candidates=1, top_bundles=2, seed=1)
 
@@ -77,6 +77,17 @@ class RecordingTaskFn:
             raise KeyboardInterrupt
         self.executed.append(task.uid)
         return run_sweep_task(task, cache_dir, prepared)
+
+
+#: The cell :func:`_failing_task` poisons.
+FAILING_CELL = "PYNQ-Z1-random-40fps"
+
+
+# Module-level so it pickles under any multiprocessing start method.
+def _failing_task(task, cache_dir, prepared):
+    if task.name == FAILING_CELL:
+        raise RuntimeError(f"injected failure for task {task.name}")
+    return run_sweep_task(task, cache_dir, prepared)
 
 
 # ------------------------------------------------------- resume acceptance
@@ -138,14 +149,12 @@ class TestCheckpointResume:
         assert baseline.winners == report.winners
         assert report.totals["reused_tasks"] == 1
 
-    def test_failed_cells_rerun_on_resume(self, tmp_path, monkeypatch):
+    def test_failed_cells_rerun_on_resume(self, tmp_path):
         """A resume re-runs recorded *failures*, not only missing cells."""
         tasks = build_grid("pynq-z1", "scd,random", [40.0], **TINY)
-        monkeypatch.setenv(FAIL_TASKS_ENV, "PYNQ-Z1-random-40fps")
         poisoned = SweepRunner(tasks, workers=1, cache_dir=tmp_path, retries=0,
-                               retry_backoff_s=0.0).run()
+                               retry_backoff_s=0.0, task_fn=_failing_task).run()
         assert not poisoned.ok
-        monkeypatch.delenv(FAIL_TASKS_ENV)
         fn = RecordingTaskFn()
         resumed = SweepRunner(tasks, workers=1, cache_dir=tmp_path,
                               resume_from=tmp_path / CHECKPOINT_FILENAME,
@@ -235,7 +244,6 @@ class TestCheckpointResume:
         loaded = SweepResult.load(result.save(tmp_path / "r.json"))
         assert canonical(loaded) == canonical(result)
         assert loaded.workers == result.workers
-        assert loaded.schedule == result.schedule
         assert json.dumps(loaded.outcomes[0].journal, sort_keys=True) \
             == json.dumps(result.outcomes[0].journal, sort_keys=True)
 
@@ -247,6 +255,23 @@ class TestCheckpointResume:
         path = dump_json({"sweep": result.as_dict(), "comparison": {}},
                          tmp_path / "report.json")
         assert canonical(SweepResult.load(path)) == canonical(result)
+
+    def test_pre_change_report_with_schedule_key_still_loads(self, tmp_path, capsys):
+        """Reports written while ``SweepResult`` still carried a schedule
+        (``"schedule": "chunked"``) load, resume and diff unchanged."""
+        from repro.cli import main
+        from repro.utils.serialization import dump_json
+
+        tasks = build_grid("pynq-z1", "scd,random", [40.0], **TINY)
+        result = SweepRunner(tasks, workers=1).run()
+        legacy = {"sweep": {**result.as_dict(), "schedule": "chunked"}, "comparison": {}}
+        path = dump_json(legacy, tmp_path / "legacy-report.json")
+        loaded = SweepResult.load(path)
+        assert canonical(loaded) == canonical(result)
+        assert "schedule" not in loaded.as_dict()
+        fresh = result.save(tmp_path / "fresh.json")
+        assert main(["compare", "--diff", str(path), str(fresh)]) == 0
+        assert "identical cell for cell" in capsys.readouterr().out
 
     def test_missing_resume_source_raises(self, tmp_path):
         tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
@@ -426,40 +451,24 @@ class TestTaskUidAliasing:
         assert not any(name.endswith(f"--{a.name}.jsonl") for name in shards), \
             "the display name must no longer key the shard"
 
-    def test_fault_injection_matches_uid_too(self, monkeypatch):
-        task = build_grid("pynq-z1", "scd", [40.0], **TINY)[0]
-        monkeypatch.setenv(FAIL_TASKS_ENV, task.uid)
-        with pytest.raises(RuntimeError, match="injected failure"):
-            run_sweep_task(task)
-
 
 class TestFailureTimings:
-    def test_failed_cell_records_cost_hint(self, tmp_path, monkeypatch):
+    def test_failed_cell_records_cost_hint(self, tmp_path):
         """Regression: the cost model used to learn nothing from failures,
-        so a repeatedly timing-out cell kept being scheduled as cheap."""
+        so a repeatedly timing-out cell kept being scheduled as cheap.
+        Failed cells feed it whether the attempts ran in-process
+        (``workers=1``) or in forked processes (``workers=2``)."""
         tasks = build_grid("pynq-z1", "scd,random", [40.0], **TINY)
-        monkeypatch.setenv(FAIL_TASKS_ENV, "PYNQ-Z1-random-40fps")
-        result = SweepRunner(tasks, workers=1, cache_dir=tmp_path, retries=1,
-                             retry_backoff_s=0.0).run()
-        assert not result.ok
-        timings = load_timings(tmp_path / TIMINGS_FILENAME)
-        assert tasks[1].uid in timings, "failure durations must persist"
-        assert timings[tasks[1].uid] >= 0
-        assert tasks[0].uid in timings
-
-    def test_chunked_failures_record_cost_hints_too(self, tmp_path, monkeypatch):
-        """The chunked pool cannot observe per-cell timing from the parent;
-        the worker-side wrapper must still ship a duration so failed cells
-        feed the cost model under every schedule."""
-        tasks = build_grid("pynq-z1", "scd,random", [40.0], **TINY)
-        monkeypatch.setenv(FAIL_TASKS_ENV, "PYNQ-Z1-random-40fps")
-        result = SweepRunner(tasks, workers=2, schedule="chunked",
-                             cache_dir=tmp_path, retries=0,
-                             retry_backoff_s=0.0).run()
-        assert not result.ok
-        assert result.failures[0].duration_s > 0
-        timings = load_timings(tmp_path / TIMINGS_FILENAME)
-        assert tasks[1].uid in timings
+        for workers in (1, 2):
+            cache = tmp_path / f"workers-{workers}"
+            result = SweepRunner(tasks, workers=workers, cache_dir=cache, retries=1,
+                                 retry_backoff_s=0.0, task_fn=_failing_task).run()
+            assert not result.ok
+            assert result.failures[0].duration_s > 0
+            timings = load_timings(cache / TIMINGS_FILENAME)
+            assert tasks[1].uid in timings, "failure durations must persist"
+            assert timings[tasks[1].uid] >= 0
+            assert tasks[0].uid in timings
 
     def test_effective_timeout_scales_from_hint(self):
         tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)

@@ -1,8 +1,8 @@
 """Property-style determinism tests for the sweep engine (hypothesis).
 
 The sweep's core contract is that a cell's journal depends only on the cell
-itself: worker count, schedule, shared-vs-per-cell preparation and cost
-hints are pure execution-mode knobs.  These properties drive randomized
+itself: worker count (in-process vs forked attempts) and cost hints are
+pure execution-mode knobs.  These properties drive randomized
 grids through the different execution modes and require byte-identical
 journals and identical comparison winners.
 
@@ -79,28 +79,6 @@ def test_worker_count_invariance(tasks):
     assert serial.ok and pooled.ok
     assert fingerprint(serial) == fingerprint(pooled)
     assert winners(serial) == winners(pooled)
-
-
-@SETTINGS
-@given(tasks=grids)
-def test_schedule_invariance(tasks):
-    """Chunked and work-stealing schedules are interchangeable."""
-    stealing = SweepRunner(tasks, workers=2, schedule="steal").run()
-    chunked = SweepRunner(tasks, workers=2, schedule="chunked").run()
-    assert stealing.ok and chunked.ok
-    assert fingerprint(stealing) == fingerprint(chunked)
-    assert winners(stealing) == winners(chunked)
-
-
-@SETTINGS
-@given(tasks=grids)
-def test_shared_preparation_invariance(tasks):
-    """Hoisting the per-device fit out of the cells must not change results."""
-    shared = SweepRunner(tasks, workers=1, share_preparation=True).run()
-    per_cell = SweepRunner(tasks, workers=1, share_preparation=False).run()
-    assert fingerprint(shared) == fingerprint(per_cell)
-    assert all(outcome.used_shared_prep for outcome in shared.outcomes)
-    assert not any(outcome.used_shared_prep for outcome in per_cell.outcomes)
 
 
 @SETTINGS

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import time
 
 import pytest
 
@@ -23,9 +24,12 @@ from repro.sweep import (
     compact_cache_dir,
     run_sweep_task,
 )
-from repro.sweep.runner import FAIL_TASKS_ENV, STALL_TASKS_ENV
 
 TINY = dict(tolerance_ms=10.0, iterations=25, num_candidates=1, top_bundles=2, seed=1)
+
+#: The cells the module-level fault task_fns below poison.
+FAILING_CELL = "PYNQ-Z1-random-40fps"
+STALLING_CELL = "PYNQ-Z1-scd-40fps"
 
 
 def journal_dumps(outcomes):
@@ -42,6 +46,18 @@ def _flaky_task(task, cache_dir, prepared):
         with open(marker, "w") as handle:
             handle.write("attempted\n")
         raise RuntimeError(f"transient failure for {task.name}")
+    return run_sweep_task(task, cache_dir, prepared)
+
+
+def _failing_task(task, cache_dir, prepared):
+    if task.name == FAILING_CELL:
+        raise RuntimeError(f"injected failure for task {task.name}")
+    return run_sweep_task(task, cache_dir, prepared)
+
+
+def _stalling_task(task, cache_dir, prepared):
+    if task.name == STALLING_CELL:
+        time.sleep(3600.0)  # a hung cell; the per-task timeout kills it
     return run_sweep_task(task, cache_dir, prepared)
 
 
@@ -63,9 +79,9 @@ class TestPoisonedCells:
         return build_grid("pynq-z1", "scd,random", [40.0], **TINY)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_raising_cell_yields_failure_record(self, grid, workers, monkeypatch):
-        monkeypatch.setenv(FAIL_TASKS_ENV, "PYNQ-Z1-random-40fps")
-        result = SweepRunner(grid, workers=workers, retries=1).run()
+    def test_raising_cell_yields_failure_record(self, grid, workers):
+        result = SweepRunner(grid, workers=workers, retries=1,
+                             task_fn=_failing_task).run()
         assert [o.task.name for o in result.outcomes] == ["PYNQ-Z1-scd-40fps"]
         assert len(result.failures) == 1
         failure = result.failures[0]
@@ -75,12 +91,11 @@ class TestPoisonedCells:
         assert "injected failure" in failure.error
         assert not result.ok
 
-    def test_surviving_cells_identical_to_clean_run(self, grid, monkeypatch):
+    def test_surviving_cells_identical_to_clean_run(self, grid):
         """Acceptance: a poisoned grid completes and the survivors' journals
         are byte-identical to the same cells of an unpoisoned sweep."""
         clean = SweepRunner(grid, workers=2).run()
-        monkeypatch.setenv(FAIL_TASKS_ENV, "PYNQ-Z1-random-40fps")
-        poisoned = SweepRunner(grid, workers=2, retries=0).run()
+        poisoned = SweepRunner(grid, workers=2, retries=0, task_fn=_failing_task).run()
         clean_journals = journal_dumps(clean.outcomes)
         for outcome in poisoned.outcomes:
             assert outcome.journal is not None
@@ -89,11 +104,11 @@ class TestPoisonedCells:
         payload = json.loads(json.dumps(poisoned.as_dict()))
         assert payload["failures"][0]["attempts"] == 1
 
-    def test_timed_out_cell_is_killed_and_recorded(self, grid, monkeypatch):
+    def test_timed_out_cell_is_killed_and_recorded(self, grid):
         """Acceptance: a cell exceeding its wall-clock timeout cannot hang the
         sweep; it is terminated, retried and recorded with its retry count."""
-        monkeypatch.setenv(STALL_TASKS_ENV, "PYNQ-Z1-scd-40fps")
-        result = SweepRunner(grid, workers=2, timeout_s=0.5, retries=1).run()
+        result = SweepRunner(grid, workers=2, timeout_s=0.5, retries=1,
+                             task_fn=_stalling_task).run()
         assert [o.task.name for o in result.outcomes] == ["PYNQ-Z1-random-40fps"]
         failure = result.failures[0]
         assert failure.kind == "timeout"
@@ -101,25 +116,26 @@ class TestPoisonedCells:
         assert "timeout" in failure.error
         assert result.wall_time_s < 30.0, "the stalled cell must not hang the sweep"
 
-    def test_timeout_with_single_worker_slot(self, monkeypatch):
-        # workers=1 plus a timeout routes through the stealing scheduler so
-        # the stuck process can still be killed.
+    def test_timeout_with_single_worker_slot(self):
+        # workers=1 plus a timeout forks each attempt so the stuck process
+        # can still be killed.
         grid = build_grid("pynq-z1", "scd", [40.0], **TINY)
-        monkeypatch.setenv(STALL_TASKS_ENV, "PYNQ-Z1-scd-40fps")
-        result = SweepRunner(grid, workers=1, timeout_s=0.5, retries=0).run()
+        result = SweepRunner(grid, workers=1, timeout_s=0.5, retries=0,
+                             task_fn=_stalling_task).run()
         assert not result.outcomes
         assert result.failures[0].kind == "timeout"
         assert result.failures[0].attempts == 1
 
-    def test_acceptance_timeout_cell_workers_1_vs_n(self, monkeypatch):
+    def test_acceptance_timeout_cell_workers_1_vs_n(self):
         """Acceptance criterion, end to end: a grid with a cell whose worker
         exceeds its timeout completes, records the failure with its retry
         count in ``SweepResult.as_dict()``, and the workers=1 vs workers=N
         journals are byte-identical for the surviving cells."""
         grid = build_grid("pynq-z1", "scd,random", [40.0, 30.0], **TINY)
-        monkeypatch.setenv(STALL_TASKS_ENV, "PYNQ-Z1-scd-40fps")
-        single = SweepRunner(grid, workers=1, timeout_s=0.5, retries=1).run()
-        pooled = SweepRunner(grid, workers=3, timeout_s=0.5, retries=1).run()
+        single = SweepRunner(grid, workers=1, timeout_s=0.5, retries=1,
+                             task_fn=_stalling_task).run()
+        pooled = SweepRunner(grid, workers=3, timeout_s=0.5, retries=1,
+                             task_fn=_stalling_task).run()
         for result in (single, pooled):
             assert len(result.outcomes) == 3 and len(result.failures) == 1
             payload = json.loads(json.dumps(result.as_dict()))
@@ -138,10 +154,10 @@ class TestPoisonedCells:
         assert by_name["PYNQ-Z1-scd-40fps"].attempts == 2
         assert by_name["PYNQ-Z1-random-40fps"].attempts == 1
 
-    @pytest.mark.parametrize("workers,schedule", [(1, "steal"), (2, "steal"), (2, "chunked")])
-    def test_garbage_result_yields_invalid_result_failure(self, grid, workers, schedule):
-        result = SweepRunner(grid, workers=workers, schedule=schedule,
-                             retries=0, share_preparation=False,
+    # Both launches of the one attempt loop: in-process and forked.
+    @pytest.mark.parametrize("workers", [1, 2], ids=["1-serial", "2-steal"])
+    def test_garbage_result_yields_invalid_result_failure(self, grid, workers):
+        result = SweepRunner(grid, workers=workers, retries=0,
                              task_fn=_garbage_task).run()
         assert not result.outcomes
         assert {f.kind for f in result.failures} == {"invalid-result"}
@@ -155,27 +171,37 @@ class TestPoisonedCells:
         assert result.failures[0].kind == "crash"
         assert result.failures[0].task.strategy == "random"
 
-    def test_crashed_worker_does_not_escape_chunked_schedule(self, grid):
-        """Regression: a hard-dying worker breaks the whole chunked pool
-        (poisoning every in-flight future). The runner must not raise
-        BrokenProcessPool out of run(), must not charge the broken round to
-        innocent cells, and must re-attribute the crash to the actual
-        culprit by degrading to per-task process isolation."""
-        result = SweepRunner(grid, workers=2, schedule="chunked",
-                             retries=1, task_fn=_dying_task).run()
-        assert [o.task.name for o in result.outcomes] == ["PYNQ-Z1-scd-40fps"], \
-            "the innocent cell must survive the broken pool"
-        assert len(result.failures) == 1
-        dying = result.failures[0]
-        assert dying.task.strategy == "random"
-        assert dying.kind == "crash"
-        assert dying.attempts == 2, "only real isolated executions count"
+    def test_serial_retry_backs_off_in_queue_and_keeps_grid_order(
+            self, tmp_path, monkeypatch):
+        """workers=1: a failed cell re-enters the queue after its backoff
+        instead of sleeping inline; the other cells keep their grid order,
+        the retried cell ends with two attempts and the checkpoint holds
+        exactly one outcome per uid."""
+        from repro.sweep import CHECKPOINT_FILENAME, load_checkpoint
 
-    def test_chunked_schedule_records_raises_too(self, grid, monkeypatch):
-        monkeypatch.setenv(FAIL_TASKS_ENV, "PYNQ-Z1-random-40fps")
-        result = SweepRunner(grid, workers=2, schedule="chunked", retries=0).run()
-        assert [o.task.name for o in result.outcomes] == ["PYNQ-Z1-scd-40fps"]
-        assert result.failures[0].kind == "error"
+        grid = build_grid("pynq-z1", "scd,random", [40.0, 30.0], **TINY)
+        flaky = grid[0].name
+        monkeypatch.setenv("REPRO_TEST_FLAKY_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_TEST_FLAKY_TASKS", flaky)
+        executed = []
+
+        def recording(task, cache_dir, prepared):
+            executed.append(task.name)
+            return _flaky_task(task, cache_dir, prepared)
+
+        cache = tmp_path / "cache"
+        result = SweepRunner(grid, workers=1, cache_dir=cache, retries=1,
+                             retry_backoff_s=0.05, task_fn=recording).run()
+        assert result.ok
+        assert executed == [t.name for t in grid] + [flaky], \
+            "the others run in grid order; the retry waits in the queue"
+        assert {o.task.name: o.attempts for o in result.outcomes} == \
+            {t.name: 2 if t.name == flaky else 1 for t in grid}
+        checkpoint = cache / CHECKPOINT_FILENAME
+        records = [json.loads(line) for line in checkpoint.read_text().splitlines()]
+        outcome_uids = [r["uid"] for r in records if r.get("kind") == "outcome"]
+        assert sorted(outcome_uids) == sorted(t.uid for t in grid)
+        assert set(load_checkpoint(checkpoint).outcomes) == {t.uid for t in grid}
 
 
 # --------------------------------------------------------- corrupt cache dirs
