@@ -46,7 +46,7 @@ from repro.shard.protocol import (
     ShardProtocolError,
 )
 import repro.telemetry as telemetry
-from repro.sweep.checkpoint import CHECKPOINT_FILENAME, checkpoint_cells, load_checkpoint, scan_checkpoint
+from repro.sweep.checkpoint import CHECKPOINT_FILENAME, load_checkpoint
 from repro.sweep.runner import SweepResult, run_sweep_task
 from repro.utils.logging import get_logger
 
@@ -279,7 +279,7 @@ class ServiceCoordinator(LeaseCoordinator):
         detail: dict[str, dict] = {}
         for task in job.spec.build_tasks():
             detail[task.uid] = {"status": "pending", "attempts": 0, "worker": None}
-        for cell_uid, kind in checkpoint_cells(job.directory / CHECKPOINT_FILENAME).items():
+        for cell_uid, kind in job.settled.cells().items():
             entry = detail.get(cell_uid)
             if entry is not None:
                 entry["status"] = "completed" if kind == "outcome" else "failed"
@@ -298,8 +298,7 @@ class ServiceCoordinator(LeaseCoordinator):
                     entry["status"] = "failed" if state["failed"] else "completed"
             failures = [f.as_dict() for _i, f in sorted(board.failures.items())]
         elif job.terminal:
-            status = load_checkpoint(job.directory / CHECKPOINT_FILENAME)
-            failures = [status.failures[u].as_dict() for u in sorted(status.failures)]
+            failures = [failure.as_dict() for failure in job.settled.failures()]
         summary["cells_detail"] = detail
         summary["failures"] = failures
         return summary
@@ -374,8 +373,7 @@ class ServiceCoordinator(LeaseCoordinator):
                 "workers": len(self.workers),
             }
         else:
-            completed, failed, _corrupt = scan_checkpoint(
-                job.directory / CHECKPOINT_FILENAME)
+            completed, failed = job.settled.counts()
             summary["counts"] = {
                 "cells": job.total_cells,
                 "pending": max(job.total_cells - completed - failed, 0),

@@ -30,6 +30,7 @@ import threading
 import time
 from typing import Callable, Optional
 
+from repro.sweep.checkpoint import CHECKPOINT_FILENAME, CheckpointCells
 from repro.sweep.spec import SweepSpec
 from repro.utils.logging import get_logger
 from repro.utils.serialization import dump_json
@@ -90,6 +91,9 @@ class Job:
         #: after a restart the checkpoint is the source of truth instead.
         self.result = None
         self.total_cells = len(spec.build_tasks())
+        #: Which cells the job checkpoint settled, read incrementally by
+        #: status polls (a settled job's checkpoint is decoded once).
+        self.settled = CheckpointCells(directory / CHECKPOINT_FILENAME)
         #: True when this queue instance re-admitted the job after a crash.
         self.recovered = False
 

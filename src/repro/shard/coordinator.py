@@ -74,6 +74,7 @@ from repro.shard.protocol import (
     token_matches,
 )
 import repro.telemetry as telemetry
+from repro.sweep.disk_cache import CacheHub, read_cache_records
 from repro.sweep.runner import SweepFailure, SweepOutcome, SweepTask
 from repro.utils.logging import get_logger
 
@@ -714,6 +715,7 @@ class LeaseCoordinator:
         #: Estimator-cache exchange hub: workers pull this directory's records
         #: in bulk after registering and push back what they compute.
         self.cache_dir = cache_dir
+        self._cache_hub = CacheHub(cache_dir) if cache_dir is not None else None
         self.workers = WorkerRegistry(adopt_unknown=self.persistent)
         # Leaf lock over the board tables: no board method runs under it.
         self._lock = threading.Lock()
@@ -1058,8 +1060,6 @@ class LeaseCoordinator:
         require(payload, "worker_id", str)
         if self.cache_dir is None:
             return {"records": [], "count": 0, "enabled": False}
-        from repro.sweep.disk_cache import read_cache_records
-
         namespaces = payload.get("namespaces")
         if namespaces is not None and not isinstance(namespaces, list):
             raise ShardProtocolError("'namespaces' must be a list when present")
@@ -1067,14 +1067,17 @@ class LeaseCoordinator:
         return {"records": records, "count": len(records), "enabled": True}
 
     def handle_cache_push(self, payload: Mapping) -> dict:
-        """Merge worker-computed estimates into the coordinator's cache."""
+        """Merge worker-computed estimates into the coordinator's cache.
+
+        The hub dedups against its key index under its own lock, so a push
+        costs O(records pushed plus bytes appended since the last push) and
+        concurrent pushes of one record accept it once.
+        """
         require(payload, "worker_id", str)
         records = require(payload, "records", list)
-        if self.cache_dir is None:
+        if self._cache_hub is None:
             return {"accepted": 0, "enabled": False}
-        from repro.sweep.disk_cache import append_cache_records
-
-        accepted = append_cache_records(self.cache_dir, records, shard="pushed")
+        accepted = self._cache_hub.merge(records)
         if accepted:
             telemetry.event("shard.cache.pushed", records=accepted)
         return {"accepted": accepted, "enabled": True}

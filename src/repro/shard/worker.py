@@ -24,7 +24,11 @@ already observed ``done=True``, which is the normal shutdown path.
 
 A worker may keep its own ``cache_dir`` for the persistent estimator
 cache (per-machine, like any local sweep); journals do not depend on
-cache warmth, so byte-identity across the fleet is unaffected.
+cache warmth, so byte-identity across the fleet is unaffected.  Against a
+coordinator with a cache hub, the worker pulls the hub once at
+registration and, after every report, pushes the records its cells
+appended since the previous push that the hub has not seen — it parses
+only the newly appended shard bytes, never the whole directory.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from repro.shard.protocol import (
     task_from_wire,
 )
 import repro.telemetry as telemetry
+from repro.sweep.disk_cache import CacheDirTail, append_cache_records
 from repro.sweep.runner import PreparedTarget, SweepOutcome, run_sweep_task
 from repro.utils.logging import get_logger
 
@@ -138,6 +143,9 @@ class ShardWorker:
         self._idle_since: Optional[float] = None
         self._cache_sync = False
         self._cache_pushed: set[tuple[str, str]] = set()
+        # Read but not yet delivered (a failed push retries them).
+        self._cache_unsent: dict[tuple[str, str], dict] = {}
+        self._cache_tail = CacheDirTail(self.cache_dir) if self.cache_dir is not None else None
 
     # ----------------------------------------------------------------- wire io
     def _post(self, path: str, payload: dict) -> dict:
@@ -160,8 +168,6 @@ class ShardWorker:
     # --------------------------------------------------------------- cache sync
     def _pull_cache(self) -> None:
         """Warm-start: bulk-import the coordinator's estimator-cache records."""
-        from repro.sweep.disk_cache import append_cache_records
-
         try:
             reply = self._post("/v1/cache/pull", {"worker_id": self.worker_id})
         except ShardProtocolError as exc:
@@ -184,17 +190,17 @@ class ShardWorker:
             telemetry.event("shard.cache.pulled", records=added)
 
     def _push_cache(self) -> None:
-        """Ship locally-computed estimates the coordinator has not seen yet."""
+        """Ship the estimates appended since the last push that the coordinator has not seen."""
         if not self._cache_sync:
             return
-        from repro.sweep.disk_cache import read_cache_records
-
-        fresh = [
-            record for record in read_cache_records(self.cache_dir)
-            if (record["namespace"], record["key"]) not in self._cache_pushed
-        ]
-        if not fresh:
+        _restarted, appended = self._cache_tail.read()
+        for record in appended:
+            slot = (record["namespace"], record["key"])
+            if slot not in self._cache_pushed:
+                self._cache_unsent[slot] = record
+        if not self._cache_unsent:
             return
+        fresh = [self._cache_unsent[slot] for slot in sorted(self._cache_unsent)]
         try:
             self._post("/v1/cache/push",
                        {"worker_id": self.worker_id, "records": fresh})
@@ -202,9 +208,8 @@ class ShardWorker:
             logger.debug("shard worker %s: cache push failed: %s",
                          self.worker_id, exc)
             return
-        self._cache_pushed.update(
-            (record["namespace"], record["key"]) for record in fresh
-        )
+        self._cache_pushed.update(self._cache_unsent)
+        self._cache_unsent.clear()
 
     def _heartbeat_loop(self) -> None:
         while not self._stop.wait(self.heartbeat_s):

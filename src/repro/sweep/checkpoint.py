@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from repro.sweep.runner import SweepFailure, SweepOutcome
+from repro.utils.jsonl import JsonlTail
 from repro.utils.logging import get_logger
 from repro.utils.serialization import to_jsonable
 
@@ -62,15 +63,24 @@ _PathLike = Union[str, pathlib.Path]
 
 
 def _iter_checkpoint_lines(path: pathlib.Path):
+    """``(kind, uid, record)`` per line of the checkpoint at ``path``.
+
+    Reads the whole file at once; raises ``OSError`` when it cannot be
+    read — each caller decides what that means.
+    """
+    return _parse_checkpoint_lines(path.read_text(encoding="utf-8").splitlines())
+
+
+def _parse_checkpoint_lines(lines):
     """Yield ``(kind, uid, record)`` per checkpoint line.
 
-    Shared line-level parsing for the loader, the cheap scanner and the
-    compactor: JSON-decode, shape-check and kind/uid-validate every line,
-    yielding ``("corrupt", None, None)`` for anything malformed and
-    ``("header", None, record)`` for header lines.  Raises ``OSError``
-    when the file cannot be read — each caller decides what that means.
+    Shared line-level parsing for the loader, the cheap scanner, the
+    incremental :class:`CheckpointCells` view and the compactor:
+    JSON-decode, shape-check and kind/uid-validate every line, yielding
+    ``("corrupt", None, None)`` for anything malformed and
+    ``("header", None, record)`` for header lines.
     """
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in lines:
         line = line.strip()
         if not line:
             continue
@@ -91,6 +101,19 @@ def _iter_checkpoint_lines(path: pathlib.Path):
             yield "corrupt", None, None
             continue
         yield kind, uid, record
+
+
+def _rebuild(kind: str, uid: str, record: dict) -> Optional[Union[SweepOutcome, SweepFailure]]:
+    """The ``outcome`` / ``failure`` payload of a record, rebuilt; ``None``
+    when it does not rebuild, or rebuilds as another cell than ``uid``."""
+    payload = record.get(kind)
+    if not isinstance(payload, dict):
+        return None
+    try:
+        rebuilt = (SweepOutcome if kind == "outcome" else SweepFailure).from_dict(payload)
+    except (KeyError, TypeError, ValueError):
+        return None
+    return rebuilt if rebuilt.task.uid == uid else None
 
 
 # -------------------------------------------------------------- checkpointing
@@ -150,29 +173,17 @@ def load_checkpoint(path: _PathLike) -> CheckpointStatus:
             grid = record.get("grid")
             if isinstance(grid, list):
                 status.grid = [str(u) for u in grid]
-        elif kind == "outcome":
-            try:
-                outcome = SweepOutcome.from_dict(record.get("outcome") or {})
-            except (KeyError, TypeError, ValueError):
+        else:
+            rebuilt = _rebuild(kind, uid, record)
+            if rebuilt is None:
                 status.corrupt_lines += 1
                 continue
-            if outcome.task.uid != uid:
-                status.corrupt_lines += 1
-                continue
-            status.outcomes[uid] = outcome
-            status.failures.pop(uid, None)
-            status.records += 1
-        else:  # failure
-            try:
-                failure = SweepFailure.from_dict(record.get("failure") or {})
-            except (KeyError, TypeError, ValueError):
-                status.corrupt_lines += 1
-                continue
-            if failure.task.uid != uid:
-                status.corrupt_lines += 1
-                continue
-            status.failures[uid] = failure
-            status.outcomes.pop(uid, None)
+            if kind == "outcome":
+                status.outcomes[uid] = rebuilt
+                status.failures.pop(uid, None)
+            else:
+                status.failures[uid] = rebuilt
+                status.outcomes.pop(uid, None)
             status.records += 1
     if status.corrupt_lines:
         logger.warning(
@@ -230,6 +241,59 @@ def checkpoint_cells(path: _PathLike) -> dict[str, str]:
     except OSError:  # pragma: no cover - unreadable checkpoint
         return {}
     return kinds
+
+
+class CheckpointCells:
+    """Newest-wins view of the cells a growing checkpoint settled, read incrementally.
+
+    Every query first folds in the complete lines appended since the
+    previous one, so polling a settled job's checkpoint decodes nothing,
+    and a torn final line counts once it is completed.  A checkpoint that
+    vanished, shrank or was replaced (``cache gc``) is folded again from its
+    start.  Kinds follow :func:`checkpoint_cells` (line shape only; outcome
+    journals are never rebuilt); failure records, which embed no journal,
+    are rebuilt as :func:`load_checkpoint` rebuilds them.  Thread-safe.
+    """
+
+    def __init__(self, path: _PathLike) -> None:
+        self._tail = JsonlTail(path)
+        self._lock = threading.Lock()
+        self._kinds: dict[str, str] = {}
+        self._failures: dict[str, SweepFailure] = {}
+
+    def _refresh(self) -> None:
+        restarted, lines = self._tail.read()
+        if restarted:
+            self._kinds.clear()
+            self._failures.clear()
+        for kind, uid, record in _parse_checkpoint_lines(lines):
+            if kind == "outcome":
+                self._kinds[uid] = kind
+                self._failures.pop(uid, None)
+            elif kind == "failure":
+                self._kinds[uid] = kind
+                failure = _rebuild(kind, uid, record)
+                if failure is not None:
+                    self._failures[uid] = failure
+
+    def counts(self) -> tuple[int, int]:
+        """``(outcomes, failures)``, as :func:`scan_checkpoint` counts them."""
+        with self._lock:
+            self._refresh()
+            outcomes = sum(1 for kind in self._kinds.values() if kind == "outcome")
+            return outcomes, len(self._kinds) - outcomes
+
+    def cells(self) -> dict[str, str]:
+        """``{uid: "outcome" | "failure"}``, as :func:`checkpoint_cells` maps them."""
+        with self._lock:
+            self._refresh()
+            return dict(self._kinds)
+
+    def failures(self) -> list[SweepFailure]:
+        """The current failure records in uid order, as :func:`load_checkpoint` has them."""
+        with self._lock:
+            self._refresh()
+            return [self._failures[uid] for uid in sorted(self._failures)]
 
 
 class CheckpointWriter:
@@ -365,19 +429,7 @@ def compact_checkpoint(
         if kind == "header":
             header = record
             continue
-        payload = record.get("outcome") if kind == "outcome" else record.get("failure")
-        if not isinstance(payload, dict):
-            corrupt += 1
-            continue
-        try:
-            if kind == "outcome":
-                rebuilt_uid = SweepOutcome.from_dict(payload).task.uid
-            else:
-                rebuilt_uid = SweepFailure.from_dict(payload).task.uid
-        except (KeyError, TypeError, ValueError):
-            corrupt += 1
-            continue
-        if rebuilt_uid != uid:
+        if _rebuild(kind, uid, record) is None:
             # The loader rejects such a line as corrupt; keeping it here
             # would let it clobber a good record of the same uid.
             corrupt += 1

@@ -24,6 +24,13 @@ which keeps concurrent sweep workers from interleaving appends; reads scan
 every shard of the instance's namespace (shard file names are
 namespace-prefixed, so other devices' shards are never parsed), so workers
 still share each other's results on the next run.
+
+The shard protocol exchanges whole records between machines.
+:func:`read_cache_records` exports a directory (``/v1/cache/pull``).
+A :class:`CacheDirTail` hands a worker only the records its cells appended
+since its previous push, and a coordinator's :class:`CacheHub` appends
+pushed records whose key it has not seen, checked against an in-memory key
+index that is refreshed from appended bytes only.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ import repro.telemetry as telemetry
 from repro.hw.analytical import PerformanceEstimate
 from repro.hw.resource import ResourceVector
 from repro.search.cache import CacheStats, config_cache_key, resolve_batch_estimator
+from repro.utils.jsonl import JsonlTail
 from repro.utils.logging import get_logger
 from repro.utils.serialization import to_jsonable
 
@@ -81,7 +89,11 @@ def _estimate_payload(estimate: PerformanceEstimate) -> dict:
     }
 
 
-def _estimate_from_payload(payload: dict) -> Optional[PerformanceEstimate]:
+def _estimate_from_payload(payload) -> Optional[PerformanceEstimate]:
+    # Payloads also arrive from the wire (/v1/cache/push): any shape is
+    # possible, and a malformed one must be rejected, never raise.
+    if not isinstance(payload, dict) or not isinstance(payload.get("resources", {}), dict):
+        return None
     try:
         resources = payload.get("resources", {})
         return PerformanceEstimate(
@@ -442,6 +454,35 @@ class CacheDirStats:
         return self.checkpoint_outcomes + self.checkpoint_failures
 
 
+def _shard_paths(directory: pathlib.Path) -> list[pathlib.Path]:
+    """The directory's estimate shards, sorted by name.
+
+    Underscore-prefixed files are sidecars (checkpoint, timings tempfiles),
+    not estimate shards: scanning them would misreport every checkpoint
+    line as corrupt — and compaction would delete the file.
+    """
+    return sorted(
+        path for path in directory.glob("*.jsonl") if not path.name.startswith("_")
+    )
+
+
+def _record_estimate(record) -> Optional[PerformanceEstimate]:
+    """The estimate of a well-formed ``{namespace, key, estimate}`` record, else ``None``."""
+    if not isinstance(record, dict) or not isinstance(record.get("namespace"), str) \
+            or not isinstance(record.get("key"), str):
+        return None
+    return _estimate_from_payload(record.get("estimate", {}))
+
+
+def _parse_record(line: str) -> Optional[dict]:
+    """One shard line as its record dict; ``None`` when torn or malformed."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    return record if _record_estimate(record) is not None else None
+
+
 def _scan_cache_dir(directory: pathlib.Path):
     """Parse every shard; returns (records, corrupt, duplicates, bytes, shards).
 
@@ -453,12 +494,7 @@ def _scan_cache_dir(directory: pathlib.Path):
     corrupt = 0
     duplicates = 0
     total_bytes = 0
-    # Underscore-prefixed files are sidecars (checkpoint, timings tempfiles),
-    # not estimate shards: scanning them would misreport every checkpoint
-    # line as corrupt — and compaction would delete the file.
-    shard_paths = sorted(
-        path for path in directory.glob("*.jsonl") if not path.name.startswith("_")
-    )
+    shard_paths = _shard_paths(directory)
     for path in shard_paths:
         try:
             mtime = path.stat().st_mtime
@@ -470,22 +506,13 @@ def _scan_cache_dir(directory: pathlib.Path):
             line = line.strip()
             if not line:
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                corrupt += 1
-                continue
-            namespace = record.get("namespace") if isinstance(record, dict) else None
-            key = record.get("key") if isinstance(record, dict) else None
-            estimate = _estimate_from_payload(record.get("estimate", {})) \
-                if isinstance(record, dict) else None
-            if not isinstance(namespace, str) or not isinstance(key, str) \
-                    or estimate is None:
+            record = _parse_record(line)
+            if record is None:
                 corrupt += 1
                 continue
             if not isinstance(record.get("ts"), (int, float)):
                 record["ts"] = round(mtime, 3)
-            slot = (namespace, key)
+            slot = (record["namespace"], record["key"])
             if slot in records:
                 duplicates += 1
                 if record["ts"] >= records[slot]["ts"]:
@@ -688,46 +715,121 @@ def read_cache_records(directory, namespaces: Optional[Sequence[str]] = None) ->
     ]
 
 
-def append_cache_records(directory, records: Sequence[dict], *, shard: str = "pushed") -> int:
-    """Merge wire cache records into ``directory``; returns how many were new.
+class CacheDirTail:
+    """Incremental reader over every estimate shard of one cache directory.
 
-    Malformed records are dropped, records whose ``(namespace, key)`` the
-    directory already holds are skipped (pushes are idempotent), and fresh
-    records are appended to per-namespace ``<ns>--<shard>.jsonl`` files in
-    the exact on-disk format, so a :class:`DiskEvaluationCache` opened on
-    the directory picks them up as ordinary shards.
+    Each :meth:`read` returns the valid records appended to any shard since
+    the previous call, in shard-name then file order; a shard that appeared
+    since is read from its start.  Unchanged shards cost one open and
+    ``fstat`` each, never a parse.  Not thread-safe: the owner serialises
+    calls.
     """
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    existing, _corrupt, _dups, _bytes, _shards = _scan_cache_dir(directory)
-    seen = set(existing)
-    fresh_lines: dict[str, list[str]] = {}
-    accepted = 0
-    for record in records:
-        if not isinstance(record, dict):
-            continue
-        namespace = record.get("namespace")
-        key = record.get("key")
-        estimate = _estimate_from_payload(record.get("estimate", {}))
-        if not isinstance(namespace, str) or not isinstance(key, str) \
-                or estimate is None:
-            continue
-        if (namespace, key) in seen:
-            continue
-        seen.add((namespace, key))
-        ts = record.get("ts")
-        line = json.dumps({
-            "namespace": namespace,
-            "key": key,
-            "estimate": _estimate_payload(estimate),
-            # Keep the producer's timestamp; a missing one falls back to 0.0
-            # ("oldest"), never to this machine's wall clock.
-            "ts": round(float(ts), 3) if isinstance(ts, (int, float)) else 0.0,
-        }, sort_keys=True)
-        fresh_lines.setdefault(_sanitize(namespace), []).append(line)
-        accepted += 1
-    for prefix, lines in fresh_lines.items():
-        path = directory / f"{prefix}--{_sanitize(shard)}.jsonl"
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write("".join(line + "\n" for line in lines))
-    return accepted
+
+    def __init__(self, directory) -> None:
+        self.directory = pathlib.Path(directory)
+        self._tails: dict[str, JsonlTail] = {}
+
+    def read(self) -> tuple[bool, list[dict]]:
+        """``(restarted, records)`` appended since the previous call.
+
+        ``restarted`` is True when a shard read before vanished, shrank or
+        was replaced (as ``cache gc`` leaves it); a shrunk or replaced
+        shard's records are returned again from its start.
+        """
+        restarted = False
+        records: list[dict] = []
+        present = set()
+        for path in _shard_paths(self.directory):
+            present.add(path.name)
+            tail = self._tails.get(path.name)
+            if tail is None:
+                tail = self._tails[path.name] = JsonlTail(path)
+            shard_restarted, lines = tail.read()
+            restarted = restarted or shard_restarted
+            for line in lines:
+                line = line.strip()
+                record = _parse_record(line) if line else None
+                if record is not None:
+                    records.append(record)
+        for name in set(self._tails) - present:
+            del self._tails[name]
+            restarted = True
+        return restarted, records
+
+
+class CacheHub:
+    """Merge point for wire cache records, deduplicated by an in-memory key index.
+
+    The index is the directory's ``(namespace, key)`` set — keys only, never
+    estimates.  Each :meth:`merge` first folds in the bytes appended since
+    the previous one, so records other writers appended are still seen, and
+    rebuilds the index in full when a shard vanished, shrank or was
+    replaced (``cache gc``; compacting a live hub stays unsupported, see
+    :func:`compact_cache_dir`).  One lock serialises the refresh, the dedup
+    and the appends, so concurrent merges never write a key twice.
+    """
+
+    def __init__(self, directory) -> None:
+        self.directory = pathlib.Path(directory)
+        self._lock = threading.Lock()
+        self._tail = CacheDirTail(self.directory)
+        self._keys: set[tuple[str, str]] = set()
+
+    def _refresh(self) -> None:
+        restarted, records = self._tail.read()
+        if restarted:
+            self._tail = CacheDirTail(self.directory)
+            self._keys.clear()
+            _restarted, records = self._tail.read()
+        self._keys.update((record["namespace"], record["key"]) for record in records)
+
+    def merge(self, records: Sequence[dict], *, shard: str = "pushed") -> int:
+        """Append the valid records whose key is new; returns how many.
+
+        Malformed records are dropped, records whose ``(namespace, key)`` the
+        directory already holds are skipped (merges are idempotent), and
+        fresh records are appended to per-namespace ``<ns>--<shard>.jsonl``
+        files in the exact on-disk format, so a
+        :class:`DiskEvaluationCache` opened on the directory picks them up as
+        ordinary shards.
+        """
+        candidates: list[tuple[tuple[str, str], str]] = []
+        for record in records:
+            estimate = _record_estimate(record)
+            if estimate is None:
+                continue
+            ts = record.get("ts")
+            candidates.append(((record["namespace"], record["key"]), json.dumps({
+                "namespace": record["namespace"],
+                "key": record["key"],
+                "estimate": _estimate_payload(estimate),
+                # Keep the producer's timestamp; a missing one falls back to
+                # 0.0 ("oldest"), never to this machine's wall clock.
+                "ts": round(float(ts), 3) if isinstance(ts, (int, float)) else 0.0,
+            }, sort_keys=True)))
+        accepted = 0
+        with self._lock:
+            self._refresh()
+            fresh: dict[str, dict[tuple[str, str], str]] = {}
+            for slot, line in candidates:
+                if slot not in self._keys:
+                    fresh.setdefault(_sanitize(slot[0]), {}).setdefault(slot, line)
+            if fresh:
+                self.directory.mkdir(parents=True, exist_ok=True)
+            for prefix, lines in fresh.items():
+                path = self.directory / f"{prefix}--{_sanitize(shard)}.jsonl"
+                with path.open("a", encoding="utf-8") as handle:
+                    handle.write("".join(line + "\n" for line in lines.values()))
+                # Indexed only once written: a failed append stays retryable.
+                self._keys.update(lines)
+                accepted += len(lines)
+        return accepted
+
+
+def append_cache_records(directory, records: Sequence[dict], *, shard: str = "pushed") -> int:
+    """Merge wire cache records into ``directory`` once; returns how many were new.
+
+    A one-off :meth:`CacheHub.merge` (it reads the whole directory); a
+    long-lived merge point keeps one :class:`CacheHub` instead.
+    """
+    return CacheHub(directory).merge(records, shard=shard)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sweep.checkpoint as checkpoint_module
 from repro.service import (
     SERVICE_LOG_FILENAME,
     JobQueue,
@@ -17,9 +19,25 @@ from repro.service import (
     ServiceCoordinator,
     load_service_log,
 )
-from repro.shard import ShardProtocolError, ShardWorker, get_json, post_json
-from repro.sweep import CHECKPOINT_FILENAME, load_checkpoint
+from repro.shard import (
+    LeaseCoordinator,
+    ShardProtocolError,
+    ShardWorker,
+    get_json,
+    post_json,
+)
+from repro.sweep import (
+    CHECKPOINT_FILENAME,
+    SweepFailure,
+    checkpoint_cells,
+    compact_cache_dir,
+    load_checkpoint,
+    read_cache_records,
+    run_sweep_task,
+    scan_checkpoint,
+)
 from repro.sweep.spec import SweepSpec
+from repro.utils.jsonl import JsonlTail
 from repro.utils.serialization import to_jsonable
 
 #: Shared tiny sweep budget: every cell completes in well under a second.
@@ -56,6 +74,30 @@ def run_worker(url: str, cache_dir, *, token=None, idle_timeout_s=1.5,
     if task_fn is not None:
         kwargs["task_fn"] = task_fn
     return ShardWorker(url, **kwargs).run()
+
+
+def cache_record(key: str, namespace: str = "ns", ts: float = 1.0) -> dict:
+    """One estimator-cache record in the on-disk (and wire) shape."""
+    return {"namespace": namespace, "key": key, "ts": ts, "estimate": {
+        "latency_ms": 1.0, "compute_ms": 0.5, "data_movement_ms": 0.5,
+        "resources": {"lut": 1.0, "ff": 2.0, "dsp": 3.0, "bram": 4.0}}}
+
+
+def append_shard(directory, shard: str, keys) -> None:
+    """Append records to one shard the way a cell's disk cache does."""
+    directory.mkdir(parents=True, exist_ok=True)
+    with open(directory / f"ns--{shard}.jsonl", "a", encoding="utf-8") as handle:
+        handle.write("".join(json.dumps(cache_record(key), sort_keys=True) + "\n"
+                             for key in keys))
+
+
+def shard_slots(directory) -> list[tuple[str, str]]:
+    """Every ``(namespace, key)`` line of a cache directory, duplicates kept."""
+    return [
+        (record["namespace"], record["key"])
+        for path in sorted(directory.glob("*.jsonl"))
+        for record in map(json.loads, path.read_text(encoding="utf-8").splitlines())
+    ]
 
 
 def wait_for(predicate, timeout_s=60.0, interval_s=0.05):
@@ -369,8 +411,6 @@ class TestCacheExchange:
             assert run_worker(service.url, tmp_path / "w1") == 0
             client.wait(uid, timeout_s=60)
             # The first worker pushed its estimator cache into the hub...
-            from repro.sweep import read_cache_records
-
             hub = read_cache_records(service.cache_dir)
             assert hub, "completed cells must populate the shared cache"
             # ...and a fresh worker pulls it at registration.
@@ -381,6 +421,232 @@ class TestCacheExchange:
                 (r["namespace"], r["key"]) for r in pulled}
         finally:
             service.stop()
+
+    def test_worker_push_parses_only_new_shard_bytes(self, tmp_path, monkeypatch):
+        reads: list[tuple[str, int]] = []
+        read = JsonlTail.read
+
+        def counting_read(tail):
+            restarted, lines = read(tail)
+            if lines:
+                reads.append((tail.path.name, len(lines)))
+            return restarted, lines
+
+        monkeypatch.setattr(JsonlTail, "read", counting_read)
+        pushes: list[list[str]] = []
+        refusals: list[str] = []
+
+        def post(path, payload):
+            if path == "/v1/register":
+                return {"worker_id": "w1", "cache": True}
+            if path == "/v1/cache/pull":
+                return {"records": [cache_record(f"hub-{i}") for i in range(3)]}
+            assert path == "/v1/cache/push"
+            if refusals:
+                raise ShardProtocolError(refusals.pop())
+            pushes.append([record["key"] for record in payload["records"]])
+            return {"accepted": len(payload["records"]), "enabled": True}
+
+        cache_dir = tmp_path / "worker"
+        worker = ShardWorker("127.0.0.1:9", cache_dir=str(cache_dir))
+        monkeypatch.setattr(worker, "_post", post)
+        worker._register()  # pulls the hub's three records into its cache
+
+        append_shard(cache_dir, "cell-1", ["b", "a", "hub-0"])
+        worker._push_cache()
+        assert pushes[-1] == ["a", "b"]  # a pulled key is never pushed back
+        reads.clear()
+        append_shard(cache_dir, "cell-2", ["b", "c", "d"])
+        worker._push_cache()
+        assert reads == [("ns--cell-2.jsonl", 3)]
+        assert pushes[-1] == ["c", "d"]
+
+        # A failed push keeps what it read for the next one.
+        append_shard(cache_dir, "cell-3", ["e"])
+        refusals.append("connection refused")
+        worker._push_cache()
+        worker._push_cache()
+        assert pushes[-1] == ["e"]
+
+        # cache gc folds every shard into one rewritten file: it is re-read
+        # from its start, and only the record appended meanwhile goes out.
+        for fresh, total in (("f", 9), ("g", 10)):
+            append_shard(cache_dir, f"late-{fresh}", [fresh])
+            compact_cache_dir(cache_dir)
+            reads.clear()
+            worker._push_cache()
+            assert pushes[-1] == [fresh]
+            assert reads == [("ns--main.jsonl", total)]
+        assert len(pushes) == 5
+
+    def test_concurrent_pushes_write_each_record_once(self, tmp_path):
+        hub = tmp_path / "hub"
+        coordinator = LeaseCoordinator(cache_dir=hub)
+        records = [cache_record(f"k{i}", namespace=f"ns{i % 2}") for i in range(3000)]
+        start = threading.Barrier(8)
+        accepted: list[int] = []
+
+        def push():
+            start.wait(timeout=30)
+            reply = coordinator.handle_cache_push({"worker_id": "w1", "records": records})
+            accepted.append(reply["accepted"])
+
+        threads = [threading.Thread(target=push) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            coordinator.close()
+        assert not any(thread.is_alive() for thread in threads)
+        slots = shard_slots(hub)
+        assert len(slots) == len(set(slots)) == len(records)
+        assert len(accepted) == 8 and sum(accepted) == len(records)
+
+    def test_hub_index_sees_other_writers_and_follows_gc(self, tmp_path):
+        hub = tmp_path / "hub"
+        coordinator = LeaseCoordinator(cache_dir=hub)
+
+        def push(*records) -> int:
+            reply = coordinator.handle_cache_push({"worker_id": "w1", "records": list(records)})
+            return reply["accepted"]
+
+        try:
+            assert push(cache_record("a"), cache_record("keep", ts=time.time())) == 2
+            append_shard(hub, "local", ["b"])  # another writer on the hub directory
+            assert push(cache_record("a"), cache_record("b"), cache_record("c")) == 1
+            # gc evicts the old records and rewrites the survivor into a new
+            # shard: evicted keys are accepted again, the survivor is not.
+            compact_cache_dir(hub, max_age_days=1)
+            assert shard_slots(hub) == [("ns", "keep")]
+            assert push(cache_record("a"), cache_record("keep")) == 1
+        finally:
+            coordinator.close()
+        assert sorted(shard_slots(hub)) == [("ns", "a"), ("ns", "keep")]
+
+    def test_malformed_push_records_are_dropped(self, tmp_path):
+        coordinator = LeaseCoordinator(cache_dir=tmp_path / "hub")
+        try:
+            bad_estimate = dict(cache_record("a"), estimate=[1.0])
+            bad_resources = cache_record("b")
+            bad_resources["estimate"] = dict(bad_resources["estimate"], resources=5)
+            reply = coordinator.handle_cache_push({"worker_id": "w1", "records": [
+                bad_estimate, bad_resources, "not-a-record", cache_record("c")]})
+        finally:
+            coordinator.close()
+        assert reply == {"accepted": 1, "enabled": True}
+        assert shard_slots(tmp_path / "hub") == [("ns", "c")]
+
+
+# --------------------------------------------------------- status polling
+class _CountingJson:
+    """``json`` stand-in for the checkpoint module that counts decodes."""
+
+    def __init__(self) -> None:
+        self.decoded = 0
+
+    def loads(self, *args, **kwargs):
+        self.decoded += 1
+        return json.loads(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(json, name)
+
+
+def _fail_random(task, cache_dir, prepared=None):
+    if task.strategy == "random":
+        raise RuntimeError("injected cell failure")
+    return run_sweep_task(task, cache_dir, prepared)
+
+
+class TestStatusPolling:
+    def _poll_all(self, client: ServiceClient, uid: str) -> dict:
+        """One poll of every route that summarises jobs; returns ``uid``'s view."""
+        listed = {job["job"]: job for job in client.jobs()}[uid]
+        client.service_status()
+        metered = {job["job"]: job for job in client.metrics()["jobs"]}[uid]
+        detail = client.status(uid)
+        assert listed["counts"] == metered["counts"] == detail["counts"]
+        return detail
+
+    def _assert_matches_checkpoint(self, detail: dict, path) -> None:
+        completed, failed, _corrupt = scan_checkpoint(path)
+        assert detail["counts"]["settled"] == completed + failed
+        assert detail["counts"]["failed"] == failed
+        assert {uid: cell["status"] for uid, cell in detail["cells_detail"].items()} == {
+            uid: "completed" if kind == "outcome" else "failed"
+            for uid, kind in checkpoint_cells(path).items()}
+        status = load_checkpoint(path)
+        assert detail["failures"] == [status.failures[uid].as_dict()
+                                      for uid in sorted(status.failures)]
+
+    def test_settled_checkpoints_are_decoded_once(self, tmp_path, monkeypatch):
+        counter = _CountingJson()
+        monkeypatch.setattr(checkpoint_module, "json", counter)
+        root = tmp_path / "root"
+        spec = tiny_spec(strategies="scd,random", retries=0, retry_backoff_s=0.0)
+        service = ServiceCoordinator(root)
+        service.start()
+        try:
+            client = ServiceClient(service.url)
+            uid = client.submit(spec)["job"]
+            assert run_worker(service.url, tmp_path / "wcache",
+                              task_fn=_fail_random) == 0
+            assert client.wait(uid, timeout_s=60, poll_s=0.05)["state"] == "failed"
+            path = root / "jobs" / uid / CHECKPOINT_FILENAME
+            first = self._poll_all(client, uid)
+            counter.decoded = 0
+            again = self._poll_all(client, uid)
+            assert counter.decoded == 0
+            assert again["counts"] == first["counts"]
+            assert again["cells_detail"] == first["cells_detail"]
+            assert first["counts"]["settled"] == 2 and first["counts"]["failed"] == 1
+            self._assert_matches_checkpoint(first, path)
+        finally:
+            service.stop()
+
+        revived = ServiceCoordinator(root)
+        revived.start()
+        try:
+            client = ServiceClient(revived.url)
+            lines = len(path.read_text(encoding="utf-8").splitlines())
+            counter.decoded = 0
+            detail = client.status(uid)
+            assert counter.decoded == lines
+            self._poll_all(client, uid)
+            assert counter.decoded == lines
+            for key in ("counts", "cells_detail", "failures"):
+                assert detail[key] == first[key]
+
+            # A torn final line waits until it is complete, then counts once.
+            ok_uid = next(u for u, kind in checkpoint_cells(path).items()
+                          if kind == "outcome")
+            task = load_checkpoint(path).outcomes[ok_uid].task
+            late = json.dumps({
+                "kind": "failure", "uid": ok_uid, "ts": 0.0,
+                "failure": SweepFailure(task=task, kind="error", error="late",
+                                        attempts=1).as_dict(),
+            }, sort_keys=True) + "\n"
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(late[:40])
+            counter.decoded = 0
+            assert self._poll_all(client, uid)["counts"] == first["counts"]
+            assert counter.decoded == 0
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(late[40:])
+            torn = self._poll_all(client, uid)
+            assert counter.decoded == 1
+            assert torn["counts"]["failed"] == 2
+            counter.decoded = 0
+            self._poll_all(client, uid)
+            assert counter.decoded == 0
+            self._assert_matches_checkpoint(torn, path)
+        finally:
+            revived.stop()
 
 
 # ------------------------------------------------- interleaving (property)
@@ -409,6 +675,10 @@ class TestInterleavingDeterminism:
             assert client.wait(uid_b, timeout_s=90)["state"] == "done"
         finally:
             service.stop()
+        # The hub holds every key the worker computed or pulled, once.
+        hub_slots = shard_slots(tmp_path / "root" / "cache")
+        assert len(hub_slots) == len(set(hub_slots))
+        assert set(hub_slots) == set(shard_slots(tmp_path / "wcache"))
         for uid, spec in ((uid_a, spec_a), (uid_b, spec_b)):
             interleaved = journal_map(
                 tmp_path / "root" / "jobs" / uid / CHECKPOINT_FILENAME)

@@ -29,12 +29,15 @@ from repro.sweep import (
     SweepTask,
     build_grid,
     cache_dir_stats,
+    checkpoint_cells,
     compact_cache_dir,
     load_checkpoint,
     load_timings,
     run_sweep_task,
     save_timings,
+    scan_checkpoint,
 )
+from repro.sweep.checkpoint import CheckpointCells
 from repro.sweep.runner import TIMINGS_FILENAME
 
 TINY = dict(tolerance_ms=10.0, iterations=25, num_candidates=1, top_bundles=2, seed=1)
@@ -361,6 +364,20 @@ class TestCheckpointRobustness:
         status = load_checkpoint(path)
         assert status.corrupt_lines == 4
         assert len(status.outcomes) == len(tasks)
+
+    def test_incremental_cells_view_follows_truncation_and_removal(self, tmp_path):
+        path = tmp_path / CHECKPOINT_FILENAME
+        view = CheckpointCells(path)
+        assert view.counts() == (0, 0)
+        header = json.dumps({"kind": "header", "version": 1, "grid": []}) + "\n"
+        lines = [json.dumps({"kind": kind, "uid": uid}) + "\n"
+                 for kind, uid in (("outcome", "a"), ("failure", "b"), ("outcome", "c"))]
+        path.write_text(header + "".join(lines))
+        assert view.counts() == (2, 1) == scan_checkpoint(path)[:2]
+        path.write_text(header + lines[1])  # rewritten in place, shorter
+        assert view.cells() == {"b": "failure"} == checkpoint_cells(path)
+        path.unlink()
+        assert view.counts() == (0, 0) and view.cells() == {}
 
     def test_checkpoint_of_changed_grid_reruns_unknown_cells(self, tmp_path, caplog):
         import logging
