@@ -6,10 +6,10 @@ Run the full co-design flow on PYNQ-Z1::
 
     repro-codesign codesign --device pynq-z1 --fps 10 15 20
 
-Run the DNN search step with a pluggable exploration strategy, parallel
-evaluation workers and an archivable journal::
+Run the DNN search step with a pluggable exploration strategy and an
+archivable journal::
 
-    repro-codesign search --strategy evolutionary --workers 4 --journal out.json
+    repro-codesign search --strategy evolutionary --journal out.json
 
 Fan a device x strategy x latency-target sweep out across worker processes
 with a persistent evaluation cache and a comparison report::
@@ -54,6 +54,7 @@ Generate the accelerator C code for a reference design::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import repro.telemetry as telemetry
@@ -78,6 +79,22 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
+
+
+def _existing_path(text: str) -> str:
+    if not os.path.isfile(text):
+        raise argparse.ArgumentTypeError(f"no such file: '{text}'")
+    return text
+
+
+def _device_name(text: str) -> str:
+    try:
+        get_device(text)
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"unknown device '{text}'; available: {', '.join(list_devices())}"
+        ) from None
+    return text
 
 
 def _non_negative_int(text: str) -> int:
@@ -184,6 +201,7 @@ def _add_persistence_args(parser: argparse.ArgumentParser) -> None:
                         help="resume from <cache-dir>/_checkpoint.jsonl: reuse completed "
                              "cells, re-run only failed/missing ones")
     parser.add_argument("--from", dest="resume_from", default=None, metavar="PATH",
+                        type=_existing_path,
                         help="explicit resume source: a _checkpoint.jsonl or a saved "
                              "sweep result/report JSON (implies --resume)")
     parser.add_argument("--cache-dir", default=None,
@@ -226,18 +244,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     codesign = sub.add_parser("codesign", help="run the full co-design flow",
                               parents=[common])
-    codesign.add_argument("--device", default="pynq-z1", help=f"target device ({', '.join(list_devices())})")
+    codesign.add_argument("--device", default="pynq-z1", type=_device_name,
+                          help=f"target device ({', '.join(list_devices())})")
     _add_budget_args(codesign)
 
     search = sub.add_parser("search", help="run the DNN search with a pluggable strategy",
                             parents=[common])
     search.add_argument("--strategy", default="scd", choices=available_strategies(),
                         help="exploration strategy")
-    search.add_argument("--workers", type=_positive_int, default=1,
-                        help="parallel evaluation worker threads (1 = serial, reproducible)")
     search.add_argument("--journal", default=None,
                         help="write the SearchSession journal JSON to this path")
-    search.add_argument("--device", default="pynq-z1", help=f"target device ({', '.join(list_devices())})")
+    search.add_argument("--device", default="pynq-z1", type=_device_name,
+                        help=f"target device ({', '.join(list_devices())})")
     _add_budget_args(search)
 
     sweep = sub.add_parser(
@@ -402,6 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     compare_cmd.add_argument("--diff", nargs=2, required=True, metavar=("A", "B"),
+                             type=_existing_path,
                              help="two sweep result/report JSONs or _checkpoint.jsonl files")
     compare_cmd.add_argument("--only-changed", action="store_true",
                              help="list only the cells that differ")
@@ -455,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     codegen = sub.add_parser("codegen", help="generate accelerator C code for a reference design",
                              parents=[common])
     codegen.add_argument("--design", choices=["DNN1", "DNN2", "DNN3"], default="DNN1")
-    codegen.add_argument("--device", default="pynq-z1")
+    codegen.add_argument("--device", default="pynq-z1", type=_device_name)
     codegen.add_argument("--clock", type=float, default=100.0)
     codegen.add_argument("--output", default="./generated", help="output directory")
 
@@ -493,13 +512,12 @@ def _run_codesign(args: argparse.Namespace) -> int:
 def _run_search(args: argparse.Namespace) -> int:
     from repro.core.auto_dnn import AutoDNN
 
-    flow = _build_flow(args, search_strategy=args.strategy, search_workers=args.workers)
+    flow = _build_flow(args, search_strategy=args.strategy)
     session = SearchSession(
         name=f"search-{args.strategy}",
         metadata={
             "strategy": args.strategy,
             "seed": args.seed,
-            "workers": args.workers,
             "device": args.device,
             "fps": list(args.fps),
             "tolerance_ms": args.tolerance_ms,
@@ -511,8 +529,7 @@ def _run_search(args: argparse.Namespace) -> int:
     candidates = flow.step3_search(selected, session=session)
     best = AutoDNN.best_per_target(candidates, flow.inputs.latency_targets)
 
-    print(f"Search strategy '{args.strategy}' on {flow.inputs.device.name} "
-          f"({args.workers} worker{'s' if args.workers != 1 else ''})")
+    print(f"Search strategy '{args.strategy}' on {flow.inputs.device.name}")
     print(f"  selected bundles  : {[b.bundle_id for b in selected]}")
     print(f"  explored DNNs     : {len(candidates)}")
     print(f"  {flow.auto_dnn.cache.stats().summary()}")

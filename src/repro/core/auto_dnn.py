@@ -29,7 +29,7 @@ from repro.detection.accuracy_model import AccuracyModel, SurrogateAccuracyModel
 from repro.detection.task import DetectionTask
 from repro.hw.analytical import PerformanceEstimate
 from repro.hw.device import FPGADevice
-from repro.search import EvaluationCache, ParallelEvaluator, SearchSession, create_explorer
+from repro.search import EvaluationCache, SearchSession, create_explorer
 from repro.utils.logging import get_logger
 from repro.utils.rng import RNGLike, ensure_rng
 
@@ -81,7 +81,6 @@ class AutoDNN:
         fine_tune_epochs: int = 200,
         rng: RNGLike = None,
         strategy: str = "scd",
-        workers: int = 1,
         session: Optional[SearchSession] = None,
         cache: Optional[EvaluationCache] = None,
     ) -> None:
@@ -97,12 +96,10 @@ class AutoDNN:
         self.fine_tune_epochs = fine_tune_epochs
         self.rng = ensure_rng(rng)
         self.strategy = strategy
-        self.workers = workers
         self.session = session
         #: Memoizes estimator calls across bundles, targets and activations.
         # Explicit None check: an empty EvaluationCache is falsy (__len__ == 0).
         self.cache = cache if cache is not None else EvaluationCache(self.auto_hls.estimate)
-        self._parallel: Optional[ParallelEvaluator] = None
 
     # ---------------------------------------------------------- initialization
     def initialize(
@@ -151,20 +148,6 @@ class AutoDNN:
         return best
 
     # ----------------------------------------------------------------- search
-    def _parallel_for(self, workers: int) -> ParallelEvaluator:
-        """Worker pool shared across the whole search sweep."""
-        if self._parallel is None or self._parallel.workers != workers:
-            if self._parallel is not None:
-                self._parallel.close()
-            self._parallel = ParallelEvaluator(self.cache.estimator, workers=workers)
-        return self._parallel
-
-    def close(self) -> None:
-        """Release the shared worker pool."""
-        if self._parallel is not None:
-            self._parallel.close()
-            self._parallel = None
-
     def search_bundle(
         self,
         bundle: Bundle,
@@ -174,7 +157,6 @@ class AutoDNN:
         max_iterations: int = 200,
         strategy: Optional[str] = None,
         session: Optional[SearchSession] = None,
-        workers: Optional[int] = None,
     ) -> list[DNNCandidate]:
         """Search K candidate DNNs for one bundle under one latency target."""
         num_candidates = num_candidates or self.candidates_per_bundle
@@ -188,7 +170,6 @@ class AutoDNN:
             rng=self.rng,
             cache=self.cache,
             session=session if session is not None else self.session,
-            parallel=self._parallel_for(workers if workers is not None else self.workers),
         )
         result = explorer.explore(initial, num_candidates=num_candidates)
 
@@ -218,14 +199,12 @@ class AutoDNN:
         max_iterations: int = 200,
         strategy: Optional[str] = None,
         session: Optional[SearchSession] = None,
-        workers: Optional[int] = None,
     ) -> list[DNNCandidate]:
         """Search candidates across bundles, latency targets and activations.
 
         The evaluation cache is cleared on entry (the Auto-HLS coefficients
         may have been refit since earlier estimates) and then shared across
-        the whole bundle x target x activation sweep, as is the parallel
-        worker pool.
+        the whole bundle x target x activation sweep.
         """
         self.cache.clear()
         all_candidates: list[DNNCandidate] = []
@@ -235,7 +214,7 @@ class AutoDNN:
                     all_candidates.extend(self.search_bundle(
                         bundle, target, activation=activation,
                         num_candidates=num_candidates, max_iterations=max_iterations,
-                        strategy=strategy, session=session, workers=workers,
+                        strategy=strategy, session=session,
                     ))
         if session is not None:
             session.attach_cache_stats(self.cache.stats())

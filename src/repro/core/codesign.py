@@ -120,7 +120,6 @@ class CoDesignFlow:
         scd_iterations: int = 120,
         rng: RNGLike = 2019,
         search_strategy: str = "scd",
-        search_workers: int = 1,
         evaluation_cache: Optional[EvaluationCache] = None,
         clock_mhz: Optional[float] = None,
         backend: Optional[Backend] = None,
@@ -133,7 +132,6 @@ class CoDesignFlow:
         self.scd_iterations = scd_iterations
         self.rng = rng
         self.search_strategy = search_strategy
-        self.search_workers = search_workers
         if clock_mhz is not None:
             clock_mhz = self.backend.validate_clock(inputs.device, clock_mhz)
         self.clock_mhz = clock_mhz or self.backend.default_clock_mhz(inputs.device)
@@ -154,7 +152,6 @@ class CoDesignFlow:
             candidates_per_bundle=candidates_per_bundle,
             rng=rng,
             strategy=search_strategy,
-            workers=search_workers,
             cache=evaluation_cache,
         )
 
@@ -168,9 +165,6 @@ class CoDesignFlow:
         built post-fit).
         """
         self.auto_dnn.cache = cache
-        # Drop any existing worker pool: it is bound to the old cache's
-        # estimator and would silently bypass the new cache on batch misses.
-        self.auto_dnn.close()
 
     # ------------------------------------------------------------------ steps
     def step1_modeling(
@@ -221,16 +215,13 @@ class CoDesignFlow:
         self,
         selected: Sequence[Bundle],
         strategy: Optional[str] = None,
-        workers: Optional[int] = None,
         session: Optional[SearchSession] = None,
     ) -> list[DNNCandidate]:
         """Co-Design Step 3: hardware-aware DNN search and update.
 
         ``strategy`` selects a registered exploration strategy (``scd``,
         ``random``, ``evolutionary``, ``annealing``; defaults to the flow's
-        ``search_strategy``), ``workers`` overrides the number of parallel
-        evaluation threads for this call only, and ``session`` collects the
-        evaluation journal.
+        ``search_strategy``) and ``session`` collects the evaluation journal.
         """
         candidates = self.auto_dnn.search(
             selected,
@@ -239,7 +230,6 @@ class CoDesignFlow:
             max_iterations=self.scd_iterations,
             strategy=strategy or self.search_strategy,
             session=session,
-            workers=workers,
         )
         return self.auto_dnn.refine_with_hls(candidates)
 

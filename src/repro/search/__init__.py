@@ -1,4 +1,4 @@
-"""Pluggable parallel exploration engine for the co-design search.
+"""Pluggable exploration engine for the co-design search.
 
 The subsystem decouples *what* is searched (the N / Pi / X design space of
 Algorithm 1, evaluated by an analytical estimator) from *how* it is searched:
@@ -8,8 +8,11 @@ Algorithm 1, evaluated by an analytical estimator) from *how* it is searched:
   ``evolutionary`` / ``annealing`` strategies (loaded lazily),
 * :mod:`repro.search.cache` — memoized estimator calls shared across
   strategies, targets and bundles,
-* :mod:`repro.search.parallel` — batch evaluation across worker threads,
 * :mod:`repro.search.session` — the archivable evaluation journal.
+
+A search runs serially, like the paper's SCD loop: single configs go
+through the scalar estimator, and a population is scored in one call to the
+estimator's vectorized ``estimate_batch``.
 
 Quickstart::
 
@@ -21,7 +24,6 @@ Quickstart::
         latency_target=target,
         resource_constraint=constraint,
         rng=2019,
-        workers=4,
         session=SearchSession("demo"),
     )
     result = explorer.explore(initial_config, num_candidates=3)
@@ -36,7 +38,6 @@ from repro.search.base import (
     register_explorer,
 )
 from repro.search.cache import CacheStats, EvaluationCache, config_cache_key
-from repro.search.parallel import ParallelEvaluator
 from repro.search.session import CandidateRecord, EvaluationRecord, SearchSession
 
 __all__ = [
@@ -49,7 +50,6 @@ __all__ = [
     "CacheStats",
     "EvaluationCache",
     "config_cache_key",
-    "ParallelEvaluator",
     "SearchSession",
     "EvaluationRecord",
     "CandidateRecord",

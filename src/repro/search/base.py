@@ -9,10 +9,10 @@ the space is pluggable: strategies register under a name (``scd``,
 rewrite.
 
 Every explorer shares the same infrastructure: a memoized
-:class:`~repro.search.cache.EvaluationCache`, an optional
-:class:`~repro.search.parallel.ParallelEvaluator` for population batches,
-and an optional :class:`~repro.search.session.SearchSession` journal that
-records every evaluation.
+:class:`~repro.search.cache.EvaluationCache` and an optional
+:class:`~repro.search.session.SearchSession` journal that records every
+evaluation.  Explorers evaluate serially; :meth:`Explorer.score_generation`
+scores a whole population in one batched estimator call.
 
 This module has no runtime import of :mod:`repro.core`; the built-in
 strategies (which *do* import the SCD move set) are loaded lazily on first
@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Callable, ClassVar, Optional
 
 import repro.telemetry as telemetry
 from repro.search.cache import EvaluationCache
-from repro.search.parallel import ParallelEvaluator
 from repro.search.session import SearchSession
 from repro.utils.logging import get_logger
 from repro.utils.rng import RNGLike, ensure_rng
@@ -70,13 +69,6 @@ class Explorer(ABC):
     session:
         Optional journal; every evaluation and accepted candidate is
         recorded into it.
-    workers:
-        Worker threads used for population batches (:meth:`score_generation`).
-        ``1`` keeps everything serial and bit-reproducible.
-    parallel:
-        An existing :class:`ParallelEvaluator` to share (its worker pool
-        outlives this explorer and ``workers`` is ignored); one is created
-        and owned by the explorer when omitted.
     max_iterations:
         Strategy loop / evaluation budget (the SCD adapter interprets it as
         Algorithm 1's iteration budget, the other strategies as an estimator
@@ -96,8 +88,6 @@ class Explorer(ABC):
         rng: RNGLike = None,
         cache: Optional[EvaluationCache] = None,
         session: Optional[SearchSession] = None,
-        workers: int = 1,
-        parallel: Optional[ParallelEvaluator] = None,
     ) -> None:
         if latency_target is None or resource_constraint is None:
             raise ValueError("latency_target and resource_constraint are required")
@@ -114,10 +104,6 @@ class Explorer(ABC):
         self.max_iterations = max_iterations
         self.rng = ensure_rng(rng)
         self.session = session
-        self._owns_parallel = parallel is None
-        self.parallel = parallel if parallel is not None else ParallelEvaluator(
-            cache.estimator, workers=workers
-        )
 
         self._candidates: list["DNNConfig"] = []
         self._estimates: list["PerformanceEstimate"] = []
@@ -134,14 +120,13 @@ class Explorer(ABC):
     def score_generation(self, configs) -> list:
         """Score one generation (a population batch) of configs.
 
-        Unique missing configs are estimated once — through the estimator's
+        Unique missing configs are estimated once, through the estimator's
         vectorized ``estimate_batch`` when it offers one (see
-        :func:`repro.search.cache.resolve_batch_estimator`), or across the
-        worker pool when this explorer runs with ``workers > 1``.  Results
-        are bit-identical to scalar evaluation, and every config is journaled
-        in input order, so session journals do not depend on the path taken.
+        :func:`repro.search.cache.resolve_batch_estimator`).  Results are
+        bit-identical to scalar evaluation, and every config is journaled in
+        input order, so session journals do not depend on the path taken.
         """
-        pairs = self.cache.evaluate_batch(configs, parallel=self.parallel, with_info=True)
+        pairs = self.cache.evaluate_batch(configs, with_info=True)
         for config, (estimate, cached) in zip(configs, pairs):
             self._note(config, estimate, cached)
         return [estimate for estimate, _ in pairs]
@@ -218,11 +203,6 @@ class Explorer(ABC):
     @abstractmethod
     def _explore(self, initial: "DNNConfig", num_candidates: int) -> int:
         """Run the strategy; returns the number of loop iterations used."""
-
-    def close(self) -> None:
-        """Release the worker pool (only when this explorer created it)."""
-        if self._owns_parallel:
-            self.parallel.close()
 
 
 # ------------------------------------------------------------------- registry

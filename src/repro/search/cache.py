@@ -6,7 +6,10 @@ strategy: the SCD unit alone re-estimates the *current* config on every loop
 iteration plus one unit move per coordinate, and population-based strategies
 revisit configurations constantly.  :class:`EvaluationCache` memoizes the
 estimator on a structural key so identical configurations are estimated once
-per search session.
+per search session.  A search reaches the estimator through two entry
+points: :meth:`EvaluationCache.evaluate` for one config, and
+:meth:`EvaluationCache.evaluate_batch` for a population, whose unique misses
+go to the estimator's vectorized ``estimate_batch`` in one call.
 
 The key builds on :meth:`DNNConfig.describe` but appends the exact
 per-repetition channel-expansion and down-sampling vectors — ``describe()``
@@ -28,7 +31,6 @@ import repro.telemetry as telemetry
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.dnn_config import DNNConfig
     from repro.hw.analytical import PerformanceEstimate
-    from repro.search.parallel import ParallelEvaluator
 
 
 def config_cache_key(config: "DNNConfig") -> str:
@@ -146,18 +148,12 @@ class EvaluationCache:
             reg.counter("search.cache.misses").inc()
         return value, False
 
-    def evaluate_batch(
-        self,
-        configs: Sequence["DNNConfig"],
-        parallel: Optional["ParallelEvaluator"] = None,
-        with_info: bool = False,
-    ) -> list:
+    def evaluate_batch(self, configs: Sequence["DNNConfig"], with_info: bool = False) -> list:
         """Evaluate a batch, estimating each *unique* missing config once.
 
-        Missing configs are dispatched to ``parallel`` (a
-        :class:`repro.search.parallel.ParallelEvaluator`) when provided, so a
-        population is estimated across workers while duplicates and already
-        cached members cost nothing.
+        The missing configs go to the estimator's ``estimate_batch`` in one
+        call when there are several and it offers one, so duplicates and
+        already cached members cost nothing.
         """
         keys = [self.key_fn(config) for config in configs]
         results: list = [None] * len(configs)
@@ -190,9 +186,7 @@ class EvaluationCache:
         representatives = [configs[index] for index in missing.values()]
         if representatives:
             batch_estimate = resolve_batch_estimator(self.estimator)
-            if parallel is not None and getattr(parallel, "workers", 1) > 1:
-                values = parallel.map(representatives)
-            elif batch_estimate is not None and len(representatives) > 1:
+            if batch_estimate is not None and len(representatives) > 1:
                 # Vectorized path: one call scores the whole generation.
                 # Results are bit-identical to the scalar estimator, so
                 # journals and checkpoints do not depend on which path ran.
@@ -209,43 +203,6 @@ class EvaluationCache:
         if with_info:
             return list(zip(results, cached_flags))
         return results
-
-    # ------------------------------------------------------------ bulk access
-    def get_many(self, configs: Sequence["DNNConfig"]) -> list:
-        """Look up many configs at once; ``None`` marks the misses.
-
-        A pure read: found entries count as hits, but absent entries do not
-        bump ``misses`` — that counter stays equal to the number of estimator
-        invocations, which this method never performs.
-        """
-        reg = telemetry.registry()
-        results: list = []
-        found = 0
-        with self._lock:
-            for config in configs:
-                value = self._store.get(self.key_fn(config))
-                if value is not None:
-                    self._hits += 1
-                    found += 1
-                results.append(value)
-        if reg is not None:
-            if found:
-                reg.counter("search.cache.hits").inc(found)
-        return results
-
-    def put_many(
-        self, configs: Sequence["DNNConfig"], estimates: Sequence["PerformanceEstimate"]
-    ) -> None:
-        """Insert precomputed estimates (e.g. from a batched estimator).
-
-        Counter-neutral: the estimates were produced outside the cache, so
-        neither hits nor misses move.
-        """
-        if len(configs) != len(estimates):
-            raise ValueError("configs and estimates must have the same length")
-        with self._lock:
-            for config, value in zip(configs, estimates):
-                self._store[self.key_fn(config)] = value
 
     # ------------------------------------------------------------ bookkeeping
     @property

@@ -9,11 +9,15 @@ about cell execution is distributed-specific — the worker rebuilds the
 attempt loop calls, so a cell's journal is byte-identical no matter which
 machine ran it.
 
-``workers=1`` executes leased cells serially in-process (easiest to debug
-and test; a custom ``task_fn`` need not be picklable).  ``workers > 1``
-fans cells out across a local :class:`~concurrent.futures.
-ProcessPoolExecutor` — one shard worker per machine, one OS process per
-concurrent cell, mirroring the local sweep's process model.
+One lease loop serves every ``workers`` setting: it leases up to
+``workers`` cells, launches each, and reports every cell as it settles.
+Only the launch differs.  ``workers=1`` runs the cell in-process and hands
+the loop an already-completed future, so a serial worker leases one cell,
+runs it and reports it before it leases again (easiest to debug and test;
+a custom ``task_fn`` need not be picklable).  ``workers > 1`` submits
+cells to a local :class:`~concurrent.futures.ProcessPoolExecutor` — one
+shard worker per machine, one OS process per concurrent cell, mirroring
+the local sweep's process model.
 
 Failure handling is deliberately asymmetric: the *coordinator* owns all
 retry/requeue policy.  A worker reports raw errors and keeps going; it
@@ -37,7 +41,8 @@ import os
 import socket
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from contextlib import nullcontext
 from typing import Callable, Optional
 
 from repro.shard.protocol import (
@@ -83,8 +88,8 @@ def _execute_cell_pooled(task_fn, task, cache_dir, prepared):
 
     Resets the (fork-inherited) telemetry state first so the returned
     snapshot holds exactly this cell's measurements, then appends it to the
-    ``execute_cell`` triple.  The serial path needs none of this: it already
-    accumulates into the worker's own registry.
+    ``execute_cell`` triple.  An in-process cell needs none of this: it
+    already accumulates into the worker's own registry.
     """
     telemetry.reset()
     status, value, duration = execute_cell(task_fn, task, cache_dir, prepared)
@@ -302,9 +307,9 @@ class ShardWorker:
         heartbeat = threading.Thread(target=self._heartbeat_loop, daemon=True)
         heartbeat.start()
         try:
-            if self.workers == 1:
-                return self._run_serial()
-            return self._run_pooled()
+            launcher = ProcessPoolExecutor(self.workers) if self.workers > 1 else nullcontext()
+            with launcher as pool:
+                return self._lease_loop(pool)
         finally:
             self._stop.set()
             heartbeat.join(timeout=2.0)
@@ -356,90 +361,69 @@ class ShardWorker:
     def _note_work(self) -> None:
         self._idle_since = None
 
-    def _run_serial(self) -> int:
-        try:
-            # A worker that heard "done" leaves at once: the coordinator
-            # closes as soon as every live worker heard it.
-            while not self._saw_done.is_set():
-                wait_s = self._idle_wait_s()
-                reply = self._checked(lambda: self._lease(1, wait_s))
-                if reply is None:
-                    return 0
-                cells = reply.get("cells") or []
-                if not cells:
-                    if self._idle_expired():
-                        return 0
-                    continue
-                self._note_work()
-                for cell in cells:
-                    lease_id = str(cell["lease_id"])
-                    uid = str(cell["uid"])
-                    job = cell.get("job")
-                    with self._lease_lock:
-                        self._active_leases.add(lease_id)
-                    task = task_from_wire(cell["task"])
-                    prepared = self._prepared.get(cell.get("prep") or "")
-                    status, value, duration = execute_cell(
-                        self.task_fn, task, self.cache_dir, prepared)
-                    self.executed += 1
-                    if self._checked(
-                        lambda lid=lease_id, u=uid, s=status, v=value, d=duration,
-                        j=job: self._report(lid, u, s, v, d, j) or {}
-                    ) is None:
-                        return 0
-            return 0
-        except ShardProtocolError:
-            return 1
+    def _launch(self, pool: Optional[ProcessPoolExecutor], cell: dict) -> Future:
+        """Start one leased cell: on the local pool, or in-process without one.
 
-    def _run_pooled(self) -> int:
+        The in-process run finishes before this returns, so its future is
+        already completed and the lease loop reports it at once.
+        """
+        task = task_from_wire(cell["task"])
+        prepared = self._prepared.get(cell.get("prep") or "")
+        if pool is not None:
+            return pool.submit(_execute_cell_pooled, self.task_fn,
+                               task, self.cache_dir, prepared)
+        future: Future = Future()
+        future.set_result(
+            (*execute_cell(self.task_fn, task, self.cache_dir, prepared), None))
+        return future
+
+    def _lease_loop(self, pool: Optional[ProcessPoolExecutor]) -> int:
         in_flight: dict = {}  # future -> (lease_id, uid, job)
         try:
-            with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                while in_flight or not self._saw_done.is_set():
-                    free = self.workers - len(in_flight)
-                    if free > 0:
-                        # Park only when idle: results of running cells
-                        # must not wait behind a long poll.
-                        wait_s = 0.0 if in_flight else self._idle_wait_s()
-                        reply = self._checked(lambda: self._lease(free, wait_s))
-                        if reply is None:
+            # A worker that heard "done" leaves at once (once its cells
+            # settle): the coordinator closes as soon as every live worker
+            # heard it.
+            while in_flight or not self._saw_done.is_set():
+                free = self.workers - len(in_flight)
+                if free > 0:
+                    # Park only when idle: results of running cells
+                    # must not wait behind a long poll.
+                    wait_s = 0.0 if in_flight else self._idle_wait_s()
+                    reply = self._checked(lambda: self._lease(free, wait_s))
+                    if reply is None:
+                        return 0
+                    cells = reply.get("cells") or []
+                    if cells:
+                        self._note_work()
+                    elif not in_flight:
+                        if self._idle_expired():
                             return 0
-                        cells = reply.get("cells") or []
-                        for cell in cells:
-                            lease_id = str(cell["lease_id"])
-                            uid = str(cell["uid"])
-                            with self._lease_lock:
-                                self._active_leases.add(lease_id)
-                            task = task_from_wire(cell["task"])
-                            prepared = self._prepared.get(cell.get("prep") or "")
-                            future = pool.submit(_execute_cell_pooled, self.task_fn,
-                                                 task, self.cache_dir, prepared)
-                            in_flight[future] = (lease_id, uid, cell.get("job"))
-                        if cells:
-                            self._note_work()
-                        elif not in_flight:
-                            if self._idle_expired():
-                                return 0
-                            continue
-                    if in_flight:
-                        # Bounded wait so freed slots keep leasing while slow
-                        # cells are still running.
-                        done, _ = wait(in_flight, timeout=0.5,
-                                       return_when=FIRST_COMPLETED)
-                        for future in done:
-                            lease_id, uid, job = in_flight.pop(future)
-                            try:
-                                status, value, duration, cell_metrics = future.result()
-                            except Exception as exc:  # noqa: BLE001 - pool-level crash
-                                status, value, duration, cell_metrics = (
-                                    "error", f"{type(exc).__name__}: {exc}", 0.0, None)
-                            telemetry.merge(cell_metrics)
-                            self.executed += 1
-                            if self._checked(
-                                lambda lid=lease_id, u=uid, s=status, v=value,
-                                d=duration, j=job: self._report(lid, u, s, v, d, j) or {}
-                            ) is None:
-                                return 0
+                        continue
+                    for cell in cells:
+                        lease_id = str(cell["lease_id"])
+                        with self._lease_lock:
+                            self._active_leases.add(lease_id)
+                        future = self._launch(pool, cell)
+                        in_flight[future] = (lease_id, str(cell["uid"]), cell.get("job"))
+                if in_flight:
+                    # Bounded wait so freed slots keep leasing while slow
+                    # cells are still running.
+                    done, _ = wait(in_flight, timeout=0.5,
+                                   return_when=FIRST_COMPLETED)
+                    for future in done:
+                        lease_id, uid, job = in_flight.pop(future)
+                        try:
+                            status, value, duration, cell_metrics = future.result()
+                        except Exception as exc:  # noqa: BLE001 - pool-level crash
+                            status, value, duration, cell_metrics = (
+                                "error", f"{type(exc).__name__}: {exc}", 0.0, None)
+                        telemetry.merge(cell_metrics)
+                        self.executed += 1
+                        if self._checked(
+                            lambda lid=lease_id, u=uid, s=status, v=value,
+                            d=duration, j=job: self._report(lid, u, s, v, d, j) or {}
+                        ) is None:
+                            return 0
             return 0
         except ShardProtocolError:
             return 1

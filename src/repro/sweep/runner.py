@@ -1,11 +1,9 @@
 """Process-based multi-device sweep engine with resilient scheduling.
 
 A sweep fans a (device x clock x utilization x strategy x latency-target)
-grid out across **worker processes**.  The per-search
-:class:`~repro.search.parallel.ParallelEvaluator` parallelises estimator
-batches with threads *inside* one search; the sweep parallelises whole
-co-design searches, which are CPU-bound Python, so processes are the right
-executor here.  Every ingredient of a task is a picklable primitive
+grid out across **worker processes**.  Each search runs serially inside its
+cell; the sweep parallelises whole co-design searches, which are CPU-bound
+Python, so processes are the right executor.  Every ingredient of a task is a picklable primitive
 (:class:`SweepTask` carries names, numbers and a seed; the worker rebuilds
 devices, estimators and flows on its side), which keeps the fan-out
 start-method agnostic.

@@ -291,7 +291,6 @@ class TestSCDBatchInvariance:
             session=session,
         )
         explorer.explore(_configs(1)[0], num_candidates=2)
-        explorer.close()
         return session.as_dict()
 
     def test_batched_probes_leave_journal_fingerprint_unchanged(self, monkeypatch):

@@ -131,33 +131,6 @@ class TestEvaluationCacheBatch:
         cache.evaluate_batch([make_config(4)])
         assert spy.batch_calls == 0 and spy.scalar_calls == 1
 
-    def test_get_many_is_a_pure_read(self):
-        spy = SpyEstimator()
-        cache = EvaluationCache(spy)
-        known, unknown = make_config(4), make_config(8)
-        value = cache.evaluate(known)
-        hits, misses = cache.hits, cache.misses
-        looked_up = cache.get_many([known, unknown, known])
-        assert looked_up == [value, None, value]
-        assert cache.hits == hits + 2
-        assert cache.misses == misses  # never bumped by a lookup
-        assert spy.scalar_calls == 1 and spy.batch_calls == 0
-
-    def test_put_many_roundtrip_is_counter_neutral(self):
-        auto = AutoHLS(PYNQ_Z1)
-        configs = [make_config(4), make_config(8)]
-        estimates = auto.estimate_batch(configs)
-        cache = EvaluationCache(auto.estimate)
-        cache.put_many(configs, estimates)
-        assert cache.misses == 0 and len(cache) == 2
-        assert cache.evaluate(configs[0]) == estimates[0]
-        assert cache.hits == 1 and cache.misses == 0
-
-    def test_put_many_length_mismatch(self):
-        cache = EvaluationCache(AutoHLS(PYNQ_Z1).estimate)
-        with pytest.raises(ValueError):
-            cache.put_many([make_config(4)], [])
-
 
 class TestDiskCacheBatch:
     def _disk(self, tmp_path, estimator, shard="main"):

@@ -22,7 +22,6 @@ from repro.hw.device import PYNQ_Z1
 from repro.hw.resource import ResourceVector
 from repro.search import (
     EvaluationCache,
-    ParallelEvaluator,
     SearchSession,
     available_strategies,
     config_cache_key,
@@ -55,7 +54,7 @@ def initial():
                      stem_channels=16, parallel_factor=16, max_channels=128)
 
 
-def make_explorer(strategy, engine, target, constraint, *, rng=3, workers=1,
+def make_explorer(strategy, engine, target, constraint, *, rng=3,
                   session=None, max_iterations=200, **kwargs):
     return create_explorer(
         strategy,
@@ -64,7 +63,6 @@ def make_explorer(strategy, engine, target, constraint, *, rng=3, workers=1,
         resource_constraint=constraint,
         max_iterations=max_iterations,
         rng=rng,
-        workers=workers,
         session=session,
         **kwargs,
     )
@@ -173,20 +171,6 @@ class TestEvaluationCache:
         assert cache(initial).latency_ms == engine.estimate(initial).latency_ms
 
 
-# --------------------------------------------------------------------- parallel
-class TestParallelEvaluator:
-    def test_matches_serial_order(self, engine, initial):
-        configs = [initial.with_updates(parallel_factor=pf) for pf in (4, 8, 16, 32)]
-        serial = ParallelEvaluator(engine.estimate, workers=1).map(configs)
-        with ParallelEvaluator(engine.estimate, workers=4) as parallel:
-            threaded = parallel.map(configs)
-        assert [e.latency_ms for e in serial] == [e.latency_ms for e in threaded]
-
-    def test_invalid_workers(self, engine):
-        with pytest.raises(ValueError):
-            ParallelEvaluator(engine.estimate, workers=0)
-
-
 # ------------------------------------------------------------------- strategies
 class TestStrategies:
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -209,7 +193,7 @@ class TestStrategies:
         for _ in range(2):
             session = SearchSession(strategy)
             explorer = make_explorer(strategy, engine, target, constraint,
-                                     rng=7, workers=1, session=session)
+                                     rng=7, session=session)
             result = explorer.explore(initial, num_candidates=2)
             journals.append(session.as_dict())
             outcomes.append([c.describe() for c in result.candidates])
@@ -226,16 +210,6 @@ class TestStrategies:
         assert [c.describe() for c in result.candidates] == \
             [c.describe() for c in legacy_result.candidates]
         assert result.iterations == legacy_result.iterations
-
-    def test_workers_do_not_change_results(self, engine, target, constraint, initial):
-        outcomes = []
-        for workers in (1, 4):
-            explorer = make_explorer("evolutionary", engine, target, constraint,
-                                     rng=3, workers=workers)
-            result = explorer.explore(initial, num_candidates=2)
-            explorer.close()
-            outcomes.append([c.describe() for c in result.candidates])
-        assert outcomes[0] == outcomes[1]
 
     def test_invalid_num_candidates(self, engine, target, constraint, initial):
         explorer = make_explorer("random", engine, target, constraint)
@@ -454,17 +428,6 @@ class TestAutoDNNIntegration:
         assert auto_dnn.cache is shared
         auto_dnn.initialize(get_bundle(13))
         assert shared.stats().evaluations > 0
-
-    def test_per_call_workers_override_does_not_stick(self, engine, autodnn_target):
-        auto_dnn = AutoDNN(
-            task=TINY_DETECTION_TASK, device=PYNQ_Z1, auto_hls=engine,
-            accuracy_model=SurrogateAccuracyModel(noise=0.0),
-            stem_channels=16, max_channels=128, rng=3,
-        )
-        auto_dnn.search([get_bundle(13)], [autodnn_target], activations=("relu4",),
-                        num_candidates=1, max_iterations=60, workers=4)
-        assert auto_dnn.workers == 1
-        auto_dnn.close()
 
     def test_per_call_strategy_override(self, engine, autodnn_target):
         target = autodnn_target

@@ -697,6 +697,31 @@ class TestDistributedSweep:
         assert codes == [0]
         assert journal_bytes(local.outcomes) == journal_bytes(distributed.outcomes)
 
+    def test_lease_loop_round_trips_per_cell(self, monkeypatch):
+        """Folding the serial and pooled loops into one adds no round trips:
+        a serial worker leases and reports each cell once, a pooled one
+        reports each cell once."""
+        import repro.shard.worker as shard_worker
+
+        tasks = build_grid("pynq-z1", "scd,random,annealing", [40.0, 60.0], **TINY)
+        assert len(tasks) == 6
+        paths = []  # list.append is atomic; the heartbeat thread posts too
+        real_post = shard_worker.post_json
+
+        def counting_post(base_url, path, payload, **kwargs):
+            paths.append(path)
+            return real_post(base_url, path, payload, **kwargs)
+
+        monkeypatch.setattr(shard_worker, "post_json", counting_post)
+        for worker_workers in (1, 2):
+            paths.clear()
+            result, _, codes = run_distributed(
+                tasks, worker_count=1, worker_workers=worker_workers)
+            assert codes == [0] and result.ok and len(result) == len(tasks)
+            assert paths.count("/v1/report") == len(tasks)
+            if worker_workers == 1:
+                assert paths.count("/v1/lease") == len(tasks)
+
 
 # ----------------------------------------------------------- transport wiring
 class TestTransportWiring:

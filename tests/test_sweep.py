@@ -343,15 +343,6 @@ class TestCoDesignFlowCacheWiring:
         flow = self._flow(evaluation_cache=shared)
         assert flow.auto_dnn.cache is shared
 
-    def test_attach_evaluation_cache_drops_stale_worker_pool(self, engine):
-        flow = self._flow()
-        stale_pool = flow.auto_dnn._parallel_for(2)
-        assert flow.auto_dnn._parallel is stale_pool
-        flow.attach_evaluation_cache(EvaluationCache(engine.estimate))
-        # A kept pool would keep batching through the old cache's estimator,
-        # silently bypassing the newly attached (e.g. disk-backed) cache.
-        assert flow.auto_dnn._parallel is None
-
 
 # -------------------------------------------------------------------- compare
 def _outcome(device, strategy, fps, *, records, cached, candidates, gap,
@@ -505,8 +496,9 @@ class TestSweepCLI:
 
 
 class TestCLIArgumentHardening:
-    """Bad numeric arguments die as argparse usage errors (exit code 2),
-    not as tracebacks deep inside the runner after workers spawned."""
+    """Bad numbers, unknown devices and missing input files die as argparse
+    usage errors (exit code 2), not as tracebacks deep inside the runner
+    after workers spawned."""
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--workers", "0"],
@@ -519,10 +511,14 @@ class TestCLIArgumentHardening:
         ["sweep", "--timeout-scale", "0"],
         ["sweep", "--iterations", "0"],
         ["sweep", "--fps", "-40"],
-        ["search", "--workers", "0"],
+        ["search", "--device", "nope"],
         ["shard", "worker", "--connect", "x", "--workers", "0"],
         ["shard", "coordinator", "--lease-ttl-s", "0"],
         ["shard", "coordinator", "--retries", "-1"],
+        ["codesign", "--device", "nope"],
+        ["codegen", "--device", "nope"],
+        ["compare", "--diff", "missing-a.json", "missing-b.json"],
+        ["sweep", "--from", "missing-checkpoint.jsonl"],
     ])
     def test_invalid_numeric_arguments_exit_2(self, argv, capsys):
         from repro.cli import main
@@ -532,6 +528,14 @@ class TestCLIArgumentHardening:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "error: argument" in err
+
+    def test_search_has_no_workers_flag(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_valid_arguments_still_parse(self, tmp_path, capsys):
         from repro.cli import main

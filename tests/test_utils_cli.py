@@ -108,9 +108,11 @@ class TestCLI:
         assert main(["experiment", "fig5"]) == 0
         assert "fine-grained" in capsys.readouterr().out.lower()
 
-    def test_unknown_device_errors(self):
-        with pytest.raises(KeyError):
+    def test_unknown_device_errors(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["codesign", "--device", "unknown-board"])
+        assert excinfo.value.code == 2
+        assert "unknown device 'unknown-board'" in capsys.readouterr().err
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
