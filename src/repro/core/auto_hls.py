@@ -13,6 +13,7 @@ Auto-HLS plays two roles in the co-design flow (Fig. 1):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from repro.core.dnn_config import DNNConfig
@@ -37,13 +38,32 @@ logger = get_logger(__name__)
 
 @dataclass
 class AutoHLSResult:
-    """Everything Auto-HLS produces for one candidate DNN."""
+    """Everything Auto-HLS produces for one candidate DNN.
+
+    ``design`` and ``analytical`` are built on first access: a search reads
+    only the report.
+    """
 
     config: DNNConfig
     accelerator: TileArchAccelerator
-    design: GeneratedDesign
     report: HLSReport
-    analytical: PerformanceEstimate
+    coefficients: AnalyticalModelCoefficients
+    include_support_files: bool
+
+    @cached_property
+    def design(self) -> GeneratedDesign:
+        """The synthesizable C code (plus support files, when requested)."""
+        design = HLSCodeGenerator(self.accelerator).generate()
+        if self.include_support_files:
+            from repro.hw.hls.testbench import generate_support_files
+
+            design.extra_files.update(generate_support_files(design, self.accelerator))
+        return design
+
+    @cached_property
+    def analytical(self) -> PerformanceEstimate:
+        """The analytical model's estimate of the same accelerator."""
+        return DNNPerformanceModel(self.accelerator, self.coefficients).estimate()
 
     @property
     def latency_ms(self) -> float:
@@ -108,28 +128,23 @@ class AutoHLS:
         clock_mhz: Optional[float] = None,
         include_support_files: bool = True,
     ) -> AutoHLSResult:
-        """Generate C code, synthesise it and return the full result.
+        """Build the accelerator, synthesise it and return the full result.
 
-        When ``include_support_files`` is true the generated bundle also
-        contains a C testbench, the HLS synthesis Tcl script and a Makefile,
-        so it can be handed to an HLS tool as-is.
+        The C code is generated when the result's ``design`` is first read.
+        When ``include_support_files`` is true it also contains a C
+        testbench, the HLS synthesis Tcl script and a Makefile, so it can be
+        handed to an HLS tool as-is.
         """
         accelerator = self.build_accelerator(config, clock_mhz=clock_mhz)
-        generator = HLSCodeGenerator(accelerator, design_name=config.display_name.replace("-", "_"))
-        design = generator.generate()
-        if include_support_files:
-            from repro.hw.hls.testbench import generate_support_files
-
-            design.extra_files.update(generate_support_files(design, accelerator))
-        report = HLSSynthesisSimulator(accelerator).synthesise(design)
-        analytical = DNNPerformanceModel(accelerator, self.coefficients).estimate()
-        logger.debug("Auto-HLS generated %s: %s", design.name, report.summary())
+        # Named as the code will be: the sanitised display name of the config.
+        report = HLSSynthesisSimulator(accelerator).synthesise()
+        logger.debug("Auto-HLS generated %s", report.design_name)
         return AutoHLSResult(
             config=config,
             accelerator=accelerator,
-            design=design,
             report=report,
-            analytical=analytical,
+            coefficients=self.coefficients,
+            include_support_files=include_support_files,
         )
 
     # ---------------------------------------------------------------- fitting

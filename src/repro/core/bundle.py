@@ -12,6 +12,7 @@ spots reserved between IPs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 #: Computational layer kinds a bundle may contain.
@@ -109,7 +110,7 @@ class Bundle:
         """The computational (conv / dwconv) layers of the bundle."""
         return tuple(l for l in self.layers if l.is_compute)
 
-    @property
+    @cached_property
     def signature(self) -> str:
         """Composition string, e.g. ``"dwconv3x3+conv1x1"``.
 

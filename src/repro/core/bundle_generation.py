@@ -19,6 +19,7 @@ Two entry points are provided:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from typing import Iterable, Sequence
 
@@ -51,17 +52,20 @@ DEFAULT_BUNDLE_SIGNATURES: tuple[str, ...] = (
 )
 
 
+@lru_cache(maxsize=None)
+def _shared_catalog() -> tuple[Bundle, ...]:
+    # Bundles are frozen, so one set per process serves every caller.
+    return tuple(Bundle.from_signature(i + 1, s) for i, s in enumerate(DEFAULT_BUNDLE_SIGNATURES))
+
+
 def default_bundle_catalog() -> list[Bundle]:
-    """The 18 bundle candidates used for the paper's experiments."""
-    return [
-        Bundle.from_signature(i + 1, signature)
-        for i, signature in enumerate(DEFAULT_BUNDLE_SIGNATURES)
-    ]
+    """The 18 bundle candidates used for the paper's experiments (a fresh list)."""
+    return list(_shared_catalog())
 
 
 def get_bundle(bundle_id: int) -> Bundle:
     """Look up a bundle from the default catalogue by its ID (1-based)."""
-    catalog = default_bundle_catalog()
+    catalog = _shared_catalog()
     for bundle in catalog:
         if bundle.bundle_id == bundle_id:
             return bundle

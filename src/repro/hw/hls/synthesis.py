@@ -50,15 +50,12 @@ class HLSSynthesisSimulator:
     def synthesise(self, design: GeneratedDesign | None = None) -> HLSReport:
         """Produce an :class:`HLSReport` for the accelerator.
 
-        ``design`` is accepted for interface fidelity (the report is named
-        after it) but the estimate is derived from the accelerator model; a
-        missing design triggers code generation so every report corresponds
-        to concrete generated C code.
+        ``design`` only names the report: the estimate is derived from the
+        accelerator model.  Without a design, no code is generated and the
+        report takes the name the code generator would give it.
         """
         acc = self.accelerator
-        if design is None:
-            design = HLSCodeGenerator(acc).generate()
-
+        name = design.name if design is not None else HLSCodeGenerator(acc).design_name
         trace = TilePipelineSimulator(acc).run()
         latency_cycles = trace.total_cycles * self.pessimism
         resources = acc.resources()
@@ -73,7 +70,7 @@ class HLSSynthesisSimulator:
         meets_timing = achieved >= acc.clock_mhz and pressure <= 1.0
 
         return HLSReport(
-            design_name=design.name,
+            design_name=name,
             latency_cycles=latency_cycles,
             clock_mhz=acc.clock_mhz,
             resources=resources,

@@ -40,14 +40,21 @@ def config_cache_key(config: "DNNConfig") -> str:
     input resolution changes every latency, so configs from different tasks
     must never share a slot — especially in the persistent disk cache, which
     outlives a single search.
+
+    The key is kept in the config's ``__dict__``, as ``cached_property``
+    does: configs are frozen, and ``with_updates`` builds a new object.
     """
-    pi = ",".join(f"{factor:g}" for factor in config.channel_expansion)
-    x = ",".join(str(flag) for flag in config.downsample)
-    c, h, w = config.task.input_shape
-    return (
-        f"{config.describe()} | Pi=[{pi}] X=[{x}] stem={config.stem_channels} "
-        f"task={config.task.name}@{c}x{h}x{w}"
-    )
+    memo = config.__dict__
+    key = memo.get("_cache_key")
+    if key is None:
+        pi = ",".join(f"{factor:g}" for factor in config.channel_expansion)
+        x = ",".join(str(flag) for flag in config.downsample)
+        c, h, w = config.task.input_shape
+        key = memo["_cache_key"] = (
+            f"{config.describe()} | Pi=[{pi}] X=[{x}] stem={config.stem_channels} "
+            f"task={config.task.name}@{c}x{h}x{w}"
+        )
+    return key
 
 
 def resolve_batch_estimator(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.search.cache import CacheStats
-from repro.utils.serialization import dump_json, load_json
+from repro.utils.serialization import dump_json, load_json, to_jsonable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.hw.analytical import PerformanceEstimate
@@ -128,12 +128,14 @@ class SearchSession:
 
     # ---------------------------------------------------------- serialization
     def as_dict(self) -> dict:
+        """The journal as plain JSON: each flat record is its ``__dict__`` plus
+        the ``__type__`` tag :func:`to_jsonable` adds."""
         return {
             "name": self.name,
-            "metadata": dict(self.metadata),
-            "records": list(self.records),
-            "candidates": list(self.candidates),
-            "cache_stats": self.cache_stats,
+            "metadata": to_jsonable(self.metadata),
+            "records": [dict(r.__dict__, __type__="EvaluationRecord") for r in self.records],
+            "candidates": [dict(c.__dict__, __type__="CandidateRecord") for c in self.candidates],
+            "cache_stats": to_jsonable(self.cache_stats),
         }
 
     def save(self, path) -> pathlib.Path:

@@ -167,7 +167,7 @@ def task_from_wire(payload: Mapping) -> SweepTask:
 
 
 def outcome_to_wire(outcome: SweepOutcome) -> dict:
-    return to_jsonable(outcome)
+    return outcome.as_dict()
 
 
 def outcome_from_wire(payload: Mapping) -> SweepOutcome:

@@ -49,7 +49,6 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 from repro.sweep.runner import SweepFailure, SweepOutcome
 from repro.utils.jsonl import JsonlTail
 from repro.utils.logging import get_logger
-from repro.utils.serialization import to_jsonable
 
 logger = get_logger(__name__)
 
@@ -364,7 +363,7 @@ class CheckpointWriter:
         record = {
             "kind": "outcome",
             "uid": outcome.task.uid,
-            "outcome": to_jsonable(outcome),
+            "outcome": outcome.as_dict(),
             "ts": round(self._clock(), 3),
         }
         with self._lock:

@@ -3,8 +3,8 @@
 :class:`DiskEvaluationCache` memoizes analytical-estimator calls *across
 process boundaries and across runs*: every newly estimated configuration is
 appended as one JSON line to a shard file inside the cache directory, and a
-fresh instance reloads every shard on open.  It exposes the same callable
-protocol as a plain estimator, so it layers *under* the in-memory
+fresh instance starts from every record of its namespace.  It exposes the same
+callable protocol as a plain estimator, so it layers *under* the in-memory
 :class:`repro.search.cache.EvaluationCache`::
 
     disk = DiskEvaluationCache(auto_hls.estimate, cache_dir,
@@ -20,10 +20,11 @@ Entries are namespaced by ``device @ clock | context``: an estimate is only
 valid for the device, accelerator clock and fitted model coefficients it was
 computed under, so the context should embed a coefficients fingerprint
 (:func:`coefficients_fingerprint`).  Writes go to a per-instance shard file,
-which keeps concurrent sweep workers from interleaving appends; reads scan
-every shard of the instance's namespace (shard file names are
-namespace-prefixed, so other devices' shards are never parsed), so workers
-still share each other's results on the next run.
+which keeps concurrent sweep workers from interleaving appends; a failed
+append (a full disk) warns once and leaves the estimate in memory.  Reads
+go through one store per process that decodes each shard line once: an
+open folds in only the bytes appended since the previous one, so workers
+still share each other's results.
 
 The shard protocol exchanges whole records between machines.
 :func:`read_cache_records` exports a directory (``/v1/cache/pull``).
@@ -119,8 +120,8 @@ class DiskEvaluationCache:
     estimator:
         The underlying estimator invoked on a miss.
     directory:
-        Cache directory; created when missing.  Every shard of this
-        instance's namespace in it is loaded on open.
+        Cache directory; created when missing.  Every record of this
+        instance's namespace in it is served from the start.
     device:
         Device name the estimates belong to (part of the namespace).
     clock_mhz:
@@ -157,70 +158,30 @@ class DiskEvaluationCache:
         self.namespace = f"{device}@{clock_mhz:g}MHz"
         if context:
             self.namespace += f"|{context}"
-        # Shard files are namespace-prefixed so loading can skip shards of
-        # other devices / coefficient fits without parsing them.
+        # Shard files are namespace-prefixed, so an open reads only its own.
         self._prefix = _sanitize(self.namespace)
         self.shard_path = self.directory / f"{self._prefix}--{_sanitize(shard or 'main')}.jsonl"
-        self._store: dict[str, PerformanceEstimate] = {}
         self._hits = 0
         self._misses = 0
         self._lock = threading.Lock()
         self._clock = clock
-        self._load()
+        self._append_failed = False
+        self._store = _namespace_records(self.directory, self.namespace)
+        if self._store:
+            logger.debug("disk cache loaded %d entries for %s", len(self._store), self.namespace)
 
     # ------------------------------------------------------------ persistence
-    def _load(self) -> None:
-        loaded = 0
-        # Only shards of this namespace are parsed; the per-record namespace
-        # check below stays as a guard against sanitization collisions.
-        for path in sorted(self.directory.glob(f"{self._prefix}--*.jsonl")):
-            try:
-                lines = path.read_text().splitlines()
-            except OSError:  # pragma: no cover - unreadable shard
-                continue
-            corrupt = 0
-            for line in lines:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:  # torn write: skip the line
-                    corrupt += 1
-                    continue
-                if not isinstance(record, dict) or record.get("namespace") != self.namespace:
-                    continue
-                estimate = _estimate_from_payload(record.get("estimate", {}))
-                key = record.get("key")
-                if estimate is not None and isinstance(key, str):
-                    self._store[key] = estimate
-                    loaded += 1
-            if corrupt:
-                logger.warning(
-                    "disk cache shard %s: skipped %d corrupt line(s); "
-                    "run 'repro-codesign cache gc' to repair it",
-                    path.name, corrupt,
-                )
-        if loaded:
-            logger.debug("disk cache loaded %d entries for %s", loaded, self.namespace)
-
     def _append(self, key: str, estimate: PerformanceEstimate) -> None:
-        record = {
-            "namespace": self.namespace,
-            "key": key,
-            "estimate": _estimate_payload(estimate),
-            "ts": round(self._clock(), 3),
-        }
-        with self.shard_path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        self._append_many([(key, estimate)])
 
     def _append_many(self, entries: Sequence[tuple[str, PerformanceEstimate]]) -> None:
-        """Append many records with one shard-file open (and one ``ts``).
+        """Append records with one shard-file open (and one ``ts``).
 
-        Record format and order match a sequence of :meth:`_append` calls, so
-        shards written by the batched path replay identically.
+        Best-effort, because the cache is only an optimisation: the first
+        failure (a full disk) warns and stops this instance's appends; the
+        estimates stay in memory.
         """
-        if not entries:
+        if not entries or self._append_failed:
             return
         ts = round(self._clock(), 3)
         lines = [
@@ -235,8 +196,13 @@ class DiskEvaluationCache:
             ) + "\n"
             for key, estimate in entries
         ]
-        with self.shard_path.open("a", encoding="utf-8") as handle:
-            handle.write("".join(lines))
+        try:
+            with self.shard_path.open("a", encoding="utf-8") as handle:
+                handle.write("".join(lines))
+        except OSError as exc:
+            self._append_failed = True
+            logger.warning("disk cache shard %s: append failed (%s); "
+                           "new estimates stay in memory only", self.shard_path.name, exc)
 
     # ------------------------------------------------------------- evaluation
     def __call__(self, config: "DNNConfig") -> PerformanceEstimate:
@@ -454,15 +420,15 @@ class CacheDirStats:
         return self.checkpoint_outcomes + self.checkpoint_failures
 
 
-def _shard_paths(directory: pathlib.Path) -> list[pathlib.Path]:
-    """The directory's estimate shards, sorted by name.
+def _shard_paths(directory: pathlib.Path, pattern: str = "*.jsonl") -> list[pathlib.Path]:
+    """The directory's estimate shards (matching ``pattern``), sorted by name.
 
     Underscore-prefixed files are sidecars (checkpoint, timings tempfiles),
     not estimate shards: scanning them would misreport every checkpoint
     line as corrupt — and compaction would delete the file.
     """
     return sorted(
-        path for path in directory.glob("*.jsonl") if not path.name.startswith("_")
+        path for path in directory.glob(pattern) if not path.name.startswith("_")
     )
 
 
@@ -721,12 +687,14 @@ class CacheDirTail:
     Each :meth:`read` returns the valid records appended to any shard since
     the previous call, in shard-name then file order; a shard that appeared
     since is read from its start.  Unchanged shards cost one open and
-    ``fstat`` each, never a parse.  Not thread-safe: the owner serialises
+    ``fstat`` each, never a parse.  A ``prefix`` limits the reader to the
+    shards of one namespace prefix.  Not thread-safe: the owner serialises
     calls.
     """
 
-    def __init__(self, directory) -> None:
+    def __init__(self, directory, prefix: str = "") -> None:
         self.directory = pathlib.Path(directory)
+        self._pattern = f"{prefix}--*.jsonl" if prefix else "*.jsonl"
         self._tails: dict[str, JsonlTail] = {}
 
     def read(self) -> tuple[bool, list[dict]]:
@@ -734,27 +702,87 @@ class CacheDirTail:
 
         ``restarted`` is True when a shard read before vanished, shrank or
         was replaced (as ``cache gc`` leaves it); a shrunk or replaced
-        shard's records are returned again from its start.
+        shard's records are returned again from its start.  Torn or
+        malformed lines are skipped with a warning when first read.
         """
         restarted = False
         records: list[dict] = []
         present = set()
-        for path in _shard_paths(self.directory):
+        for path in _shard_paths(self.directory, self._pattern):
             present.add(path.name)
             tail = self._tails.get(path.name)
             if tail is None:
                 tail = self._tails[path.name] = JsonlTail(path)
             shard_restarted, lines = tail.read()
             restarted = restarted or shard_restarted
-            for line in lines:
-                line = line.strip()
-                record = _parse_record(line) if line else None
-                if record is not None:
-                    records.append(record)
+            parsed = [_parse_record(line) for line in map(str.strip, lines) if line]
+            records.extend(record for record in parsed if record is not None)
+            if None in parsed:
+                logger.warning("disk cache shard %s: skipped %d corrupt line(s); run "
+                               "'repro-codesign cache gc' to repair it", path.name, parsed.count(None))
         for name in set(self._tails) - present:
             del self._tails[name]
             restarted = True
         return restarted, records
+
+
+class _ShardStore:
+    """The records in one namespace prefix's shards, each line decoded once.
+
+    Fed by a :class:`CacheDirTail`; rebuilt when a shard vanished, shrank
+    or was replaced (``cache gc``), as :meth:`CacheHub._refresh` does.
+    """
+
+    def __init__(self, directory: str, prefix: str) -> None:
+        self.directory, self.prefix = directory, prefix
+        self.tail = CacheDirTail(directory, prefix)
+        self.namespaces: dict[str, dict[str, PerformanceEstimate]] = {}
+
+    def refresh(self) -> None:
+        restarted, records = self.tail.read()
+        if restarted:
+            self.tail, self.namespaces = CacheDirTail(self.directory, self.prefix), {}
+            _restarted, records = self.tail.read()
+        for record in records:
+            estimate = _estimate_from_payload(record["estimate"])
+            self.namespaces.setdefault(record["namespace"], {})[record["key"]] = estimate
+
+
+#: The stores (by prefix) of the last directory this process opened: one
+#: directory at a time, so a process that opens many holds one's records.
+_process_dir: Optional[tuple] = None
+_process_stores: dict[str, _ShardStore] = {}
+_process_store_lock = threading.Lock()
+
+
+def _forget_stores_in_child() -> None:
+    # The fork copied the lock as another thread left it, mid-refresh maybe.
+    global _process_dir, _process_stores, _process_store_lock
+    _process_dir, _process_stores, _process_store_lock = None, {}, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_stores_in_child)
+
+
+def _namespace_records(directory: pathlib.Path, namespace: str) -> dict[str, PerformanceEstimate]:
+    """A copy of ``namespace``'s records, read through the process store.
+
+    A copy, because an instance must not see what others append after it
+    opened: each one counts and appends its own misses.
+    """
+    global _process_dir
+    stat = directory.stat()
+    identity = (os.path.abspath(directory), stat.st_dev, stat.st_ino)
+    prefix = _sanitize(namespace)
+    with _process_store_lock:
+        if identity != _process_dir:
+            _process_dir = identity
+            _process_stores.clear()
+        store = _process_stores.get(prefix)
+        if store is None:
+            store = _process_stores[prefix] = _ShardStore(identity[0], prefix)
+        store.refresh()
+        return dict(store.namespaces.get(namespace, {}))
 
 
 class CacheHub:

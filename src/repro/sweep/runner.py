@@ -64,7 +64,7 @@ from __future__ import annotations
 import pathlib
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
 import repro.telemetry as telemetry
@@ -492,6 +492,13 @@ class SweepOutcome:
         total = self.disk_hits + self.disk_misses
         return self.disk_hits / total if total else 0.0
 
+    def as_dict(self) -> dict:
+        """``to_jsonable(self)``, inserting the already plain journal as is
+        (the checkpoint line, the wire view and :meth:`SweepResult.as_dict`)."""
+        payload = to_jsonable(replace(self, journal={}))
+        payload["journal"] = self.journal
+        return payload
+
     @classmethod
     def from_dict(cls, payload: Mapping) -> "SweepOutcome":
         """Rebuild an outcome from its JSON view, journal included.
@@ -654,7 +661,7 @@ def _run_sweep_task(
     disk_stats = disk.stats() if disk is not None else None
     return SweepOutcome(
         task=task,
-        journal=to_jsonable(session.as_dict()),
+        journal=session.as_dict(),
         selected_bundles=[b.bundle_id for b in selected],
         num_candidates=len(candidates),
         best_latency_ms=best.latency_ms if best is not None else None,
@@ -740,7 +747,7 @@ class SweepResult:
             "prep_time_s": self.prep_time_s,
             "reused": self.reused,
             "preparations": [prep.as_dict() for prep in self.preparations],
-            "outcomes": [to_jsonable(outcome) for outcome in self.outcomes],
+            "outcomes": [outcome.as_dict() for outcome in self.outcomes],
             "failures": [failure.as_dict() for failure in self.failures],
         }
 

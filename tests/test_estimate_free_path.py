@@ -1,0 +1,326 @@
+"""The estimate-free part of a sweep cell keeps its bytes while doing less.
+
+A warm cell makes no estimator call, so its cost is bookkeeping: cache keys,
+shard loading, journals and checkpoint lines.  These tests pin the four
+savings on that path to the results they must not change:
+
+* a config's cache key is built once per object and always equals the key
+  formula computed afresh;
+* a process decodes each cache-shard line once, yet every open still sees
+  other writers' appends and never an evicted key;
+* a journal is converted to JSON once, and every hop (checkpoint line,
+  wire view, sweep report) carries exactly what ``to_jsonable`` gives;
+* a full disk under the cache shards costs the cache, never the cell.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import errno
+import json
+import logging
+import multiprocessing
+import os
+import pathlib
+import pickle
+import sys
+import threading
+import time
+
+import pytest
+
+import repro.sweep.disk_cache as disk_cache
+from repro.core.auto_hls import AutoHLS
+from repro.core.bundle_generation import default_bundle_catalog, get_bundle
+from repro.core.dnn_config import DNNConfig
+from repro.detection.task import TINY_DETECTION_TASK
+from repro.hw.device import PYNQ_Z1
+from repro.search import CacheStats, EvaluationCache, SearchSession, config_cache_key
+from repro.shard.protocol import outcome_to_wire
+from repro.sweep import (
+    DiskEvaluationCache,
+    SweepResult,
+    SweepRunner,
+    build_grid,
+    compact_cache_dir,
+    run_sweep_task,
+)
+from repro.sweep.checkpoint import CheckpointWriter
+from repro.utils.serialization import dump_json, to_jsonable
+
+#: A seed-2019 budget small enough for a cell to finish in well under a second.
+SMALL = dict(tolerance_ms=10.0, iterations=25, num_candidates=1, top_bundles=2, seed=2019)
+
+
+@pytest.fixture(scope="module")
+def engine():
+    return AutoHLS(PYNQ_Z1)
+
+
+def _config(**updates) -> DNNConfig:
+    config = DNNConfig(bundle=get_bundle(13), task=TINY_DETECTION_TASK, num_repetitions=2,
+                       channel_expansion=(1.5, 1.5), downsample=(1, 1),
+                       stem_channels=16, parallel_factor=16, max_channels=128)
+    return config.with_updates(**updates) if updates else config
+
+
+def _fresh_key(config: DNNConfig) -> str:
+    """The key formula on a field-for-field copy that has never been keyed."""
+    copy = dataclasses.replace(config)
+    assert "_cache_key" not in copy.__dict__
+    return config_cache_key(copy)
+
+
+class CountingJson:
+    """Stands in for the ``json`` module of :mod:`repro.sweep.disk_cache`."""
+
+    def __init__(self) -> None:
+        self.decoded = 0
+
+    def loads(self, *args, **kwargs):
+        self.decoded += 1
+        return json.loads(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(json, name)
+
+
+# ------------------------------------------------------------ memoized keys
+class TestMemoizedKeys:
+    def test_every_key_a_search_uses_equals_the_fresh_formula(self, monkeypatch):
+        seen: list[DNNConfig] = []
+        one, batch = EvaluationCache.evaluate_with_info, EvaluationCache.evaluate_batch
+
+        def evaluate_with_info(self, config):
+            seen.append(config)
+            return one(self, config)
+
+        def evaluate_batch(self, configs, with_info=False):
+            seen.extend(configs)
+            return batch(self, configs, with_info)
+
+        monkeypatch.setattr(EvaluationCache, "evaluate_with_info", evaluate_with_info)
+        monkeypatch.setattr(EvaluationCache, "evaluate_batch", evaluate_batch)
+        outcomes = [run_sweep_task(task)
+                    for task in build_grid("pynq-z1", "scd,evolutionary", [40.0], **SMALL)]
+        assert len(seen) > 100
+        for config in seen:
+            assert config.__dict__["_cache_key"] == _fresh_key(config)
+        keys = {config.__dict__["_cache_key"] for config in seen}
+        journal_keys = {record["config"] for outcome in outcomes
+                        for record in outcome.journal["records"]}
+        assert journal_keys <= keys
+
+    def test_with_updates_copy_never_carries_the_parent_key(self):
+        parent = _config()
+        key = config_cache_key(parent)
+        for child in (parent.with_updates(parallel_factor=32),
+                      parent.with_updates(channel_expansion=(2.0, 1.5)),
+                      parent.with_updates()):
+            assert "_cache_key" not in child.__dict__
+            assert config_cache_key(child) == _fresh_key(child)
+        assert config_cache_key(parent.with_updates(parallel_factor=32)) != key
+        assert config_cache_key(parent.with_updates()) == key
+
+    def test_pickled_config_round_trips_with_the_same_key(self):
+        keyed = _config(parallel_factor=8)
+        key = config_cache_key(keyed)
+        for config in (keyed, _config(parallel_factor=8)):
+            clone = pickle.loads(pickle.dumps(config))
+            assert clone == keyed
+            assert config_cache_key(clone) == key == _fresh_key(clone)
+
+    def test_bundle_catalogue_is_shared_but_lists_are_fresh(self):
+        first, second = default_bundle_catalog(), default_bundle_catalog()
+        assert first is not second and first == second
+        for index, bundle in enumerate(first, start=1):
+            assert get_bundle(index) is bundle is second[index - 1]
+        first.pop()
+        assert len(default_bundle_catalog()) == 18
+        with pytest.raises(KeyError):
+            get_bundle(19)
+
+
+# --------------------------------------------------------- process shard store
+def _seed_records(directory, engine, count: int, device: str = "PYNQ-Z1") -> list[DNNConfig]:
+    configs = [_config(parallel_factor=pf) for pf in (4, 8, 16, 32)][:count]
+    writer = DiskEvaluationCache(engine.estimate, directory, device=device, shard="seed")
+    for config in configs:
+        writer.evaluate(config)
+    return configs
+
+
+def _open_in_child(engine, directory: str, configs) -> None:
+    cache = DiskEvaluationCache(engine.estimate, directory, device="PYNQ-Z1")
+    os._exit(0 if all(config in cache for config in configs) else 1)
+
+
+class TestProcessStore:
+    def test_each_shard_line_is_decoded_once_per_process(self, tmp_path, engine, monkeypatch):
+        configs = _seed_records(tmp_path, engine, 3)
+        _seed_records(tmp_path, engine, 4, device="Ultra96")
+        counting = CountingJson()
+        monkeypatch.setattr(disk_cache, "json", counting)
+        first = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")
+        assert counting.decoded == 3, "the three lines of its own namespace, no other"
+        second = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")
+        assert counting.decoded == 3, "a second open decodes nothing new"
+        assert all(config in first and config in second for config in configs)
+
+    def test_sees_lines_appended_between_opens(self, tmp_path, engine):
+        early, late = _config(parallel_factor=4), _config(parallel_factor=8)
+        DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1",
+                            shard="a").evaluate(early)
+        before = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")
+        assert early in before and late not in before
+        # Another writer: a raw line appended to a shard the store has read.
+        record = json.loads(next(tmp_path.glob("*--a.jsonl")).read_text())
+        record["key"] = config_cache_key(late)
+        with next(tmp_path.glob("*--a.jsonl")).open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        after = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")
+        assert early in after and late in after
+        assert late not in before, "an open keeps the records it started with"
+
+    def test_serves_no_evicted_key_after_compaction(self, tmp_path, engine):
+        now = time.time()
+        old, kept = _config(parallel_factor=4), _config(parallel_factor=8)
+        DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1", shard="old",
+                            clock=lambda: now - 20 * 86400.0).evaluate(old)
+        DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1",
+                            shard="new").evaluate(kept)
+        warm = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")
+        assert old in warm and kept in warm
+        report = compact_cache_dir(tmp_path, max_age_days=5.0, now=now)
+        assert report.evicted_by_age == 1
+        reopened = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")
+        assert old not in reopened and kept in reopened
+
+    def test_holds_only_the_last_directory_opened(self, tmp_path, engine, monkeypatch):
+        first, second = tmp_path / "first", tmp_path / "second"
+        _seed_records(first, engine, 2)
+        _seed_records(second, engine, 3)
+        counting = CountingJson()
+        monkeypatch.setattr(disk_cache, "json", counting)
+        for directory, decoded in ((first, 2), (first, 2), (second, 5), (first, 7)):
+            DiskEvaluationCache(engine.estimate, directory, device="PYNQ-Z1")
+            assert counting.decoded == decoded, f"after opening {directory.name}"
+
+    def test_concurrent_writers_and_opens_lose_no_record(self, tmp_path, engine):
+        # More threads than cores, switching often: an open must see every
+        # record appended before it started, whatever the other threads do.
+        def worker(index: int, errors: list) -> None:
+            try:
+                for step in range(8):
+                    config = _config(stem_channels=8 * (1 + index * 8 + step))
+                    DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1",
+                                        shard=f"t{index}").evaluate(config)
+                    for _ in range(4):
+                        if config not in DiskEvaluationCache(engine.estimate, tmp_path,
+                                                             device="PYNQ-Z1"):
+                            errors.append((index, step))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        errors: list = []
+        threads = [threading.Thread(target=worker, args=(i, errors)) for i in range(5)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")) == 40
+
+    def test_forked_child_never_inherits_a_held_store_lock(self, tmp_path, engine):
+        configs = _seed_records(tmp_path, engine, 2)
+        DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")
+        context = multiprocessing.get_context("fork")
+        # Fork while the lock is held, as a thread mid-refresh would hold it.
+        with disk_cache._process_store_lock:
+            child = context.Process(target=_open_in_child,
+                                    args=(engine, str(tmp_path), configs))
+            child.start()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0
+
+    def test_warns_about_a_corrupt_line_once(self, tmp_path, engine, caplog):
+        configs = _seed_records(tmp_path, engine, 1)
+        with next(tmp_path.glob("*.jsonl")).open("a", encoding="utf-8") as handle:
+            handle.write("{torn json\n")
+        with caplog.at_level(logging.WARNING, logger="repro.sweep.disk_cache"):
+            for _ in range(3):
+                assert configs[0] in DiskEvaluationCache(engine.estimate, tmp_path,
+                                                         device="PYNQ-Z1")
+        warnings = [r for r in caplog.records if "corrupt line" in r.getMessage()]
+        assert len(warnings) == 1
+
+
+# ------------------------------------------------------------- one journal walk
+@pytest.fixture(scope="module")
+def outcome():
+    return run_sweep_task(build_grid("pynq-z1", "evolutionary", [40.0], **SMALL)[0])
+
+
+class TestOneJournalWalk:
+    def test_session_as_dict_equals_to_jsonable_of_the_dataclass_view(self, outcome, tmp_path):
+        session = SearchSession.load(dump_json(outcome.journal, tmp_path / "journal.json"))
+        assert session.records and session.candidates
+        session.attach_cache_stats(CacheStats(hits=3, misses=2, size=2))
+        dataclass_view = {
+            "name": session.name,
+            "metadata": dict(session.metadata),
+            "records": list(session.records),
+            "candidates": list(session.candidates),
+            "cache_stats": session.cache_stats,
+        }
+        plain = session.as_dict()
+        assert plain == to_jsonable(dataclass_view)
+        assert json.dumps(plain) == json.dumps(to_jsonable(dataclass_view))
+        assert outcome.journal == to_jsonable(outcome.journal)
+
+    def test_checkpoint_line_is_unchanged(self, outcome, tmp_path):
+        path = tmp_path / "_checkpoint.jsonl"
+        writer = CheckpointWriter(path, [outcome.task.uid], clock=lambda: 1700000000.0)
+        writer.record_outcome(outcome)
+        line = path.read_text(encoding="utf-8").splitlines()[-1]
+        expected = {"kind": "outcome", "uid": outcome.task.uid,
+                    "outcome": to_jsonable(outcome), "ts": 1700000000.0}
+        assert line == json.dumps(expected, sort_keys=True)
+
+    def test_wire_and_report_views_equal_to_jsonable(self, outcome):
+        wire = outcome_to_wire(outcome)
+        assert json.dumps(wire) == json.dumps(to_jsonable(outcome))
+        result = SweepResult(outcomes=[outcome], workers=1)
+        assert result.as_dict()["outcomes"] == [to_jsonable(outcome)]
+
+
+# ------------------------------------------------------------------ full disk
+class TestFullDiskUnderShards:
+    def test_failed_shard_appends_never_fail_a_cell(self, tmp_path, monkeypatch, caplog):
+        tasks = build_grid("pynq-z1", "scd,random", [40.0], **SMALL)
+        clean = SweepRunner(tasks, workers=1, cache_dir=str(tmp_path / "clean")).run()
+        real_open = pathlib.Path.open
+
+        def full_disk(self, mode="r", *args, **kwargs):
+            if "a" in mode and self.suffix == ".jsonl" and not self.name.startswith("_"):
+                raise OSError(errno.ENOSPC, "No space left on device", str(self))
+            return real_open(self, mode, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "open", full_disk)
+        with caplog.at_level(logging.WARNING, logger="repro.sweep.disk_cache"):
+            full = SweepRunner(tasks, workers=1, cache_dir=str(tmp_path / "full")).run()
+        assert full.ok and len(full.outcomes) == len(tasks)
+        assert [o.journal for o in full.outcomes] == [o.journal for o in clean.outcomes]
+        # Nothing reached the disk, so no cell reuses another's estimates.
+        assert full.estimator_calls >= clean.estimator_calls > 0
+        warnings = [r for r in caplog.records if "append failed" in r.getMessage()]
+        assert len(warnings) == len(tasks), "one warning per cache instance"
+        assert not list((tmp_path / "full").glob("PYNQ*.jsonl"))
