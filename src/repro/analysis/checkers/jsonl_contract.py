@@ -1,26 +1,15 @@
-"""``jsonl-contract``: sidecar writers fsync per line, readers tolerate torn tails.
+"""``jsonl-contract``: one module appends to files, readers tolerate torn tails.
 
-PR 4 and PR 6 established one durability contract for the underscore
-sidecars (``_checkpoint.jsonl``, ``_telemetry.jsonl``): every record is
-appended as a single ``write()`` of one full line, flushed and fsynced
-before the handle closes — a parent killed mid-sweep loses at most the
-line being written — and every reader treats a line that fails to parse
-as a torn tail: counted, skipped, never trusted and never fatal.
-
-A module is in scope when it *declares* a sidecar filename — a
-module-level string constant matching ``_*.jsonl`` (the underscore prefix
-is what keeps these files out of the cache-shard scanner).  Within such a
-module:
-
-* **writer side** — a ``with open(..., "a")`` (or ``path.open("a")``)
-  block that ``.write()``s must also ``.flush()`` and ``os.fsync()``
-  inside the same block; an append missing either can tear arbitrarily
-  far back on crash, not just the final line.  Atomic temp-file+rename
-  rewrites (``write_text`` + ``os.replace``) are a different, equally
-  valid idiom and are not append-mode, so they pass untouched.
-* **reader side** — every ``json.loads(...)`` must sit inside a ``try``
-  whose handlers catch ``json.JSONDecodeError`` (or ``ValueError`` /
-  ``Exception``), because the one guaranteed input is a torn final line.
+* **writer side** — an append-mode ``open(..., "a...")`` or
+  ``path.open("a...")`` outside ``repro/utils/jsonl.py`` is a finding:
+  :class:`~repro.utils.jsonl.JsonlLog` owns the one-write append, the
+  sidecar fsync, the torn-tail repair and each file's disk-full policy.
+  Atomic temp-file+rename rewrites are not appends and pass untouched.
+* **reader side** — in a module that *declares* a sidecar filename (a
+  module-level string constant matching ``_*.jsonl``), every
+  ``json.loads(...)`` must sit inside a ``try`` whose handlers catch
+  ``json.JSONDecodeError`` (or ``ValueError`` / ``Exception``), because
+  the one guaranteed input is a torn final line.
 """
 
 from __future__ import annotations
@@ -95,58 +84,35 @@ def _handler_names(handler: ast.ExceptHandler) -> set[str]:
 class JsonlContractChecker(Checker):
     rule = "jsonl-contract"
     description = (
-        "sidecar module appends without flush+fsync, or parses lines "
-        "without tolerating a torn tail"
+        "append-mode open outside repro/utils/jsonl.py, or a sidecar module "
+        "parsing lines without tolerating a torn tail"
     )
     contract = (
-        "PR 4/6: _checkpoint.jsonl/_telemetry.jsonl appends are one "
-        "flushed+fsynced line each; readers count and skip unparseable "
-        "lines (a kill can always tear the final line)"
+        "every append goes through repro.utils.jsonl.JsonlLog "
+        "(one write, fsynced sidecars, one disk-full policy per file); "
+        "readers count and skip unparseable lines (a kill can always tear "
+        "the final line)"
     )
-
-    def applies_to(self, ctx: ModuleContext) -> bool:
-        return _declares_sidecar_constant(ctx.tree)
 
     def run(self, ctx: ModuleContext) -> list[Finding]:
         findings: list[Finding] = []
-        findings.extend(self._check_writers(ctx))
-        findings.extend(self._check_readers(ctx))
+        if not ctx.path.resolve().as_posix().endswith("repro/utils/jsonl.py"):
+            findings.extend(self._check_writers(ctx))
+        if _declares_sidecar_constant(ctx.tree):
+            findings.extend(self._check_readers(ctx))
         return findings
 
     def _check_writers(self, ctx: ModuleContext) -> list[Finding]:
-        findings: list[Finding] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.With, ast.AsyncWith)):
-                continue
-            if not any(isinstance(item.context_expr, ast.Call)
-                       and _append_mode(item.context_expr)
-                       for item in node.items):
-                continue
-            writes = flushes = fsyncs = False
-            for inner in ast.walk(node):
-                if not isinstance(inner, ast.Call):
-                    continue
-                if isinstance(inner.func, ast.Attribute):
-                    if inner.func.attr == "write":
-                        writes = True
-                    elif inner.func.attr == "flush":
-                        flushes = True
-                if dotted_name(inner.func) == "os.fsync":
-                    fsyncs = True
-            if writes and not (flushes and fsyncs):
-                missing = []
-                if not flushes:
-                    missing.append("flush()")
-                if not fsyncs:
-                    missing.append("os.fsync()")
-                findings.append(ctx.finding(
-                    self.rule, node,
-                    "sidecar append writes without "
-                    + " and ".join(missing)
-                    + "; a crash may then tear more than the final line, "
-                    "which resume cannot repair",
-                ))
-        return findings
+        return [
+            ctx.finding(
+                self.rule, node,
+                "append-mode open outside repro/utils/jsonl.py; append "
+                "through JsonlLog, which owns the fsync, torn-tail and "
+                "disk-full rules",
+            )
+            for node in ast.walk(ctx.tree)
+            if isinstance(node, ast.Call) and _append_mode(node)
+        ]
 
     def _check_readers(self, ctx: ModuleContext) -> list[Finding]:
         _module_aliases, from_imports = collect_imports(ctx.tree)

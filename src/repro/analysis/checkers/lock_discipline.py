@@ -10,8 +10,8 @@ and deadlock).  The established pattern is: collect events into a local
 list inside the critical section, fire them after the ``with`` block.
 
 This rule flags, lexically inside any ``with self._lock:`` (or other
-``*lock`` attribute) body in the scoped modules (``shard/``,
-``sweep/checkpoint.py``, ``telemetry/sink.py``):
+``*lock`` attribute) body in the scoped modules (``shard/``, ``service/``,
+``sweep/checkpoint.py``, ``telemetry/sink.py``, ``utils/jsonl.py``):
 
 * telemetry facade calls (``telemetry.event`` / ``telemetry.trace``),
 * callback invocations (``self.on_*``-style attributes),
@@ -19,8 +19,8 @@ This rule flags, lexically inside any ``with self._lock:`` (or other
   ``os.replace``, ``time.sleep``, ``urlopen``, ``sendall``/``recv``,
   ``write_text``/``read_text``).
 
-Code that *intends* serialised I/O under its lock (the fsynced sidecar
-writers, whose lock exists precisely to order appends) documents that
+Code that *intends* serialised I/O under its lock (the one appender,
+``JsonlLog``, whose lock exists precisely to order appends) documents that
 decision with a justified ``# repro: disable=lock-discipline`` — the
 deviation then lives next to the code instead of in reviewers' heads.
 Nested function bodies are skipped (deferred execution happens later).
@@ -41,7 +41,7 @@ from repro.analysis.core import (
 )
 
 _SCOPE_MARKERS = ("/shard/", "/service/")
-_SCOPE_SUFFIXES = ("sweep/checkpoint.py", "telemetry/sink.py")
+_SCOPE_SUFFIXES = ("sweep/checkpoint.py", "telemetry/sink.py", "utils/jsonl.py")
 
 #: Fully qualified blocking calls.
 _BLOCKING_CALLS = {

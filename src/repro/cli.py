@@ -620,7 +620,12 @@ def _report_sweep_result(result, args: argparse.Namespace) -> int:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     runner = _build_sweep_runner(args)
-    return _report_sweep_result(runner.run(), args)
+    try:
+        result = runner.run()
+    except OSError as exc:  # a checkpoint append failed (a full disk)
+        print(f"repro-codesign sweep: error: {exc}", file=sys.stderr)
+        return 1
+    return _report_sweep_result(result, args)
 
 
 def _run_shard(args: argparse.Namespace) -> int:
@@ -657,7 +662,11 @@ def _run_shard(args: argparse.Namespace) -> int:
             ),
         )
         runner = _build_sweep_runner(args, transport=transport)
-        result = runner.run()
+        try:
+            result = runner.run()
+        except OSError as exc:  # a checkpoint append failed (a full disk)
+            print(f"repro-codesign shard coordinator: error: {exc}", file=sys.stderr)
+            return 1
         counts = transport.final_counts
         if counts:
             print(

@@ -36,7 +36,7 @@ import threading
 import time
 from typing import Callable, Mapping, Optional
 
-from repro.service.jobs import TERMINAL_STATES, Job, JobQueue
+from repro.service.jobs import TERMINAL_STATES, Job, JobQueue, JournalError
 from repro.shard.coordinator import LeaseCoordinator, _CoordinatorHandler
 from repro.shard.protocol import (
     DEFAULT_HEARTBEAT_S,
@@ -75,14 +75,15 @@ class _JobTransport:
     def execute(self, runner, order, preparations):
         service, job = self.service, self.job
         board = service.attach(runner, order, preparations, job=job.uid)
-        service.queue.set_state(job, "running")
-        telemetry.event("service.job.attached", job=job.uid, cells=len(order))
         try:
+            service.queue.set_state(job, "running")
+            telemetry.event("service.job.attached", job=job.uid, cells=len(order))
+            # A failed checkpoint append stops the job too: run() raises it.
             service.wait(board, stopped=lambda: service._stopping.is_set()
-                         or job.cancel.is_set())
+                         or job.cancel.is_set() or runner._write_error is not None)
         finally:
             service.detach(board)
-        if not board.done:
+        if not board.done and runner._write_error is None:
             if service._stopping.is_set():
                 raise ServiceStopped(f"service stopping with job {job.uid} in flight")
             counts = board.counts()
@@ -200,44 +201,55 @@ class ServiceCoordinator(LeaseCoordinator):
         thread.start()
 
     def _drive(self, job: Job) -> None:
-        """Run one job start-to-finish under the admission semaphore."""
+        """Run one job start-to-finish under the admission semaphore.
+
+        A transition the journal cannot record ends this thread with one ERROR;
+        the job keeps its journalled state and resumes on the next start."""
         with self._admission:
-            if self._stopping.is_set():
-                return  # stays queued in the journal; next start resumes it
-            if job.cancel.is_set():
-                if job.state != "cancelled":
-                    self.queue.set_state(job, "cancelled")
-                return
-            self.queue.set_state(job, "preparing")
-            checkpoint = job.directory / CHECKPOINT_FILENAME
-            resume = str(checkpoint) if checkpoint.exists() else None
             try:
-                runner = job.spec.build_runner(
-                    cache_dir=str(job.directory),
-                    transport=_JobTransport(self, job),
-                    resume_from=resume,
-                    task_fn=self.task_fn,
-                    clock=self.clock,
-                )
-                result = runner.run()
-            except ServiceStopped:
-                return  # no terminal record: replay requeues and resumes
-            except Exception as exc:  # noqa: BLE001 - job isolation boundary
-                logger.exception("service: job %s failed", job.uid)
-                self.queue.set_state(job, "failed",
-                                     error=f"{type(exc).__name__}: {exc}")
-                return
-            job.result = result
-            if job.cancel.is_set():
+                self._run_job(job)
+            except JournalError as exc:
+                logger.error("service: job %s stopped: %s", job.uid, exc)
+
+    def _run_job(self, job: Job) -> None:
+        if self._stopping.is_set():
+            return  # stays queued in the journal; next start resumes it
+        if job.cancel.is_set():
+            if job.state != "cancelled":
                 self.queue.set_state(job, "cancelled")
-            elif result.failures:
-                self.queue.set_state(
-                    job, "failed",
-                    error=f"{len(result.failures)} of {job.total_cells} cell(s) failed",
-                )
-            else:
-                self.queue.set_state(job, "done")
-            telemetry.event("service.job.settled", job=job.uid, state=job.state)
+            return
+        self.queue.set_state(job, "preparing")
+        checkpoint = job.directory / CHECKPOINT_FILENAME
+        resume = str(checkpoint) if checkpoint.exists() else None
+        try:
+            runner = job.spec.build_runner(
+                cache_dir=str(job.directory),
+                transport=_JobTransport(self, job),
+                resume_from=resume,
+                task_fn=self.task_fn,
+                clock=self.clock,
+            )
+            result = runner.run()
+        except ServiceStopped:
+            return  # no terminal record: replay requeues and resumes
+        except JournalError:
+            raise  # the transport's "running" transition: not a job failure
+        except Exception as exc:  # noqa: BLE001 - job isolation boundary
+            logger.exception("service: job %s failed", job.uid)
+            self.queue.set_state(job, "failed",
+                                 error=f"{type(exc).__name__}: {exc}")
+            return
+        job.result = result
+        if job.cancel.is_set():
+            self.queue.set_state(job, "cancelled")
+        elif result.failures:
+            self.queue.set_state(
+                job, "failed",
+                error=f"{len(result.failures)} of {job.total_cells} cell(s) failed",
+            )
+        else:
+            self.queue.set_state(job, "done")
+        telemetry.event("service.job.settled", job=job.uid, state=job.state)
 
     # -------------------------------------------------------------- job routes
     def _get_job(self, uid: str) -> Job:

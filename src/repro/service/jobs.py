@@ -11,27 +11,29 @@ standard sweep sidecars (``_checkpoint.jsonl``, ``_timings.json``,
 --resume``, ``compare`` and ``telemetry report`` work on a job directory
 exactly as on any local sweep's cache dir.
 
-Durability follows the checkpoint contract: every queue transition is one
-fsynced JSON line in ``<root>/_service.jsonl``, and startup replays that
-journal tolerating a torn tail.  A job that was ``preparing``/``running``
-when the coordinator died is requeued and — because the per-job
-checkpoint already holds its settled cells — resumes instead of
-restarting, keeping the final journals byte-identical to an uninterrupted
-run.
+Every queue change is first one fsynced line in ``<root>/_service.jsonl``
+(a durable :class:`~repro.utils.jsonl.JsonlLog`), then applied in memory; a
+change the journal cannot record raises :class:`JournalError`.  Startup
+replays the journal tolerating a torn tail.  A job that was
+``preparing``/``running`` when the coordinator died is requeued and —
+because the per-job checkpoint already holds its settled cells — resumes
+instead of restarting, keeping the final journals byte-identical to an
+uninterrupted run.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import re
 import threading
 import time
 from typing import Callable, Optional
 
+from repro.shard.protocol import ShardProtocolError
 from repro.sweep.checkpoint import CHECKPOINT_FILENAME, CheckpointCells
 from repro.sweep.spec import SweepSpec
+from repro.utils.jsonl import JsonlLog, parse_lines
 from repro.utils.logging import get_logger
 from repro.utils.serialization import dump_json
 
@@ -40,7 +42,7 @@ logger = get_logger(__name__)
 __all__ = [
     "SERVICE_LOG_FILENAME", "SERVICE_LOG_VERSION", "JOB_SPEC_FILENAME",
     "JOBS_DIRNAME", "JOB_STATES", "TERMINAL_STATES", "Job", "JobQueue",
-    "load_service_log",
+    "JournalError", "load_service_log",
 ]
 
 #: Queue journal; the underscore prefix keeps it out of cache-shard scans.
@@ -121,53 +123,19 @@ def load_service_log(path) -> tuple[list[dict], int]:
     fails to parse (or is not a JSON object) is counted and skipped, never
     fatal — the journal idiom shared with ``_checkpoint.jsonl``.
     """
-    path = pathlib.Path(path)
-    records: list[dict] = []
-    corrupt = 0
-    if not path.exists():
-        return records, corrupt
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:  # pragma: no cover - unreadable journal
-        return records, corrupt
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            corrupt += 1
-            continue
-        if not isinstance(record, dict) or "kind" not in record:
-            corrupt += 1
-            continue
-        records.append(record)
-    return records, corrupt
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+    except OSError:  # missing (a fresh root) or unreadable
+        return [], 0
+    parsed = list(parse_lines(text.splitlines()))
+    records = [record for record in parsed if record is not None and "kind" in record]
+    return records, len(parsed) - len(records)
 
 
-class _ServiceLog:
-    """Append-only fsynced writer for the queue journal."""
+class JournalError(ShardProtocolError):
+    """A queue change the ``_service.jsonl`` journal could not record (a full disk)."""
 
-    def __init__(self, path: pathlib.Path, clock: Callable[[], float]) -> None:
-        self.path = path
-        self._clock = clock
-        self._lock = threading.Lock()
-        fresh = not path.exists()
-        if fresh:
-            self.append({"kind": "header", "version": SERVICE_LOG_VERSION})
-
-    def append(self, record: dict) -> None:
-        record = dict(record)
-        record["ts"] = round(self._clock(), 3)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        with self._lock:
-            # repro: disable=lock-discipline -- this lock exists to order appends; it is leaf-level and nothing re-enters under it
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
-                # repro: disable=lock-discipline -- per-record fsync IS the journal durability contract (same idiom as the checkpoint writer)
-                os.fsync(handle.fileno())
+    status = 503  # the HTTP answer: the service refuses work it cannot journal
 
 
 class JobQueue:
@@ -190,12 +158,25 @@ class JobQueue:
         self._seq = 0
         self.corrupt_lines = 0
         self._replay()
-        self._log = _ServiceLog(self.path, clock)
+        self._log = JsonlLog(self.path, best_effort=False)
+        if not self.path.exists():
+            self._journal({"kind": "header", "version": SERVICE_LOG_VERSION})
         self._requeue_unfinished()
+
+    def _journal(self, record: dict) -> None:
+        """Append one record durably; a failed append raises :class:`JournalError`."""
+        record = dict(record, ts=round(self._clock(), 3))
+        try:
+            self._log.write([json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"])
+        except OSError as exc:
+            raise JournalError(f"cannot journal to {self.path}: {exc}") from exc
 
     # ------------------------------------------------------------- admission
     def submit(self, spec: SweepSpec, name: Optional[str] = None) -> Job:
-        """Admit one validated spec; returns the queued :class:`Job`."""
+        """Admit one validated spec; returns the queued :class:`Job`.
+
+        The job is listed only once its ``submitted`` record is journalled.
+        """
         slug = _sanitize_name(name or "") if name else ""
         with self._lock:
             self._seq += 1
@@ -206,12 +187,12 @@ class JobQueue:
         job = Job(uid, name or uid, spec, directory, now)
         dump_json({"job": uid, "name": job.name, "spec": spec.as_dict()},
                   directory / JOB_SPEC_FILENAME)
-        with self._lock:
-            self._jobs[uid] = job
-        self._log.append({
+        self._journal({
             "kind": "submitted", "job": uid, "name": job.name,
             "spec": spec.as_dict(),
         })
+        with self._lock:
+            self._jobs[uid] = job
         logger.info("service: job %s (%s) submitted — %d cell(s)",
                     uid, job.name, job.total_cells)
         return job
@@ -229,18 +210,18 @@ class JobQueue:
 
     # ----------------------------------------------------------- transitions
     def set_state(self, job: Job, state: str, *, error: Optional[str] = None) -> None:
-        """Transition ``job`` and journal the transition durably."""
+        """Journal the transition durably, then apply it to ``job``."""
         if state not in JOB_STATES:
             raise ValueError(f"unknown job state '{state}'")
         now = self._clock()
+        record = {"kind": "state", "job": job.uid, "state": state}
+        if error is not None:
+            record["error"] = error
+        self._journal(record)
         with self._lock:
             job.state = state
             job.state_ts = now
             job.error = error
-        record = {"kind": "state", "job": job.uid, "state": state}
-        if error is not None:
-            record["error"] = error
-        self._log.append(record)
         logger.info("service: job %s → %s%s", job.uid, state,
                     f" ({error})" if error else "")
 
@@ -302,4 +283,4 @@ class JobQueue:
                 logger.info("service: job %s was %s at shutdown; requeueing "
                             "(resumes from its checkpoint)", job.uid, job.state)
                 self.set_state(job, "queued")
-                self._log.append({"kind": "recovered", "job": job.uid})
+                self._journal({"kind": "recovered", "job": job.uid})

@@ -665,6 +665,8 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
             self._reply({"error": str(exc)}, status=getattr(exc, "status", 400))
         except Exception as exc:  # noqa: BLE001 - one bad request must not kill the server
             logger.exception("shard: unhandled error serving %s", self.path)
+            # It may have settled a cell first (a failed checkpoint append): wake the waiters.
+            self.coordinator.notify()
             self._reply({"error": f"{type(exc).__name__}: {exc}"}, status=500)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API

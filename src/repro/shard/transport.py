@@ -92,8 +92,10 @@ class CoordinatorTransport:
         try:
             if self.on_bound is not None:
                 self.on_bound(coordinator)
-            coordinator.wait(board)
-            coordinator.linger(self.linger_s)
+            # A failed checkpoint append stops the grid: run() raises it.
+            coordinator.wait(board, stopped=lambda: runner._write_error is not None)
+            if board.done:
+                coordinator.linger(self.linger_s)
         finally:
             self.final_counts = coordinator.lease_metrics()
             self.final_workers = coordinator.workers.stats()

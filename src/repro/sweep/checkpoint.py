@@ -6,11 +6,11 @@ evaluation-cache shards inside its ``--cache-dir``:
 ``_checkpoint.jsonl``
     One JSON line per *settled* grid cell, appended by the parent the
     moment the cell's :class:`~repro.sweep.runner.SweepOutcome` or
-    :class:`~repro.sweep.runner.SweepFailure` is final.  Each append is a
-    single flushed+fsynced ``write`` of one full line, so a sweep killed
-    at any point (OOM, preemption, ^C) leaves a checkpoint containing
-    every cell that finished before the kill, possibly followed by one
-    torn line, which the loader skips.  ``SweepRunner(resume_from=...)``
+    :class:`~repro.sweep.runner.SweepFailure` is final, as one fsynced line
+    of a durable :class:`~repro.utils.jsonl.JsonlLog`: a sweep killed at any
+    point (OOM, preemption, ^C) leaves every cell that finished before the
+    kill, possibly followed by one torn line, which the loader skips, and a
+    failed append (a full disk) raises.  ``SweepRunner(resume_from=...)``
     replays the recorded outcomes verbatim and re-runs only the failed
     and missing cells.
 
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from repro.sweep.runner import SweepFailure, SweepOutcome
-from repro.utils.jsonl import JsonlTail
+from repro.utils.jsonl import JsonlLog, JsonlTail, parse_lines
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
@@ -79,16 +79,8 @@ def _parse_checkpoint_lines(lines):
     ``("corrupt", None, None)`` for anything malformed and
     ``("header", None, record)`` for header lines.
     """
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:  # torn write at the kill point
-            yield "corrupt", None, None
-            continue
-        if not isinstance(record, dict):
+    for record in parse_lines(lines):
+        if record is None:
             yield "corrupt", None, None
             continue
         kind = record.get("kind")
@@ -306,10 +298,10 @@ class CheckpointWriter:
     a further resume would run), and then appends records — a resumed
     sweep that dies can itself be resumed.
 
-    Every record is written as one ``write()`` of a full line on an
-    append-mode handle, flushed and fsynced before the handle closes:
-    a parent killed mid-sweep loses at most the line being written, which
-    the loader skips as corrupt.
+    Every record is one fsynced line appended through a durable
+    :class:`~repro.utils.jsonl.JsonlLog`: a parent killed mid-sweep loses at
+    most the line being written, which the loader skips as corrupt, and a
+    failed append raises ``OSError`` to the caller.
 
     The writer is **thread-safe**: a lock serialises appends and the
     recorded-uid bookkeeping, because the shard coordinator settles cells
@@ -332,6 +324,7 @@ class CheckpointWriter:
     ) -> None:
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._log = JsonlLog(self.path, best_effort=False)
         self._lock = threading.Lock()
         self._recorded: set[str] = set()
         self._clock = clock
@@ -382,14 +375,7 @@ class CheckpointWriter:
             self._recorded.discard(failure.task.uid)
 
     def _append(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
-        try:
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(line)
-                handle.flush()
-                os.fsync(handle.fileno())
-        except OSError:  # pragma: no cover - best-effort persistence
-            logger.warning("could not append to checkpoint %s", self.path)
+        self._log.write([json.dumps(record, sort_keys=True) + "\n"])
 
 
 def compact_checkpoint(

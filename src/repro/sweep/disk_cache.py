@@ -31,7 +31,8 @@ The shard protocol exchanges whole records between machines.
 A :class:`CacheDirTail` hands a worker only the records its cells appended
 since its previous push, and a coordinator's :class:`CacheHub` appends
 pushed records whose key it has not seen, checked against an in-memory key
-index that is refreshed from appended bytes only.
+index that is refreshed from appended bytes only.  All of these appends
+are best-effort :class:`~repro.utils.jsonl.JsonlLog` writes.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import repro.telemetry as telemetry
 from repro.hw.analytical import PerformanceEstimate
 from repro.hw.resource import ResourceVector
 from repro.search.cache import CacheStats, config_cache_key, resolve_batch_estimator
-from repro.utils.jsonl import JsonlTail
+from repro.utils.jsonl import JsonlLog, JsonlTail, parse_lines
 from repro.utils.logging import get_logger
 from repro.utils.serialization import to_jsonable
 
@@ -165,7 +166,7 @@ class DiskEvaluationCache:
         self._misses = 0
         self._lock = threading.Lock()
         self._clock = clock
-        self._append_failed = False
+        self._log = JsonlLog(self.shard_path, best_effort=True)
         self._store = _namespace_records(self.directory, self.namespace)
         if self._store:
             logger.debug("disk cache loaded %d entries for %s", len(self._store), self.namespace)
@@ -175,16 +176,15 @@ class DiskEvaluationCache:
         self._append_many([(key, estimate)])
 
     def _append_many(self, entries: Sequence[tuple[str, PerformanceEstimate]]) -> None:
-        """Append records with one shard-file open (and one ``ts``).
+        """Append records with one shard-file write (and one ``ts``).
 
-        Best-effort, because the cache is only an optimisation: the first
-        failure (a full disk) warns and stops this instance's appends; the
-        estimates stay in memory.
+        Best-effort, because the cache is only an optimisation: after the
+        first failure (a full disk) this instance's estimates stay in memory.
         """
-        if not entries or self._append_failed:
+        if not entries:
             return
         ts = round(self._clock(), 3)
-        lines = [
+        self._log.write([
             json.dumps(
                 {
                     "namespace": self.namespace,
@@ -195,14 +195,7 @@ class DiskEvaluationCache:
                 sort_keys=True,
             ) + "\n"
             for key, estimate in entries
-        ]
-        try:
-            with self.shard_path.open("a", encoding="utf-8") as handle:
-                handle.write("".join(lines))
-        except OSError as exc:
-            self._append_failed = True
-            logger.warning("disk cache shard %s: append failed (%s); "
-                           "new estimates stay in memory only", self.shard_path.name, exc)
+        ])
 
     # ------------------------------------------------------------- evaluation
     def __call__(self, config: "DNNConfig") -> PerformanceEstimate:
@@ -440,13 +433,10 @@ def _record_estimate(record) -> Optional[PerformanceEstimate]:
     return _estimate_from_payload(record.get("estimate", {}))
 
 
-def _parse_record(line: str) -> Optional[dict]:
-    """One shard line as its record dict; ``None`` when torn or malformed."""
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    return record if _record_estimate(record) is not None else None
+def _parse_records(lines) -> list[Optional[dict]]:
+    """Each shard line as its record dict; ``None`` when torn or malformed."""
+    return [record if _record_estimate(record) is not None else None
+            for record in parse_lines(lines)]
 
 
 def _scan_cache_dir(directory: pathlib.Path):
@@ -468,11 +458,7 @@ def _scan_cache_dir(directory: pathlib.Path):
         except OSError:  # pragma: no cover - unreadable shard
             continue
         total_bytes += len(text.encode("utf-8"))
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            record = _parse_record(line)
+        for record in _parse_records(text.splitlines()):
             if record is None:
                 corrupt += 1
                 continue
@@ -715,7 +701,7 @@ class CacheDirTail:
                 tail = self._tails[path.name] = JsonlTail(path)
             shard_restarted, lines = tail.read()
             restarted = restarted or shard_restarted
-            parsed = [_parse_record(line) for line in map(str.strip, lines) if line]
+            parsed = _parse_records(lines)
             records.extend(record for record in parsed if record is not None)
             if None in parsed:
                 logger.warning("disk cache shard %s: skipped %d corrupt line(s); run "
@@ -819,7 +805,9 @@ class CacheHub:
         fresh records are appended to per-namespace ``<ns>--<shard>.jsonl``
         files in the exact on-disk format, so a
         :class:`DiskEvaluationCache` opened on the directory picks them up as
-        ordinary shards.
+        ordinary shards.  Appends are best-effort: a file that cannot take
+        its records (a full disk) logs a WARNING, and they are neither
+        indexed nor counted.
         """
         candidates: list[tuple[tuple[str, str], str]] = []
         for record in records:
@@ -845,12 +833,13 @@ class CacheHub:
             if fresh:
                 self.directory.mkdir(parents=True, exist_ok=True)
             for prefix, lines in fresh.items():
-                path = self.directory / f"{prefix}--{_sanitize(shard)}.jsonl"
-                with path.open("a", encoding="utf-8") as handle:
-                    handle.write("".join(line + "\n" for line in lines.values()))
-                # Indexed only once written: a failed append stays retryable.
-                self._keys.update(lines)
-                accepted += len(lines)
+                # A log per merge: the next merge retries a disk that was full.
+                log = JsonlLog(self.directory / f"{prefix}--{_sanitize(shard)}.jsonl",
+                               best_effort=True)
+                log.write([line + "\n" for line in lines.values()])
+                if not log.failed:
+                    self._keys.update(lines)
+                    accepted += len(lines)
         return accepted
 
 

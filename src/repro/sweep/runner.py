@@ -857,6 +857,9 @@ class SweepRunner:
     default) runs the cells locally;
     :class:`repro.shard.CoordinatorTransport` serves the same cells to
     remote workers over HTTP instead.
+
+    :meth:`run` raises the ``OSError`` of the first checkpoint append that
+    failed (a full disk) instead of returning a result the checkpoint lost.
     """
 
     #: Upper bound on one exponential retry-backoff delay (seconds).
@@ -931,6 +934,7 @@ class SweepRunner:
         # incremental checkpoint writer and the parsed resume source.
         self._timeouts: dict[int, Optional[float]] = {}
         self._writer = None
+        self._write_error: Optional[OSError] = None
         self._resume_checkpoint: Optional[tuple[pathlib.Path, set[str]]] = None
 
     # ------------------------------------------------------------ cost hints
@@ -1086,10 +1090,18 @@ class SweepRunner:
                 writer.record_outcome(outcome)
         return writer
 
+    def _checkpoint(self, record: Callable, settled) -> None:
+        """Append one settled cell, keeping the first failed append for :meth:`run`."""
+        try:
+            record(settled)
+        except OSError as exc:
+            self._write_error = self._write_error or exc
+            raise
+
     def settle_outcome(self, outcome: SweepOutcome) -> None:
         """Checkpoint one settled outcome (transports call this as cells land)."""
         if self._writer is not None:
-            self._writer.record_outcome(outcome)
+            self._checkpoint(self._writer.record_outcome, outcome)
         reg = telemetry.registry()
         if reg is not None:
             reg.histogram("sweep.cell.duration_s").observe(outcome.duration_s)
@@ -1101,7 +1113,7 @@ class SweepRunner:
     def settle_failure(self, failure: SweepFailure) -> None:
         """Checkpoint one settled failure (transports call this as cells land)."""
         if self._writer is not None:
-            self._writer.record_failure(failure)
+            self._checkpoint(self._writer.record_failure, failure)
         telemetry.event(
             "sweep.cell.failed", uid=failure.task.uid,
             kind=failure.kind, attempts=failure.attempts,
@@ -1209,6 +1221,7 @@ class SweepRunner:
             key=lambda index: (-expected_cost(self.tasks[index], hints), index),
         )
 
+        self._write_error = None
         self._writer = self._open_checkpoint(reused)
         try:
             if not to_run:
@@ -1221,6 +1234,8 @@ class SweepRunner:
                 outcomes_by_index, failures_by_index = self._run_cells(order, preparations)
         finally:
             self._writer = None
+        if self._write_error is not None:  # raised on a transport's thread
+            raise self._write_error
 
         executed = [outcomes_by_index[i] for i in sorted(outcomes_by_index)]
         failures = [failures_by_index[i] for i in sorted(failures_by_index)]

@@ -1,9 +1,9 @@
-"""Telemetry sidecar file: fsynced ``_telemetry.jsonl`` next to the checkpoint.
+"""Telemetry sidecar file: ``_telemetry.jsonl`` next to the checkpoint.
 
-The sidecar follows the same durability contract as ``_checkpoint.jsonl``:
-each record is one JSON object on one line, appended with a single
-``write()`` call and fsynced, so a crash can at worst leave a torn final
-line which the reader tolerates.  The leading underscore keeps the file
+Each record is one fsynced JSON line of a best-effort
+:class:`~repro.utils.jsonl.JsonlLog`: a crash leaves at worst a torn final
+line, which the reader skips, and a full disk disables the sink with one
+WARNING instead of failing the run.  The leading underscore keeps the file
 invisible to the disk-cache shard scanner and its garbage collector.
 
 Record kinds:
@@ -19,15 +19,12 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from repro.telemetry.metrics import MetricsSnapshot
-from repro.utils.logging import get_logger
-
-logger = get_logger(__name__)
+from repro.utils.jsonl import JsonlLog, parse_lines
 
 __all__ = ["TELEMETRY_FILENAME", "TELEMETRY_VERSION", "TelemetrySink", "TelemetryLog", "read_telemetry"]
 
@@ -37,7 +34,7 @@ TELEMETRY_VERSION = 1
 
 
 class TelemetrySink:
-    """Append-only, fsynced JSONL writer for telemetry records."""
+    """Append-only JSONL writer for telemetry records (best-effort)."""
 
     def __init__(
         self,
@@ -45,40 +42,22 @@ class TelemetrySink:
         *,
         fresh: bool = True,
         clock: Callable[[], float] = time.time,
-        fsync: bool = True,
     ) -> None:
         self.path = path
         self._clock = clock
-        self._fsync = fsync
-        self._lock = threading.Lock()
-        self._failed = False
-        mode = "w" if fresh else "a"
         directory = os.path.dirname(path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        with open(path, mode, encoding="utf-8"):
-            pass
+        if fresh:
+            with open(path, "w", encoding="utf-8"):
+                pass
+        self.log = JsonlLog(path, best_effort=True)
         self._append({"kind": "header", "version": TELEMETRY_VERSION})
 
     def _append(self, record: dict) -> None:
         record = dict(record)
         record["ts"] = round(self._clock(), 3)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        with self._lock:
-            if self._failed:
-                return
-            try:
-                # repro: disable=lock-discipline -- this lock exists to order appends; it is leaf-level (never taken while any other lock is held) and nothing re-enters under it
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(line)
-                    handle.flush()
-                    if self._fsync:
-                        # repro: disable=lock-discipline -- per-record fsync IS the sidecar durability contract; callers (LeaseBoard, SweepRunner) already fire events outside their own locks
-                        os.fsync(handle.fileno())
-            except OSError as exc:
-                # Telemetry must never take the run down with it.
-                self._failed = True
-                logger.warning("telemetry sink disabled after write failure on %s: %s", self.path, exc)
+        self.log.write([json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"])
 
     def write_span(self, name: str, duration_s: float, attrs: Optional[Mapping] = None) -> None:
         record = {"kind": "span", "name": name, "duration_s": round(float(duration_s), 6)}
@@ -125,16 +104,8 @@ def read_telemetry(path: str) -> TelemetryLog:
     if not os.path.exists(path):
         return log
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                log.corrupt_lines += 1
-                continue
-            if not isinstance(record, dict):
+        for record in parse_lines(handle):
+            if record is None:
                 log.corrupt_lines += 1
                 continue
             log.records += 1

@@ -1,18 +1,83 @@
-"""Incremental reading of append-only JSON-lines files.
+"""Append-only JSON-lines files: the one appender, line parser and tail reader.
 
-Status surfaces poll files that only ever grow — cache shards, sweep
-checkpoints — so re-reading them whole on every request costs O(file)
-each time.  :class:`JsonlTail` remembers how far it has read and returns
-only the complete lines appended since.
+Checkpoints, the service journal, telemetry and the cache shards share the
+rules kept here.  :class:`JsonlLog` is the only code that appends to a file,
+:func:`parse_lines` the only line decoder (a torn line decodes as ``None``),
+and :class:`JsonlTail` returns only the complete lines appended since its
+previous read, so status surfaces polling a growing file never re-read it.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
-from typing import Optional
+import threading
+from typing import Iterable, Iterator, Optional, Sequence
 
-__all__ = ["JsonlTail"]
+from repro.utils.logging import get_logger
+
+logger = get_logger(__name__)
+
+__all__ = ["JsonlLog", "JsonlTail", "parse_lines"]
+
+
+class JsonlLog:
+    """Append complete lines to one JSON-lines file under one failure policy.
+
+    Each :meth:`write` opens the file (a held handle would keep appending to
+    a shard ``cache gc`` replaced), appends in one ``write`` and flushes,
+    under the instance's lock; the underscore sidecars are also fsynced.  A
+    torn tail (a writer killed mid-append) gets a newline first, so readers
+    skip the fragment, not the new record.  A durable log raises a failed
+    write's ``OSError``; a ``best_effort`` one logs one WARNING, sets
+    :attr:`failed` and drops every later write.
+    """
+
+    def __init__(self, path, *, best_effort: bool) -> None:
+        self.path = pathlib.Path(path)
+        self.best_effort = best_effort
+        #: Set by a best-effort log's first failed write; later writes are dropped.
+        self.failed = False
+        self._fsync = self.path.name.startswith("_")
+        self._lock = threading.Lock()
+
+    def write(self, lines: Sequence[str]) -> None:
+        """Append ``lines``, each ending in a newline, as one write."""
+        data = "".join(lines).encode("utf-8")
+        with self._lock:
+            if self.failed:
+                return
+            try:
+                # repro: disable=lock-discipline -- this leaf lock exists to order appends to one file, so the open, write and fsync are what it serialises
+                with open(self.path, "a+b") as handle:
+                    end = handle.tell()
+                    if end:
+                        handle.seek(end - 1)
+                        if handle.read(1) != b"\n":
+                            data = b"\n" + data
+                    handle.write(data)
+                    handle.flush()
+                    if self._fsync:
+                        # repro: disable=lock-discipline -- a sidecar line is durable only once fsynced, and the next append to the file must wait for it
+                        os.fsync(handle.fileno())
+            except OSError as exc:
+                if not self.best_effort:
+                    raise
+                self.failed = True
+                logger.warning("%s: append failed (%s); later writes to it are dropped",
+                               self.path, exc)
+
+
+def parse_lines(lines: Iterable[str]) -> Iterator[Optional[dict]]:
+    """Yield each non-blank line's JSON object, or ``None`` for a torn or non-object line."""
+    for line in lines:
+        if line.strip():
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:  # a write torn at a kill point
+                record = None
+            yield record if isinstance(record, dict) else None
 
 
 class JsonlTail:

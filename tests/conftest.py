@@ -12,6 +12,8 @@ import logging
 import numpy as np
 import pytest
 
+import repro.utils.jsonl as jsonl
+from fault_cli import full_disk
 from repro.core.bundle_generation import default_bundle_catalog, get_bundle
 from repro.core.dnn_config import DNNConfig
 from repro.detection.task import DAC_SDC_TASK, DetectionTask, TINY_DETECTION_TASK
@@ -20,6 +22,17 @@ from repro.hw.tile_arch import TileArchAccelerator
 
 # Keep the logs quiet during tests.
 logging.getLogger("repro").setLevel(logging.ERROR)
+
+
+@pytest.fixture
+def disk_full(monkeypatch):
+    """``disk_full(glob)``: appends to files named like ``glob`` fail with ENOSPC.
+
+    Patches the ``open`` of :mod:`repro.utils.jsonl`, the one module that
+    appends to files; ``monkeypatch.undo()`` clears the fault.
+    """
+    return lambda pattern: monkeypatch.setattr(jsonl, "open", full_disk(pattern),
+                                               raising=False)
 
 
 @pytest.fixture(scope="session")

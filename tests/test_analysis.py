@@ -358,11 +358,12 @@ class TestJsonlContract:
                             corrupt += 1
                 return records, corrupt
         """)
-        assert findings == []
+        # Only the one appender may open a file for appending, fsynced or not.
+        assert [(f.rule, f.line) for f in findings] == [("jsonl-contract", 7)]
 
     def test_modules_without_sidecar_constant_are_not_linted(self, tmp_path):
         # Same careless code, but no module-level "_*.jsonl" declaration:
-        # this is not a sidecar module (e.g. the best-effort disk cache).
+        # the reader is not linted, the append still is.
         findings = lint_source(tmp_path / "mod.py", """\
             import json
 
@@ -374,7 +375,17 @@ class TestJsonlContract:
                 with open(path) as handle:
                     return [json.loads(line) for line in handle]
         """)
-        assert findings == []
+        assert [(f.rule, f.line) for f in findings] == [("jsonl-contract", 4)]
+
+    def test_the_appender_module_may_open_for_append(self, tmp_path):
+        source = """\
+            def append(path, data):
+                with open(path, "a+b") as handle:
+                    handle.write(data)
+        """
+        assert lint_source(tmp_path / "repro" / "utils" / "jsonl.py", source) == []
+        assert rules_of(lint_source(tmp_path / "repro" / "sweep" / "mod.py", source)) \
+            == {"jsonl-contract"}
 
 
 # --------------------------------------------------------------- suppressions

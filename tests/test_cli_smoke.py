@@ -160,6 +160,27 @@ class TestCommandRuns:
         assert "PYNQ-Z1-random-40fps: FAILED (error) after 1 attempt" in out
         assert "injected failure" in out
 
+    def test_fault_cli_full_disk_fails_the_sweep_with_one_error_line(self, tmp_path,
+                                                                    capsys, monkeypatch):
+        """``--full-disk GLOB``: a sweep that cannot append to its checkpoint exits 1."""
+        import fault_cli
+        import repro.sweep.runner as runner
+        import repro.utils.jsonl as jsonl
+
+        # Registered so monkeypatch restores what the wrapper replaces.
+        monkeypatch.setattr(runner, "_run_sweep_task", runner._run_sweep_task)
+        monkeypatch.setattr(jsonl, "open", open, raising=False)
+        code = fault_cli.main(["--full-disk", "_checkpoint.jsonl", "--", "sweep",
+                               "--devices", "pynq-z1", "--strategies", "scd,random",
+                               "--cache-dir", str(tmp_path)] + BUDGET)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "Sweep:" not in captured.out
+        (line,) = [line for line in captured.err.splitlines()
+                   if line.startswith("repro-codesign")]
+        assert line.startswith("repro-codesign sweep: error: ")
+        assert "No space left on device" in line and "_checkpoint.jsonl" in line
+
     def test_sweep_resume_from_report_json(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         argv = ["sweep", "--devices", "pynq-z1", "--strategies", "scd"] + BUDGET

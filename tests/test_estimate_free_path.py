@@ -16,12 +16,10 @@ savings on that path to the results they must not change:
 from __future__ import annotations
 
 import dataclasses
-import errno
 import json
 import logging
 import multiprocessing
 import os
-import pathlib
 import pickle
 import sys
 import threading
@@ -30,6 +28,7 @@ import time
 import pytest
 
 import repro.sweep.disk_cache as disk_cache
+import repro.utils.jsonl as jsonl
 from repro.core.auto_hls import AutoHLS
 from repro.core.bundle_generation import default_bundle_catalog, get_bundle
 from repro.core.dnn_config import DNNConfig
@@ -72,7 +71,7 @@ def _fresh_key(config: DNNConfig) -> str:
 
 
 class CountingJson:
-    """Stands in for the ``json`` module of :mod:`repro.sweep.disk_cache`."""
+    """Stands in for the ``json`` module of :mod:`repro.utils.jsonl`."""
 
     def __init__(self) -> None:
         self.decoded = 0
@@ -160,7 +159,7 @@ class TestProcessStore:
         configs = _seed_records(tmp_path, engine, 3)
         _seed_records(tmp_path, engine, 4, device="Ultra96")
         counting = CountingJson()
-        monkeypatch.setattr(disk_cache, "json", counting)
+        monkeypatch.setattr(jsonl, "json", counting)
         first = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")
         assert counting.decoded == 3, "the three lines of its own namespace, no other"
         second = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")
@@ -201,7 +200,7 @@ class TestProcessStore:
         _seed_records(first, engine, 2)
         _seed_records(second, engine, 3)
         counting = CountingJson()
-        monkeypatch.setattr(disk_cache, "json", counting)
+        monkeypatch.setattr(jsonl, "json", counting)
         for directory, decoded in ((first, 2), (first, 2), (second, 5), (first, 7)):
             DiskEvaluationCache(engine.estimate, directory, device="PYNQ-Z1")
             assert counting.decoded == decoded, f"after opening {directory.name}"
@@ -304,18 +303,11 @@ class TestOneJournalWalk:
 
 # ------------------------------------------------------------------ full disk
 class TestFullDiskUnderShards:
-    def test_failed_shard_appends_never_fail_a_cell(self, tmp_path, monkeypatch, caplog):
+    def test_failed_shard_appends_never_fail_a_cell(self, tmp_path, disk_full, caplog):
         tasks = build_grid("pynq-z1", "scd,random", [40.0], **SMALL)
         clean = SweepRunner(tasks, workers=1, cache_dir=str(tmp_path / "clean")).run()
-        real_open = pathlib.Path.open
-
-        def full_disk(self, mode="r", *args, **kwargs):
-            if "a" in mode and self.suffix == ".jsonl" and not self.name.startswith("_"):
-                raise OSError(errno.ENOSPC, "No space left on device", str(self))
-            return real_open(self, mode, *args, **kwargs)
-
-        monkeypatch.setattr(pathlib.Path, "open", full_disk)
-        with caplog.at_level(logging.WARNING, logger="repro.sweep.disk_cache"):
+        disk_full("*--*.jsonl")
+        with caplog.at_level(logging.WARNING, logger="repro.utils.jsonl"):
             full = SweepRunner(tasks, workers=1, cache_dir=str(tmp_path / "full")).run()
         assert full.ok and len(full.outcomes) == len(tasks)
         assert [o.journal for o in full.outcomes] == [o.journal for o in clean.outcomes]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import sys
 import threading
 import time
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.sweep.checkpoint as checkpoint_module
+import repro.utils.jsonl as jsonl_module
 from repro.service import (
     SERVICE_LOG_FILENAME,
     JobQueue,
@@ -181,6 +182,16 @@ class TestJobQueue:
         job = queue.submit(tiny_spec())
         queue.set_state(job, "cancelled")
         assert JobQueue(tmp_path).get(job.uid).state == "cancelled"
+
+    def test_a_torn_tail_does_not_swallow_the_next_submit(self, tmp_path):
+        alpha = JobQueue(tmp_path).submit(tiny_spec(), name="alpha")
+        with open(tmp_path / SERVICE_LOG_FILENAME, "a", encoding="utf-8") as handle:
+            handle.write('{"kind": "state", "job": "' + alpha.uid)  # SIGKILL mid-append
+        beta = JobQueue(tmp_path).submit(tiny_spec(seed=2), name="beta")
+        assert beta.uid == "j0002-beta"
+        revived = JobQueue(tmp_path)
+        assert revived.corrupt_lines == 1
+        assert [job.uid for job in revived.jobs()] == [alpha.uid, beta.uid]
 
 
 # ----------------------------------------------------------- service lifecycle
@@ -400,6 +411,101 @@ class TestCrashRecovery:
         assert revived.get(queued).state == "queued"
 
 
+# ------------------------------------------------------------------ full disk
+class TestFullDisk:
+    def test_journal_failures_refuse_work_and_resume_after_restart(self, tmp_path, monkeypatch,
+                                                                  disk_full, caplog):
+        root = tmp_path / "root"
+        service = ServiceCoordinator(root)
+        service.start()
+        try:
+            client = ServiceClient(service.url)
+            uid = client.submit(tiny_spec(), name="alpha")["job"]
+            assert wait_for(lambda: client.status(uid)["state"] == "running")
+            disk_full(SERVICE_LOG_FILENAME)
+            with pytest.raises(ShardProtocolError, match="HTTP 503"):
+                client.submit(tiny_spec(seed=2), name="beta")
+            assert [job["job"] for job in client.jobs()] == [uid]
+            with caplog.at_level(logging.ERROR, logger="repro.service.coordinator"):
+                assert run_worker(service.url, tmp_path / "wcache") == 0
+                job_thread = service._threads[0]
+                job_thread.join(timeout=30.0)
+                assert not job_thread.is_alive()
+            # The cells settled, but "done" never reached the journal, so
+            # memory keeps the state the journal holds.
+            assert client.status(uid)["state"] == "running"
+            records, _corrupt = load_service_log(root / SERVICE_LOG_FILENAME)
+            assert [r["state"] for r in records if r["kind"] == "state"] == [
+                "preparing", "running"]
+            assert len([r for r in caplog.records if r.levelno == logging.ERROR
+                        and r.name == "repro.service.coordinator"]) == 1
+        finally:
+            service.stop()
+        monkeypatch.undo()  # the disk has room again
+        revived = ServiceCoordinator(root)
+        revived.start()
+        try:
+            client = ServiceClient(revived.url)
+            assert client.wait(uid, timeout_s=60, poll_s=0.05)["state"] == "done"
+            assert [job["job"] for job in client.jobs()] == [uid]
+        finally:
+            revived.stop()
+
+    def test_job_whose_checkpoint_cannot_be_written_fails(self, tmp_path, disk_full):
+        disk_full(CHECKPOINT_FILENAME)
+        service = ServiceCoordinator(tmp_path / "root")
+        service.start()
+        try:
+            client = ServiceClient(service.url)
+            uid = client.submit(tiny_spec(strategies="scd,random,annealing"))["job"]
+            assert run_worker(service.url, tmp_path / "wcache") == 0
+            final = client.wait(uid, timeout_s=60, poll_s=0.05)
+            assert final["state"] == "failed"
+            assert "No space left on device" in final["error"]
+            # The first failed append stopped the job: no second cell was leased.
+            assert service.lease_metrics()["granted"] == 1
+        finally:
+            service.stop()
+
+    def test_full_hub_refuses_pushes_until_the_disk_has_room(self, tmp_path, monkeypatch,
+                                                            disk_full, caplog):
+        coordinator = LeaseCoordinator(cache_dir=tmp_path / "hub")
+        coordinator.start()
+
+        def push(*keys):
+            return post_json(coordinator.url, "/v1/cache/push",
+                             {"worker_id": "w1", "records": [cache_record(k) for k in keys]})
+
+        try:
+            disk_full("*--pushed.jsonl")
+            with caplog.at_level(logging.WARNING, logger="repro.utils.jsonl"):
+                assert [push("a"), push("b")] == [{"accepted": 0, "enabled": True}] * 2
+            # One WARNING per refused push, never a 500.
+            assert len([r for r in caplog.records if r.name == "repro.utils.jsonl"]) == 2
+            assert read_cache_records(tmp_path / "hub") == []
+            monkeypatch.undo()  # the disk has room again
+            assert push("a", "c") == {"accepted": 2, "enabled": True}
+            assert sorted(r["key"] for r in read_cache_records(tmp_path / "hub")) == ["a", "c"]
+        finally:
+            coordinator.close()
+
+    def test_worker_on_a_full_disk_warns_and_runs_its_cells(self, tmp_path, disk_full,
+                                                           caplog):
+        service = ServiceCoordinator(tmp_path / "root")
+        append_shard(service.cache_dir, "seed", ["k1", "k2"])  # something to pull
+        service.start()
+        try:
+            client = ServiceClient(service.url)
+            uid = client.submit(tiny_spec())["job"]
+            disk_full("*--pulled-*.jsonl")
+            with caplog.at_level(logging.WARNING, logger="repro.utils.jsonl"):
+                assert run_worker(service.url, tmp_path / "wcache") == 0
+            assert client.wait(uid, timeout_s=60, poll_s=0.05)["state"] == "done"
+            assert len([r for r in caplog.records if r.name == "repro.utils.jsonl"]) == 1
+        finally:
+            service.stop()
+
+
 # ------------------------------------------------------------- cache exchange
 class TestCacheExchange:
     def test_worker_push_then_fresh_worker_pull(self, tmp_path):
@@ -544,7 +650,7 @@ class TestCacheExchange:
 
 # --------------------------------------------------------- status polling
 class _CountingJson:
-    """``json`` stand-in for the checkpoint module that counts decodes."""
+    """``json`` stand-in for :mod:`repro.utils.jsonl` that counts decodes."""
 
     def __init__(self) -> None:
         self.decoded = 0
@@ -586,7 +692,7 @@ class TestStatusPolling:
 
     def test_settled_checkpoints_are_decoded_once(self, tmp_path, monkeypatch):
         counter = _CountingJson()
-        monkeypatch.setattr(checkpoint_module, "json", counter)
+        monkeypatch.setattr(jsonl_module, "json", counter)
         root = tmp_path / "root"
         spec = tiny_spec(strategies="scd,random", retries=0, retry_backoff_s=0.0)
         service = ServiceCoordinator(root)

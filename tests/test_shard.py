@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import threading
 import time
@@ -721,6 +722,42 @@ class TestDistributedSweep:
             assert paths.count("/v1/report") == len(tasks)
             if worker_workers == 1:
                 assert paths.count("/v1/lease") == len(tasks)
+
+    def test_a_failed_checkpoint_append_stops_the_grid(self, tmp_path, disk_full):
+        """The first report the checkpoint cannot take answers 500 and ends the
+        run at once: no further cell is leased, and run() raises the error."""
+        tasks = build_grid("pynq-z1", "scd,random,annealing", [40.0], **TINY)
+        disk_full(CHECKPOINT_FILENAME)
+        bound = threading.Event()
+        # A linger longer than the join below: a stopped grid must not wait
+        # for workers to hear a "done" that never comes.
+        transport = CoordinatorTransport(poll_s=0.05, linger_s=60.0,
+                                         on_bound=lambda coordinator: bound.set())
+        runner = SweepRunner(tasks, workers=1, retries=0, cache_dir=str(tmp_path),
+                             transport=transport)
+        raised = []
+
+        def coordinate():
+            try:
+                runner.run()
+            except OSError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=coordinate, daemon=True)
+        thread.start()
+        assert bound.wait(timeout=60.0), "coordinator never bound its socket"
+        url = transport.coordinator.url
+        worker = post_json(url, "/v1/register", {"name": "w"})["worker_id"]
+        cell = post_json(url, "/v1/lease", {"worker_id": worker})["cells"][0]
+        with pytest.raises(ShardProtocolError, match="HTTP 500"):
+            post_json(url, "/v1/report", {
+                "worker_id": worker, "lease_id": cell["lease_id"],
+                "uid": cell["uid"], "status": "error", "error": "flaky",
+            })
+        thread.join(timeout=10.0)
+        assert not thread.is_alive(), "the run kept serving after a failed append"
+        assert [exc.errno for exc in raised] == [errno.ENOSPC]
+        assert transport.final_counts["granted"] == 1
 
 
 # ----------------------------------------------------------- transport wiring

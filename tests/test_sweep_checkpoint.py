@@ -13,6 +13,7 @@ model, unbounded sidecar growth).
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import time
 
@@ -340,6 +341,17 @@ class TestCheckpointRobustness:
         resumed = SweepRunner(tasks, workers=1, cache_dir=tmp_path,
                               resume_from=path, task_fn=fn).run()
         assert fn.executed == [] and resumed.reused == len(tasks)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_full_disk_fails_the_sweep_instead_of_losing_cells(self, tmp_path, disk_full,
+                                                               workers):
+        tasks = build_grid("pynq-z1", "scd,random", [40.0], **TINY)
+        disk_full(CHECKPOINT_FILENAME)
+        with pytest.raises(OSError) as excinfo:
+            SweepRunner(tasks, workers=workers, cache_dir=tmp_path).run()
+        assert excinfo.value.errno == errno.ENOSPC
+        assert CHECKPOINT_FILENAME in str(excinfo.value)
+        assert load_checkpoint(tmp_path / CHECKPOINT_FILENAME).settled == 0
 
     def test_truncated_mid_record_drops_only_that_cell(self, tmp_path):
         tasks, path = self._checkpointed(tmp_path)

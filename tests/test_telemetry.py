@@ -214,7 +214,7 @@ class TestEnableDisable:
 class TestTelemetrySidecar:
     def test_write_read_round_trip_with_injected_clock(self, tmp_path):
         path = str(tmp_path / TELEMETRY_FILENAME)
-        sink = TelemetrySink(path, clock=lambda: 42.0, fsync=False)
+        sink = TelemetrySink(path, clock=lambda: 42.0)
         sink.write_span("op", 0.5, {"uid": "u"})
         sink.write_event("evt", {"k": 1})
         reg = MetricsRegistry()
@@ -233,7 +233,7 @@ class TestTelemetrySidecar:
     def test_trace_with_attached_sink_writes_annotated_span(self, tmp_path):
         path = str(tmp_path / TELEMETRY_FILENAME)
         telemetry.enable(fresh=True)
-        telemetry.set_sink(TelemetrySink(path, clock=lambda: 1.0, fsync=False))
+        telemetry.set_sink(TelemetrySink(path, clock=lambda: 1.0))
         with telemetry.trace("op", uid="u9") as span:
             span.annotate(outcome="ok")
         telemetry.set_sink(None)
@@ -242,7 +242,7 @@ class TestTelemetrySidecar:
 
     def test_torn_tail_and_garbage_lines_are_skipped(self, tmp_path):
         path = str(tmp_path / TELEMETRY_FILENAME)
-        sink = TelemetrySink(path, fsync=False)
+        sink = TelemetrySink(path)
         sink.write_event("before")
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("[1, 2]\n")                      # wrong shape
@@ -259,12 +259,12 @@ class TestTelemetrySidecar:
 
     def test_sink_disables_itself_after_write_failure(self, tmp_path):
         path = str(tmp_path / TELEMETRY_FILENAME)
-        sink = TelemetrySink(path, fsync=False)
+        sink = TelemetrySink(path)
         os.remove(path)
         os.mkdir(path)  # every further append now fails with EISDIR
         sink.write_event("lost")
         sink.write_event("also-lost")  # must not raise
-        assert sink._failed
+        assert sink.log.failed
 
 
 # ------------------------------------------------------- sweep instrumentation
@@ -517,7 +517,7 @@ class TestTelemetryReport:
         assert "Spans (_telemetry.jsonl)" in text
 
     def test_report_aggregates_per_worker_throughput(self, tmp_path):
-        sink = TelemetrySink(str(tmp_path / TELEMETRY_FILENAME), fsync=False)
+        sink = TelemetrySink(str(tmp_path / TELEMETRY_FILENAME))
         for worker, duration in (("w1", 1.0), ("w1", 2.0), ("w2", 0.5)):
             sink.write_event("shard.cell.completed",
                              {"uid": "u", "worker": worker, "duration_s": duration})
