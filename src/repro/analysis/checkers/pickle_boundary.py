@@ -1,6 +1,6 @@
 """``pickle-boundary``: boundary-crossing classes stay picklable.
 
-Sweep cells run in spawned worker processes (PR 3), shard workers receive
+Sweep cells run in forked worker processes, shard workers receive
 ``PreparedTarget`` artifacts over HTTP (PR 5), and worker metrics travel
 back as ``MetricsSnapshot`` payloads (PR 6).  Every one of those objects
 crosses a process or wire boundary, so holding a ``threading.Lock``, an

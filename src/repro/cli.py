@@ -264,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_grid_args(sweep)
     sweep.add_argument("--workers", type=_positive_int, default=1,
-                       help="worker processes (1 = in-process serial)")
+                       help="long-lived worker processes (1 = in-process serial)")
     _add_resilience_args(sweep)
     _add_persistence_args(sweep)
     _add_budget_args(sweep)
@@ -301,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="coordinator address (http:// is implied)")
     worker.add_argument("--workers", type=_positive_int, default=1,
                         help="concurrent cells on this machine "
-                             "(1 = serial in-process, N = local process pool)")
+                             "(1 = serial in-process, N = long-lived worker processes)")
     worker.add_argument("--cache-dir", default=None,
                         help="this machine's persistent evaluation-cache directory")
     worker.add_argument("--name", default=None,

@@ -11,13 +11,15 @@ machine ran it.
 
 One lease loop serves every ``workers`` setting: it leases up to
 ``workers`` cells, launches each, and reports every cell as it settles.
-Only the launch differs.  ``workers=1`` runs the cell in-process and hands
-the loop an already-completed future, so a serial worker leases one cell,
-runs it and reports it before it leases again (easiest to debug and test;
-a custom ``task_fn`` need not be picklable).  ``workers > 1`` submits
-cells to a local :class:`~concurrent.futures.ProcessPoolExecutor` — one
-shard worker per machine, one OS process per concurrent cell, mirroring
-the local sweep's process model.
+Only the launch differs.  ``workers=1`` runs the cell in-process, so a
+serial worker leases one cell, runs it and reports it before it leases
+again (easiest to debug and test; a custom ``task_fn`` need not be
+picklable).  ``workers > 1`` runs cells on
+:class:`~repro.sweep.runner.WorkerProcesses`, the local sweep's process
+model: one shard worker per machine, up to ``workers`` long-lived
+processes, each running many cells.  A cell whose process dies is
+reported as an error and the process is replaced; the others keep
+running.
 
 Failure handling is deliberately asymmetric: the *coordinator* owns all
 retry/requeue policy.  A worker reports raw errors and keeps going; it
@@ -41,8 +43,7 @@ import os
 import socket
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from contextlib import nullcontext
+from functools import partial
 from typing import Callable, Optional
 
 from repro.shard.protocol import (
@@ -56,7 +57,12 @@ from repro.shard.protocol import (
 )
 import repro.telemetry as telemetry
 from repro.sweep.disk_cache import CacheDirTail, append_cache_records
-from repro.sweep.runner import PreparedTarget, SweepOutcome, run_sweep_task
+from repro.sweep.runner import (
+    PreparedTarget,
+    SweepOutcome,
+    WorkerProcesses,
+    run_sweep_task,
+)
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
@@ -66,8 +72,9 @@ def execute_cell(task_fn, task, cache_dir, prepared) -> tuple[str, object, float
     """Run one leased cell; report ``(status, value, duration_s)`` either way.
 
     Module-level (and defaulting to the picklable
-    :func:`~repro.sweep.runner.run_sweep_task`) so it ships into the
-    worker's local process pool under any start method.
+    :func:`~repro.sweep.runner.run_sweep_task`) so the worker's
+    :class:`~repro.sweep.runner.WorkerProcesses` can bind it under any
+    start method.
     """
     start = time.perf_counter()
     try:
@@ -81,19 +88,6 @@ def execute_cell(task_fn, task, cache_dir, prepared) -> tuple[str, object, float
             time.perf_counter() - start,
         )
     return ("ok", value, time.perf_counter() - start)
-
-
-def _execute_cell_pooled(task_fn, task, cache_dir, prepared):
-    """Pool-process variant of :func:`execute_cell`: ships metrics home.
-
-    Resets the (fork-inherited) telemetry state first so the returned
-    snapshot holds exactly this cell's measurements, then appends it to the
-    ``execute_cell`` triple.  An in-process cell needs none of this: it
-    already accumulates into the worker's own registry.
-    """
-    telemetry.reset()
-    status, value, duration = execute_cell(task_fn, task, cache_dir, prepared)
-    return status, value, duration, telemetry.snapshot()
 
 
 class ShardWorker:
@@ -306,11 +300,11 @@ class ShardWorker:
 
         heartbeat = threading.Thread(target=self._heartbeat_loop, daemon=True)
         heartbeat.start()
+        pool = WorkerProcesses(partial(execute_cell, self.task_fn))  # forks on demand
         try:
-            launcher = ProcessPoolExecutor(self.workers) if self.workers > 1 else nullcontext()
-            with launcher as pool:
-                return self._lease_loop(pool)
+            return self._lease_loop(pool)
         finally:
+            pool.close()
             self._stop.set()
             heartbeat.join(timeout=2.0)
 
@@ -358,32 +352,14 @@ class ShardWorker:
                     self.worker_id, idle_s)
         return True
 
-    def _note_work(self) -> None:
-        self._idle_since = None
-
-    def _launch(self, pool: Optional[ProcessPoolExecutor], cell: dict) -> Future:
-        """Start one leased cell: on the local pool, or in-process without one.
-
-        The in-process run finishes before this returns, so its future is
-        already completed and the lease loop reports it at once.
-        """
-        task = task_from_wire(cell["task"])
-        prepared = self._prepared.get(cell.get("prep") or "")
-        if pool is not None:
-            return pool.submit(_execute_cell_pooled, self.task_fn,
-                               task, self.cache_dir, prepared)
-        future: Future = Future()
-        future.set_result(
-            (*execute_cell(self.task_fn, task, self.cache_dir, prepared), None))
-        return future
-
-    def _lease_loop(self, pool: Optional[ProcessPoolExecutor]) -> int:
-        in_flight: dict = {}  # future -> (lease_id, uid, job)
+    def _lease_loop(self, pool: WorkerProcesses) -> int:
+        in_flight: dict[str, tuple] = {}  # lease_id -> (uid, job)
         try:
             # A worker that heard "done" leaves at once (once its cells
             # settle): the coordinator closes as soon as every live worker
             # heard it.
             while in_flight or not self._saw_done.is_set():
+                settled = []  # (lease_id, status, value, duration_s)
                 free = self.workers - len(in_flight)
                 if free > 0:
                     # Park only when idle: results of running cells
@@ -394,7 +370,7 @@ class ShardWorker:
                         return 0
                     cells = reply.get("cells") or []
                     if cells:
-                        self._note_work()
+                        self._idle_since = None
                     elif not in_flight:
                         if self._idle_expired():
                             return 0
@@ -403,27 +379,30 @@ class ShardWorker:
                         lease_id = str(cell["lease_id"])
                         with self._lease_lock:
                             self._active_leases.add(lease_id)
-                        future = self._launch(pool, cell)
-                        in_flight[future] = (lease_id, str(cell["uid"]), cell.get("job"))
-                if in_flight:
-                    # Bounded wait so freed slots keep leasing while slow
-                    # cells are still running.
-                    done, _ = wait(in_flight, timeout=0.5,
-                                   return_when=FIRST_COMPLETED)
-                    for future in done:
-                        lease_id, uid, job = in_flight.pop(future)
-                        try:
-                            status, value, duration, cell_metrics = future.result()
-                        except Exception as exc:  # noqa: BLE001 - pool-level crash
-                            status, value, duration, cell_metrics = (
-                                "error", f"{type(exc).__name__}: {exc}", 0.0, None)
-                        telemetry.merge(cell_metrics)
-                        self.executed += 1
-                        if self._checked(
-                            lambda lid=lease_id, u=uid, s=status, v=value,
-                            d=duration, j=job: self._report(lid, u, s, v, d, j) or {}
-                        ) is None:
-                            return 0
+                        in_flight[lease_id] = (str(cell["uid"]), cell.get("job"))
+                        task = task_from_wire(cell["task"])
+                        prepared = self._prepared.get(cell.get("prep") or "")
+                        if self.workers == 1:
+                            settled.append((lease_id, *execute_cell(
+                                self.task_fn, task, self.cache_dir, prepared)))
+                        else:
+                            pool.submit(lease_id, task, self.cache_dir, prepared)
+                if pool.busy:
+                    # Bounded wait so freed slots keep leasing while slow cells
+                    # run.  A crash reports as an error (the wire's only kind).
+                    settled.extend(
+                        (lease_id, *value) if status == "ok"
+                        else (lease_id, "error", value, seconds)
+                        for lease_id, status, value, seconds in pool.wait(timeout=0.5)
+                    )
+                for lease_id, status, value, duration in settled:
+                    uid, job = in_flight.pop(lease_id)
+                    self.executed += 1
+                    if self._checked(
+                        lambda lid=lease_id, u=uid, s=status, v=value,
+                        d=duration, j=job: self._report(lid, u, s, v, d, j) or {}
+                    ) is None:
+                        return 0
             return 0
         except ShardProtocolError:
             return 1

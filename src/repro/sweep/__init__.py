@@ -9,10 +9,10 @@ limits at once:
   fan a (target x clock x utilization x strategy x latency-target) grid
   out across worker processes under a two-phase schedule: per-target
   preparation (model fit + bundle selection on the FPGA backend, fit-free
-  prep on the GPU one; once per target, shipped as a
+  prep on the GPU one; once per target, in the parent, shipped as a
   :class:`PreparedTarget`) followed by one attempt loop — in-process and
-  in grid order at ``workers=1``, otherwise forked per attempt in cost
-  order — with per-task timeout, bounded retry and structured
+  in grid order at ``workers=1``, otherwise on long-lived worker processes
+  in cost order — with per-task timeout, bounded retry and structured
   :class:`SweepFailure` records — one archivable journal per task.
   Targets span backends (see :mod:`repro.backend`): ``fpga:pynq-z1`` and
   ``gpu:jetson-tx2`` mix in one grid,

@@ -19,19 +19,19 @@ Execution is a **two-phase schedule**:
 2. **Execution** — one attempt loop owns every local cell: the pending
    queue, the retry backoff, the attempt ledger and the retry-or-fail
    step.  Only the launch differs: ``workers=1`` without a timeout calls
-   the cell in-process, in grid order; otherwise each attempt is a forked
-   single-task process, dispatched longest-expected-first to up to
-   ``workers`` slots (work stealing: an idle slot pulls the next cell).
+   the cell in-process, in grid order; otherwise each attempt is a call on
+   long-lived :class:`WorkerProcesses`, dispatched longest-expected-first to
+   up to ``workers`` slots (work stealing: an idle slot pulls the next cell).
    Expected costs come from the previous run's journal timings when a
    cache directory is given (``_timings.json``) and fall back to a
    deterministic budget heuristic.
 
 Owning each worker process lets the loop enforce a per-task wall-clock
-**timeout**, kill the stuck process and **retry** the cell a bounded
-number of times.  A cell that keeps failing (timeout, raise, crash or a
-garbage return value) ends up as a structured :class:`SweepFailure` in
-the :class:`SweepResult` — the sweep always completes and reports, it
-never hangs or silently drops cells.
+**timeout**, kill the stuck process (the next call forks a replacement)
+and **retry** the cell a bounded number of times.  A cell that keeps
+failing (timeout, raise, crash or a garbage return value) ends up as a
+structured :class:`SweepFailure` in the :class:`SweepResult` — the sweep
+always completes and reports, it never hangs or silently drops cells.
 
 Each task runs the remaining co-design pipeline (strategy-driven DNN
 search, Auto-HLS refinement) and produces a :class:`SweepOutcome`: the
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import pathlib
 import time
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence, Union
 
@@ -453,19 +453,6 @@ def prepare_device(task: SweepTask) -> PreparedTarget:
     )
 
 
-def _prepare_device_pooled(task: SweepTask) -> tuple:
-    """Pool-side preparation wrapper shipping the child's telemetry home.
-
-    Returns ``(artifact, metrics)`` where ``metrics`` is the child's
-    telemetry snapshot (``None`` when telemetry is disabled); the parent
-    merges it so pooled preparations are accounted like serial ones.
-    Module-level so it pickles under any start method.
-    """
-    telemetry.reset()
-    artifact = prepare_device(task)
-    return artifact, telemetry.snapshot()
-
-
 @dataclass
 class SweepOutcome:
     """Everything one sweep task produced (picklable, JSON-able)."""
@@ -784,58 +771,148 @@ class SweepResult:
         )
 
 
-def _dispatch_worker(conn, task_fn, task, cache_dir, prepared) -> None:
-    """Child-process entry of a forked attempt: run, then report.
-
-    The payload's third element is the worker's telemetry snapshot
-    (``None`` when telemetry is disabled), merged into the parent registry;
-    shipping it out-of-band keeps :class:`SweepOutcome` — and therefore the
-    checkpoint bytes — independent of whether telemetry is on.
-    """
-    telemetry.reset()  # drop fork-inherited state; parent merges the snapshot
-    try:
-        result = task_fn(task, cache_dir, prepared)
-        payload = ("ok", result, telemetry.snapshot())
-    except BaseException as exc:  # noqa: BLE001 - reported to the parent
-        payload = ("error", f"{type(exc).__name__}: {exc}", telemetry.snapshot())
-    try:
-        conn.send(payload)
-    except Exception as exc:  # unpicklable result: report instead of dying
+def _serve(fn: Callable, conn, inherited) -> None:
+    """Child loop of :class:`WorkerProcesses`: reply ``(status, value,
+    telemetry snapshot)`` per call; return on the stop message, EOF, a
+    broken pipe (the pool closed, or the parent died) or Ctrl-C while idle."""
+    # A parent-side end left open here would keep its pipe alive after the
+    # parent dies, and a child blocked on that pipe would never exit.
+    for end in inherited:
+        end.close()
+    while True:
         try:
-            conn.send(("error", f"unpicklable task result: {exc!r}", None))
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
-    finally:
-        conn.close()
+            args = conn.recv()
+        except (EOFError, OSError, KeyboardInterrupt):
+            return
+        if args is None:
+            return
+        telemetry.reset()  # this call's measurements only; the parent merges them
+        try:
+            reply = ("ok", fn(*args), telemetry.snapshot())
+        except BaseException as exc:  # noqa: BLE001 - reported to the parent
+            reply = ("error", f"{type(exc).__name__}: {exc}", telemetry.snapshot())
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+        except Exception as exc:  # unpicklable result: report instead of dying
+            with suppress(OSError):
+                conn.send(("error", f"unpicklable task result: {exc!r}", None))
 
 
-class _Attempt:
-    """Parent-side bookkeeping of one in-flight worker process."""
+def _reap(process, conn) -> None:
+    """Join ``process`` (SIGKILL after a one-second grace) and close its pipe."""
+    process.join(timeout=1.0)
+    if process.is_alive():  # pragma: no cover - hard kill
+        process.kill()
+        process.join(timeout=5.0)
+    conn.close()
 
-    __slots__ = ("process", "conn", "started")
 
-    def __init__(self, process, conn) -> None:
-        self.process = process
-        self.conn = conn
-        self.started = time.monotonic()
+class WorkerProcesses:
+    """Long-lived forked processes, each running many calls of one ``fn``.
+
+    ``fn`` is bound as a ``Process`` argument when a process forks.  A call
+    goes to an idle process; one forks only when none is idle, and a
+    process is replaced only after it dies or is killed.  Per-process state
+    (the evaluator memo, the shard store) thus carries over from call to
+    call.  :meth:`close` reaps every process, so their CPU time reaches the
+    parent's ``RUSAGE_CHILDREN``.
+    """
+
+    def __init__(self, fn: Callable) -> None:
+        import multiprocessing
+
+        self._fn = fn
+        self._context = multiprocessing.get_context()
+        self._idle: list[tuple] = []  # (process, conn)
+        self._busy: dict = {}  # key -> (process, conn, monotonic start)
+
+    @property
+    def busy(self) -> int:
+        """Calls in flight."""
+        return len(self._busy)
+
+    def elapsed(self) -> dict:
+        """Seconds each in-flight call has run so far, by key."""
+        now = time.monotonic()
+        return {key: now - started for key, (_, _, started) in self._busy.items()}
+
+    def submit(self, key, *args) -> None:
+        """Start ``fn(*args)`` on an idle process, forking one if none is idle."""
+        if self._idle:
+            process, conn = self._idle.pop()
+        else:
+            conn, child_end = self._context.Pipe()
+            inherited = [conn] + [end for _, end, _ in self._busy.values()]
+            process = self._context.Process(
+                target=_serve, args=(self._fn, child_end, inherited), daemon=True)
+            process.start()
+            child_end.close()
+        with suppress(OSError):  # it died while idle: wait() reads the EOF as a crash
+            conn.send(args)
+        self._busy[key] = (process, conn, time.monotonic())
+
+    def wait(self, timeout: Optional[float] = None) -> list[tuple]:
+        """Calls settled within ``timeout``, as ``(key, status, value, seconds)``:
+        the child's ``ok`` / ``error``, or ``crash`` for a process that died
+        without a reply.  Each call's telemetry snapshot is merged here."""
+        from multiprocessing import connection
+
+        ready = connection.wait([conn for _, conn, _ in self._busy.values()], timeout)
+        settled = []
+        for key, (process, conn, started) in list(self._busy.items()):
+            # Re-poll the rest: a reply that landed after the wait() snapshot
+            # must win over the timeout verdict the caller makes next.
+            if conn not in ready and not conn.poll():
+                continue
+            del self._busy[key]
+            try:
+                status, value, snapshot = conn.recv()
+            except (EOFError, OSError):
+                _reap(process, conn)
+                status, value = "crash", "worker process died without a result"
+            else:
+                telemetry.merge(snapshot)
+                self._idle.append((process, conn))
+            settled.append((key, status, value, time.monotonic() - started))
+        return settled
+
+    def kill(self, key) -> float:
+        """Stop the process running ``key``'s call; return the seconds it ran."""
+        process, conn, started = self._busy.pop(key)
+        process.terminate()
+        _reap(process, conn)
+        return time.monotonic() - started
+
+    def close(self) -> None:
+        """Stop idle processes by message and busy ones by signal; reap all."""
+        for _, conn in self._idle:
+            with suppress(OSError):
+                conn.send(None)
+        for key in list(self._busy):
+            self.kill(key)
+        for process, conn in self._idle:
+            _reap(process, conn)
+        self._idle.clear()
 
 
 class SweepRunner:
     """Fan a sweep grid out across worker processes, resiliently.
 
     ``workers=1`` (without a timeout) runs every task in-process, in grid
-    order (serial, easiest to debug); otherwise each attempt runs in its
-    own forked process: cells are dispatched longest-expected-first, an
-    idle slot immediately pulls the next cell, and each attempt runs under
-    the per-task wall-clock ``timeout_s``.  Either way a failed attempt is
-    retried up to ``retries`` times, after a backoff.
+    order (serial, easiest to debug); otherwise the attempts run on
+    :class:`WorkerProcesses`, up to ``workers`` long-lived processes reaped
+    before :meth:`run` returns: cells go longest-expected-first, an idle
+    process pulls the next one, and each attempt runs under the per-task
+    wall-clock ``timeout_s``.  Either way a failed attempt is retried up
+    to ``retries`` times, after a backoff.
 
-    Preparation (model fit + bundle selection) runs once per unique
-    :attr:`SweepTask.prep_key` — fanned across a process pool when
-    ``workers > 1`` and several preparations are needed — and is shipped
-    to workers (see :class:`PreparedTarget`).  Results are collected in
-    task order in every mode, and each task's journal is independent of
-    the execution mode, so all modes are interchangeable.
+    Preparation (model fit + bundle selection) runs serially in the parent
+    before any worker forks, once per unique :attr:`SweepTask.prep_key`
+    (see :class:`PreparedTarget`).  Results are collected in task order in
+    every mode, and each task's journal is independent of the execution
+    mode, so all modes are interchangeable.
 
     ``resume_from`` accepts a checkpoint file (``_checkpoint.jsonl``), a
     saved result JSON (:meth:`SweepResult.save`, or the CLI's report
@@ -1125,27 +1202,14 @@ class SweepRunner:
 
     # ----------------------------------------------------------- preparation
     def _prepare_devices(self, tasks: Sequence[SweepTask]) -> dict[tuple, PreparedTarget]:
-        """One :func:`prepare_device` per unique prep key, pooled when useful.
+        """One :func:`prepare_device` per unique prep key, serially in the parent.
 
-        With several distinct preparation cells and a multi-worker budget,
-        the (CPU-bound, independent) model fits fan out across a process
-        pool instead of running serially in the parent; the artifacts come
-        back bit-exact because they are pickled, not re-derived.
+        It runs before any worker process forks, and it is cheap next to
+        the cells (hundredths of a second per key on the paper grid).
         """
         unique: dict[tuple, SweepTask] = {}
         for task in tasks:
             unique.setdefault(task.prep_key, task)
-        if self.workers > 1 and len(unique) > 1:
-            representatives = list(unique.values())
-            with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(representatives))
-            ) as pool:
-                shipped = list(pool.map(_prepare_device_pooled, representatives))
-            artifacts = []
-            for artifact, worker_metrics in shipped:
-                telemetry.merge(worker_metrics)
-                artifacts.append(artifact)
-            return dict(zip(unique.keys(), artifacts))
         return {key: prepare_device(task) for key, task in unique.items()}
 
     # -------------------------------------------------------------- telemetry
@@ -1268,22 +1332,18 @@ class SweepRunner:
         Only the launch of an attempt depends on the mode: ``workers=1``
         without a timeout calls ``task_fn`` in-process, in grid order, and
         lets anything but an ``Exception`` (``KeyboardInterrupt``)
-        propagate; otherwise each attempt is a forked process, dispatched
-        in ``order`` to up to ``workers`` slots and killed once it exceeds
-        its effective timeout (``timeout_s`` floor, scaled from the
-        recorded cost hint).  A failed attempt re-enters the queue after a
-        deterministic exponential backoff until ``retries`` is spent.
+        propagate; otherwise each attempt is a :class:`WorkerProcesses`
+        call, dispatched in ``order`` to up to ``workers`` slots and killed
+        once it exceeds its effective timeout (``timeout_s`` floor, scaled
+        from the recorded cost hint).  A failed attempt re-enters the queue
+        after a deterministic exponential backoff until ``retries`` is spent.
         """
-        import multiprocessing
-        from multiprocessing import connection as mp_connection
-
         inline = self.workers == 1 and self.timeout_s is None
-        ctx = multiprocessing.get_context()
+        pool = WorkerProcesses(self.task_fn)  # forks on the first submit
         pending = sorted(order) if inline else list(order)
         attempts = dict.fromkeys(pending, 0)
         spent = dict.fromkeys(pending, 0.0)
         ready_at: dict[int, float] = {}
-        running: dict[int, _Attempt] = {}
         outcomes: dict[int, SweepOutcome] = {}
         failures: dict[int, SweepFailure] = {}
         max_slots = min(self.workers, len(pending))
@@ -1330,27 +1390,13 @@ class SweepRunner:
                 spent[index] += time.perf_counter() - start
                 settle(index, kind, detail)
                 return
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            process = ctx.Process(
-                target=_dispatch_worker,
-                args=(child_conn, self.task_fn, task, self.cache_dir, prepared),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            running[index] = _Attempt(process, parent_conn)
+            pool.submit(index, task, self.cache_dir, prepared)
             telemetry.event("sweep.cell.dispatch", uid=task.uid,
                             attempt=attempts[index])
 
-        def reap(index: int) -> _Attempt:
-            state = running.pop(index)
-            spent[index] += time.monotonic() - state.started
-            state.conn.close()
-            return state
-
         try:
-            while pending or running:
-                while pending and len(running) < max_slots:
+            while pending or pool.busy:
+                while pending and pool.busy < max_slots:
                     # First queued cell whose backoff window has passed.
                     now = time.monotonic()
                     position = next(
@@ -1364,7 +1410,7 @@ class SweepRunner:
 
                 now = time.monotonic()
                 backing_off = [i for i in pending if ready_at.get(i, 0.0) > now]
-                if not running:
+                if not pool.busy:
                     if backing_off:
                         # Every queued cell is inside its backoff window:
                         # sleep to the earliest release instead of spinning.
@@ -1376,46 +1422,19 @@ class SweepRunner:
                 # there is nothing to poll: block until a worker reports (or
                 # dies, which EOFs its pipe).
                 poll = self.timeout_s is not None or (
-                    backing_off and len(running) < max_slots
+                    backing_off and pool.busy < max_slots
                 )
-                ready = mp_connection.wait(
-                    [state.conn for state in running.values()],
-                    timeout=0.05 if poll else None,
-                )
-                ready_set = set(ready)
-                now = time.monotonic()
-                for index in list(running):
-                    state = running[index]
+                for index, status, value, seconds in pool.wait(
+                        timeout=0.05 if poll else None):
+                    spent[index] += seconds
+                    settle(index, status, value)
+                for index, seconds in pool.elapsed().items():
                     limit = self._timeouts.get(index, self.timeout_s)
-                    # Re-poll before any timeout verdict: a result that
-                    # landed after the wait() snapshot must win over the
-                    # deadline, or a completed cell would be killed and
-                    # recorded as a timeout.
-                    if state.conn in ready_set or state.conn.poll():
-                        try:
-                            message = state.conn.recv()
-                            status, value = message[0], message[1]
-                            telemetry.merge(message[2] if len(message) > 2 else None)
-                        except (EOFError, OSError):
-                            # The worker died without reporting (crash/kill).
-                            reap(index).process.join(timeout=5.0)
-                            settle(index, "crash", "worker process died without a result")
-                            continue
-                        reap(index).process.join(timeout=5.0)
-                        settle(index, status, value)
-                    elif limit is not None and now - state.started > limit:
-                        state.process.terminate()
-                        state.process.join(timeout=1.0)
-                        if state.process.is_alive():  # pragma: no cover - hard kill
-                            state.process.kill()
-                            state.process.join(timeout=5.0)
-                        reap(index)
+                    if limit is not None and seconds > limit:
+                        spent[index] += pool.kill(index)
                         telemetry.event("sweep.cell.timeout", uid=self.tasks[index].uid,
                                         attempt=attempts[index], limit_s=limit)
                         settle(index, "timeout", f"exceeded the {limit:g}s per-task timeout")
         finally:
-            for state in running.values():  # pragma: no cover - crash cleanup
-                state.process.terminate()
-                state.process.join(timeout=1.0)
-                state.conn.close()
+            pool.close()
         return outcomes, failures

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import errno
 import json
+import multiprocessing
+import os
 import threading
 import time
 
@@ -547,7 +549,8 @@ class TestCoordinatorHTTP:
 
 # -------------------------------------------------------------------- end to end
 def run_distributed(tasks, *, worker_count=2, worker_workers=1, cache_dir=None,
-                    runner_kwargs=None, worker_hook=None, lease_ttl_s=10.0):
+                    runner_kwargs=None, worker_hook=None, lease_ttl_s=10.0,
+                    task_fn=run_sweep_task):
     """One coordinator (in a thread) + N in-process serial workers."""
     bound = threading.Event()
     holder = {}
@@ -574,7 +577,7 @@ def run_distributed(tasks, *, worker_count=2, worker_workers=1, cache_dir=None,
         worker_hook(holder["url"])
     workers = [
         ShardWorker(holder["url"], workers=worker_workers, name=f"test-{i}",
-                    cache_dir=None)
+                    cache_dir=None, task_fn=task_fn)
         for i in range(worker_count)
     ]
     codes = []
@@ -589,6 +592,18 @@ def run_distributed(tasks, *, worker_count=2, worker_workers=1, cache_dir=None,
     for thread in threads:
         thread.join(timeout=60.0)
     return result_holder["result"], workers, codes
+
+
+#: The cell whose process dies in the pooled-worker crash test.
+CRASHING_CELL = "PYNQ-Z1-random-40fps"
+
+
+# Module-level so it pickles under any multiprocessing start method.
+def _crashing_task(task, cache_dir, prepared):
+    """Dies without a reply on one cell, as a segfault or an OOM kill would."""
+    if task.name == CRASHING_CELL:
+        os._exit(13)
+    return run_sweep_task(task, cache_dir, prepared)
 
 
 class TestDistributedSweep:
@@ -697,6 +712,29 @@ class TestDistributedSweep:
             tasks, worker_count=1, worker_workers=2)
         assert codes == [0]
         assert journal_bytes(local.outcomes) == journal_bytes(distributed.outcomes)
+
+    def test_pooled_worker_reaps_its_processes(self):
+        tasks = build_grid("pynq-z1", "scd,random,annealing,evolutionary", [40.0], **TINY)
+        result, workers, codes = run_distributed(tasks, worker_count=1, worker_workers=2)
+        assert codes == [0] and result.ok and workers[0].executed == len(tasks)
+        assert multiprocessing.active_children() == []
+
+    def test_a_crashing_cell_fails_alone_on_a_pooled_worker(self):
+        """One cell's process dies mid-run: that cell fails (as an error, the
+        wire's only worker-side failure kind), the cells beside and after it
+        complete, and the worker exits 0 with every process reaped."""
+        tasks = build_grid("pynq-z1", "scd,random,annealing,evolutionary", [40.0], **TINY)
+        assert CRASHING_CELL in {task.name for task in tasks}
+        result, workers, codes = run_distributed(
+            tasks, worker_count=1, worker_workers=2, task_fn=_crashing_task,
+            runner_kwargs={"retries": 0})
+        assert codes == [0]
+        assert sorted(o.task.name for o in result.outcomes) == \
+            sorted(task.name for task in tasks if task.name != CRASHING_CELL)
+        assert [(f.task.name, f.kind) for f in result.failures] == [(CRASHING_CELL, "error")]
+        assert "died without a result" in result.failures[0].error
+        assert workers[0].reported_errors == 1
+        assert multiprocessing.active_children() == []
 
     def test_lease_loop_round_trips_per_cell(self, monkeypatch):
         """Folding the serial and pooled loops into one adds no round trips:
