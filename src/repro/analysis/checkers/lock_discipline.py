@@ -11,7 +11,8 @@ list inside the critical section, fire them after the ``with`` block.
 
 This rule flags, lexically inside any ``with self._lock:`` (or other
 ``*lock`` attribute) body in the scoped modules (``shard/``, ``service/``,
-``sweep/checkpoint.py``, ``telemetry/sink.py``, ``utils/jsonl.py``):
+``sweep/checkpoint.py``, ``sweep/ledger.py``, ``telemetry/sink.py``,
+``utils/jsonl.py``):
 
 * telemetry facade calls (``telemetry.event`` / ``telemetry.trace``),
 * callback invocations (``self.on_*``-style attributes),
@@ -41,7 +42,8 @@ from repro.analysis.core import (
 )
 
 _SCOPE_MARKERS = ("/shard/", "/service/")
-_SCOPE_SUFFIXES = ("sweep/checkpoint.py", "telemetry/sink.py", "utils/jsonl.py")
+_SCOPE_SUFFIXES = ("sweep/checkpoint.py", "sweep/ledger.py", "telemetry/sink.py",
+                   "utils/jsonl.py")
 
 #: Fully qualified blocking calls.
 _BLOCKING_CALLS = {

@@ -11,10 +11,11 @@ local sweep writes — so ``--resume``, :meth:`SweepResult.load`,
 identically, and the merged result's journals are byte-identical to a
 single-machine ``workers=1`` run of the same grid and seed.
 
-Dead or stalled workers are handled with heartbeats and lease expiry:
-an expired lease requeues its cell (bounded per-cell reassignment with
-the runner's retry/backoff/cost-hint machinery), and duplicate completions
-are resolved deterministically by task uid — first settled record wins.
+Each grid is served from the runner's own attempt ledger, the
+:class:`~repro.sweep.ledger.LeaseBoard` a local sweep drains: an expired
+or timed-out lease requeues its cell (the runner's retry/backoff/cost-hint
+policy), and duplicate completions are resolved deterministically by task
+uid — first settled record wins.
 
 One :class:`LeaseCoordinator` serves both shapes of deployment: a
 one-shot grid here, and every job of the persistent service
@@ -44,12 +45,7 @@ runner executes the cells locally::
     ).run()
 """
 
-from repro.shard.coordinator import (
-    LeaseBoard,
-    LeaseCoordinator,
-    WorkerRegistry,
-    parse_report,
-)
+from repro.shard.coordinator import LeaseCoordinator, parse_report
 from repro.shard.protocol import (
     AUTH_HEADER,
     DEFAULT_HEARTBEAT_S,
@@ -76,7 +72,9 @@ from repro.shard.protocol import (
     token_matches,
 )
 from repro.shard.transport import CoordinatorTransport
-from repro.shard.worker import ShardWorker, execute_cell
+from repro.shard.worker import ShardWorker
+from repro.sweep.ledger import LeaseBoard, WorkerRegistry
+from repro.sweep.runner import execute_cell
 
 __all__ = [
     "PROTOCOL_VERSION",

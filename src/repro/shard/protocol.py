@@ -50,8 +50,8 @@ unless noted):
 ``/v1/heartbeat``
     ``{"worker_id", "lease_ids": [...]}`` → ``{"ok", "lost": [...]}``.
     Extends the worker's leases; a lease the coordinator already revoked
-    (expired and requeued) comes back in ``lost`` so the worker can stop
-    wasting cycles on it.
+    (timed out) or expired comes back in ``lost``, and a ``--workers N``
+    worker kills its process without reporting the charged attempt.
 
 ``/v1/cache/pull`` / ``/v1/cache/push``
     Bulk estimator-cache exchange so a fresh worker warm-starts instead
@@ -79,11 +79,13 @@ from __future__ import annotations
 
 import hmac
 import json
+import math
 import os
 import urllib.error
 import urllib.request
 from typing import Mapping, Optional
 
+from repro.sweep.ledger import DEFAULT_LEASE_TTL_S, ShardProtocolError  # re-exported
 from repro.sweep.runner import PreparedTarget, SweepFailure, SweepOutcome, SweepTask
 from repro.utils.serialization import to_jsonable
 
@@ -93,11 +95,7 @@ PROTOCOL_VERSION = 1
 #: Default coordinator port (unassigned by IANA, outside ephemeral range).
 DEFAULT_PORT = 8765
 
-#: Default lease time-to-live: a worker that misses heartbeats for this
-#: long is presumed dead and its cells are requeued.
-DEFAULT_LEASE_TTL_S = 30.0
-
-#: Default worker heartbeat period (well under the lease TTL).
+#: Default worker heartbeat period (well under :data:`DEFAULT_LEASE_TTL_S`).
 DEFAULT_HEARTBEAT_S = 5.0
 
 #: Retry pacing suggested to workers whose lease found no ready cell.
@@ -118,10 +116,6 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Environment variable consulted when no ``--token`` flag is given.
 SERVICE_TOKEN_ENV = "REPRO_SERVICE_TOKEN"
-
-
-class ShardProtocolError(RuntimeError):
-    """A malformed or unexpected message crossed the shard wire."""
 
 
 def check_lease_timing(lease_ttl_s: float, heartbeat_s: float) -> None:
@@ -288,6 +282,24 @@ def parse_bind(spec: str, default_port: int = DEFAULT_PORT) -> tuple[str, int]:
     if not 0 <= port <= 65535:
         raise ValueError(f"port {port} out of range in bind spec '{spec}'")
     return (host, port)
+
+
+def number_field(payload: Mapping, key: str, default: float) -> float:
+    """An optional finite-number message field (``default`` when absent)."""
+    value = payload.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ShardProtocolError(f"message field '{key}' must be a finite number")
+    return float(value)
+
+
+def string_list_field(payload: Mapping, key: str) -> Optional[list]:
+    """An optional list-of-strings message field (``None`` when absent or null)."""
+    value = payload.get(key)
+    if value is not None and not (isinstance(value, list)
+                                  and all(isinstance(item, str) for item in value)):
+        raise ShardProtocolError(f"message field '{key}' must be a list of strings")
+    return value
 
 
 def require(payload: Mapping, key: str, kind: Optional[type] = None):

@@ -3,15 +3,16 @@
 :class:`~repro.sweep.runner.SweepRunner` accepts a ``transport``: any
 object whose ``execute(runner, order, preparations)`` runs the
 cost-ordered pending cells and returns
-``(outcomes_by_index, failures_by_index)``, streaming every settled cell
-through ``runner.settle_outcome`` / ``runner.settle_failure`` so the
-incremental checkpoint is written identically in every mode.  Grid
-validation, shared preparation, resume, cost hints, timings and result
-assembly all stay in the runner — a transport only decides *where* the
+``(outcomes_by_index, failures_by_index)``.  Grid validation, shared
+preparation, resume, cost hints, timings and result assembly all stay in
+the runner, and so does the attempt ledger: ``runner.board(order, ...)``
+settles every cell through ``runner.settle_outcome`` /
+``runner.settle_failure``, so the incremental checkpoint is written
+identically in every mode.  A transport only decides *where* the
 single-cell execution path (:func:`repro.sweep.runner.run_sweep_task`)
-runs.  Without one the runner executes the cells locally.
+runs.  Without one the runner drains the board locally.
 
-:class:`CoordinatorTransport` serves the cells from a one-shot
+:class:`CoordinatorTransport` serves the run's board from a one-shot
 :class:`~repro.shard.coordinator.LeaseCoordinator` to remote
 :mod:`repro.shard.worker` processes instead of forking local ones.  The
 job service serves each job from the same coordinator class through its

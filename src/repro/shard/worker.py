@@ -5,8 +5,8 @@ A worker is a thin loop around the *existing* single-cell execution path
 report, with a daemon heartbeat thread keeping the leases alive.  Nothing
 about cell execution is distributed-specific — the worker rebuilds the
 :class:`~repro.sweep.runner.PreparedTarget` shipped by the coordinator
-(bit-exact JSON round trip) and calls the same function the local
-attempt loop calls, so a cell's journal is byte-identical no matter which
+(bit-exact JSON round trip) and calls the same function the local sweep's
+drain calls, so a cell's journal is byte-identical no matter which
 machine ran it.
 
 One lease loop serves every ``workers`` setting: it leases up to
@@ -21,12 +21,14 @@ processes, each running many cells.  A cell whose process dies is
 reported as an error and the process is replaced; the others keep
 running.
 
-Failure handling is deliberately asymmetric: the *coordinator* owns all
-retry/requeue policy.  A worker reports raw errors and keeps going; it
-never retries a cell on its own (that would skew the coordinator's
-bounded per-cell attempt accounting).  A worker that loses its
-coordinator exits non-zero after bounded reconnect attempts — unless it
-already observed ``done=True``, which is the normal shutdown path.
+Failure handling is deliberately asymmetric: the coordinator's board
+owns all retry, requeue and timeout policy.  A worker reports raw errors
+and keeps going; it never retries a cell on its own (that would skew the
+board's bounded per-cell attempt accounting), and a ``workers > 1``
+worker kills the process of a lease a heartbeat returns as lost.  A
+worker that loses its coordinator exits non-zero after bounded reconnect
+attempts — unless it already observed ``done=True``, which is the normal
+shutdown path.
 
 A worker may keep its own ``cache_dir`` for the persistent estimator
 cache (per-machine, like any local sweep); journals do not depend on
@@ -43,7 +45,6 @@ import os
 import socket
 import threading
 import time
-from functools import partial
 from typing import Callable, Optional
 
 from repro.shard.protocol import (
@@ -61,33 +62,12 @@ from repro.sweep.runner import (
     PreparedTarget,
     SweepOutcome,
     WorkerProcesses,
+    execute_cell,
     run_sweep_task,
 )
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
-
-
-def execute_cell(task_fn, task, cache_dir, prepared) -> tuple[str, object, float]:
-    """Run one leased cell; report ``(status, value, duration_s)`` either way.
-
-    Module-level (and defaulting to the picklable
-    :func:`~repro.sweep.runner.run_sweep_task`) so the worker's
-    :class:`~repro.sweep.runner.WorkerProcesses` can bind it under any
-    start method.
-    """
-    start = time.perf_counter()
-    try:
-        value = task_fn(task, cache_dir, prepared)
-    except Exception as exc:  # noqa: BLE001 - reported to the coordinator
-        return ("error", f"{type(exc).__name__}: {exc}", time.perf_counter() - start)
-    if not isinstance(value, SweepOutcome):
-        return (
-            "error",
-            f"worker returned {type(value).__name__!s} instead of SweepOutcome",
-            time.perf_counter() - start,
-        )
-    return ("ok", value, time.perf_counter() - start)
 
 
 class ShardWorker:
@@ -137,6 +117,8 @@ class ShardWorker:
         self._prepared: dict[str, PreparedTarget] = {}
         self._lease_lock = threading.Lock()
         self._active_leases: set[str] = set()
+        # Leases a heartbeat returned as lost, for the lease loop to stop.
+        self._lost_leases: set[str] = set()
         self._saw_done = threading.Event()
         self._stop = threading.Event()
         self._idle_since: Optional[float] = None
@@ -222,13 +204,13 @@ class ShardWorker:
                 continue  # transient; the main loop handles a dead coordinator
             if reply.get("done"):
                 self._saw_done.set()
-            lost = reply.get("lost") or []
+            lost = [str(lease_id) for lease_id in reply.get("lost") or []]
             if lost:
-                logger.warning(
-                    "shard worker %s: coordinator revoked lease(s) %s "
-                    "(results will be reported anyway and deduplicated)",
-                    self.worker_id, ", ".join(map(str, lost)),
-                )
+                logger.warning("shard worker %s: coordinator revoked lease(s) %s",
+                               self.worker_id, ", ".join(lost))
+                with self._lease_lock:
+                    self._active_leases.difference_update(lost)
+                    self._lost_leases.update(lost)
 
     def _lease(self, slots: int, wait_s: float = 0.0) -> dict:
         payload = {
@@ -252,18 +234,19 @@ class ShardWorker:
             time.sleep(max(pace - (time.monotonic() - started), 0.0))
         return reply
 
-    def _report(self, lease_id: str, uid: str, status: str, value,
+    def _report(self, lease_id: str, uid: str, kind: str, value,
                 duration_s: float, job: Optional[str] = None) -> None:
         payload = {
             "worker_id": self.worker_id,
             "lease_id": lease_id,
             "uid": uid,
-            "status": status,
+            # Every failure kind travels as the wire's one failure status.
+            "status": "ok" if kind == "ok" else "error",
             "duration_s": duration_s,
         }
         if job is not None:
             payload["job"] = job
-        if status == "ok":
+        if kind == "ok":
             payload["outcome"] = outcome_to_wire(value)
         else:
             payload["error"] = str(value)
@@ -300,7 +283,7 @@ class ShardWorker:
 
         heartbeat = threading.Thread(target=self._heartbeat_loop, daemon=True)
         heartbeat.start()
-        pool = WorkerProcesses(partial(execute_cell, self.task_fn))  # forks on demand
+        pool = WorkerProcesses(self.task_fn)  # forks on demand
         try:
             return self._lease_loop(pool)
         finally:
@@ -359,7 +342,7 @@ class ShardWorker:
             # settle): the coordinator closes as soon as every live worker
             # heard it.
             while in_flight or not self._saw_done.is_set():
-                settled = []  # (lease_id, status, value, duration_s)
+                settled = []  # (lease_id, kind, value, duration_s)
                 free = self.workers - len(in_flight)
                 if free > 0:
                     # Park only when idle: results of running cells
@@ -389,20 +372,23 @@ class ShardWorker:
                             pool.submit(lease_id, task, self.cache_dir, prepared)
                 if pool.busy:
                     # Bounded wait so freed slots keep leasing while slow cells
-                    # run.  A crash reports as an error (the wire's only kind).
-                    settled.extend(
-                        (lease_id, *value) if status == "ok"
-                        else (lease_id, "error", value, seconds)
-                        for lease_id, status, value, seconds in pool.wait(timeout=0.5)
-                    )
-                for lease_id, status, value, duration in settled:
+                    # run, and lost leases are stopped promptly.
+                    settled.extend(pool.wait(timeout=0.5))
+                for lease_id, kind, value, duration in settled:
                     uid, job = in_flight.pop(lease_id)
                     self.executed += 1
                     if self._checked(
-                        lambda lid=lease_id, u=uid, s=status, v=value,
-                        d=duration, j=job: self._report(lid, u, s, v, d, j) or {}
+                        lambda lid=lease_id, u=uid, k=kind, v=value,
+                        d=duration, j=job: self._report(lid, u, k, v, d, j) or {}
                     ) is None:
                         return 0
+                # Stop what a heartbeat returned as lost, unreported: the
+                # board charged those attempts (in-process cells have settled).
+                with self._lease_lock:
+                    lost, self._lost_leases = self._lost_leases, set()
+                for lease_id in lost & in_flight.keys():
+                    del in_flight[lease_id]
+                    pool.kill(lease_id)
             return 0
         except ShardProtocolError:
             return 1

@@ -10,12 +10,14 @@ limits at once:
   out across worker processes under a two-phase schedule: per-target
   preparation (model fit + bundle selection on the FPGA backend, fit-free
   prep on the GPU one; once per target, in the parent, shipped as a
-  :class:`PreparedTarget`) followed by one attempt loop — in-process and
-  in grid order at ``workers=1``, otherwise on long-lived worker processes
-  in cost order — with per-task timeout, bounded retry and structured
-  :class:`SweepFailure` records — one archivable journal per task.
-  Targets span backends (see :mod:`repro.backend`): ``fpga:pynq-z1`` and
-  ``gpu:jetson-tx2`` mix in one grid,
+  :class:`PreparedTarget`) followed by a drain of the attempt ledger —
+  in-process and in grid order at ``workers=1``, otherwise on long-lived
+  worker processes in cost order — with per-task timeout, bounded retry
+  and structured :class:`SweepFailure` records — one archivable journal
+  per task.  Targets span backends (see :mod:`repro.backend`):
+  ``fpga:pynq-z1`` and ``gpu:jetson-tx2`` mix in one grid,
+* :mod:`repro.sweep.ledger` — :class:`~repro.sweep.ledger.LeaseBoard`, the
+  attempt ledger a local sweep drains and :mod:`repro.shard` serves,
 * :mod:`repro.sweep.disk_cache` — :class:`DiskEvaluationCache`: JSON-lines
   estimator memoization that persists across processes and runs, layered
   under the in-memory :class:`~repro.search.cache.EvaluationCache`, with

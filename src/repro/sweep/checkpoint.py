@@ -304,9 +304,10 @@ class CheckpointWriter:
     failed append raises ``OSError`` to the caller.
 
     The writer is **thread-safe**: a lock serialises appends and the
-    recorded-uid bookkeeping, because the shard coordinator settles cells
-    from concurrent HTTP handler threads (several workers reporting at
-    once) while the local attempt loop settles from a single thread.
+    recorded-uid bookkeeping, because a lease board served by the shard
+    coordinator settles cells from concurrent HTTP handler threads
+    (several workers reporting at once), while a local sweep drains its
+    board from a single thread.
 
     All timestamps come from the injected ``clock`` (default
     :func:`time.time`): tests freeze it to make checkpoint bytes

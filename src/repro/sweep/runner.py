@@ -16,22 +16,21 @@ Execution is a **two-phase schedule**:
    target, so they run *once per device* in the parent and are shipped to
    workers as a serializable :class:`PreparedTarget` artifact instead of
    being recomputed in every grid cell.
-2. **Execution** — one attempt loop owns every local cell: the pending
-   queue, the retry backoff, the attempt ledger and the retry-or-fail
-   step.  Only the launch differs: ``workers=1`` without a timeout calls
-   the cell in-process, in grid order; otherwise each attempt is a call on
-   long-lived :class:`WorkerProcesses`, dispatched longest-expected-first to
-   up to ``workers`` slots (work stealing: an idle slot pulls the next cell).
-   Expected costs come from the previous run's journal timings when a
-   cache directory is given (``_timings.json``) and fall back to a
-   deterministic budget heuristic.
+2. **Execution** — one attempt ledger, :meth:`SweepRunner.board`, owns
+   every cell's queue, retry backoff, attempts, **timeout** and
+   **retry**-or-fail verdict, drained in process: ``workers=1`` without a
+   timeout calls each cell in-process, in grid order; otherwise each
+   attempt is a call on long-lived :class:`WorkerProcesses`, leased
+   longest-expected-first to up to ``workers`` slots (work stealing), and
+   a process whose lease was revoked for its timeout is killed.  Expected
+   costs come from the previous run's journal timings when a cache
+   directory is given (``_timings.json``) and fall back to a deterministic
+   budget heuristic.
 
-Owning each worker process lets the loop enforce a per-task wall-clock
-**timeout**, kill the stuck process (the next call forks a replacement)
-and **retry** the cell a bounded number of times.  A cell that keeps
-failing (timeout, raise, crash or a garbage return value) ends up as a
-structured :class:`SweepFailure` in the :class:`SweepResult` — the sweep
-always completes and reports, it never hangs or silently drops cells.
+A cell that keeps failing (timeout, raise, crash or a garbage return
+value) ends up as a structured :class:`SweepFailure` in the
+:class:`SweepResult` — the sweep always completes and reports, it never
+hangs or silently drops cells.
 
 Each task runs the remaining co-design pipeline (strategy-driven DNN
 search, Auto-HLS refinement) and produces a :class:`SweepOutcome`: the
@@ -61,6 +60,7 @@ exponentially (deterministic, no jitter).
 
 from __future__ import annotations
 
+import math
 import pathlib
 import time
 from contextlib import suppress
@@ -75,6 +75,7 @@ from repro.utils.serialization import dump_json, load_json, to_jsonable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.analytical import AnalyticalModelCoefficients
+    from repro.sweep.ledger import LeaseBoard, WorkerRegistry
 
 logger = get_logger(__name__)
 
@@ -771,10 +772,29 @@ class SweepResult:
         )
 
 
-def _serve(fn: Callable, conn, inherited) -> None:
-    """Child loop of :class:`WorkerProcesses`: reply ``(status, value,
-    telemetry snapshot)`` per call; return on the stop message, EOF, a
-    broken pipe (the pool closed, or the parent died) or Ctrl-C while idle."""
+def execute_cell(task_fn, task, cache_dir, prepared) -> tuple[str, object, float]:
+    """Run one cell attempt; return ``(kind, value, duration_s)``: ``ok`` with
+    the :class:`SweepOutcome`, else ``error`` (it raised an ``Exception``;
+    Ctrl-C propagates) or ``invalid-result`` with a message."""
+    start = time.perf_counter()
+    try:
+        value = task_fn(task, cache_dir, prepared)
+    except Exception as exc:  # noqa: BLE001 - converted to a failure verdict
+        return ("error", f"{type(exc).__name__}: {exc}", time.perf_counter() - start)
+    if not isinstance(value, SweepOutcome):
+        return (
+            "invalid-result",
+            f"worker returned {type(value).__name__!s} instead of SweepOutcome",
+            time.perf_counter() - start,
+        )
+    return ("ok", value, time.perf_counter() - start)
+
+
+def _serve(task_fn: Callable, conn, inherited) -> None:
+    """Child loop of :class:`WorkerProcesses`: reply ``(kind, value,
+    telemetry snapshot)`` per :func:`execute_cell`; return on the stop
+    message, EOF, a broken pipe (the pool closed, or the parent died) or
+    Ctrl-C while idle."""
     # A parent-side end left open here would keep its pipe alive after the
     # parent dies, and a child blocked on that pipe would never exit.
     for end in inherited:
@@ -788,11 +808,11 @@ def _serve(fn: Callable, conn, inherited) -> None:
             return
         telemetry.reset()  # this call's measurements only; the parent merges them
         try:
-            reply = ("ok", fn(*args), telemetry.snapshot())
-        except BaseException as exc:  # noqa: BLE001 - reported to the parent
-            reply = ("error", f"{type(exc).__name__}: {exc}", telemetry.snapshot())
+            kind, value, _ = execute_cell(task_fn, *args)
+        except BaseException as exc:  # noqa: BLE001 - Ctrl-C or exit mid-cell
+            kind, value = "error", f"{type(exc).__name__}: {exc}"
         try:
-            conn.send(reply)
+            conn.send((kind, value, telemetry.snapshot()))
         except OSError:
             return
         except Exception as exc:  # unpicklable result: report instead of dying
@@ -810,80 +830,74 @@ def _reap(process, conn) -> None:
 
 
 class WorkerProcesses:
-    """Long-lived forked processes, each running many calls of one ``fn``.
+    """Long-lived forked processes, each running many attempts of one ``task_fn``.
 
-    ``fn`` is bound as a ``Process`` argument when a process forks.  A call
-    goes to an idle process; one forks only when none is idle, and a
-    process is replaced only after it dies or is killed.  Per-process state
-    (the evaluator memo, the shard store) thus carries over from call to
-    call.  :meth:`close` reaps every process, so their CPU time reaches the
-    parent's ``RUSAGE_CHILDREN``.
+    ``task_fn`` is bound as a ``Process`` argument when a process forks.
+    An attempt goes to an idle process; one forks only when none is idle,
+    and a process is replaced only after it dies or is killed.
+    Per-process state (the evaluator memo, the shard store) thus carries
+    over from cell to cell.  :meth:`close` reaps every process, so their
+    CPU time reaches the parent's ``RUSAGE_CHILDREN``.
     """
 
-    def __init__(self, fn: Callable) -> None:
+    def __init__(self, task_fn: Callable) -> None:
         import multiprocessing
 
-        self._fn = fn
+        self._task_fn = task_fn
         self._context = multiprocessing.get_context()
         self._idle: list[tuple] = []  # (process, conn)
         self._busy: dict = {}  # key -> (process, conn, monotonic start)
 
     @property
     def busy(self) -> int:
-        """Calls in flight."""
+        """Attempts in flight."""
         return len(self._busy)
 
-    def elapsed(self) -> dict:
-        """Seconds each in-flight call has run so far, by key."""
-        now = time.monotonic()
-        return {key: now - started for key, (_, _, started) in self._busy.items()}
-
-    def submit(self, key, *args) -> None:
-        """Start ``fn(*args)`` on an idle process, forking one if none is idle."""
+    def submit(self, key, task, cache_dir, prepared) -> None:
+        """Start one attempt on an idle process, forking one if none is idle."""
         if self._idle:
             process, conn = self._idle.pop()
         else:
             conn, child_end = self._context.Pipe()
             inherited = [conn] + [end for _, end, _ in self._busy.values()]
             process = self._context.Process(
-                target=_serve, args=(self._fn, child_end, inherited), daemon=True)
+                target=_serve, args=(self._task_fn, child_end, inherited), daemon=True)
             process.start()
             child_end.close()
         with suppress(OSError):  # it died while idle: wait() reads the EOF as a crash
-            conn.send(args)
+            conn.send((task, cache_dir, prepared))
         self._busy[key] = (process, conn, time.monotonic())
 
     def wait(self, timeout: Optional[float] = None) -> list[tuple]:
-        """Calls settled within ``timeout``, as ``(key, status, value, seconds)``:
-        the child's ``ok`` / ``error``, or ``crash`` for a process that died
-        without a reply.  Each call's telemetry snapshot is merged here."""
+        """Attempts settled within ``timeout``, as ``(key, kind, value, seconds)``:
+        an :func:`execute_cell` kind, or ``crash`` for a process that died
+        without a reply.  Each attempt's telemetry snapshot is merged here."""
         from multiprocessing import connection
 
         ready = connection.wait([conn for _, conn, _ in self._busy.values()], timeout)
         settled = []
         for key, (process, conn, started) in list(self._busy.items()):
             # Re-poll the rest: a reply that landed after the wait() snapshot
-            # must win over the timeout verdict the caller makes next.
+            # must be reported before the timeout verdict the caller asks for next.
             if conn not in ready and not conn.poll():
                 continue
             del self._busy[key]
             try:
-                status, value, snapshot = conn.recv()
+                kind, value, snapshot = conn.recv()
             except (EOFError, OSError):
                 _reap(process, conn)
-                status, value = "crash", "worker process died without a result"
+                kind, value = "crash", "worker process died without a result"
             else:
                 telemetry.merge(snapshot)
                 self._idle.append((process, conn))
-            settled.append((key, status, value, time.monotonic() - started))
+            settled.append((key, kind, value, time.monotonic() - started))
         return settled
 
-    def kill(self, key) -> float:
-        """Stop the process running ``key``'s call; return the seconds it ran."""
-        process, conn, started = self._busy.pop(key)
+    def kill(self, key) -> None:
+        """Stop the process running ``key``'s attempt; the next submit forks anew."""
+        process, conn, _ = self._busy.pop(key)
         process.terminate()
         _reap(process, conn)
-        return time.monotonic() - started
 
     def close(self) -> None:
         """Stop idle processes by message and busy ones by signal; reap all."""
@@ -905,8 +919,8 @@ class SweepRunner:
     :class:`WorkerProcesses`, up to ``workers`` long-lived processes reaped
     before :meth:`run` returns: cells go longest-expected-first, an idle
     process pulls the next one, and each attempt runs under the per-task
-    wall-clock ``timeout_s``.  Either way a failed attempt is retried up
-    to ``retries`` times, after a backoff.
+    wall-clock ``timeout_s``.  Either way the run's :meth:`board` retries
+    a failed attempt up to ``retries`` times, after a backoff.
 
     Preparation (model fit + bundle selection) runs serially in the parent
     before any worker forks, once per unique :attr:`SweepTask.prep_key`
@@ -928,12 +942,12 @@ class SweepRunner:
     resume, checkpointing, cost hints, result assembly): an object with an
     ``execute(runner, order, preparations)`` method receives the cost-
     ordered cell indices still to run and returns
-    ``(outcomes_by_index, failures_by_index)``, streaming each settled
-    cell through ``runner.settle_outcome`` / ``runner.settle_failure`` so
-    the incremental checkpoint stays live.  ``transport=None`` (the
-    default) runs the cells locally;
-    :class:`repro.shard.CoordinatorTransport` serves the same cells to
-    remote workers over HTTP instead.
+    ``(outcomes_by_index, failures_by_index)``.  ``transport=None`` (the
+    default) drains ``runner.board(order, ...)`` in process;
+    :class:`repro.shard.CoordinatorTransport` serves that same board to
+    remote workers over HTTP instead, so every mode shares one retry,
+    backoff and timeout policy and streams each settled cell into the
+    incremental checkpoint.
 
     :meth:`run` raises the ``OSError`` of the first checkpoint append that
     failed (a full disk) instead of returning a result the checkpoint lost.
@@ -1007,9 +1021,9 @@ class SweepRunner:
         #: freeze time and so telemetry ``ts`` values correlate with
         #: checkpoint ``ts`` values.
         self.clock = clock
-        # Per-run state (filled by run()): effective per-index timeouts, the
-        # incremental checkpoint writer and the parsed resume source.
-        self._timeouts: dict[int, Optional[float]] = {}
+        # Per-run state (filled by run()): the cost hints that scale board()
+        # timeouts, the incremental checkpoint writer and the resume source.
+        self._hints: dict[str, float] = {}
         self._writer = None
         self._write_error: Optional[OSError] = None
         self._resume_checkpoint: Optional[tuple[pathlib.Path, set[str]]] = None
@@ -1176,7 +1190,7 @@ class SweepRunner:
             raise
 
     def settle_outcome(self, outcome: SweepOutcome) -> None:
-        """Checkpoint one settled outcome (transports call this as cells land)."""
+        """Checkpoint one settled outcome (the :meth:`board`'s ``on_outcome``)."""
         if self._writer is not None:
             self._checkpoint(self._writer.record_outcome, outcome)
         reg = telemetry.registry()
@@ -1188,7 +1202,7 @@ class SweepRunner:
             )
 
     def settle_failure(self, failure: SweepFailure) -> None:
-        """Checkpoint one settled failure (transports call this as cells land)."""
+        """Checkpoint one settled failure (the :meth:`board`'s ``on_failure``)."""
         if self._writer is not None:
             self._checkpoint(self._writer.record_failure, failure)
         telemetry.event(
@@ -1196,9 +1210,32 @@ class SweepRunner:
             kind=failure.kind, attempts=failure.attempts,
         )
 
-    def effective_timeout_for(self, index: int) -> Optional[float]:
-        """The hint-scaled per-cell timeout computed for this run (or None)."""
-        return self._timeouts.get(index, self.timeout_s)
+    def board(
+        self,
+        order: Sequence[int],
+        *,
+        workers: "WorkerRegistry",
+        lease_ttl_s: float,
+        job: Optional[str] = None,
+    ) -> "LeaseBoard":
+        """The attempt ledger over ``order``'s cells, for the local drain and
+        the lease coordinator alike: this run's retries, backoff and
+        hint-scaled timeouts, settling into its checkpoint."""
+        from repro.sweep.ledger import LeaseBoard
+
+        return LeaseBoard(
+            {index: self.tasks[index] for index in order},
+            list(order),
+            workers=workers,
+            retries=self.retries,
+            backoff=self._backoff_delay,
+            timeouts={index: self._effective_timeout(self.tasks[index], self._hints)
+                      for index in order},
+            lease_ttl_s=lease_ttl_s,
+            on_outcome=lambda index, outcome: self.settle_outcome(outcome),
+            on_failure=lambda index, failure: self.settle_failure(failure),
+            job=job,
+        )
 
     # ----------------------------------------------------------- preparation
     def _prepare_devices(self, tasks: Sequence[SweepTask]) -> dict[tuple, PreparedTarget]:
@@ -1275,11 +1312,7 @@ class SweepRunner:
                 prep_span.annotate(preparations=len(preparations))
         prep_time = time.perf_counter() - start
 
-        hints = self._load_cost_hints()
-        self._timeouts = {
-            index: self._effective_timeout(self.tasks[index], hints)
-            for index in to_run
-        }
+        self._hints = hints = self._load_cost_hints()
         order = sorted(
             to_run,
             key=lambda index: (-expected_cost(self.tasks[index], hints), index),
@@ -1326,115 +1359,59 @@ class SweepRunner:
         )
 
     def _run_cells(self, order, preparations):
-        """The one local attempt loop: queue, backoff, ledger, retry-or-fail.
+        """Drain this run's :meth:`board` in process: lease, heartbeat, wait, report.
 
-        ``order`` lists the task indices to run, longest-expected-first.
-        Only the launch of an attempt depends on the mode: ``workers=1``
-        without a timeout calls ``task_fn`` in-process, in grid order, and
-        lets anything but an ``Exception`` (``KeyboardInterrupt``)
-        propagate; otherwise each attempt is a :class:`WorkerProcesses`
-        call, dispatched in ``order`` to up to ``workers`` slots and killed
-        once it exceeds its effective timeout (``timeout_s`` floor, scaled
-        from the recorded cost hint).  A failed attempt re-enters the queue
-        after a deterministic exponential backoff until ``retries`` is spent.
+        ``workers=1`` without a timeout queues ``order`` in grid order and
+        calls each cell in-process (anything but an ``Exception``, such as
+        ``KeyboardInterrupt``, propagates); otherwise each attempt runs on
+        one of ``workers`` :class:`WorkerProcesses` slots.  The heartbeat
+        after leasing returns revoked leases, whose processes are killed.
+        What settled is reported before the next heartbeat, so a reply that
+        landed beats its timeout.
         """
+        from repro.sweep.ledger import WAKE_SLACK_S, WorkerRegistry
+
         inline = self.workers == 1 and self.timeout_s is None
+        registry = WorkerRegistry()
+        # The drain heartbeats every pass, so its leases never expire.
+        board = self.board(sorted(order) if inline else order,
+                           workers=registry, lease_ttl_s=math.inf)
+        worker = registry.register("local")
         pool = WorkerProcesses(self.task_fn)  # forks on the first submit
-        pending = sorted(order) if inline else list(order)
-        attempts = dict.fromkeys(pending, 0)
-        spent = dict.fromkeys(pending, 0.0)
-        ready_at: dict[int, float] = {}
-        outcomes: dict[int, SweepOutcome] = {}
-        failures: dict[int, SweepFailure] = {}
-        max_slots = min(self.workers, len(pending))
-
-        def settle(index: int, kind: str, detail) -> None:
-            """Settle one attempt: ``kind == "ok"`` carries the return value,
-            any other kind is a failure verdict with its message."""
-            task = self.tasks[index]
-            if kind == "ok":
-                if isinstance(detail, SweepOutcome):
-                    detail.attempts = attempts[index]
-                    outcomes[index] = detail
-                    self.settle_outcome(detail)
-                    return
-                kind, detail = "invalid-result", (
-                    f"worker returned {type(detail).__name__!s} instead of SweepOutcome"
-                )
-            if attempts[index] <= self.retries:
-                telemetry.event("sweep.cell.retry", uid=task.uid,
-                                attempt=attempts[index], kind=kind)
-                logger.warning("task %s attempt %d failed (%s); retrying",
-                               task.name, attempts[index], detail)
-                delay = self._backoff_delay(attempts[index])
-                if delay > 0:
-                    ready_at[index] = time.monotonic() + delay
-                pending.append(index)
-            else:
-                failures[index] = SweepFailure(
-                    task=task, kind=kind, error=detail,
-                    attempts=attempts[index], duration_s=spent[index],
-                )
-                self.settle_failure(failures[index])
-
-        def launch(index: int) -> None:
-            attempts[index] += 1
-            task = self.tasks[index]
-            prepared = preparations.get(task.prep_key)
-            if inline:
-                start = time.perf_counter()
-                try:
-                    kind, detail = "ok", self.task_fn(task, self.cache_dir, prepared)
-                except Exception as exc:  # noqa: BLE001 - converted to a record
-                    kind, detail = "error", f"{type(exc).__name__}: {exc}"
-                spent[index] += time.perf_counter() - start
-                settle(index, kind, detail)
-                return
-            pool.submit(index, task, self.cache_dir, prepared)
-            telemetry.event("sweep.cell.dispatch", uid=task.uid,
-                            attempt=attempts[index])
-
+        running: dict[str, str] = {}  # lease id -> uid of each forked attempt
         try:
-            while pending or pool.busy:
-                while pending and pool.busy < max_slots:
-                    # First queued cell whose backoff window has passed.
+            while not board.done:
+                settled = []  # (lease id, uid, kind, value, seconds)
+                for cell in board.lease(worker, self.workers - len(running)):
+                    args = (cell.task, self.cache_dir, preparations.get(cell.task.prep_key))
+                    if inline:
+                        settled.append((cell.lease_id, cell.task.uid,
+                                        *execute_cell(self.task_fn, *args)))
+                    else:
+                        pool.submit(cell.lease_id, *args)
+                        running[cell.lease_id] = cell.task.uid
+                # After leasing, which can revoke too, so that every attempt
+                # left running holds a live lease whose deadline bounds the wait.
+                lost = board.heartbeat(worker, list(running))
+                for lease_id in lost:
+                    del running[lease_id]
+                    pool.kill(lease_id)
+                if not settled and not lost:
                     now = time.monotonic()
-                    position = next(
-                        (p for p, i in enumerate(pending)
-                         if ready_at.get(i, 0.0) <= now),
-                        None,
-                    )
-                    if position is None:
-                        break
-                    launch(pending.pop(position))
-
-                now = time.monotonic()
-                backing_off = [i for i in pending if ready_at.get(i, 0.0) > now]
-                if not pool.busy:
-                    if backing_off:
-                        # Every queued cell is inside its backoff window:
-                        # sleep to the earliest release instead of spinning.
-                        soonest = min(ready_at[i] for i in backing_off)
-                        time.sleep(max(min(soonest - now, 1.0), 0.005))
-                    continue
-
-                # Without a timeout (and with no backoff release to watch for)
-                # there is nothing to poll: block until a worker reports (or
-                # dies, which EOFs its pipe).
-                poll = self.timeout_s is not None or (
-                    backing_off and pool.busy < max_slots
-                )
-                for index, status, value, seconds in pool.wait(
-                        timeout=0.05 if poll else None):
-                    spent[index] += seconds
-                    settle(index, status, value)
-                for index, seconds in pool.elapsed().items():
-                    limit = self._timeouts.get(index, self.timeout_s)
-                    if limit is not None and seconds > limit:
-                        spent[index] += pool.kill(index)
-                        telemetry.event("sweep.cell.timeout", uid=self.tasks[index].uid,
-                                        attempt=attempts[index], limit_s=limit)
-                        settle(index, "timeout", f"exceeded the {limit:g}s per-task timeout")
+                    deadline = board.next_deadline(now)
+                    wait_s = None if deadline is None \
+                        else max(deadline - now, 0.0) + WAKE_SLACK_S
+                    if running:
+                        settled = [(lease_id, running.pop(lease_id), kind, value, seconds)
+                                   for lease_id, kind, value, seconds in pool.wait(wait_s)]
+                    elif wait_s is not None:  # every queued cell is backing off
+                        time.sleep(wait_s)
+                for lease_id, uid, kind, value, seconds in settled:
+                    if kind == "ok":
+                        board.report(worker, lease_id, uid, outcome=value, duration_s=seconds)
+                    else:
+                        board.report(worker, lease_id, uid, error=value, kind=kind,
+                                     duration_s=seconds)
         finally:
             pool.close()
-        return outcomes, failures
+        return dict(board.outcomes), dict(board.failures)

@@ -114,8 +114,9 @@ class TelemetryReport:
 
     @property
     def timeout_kills(self) -> int:
-        """Timeout kills observed by the scheduler (sidecar events)."""
-        return int(self.events.get("sweep.cell.timeout", 0))
+        """Leases revoked for their per-cell timeout (sidecar events), in
+        every mode: the attempt ledger emits ``shard.lease.revoked``."""
+        return int(self.events.get("shard.lease.revoked", 0))
 
     @property
     def timeout_failures(self) -> int:

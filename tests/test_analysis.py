@@ -260,8 +260,10 @@ class TestPickleBoundary:
 
 # ------------------------------------------------------------ lock-discipline
 class TestLockDiscipline:
-    def test_flags_fsync_and_events_under_lock(self, tmp_path):
-        findings = lint_source(tmp_path / "shard" / "mod.py", """\
+    # The shard tier and the attempt ledger a local sweep drains.
+    @pytest.mark.parametrize("module", ["shard/mod.py", "sweep/ledger.py"])
+    def test_flags_fsync_and_events_under_lock(self, tmp_path, module):
+        findings = lint_source(tmp_path / module, """\
             import os
             import threading
 

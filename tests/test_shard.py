@@ -423,6 +423,32 @@ class TestRequestBodyBounds:
         assert status == 413 and "exceeds" in reply["error"]
 
 
+#: One malformed field per body; each must answer 400 naming the field.
+MALFORMED_FIELDS = [
+    ("/v1/lease", {"slots": "x"}, "slots"),
+    ("/v1/lease", {"slots": None}, "slots"),
+    ("/v1/lease", {"known_preps": 5}, "known_preps"),
+    ("/v1/heartbeat", {"lease_ids": 5}, "lease_ids"),
+    ("/v1/report", {"duration_s": "x"}, "duration_s"),
+    ("/v1/report", {"duration_s": None}, "duration_s"),
+    ("/v1/cache/pull", {"namespaces": [{}]}, "namespaces"),
+]
+
+
+class TestMalformedLeaseFields:
+    @pytest.mark.parametrize("route,fields,name", MALFORMED_FIELDS,
+                             ids=[f"{route}-{name}-{list(fields.values())[0]!r}"
+                                  for route, fields, name in MALFORMED_FIELDS])
+    def test_bad_field_answers_400_naming_it(self, lease_surface, route, fields, name):
+        url = lease_surface.url
+        worker = post_json(url, "/v1/register", {"name": "t"})["worker_id"]
+        body = {"worker_id": worker, "lease_id": "l1", "uid": "u", "status": "error",
+                **fields}
+        with pytest.raises(ShardProtocolError, match=rf"HTTP 400.*'{name}'"):
+            post_json(url, route, body)
+        assert get_json(url, "/v1/status")["version"] == 1, "the server survived"
+
+
 class TestCoordinatorHTTP:
     def test_protocol_round_trip_over_real_sockets(self):
         tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
@@ -550,7 +576,7 @@ class TestCoordinatorHTTP:
 # -------------------------------------------------------------------- end to end
 def run_distributed(tasks, *, worker_count=2, worker_workers=1, cache_dir=None,
                     runner_kwargs=None, worker_hook=None, lease_ttl_s=10.0,
-                    task_fn=run_sweep_task):
+                    task_fn=run_sweep_task, worker_kwargs=None):
     """One coordinator (in a thread) + N in-process serial workers."""
     bound = threading.Event()
     holder = {}
@@ -577,7 +603,7 @@ def run_distributed(tasks, *, worker_count=2, worker_workers=1, cache_dir=None,
         worker_hook(holder["url"])
     workers = [
         ShardWorker(holder["url"], workers=worker_workers, name=f"test-{i}",
-                    cache_dir=None, task_fn=task_fn)
+                    cache_dir=None, task_fn=task_fn, **(worker_kwargs or {}))
         for i in range(worker_count)
     ]
     codes = []
@@ -598,11 +624,22 @@ def run_distributed(tasks, *, worker_count=2, worker_workers=1, cache_dir=None,
 CRASHING_CELL = "PYNQ-Z1-random-40fps"
 
 
+#: The cell that hangs in the timeout tests.
+STALLING_CELL = "PYNQ-Z1-scd-40fps"
+
+
 # Module-level so it pickles under any multiprocessing start method.
 def _crashing_task(task, cache_dir, prepared):
     """Dies without a reply on one cell, as a segfault or an OOM kill would."""
     if task.name == CRASHING_CELL:
         os._exit(13)
+    return run_sweep_task(task, cache_dir, prepared)
+
+
+def _stalling_task(task, cache_dir, prepared):
+    """Hangs on one cell until its process is killed."""
+    if task.name == STALLING_CELL:
+        time.sleep(3600.0)
     return run_sweep_task(task, cache_dir, prepared)
 
 
@@ -736,6 +773,49 @@ class TestDistributedSweep:
         assert workers[0].reported_errors == 1
         assert multiprocessing.active_children() == []
 
+    def test_pooled_worker_kills_a_revoked_cell_and_exits(self):
+        """A cell revoked for its timeout loses its process on a pooled
+        worker, so the worker exits 0 once the grid settles instead of
+        waiting on stalled processes forever."""
+        tasks = build_grid("pynq-z1", "scd,random,annealing,evolutionary", [40.0], **TINY)
+        assert STALLING_CELL in {task.name for task in tasks}
+        result, _, codes = run_distributed(
+            tasks, worker_count=1, worker_workers=2, task_fn=_stalling_task,
+            runner_kwargs={"timeout_s": 2.0, "retries": 1},
+            worker_kwargs={"request_timeout_s": 5.0})
+        assert codes == [0], "the worker must return once the grid settled"
+        assert len(result.outcomes) == 3
+        assert [(f.task.name, f.kind, f.attempts) for f in result.failures] == \
+            [(STALLING_CELL, "timeout", 2)]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("mode", ["shard", "local"])
+    def test_telemetry_report_counts_timeout_kills(self, tmp_path, mode):
+        """Every mode's timeout goes through the ledger's lease revocation,
+        so ``telemetry report`` counts it as a kill."""
+        from repro import telemetry
+        from repro.telemetry import build_report
+
+        tasks = build_grid("pynq-z1", "scd,random", [40.0], **TINY)
+        timeouts = {"timeout_s": 1.0, "retries": 0}
+        telemetry.enable(fresh=True)
+        try:
+            if mode == "shard":
+                result, _, codes = run_distributed(
+                    tasks, worker_count=1, worker_workers=2, cache_dir=str(tmp_path),
+                    task_fn=_stalling_task, runner_kwargs=timeouts,
+                    worker_kwargs={"request_timeout_s": 5.0})
+                assert codes == [0]
+            else:
+                result = SweepRunner(tasks, workers=1, cache_dir=tmp_path,
+                                     task_fn=_stalling_task, **timeouts).run()
+        finally:
+            telemetry.disable()
+        assert [(f.task.name, f.kind) for f in result.failures] == [(STALLING_CELL, "timeout")]
+        report = build_report(str(tmp_path))
+        assert report.timeout_kills == 1
+        assert "timeout kills: 1" in report.render()
+
     def test_lease_loop_round_trips_per_cell(self, monkeypatch):
         """Folding the serial and pooled loops into one adds no round trips:
         a serial worker leases and reports each cell once, a pooled one
@@ -832,7 +912,7 @@ class TestTransportWiring:
 
         status, value, _ = execute_cell(
             lambda task, cache_dir, prepared: "garbage", task, None, None)
-        assert status == "error" and "instead of SweepOutcome" in value
+        assert status == "invalid-result" and "instead of SweepOutcome" in value
 
 
 # --------------------------------------------------------------------- shard CLI

@@ -96,6 +96,28 @@ class TestReuseAndReaping:
         assert multiprocessing.active_children() == []
 
 
+# ------------------------------------------------------------------- layering
+@pytest.mark.parametrize("workers", [1, 2])
+def test_local_sweep_imports_no_http_code(workers):
+    """The attempt ledger a local sweep drains lives in ``repro.sweep``: a
+    serial or forked local run imports neither the shard tier nor an HTTP
+    stack (checked in a fresh interpreter)."""
+    script = (
+        "import sys\n"
+        "from repro.sweep import SweepRunner, build_grid\n"
+        f"grid = build_grid('pynq-z1', 'scd,random', [40.0], **{TINY!r})\n"
+        f"assert SweepRunner(grid, workers={workers}).run().ok\n"
+        "print(sorted(name for name in ('repro.shard', 'http.server', 'urllib.request')\n"
+        "             if name in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120.0)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 # ------------------------------------------------------------ orphaned workers
 def _children_of(pid: int) -> list[int]:
     """Pids whose parent is ``pid``, read from ``/proc/<pid>/stat``."""
