@@ -289,6 +289,52 @@ class TestRunSweepTask:
         json.dumps(to_jsonable(outcome))
 
 
+class TestPerCellCounters:
+    """Each cell's (memory hits, memory misses, disk hits, disk misses,
+    estimator calls), pinned for a cold then a warm run into one cache
+    directory.  Cells of a device share a namespace, so later cold cells
+    already hit what earlier ones appended."""
+
+    COLD = {
+        "PYNQ-Z1-scd-40fps": (4, 28, 0, 28, 28),
+        "PYNQ-Z1-random-40fps": (4, 28, 28, 0, 0),
+        "PYNQ-Z1-evolutionary-40fps": (17, 59, 28, 31, 31),
+        "PYNQ-Z1-annealing-40fps": (4, 28, 28, 0, 0),
+        "Ultra96-scd-40fps": (14, 55, 0, 55, 55),
+        "Ultra96-random-40fps": (8, 56, 37, 19, 19),
+        "Ultra96-evolutionary-40fps": (21, 67, 39, 28, 28),
+        "Ultra96-annealing-40fps": (11, 44, 31, 13, 13),
+    }
+    WARM = {
+        "PYNQ-Z1-scd-40fps": (4, 28, 28, 0, 0),
+        "PYNQ-Z1-random-40fps": (4, 28, 28, 0, 0),
+        "PYNQ-Z1-evolutionary-40fps": (17, 59, 59, 0, 0),
+        "PYNQ-Z1-annealing-40fps": (4, 28, 28, 0, 0),
+        "Ultra96-scd-40fps": (14, 55, 55, 0, 0),
+        "Ultra96-random-40fps": (8, 56, 56, 0, 0),
+        "Ultra96-evolutionary-40fps": (21, 67, 67, 0, 0),
+        "Ultra96-annealing-40fps": (11, 44, 44, 0, 0),
+    }
+
+    @staticmethod
+    def _counters(result):
+        assert result.ok
+        return {
+            o.task.name: (o.memory_hits, o.memory_misses, o.disk_hits,
+                          o.disk_misses, o.estimator_calls)
+            for o in result.outcomes
+        }
+
+    def test_cold_then_warm_counters_are_pinned(self, tmp_path):
+        tasks = build_grid("pynq-z1,ultra96", "scd,random,evolutionary,annealing", [40.0],
+                           tolerance_ms=10, iterations=25, num_candidates=1,
+                           top_bundles=2, seed=2019)
+        cold = SweepRunner(tasks, workers=1, cache_dir=tmp_path).run()
+        assert self._counters(cold) == self.COLD
+        warm = SweepRunner(tasks, workers=1, cache_dir=tmp_path).run()
+        assert self._counters(warm) == self.WARM
+
+
 # --------------------------------------------------------------------- runner
 class TestSweepRunner:
     def test_process_pool_matches_serial_journals(self, tmp_path):
