@@ -33,7 +33,7 @@ import hashlib
 import pathlib
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from repro.utils.logging import get_logger
 
@@ -233,10 +233,6 @@ def is_compare_to_none(node: ast.AST) -> Optional[tuple[str, bool]]:
 
 def contains(root: ast.AST, target: ast.AST) -> bool:
     return any(node is target for node in ast.walk(root))
-
-
-def statements_contain(statements: Iterable[ast.stmt], target: ast.AST) -> bool:
-    return any(contains(stmt, target) for stmt in statements)
 
 
 # ------------------------------------------------------------------ checkers

@@ -108,8 +108,9 @@ class Backend(ABC):
         """Build the estimation engine (the ``auto_hls`` slot of the flow).
 
         The engine contract: ``estimate(config) -> PerformanceEstimate``,
-        ``estimate_batch(configs)`` bit-identical to the scalar loop (so
-        :func:`repro.search.cache.resolve_batch_estimator` vectorizes it),
+        ``estimate_batch(configs)`` bit-identical to the scalar loop (so an
+        :class:`~repro.search.cache.EvaluationCache` built on the bound
+        ``estimate`` vectorizes through it),
         plus ``clock_mhz``, ``device`` and a settable ``coefficients``
         attribute (``None`` on fit-free backends).
         """

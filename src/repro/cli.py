@@ -570,31 +570,39 @@ def _resolve_resume_source(args: argparse.Namespace):
 
 def _build_sweep_runner(args: argparse.Namespace, transport=None):
     """Grid + runner construction shared by ``sweep`` and ``shard coordinator``."""
-    from repro.sweep import SweepRunner, build_grid
+    from repro.sweep.spec import SweepSpec
 
-    tasks = build_grid(
-        args.devices,
-        args.strategies,
-        args.fps,
-        tolerance_ms=args.tolerance_ms,
-        iterations=args.iterations,
-        num_candidates=args.candidates,
-        top_bundles=args.top_bundles,
-        seed=args.seed,
-        clocks_mhz=args.clocks,
-        utilizations=args.utilizations,
-    )
-    return SweepRunner(
-        tasks,
-        workers=getattr(args, "workers", 1),
+    spec = SweepSpec.from_args(args)
+    spec.build_tasks()  # a grid error comes before any --resume message
+    return spec.build_runner(
         cache_dir=args.cache_dir,
-        timeout_s=args.timeout_s,
-        timeout_scale=args.timeout_scale,
-        retries=args.retries,
-        retry_backoff_s=args.retry_backoff_s,
-        resume_from=_resolve_resume_source(args),
+        workers=getattr(args, "workers", 1),
         transport=transport,
+        resume_from=_resolve_resume_source(args),
     )
+
+
+def _lease_surface_bind(args: argparse.Namespace, command: str):
+    """``--bind`` parsed, or ``None`` after a usage error (exit 2) was printed.
+
+    Also checks ``--heartbeat-s < --lease-ttl-s``: cross-field and bind-spec
+    validation that argparse types cannot express.
+    """
+    from repro.shard.protocol import parse_bind
+
+    try:
+        bind = parse_bind(args.bind)
+    except ValueError as exc:
+        print(f"repro-codesign {command}: error: argument --bind: {exc}", file=sys.stderr)
+        return None
+    if args.heartbeat_s >= args.lease_ttl_s:
+        print(
+            f"repro-codesign {command}: error: argument --heartbeat-s: must be "
+            f"below --lease-ttl-s ({args.heartbeat_s:g} >= {args.lease_ttl_s:g})",
+            file=sys.stderr,
+        )
+        return None
+    return bind
 
 
 def _report_sweep_result(result, args: argparse.Namespace) -> int:
@@ -630,25 +638,12 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 def _run_shard(args: argparse.Namespace) -> int:
     if args.role == "coordinator":
-        from repro.shard import CoordinatorTransport, parse_bind
-
-        # Cross-field and bind-spec validation that argparse types cannot
-        # express; fail as a usage error (exit 2), not a traceback.
-        try:
-            bind = parse_bind(args.bind)
-        except ValueError as exc:
-            print(f"repro-codesign shard coordinator: error: argument --bind: {exc}",
-                  file=sys.stderr)
-            return 2
-        if args.heartbeat_s >= args.lease_ttl_s:
-            print(
-                "repro-codesign shard coordinator: error: argument --heartbeat-s: "
-                f"must be below --lease-ttl-s ({args.heartbeat_s:g} >= "
-                f"{args.lease_ttl_s:g})",
-                file=sys.stderr,
-            )
-            return 2
+        from repro.shard import CoordinatorTransport
         from repro.shard.protocol import resolve_token
+
+        bind = _lease_surface_bind(args, "shard coordinator")
+        if bind is None:
+            return 2
 
         transport = CoordinatorTransport(
             bind=bind,
@@ -786,20 +781,10 @@ def _run_shard_status(args: argparse.Namespace) -> int:
 
 def _run_serve(args: argparse.Namespace) -> int:
     from repro.service import ServiceCoordinator
-    from repro.shard.protocol import parse_bind, resolve_token
+    from repro.shard.protocol import resolve_token
 
-    try:
-        bind = parse_bind(args.bind)
-    except ValueError as exc:
-        print(f"repro-codesign serve: error: argument --bind: {exc}",
-              file=sys.stderr)
-        return 2
-    if args.heartbeat_s >= args.lease_ttl_s:
-        print(
-            "repro-codesign serve: error: argument --heartbeat-s: must be "
-            f"below --lease-ttl-s ({args.heartbeat_s:g} >= {args.lease_ttl_s:g})",
-            file=sys.stderr,
-        )
+    bind = _lease_surface_bind(args, "serve")
+    if bind is None:
         return 2
     service = ServiceCoordinator(
         args.root,

@@ -113,9 +113,8 @@ class AutoHLS:
     def estimate_batch(self, configs: Sequence[DNNConfig]) -> list[PerformanceEstimate]:
         """:meth:`estimate` over many configs in one call.
 
-        ``EvaluationCache.evaluate_batch`` discovers this method through
-        :func:`repro.search.cache.resolve_batch_estimator` even when it was
-        handed the bound ``estimate`` method.
+        An ``EvaluationCache`` handed the bound ``estimate`` method finds
+        this one through the method's owner and scores its misses with it.
         """
         return evaluator_for(self.device).estimate_batch(
             configs, self.coefficients, self.clock_mhz

@@ -158,11 +158,11 @@ class CoDesignFlow:
     def attach_evaluation_cache(self, cache: EvaluationCache) -> None:
         """Swap the search-side evaluation cache after construction.
 
-        The sweep engine uses this to layer a persistent
-        :class:`~repro.sweep.disk_cache.DiskEvaluationCache` under the
-        in-memory cache once step 1 has fitted the model coefficients (the
-        disk namespace embeds their fingerprint, so the cache can only be
-        built post-fit).
+        The sweep engine uses this to attach a
+        :class:`~repro.sweep.disk_cache.DiskEvaluationCache`, an in-memory
+        cache with a persistent tier, once step 1 has fitted the model
+        coefficients (the disk namespace embeds their fingerprint, so the
+        cache can only be built post-fit).
         """
         self.auto_dnn.cache = cache
 

@@ -89,10 +89,6 @@ class DesignPoint:
             "downsample_factor": ("accuracy", "performance", "resource"),
         }
 
-    @property
-    def num_ip_instances(self) -> int:
-        return len(self.ip_instances)
-
     def describe(self) -> str:
         """Readable multi-line description of the design point."""
         lines = [

@@ -172,7 +172,7 @@ class SCDUnit:
         call.  The Explorer adapter passes its journaling
         ``score_generation`` here; results must be bit-identical to the
         scalar ``estimator`` path (see
-        :func:`repro.search.cache.resolve_batch_estimator`).
+        :meth:`repro.search.cache.EvaluationCache.evaluate_batch`).
     """
 
     def __init__(

@@ -2,15 +2,15 @@
 
 :class:`GPURooflineEngine` gives the GPU backend the same engine surface the
 FPGA backend gets from :class:`repro.core.auto_hls.AutoHLS`: a scalar
-``estimate(config)``, a vectorized ``estimate_batch(configs)`` that
-:func:`repro.search.cache.resolve_batch_estimator` discovers, and the
+``estimate(config)``, a vectorized ``estimate_batch(configs)`` that an
+:class:`~repro.search.cache.EvaluationCache` built on ``estimate`` uses, and the
 ``device`` / ``clock_mhz`` / ``coefficients`` attributes the sweep plumbing
 reads.  There is no ``fit_models`` and no ``generate``: the roofline model is
 fit-free and produces no HLS artifacts, so ``coefficients`` stays ``None``
 and :meth:`repro.core.auto_dnn.AutoDNN.refine_with_hls` passes candidates
 through untouched.
 
-Bit-identity contract (mirrors :class:`repro.hw.batch.BatchedDNNEstimator`):
+Bit-identity contract (as :meth:`repro.hw.evaluator.FPGAEvaluator.estimate_batch`):
 ``estimate_batch`` must return exactly what a scalar loop would.  The scalar
 model accumulates per-layer latencies left to right, so the batch path adds
 one *layer column* at a time across the whole batch — elementwise IEEE ops in

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.hw.ip import IPConfig, IPInstance, IPTemplate
+from repro.hw.ip import IPTemplate
 from repro.hw.workload import LayerWorkload
 
 
@@ -51,12 +51,6 @@ class IPLibrary:
             if template.supports(layer):
                 return template
         raise KeyError(f"No IP template supports layer kind={layer.kind} kernel={layer.kernel}")
-
-    def instantiate_for(
-        self, layer: LayerWorkload, config: IPConfig, name: str | None = None
-    ) -> IPInstance:
-        """Instantiate the template supporting ``layer`` with ``config``."""
-        return self.template_for_layer(layer).instantiate(config, name=name)
 
 
 def default_ip_library() -> IPLibrary:

@@ -225,31 +225,6 @@ class TileArchAccelerator:
             counts[instance.name] += self.tiles_per_layer(layer)
         return counts
 
-    def max_parallel_factor(self) -> int:
-        """Largest PF (shared by all instances) that still fits on the device.
-
-        Mirrors the paper's initialization rule: "PF is set as the maximum
-        value that can fully utilize available resources" under the chosen
-        quantization scheme.
-        """
-        best = 1
-        pf = self.bundle_hw.instances[0].parallel_factor if self.bundle_hw.instances else 1
-        quant = self.bundle_hw.instances[0].quantization if self.bundle_hw.instances else None
-        library = default_ip_library()
-        candidate = 1
-        while candidate <= 512:
-            acc = TileArchAccelerator.build(
-                self.workload, self.device, parallel_factor=candidate,
-                quantization=quant, library=library, tile=self.tile, clock_mhz=self.clock_mhz,
-            )
-            if acc.fits():
-                best = candidate
-            else:
-                break
-            candidate *= 2
-        del pf
-        return best
-
     def describe(self) -> str:
         """Readable multi-line description of the accelerator configuration."""
         util = self.utilization()

@@ -122,7 +122,7 @@ class Explorer(ABC):
 
         Unique missing configs are estimated once, through the estimator's
         vectorized ``estimate_batch`` when it offers one (see
-        :func:`repro.search.cache.resolve_batch_estimator`).  Results are
+        :meth:`repro.search.cache.EvaluationCache.evaluate_batch`).  Results are
         bit-identical to scalar evaluation, and every config is journaled in
         input order, so session journals do not depend on the path taken.
         """

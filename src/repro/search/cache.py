@@ -6,10 +6,13 @@ strategy: the SCD unit alone re-estimates the *current* config on every loop
 iteration plus one unit move per coordinate, and population-based strategies
 revisit configurations constantly.  :class:`EvaluationCache` memoizes the
 estimator on a structural key so identical configurations are estimated once
-per search session.  A search reaches the estimator through two entry
-points: :meth:`EvaluationCache.evaluate` for one config, and
-:meth:`EvaluationCache.evaluate_batch` for a population, whose unique misses
-go to the estimator's vectorized ``estimate_batch`` in one call.
+per search session.  A search reaches the estimator through
+:meth:`EvaluationCache.evaluate` for one config and
+:meth:`EvaluationCache.evaluate_batch` for a population; both run one
+routine, which sends a population's unique misses to the estimator's
+vectorized ``estimate_batch`` in one call.  A subclass adds a persistent
+tier through two hooks, ``get_many`` and ``put_many``
+(:class:`repro.sweep.disk_cache.DiskEvaluationCache`).
 
 The key builds on :meth:`DNNConfig.describe` but appends the exact
 per-repetition channel-expansion and down-sampling vectors — ``describe()``
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import repro.telemetry as telemetry
 
@@ -55,25 +58,6 @@ def config_cache_key(config: "DNNConfig") -> str:
             f"task={config.task.name}@{c}x{h}x{w}"
         )
     return key
-
-
-def resolve_batch_estimator(
-    estimator: Callable[["DNNConfig"], "PerformanceEstimate"],
-) -> Optional[Callable[[Sequence["DNNConfig"]], list]]:
-    """The batched entry point of an estimator, if it offers one.
-
-    Accepts either a callable object with an ``estimate_batch`` method (e.g.
-    :class:`repro.sweep.disk_cache.DiskEvaluationCache`) or a bound method
-    whose owner has one (e.g. ``auto_hls.estimate`` — the form
-    :class:`repro.core.auto_dnn.AutoDNN` wires up).  Returns ``None`` for
-    plain scalar estimators, in which case callers fall back to a loop.
-    """
-    batch = getattr(estimator, "estimate_batch", None)
-    if callable(batch):
-        return batch
-    owner = getattr(estimator, "__self__", None)
-    batch = getattr(owner, "estimate_batch", None) if owner is not None else None
-    return batch if callable(batch) else None
 
 
 @dataclass(frozen=True)
@@ -111,8 +95,14 @@ class EvaluationCache:
         cache = EvaluationCache(auto_hls.estimate)
         scd = SCDUnit(cache, target, constraint)
 
-    ``misses`` always equals the number of underlying estimator invocations,
-    which makes the cache's effect directly measurable.
+    Every request, single or batched, runs one routine: look the keys up in
+    memory, ask :meth:`get_many` for the missing ones, estimate each *unique*
+    remaining config once, hand those estimates to :meth:`put_many` and keep
+    everything in memory.  The two tier hooks do nothing here;
+    :class:`repro.sweep.disk_cache.DiskEvaluationCache` fills them in with a
+    persistent tier.  ``hits``, ``misses`` and :meth:`stats` count the memory
+    tier, so without a second tier ``misses`` equals the number of underlying
+    estimator invocations, which makes the cache's effect directly measurable.
     """
 
     def __init__(
@@ -122,6 +112,11 @@ class EvaluationCache:
     ) -> None:
         self.estimator = estimator
         self.key_fn = key_fn
+        # The vectorized entry point, looked up once: the estimator's own
+        # ``estimate_batch`` or, for a bound method such as
+        # ``auto_hls.estimate``, its owner's.  Plain functions have none.
+        batch = getattr(getattr(estimator, "__self__", estimator), "estimate_batch", None)
+        self._estimate_batch = batch if callable(batch) else None
         self._store: dict[str, "PerformanceEstimate"] = {}
         self._hits = 0
         self._misses = 0
@@ -136,80 +131,66 @@ class EvaluationCache:
 
     def evaluate_with_info(self, config: "DNNConfig") -> tuple["PerformanceEstimate", bool]:
         """Evaluate one config; returns ``(estimate, served_from_cache)``."""
-        key = self.key_fn(config)
-        reg = telemetry.registry()
-        with self._lock:
-            cached = self._store.get(key)
-            if cached is not None:
-                self._hits += 1
-                if reg is not None:
-                    reg.counter("search.cache.hits").inc()
-                return cached, True
-        # Estimate outside the lock; a concurrent duplicate computation is
-        # harmless because the estimator is deterministic.
-        value = self.estimator(config)
-        with self._lock:
-            self._store[key] = value
-            self._misses += 1
-        if reg is not None:
-            reg.counter("search.cache.misses").inc()
-        return value, False
+        return self.evaluate_batch((config,), with_info=True)[0]
 
     def evaluate_batch(self, configs: Sequence["DNNConfig"], with_info: bool = False) -> list:
         """Evaluate a batch, estimating each *unique* missing config once.
 
-        The missing configs go to the estimator's ``estimate_batch`` in one
-        call when there are several and it offers one, so duplicates and
-        already cached members cost nothing.
+        A duplicate of a miss in the same batch counts as a hit.  The configs
+        no tier holds go to the estimator's ``estimate_batch`` in one call
+        when there are several and it offers one.  Results are bit-identical
+        to the scalar estimator, so journals and checkpoints do not depend on
+        which path ran.  ``with_info`` pairs each estimate with whether the
+        memory tier served it.
         """
         keys = [self.key_fn(config) for config in configs]
-        results: list = [None] * len(configs)
-        cached_flags = [False] * len(configs)
-        missing: dict[str, int] = {}
-        batch_hits = batch_misses = 0
+        results: list = [None] * len(keys)
+        cached = [True] * len(keys)
+        missing: dict[str, "DNNConfig"] = {}
         with self._lock:
             for index, key in enumerate(keys):
                 value = self._store.get(key)
                 if value is not None:
                     results[index] = value
-                    cached_flags[index] = True
-                    self._hits += 1
-                    batch_hits += 1
                 elif key not in missing:
-                    missing[key] = index
-                    self._misses += 1
-                    batch_misses += 1
-                else:
-                    # Duplicate of a miss in the same batch: estimated once.
-                    self._hits += 1
-                    batch_hits += 1
-                    cached_flags[index] = True
+                    missing[key] = configs[index]
+                    cached[index] = False
+            hits = len(keys) - len(missing)
+            self._hits += hits
+            self._misses += len(missing)
         reg = telemetry.registry()
         if reg is not None:
-            if batch_hits:
-                reg.counter("search.cache.hits").inc(batch_hits)
-            if batch_misses:
-                reg.counter("search.cache.misses").inc(batch_misses)
-        representatives = [configs[index] for index in missing.values()]
-        if representatives:
-            batch_estimate = resolve_batch_estimator(self.estimator)
-            if batch_estimate is not None and len(representatives) > 1:
-                # Vectorized path: one call scores the whole generation.
-                # Results are bit-identical to the scalar estimator, so
-                # journals and checkpoints do not depend on which path ran.
-                values = batch_estimate(representatives)
-            else:
-                values = [self.estimator(config) for config in representatives]
+            if hits:
+                reg.counter("search.cache.hits").inc(hits)
+            if missing:
+                reg.counter("search.cache.misses").inc(len(missing))
+        if missing:
+            # Estimate outside the lock; a concurrent duplicate computation
+            # is harmless because the estimator is deterministic.
+            found = dict(zip(missing, self.get_many(list(missing))))
+            fresh = {key: missing[key] for key, value in found.items() if value is None}
+            if fresh:
+                if self._estimate_batch is not None and len(fresh) > 1:
+                    values = self._estimate_batch(list(fresh.values()))
+                else:
+                    values = [self.estimator(config) for config in fresh.values()]
+                entries = list(zip(fresh, values))
+                self.put_many(entries)
+                found.update(entries)
             with self._lock:
-                for key, value in zip(missing, values):
-                    self._store[key] = value
-        with self._lock:
-            for index, key in enumerate(keys):
-                if results[index] is None:
-                    results[index] = self._store[key]
+                self._store.update(found)
+            results = [found.get(key, value) for key, value in zip(keys, results)]
         if with_info:
-            return list(zip(results, cached_flags))
+            return list(zip(results, cached))
         return results
+
+    # ------------------------------------------------------------- tier hooks
+    def get_many(self, keys: Sequence[str]) -> list:
+        """Another tier's estimates for ``keys``; ``None`` where it has none."""
+        return [None] * len(keys)
+
+    def put_many(self, entries: Sequence[tuple[str, "PerformanceEstimate"]]) -> None:
+        """Hand another tier the ``(key, estimate)`` pairs just estimated."""
 
     # ------------------------------------------------------------ bookkeeping
     @property
@@ -225,7 +206,7 @@ class EvaluationCache:
             return CacheStats(hits=self._hits, misses=self._misses, size=len(self._store))
 
     def clear(self) -> None:
-        """Drop all entries and reset the hit / miss counters."""
+        """Drop the memory tier's entries and reset its hit / miss counters."""
         with self._lock:
             self._store.clear()
             self._hits = 0

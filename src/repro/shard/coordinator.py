@@ -99,6 +99,12 @@ class _BodyTooLarge(ShardProtocolError):
     status = 413
 
 
+class _BodyIncomplete(ShardProtocolError):
+    """A request body that stalled or ended before its ``Content-Length``: 408."""
+
+    status = 408
+
+
 class _CoordinatorHandler(BaseHTTPRequestHandler):
     """One HTTP request against a :class:`LeaseCoordinator`."""
 
@@ -107,6 +113,9 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-shard"
     protocol_version = "HTTP/1.1"
+    #: Seconds any one socket read or write may block (the workers' default
+    #: request timeout), so a stalled client cannot hold its thread forever.
+    timeout = 30.0
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         logger.debug("shard http: " + format, *args)
@@ -133,7 +142,16 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
             raise _BodyTooLarge(
                 f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
             )
-        raw = self.rfile.read(length) if length else b"{}"
+        try:
+            raw = self.rfile.read(length) if length else b"{}"
+            problem = f"ended after {len(raw)} of {length} bytes" if len(raw) < length else ""
+        except OSError as exc:  # a TimeoutError past `timeout`, or a reset
+            problem = f"read failed: {exc}"
+        if problem:
+            # The client's fault: it stalled or hung up mid-body.
+            self.close_connection = True
+            logger.debug("shard http: %s request body %s", self.path, problem)
+            raise _BodyIncomplete(f"request body {problem}")
         try:
             payload = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -185,7 +203,10 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
             else:
                 self._reply(reply)
         except ShardProtocolError as exc:
-            self._reply({"error": str(exc)}, status=getattr(exc, "status", 400))
+            try:
+                self._reply({"error": str(exc)}, status=getattr(exc, "status", 400))
+            except OSError:  # a client that sent half a body may have hung up
+                self.close_connection = True
         except Exception as exc:  # noqa: BLE001 - one bad request must not kill the server
             logger.exception("shard: unhandled error serving %s", self.path)
             # It may have settled a cell first (a failed checkpoint append): wake the waiters.

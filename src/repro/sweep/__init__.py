@@ -18,9 +18,9 @@ limits at once:
   ``fpga:pynq-z1`` and ``gpu:jetson-tx2`` mix in one grid,
 * :mod:`repro.sweep.ledger` — :class:`~repro.sweep.ledger.LeaseBoard`, the
   attempt ledger a local sweep drains and :mod:`repro.shard` serves,
-* :mod:`repro.sweep.disk_cache` — :class:`DiskEvaluationCache`: JSON-lines
-  estimator memoization that persists across processes and runs, layered
-  under the in-memory :class:`~repro.search.cache.EvaluationCache`, with
+* :mod:`repro.sweep.disk_cache` — :class:`DiskEvaluationCache`: the
+  in-memory :class:`~repro.search.cache.EvaluationCache` plus a JSON-lines
+  tier that persists estimates across processes and runs, with
   :func:`compact_cache_dir` compaction / GC (dedup, corrupt-line repair,
   age and size eviction),
 * :mod:`repro.sweep.checkpoint` — incremental sweep checkpoint

@@ -1,20 +1,21 @@
 """Persistent on-disk evaluation cache (JSON-lines).
 
-:class:`DiskEvaluationCache` memoizes analytical-estimator calls *across
-process boundaries and across runs*: every newly estimated configuration is
-appended as one JSON line to a shard file inside the cache directory, and a
-fresh instance starts from every record of its namespace.  It exposes the same
-callable protocol as a plain estimator, so it layers *under* the in-memory
-:class:`repro.search.cache.EvaluationCache`::
+:class:`DiskEvaluationCache` is a :class:`repro.search.cache.EvaluationCache`
+with a persistent second tier: it memoizes analytical-estimator calls
+*across process boundaries and across runs*.  Every newly estimated
+configuration is appended as one JSON line to a shard file inside the cache
+directory, and a fresh instance starts from every record of its namespace.
+One instance is a sweep cell's whole memo::
 
-    disk = DiskEvaluationCache(auto_hls.estimate, cache_dir,
-                               device=device.name, clock_mhz=100.0,
-                               context=coefficients_fingerprint(coeffs))
-    cache = EvaluationCache(disk)   # memory layer on top
+    cache = DiskEvaluationCache(auto_hls.estimate, cache_dir,
+                                device=device.name, clock_mhz=100.0,
+                                context=coefficients_fingerprint(coeffs))
+    flow.attach_evaluation_cache(cache)
 
-With that stack, a repeated same-seed sweep serves every estimate from disk
-and never invokes the estimator at all (``disk.misses`` is the exact count
-of real estimator invocations).
+A repeated same-seed sweep then serves every estimate from disk and never
+invokes the estimator at all.  ``cache.stats()`` counts the memory tier and
+``cache.disk_stats()`` the disk tier, whose misses are the exact count of
+real estimator invocations.
 
 Entries are namespaced by ``device @ clock | context``: an estimate is only
 valid for the device, accelerator clock and fitted model coefficients it was
@@ -50,7 +51,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 import repro.telemetry as telemetry
 from repro.hw.analytical import PerformanceEstimate
 from repro.hw.resource import ResourceVector
-from repro.search.cache import CacheStats, config_cache_key, resolve_batch_estimator
+from repro.search.cache import CacheStats, EvaluationCache, config_cache_key
 from repro.utils.jsonl import JsonlLog, JsonlTail, parse_lines
 from repro.utils.logging import get_logger
 from repro.utils.serialization import to_jsonable
@@ -113,8 +114,16 @@ def _estimate_from_payload(payload) -> Optional[PerformanceEstimate]:
         return None
 
 
-class DiskEvaluationCache:
-    """JSON-lines-backed estimator memoization, shared across runs.
+class DiskEvaluationCache(EvaluationCache):
+    """An :class:`EvaluationCache` with a JSON-lines tier, shared across runs.
+
+    The memory tier and its counters (``hits``, ``misses``, :meth:`stats`)
+    are the base class's.  This class adds the disk tier behind its two
+    hooks: :meth:`get_many` answers memory misses from the records the
+    namespace held when this instance opened, and :meth:`put_many` appends
+    what the estimator then scored to this instance's shard.
+    :meth:`disk_stats` counts that tier: hits served from disk, and misses,
+    which are the real estimator invocations.
 
     Parameters
     ----------
@@ -152,28 +161,56 @@ class DiskEvaluationCache:
         key_fn: Callable[["DNNConfig"], str] = config_cache_key,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        self.estimator = estimator
+        super().__init__(estimator, key_fn)
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.key_fn = key_fn
         self.namespace = f"{device}@{clock_mhz:g}MHz"
         if context:
             self.namespace += f"|{context}"
         # Shard files are namespace-prefixed, so an open reads only its own.
         self._prefix = _sanitize(self.namespace)
         self.shard_path = self.directory / f"{self._prefix}--{_sanitize(shard or 'main')}.jsonl"
-        self._hits = 0
-        self._misses = 0
-        self._lock = threading.Lock()
+        self._disk_hits = 0
+        self._estimator_calls = 0
         self._clock = clock
         self._log = JsonlLog(self.shard_path, best_effort=True)
-        self._store = _namespace_records(self.directory, self.namespace)
-        if self._store:
-            logger.debug("disk cache loaded %d entries for %s", len(self._store), self.namespace)
+        self._records = _namespace_records(self.directory, self.namespace)
+        if self._records:
+            logger.debug("disk cache loaded %d entries for %s", len(self._records), self.namespace)
 
-    # ------------------------------------------------------------ persistence
+    # perfbench/tracer.py patches these three names on this class.
+    def evaluate_with_info(self, config: "DNNConfig") -> tuple[PerformanceEstimate, bool]:
+        return super().evaluate_with_info(config)
+
+    def estimate_batch(self, configs: Sequence["DNNConfig"]) -> list[PerformanceEstimate]:
+        return self.evaluate_batch(configs)
+
     def _append(self, key: str, estimate: PerformanceEstimate) -> None:
         self._append_many([(key, estimate)])
+
+    # -------------------------------------------------------------- disk tier
+    def get_many(self, keys: Sequence[str]) -> list:
+        """The records for ``keys``; ``None`` where absent.  Found ones are disk hits."""
+        with self._lock:
+            values = [self._records.get(key) for key in keys]
+            found = len(values) - values.count(None)
+            self._disk_hits += found
+        reg = telemetry.registry()
+        if reg is not None:
+            if found:
+                reg.counter("sweep.disk_cache.hits").inc(found)
+        return values
+
+    def put_many(self, entries: Sequence[tuple[str, PerformanceEstimate]]) -> None:
+        """Record freshly estimated entries, one estimator call (disk miss) each."""
+        with self._lock:
+            self._estimator_calls += len(entries)
+            fresh = [(key, value) for key, value in entries if key not in self._records]
+            self._records.update(fresh)
+            self._append_many(fresh)
+        reg = telemetry.registry()
+        if reg is not None:
+            reg.counter("sweep.disk_cache.misses").inc(len(entries))
 
     def _append_many(self, entries: Sequence[tuple[str, PerformanceEstimate]]) -> None:
         """Append records with one shard-file write (and one ``ts``).
@@ -197,143 +234,19 @@ class DiskEvaluationCache:
             for key, estimate in entries
         ])
 
-    # ------------------------------------------------------------- evaluation
-    def __call__(self, config: "DNNConfig") -> PerformanceEstimate:
-        return self.evaluate(config)
-
-    def evaluate(self, config: "DNNConfig") -> PerformanceEstimate:
-        return self.evaluate_with_info(config)[0]
-
-    def evaluate_with_info(self, config: "DNNConfig") -> tuple[PerformanceEstimate, bool]:
-        """Evaluate one config; returns ``(estimate, served_from_disk)``."""
-        key = self.key_fn(config)
-        reg = telemetry.registry()
-        with self._lock:
-            cached = self._store.get(key)
-            if cached is not None:
-                self._hits += 1
-                if reg is not None:
-                    reg.counter("sweep.disk_cache.hits").inc()
-                return cached, True
-        value = self.estimator(config)
-        with self._lock:
-            self._misses += 1
-            if key not in self._store:
-                self._store[key] = value
-                self._append(key, value)
-        if reg is not None:
-            reg.counter("sweep.disk_cache.misses").inc()
-        return value, False
-
-    def estimate_batch(self, configs: Sequence["DNNConfig"]) -> list[PerformanceEstimate]:
-        """Evaluate a batch: bulk disk lookup, one estimator batch, one append.
-
-        ``misses`` still counts exactly the configs the underlying estimator
-        scored (one per unique missing key — the in-memory layer above
-        already deduplicates, so in the sweep stack this equals the scalar
-        path's count record for record).  The underlying estimator's own
-        ``estimate_batch`` is used when it offers one; results and shard
-        records are bit-identical either way.
-        """
-        keys = [self.key_fn(config) for config in configs]
-        results: list = [None] * len(configs)
-        missing: dict[str, int] = {}
-        batch_hits = 0
-        with self._lock:
-            for index, key in enumerate(keys):
-                value = self._store.get(key)
-                if value is not None:
-                    results[index] = value
-                    self._hits += 1
-                    batch_hits += 1
-                elif key not in missing:
-                    missing[key] = index
-        batch_misses = 0
-        representatives = [configs[index] for index in missing.values()]
-        if representatives:
-            batch_estimate = resolve_batch_estimator(self.estimator)
-            if batch_estimate is not None and len(representatives) > 1:
-                values = batch_estimate(representatives)
-            else:
-                values = [self.estimator(config) for config in representatives]
-            with self._lock:
-                fresh: list[tuple[str, PerformanceEstimate]] = []
-                for key, value in zip(missing, values):
-                    self._misses += 1
-                    batch_misses += 1
-                    if key not in self._store:
-                        self._store[key] = value
-                        fresh.append((key, value))
-                self._append_many(fresh)
-        with self._lock:
-            for index, key in enumerate(keys):
-                if results[index] is None:
-                    results[index] = self._store[key]
-        reg = telemetry.registry()
-        if reg is not None:
-            if batch_hits:
-                reg.counter("sweep.disk_cache.hits").inc(batch_hits)
-            if batch_misses:
-                reg.counter("sweep.disk_cache.misses").inc(batch_misses)
-        return results
-
-    # ------------------------------------------------------------- bulk access
-    def get_many(self, configs: Sequence["DNNConfig"]) -> list:
-        """Bulk lookup; ``None`` marks configs absent from the disk store.
-
-        A pure read: found entries count as hits, absent ones leave
-        ``misses`` untouched (that counter is reserved for real estimator
-        invocations).
-        """
-        reg = telemetry.registry()
-        results: list = []
-        found = 0
-        with self._lock:
-            for config in configs:
-                value = self._store.get(self.key_fn(config))
-                if value is not None:
-                    self._hits += 1
-                    found += 1
-                results.append(value)
-        if reg is not None:
-            if found:
-                reg.counter("sweep.disk_cache.hits").inc(found)
-        return results
-
-    def put_many(
-        self, configs: Sequence["DNNConfig"], estimates: Sequence[PerformanceEstimate]
-    ) -> None:
-        """Persist precomputed estimates; counter-neutral, one shard append."""
-        if len(configs) != len(estimates):
-            raise ValueError("configs and estimates must have the same length")
-        with self._lock:
-            fresh: list[tuple[str, PerformanceEstimate]] = []
-            for config, value in zip(configs, estimates):
-                key = self.key_fn(config)
-                if key not in self._store:
-                    self._store[key] = value
-                    fresh.append((key, value))
-            self._append_many(fresh)
-
     # ------------------------------------------------------------ bookkeeping
-    @property
-    def hits(self) -> int:
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        """Real estimator invocations (disk misses)."""
-        return self._misses
-
-    def stats(self) -> CacheStats:
+    def disk_stats(self) -> CacheStats:
+        """The disk tier's hits and misses (real estimator invocations)."""
         with self._lock:
-            return CacheStats(hits=self._hits, misses=self._misses, size=len(self._store))
+            return CacheStats(hits=self._disk_hits, misses=self._estimator_calls,
+                              size=len(self._records))
 
+    # The disk tier holds every memory-tier entry as well.
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._records)
 
     def __contains__(self, config: "DNNConfig") -> bool:
-        return self.key_fn(config) in self._store
+        return self.key_fn(config) in self._records
 
 
 # --------------------------------------------------------- compaction and GC

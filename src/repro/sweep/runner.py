@@ -39,9 +39,10 @@ and timing accounting.  A task's journal depends only on the task itself —
 never on the worker count, the dispatch order or the warmth of the disk
 cache — so ``workers=8`` and ``workers=1`` produce identical journals.
 
-When a cache directory is given, every worker layers the persistent
-:class:`~repro.sweep.disk_cache.DiskEvaluationCache` under its in-memory
-cache, so repeated sweeps and re-runs skip estimator calls entirely.
+When a cache directory is given, each cell's evaluation cache is a
+:class:`~repro.sweep.disk_cache.DiskEvaluationCache`, an in-memory cache with
+a persistent tier, so repeated sweeps and re-runs skip estimator calls
+entirely.
 
 The cache directory also hosts two sidecars (see
 :mod:`repro.sweep.checkpoint`): an **incremental checkpoint**
@@ -581,7 +582,7 @@ def _run_sweep_task(
     # Imported here so a forked/spawned worker resolves everything locally.
     from repro.core.auto_dnn import AutoDNN
     from repro.core.bundle_generation import get_bundle
-    from repro.search import EvaluationCache, SearchSession
+    from repro.search import SearchSession
     from repro.sweep.disk_cache import DiskEvaluationCache
 
     start = time.perf_counter()
@@ -620,7 +621,7 @@ def _run_sweep_task(
             # budget or seed must not append to the same shard file.
             shard=task.uid,
         )
-        flow.attach_evaluation_cache(EvaluationCache(disk))
+        flow.attach_evaluation_cache(disk)
 
     # Journal metadata excludes worker count, dispatch order, preparation mode
     # and cache warmth on purpose: the journal of a task must be identical
@@ -646,7 +647,7 @@ def _run_sweep_task(
     best = AutoDNN.best_per_target(candidates, [target]).get(target)
     gaps = [abs(c.latency_ms - target.latency_ms) for c in candidates]
     memory_stats = flow.auto_dnn.cache.stats()
-    disk_stats = disk.stats() if disk is not None else None
+    disk_stats = disk.disk_stats() if disk is not None else None
     return SweepOutcome(
         task=task,
         journal=session.as_dict(),

@@ -37,7 +37,7 @@ from repro.hw.evaluator import FPGAEvaluator
 from repro.hw.resource import ResourceVector
 from repro.hw.tile_arch import TileArchAccelerator
 from repro.search.base import create_explorer
-from repro.search.cache import EvaluationCache, resolve_batch_estimator
+from repro.search.cache import EvaluationCache
 from repro.search.session import SearchSession
 from repro.sweep import SweepRunner, build_grid
 from repro.sweep.disk_cache import DiskEvaluationCache
@@ -80,25 +80,32 @@ class SpyEstimator:
         return self.auto.estimate_batch(configs)
 
 
-class TestResolveBatchEstimator:
+class TestBatchEntryPoint:
+    """The cache finds the estimator's ``estimate_batch`` once, when built."""
+
+    CONFIGS = [make_config(4), make_config(8), make_config(16)]
+
     def test_object_with_estimate_batch(self):
         spy = SpyEstimator()
-        assert resolve_batch_estimator(spy) == spy.estimate_batch
+        EvaluationCache(spy).evaluate_batch(self.CONFIGS)
+        assert (spy.batch_calls, spy.scalar_calls) == (1, 0)
 
     def test_bound_method_owner(self):
-        auto = AutoHLS(PYNQ_Z1)
-        resolved = resolve_batch_estimator(auto.estimate)
-        assert resolved is not None
-        assert resolved.__self__ is auto
+        spy = SpyEstimator()
+        EvaluationCache(spy.__call__).evaluate_batch(self.CONFIGS)
+        assert (spy.batch_calls, spy.scalar_calls) == (1, 0)
 
     def test_plain_callable_has_none(self):
-        assert resolve_batch_estimator(lambda config: None) is None
+        spy = SpyEstimator()
+        EvaluationCache(lambda config: spy(config)).evaluate_batch(self.CONFIGS)
+        assert (spy.batch_calls, spy.scalar_calls) == (0, 3)
 
     def test_disk_cache_is_batchable(self, tmp_path):
-        disk = DiskEvaluationCache(
-            AutoHLS(PYNQ_Z1).estimate, tmp_path, device="pynq-z1"
-        )
-        assert resolve_batch_estimator(disk) == disk.estimate_batch
+        spy = SpyEstimator()
+        disk = DiskEvaluationCache(spy, tmp_path, device="pynq-z1")
+        EvaluationCache(disk).evaluate_batch(self.CONFIGS)
+        assert (spy.batch_calls, spy.scalar_calls) == (1, 0)
+        assert disk.disk_stats().misses == 3
 
 
 class TestEvaluationCacheBatch:
@@ -145,15 +152,17 @@ class TestDiskCacheBatch:
         configs = [make_config(4), make_config(8), make_config(16)]
         results = disk.estimate_batch(configs)
         assert spy.batch_calls == 1 and spy.scalar_calls == 0
-        # misses == real estimator invocations, exactly as the scalar path.
-        assert disk.misses == 3 and disk.hits == 0
+        # Disk misses == real estimator invocations, exactly as the scalar path.
+        assert disk.disk_stats().misses == 3 and disk.disk_stats().hits == 0
         again = disk.estimate_batch(configs)
         assert again == results
-        assert disk.misses == 3 and disk.hits == 3
+        # The memory tier serves the repeats; the disk tier sees none of them.
+        assert disk.hits == 3 and disk.disk_stats().hits == 0
+        assert disk.disk_stats().misses == 3
         # A fresh instance reloads every record from the shard.
         reloaded = self._disk(tmp_path, spy, shard="other")
         assert reloaded.estimate_batch(configs) == results
-        assert reloaded.misses == 0
+        assert reloaded.disk_stats().misses == 0 and reloaded.disk_stats().hits == 3
 
     def test_batched_shard_bytes_match_scalar(self, tmp_path):
         configs = [make_config(4), make_config(8), make_config(16)]
@@ -167,27 +176,24 @@ class TestDiskCacheBatch:
             scalar_disk.shard_path.read_bytes()
             == batched_disk.shard_path.read_bytes()
         )
-        assert scalar_disk.misses == batched_disk.misses == 3
+        assert scalar_disk.disk_stats().misses == batched_disk.disk_stats().misses == 3
 
     def test_get_many_and_put_many(self, tmp_path):
         auto = AutoHLS(PYNQ_Z1)
         configs = [make_config(4), make_config(8)]
         estimates = auto.estimate_batch(configs)
         disk = self._disk(tmp_path, auto.estimate)
-        assert disk.get_many(configs) == [None, None]
-        assert disk.misses == 0  # pure reads never count as misses
-        disk.put_many(configs, estimates)
-        assert disk.misses == 0 and len(disk) == 2
-        assert disk.get_many(configs) == estimates
-        assert disk.hits == 2
+        keys = [disk.key_fn(config) for config in configs]
+        assert disk.get_many(keys) == [None, None]
+        assert disk.disk_stats().misses == 0  # pure reads never count as misses
+        disk.put_many(list(zip(keys, estimates)))
+        # Each entry put counts as one estimator call.
+        assert disk.disk_stats().misses == 2 and len(disk) == 2
+        assert disk.get_many(keys) == estimates
+        assert disk.disk_stats().hits == 2
         # put_many persisted: a fresh instance serves both entries.
         fresh = self._disk(tmp_path, auto.estimate, shard="other")
-        assert fresh.get_many(configs) == estimates
-
-    def test_put_many_length_mismatch(self, tmp_path):
-        disk = self._disk(tmp_path, AutoHLS(PYNQ_Z1).estimate)
-        with pytest.raises(ValueError):
-            disk.put_many([make_config(4)], [])
+        assert fresh.get_many(keys) == estimates
 
 
 class TestBestEvaluationPerBundle:
@@ -299,12 +305,12 @@ class TestBundleEvaluatorBatched:
 
 
 def _force_scalar(monkeypatch):
-    """Disable every batched dispatch and score with the reference model."""
-    import repro.search.cache as cache_module
-    import repro.sweep.disk_cache as disk_module
+    """Score every config alone, with the reference model.
 
-    monkeypatch.setattr(cache_module, "resolve_batch_estimator", lambda e: None)
-    monkeypatch.setattr(disk_module, "resolve_batch_estimator", lambda e: None)
+    Without ``AutoHLS.estimate_batch``, a cache built on ``auto.estimate``
+    has no batch entry point and calls the scalar estimator per config.
+    """
+    monkeypatch.delattr(AutoHLS, "estimate_batch")
     _force_reference(monkeypatch)
 
 

@@ -68,7 +68,7 @@ class TestChannelExpansionAliasing:
         assert len(reloaded) == 2
         assert reloaded.evaluate(a).latency_ms == estimate_a.latency_ms
         assert reloaded.evaluate(b).latency_ms == estimate_b.latency_ms
-        assert reloaded.misses == 0
+        assert reloaded.disk_stats().misses == 0
 
 
 # --------------------------------------------------- annealing clamp at scale

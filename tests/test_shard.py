@@ -423,6 +423,73 @@ class TestRequestBodyBounds:
         assert status == 413 and "exceeds" in reply["error"]
 
 
+class TestStalledConnections:
+    """A handler thread never outlives its socket timeout."""
+
+    TIMEOUT_S = 0.5
+
+    @staticmethod
+    def _wait_for_threads(count: int) -> None:
+        deadline = time.monotonic() + 10.0
+        while threading.active_count() < count and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() >= count
+
+    @pytest.mark.parametrize("kind", ["coordinator", "service"])
+    def test_stop_leaves_no_handler_thread_behind(self, kind, tmp_path, monkeypatch,
+                                                   caplog, capfd):
+        import logging
+        import socket
+        import struct
+
+        from repro.service import ServiceCoordinator
+        from repro.shard.coordinator import _CoordinatorHandler
+
+        monkeypatch.setattr(_CoordinatorHandler, "timeout", self.TIMEOUT_S)
+        baseline = threading.active_count()
+        if kind == "coordinator":
+            surface = LeaseCoordinator()
+            stop = surface.close
+        else:
+            surface = ServiceCoordinator(tmp_path / "root")
+            stop = surface.stop
+        surface.start()
+        serving = threading.active_count()
+        head = b"POST /v1/lease HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\n"
+        stalled = []
+        try:
+            # One at a time, so each is accepted and holds its own thread.
+            for _ in range(20):
+                stalled.append(socket.create_connection(surface.address, timeout=10.0))
+                stalled[-1].sendall(head)
+                self._wait_for_threads(serving + len(stalled))
+            idle = socket.create_connection(surface.address, timeout=10.0)
+            stalled.append(idle)
+            idle.sendall(b"GET /v1/status HTTP/1.1\r\nHost: t\r\n\r\n")
+            assert idle.recv(65536).startswith(b"HTTP/1.1 200")
+            # Six clients hang up half-way through their body, three with a
+            # reset (SO_LINGER 0).
+            for hangup in range(6):
+                with socket.create_connection(surface.address, timeout=10.0) as sock:
+                    if hangup % 2:
+                        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                        struct.pack("ii", 1, 0))
+                    sock.sendall(head + b'{"worker_id": ')
+            stop()
+            deadline = time.monotonic() + self.TIMEOUT_S + 10.0
+            while threading.active_count() > baseline and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert threading.active_count() <= baseline
+            for sock in stalled[:-1]:
+                assert sock.recv(65536).startswith(b"HTTP/1.1 408")
+        finally:
+            for sock in stalled:
+                sock.close()
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+        # socketserver's handle_error: a reply written to a vanished client.
+        assert "Exception occurred during processing" not in capfd.readouterr().err
+
+
 #: One malformed field per body; each must answer 400 naming the field.
 MALFORMED_FIELDS = [
     ("/v1/lease", {"slots": "x"}, "slots"),

@@ -182,12 +182,12 @@ class TestDiskEvaluationCache:
         counting = CountingEstimator(engine.estimate)
         first = DiskEvaluationCache(counting, tmp_path, device="PYNQ-Z1")
         estimate = first.evaluate(initial)
-        assert counting.calls == 1 and first.misses == 1
+        assert counting.calls == 1 and first.disk_stats().misses == 1
 
         reloaded = DiskEvaluationCache(counting, tmp_path, device="PYNQ-Z1")
         again = reloaded.evaluate(initial)
         assert counting.calls == 1, "reload must serve from disk"
-        assert reloaded.hits == 1 and reloaded.misses == 0
+        assert reloaded.disk_stats().hits == 1 and reloaded.disk_stats().misses == 0
         assert again.latency_ms == estimate.latency_ms
         assert again.resources == estimate.resources
         assert initial in reloaded
@@ -213,11 +213,65 @@ class TestDiskEvaluationCache:
             memory.evaluate(initial)
         # The memory layer absorbs the repeats; disk sees exactly one request.
         assert memory.hits == 2 and memory.misses == 1
-        assert disk.misses == 1 and disk.hits == 0 and counting.calls == 1
+        assert disk.disk_stats().misses == 1 and disk.disk_stats().hits == 0
+        assert counting.calls == 1
 
         warm = EvaluationCache(DiskEvaluationCache(counting, tmp_path, device="PYNQ-Z1"))
         warm.evaluate(initial)
         assert counting.calls == 1, "warm stack must not re-invoke the estimator"
+
+    def test_shared_instance_accounts_every_request_under_threads(self, tmp_path, engine,
+                                                                  initial):
+        # More threads than cores, switching often, scalar and batched
+        # requests over overlapping configs: no counter update is lost, and
+        # no key reaches the shard twice.
+        import sys
+        import threading
+        import time
+
+        def slow(config):  # lets threads miss the same key at once
+            time.sleep(0.001)
+            return engine.estimate(config)
+
+        configs = [initial.with_updates(parallel_factor=pf) for pf in (4, 8, 16, 32)]
+        seed = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1", shard="seed")
+        seed.evaluate_batch(configs[:2])
+        cache = DiskEvaluationCache(slow, tmp_path, device="PYNQ-Z1")
+        requests: list = []
+        errors: list = []
+
+        def worker(index: int) -> None:
+            try:
+                for step in range(30):
+                    batch = configs[step % 3:] + configs[:1] if (index + step) % 2 else \
+                        [configs[(index + step) % 4]]
+                    cache.evaluate_batch(batch)
+                    requests.append(len(batch))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        memory, disk = cache.stats(), cache.disk_stats()
+        assert memory.hits + memory.misses == sum(requests)
+        # Every memory miss went to exactly one of the disk tier's outcomes.
+        assert memory.misses == disk.hits + disk.misses
+        assert disk.hits >= 2 and disk.misses >= 2
+        keys = [json.loads(line)["key"] for line in cache.shard_path.read_text().splitlines()]
+        assert sorted(keys) == sorted(cache.key_fn(config) for config in configs[2:])
+        assert len(cache) == 4
+        assert [cache.evaluate(config) for config in configs] == \
+            [engine.estimate(config) for config in configs]
 
     def test_shards_of_same_namespace_share_entries(self, tmp_path, engine, initial):
         # Two writers (sweep tasks) of one namespace use distinct shard
