@@ -1128,7 +1128,22 @@ def _run_bundles() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point of the ``repro-codesign`` console script."""
+    """Entry point of the ``repro-codesign`` console script.
+
+    A reader that closes standard output early (``| head -1``) ends the
+    command quietly with 141, the status of a process killed by SIGPIPE.
+    """
+    try:
+        status = _dispatch(argv)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The interpreter flushes stdout once more at exit; let that succeed.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+
+
+def _dispatch(argv: list[str] | None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     log_level = getattr(args, "log_level", None)

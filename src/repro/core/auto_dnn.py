@@ -100,6 +100,8 @@ class AutoDNN:
         #: Memoizes estimator calls across bundles, targets and activations.
         # Explicit None check: an empty EvaluationCache is falsy (__len__ == 0).
         self.cache = cache if cache is not None else EvaluationCache(self.auto_hls.estimate)
+        #: Optional memo of post-synthesis results (see :meth:`refine_with_hls`).
+        self.synthesis_cache: Optional[EvaluationCache] = None
 
     # ---------------------------------------------------------- initialization
     def initialize(
@@ -224,15 +226,24 @@ class AutoDNN:
     def refine_with_hls(self, candidates: Sequence[DNNCandidate]) -> list[DNNCandidate]:
         """Run Auto-HLS on every candidate to attach precise hardware results.
 
-        Estimation engines without a ``generate`` step (e.g. the GPU roofline
-        engine — there is no HLS artifact to emit) pass candidates through
-        unchanged.
+        With a ``synthesis_cache`` (an :class:`EvaluationCache` over
+        :func:`repro.core.auto_hls.synthesis_estimate`), all candidates'
+        post-synthesis latencies come from one ``evaluate_batch`` call and
+        are handed to ``generate``: a cache that already holds them makes
+        the step simulate nothing.  Without one, each result synthesises
+        when its latency is first read.  Estimation engines without a
+        ``generate`` step (e.g. the GPU roofline engine — there is no HLS
+        artifact to emit) pass candidates through unchanged.
         """
         if getattr(self.auto_hls, "generate", None) is None:
             return list(candidates)
+        latencies: list[Optional[float]] = [None] * len(candidates)
+        if self.synthesis_cache is not None:
+            synthesised = self.synthesis_cache.evaluate_batch([c.config for c in candidates])
+            latencies = [result.latency_ms for result in synthesised]
         refined: list[DNNCandidate] = []
-        for candidate in candidates:
-            hls = self.auto_hls.generate(candidate.config)
+        for candidate, latency_ms in zip(candidates, latencies):
+            hls = self.auto_hls.generate(candidate.config, latency_ms=latency_ms)
             refined.append(DNNCandidate(
                 config=candidate.config,
                 accuracy=candidate.accuracy,

@@ -40,15 +40,32 @@ logger = get_logger(__name__)
 class AutoHLSResult:
     """Everything Auto-HLS produces for one candidate DNN.
 
-    ``design`` and ``analytical`` are built on first access: a search reads
-    only the report.
+    Only what rebuilds the rest is stored: ``accelerator``, ``report``,
+    ``design`` and ``analytical`` are built on first access, at the clock
+    :meth:`AutoHLS.generate` resolved.  A search reads only ``latency_ms``.
+    When ``generate`` was handed the latency of an earlier synthesis of the
+    same config (a sweep cell's synth tier), ``latency_ms`` returns it and
+    nothing is simulated; it equals ``report.latency_ms``.
     """
 
     config: DNNConfig
-    accelerator: TileArchAccelerator
-    report: HLSReport
+    engine: "AutoHLS"
+    clock_mhz: float
     coefficients: AnalyticalModelCoefficients
     include_support_files: bool
+    synthesised_latency_ms: Optional[float] = None
+
+    @cached_property
+    def accelerator(self) -> TileArchAccelerator:
+        """The Tile-Arch accelerator of the config."""
+        return self.engine.build_accelerator(self.config, clock_mhz=self.clock_mhz)
+
+    @cached_property
+    def report(self) -> HLSReport:
+        """The (simulated) synthesis report of the accelerator."""
+        report = HLSSynthesisSimulator(self.accelerator).synthesise()
+        logger.debug("Auto-HLS synthesised %s", report.design_name)
+        return report
 
     @cached_property
     def design(self) -> GeneratedDesign:
@@ -68,11 +85,27 @@ class AutoHLSResult:
     @property
     def latency_ms(self) -> float:
         """Post-synthesis latency (the precise feedback value)."""
+        if self.synthesised_latency_ms is not None:
+            return self.synthesised_latency_ms
         return self.report.latency_ms
 
     @property
     def fps(self) -> float:
-        return self.report.fps
+        latency = self.latency_ms
+        return 1000.0 / latency if latency > 0 else float("inf")
+
+
+def synthesis_estimate(engine: "AutoHLS", config: DNNConfig) -> PerformanceEstimate:
+    """What the flow reads from ``engine``'s synthesis report of ``config``.
+
+    The report's latency and resources, in the record shape the disk cache
+    stores, so a sweep cell keeps them in a namespace of its own.  A module
+    function rather than an ``AutoHLS`` method, so no cache mistakes it for
+    the engine's estimator and scores its misses with the analytical
+    ``estimate_batch``.
+    """
+    report = HLSSynthesisSimulator(engine.build_accelerator(config)).synthesise()
+    return PerformanceEstimate(latency_ms=report.latency_ms, resources=report.resources)
 
 
 class AutoHLS:
@@ -126,24 +159,25 @@ class AutoHLS:
         config: DNNConfig,
         clock_mhz: Optional[float] = None,
         include_support_files: bool = True,
+        latency_ms: Optional[float] = None,
     ) -> AutoHLSResult:
-        """Build the accelerator, synthesise it and return the full result.
+        """Return the Auto-HLS result of ``config`` at ``clock_mhz``.
 
-        The C code is generated when the result's ``design`` is first read.
-        When ``include_support_files`` is true it also contains a C
+        The accelerator, its synthesis report and the C code are built when
+        the result first reads them.  ``latency_ms`` is the post-synthesis
+        latency of an earlier synthesis of the same config and clock (see
+        :func:`synthesis_estimate`); the result reports it as is.  When
+        ``include_support_files`` is true the code also contains a C
         testbench, the HLS synthesis Tcl script and a Makefile, so it can be
         handed to an HLS tool as-is.
         """
-        accelerator = self.build_accelerator(config, clock_mhz=clock_mhz)
-        # Named as the code will be: the sanitised display name of the config.
-        report = HLSSynthesisSimulator(accelerator).synthesise()
-        logger.debug("Auto-HLS generated %s", report.design_name)
         return AutoHLSResult(
             config=config,
-            accelerator=accelerator,
-            report=report,
+            engine=self,
+            clock_mhz=clock_mhz or self.clock_mhz,
             coefficients=self.coefficients,
             include_support_files=include_support_files,
+            synthesised_latency_ms=latency_ms,
         )
 
     # ---------------------------------------------------------------- fitting

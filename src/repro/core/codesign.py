@@ -155,16 +155,21 @@ class CoDesignFlow:
             cache=evaluation_cache,
         )
 
-    def attach_evaluation_cache(self, cache: EvaluationCache) -> None:
+    def attach_evaluation_cache(
+        self, cache: EvaluationCache, synthesis_cache: Optional[EvaluationCache] = None
+    ) -> None:
         """Swap the search-side evaluation cache after construction.
 
         The sweep engine uses this to attach a
         :class:`~repro.sweep.disk_cache.DiskEvaluationCache`, an in-memory
         cache with a persistent tier, once step 1 has fitted the model
         coefficients (the disk namespace embeds their fingerprint, so the
-        cache can only be built post-fit).
+        cache can only be built post-fit).  ``synthesis_cache`` memoizes
+        step 3's post-synthesis results (see
+        :meth:`~repro.core.auto_dnn.AutoDNN.refine_with_hls`).
         """
         self.auto_dnn.cache = cache
+        self.auto_dnn.synthesis_cache = synthesis_cache
 
     # ------------------------------------------------------------------ steps
     def step1_modeling(

@@ -113,9 +113,19 @@ class EvaluationCache:
         self.estimator = estimator
         self.key_fn = key_fn
         # The vectorized entry point, looked up once: the estimator's own
-        # ``estimate_batch`` or, for a bound method such as
-        # ``auto_hls.estimate``, its owner's.  Plain functions have none.
-        batch = getattr(getattr(estimator, "__self__", estimator), "estimate_batch", None)
+        # ``estimate_batch`` or, when it is its owner's bound ``estimate``
+        # or ``__call__`` (``auto_hls.estimate``), the owner's.  Any other
+        # bound method may score with another model, and plain functions
+        # have none.  Methods are compared by identity, not by name, so a
+        # wrapper patched over ``estimate`` still pairs.
+        owner = getattr(estimator, "__self__", None)
+        if owner is None:
+            batch = getattr(estimator, "estimate_batch", None)
+        else:
+            method = getattr(estimator, "__func__", None)
+            scalar = [getattr(type(owner), name, None) for name in ("estimate", "__call__")]
+            pairs = method is not None and method in scalar
+            batch = getattr(owner, "estimate_batch", None) if pairs else None
         self._estimate_batch = batch if callable(batch) else None
         self._store: dict[str, "PerformanceEstimate"] = {}
         self._hits = 0

@@ -228,6 +228,13 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
         self._dispatch(lambda: self._handle_delete(self.path.rstrip("/")))
 
 
+class _LeaseHTTPServer(ThreadingHTTPServer):
+    daemon_threads = True
+    #: Listen backlog.  socketserver's 5 makes a burst of workers connecting
+    #: at once (each request opens a connection) wait out SYN retransmits.
+    request_queue_size = 128
+
+
 class LeaseCoordinator:
     """The HTTP lease surface over any number of boards and one worker registry.
 
@@ -275,8 +282,7 @@ class LeaseCoordinator:
         self._closing = False
         handler = type("BoundCoordinatorHandler", (self.handler_class,),
                        {"coordinator": self})
-        self.server = ThreadingHTTPServer(bind, handler)
-        self.server.daemon_threads = True
+        self.server = _LeaseHTTPServer(bind, handler)
         self._server_thread: Optional[threading.Thread] = None
 
     # ---------------------------------------------------------------- address

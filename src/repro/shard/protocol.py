@@ -114,6 +114,10 @@ AUTH_HEADER = "X-Repro-Token"
 #: grid's estimator cache at once), so 64 MiB leaves a 30x margin.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Most cells one submitted job may expand to; a larger grid answers 400
+#: before anything is journalled.  The paper grid is 24 cells.
+MAX_JOB_CELLS = 10_000
+
 #: Environment variable consulted when no ``--token`` flag is given.
 SERVICE_TOKEN_ENV = "REPRO_SERVICE_TOKEN"
 

@@ -17,15 +17,22 @@ invokes the estimator at all.  ``cache.stats()`` counts the memory tier and
 ``cache.disk_stats()`` the disk tier, whose misses are the exact count of
 real estimator invocations.
 
+A sweep cell opens a second instance over
+:func:`repro.core.auto_hls.synthesis_estimate`, in the context ``synth``:
+step 3's post-synthesis latency and resources of each final candidate, so a
+warm cell runs no synthesis either.  Its records have the estimates' shape;
+only the namespace tells them apart.
+
 Entries are namespaced by ``device @ clock | context``: an estimate is only
 valid for the device, accelerator clock and fitted model coefficients it was
 computed under, so the context should embed a coefficients fingerprint
-(:func:`coefficients_fingerprint`).  Writes go to a per-instance shard file,
-which keeps concurrent sweep workers from interleaving appends; a failed
-append (a full disk) warns once and leaves the estimate in memory.  Reads
-go through one store per process that decodes each shard line once: an
-open folds in only the bytes appended since the previous one, so workers
-still share each other's results.
+(:func:`coefficients_fingerprint`).  A synthesis report depends on no
+coefficient, so its namespace is ``device @ clock | synth``.  Writes go to
+a per-instance shard file, which keeps concurrent sweep workers from
+interleaving appends; a failed append (a full disk) warns once and leaves
+the estimate in memory.  Reads go through one store per process that
+decodes each shard line once: an open folds in only the bytes appended
+since the previous one, so workers still share each other's results.
 
 The shard protocol exchanges whole records between machines.
 :func:`read_cache_records` exports a directory (``/v1/cache/pull``).

@@ -61,6 +61,7 @@ exponentially (deterministic, no jitter).
 
 from __future__ import annotations
 
+import functools
 import math
 import pathlib
 import time
@@ -581,6 +582,7 @@ def _run_sweep_task(
 ) -> SweepOutcome:
     # Imported here so a forked/spawned worker resolves everything locally.
     from repro.core.auto_dnn import AutoDNN
+    from repro.core.auto_hls import synthesis_estimate
     from repro.core.bundle_generation import get_bundle
     from repro.search import SearchSession
     from repro.sweep.disk_cache import DiskEvaluationCache
@@ -608,7 +610,9 @@ def _run_sweep_task(
     # never serve stale estimates.  The fit is deterministic per target, so
     # repeated sweeps land in the same namespace and hit.  The namespace
     # device is the task's canonical device string — identical to the
-    # legacy display name for FPGA cells.
+    # legacy display name for FPGA cells.  A synthesis report depends on no
+    # coefficient, so step 3's synthesis results get one namespace per
+    # device and clock; the outcome's counters count the estimates only.
     disk: Optional[DiskEvaluationCache] = None
     if cache_dir is not None:
         disk = DiskEvaluationCache(
@@ -621,7 +625,17 @@ def _run_sweep_task(
             # budget or seed must not append to the same shard file.
             shard=task.uid,
         )
-        flow.attach_evaluation_cache(disk)
+        synthesis = None
+        if getattr(flow.auto_hls, "generate", None) is not None:
+            synthesis = DiskEvaluationCache(
+                functools.partial(synthesis_estimate, flow.auto_hls),
+                cache_dir,
+                device=task.device,
+                clock_mhz=flow.auto_hls.clock_mhz,
+                context="synth",
+                shard=task.uid,
+            )
+        flow.attach_evaluation_cache(disk, synthesis_cache=synthesis)
 
     # Journal metadata excludes worker count, dispatch order, preparation mode
     # and cache warmth on purpose: the journal of a task must be identical

@@ -18,10 +18,12 @@ depends on.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Optional
 
+from repro.backend import resolve_targets
 from repro.sweep.runner import SweepRunner, SweepTask, build_grid, run_sweep_task
 
 __all__ = ["SweepSpec"]
@@ -182,6 +184,18 @@ class SweepSpec:
             raise ValueError("'retries' must be >= 0")
         if spec.retry_backoff_s < 0:
             raise ValueError("'retry_backoff_s' must be >= 0")
+        # Counted from the axes, so an oversized grid is never expanded.
+        from repro.shard.protocol import MAX_JOB_CELLS
+
+        strategies = {part.strip() for part in spec.strategies.split(",") if part.strip()}
+        cells = math.prod(len(axis) for axis in (
+            resolve_targets(spec.devices), strategies, set(spec.fps),
+            set(spec.clocks_mhz or (None,)), set(spec.utilizations),
+        ))
+        if cells > MAX_JOB_CELLS:
+            raise ValueError(
+                f"sweep spec expands to {cells} cells; a job may hold at most {MAX_JOB_CELLS}"
+            )
         spec.build_tasks()  # same eager validation as `repro-codesign sweep`
         return spec
 

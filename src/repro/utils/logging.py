@@ -8,8 +8,25 @@ embedding the co-design flow can control verbosity through the usual
 from __future__ import annotations
 
 import logging
+import sys
 
 _FORMAT = "%(asctime)s %(name)s %(levelname)s: %(message)s"
+
+
+class _StderrHandler(logging.StreamHandler):
+    """A console handler on whatever ``sys.stderr`` is when a record is emitted.
+
+    A plain ``StreamHandler()`` keeps the stream it was built with, so once
+    that stream is closed or swapped (as a test harness's capture is) every
+    record becomes a ``--- Logging error ---`` report.
+    """
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
 
 
 def get_logger(name: str, level: int | None = None) -> logging.Logger:
@@ -47,7 +64,7 @@ def configure_logging(level: int | str = logging.INFO) -> None:
     root = logging.getLogger("repro")
     root.setLevel(level)
     if not root.handlers:
-        handler = logging.StreamHandler()
+        handler = _StderrHandler()
         handler.setFormatter(logging.Formatter(_FORMAT))
         root.addHandler(handler)
     for handler in root.handlers:

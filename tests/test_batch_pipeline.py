@@ -95,6 +95,29 @@ class TestBatchEntryPoint:
         EvaluationCache(spy.__call__).evaluate_batch(self.CONFIGS)
         assert (spy.batch_calls, spy.scalar_calls) == (1, 0)
 
+    def test_other_bound_method_stays_scalar(self):
+        class Owner(SpyEstimator):
+            other_calls = 0
+
+            def other(self, config):
+                self.other_calls += 1
+                return self.auto.estimate(config)
+
+        owner = Owner()
+        EvaluationCache(owner.other).evaluate_batch(self.CONFIGS)
+        assert (owner.other_calls, owner.batch_calls) == (3, 0)
+
+    def test_wrapper_patched_over_estimate_still_pairs(self, monkeypatch):
+        estimate = AutoHLS.estimate
+        monkeypatch.setattr(AutoHLS, "estimate", lambda self, config: estimate(self, config))
+        batches = []
+        estimate_batch = AutoHLS.estimate_batch
+        monkeypatch.setattr(AutoHLS, "estimate_batch",
+                            lambda self, configs: batches.append(configs) or
+                            estimate_batch(self, configs))
+        EvaluationCache(AutoHLS(PYNQ_Z1).estimate).evaluate_batch(self.CONFIGS)
+        assert [len(configs) for configs in batches] == [3]
+
     def test_plain_callable_has_none(self):
         spy = SpyEstimator()
         EvaluationCache(lambda config: spy(config)).evaluate_batch(self.CONFIGS)

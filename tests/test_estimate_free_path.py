@@ -10,7 +10,10 @@ savings on that path to the results they must not change:
   other writers' appends and never an evicted key;
 * a journal is converted to JSON once, and every hop (checkpoint line,
   wire view, sweep report) carries exactly what ``to_jsonable`` gives;
-* a full disk under the cache shards costs the cache, never the cell.
+* a full disk under the cache shards costs the cache, never the cell;
+* a warm cell synthesises nothing: step 3 reads each final candidate's
+  post-synthesis latency from the cache directory, and it equals the
+  latency of a fresh synthesis report.
 """
 
 from __future__ import annotations
@@ -29,11 +32,13 @@ import pytest
 
 import repro.sweep.disk_cache as disk_cache
 import repro.utils.jsonl as jsonl
+from repro.core.auto_dnn import AutoDNN
 from repro.core.auto_hls import AutoHLS
 from repro.core.bundle_generation import default_bundle_catalog, get_bundle
 from repro.core.dnn_config import DNNConfig
 from repro.detection.task import TINY_DETECTION_TASK
 from repro.hw.device import PYNQ_Z1
+from repro.hw.hls.synthesis import HLSSynthesisSimulator
 from repro.search import CacheStats, EvaluationCache, SearchSession, config_cache_key
 from repro.shard.protocol import outcome_to_wire
 from repro.sweep import (
@@ -314,5 +319,84 @@ class TestFullDiskUnderShards:
         # Nothing reached the disk, so no cell reuses another's estimates.
         assert full.estimator_calls >= clean.estimator_calls > 0
         warnings = [r for r in caplog.records if "append failed" in r.getMessage()]
-        assert len(warnings) == len(tasks), "one warning per cache instance"
+        # A cell has two cache instances: estimates and synthesis results.
+        assert len(warnings) == 2 * len(tasks), "one warning per cache instance"
         assert not list((tmp_path / "full").glob("PYNQ*.jsonl"))
+
+
+# ----------------------------------------------------------- synthesis tier
+def count_synthesis(monkeypatch) -> list[int]:
+    """Count every synthesis run from now on (``[runs]``, updated in place)."""
+    runs = [0]
+    synthesise = HLSSynthesisSimulator.synthesise
+
+    def counted(self, *args, **kwargs):
+        runs[0] += 1
+        return synthesise(self, *args, **kwargs)
+
+    monkeypatch.setattr(HLSSynthesisSimulator, "synthesise", counted)
+    return runs
+
+
+def synth_records(directory) -> list[dict]:
+    return [json.loads(line) for path in sorted(directory.glob("*_synth--*.jsonl"))
+            for line in path.read_text().splitlines()]
+
+
+class TestSynthesisTier:
+    #: ``TestPerCellCounters``' grid: 8 cells, 60 final candidates.
+    GRID = dict(tolerance_ms=10, iterations=25, num_candidates=1, top_bundles=2, seed=2019)
+
+    def test_synthesis_runs_are_pinned_cold_then_warm(self, tmp_path, monkeypatch):
+        tasks = build_grid("pynq-z1,ultra96", "scd,random,evolutionary,annealing", [40.0],
+                           **self.GRID)
+        runs = count_synthesis(monkeypatch)
+        cold = SweepRunner(tasks, workers=1, cache_dir=tmp_path).run()
+        # 60 final candidates, 43 distinct per device: later cells of a
+        # device read what earlier ones appended.
+        assert runs[0] == 43
+        records = synth_records(tmp_path)
+        assert len(records) == 43
+        assert {r["namespace"] for r in records} == {"PYNQ-Z1@100MHz|synth",
+                                                     "Ultra96@150MHz|synth"}
+        refined = []
+        refine = AutoDNN.refine_with_hls
+
+        def recording(self, candidates):
+            result = refine(self, candidates)
+            refined.extend(result)
+            return result
+
+        monkeypatch.setattr(AutoDNN, "refine_with_hls", recording)
+        runs[0] = 0
+        warm = SweepRunner(tasks, workers=1, cache_dir=tmp_path).run()
+        assert runs[0] == 0
+        assert [o.journal for o in warm.outcomes] == [o.journal for o in cold.outcomes]
+        assert [o.best_latency_ms for o in warm.outcomes] == \
+            [o.best_latency_ms for o in cold.outcomes]
+        assert len(refined) == 60
+        for candidate in refined:
+            assert candidate.hls.synthesised_latency_ms is not None
+            assert candidate.hls.latency_ms == candidate.hls.report.latency_ms
+        assert runs[0] == 60, "the lazy reports synthesised on first access"
+
+    def test_a_directory_of_estimates_only_gains_synthesis_records(self, tmp_path,
+                                                                   monkeypatch):
+        tasks = build_grid("pynq-z1", "scd,random", [40.0], **SMALL)
+        cold = SweepRunner(tasks, workers=1, cache_dir=tmp_path).run()
+        for path in tmp_path.glob("*_synth--*.jsonl"):
+            path.unlink()
+        runs = count_synthesis(monkeypatch)
+        again = SweepRunner(tasks, workers=1, cache_dir=tmp_path).run()
+        assert again.estimator_calls == 0
+        distinct = {r["key"] for r in synth_records(tmp_path)}
+        assert runs[0] == len(distinct) == len(synth_records(tmp_path)) > 0
+        runs[0] = 0
+        last = SweepRunner(tasks, workers=1, cache_dir=tmp_path).run()
+        assert runs[0] == 0 and last.estimator_calls == 0
+        assert [o.journal for o in last.outcomes] == [o.journal for o in cold.outcomes]
+
+    def test_gpu_cells_write_no_synthesis_records(self, tmp_path):
+        tasks = build_grid("gpu:jetson-tx2", "scd", [40.0], **SMALL)
+        assert SweepRunner(tasks, workers=1, cache_dir=tmp_path).run().ok
+        assert synth_records(tmp_path) == []

@@ -27,6 +27,7 @@ from repro.shard import (
     get_json,
     post_json,
 )
+from repro.shard.protocol import MAX_JOB_CELLS
 from repro.sweep import (
     CHECKPOINT_FILENAME,
     SweepFailure,
@@ -131,6 +132,18 @@ class TestSweepSpec:
             SweepSpec.from_payload({"iterations": True})
         with pytest.raises(ValueError, match="'fps'"):
             SweepSpec.from_payload({"fps": ["ten"]})
+
+    def test_rejects_a_grid_over_the_cell_limit(self, monkeypatch):
+        import repro.sweep.runner as runner
+
+        # 3 devices x 5 strategies x 5,000 FPS values: a 39 KB body.
+        payload = {"devices": "all", "fps": list(range(1, 5001)),
+                   "strategies": "scd,random,evolutionary,annealing,regularized-evolution"}
+        expanded = []
+        monkeypatch.setattr(runner, "build_grid", lambda *a, **k: expanded.append(1))
+        with pytest.raises(ValueError, match=rf"75000 cells.*at most {MAX_JOB_CELLS}"):
+            SweepSpec.from_payload(payload)
+        assert expanded == [], "the grid is counted, never expanded"
 
     def test_same_spec_same_uids(self):
         spec = tiny_spec(strategies="scd,random")
@@ -321,6 +334,21 @@ class TestServiceLifecycle:
             assert elapsed < 30.0
         finally:
             service.stop()
+
+    def test_oversized_job_answers_400_and_journals_nothing(self, tmp_path):
+        service = ServiceCoordinator(tmp_path / "root")
+        service.start()
+        try:
+            spec = tiny_spec(fps=tuple(float(f) for f in range(1, MAX_JOB_CELLS + 2)))
+            with pytest.raises(ShardProtocolError,
+                               match=rf"HTTP 400.*{MAX_JOB_CELLS + 1} cells.*{MAX_JOB_CELLS}"):
+                ServiceClient(service.url).submit(spec)
+            assert get_json(service.url, "/v1/jobs")["jobs"] == []
+        finally:
+            service.stop()
+        root = tmp_path / "root"
+        assert '"submitted"' not in (root / SERVICE_LOG_FILENAME).read_text()
+        assert not list(root.glob("jobs/*"))
 
 
 # ------------------------------------------------------------------------ auth
@@ -527,6 +555,31 @@ class TestCacheExchange:
                 (r["namespace"], r["key"]) for r in pulled}
         finally:
             service.stop()
+
+    def test_fresh_worker_synthesises_nothing_the_hub_holds(self, tmp_path, monkeypatch):
+        from repro.hw.hls.synthesis import HLSSynthesisSimulator
+
+        service = ServiceCoordinator(tmp_path / "root")
+        service.start()
+        try:
+            client = ServiceClient(service.url)
+            first = client.submit(tiny_spec())["job"]
+            assert run_worker(service.url, tmp_path / "w1") == 0
+            assert client.wait(first, timeout_s=60)["state"] == "done"
+            assert [r for r in read_cache_records(service.cache_dir)
+                    if r["namespace"] == "PYNQ-Z1@100MHz|synth"]
+            runs = []
+            synthesise = HLSSynthesisSimulator.synthesise
+            monkeypatch.setattr(HLSSynthesisSimulator, "synthesise",
+                                lambda self, *a, **k: runs.append(1) or synthesise(self, *a, **k))
+            second = client.submit(tiny_spec())["job"]
+            assert run_worker(service.url, tmp_path / "w2") == 0
+            assert client.wait(second, timeout_s=60)["state"] == "done"
+        finally:
+            service.stop()
+        assert runs == [], "the fresh worker pulled every synthesis result"
+        outcomes = load_checkpoint(tmp_path / "root" / "jobs" / second / CHECKPOINT_FILENAME)
+        assert [o.estimator_calls for o in outcomes.outcomes.values()] == [0]
 
     def test_worker_push_parses_only_new_shard_bytes(self, tmp_path, monkeypatch):
         reads: list[tuple[str, int]] = []

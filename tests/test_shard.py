@@ -490,6 +490,24 @@ class TestStalledConnections:
         assert "Exception occurred during processing" not in capfd.readouterr().err
 
 
+class TestListenBacklog:
+    def test_a_burst_of_connections_is_not_held_back(self):
+        import socket
+
+        coordinator = LeaseCoordinator()
+        sockets = []
+        try:
+            # Not serving yet: every connection waits in the listen backlog.
+            start = time.monotonic()
+            for _ in range(20):
+                sockets.append(socket.create_connection(coordinator.address, timeout=5.0))
+            assert time.monotonic() - start < 1.0
+        finally:
+            for sock in sockets:
+                sock.close()
+            coordinator.close()
+
+
 #: One malformed field per body; each must answer 400 naming the field.
 MALFORMED_FIELDS = [
     ("/v1/lease", {"slots": "x"}, "slots"),

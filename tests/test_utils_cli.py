@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import logging
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +35,18 @@ class TestLoggingUtils:
         root = logging.getLogger("repro")
         assert root.level == logging.DEBUG
         assert all(h.level == logging.DEBUG for h in root.handlers)
+
+    def test_console_handler_follows_the_current_stderr(self, monkeypatch):
+        root = logging.getLogger("repro")
+        monkeypatch.setattr(root, "handlers", [])
+        first, second = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stderr", first)
+        configure_logging(logging.WARNING)
+        first.close()
+        monkeypatch.setattr(sys, "stderr", second)
+        get_logger("repro.test").warning("after the swap")
+        assert "after the swap" in second.getvalue()
+        assert "Logging error" not in second.getvalue()
 
     def test_configure_logging_accepts_level_names(self):
         configure_logging("warning")
@@ -113,6 +130,22 @@ class TestCLI:
             main(["codesign", "--device", "unknown-board"])
         assert excinfo.value.code == 2
         assert "unknown device 'unknown-board'" in capsys.readouterr().err
+
+    def test_closed_stdout_ends_quietly(self):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = subprocess.run([sys.executable, "-m", "repro.cli", "bundles"], env=env,
+                                 stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                 timeout=120.0)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in run.stderr
+        assert "Exception ignored" not in run.stderr
+        assert run.returncode == 141
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
