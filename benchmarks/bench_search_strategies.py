@@ -1,15 +1,13 @@
-"""Search-engine benchmarks: strategy throughput and cache speedup.
+"""Search-engine benchmarks: strategy throughput and cache savings.
 
 Measures (1) candidates-found-per-second for each registered exploration
-strategy on the same tiny search problem and seed, and (2) the speedup the
-memoized :class:`~repro.search.cache.EvaluationCache` buys the SCD unit on a
-same-seed run — both in wall time and in avoided estimator invocations (the
+strategy on the same tiny search problem and seed, and (2) the estimator
+invocations the memoized :class:`~repro.search.cache.EvaluationCache` saves
+the ``scd`` explorer (Algorithm 1) against the evaluations it requests (the
 deterministic, machine-independent measure).
 """
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -17,7 +15,6 @@ from repro.core.auto_hls import AutoHLS
 from repro.core.bundle_generation import get_bundle
 from repro.core.constraints import LatencyTarget, ResourceConstraint
 from repro.core.dnn_config import DNNConfig
-from repro.core.scd import SCDUnit
 from repro.detection.task import TINY_DETECTION_TASK
 from repro.hw.device import PYNQ_Z1
 from repro.search import available_strategies, create_explorer
@@ -69,39 +66,23 @@ def test_strategy_candidates_per_second(benchmark, strategy):
     assert len(result.candidates) >= 1
 
 
-def test_cached_scd_speedup(benchmark):
-    """Cached vs uncached SCD on the same seed: identical results, fewer calls."""
+def test_scd_cache_saves_estimator_calls(benchmark):
+    """Estimator calls equal cache misses and are fewer than the evaluations."""
     engine, constraint, target, initial = _problem()
 
-    def run_scd(cache):
+    def run():
         counter = _Counting(engine.estimate)
-        unit = SCDUnit(counter, target, constraint,
-                       max_iterations=MAX_ITERATIONS, rng=SEED, cache=cache)
-        start = time.perf_counter()
-        result = unit.search(initial, num_candidates=NUM_CANDIDATES)
-        elapsed = time.perf_counter() - start
-        return result, counter.calls, elapsed, unit
+        explorer = create_explorer(
+            "scd", estimator=counter, latency_target=target,
+            resource_constraint=constraint, max_iterations=MAX_ITERATIONS,
+            rng=SEED,
+        )
+        result = explorer.explore(initial, num_candidates=NUM_CANDIDATES)
+        return result, counter.calls, explorer.cache.stats()
 
-    uncached_result, uncached_calls, uncached_time, _ = run_scd(cache=False)
-
-    def cached_run():
-        return run_scd(cache=None)
-
-    cached_result, cached_calls, cached_time, unit = benchmark.pedantic(
-        cached_run, rounds=3, iterations=1, warmup_rounds=1,
-    )
-
-    # Same seed => bit-identical search trajectory.
-    assert [c.describe() for c in cached_result.candidates] == \
-        [c.describe() for c in uncached_result.candidates]
-    assert cached_result.iterations == uncached_result.iterations
-
-    stats = unit.cache.stats()
-    call_speedup = uncached_calls / cached_calls
-    time_speedup = uncached_time / cached_time if cached_time > 0 else float("inf")
-    print(f"\n[scd cache] estimator calls {uncached_calls} -> {cached_calls} "
-          f"({call_speedup:.2f}x fewer), wall {uncached_time * 1e3:.1f} ms -> "
-          f"{cached_time * 1e3:.1f} ms ({time_speedup:.2f}x), {stats.summary()}")
-    # The measured speedup must be real: strictly fewer estimator calls.
-    assert cached_calls < uncached_calls
+    result, calls, stats = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
+    print(f"\n[scd cache] {result.evaluations} evaluations -> {calls} estimator calls "
+          f"({result.evaluations / calls:.2f}x fewer), {stats.summary()}")
+    assert calls == stats.misses
+    assert calls < result.evaluations
     assert stats.hits > 0

@@ -10,8 +10,11 @@ The package is organised bottom-up:
   generation, power model,
 * :mod:`repro.gpu` — embedded-GPU baseline models,
 * :mod:`repro.core` — the co-design methodology: Bundle-Arch, Auto-DNN
-  (bundle evaluation + SCD search), Auto-HLS engine, and the three-step
-  co-design flow,
+  (bundle evaluation + the SCD move set), Auto-HLS engine, and the
+  three-step co-design flow,
+* :mod:`repro.search` — the DNN search: Algorithm 1 (the ``scd``
+  explorer) and alternative strategies over the same moves, the evaluation
+  cache and the search journal,
 * :mod:`repro.baselines` — contest-entry baselines and the top-down flow,
 * :mod:`repro.experiments` — drivers regenerating every table and figure.
 
@@ -35,7 +38,6 @@ from repro.core import (
     DNNConfig,
     LatencyTarget,
     ResourceConstraint,
-    SCDUnit,
     default_bundle_catalog,
 )
 from repro.detection import DAC_SDC_TASK, DetectionTask, SyntheticDetectionDataset
@@ -56,7 +58,6 @@ __all__ = [
     "DNNConfig",
     "LatencyTarget",
     "ResourceConstraint",
-    "SCDUnit",
     "default_bundle_catalog",
     "DetectionTask",
     "DAC_SDC_TASK",

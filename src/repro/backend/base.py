@@ -4,9 +4,9 @@ The paper co-designs DNNs against a single FPGA; the reproduction grew the
 same assumption into every layer (``CoDesignFlow`` constructed ``AutoHLS``
 directly, ``SweepTask``/``build_grid`` resolved names through ``hw/`` only).
 :class:`Backend` lifts that seam into a protocol: each backend knows how to
-resolve its target names, build an estimation engine (scalar + batch), run
-the once-per-target preparation, and supply resource/power models — so the
-search, sweep, shard and compare layers are backend-agnostic.
+resolve its target names, build an estimation engine, run the once-per-target
+preparation, and supply resource/power models — so the search, sweep, shard
+and compare layers are backend-agnostic.
 
 Target specs are strings of the form ``backend:device``::
 
@@ -108,11 +108,12 @@ class Backend(ABC):
         """Build the estimation engine (the ``auto_hls`` slot of the flow).
 
         The engine contract: ``estimate(config) -> PerformanceEstimate``,
-        ``estimate_batch(configs)`` bit-identical to the scalar loop (so an
-        :class:`~repro.search.cache.EvaluationCache` built on the bound
-        ``estimate`` vectorizes through it),
         plus ``clock_mhz``, ``device`` and a settable ``coefficients``
-        attribute (``None`` on fit-free backends).
+        attribute (``None`` on fit-free backends).  ``estimate_batch(configs)``
+        is optional; when present it must be bit-identical to the scalar
+        loop, and an :class:`~repro.search.cache.EvaluationCache` built on the
+        bound ``estimate`` scores a population's misses through it.  Without
+        it the cache scores them one config at a time.
         """
 
     @abstractmethod

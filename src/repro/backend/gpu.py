@@ -9,7 +9,7 @@ the same search/sweep/shard/compare path as FPGAs:
   string keeps the prefix so GPU cells never collide with legacy FPGA
   namespaces,
 * the estimation engine is :class:`repro.gpu.estimator.GPURooflineEngine`
-  (scalar + bit-identical batch),
+  (scalar only),
 * preparation is fit-free: no model sampling, no coefficients; bundle
   selection deterministically takes the first ``top_n`` catalogue bundles,
 * the resource budget is unbounded — an embedded GPU has no LUT/FF/DSP/BRAM

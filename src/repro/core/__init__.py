@@ -6,8 +6,10 @@ Components (Sec. 3.2 of the paper):
   — the hardware-aware DNN building-block template and the automatic bundle
   generation from the IP pool,
 * **Auto-DNN** (:mod:`repro.core.bundle_evaluation`, :mod:`repro.core.scd`,
-  :mod:`repro.core.auto_dnn`) — bundle evaluation / selection and the
-  hardware-aware DNN search with stochastic coordinate descent,
+  :mod:`repro.core.auto_dnn`) — bundle evaluation / selection, the N / Pi /
+  X move set of the stochastic coordinate descent (SCD) search, and the
+  hardware-aware DNN search, which runs a :mod:`repro.search` strategy
+  (``scd``, Algorithm 1, by default),
 * **Tile-Arch** lives in :mod:`repro.hw.tile_arch`,
 * **Auto-HLS** (:mod:`repro.core.auto_hls`) — accelerator generation and
   latency / resource feedback,
@@ -25,7 +27,6 @@ from repro.core.bundle_evaluation import (
     BundleEvaluator,
     FineGrainedEvaluation,
 )
-from repro.core.scd import SCDUnit, SCDResult
 from repro.core.auto_hls import AutoHLS, AutoHLSResult
 from repro.core.auto_dnn import AutoDNN, DNNCandidate
 from repro.core.codesign import CoDesignFlow, CoDesignInputs, CoDesignResult
@@ -44,8 +45,6 @@ __all__ = [
     "BundleEvaluation",
     "BundleEvaluator",
     "FineGrainedEvaluation",
-    "SCDUnit",
-    "SCDResult",
     "AutoHLS",
     "AutoHLSResult",
     "AutoDNN",

@@ -120,7 +120,6 @@ class CoDesignFlow:
         scd_iterations: int = 120,
         rng: RNGLike = 2019,
         search_strategy: str = "scd",
-        evaluation_cache: Optional[EvaluationCache] = None,
         clock_mhz: Optional[float] = None,
         backend: Optional[Backend] = None,
     ) -> None:
@@ -152,7 +151,6 @@ class CoDesignFlow:
             candidates_per_bundle=candidates_per_bundle,
             rng=rng,
             strategy=search_strategy,
-            cache=evaluation_cache,
         )
 
     def attach_evaluation_cache(

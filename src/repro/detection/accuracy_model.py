@@ -258,25 +258,6 @@ class SurrogateAccuracyModel(AccuracyModel):
         return float(min(max(value, 0.0), 1.0))
 
 
-class TrainedAccuracyModel(AccuracyModel):
-    """Accuracy model backed by actual proxy training of the numpy DNN.
-
-    The caller supplies a builder that turns :class:`CandidateFeatures` plus
-    an opaque candidate object into a trainable model; this class exists so
-    that the co-design engine can swap surrogate and trained evaluation
-    behind one interface.
-    """
-
-    def __init__(self, trainer, builder) -> None:
-        self._trainer = trainer
-        self._builder = builder
-
-    def predict(self, features: CandidateFeatures) -> float:
-        model = self._builder(features)
-        result = self._trainer.train(model)
-        return result.iou
-
-
 def blend(
     surrogate: float, trained: Optional[float], trained_weight: float = 0.5
 ) -> float:

@@ -26,7 +26,6 @@ from repro.core.auto_hls import AutoHLS
 from repro.core.bundle_generation import get_bundle
 from repro.core.constraints import LatencyTarget, ResourceConstraint
 from repro.core.dnn_config import DNNConfig
-from repro.core.scd import SCDUnit
 from repro.detection.accuracy_model import AccuracyModel, SurrogateAccuracyModel
 from repro.detection.task import DAC_SDC_TASK, DetectionTask
 from repro.experiments.reference_designs import reference_dnn1, reference_dnn3
@@ -35,6 +34,7 @@ from repro.hw.device import FPGADevice, PYNQ_Z1
 from repro.hw.tile_arch import TileArchAccelerator
 from repro.hw.tiling import TileConfig
 from repro.hw.pipeline import TilePipelineSimulator
+from repro.search import create_explorer
 from repro.utils.rng import RNGLike, ensure_rng
 
 
@@ -101,8 +101,10 @@ def run_scd_vs_random(
     auto_dnn = AutoDNN(task, device, auto_hls=auto_hls, resource_constraint=constraint, rng=rng)
     initial = auto_dnn.initialize(get_bundle(13))
 
-    scd = SCDUnit(auto_hls.estimate, target, constraint, max_iterations=max_iterations, rng=rng)
-    scd_result = scd.search(initial, num_candidates=num_candidates)
+    scd = create_explorer("scd", estimator=auto_hls.estimate, latency_target=target,
+                          resource_constraint=constraint, max_iterations=max_iterations,
+                          rng=rng)
+    scd_result = scd.explore(initial, num_candidates=num_candidates)
 
     random_iters, random_found = random_search(
         auto_hls.estimate, target, constraint, initial,

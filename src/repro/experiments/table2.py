@@ -54,11 +54,6 @@ class Table2Row:
     utilization: Optional[dict[str, float]] = None
     reported: Optional[ContestEntry] = None
 
-    @property
-    def energy_efficiency(self) -> float:
-        """Frames per joule (higher is better)."""
-        return 1.0 / self.j_per_pic if self.j_per_pic > 0 else float("inf")
-
 
 @dataclass
 class Table2Result:
@@ -71,10 +66,6 @@ class Table2Result:
     @property
     def all_rows(self) -> list[Table2Row]:
         return [*self.our_rows, *self.fpga_rows, *self.gpu_rows]
-
-    def best_our_row(self) -> Table2Row:
-        """Our highest-accuracy row (DNN1 at its highest clock)."""
-        return max(self.our_rows, key=lambda r: (r.iou, r.fps))
 
     def headline_claims(self) -> dict[str, float]:
         """The summary comparisons the paper reports in Sec. 6.

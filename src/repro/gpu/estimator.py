@@ -1,28 +1,20 @@
 """AutoHLS-shaped estimation engine over the GPU roofline model.
 
-:class:`GPURooflineEngine` gives the GPU backend the same engine surface the
+:class:`GPURooflineEngine` gives the GPU backend the engine surface the
 FPGA backend gets from :class:`repro.core.auto_hls.AutoHLS`: a scalar
-``estimate(config)``, a vectorized ``estimate_batch(configs)`` that an
-:class:`~repro.search.cache.EvaluationCache` built on ``estimate`` uses, and the
-``device`` / ``clock_mhz`` / ``coefficients`` attributes the sweep plumbing
-reads.  There is no ``fit_models`` and no ``generate``: the roofline model is
-fit-free and produces no HLS artifacts, so ``coefficients`` stays ``None``
-and :meth:`repro.core.auto_dnn.AutoDNN.refine_with_hls` passes candidates
-through untouched.
-
-Bit-identity contract (as :meth:`repro.hw.evaluator.FPGAEvaluator.estimate_batch`):
-``estimate_batch`` must return exactly what a scalar loop would.  The scalar
-model accumulates per-layer latencies left to right, so the batch path adds
-one *layer column* at a time across the whole batch — elementwise IEEE ops in
-the scalar order — and pads shorter networks with exact ``+0.0`` terms.
-Journals and disk caches therefore do not depend on which path ran.
+``estimate(config)`` and the ``device`` / ``clock_mhz`` / ``coefficients``
+attributes the sweep plumbing reads.  It has no ``estimate_batch``, so an
+:class:`~repro.search.cache.EvaluationCache` scores a population's misses
+one config at a time: building each config's workload dominates the cost
+either way.  There is no ``fit_models`` and no ``generate``: the roofline
+model is fit-free and produces no HLS artifacts, so ``coefficients`` stays
+``None`` and :meth:`repro.core.auto_dnn.AutoDNN.refine_with_hls` passes
+candidates through untouched.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 import repro.telemetry as telemetry
 from repro.gpu.device import GPUDevice
@@ -33,16 +25,12 @@ from repro.hw.resource import ResourceVector
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.dnn_config import DNNConfig
 
-#: Layer kinds fused into the preceding kernel by GPU inference engines
-#: (must match :meth:`GPULatencyModel.latency_ms`).
-_FUSED_KINDS = ("activation", "norm")
-
 #: Default inference precision: the Table 2 GPU baselines run FP16.
 DEFAULT_PRECISION_BYTES = 2.0
 
 
 class GPURooflineEngine:
-    """Scalar + batch DNN-config estimation on a GPU roofline model."""
+    """DNN-config estimation on a GPU roofline model."""
 
     def __init__(
         self,
@@ -92,53 +80,3 @@ class GPURooflineEngine:
         if reg is not None:
             reg.counter("gpu.estimate.count").inc()
         return PerformanceEstimate(latency_ms=latency_ms, resources=ResourceVector())
-
-    def estimate_batch(self, configs: Sequence["DNNConfig"]) -> list[PerformanceEstimate]:
-        """Vectorized estimation, bit-identical to the scalar loop."""
-        configs = list(configs)
-        if not configs:
-            return []
-        model = self.latency_model
-        rows: list[list[tuple[int, float]]] = []
-        for config in configs:
-            workload = config.to_workload()
-            row = []
-            for layer in workload.layers:
-                if layer.kind in _FUSED_KINDS:
-                    continue
-                traffic = (
-                    layer.input_elements + layer.output_elements + layer.params
-                ) * self.precision_bytes
-                row.append((layer.macs, traffic))
-            rows.append(row)
-        count = len(configs)
-        width = max(len(row) for row in rows)
-        totals = np.zeros(count, dtype=np.float64)
-        if width:
-            macs = np.zeros((count, width), dtype=np.float64)
-            traffic = np.zeros((count, width), dtype=np.float64)
-            valid = np.zeros((count, width), dtype=bool)
-            for i, row in enumerate(rows):
-                for j, (layer_macs, layer_traffic) in enumerate(row):
-                    macs[i, j] = layer_macs
-                    traffic[i, j] = layer_traffic
-                    valid[i, j] = True
-            compute_denom = model.device.peak_macs_per_second * model.compute_efficiency
-            memory_denom = model.device.memory_bandwidth_gbps * 1e9 * model.memory_efficiency
-            launch_s = model.kernel_launch_us * 1e-6
-            per_layer_ms = (
-                np.maximum(macs / compute_denom, traffic / memory_denom) + launch_s
-            ) * 1e3
-            # Padding slots must contribute an exact +0.0 (the launch overhead
-            # above made them non-zero), preserving each config's scalar
-            # left-to-right accumulation bit for bit.
-            per_layer_ms[~valid] = 0.0
-            for j in range(width):
-                totals = totals + per_layer_ms[:, j]
-        reg = telemetry.registry()
-        if reg is not None:
-            reg.counter("gpu.estimate.count").inc(count)
-        return [
-            PerformanceEstimate(latency_ms=float(total), resources=ResourceVector())
-            for total in totals
-        ]

@@ -4,15 +4,18 @@ The subsystem decouples *what* is searched (the N / Pi / X design space of
 Algorithm 1, evaluated by an analytical estimator) from *how* it is searched:
 
 * :mod:`repro.search.base` — the :class:`Explorer` API and strategy registry,
-* :mod:`repro.search.strategies` — the built-in ``scd`` / ``random`` /
-  ``evolutionary`` / ``annealing`` strategies (loaded lazily),
+* :mod:`repro.search.strategies` — the built-in strategies (loaded
+  lazily): ``scd``, the paper's Algorithm 1, and ``random`` /
+  ``evolutionary`` / ``regularized-evolution`` / ``annealing`` over the same
+  moves,
 * :mod:`repro.search.cache` — memoized estimator calls shared across
   strategies, targets and bundles,
 * :mod:`repro.search.session` — the archivable evaluation journal.
 
 A search runs serially, like the paper's SCD loop: single configs go
-through the scalar estimator, and a population is scored in one call to the
-estimator's vectorized ``estimate_batch``.
+through the scalar estimator, and a population (for ``scd``, one
+iteration's unit-move probes) is scored in one call to the estimator's
+vectorized ``estimate_batch`` when it has one.
 
 Quickstart::
 

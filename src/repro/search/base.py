@@ -70,7 +70,7 @@ class Explorer(ABC):
         Optional journal; every evaluation and accepted candidate is
         recorded into it.
     max_iterations:
-        Strategy loop / evaluation budget (the SCD adapter interprets it as
+        Strategy loop / evaluation budget (the ``scd`` explorer reads it as
         Algorithm 1's iteration budget, the other strategies as an estimator
         request budget).
     """
@@ -162,9 +162,7 @@ class Explorer(ABC):
         self._candidates.append(config)
         self._estimates.append(estimate)
         if self.session is not None:
-            self.session.record_candidate(
-                self.strategy_name, self.cache.key_fn(config), estimate.latency_ms
-            )
+            self.session.record_candidate(self.strategy_name, key, estimate.latency_ms)
         return True
 
     @property

@@ -2,16 +2,16 @@
 
 Estimating a candidate DNN (building its workload, assembling the Tile-Arch
 accelerator and running the analytical model) is the hot path of every search
-strategy: the SCD unit alone re-estimates the *current* config on every loop
-iteration plus one unit move per coordinate, and population-based strategies
-revisit configurations constantly.  :class:`EvaluationCache` memoizes the
-estimator on a structural key so identical configurations are estimated once
-per search session.  A search reaches the estimator through
-:meth:`EvaluationCache.evaluate` for one config and
-:meth:`EvaluationCache.evaluate_batch` for a population; both run one
-routine, which sends a population's unique misses to the estimator's
-vectorized ``estimate_batch`` in one call.  A subclass adds a persistent
-tier through two hooks, ``get_many`` and ``put_many``
+strategy: the ``scd`` explorer (Algorithm 1) re-estimates the *current*
+config on every loop iteration plus one unit move per coordinate, and
+population-based strategies revisit configurations constantly.
+:class:`EvaluationCache` memoizes the estimator on a structural key so
+identical configurations are estimated once per search session.  A search
+reaches the estimator through :meth:`EvaluationCache.evaluate` for one
+config and :meth:`EvaluationCache.evaluate_batch` for a population; both
+run one routine, which sends a population's unique misses to the
+estimator's vectorized ``estimate_batch`` in one call.  A subclass adds a
+persistent tier through two hooks, ``get_many`` and ``put_many``
 (:class:`repro.sweep.disk_cache.DiskEvaluationCache`).
 
 The key builds on :meth:`DNNConfig.describe` but appends the exact
@@ -89,11 +89,13 @@ class CacheStats:
 class EvaluationCache:
     """Thread-safe memoization of ``Estimator`` calls.
 
-    The cache is callable, so it can be passed anywhere a plain estimator is
-    expected::
+    Explorers share one by taking it as ``cache``::
 
         cache = EvaluationCache(auto_hls.estimate)
-        scd = SCDUnit(cache, target, constraint)
+        scd = create_explorer("scd", cache=cache, latency_target=target,
+                              resource_constraint=constraint)
+
+    It is also callable, so it can stand in for a plain estimator.
 
     Every request, single or batched, runs one routine: look the keys up in
     memory, ask :meth:`get_many` for the missing ones, estimate each *unique*

@@ -5,7 +5,7 @@ All strategies perturb candidates exclusively through the ``N`` / ``Pi``
 so their results live in exactly the same design space and are directly
 comparable:
 
-* ``scd`` — adapter around the paper's :class:`~repro.core.scd.SCDUnit`,
+* ``scd`` — the paper's Algorithm 1, stochastic coordinate descent,
 * ``random`` — randomized multi-start walk, batch-evaluated,
 * ``evolutionary`` — truncation-selection evolution of a population,
 * ``regularized-evolution`` — aging evolution (tournament parent
@@ -20,7 +20,7 @@ from collections import deque
 from typing import Optional
 
 from repro.core.dnn_config import DNNConfig
-from repro.core.scd import MOVE_NAMES, SCDUnit, apply_move
+from repro.core.scd import MOVE_NAMES, apply_move
 from repro.hw.analytical import PerformanceEstimate
 from repro.search.base import Explorer, register_explorer
 
@@ -55,31 +55,67 @@ class MoveBasedExplorer(Explorer):
 
 @register_explorer("scd")
 class SCDExplorer(Explorer):
-    """Adapter running the paper's SCD unit behind the Explorer API.
+    """Algorithm 1: the stochastic coordinate descent (SCD) search (Sec. 5.2).
 
-    The wrapped :class:`SCDUnit` receives :meth:`Explorer.evaluate` as its
-    estimator (so every request is memoized and journaled) and runs with its
-    own internal cache disabled to avoid double caching.  The per-iteration
-    unit-move probes go through :meth:`Explorer.score_generation`, so
-    vectorized estimators (``estimate_batch``) score all coordinates in one
-    call — journaled in input order, bit-identical to the scalar path.
+    Each iteration evaluates the current config.  An in-band, feasible
+    config is recorded and then perturbed by one random unit move, so the
+    next candidate differs.  Otherwise one unit move per coordinate is
+    scored (one generation, in ``MOVE_NAMES`` order), a coordinate whose
+    move changes the latency is picked uniformly at random, and the move is
+    scaled by ``|Lat_target - Lat| / dLat`` steps, so a larger latency gap
+    takes a larger structural step.  A proposal over the resource budget
+    falls back to the unit move, or else shrinks the network.
+    ``max_iterations`` bounds the iterations, not the evaluations.
     """
 
     def _explore(self, initial: DNNConfig, num_candidates: int) -> int:
-        unit = SCDUnit(
-            estimator=self.evaluate,
-            latency_target=self.latency_target,
-            resource_constraint=self.resource_constraint,
-            max_repetitions=self.max_repetitions,
-            max_iterations=self.max_iterations,
-            rng=self.rng,
-            cache=False,
-            batch_scorer=self.score_generation,
-        )
-        result = unit.search(initial, num_candidates=num_candidates)
-        for config, estimate in zip(result.candidates, result.estimates):
-            self.consider(config, estimate)
-        return result.iterations
+        current = initial
+        iterations = 0
+        while len(self._candidates) < num_candidates and iterations < self.max_iterations:
+            iterations += 1
+            estimate = self.evaluate(current)
+            if self.in_band(estimate) and self.feasible(estimate):
+                self.consider(current, estimate)
+                current = self._perturb(current)
+                continue
+
+            gap = self.latency_target.latency_ms - estimate.latency_ms
+            direction = 1 if gap > 0 else -1  # +1 grows the network
+            units = [(name, apply_move(name, current, direction, 1, self.max_repetitions))
+                     for name in MOVE_NAMES]
+            units = [(name, unit) for name, unit in units if unit is not None]
+            deltas: dict[str, tuple[DNNConfig, float]] = {}
+            probes = self.score_generation([unit for _, unit in units])
+            for (name, unit), probe in zip(units, probes):
+                delta = probe.latency_ms - estimate.latency_ms
+                if abs(delta) > 1e-9:
+                    deltas[name] = (unit, delta)
+            if not deltas:
+                current = self._perturb(current)
+                continue
+
+            # Pick one coordinate uniformly at random (line 10 of Algorithm 1).
+            name = list(deltas)[int(self.rng.integers(0, len(deltas)))]
+            unit, unit_delta = deltas[name]
+            steps = max(int(abs(gap) // abs(unit_delta)), 1)
+            proposal = apply_move(name, current, direction, steps, self.max_repetitions) or unit
+            # A proposal over the resource budget falls back to the unit
+            # move if that fits, else the network shrinks.
+            if self.feasible(self.evaluate(proposal)):
+                current = proposal
+            elif self.feasible(self.evaluate(unit)):
+                current = unit
+            else:
+                current = (apply_move("Pi", current, -1)
+                           or apply_move("N", current, -1, 1, self.max_repetitions)
+                           or current)
+        return iterations
+
+    def _perturb(self, config: DNNConfig) -> DNNConfig:
+        """One random unit move, to diversify away from an accepted candidate."""
+        name = MOVE_NAMES[int(self.rng.integers(0, len(MOVE_NAMES)))]
+        direction = 1 if self.rng.random() < 0.5 else -1
+        return apply_move(name, config, direction, 1, self.max_repetitions) or config
 
 
 @register_explorer("random")
@@ -232,7 +268,7 @@ class AnnealingExplorer(MoveBasedExplorer):
     Proposals are random moves; a worse proposal is accepted with probability
     ``exp(-dE / T)`` and the temperature decays geometrically.  Accepted
     in-band candidates restart the walk from a perturbed copy (mirroring the
-    SCD unit's diversification step).
+    ``scd`` explorer's diversification step).
     """
 
     def __init__(

@@ -11,10 +11,10 @@ machine ran it.
 
 One lease loop serves every ``workers`` setting: it leases up to
 ``workers`` cells, launches each, and reports every cell as it settles.
-Only the launch differs.  ``workers=1`` runs the cell in-process, so a
-serial worker leases one cell, runs it and reports it before it leases
-again (easiest to debug and test; a custom ``task_fn`` need not be
-picklable).  ``workers > 1`` runs cells on
+Only the launch differs, by the local sweep's rule.  ``workers=1`` runs a
+cell without a timeout in-process, so a serial worker leases one cell,
+runs it and reports it before it leases again (easiest to debug and test;
+a custom ``task_fn`` need not be picklable).  Every other cell runs on
 :class:`~repro.sweep.runner.WorkerProcesses`, the local sweep's process
 model: one shard worker per machine, up to ``workers`` long-lived
 processes, each running many cells.  A cell whose process dies is
@@ -24,11 +24,11 @@ running.
 Failure handling is deliberately asymmetric: the coordinator's board
 owns all retry, requeue and timeout policy.  A worker reports raw errors
 and keeps going; it never retries a cell on its own (that would skew the
-board's bounded per-cell attempt accounting), and a ``workers > 1``
-worker kills the process of a lease a heartbeat returns as lost.  A
-worker that loses its coordinator exits non-zero after bounded reconnect
-attempts — unless it already observed ``done=True``, which is the normal
-shutdown path.
+board's bounded per-cell attempt accounting), and it kills the process of
+a lease a heartbeat returns as lost; when a running cell's timeout lapses,
+it sends that heartbeat at once.  A worker that loses its coordinator
+exits non-zero after bounded reconnect attempts — unless it already
+observed ``done=True``, which is the normal shutdown path.
 
 A worker may keep its own ``cache_dir`` for the persistent estimator
 cache (per-machine, like any local sweep); journals do not depend on
@@ -194,23 +194,27 @@ class ShardWorker:
 
     def _heartbeat_loop(self) -> None:
         while not self._stop.wait(self.heartbeat_s):
+            self._heartbeat()
+
+    def _heartbeat(self) -> None:
+        """Renew the held leases; note ``done`` and the leases revoked since."""
+        with self._lease_lock:
+            leases = sorted(self._active_leases)
+        try:
+            reply = self._post("/v1/heartbeat", {
+                "worker_id": self.worker_id, "lease_ids": leases,
+            })
+        except ShardProtocolError:
+            return  # transient; the main loop handles a dead coordinator
+        if reply.get("done"):
+            self._saw_done.set()
+        lost = [str(lease_id) for lease_id in reply.get("lost") or []]
+        if lost:
+            logger.warning("shard worker %s: coordinator revoked lease(s) %s",
+                           self.worker_id, ", ".join(lost))
             with self._lease_lock:
-                leases = sorted(self._active_leases)
-            try:
-                reply = self._post("/v1/heartbeat", {
-                    "worker_id": self.worker_id, "lease_ids": leases,
-                })
-            except ShardProtocolError:
-                continue  # transient; the main loop handles a dead coordinator
-            if reply.get("done"):
-                self._saw_done.set()
-            lost = [str(lease_id) for lease_id in reply.get("lost") or []]
-            if lost:
-                logger.warning("shard worker %s: coordinator revoked lease(s) %s",
-                               self.worker_id, ", ".join(lost))
-                with self._lease_lock:
-                    self._active_leases.difference_update(lost)
-                    self._lost_leases.update(lost)
+                self._active_leases.difference_update(lost)
+                self._lost_leases.update(lost)
 
     def _lease(self, slots: int, wait_s: float = 0.0) -> dict:
         payload = {
@@ -337,6 +341,7 @@ class ShardWorker:
 
     def _lease_loop(self, pool: WorkerProcesses) -> int:
         in_flight: dict[str, tuple] = {}  # lease_id -> (uid, job)
+        lapses: dict[str, float] = {}  # lease_id -> when its cell's timeout lapses
         try:
             # A worker that heard "done" leaves at once (once its cells
             # settle): the coordinator closes as soon as every live worker
@@ -365,11 +370,16 @@ class ShardWorker:
                         in_flight[lease_id] = (str(cell["uid"]), cell.get("job"))
                         task = task_from_wire(cell["task"])
                         prepared = self._prepared.get(cell.get("prep") or "")
-                        if self.workers == 1:
+                        timeout_s = cell.get("timeout_s")
+                        # The local drain's rule: only a process can be
+                        # stopped, so a cell with a timeout never runs inline.
+                        if self.workers == 1 and timeout_s is None:
                             settled.append((lease_id, *execute_cell(
                                 self.task_fn, task, self.cache_dir, prepared)))
                         else:
                             pool.submit(lease_id, task, self.cache_dir, prepared)
+                            if timeout_s is not None:
+                                lapses[lease_id] = time.monotonic() + float(timeout_s)
                 if pool.busy:
                     # Bounded wait so freed slots keep leasing while slow cells
                     # run, and lost leases are stopped promptly.
@@ -382,6 +392,15 @@ class ShardWorker:
                         d=duration, j=job: self._report(lid, u, k, v, d, j) or {}
                     ) is None:
                         return 0
+                # The board revokes a lease when its cell's timeout lapses.
+                # Ask at once, not at the next beat: if that settled the
+                # grid, the coordinator closes before the beat would come.
+                now = time.monotonic()
+                lapsed = [lease_id for lease_id, at in lapses.items() if at <= now]
+                for lease_id in lapsed:
+                    del lapses[lease_id]
+                if in_flight.keys() & lapsed:
+                    self._heartbeat()
                 # Stop what a heartbeat returned as lost, unreported: the
                 # board charged those attempts (in-process cells have settled).
                 with self._lease_lock:

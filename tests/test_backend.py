@@ -1,11 +1,11 @@
 """Tests for the unified hardware-backend abstraction (:mod:`repro.backend`).
 
 Covers target-spec parsing and registry errors, the GPU roofline engine
-(scalar/batch bit-identity, golden equivalence against the Table 2 GPU
-baseline), the wire round trip of :class:`PreparedTarget` on both backends,
-the SCD unit-move batch path's journal invariance, mixed-backend sweeps and
-the legacy FPGA byte-identity contract against a checkpoint generated
-before the backend refactor.
+(population scoring through the cache, golden equivalence against the
+Table 2 GPU baseline), the wire round trip of :class:`PreparedTarget` on
+both backends, the journal invariance of batched SCD unit-move probes,
+mixed-backend sweeps and the legacy FPGA byte-identity contract against a
+checkpoint generated before the backend refactor.
 """
 
 from __future__ import annotations
@@ -33,14 +33,13 @@ from repro.core.auto_hls import AutoHLS
 from repro.core.bundle_generation import get_bundle
 from repro.core.constraints import LatencyTarget, ResourceConstraint
 from repro.core.dnn_config import DNNConfig
-from repro.core.scd import SCDUnit
 from repro.detection.task import TINY_DETECTION_TASK
 from repro.experiments.table2 import HOST_OVERHEAD_MS, _gpu_baseline_rows
 from repro.baselines.entries import gpu_contest_entries
 from repro.gpu import GPURooflineEngine, JETSON_TX2, get_gpu_device
 from repro.hw.analytical import AnalyticalModelCoefficients
 from repro.hw.device import PYNQ_Z1
-from repro.search import SearchSession, create_explorer
+from repro.search import EvaluationCache, SearchSession, create_explorer
 from repro.sweep import (
     PreparedTarget,
     SweepRunner,
@@ -149,12 +148,11 @@ class TestBackendRegistry:
 
 # ------------------------------------------------------------------ GPU engine
 class TestGPURooflineEngine:
-    def test_batch_estimates_are_bit_identical_to_scalar(self):
+    def test_population_scores_through_cache_match_config_by_config(self):
         engine = GPURooflineEngine(JETSON_TX2)
-        configs = _configs(8)
-        scalar = [engine.estimate(c) for c in configs]
-        batch = engine.estimate_batch(configs)
-        assert [e.latency_ms for e in batch] == [e.latency_ms for e in scalar]
+        configs = _configs(8) + _configs(3)  # repeats are served from memory
+        scores = EvaluationCache(engine.estimate).evaluate_batch(configs)
+        assert scores == [engine.estimate(c) for c in configs]
 
     def test_clock_is_fixed(self):
         device = get_gpu_device("jetson-tx2")
@@ -274,11 +272,9 @@ class TestPreparedTargetWire:
 class TestSCDBatchInvariance:
     def _journal(self, monkeypatch, *, scalar: bool) -> dict:
         if scalar:
-            # Force the historical one-probe-at-a-time loop.
-            monkeypatch.setattr(
-                SCDUnit, "_score_units",
-                lambda self, configs: [self._latency(c) for c in configs],
-            )
+            # Without a batch entry point the cache scores every unit-move
+            # probe one config at a time.
+            monkeypatch.delattr(AutoHLS, "estimate_batch")
         session = SearchSession(name="scd-batch-invariance")
         engine = AutoHLS(PYNQ_Z1)
         explorer = create_explorer(

@@ -1,4 +1,4 @@
-"""Tests for bundle evaluation / selection and the SCD search unit."""
+"""Tests for bundle evaluation / selection and the SCD search (Algorithm 1)."""
 
 from __future__ import annotations
 
@@ -9,12 +9,12 @@ from repro.core.bundle_evaluation import BundleEvaluator
 from repro.core.bundle_generation import get_bundle
 from repro.core.constraints import LatencyTarget, ResourceConstraint
 from repro.core.dnn_config import DNNConfig
-from repro.core.scd import EXPANSION_FACTORS, SCDUnit
+from repro.core.scd import EXPANSION_FACTORS, move_n, move_pi, move_x
 from repro.detection.accuracy_model import SurrogateAccuracyModel
 from repro.hw.analytical import PerformanceEstimate
 from repro.hw.device import PYNQ_Z1
 from repro.hw.resource import ResourceVector
-from repro.search import config_cache_key
+from repro.search import config_cache_key, create_explorer
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +127,12 @@ class TestFineGrainedEvaluation:
         assert by_reps[3].latency_ms > by_reps[1].latency_ms
 
 
+def scd_explorer(estimator, target, constraint, *, max_iterations, rng):
+    return create_explorer("scd", estimator=estimator, latency_target=target,
+                           resource_constraint=constraint,
+                           max_iterations=max_iterations, rng=rng)
+
+
 class TestSCD:
     def _setup(self, tiny_task_module, fps=120.0, tolerance=2.0, rng=3):
         engine = AutoHLS(PYNQ_Z1)
@@ -135,12 +141,12 @@ class TestSCD:
         initial = DNNConfig(bundle=get_bundle(13), task=tiny_task_module, num_repetitions=2,
                             channel_expansion=(1.5, 1.5), downsample=(1, 1),
                             stem_channels=16, parallel_factor=16, max_channels=128)
-        scd = SCDUnit(engine.estimate, target, constraint, max_iterations=120, rng=rng)
+        scd = scd_explorer(engine.estimate, target, constraint, max_iterations=120, rng=rng)
         return engine, target, constraint, initial, scd
 
     def test_finds_candidates_in_band(self, tiny_task_module):
         engine, target, constraint, initial, scd = self._setup(tiny_task_module)
-        result = scd.search(initial, num_candidates=2)
+        result = scd.explore(initial, num_candidates=2)
         assert len(result.candidates) >= 1
         for config, estimate in zip(result.candidates, result.estimates):
             assert target.within_band(estimate.latency_ms)
@@ -148,7 +154,7 @@ class TestSCD:
 
     def test_candidates_are_distinct(self, tiny_task_module):
         _, _, _, initial, scd = self._setup(tiny_task_module)
-        result = scd.search(initial, num_candidates=3)
+        result = scd.explore(initial, num_candidates=3)
         keys = [config_cache_key(c) for c in result.candidates]
         assert len(keys) == len(set(keys))
 
@@ -166,20 +172,20 @@ class TestSCD:
             )
 
         class ScriptedRNG:
-            """Always picks the X move with direction -1 in _perturb."""
+            """Always picks the X move with direction -1 when perturbing."""
 
             def integers(self, low, high):
-                return 2  # index of _move_x
+                return 2  # index of "X" in MOVE_NAMES
 
             def random(self):
                 return 0.9  # >= 0.5 -> direction -1 (insert a down-sample)
 
-        scd = SCDUnit(constant_estimator, target, constraint,
-                      max_iterations=10, rng=0)
+        scd = scd_explorer(constant_estimator, target, constraint,
+                           max_iterations=10, rng=0)
         scd.rng = ScriptedRNG()
         start = initial.with_updates(downsample=(1, 0),
                                      channel_expansion=(1.5, 1.5))
-        result = scd.search(start, num_candidates=2)
+        result = scd.explore(start, num_candidates=2)
 
         assert result.converged
         assert len(result.candidates) == 2
@@ -194,31 +200,31 @@ class TestSCD:
 
     def test_iteration_budget_respected(self, tiny_task_module):
         engine, target, constraint, initial, _ = self._setup(tiny_task_module)
-        scd = SCDUnit(engine.estimate, target, constraint, max_iterations=5, rng=0)
-        result = scd.search(initial, num_candidates=50)
+        scd = scd_explorer(engine.estimate, target, constraint, max_iterations=5, rng=0)
+        result = scd.explore(initial, num_candidates=50)
         assert result.iterations <= 5
         assert not result.converged
 
     def test_moves_respect_bounds(self, tiny_task_module):
-        _, _, _, initial, scd = self._setup(tiny_task_module)
+        _, _, _, initial, _ = self._setup(tiny_task_module)
         # Shrinking below one repetition is impossible.
-        assert scd._move_n(initial.with_updates(num_repetitions=1,
-                                                channel_expansion=(1.5,),
-                                                downsample=(1,)), -1) is None
-        grown = scd._move_n(initial, +1)
+        assert move_n(initial.with_updates(num_repetitions=1,
+                                           channel_expansion=(1.5,),
+                                           downsample=(1,)), -1) is None
+        grown = move_n(initial, +1)
         assert grown.num_repetitions == 3
         assert len(grown.channel_expansion) == 3
 
     def test_pi_move_uses_allowed_factors(self, tiny_task_module):
-        _, _, _, initial, scd = self._setup(tiny_task_module)
-        moved = scd._move_pi(initial, +1)
+        _, _, _, initial, _ = self._setup(tiny_task_module)
+        moved = move_pi(initial, +1)
         assert all(f in EXPANSION_FACTORS for f in moved.channel_expansion)
 
     def test_x_move_preserves_at_least_one_downsample(self, tiny_task_module):
-        _, _, _, initial, scd = self._setup(tiny_task_module)
+        _, _, _, initial, _ = self._setup(tiny_task_module)
         config = initial
         for _ in range(5):
-            moved = scd._move_x(config, +1)
+            moved = move_x(config, +1)
             if moved is None:
                 break
             config = moved
@@ -227,6 +233,6 @@ class TestSCD:
     def test_invalid_arguments(self, tiny_task_module):
         engine, target, constraint, initial, scd = self._setup(tiny_task_module)
         with pytest.raises(ValueError):
-            scd.search(initial, num_candidates=0)
+            scd.explore(initial, num_candidates=0)
         with pytest.raises(ValueError):
-            SCDUnit(engine.estimate, target, constraint, max_iterations=0)
+            scd_explorer(engine.estimate, target, constraint, max_iterations=0, rng=0)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.hw.device import get_device
 from repro.shard import (
+    DEFAULT_HEARTBEAT_S,
     CoordinatorTransport,
     LeaseBoard,
     LeaseCoordinator,
@@ -661,7 +662,7 @@ class TestCoordinatorHTTP:
 # -------------------------------------------------------------------- end to end
 def run_distributed(tasks, *, worker_count=2, worker_workers=1, cache_dir=None,
                     runner_kwargs=None, worker_hook=None, lease_ttl_s=10.0,
-                    task_fn=run_sweep_task, worker_kwargs=None):
+                    heartbeat_s=0.2, task_fn=run_sweep_task, worker_kwargs=None):
     """One coordinator (in a thread) + N in-process serial workers."""
     bound = threading.Event()
     holder = {}
@@ -671,7 +672,7 @@ def run_distributed(tasks, *, worker_count=2, worker_workers=1, cache_dir=None,
         bound.set()
 
     transport = CoordinatorTransport(
-        bind=("127.0.0.1", 0), lease_ttl_s=lease_ttl_s, heartbeat_s=0.2,
+        bind=("127.0.0.1", 0), lease_ttl_s=lease_ttl_s, heartbeat_s=heartbeat_s,
         poll_s=0.05, linger_s=0.5, on_bound=on_bound,
     )
     runner = SweepRunner(tasks, workers=1, cache_dir=cache_dir,
@@ -872,6 +873,24 @@ class TestDistributedSweep:
         assert len(result.outcomes) == 3
         assert [(f.task.name, f.kind, f.attempts) for f in result.failures] == \
             [(STALLING_CELL, "timeout", 2)]
+        assert multiprocessing.active_children() == []
+
+    def test_inline_worker_kills_a_revoked_cell_and_exits(self):
+        """A ``workers=1`` worker runs a cell that has a timeout in a
+        process, as the local drain does, so a revoked cell is stopped and
+        the worker exits 0; run in-process it would hang inside the cell
+        (``run_distributed`` bounds that with its join timeout).  The
+        heartbeat period (the default 5 s) outlasts the coordinator's 0.5 s
+        linger, so the worker must ask about the lapsed lease at once."""
+        tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
+        assert [task.name for task in tasks] == [STALLING_CELL]
+        result, _, codes = run_distributed(
+            tasks, worker_count=1, worker_workers=1, task_fn=_stalling_task,
+            heartbeat_s=DEFAULT_HEARTBEAT_S,
+            runner_kwargs={"timeout_s": 0.5, "retries": 0})
+        assert codes == [0], "the worker must return once the grid settled"
+        assert not result.outcomes
+        assert [(f.task.name, f.kind) for f in result.failures] == [(STALLING_CELL, "timeout")]
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("mode", ["shard", "local"])

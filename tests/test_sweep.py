@@ -429,19 +429,21 @@ class TestSweepRunner:
 
 # -------------------------------------------------------- CoDesignFlow wiring
 class TestCoDesignFlowCacheWiring:
-    def _flow(self, **kwargs):
+    def _flow(self):
         from repro.core import CoDesignFlow, CoDesignInputs, LatencyTarget
 
         inputs = CoDesignInputs(
             task=TINY_DETECTION_TASK, device=PYNQ_Z1,
             latency_targets=(LatencyTarget(fps=120.0, tolerance_ms=2.0),),
         )
-        return CoDesignFlow(inputs, top_n_bundles=2, scd_iterations=20, **kwargs)
+        return CoDesignFlow(inputs, top_n_bundles=2, scd_iterations=20)
 
-    def test_evaluation_cache_constructor_kwarg(self, engine):
+    def test_attached_evaluation_cache_reaches_the_search(self, engine):
+        flow = self._flow()
         shared = EvaluationCache(engine.estimate)
-        flow = self._flow(evaluation_cache=shared)
+        flow.attach_evaluation_cache(shared)
         assert flow.auto_dnn.cache is shared
+        assert flow.auto_dnn.synthesis_cache is None
 
 
 # -------------------------------------------------------------------- compare
