@@ -1,9 +1,9 @@
 """FPGA evaluator vs the reference model on recorded sweep traffic (BENCH_eval.json).
 
 The stream is what a real sweep sends the estimator: every config that
-reaches ``AutoHLS.estimate`` / ``AutoHLS.estimate_batch`` (that is, after
-the memory cache) while one SCD cell and one random cell of the paper grid
-run, in call order, with the fitted coefficients and clock of each call.
+reaches ``AutoHLS.estimate`` (that is, after the memory cache) while one SCD
+cell and one random cell of the paper grid run, in call order, with the
+fitted coefficients and clock of each call.
 Each stream is replayed through a *fresh* :class:`FPGAEvaluator` — so its
 segment memo starts empty, as in a new process — and through the reference
 ``DNNPerformanceModel`` rebuilt per config.  The results must be
@@ -51,53 +51,46 @@ _STREAMS: dict = {}
 
 
 def _record_streams() -> dict[str, list[tuple]]:
-    """strategy -> recorded estimator calls ``(configs, coefficients, clock)``."""
+    """strategy -> recorded estimator calls ``(config, coefficients, clock)``."""
     if _STREAMS:
         return _STREAMS
-    estimate, estimate_batch = AutoHLS.estimate, AutoHLS.estimate_batch
+    estimate = AutoHLS.estimate
     calls: list[tuple] = []
 
     def recording_estimate(self, config):
-        calls.append(([config], self.coefficients, self.clock_mhz))
+        calls.append((config, self.coefficients, self.clock_mhz))
         return estimate(self, config)
 
-    def recording_batch(self, configs):
-        calls.append((list(configs), self.coefficients, self.clock_mhz))
-        return estimate_batch(self, configs)
-
-    AutoHLS.estimate, AutoHLS.estimate_batch = recording_estimate, recording_batch
+    AutoHLS.estimate = recording_estimate
     try:
         for task in build_grid("pynq-z1", list(STRATEGIES), [FPS], seed=SEED):
             calls.clear()
             assert SweepRunner([task], workers=1).run().ok
             _STREAMS[task.strategy] = list(calls)
     finally:
-        AutoHLS.estimate, AutoHLS.estimate_batch = estimate, estimate_batch
+        AutoHLS.estimate = estimate
     return _STREAMS
 
 
-def _reference(configs, coefficients, clock_mhz):
-    return [
-        DNNPerformanceModel(
-            TileArchAccelerator.build(
-                config.to_workload(), PYNQ_Z1,
-                parallel_factor=config.parallel_factor, clock_mhz=clock_mhz,
-            ),
-            coefficients,
-        ).estimate()
-        for config in configs
-    ]
+def _reference(config, coefficients, clock_mhz):
+    return DNNPerformanceModel(
+        TileArchAccelerator.build(
+            config.to_workload(), PYNQ_Z1,
+            parallel_factor=config.parallel_factor, clock_mhz=clock_mhz,
+        ),
+        coefficients,
+    ).estimate()
 
 
 def _replay(calls, score):
     """(seconds, estimates) of one pass of ``score`` over the recorded calls."""
     start = time.perf_counter()
-    estimates = [est for call in calls for est in score(*call)]
+    estimates = [score(*call) for call in calls]
     return time.perf_counter() - start, estimates
 
 
 def _fresh_replay(calls):
-    return _replay(calls, FPGAEvaluator(PYNQ_Z1).estimate_batch)
+    return _replay(calls, FPGAEvaluator(PYNQ_Z1).estimate)
 
 
 def _measure(calls) -> tuple[float, float, int]:

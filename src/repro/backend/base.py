@@ -109,11 +109,9 @@ class Backend(ABC):
 
         The engine contract: ``estimate(config) -> PerformanceEstimate``,
         plus ``clock_mhz``, ``device`` and a settable ``coefficients``
-        attribute (``None`` on fit-free backends).  ``estimate_batch(configs)``
-        is optional; when present it must be bit-identical to the scalar
-        loop, and an :class:`~repro.search.cache.EvaluationCache` built on the
-        bound ``estimate`` scores a population's misses through it.  Without
-        it the cache scores them one config at a time.
+        attribute (``None`` on fit-free backends).  ``estimate`` is the one
+        entry point: an :class:`~repro.search.cache.EvaluationCache` scores
+        every miss, a population's too, with one call to it.
         """
 
     @abstractmethod

@@ -434,9 +434,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cache.add_argument("action", choices=["stats", "gc"],
                        help="stats: summarise the directory; gc: compact and evict")
     cache.add_argument("--cache-dir", required=True, help="cache directory to operate on")
-    cache.add_argument("--max-age-days", type=float, default=None,
+    cache.add_argument("--max-age-days", type=_positive_float, default=None,
                        help="gc: evict entries older than this many days")
-    cache.add_argument("--max-size-mb", type=float, default=None,
+    cache.add_argument("--max-size-mb", type=_positive_float, default=None,
                        help="gc: evict oldest entries until the directory fits this budget")
 
     lint = sub.add_parser(

@@ -18,7 +18,7 @@ the selected bundles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import repro.telemetry as telemetry
 from repro.core.bundle import Bundle
@@ -94,8 +94,8 @@ def best_evaluation_per_bundle(
 class BundleEvaluator:
     """Coarse- and fine-grained bundle evaluation and Pareto selection.
 
-    Both evaluation passes score their whole bundle cross-product (bundle x
-    parallel factor, or bundle x replication x activation) in one call to
+    Both evaluation passes score every config of their bundle cross-product
+    (bundle x parallel factor, or bundle x replication x activation) with
     the device's :class:`repro.hw.evaluator.FPGAEvaluator`.
     """
 
@@ -147,13 +147,6 @@ class BundleEvaluator:
             name=f"eval-m{method}-b{bundle.bundle_id}-pf{parallel_factor}",
         )
 
-    def _estimate_many(self, configs: Sequence[DNNConfig]) -> list[tuple[float, ResourceVector]]:
-        """Analytical latency (ms) and resources of many configurations."""
-        estimates = evaluator_for(self.device).estimate_batch(
-            configs, self.coefficients, self.clock_mhz
-        )
-        return [(est.latency_ms, est.resources) for est in estimates]
-
     def _accuracy(self, config: DNNConfig, epochs: int = PROXY_EPOCHS) -> float:
         """Accuracy of the evaluation DNN after proxy training."""
         return self.accuracy_model.predict(config.features(epochs=epochs))
@@ -173,31 +166,21 @@ class BundleEvaluator:
         if not parallel_factors:
             raise ValueError("parallel_factors must contain at least one parallel factor")
         evaluations: list[BundleEvaluation] = []
+        evaluator = evaluator_for(self.device)
         with telemetry.trace("core.bundle_evaluation.coarse", method=method,
                              bundles=len(bundles)):
-            # The full bundle x parallel-factor cross-product is scored in
-            # one batched call; records are assembled in the same
-            # (bundle-major, factor-minor) order the scalar loop produced.
-            configs = [
-                self._config_for(bundle, method, pf)
-                for bundle in bundles
-                for pf in parallel_factors
-            ]
-            estimates = self._estimate_many(configs)
-            cursor = 0
             for bundle in bundles:
                 accuracy = self._accuracy(self._config_for(bundle, method, parallel_factors[0]))
                 for pf in parallel_factors:
-                    config = configs[cursor]
-                    latency, resources = estimates[cursor]
-                    cursor += 1
+                    config = self._config_for(bundle, method, pf)
+                    estimate = evaluator.estimate(config, self.coefficients, self.clock_mhz)
                     evaluations.append(BundleEvaluation(
                         bundle=bundle,
                         parallel_factor=pf,
-                        latency_ms=latency,
+                        latency_ms=estimate.latency_ms,
                         accuracy=accuracy,
-                        resources=resources,
-                        dsp=resources.dsp,
+                        resources=estimate.resources,
+                        dsp=estimate.resources.dsp,
                         method=method,
                         config=config,
                     ))
@@ -282,36 +265,25 @@ class BundleEvaluator:
     ) -> list[FineGrainedEvaluation]:
         """Fine-grained evaluation of the selected bundles (Fig. 5)."""
         results: list[FineGrainedEvaluation] = []
+        evaluator = evaluator_for(self.device)
         with telemetry.trace("core.bundle_evaluation.fine", bundles=len(bundles)):
-            # One batched call over the bundle x replication x activation
-            # cross-product; assembly preserves the scalar loop order.
-            grid = [
-                (bundle, reps, activation)
-                for bundle in bundles
-                for reps in repetition_counts
-                for activation in activations
-            ]
-            configs = [
-                self._config_for(
-                    bundle, method=2, parallel_factor=parallel_factor,
-                    activation=activation, num_repetitions=reps,
-                )
-                for bundle, reps, activation in grid
-            ]
-            estimates = self._estimate_many(configs)
-            for (bundle, reps, activation), config, (latency, resources) in zip(
-                grid, configs, estimates
-            ):
-                accuracy = self._accuracy(config)
-                results.append(FineGrainedEvaluation(
-                    bundle=bundle,
-                    num_repetitions=reps,
-                    activation=activation,
-                    latency_ms=latency,
-                    accuracy=accuracy,
-                    resources=resources,
-                    config=config,
-                ))
+            for bundle in bundles:
+                for reps in repetition_counts:
+                    for activation in activations:
+                        config = self._config_for(
+                            bundle, method=2, parallel_factor=parallel_factor,
+                            activation=activation, num_repetitions=reps,
+                        )
+                        estimate = evaluator.estimate(config, self.coefficients, self.clock_mhz)
+                        results.append(FineGrainedEvaluation(
+                            bundle=bundle,
+                            num_repetitions=reps,
+                            activation=activation,
+                            latency_ms=estimate.latency_ms,
+                            accuracy=self._accuracy(config),
+                            resources=estimate.resources,
+                            config=config,
+                        ))
         reg = telemetry.registry()
         if reg is not None:
             reg.counter("core.bundle_evaluation.evaluations").inc(len(results))

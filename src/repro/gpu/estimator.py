@@ -3,13 +3,11 @@
 :class:`GPURooflineEngine` gives the GPU backend the engine surface the
 FPGA backend gets from :class:`repro.core.auto_hls.AutoHLS`: a scalar
 ``estimate(config)`` and the ``device`` / ``clock_mhz`` / ``coefficients``
-attributes the sweep plumbing reads.  It has no ``estimate_batch``, so an
-:class:`~repro.search.cache.EvaluationCache` scores a population's misses
-one config at a time: building each config's workload dominates the cost
-either way.  There is no ``fit_models`` and no ``generate``: the roofline
-model is fit-free and produces no HLS artifacts, so ``coefficients`` stays
-``None`` and :meth:`repro.core.auto_dnn.AutoDNN.refine_with_hls` passes
-candidates through untouched.
+attributes the sweep plumbing reads.  There is no ``fit_models`` and no
+``generate``: the roofline model is fit-free and produces no HLS artifacts,
+so ``coefficients`` stays ``None`` and
+:meth:`repro.core.auto_dnn.AutoDNN.refine_with_hls` passes candidates
+through untouched.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import repro.telemetry as telemetry
 from repro.hw.analytical import (
@@ -127,24 +127,6 @@ class FPGAEvaluator:
         reg.counter("hw.estimate.count").inc()
         reg.histogram("hw.estimate.seconds").observe(time.perf_counter() - start)
         return value
-
-    def estimate_batch(
-        self,
-        configs: Sequence["DNNConfig"],
-        coefficients: AnalyticalModelCoefficients = DEFAULT_COEFFICIENTS,
-        clock_mhz: Optional[float] = None,
-    ) -> list[PerformanceEstimate]:
-        """:meth:`estimate` of every config, in input order."""
-        clock = clock_mhz or self.device.default_clock_mhz
-        reg = telemetry.registry()
-        if reg is None:
-            return [self._estimate(config, coefficients, clock) for config in configs]
-        start = time.perf_counter()
-        values = [self._estimate(config, coefficients, clock) for config in configs]
-        reg.counter("hw.estimate.count").inc(len(configs))
-        reg.counter("hw.estimate.batch.calls").inc()
-        reg.histogram("hw.estimate.batch.seconds").observe(time.perf_counter() - start)
-        return values
 
     def _estimate(
         self, config: "DNNConfig", coefficients: AnalyticalModelCoefficients, clock_mhz: float

@@ -12,10 +12,10 @@ Algorithm 1, evaluated by an analytical estimator) from *how* it is searched:
   strategies, targets and bundles,
 * :mod:`repro.search.session` — the archivable evaluation journal.
 
-A search runs serially, like the paper's SCD loop: single configs go
-through the scalar estimator, and a population (for ``scd``, one
-iteration's unit-move probes) is scored in one call to the estimator's
-vectorized ``estimate_batch`` when it has one.
+A search runs serially, like the paper's SCD loop: a single config or a
+population (for ``scd``, one iteration's unit-move probes) goes through the
+cache, which calls the estimator's ``estimate(config)`` once per unique
+miss.
 
 Quickstart::
 
@@ -62,6 +62,7 @@ _STRATEGY_EXPORTS = {
     "SCDExplorer",
     "RandomExplorer",
     "EvolutionaryExplorer",
+    "RegularizedEvolutionExplorer",
     "AnnealingExplorer",
     "MoveBasedExplorer",
 }

@@ -12,7 +12,7 @@ Every explorer shares the same infrastructure: a memoized
 :class:`~repro.search.cache.EvaluationCache` and an optional
 :class:`~repro.search.session.SearchSession` journal that records every
 evaluation.  Explorers evaluate serially; :meth:`Explorer.score_generation`
-scores a whole population in one batched estimator call.
+scores a whole population in one cache call.
 
 This module has no runtime import of :mod:`repro.core`; the built-in
 strategies (which *do* import the SCD move set) are loaded lazily on first
@@ -120,11 +120,9 @@ class Explorer(ABC):
     def score_generation(self, configs) -> list:
         """Score one generation (a population batch) of configs.
 
-        Unique missing configs are estimated once, through the estimator's
-        vectorized ``estimate_batch`` when it offers one (see
-        :meth:`repro.search.cache.EvaluationCache.evaluate_batch`).  Results are
-        bit-identical to scalar evaluation, and every config is journaled in
-        input order, so session journals do not depend on the path taken.
+        Each unique missing config is estimated once (see
+        :meth:`repro.search.cache.EvaluationCache.evaluate_batch`), and every
+        config is journaled in input order.
         """
         pairs = self.cache.evaluate_batch(configs, with_info=True)
         for config, (estimate, cached) in zip(configs, pairs):

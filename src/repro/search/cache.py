@@ -9,10 +9,9 @@ population-based strategies revisit configurations constantly.
 identical configurations are estimated once per search session.  A search
 reaches the estimator through :meth:`EvaluationCache.evaluate` for one
 config and :meth:`EvaluationCache.evaluate_batch` for a population; both
-run one routine, which sends a population's unique misses to the
-estimator's vectorized ``estimate_batch`` in one call.  A subclass adds a
-persistent tier through two hooks, ``get_many`` and ``put_many``
-(:class:`repro.sweep.disk_cache.DiskEvaluationCache`).
+run one routine, which scores each unique miss with one estimator call.  A
+subclass adds a persistent tier through two hooks, ``get_many`` and
+``put_many`` (:class:`repro.sweep.disk_cache.DiskEvaluationCache`).
 
 The key builds on :meth:`DNNConfig.describe` but appends the exact
 per-repetition channel-expansion and down-sampling vectors — ``describe()``
@@ -114,21 +113,6 @@ class EvaluationCache:
     ) -> None:
         self.estimator = estimator
         self.key_fn = key_fn
-        # The vectorized entry point, looked up once: the estimator's own
-        # ``estimate_batch`` or, when it is its owner's bound ``estimate``
-        # or ``__call__`` (``auto_hls.estimate``), the owner's.  Any other
-        # bound method may score with another model, and plain functions
-        # have none.  Methods are compared by identity, not by name, so a
-        # wrapper patched over ``estimate`` still pairs.
-        owner = getattr(estimator, "__self__", None)
-        if owner is None:
-            batch = getattr(estimator, "estimate_batch", None)
-        else:
-            method = getattr(estimator, "__func__", None)
-            scalar = [getattr(type(owner), name, None) for name in ("estimate", "__call__")]
-            pairs = method is not None and method in scalar
-            batch = getattr(owner, "estimate_batch", None) if pairs else None
-        self._estimate_batch = batch if callable(batch) else None
         self._store: dict[str, "PerformanceEstimate"] = {}
         self._hits = 0
         self._misses = 0
@@ -148,12 +132,10 @@ class EvaluationCache:
     def evaluate_batch(self, configs: Sequence["DNNConfig"], with_info: bool = False) -> list:
         """Evaluate a batch, estimating each *unique* missing config once.
 
-        A duplicate of a miss in the same batch counts as a hit.  The configs
-        no tier holds go to the estimator's ``estimate_batch`` in one call
-        when there are several and it offers one.  Results are bit-identical
-        to the scalar estimator, so journals and checkpoints do not depend on
-        which path ran.  ``with_info`` pairs each estimate with whether the
-        memory tier served it.
+        A duplicate of a miss in the same batch counts as a hit.  Each config
+        no tier holds is scored with one estimator call, and the fresh
+        estimates reach :meth:`put_many` together.  ``with_info`` pairs each
+        estimate with whether the memory tier served it.
         """
         keys = [self.key_fn(config) for config in configs]
         results: list = [None] * len(keys)
@@ -182,11 +164,7 @@ class EvaluationCache:
             found = dict(zip(missing, self.get_many(list(missing))))
             fresh = {key: missing[key] for key, value in found.items() if value is None}
             if fresh:
-                if self._estimate_batch is not None and len(fresh) > 1:
-                    values = self._estimate_batch(list(fresh.values()))
-                else:
-                    values = [self.estimator(config) for config in fresh.values()]
-                entries = list(zip(fresh, values))
+                entries = [(key, self.estimator(config)) for key, config in fresh.items()]
                 self.put_many(entries)
                 found.update(entries)
             with self._lock:

@@ -125,7 +125,7 @@ class RandomExplorer(MoveBasedExplorer):
     Batches of random walks start from a pool seeded with the initial config;
     accepted candidates and the per-batch config closest to the target join
     the pool, so the walk drifts toward the band while staying stochastic.
-    Each batch is scored in one batched estimator call.
+    Each batch is scored in one cache call.
     """
 
     def __init__(self, *args, batch_size: int = 8, pool_size: int = 12, **kwargs) -> None:
@@ -165,9 +165,9 @@ class RandomExplorer(MoveBasedExplorer):
 class EvolutionaryExplorer(MoveBasedExplorer):
     """Truncation-selection evolution over the SCD move set.
 
-    Each generation is batch-evaluated (through the cache and the
-    estimator's ``estimate_batch``), the lowest-energy members become parents, and children are mutated
-    parents.  Elitism keeps the parents in the next generation.
+    Each generation is scored through the cache in one batch, the
+    lowest-energy members become parents, and children are mutated parents.
+    Elitism keeps the parents in the next generation.
     """
 
     def __init__(
@@ -218,7 +218,7 @@ class RegularizedEvolutionExplorer(MoveBasedExplorer):
     prevents an early lucky candidate from dominating the population
     forever and keeps exploration moving even on flat energy plateaus.
 
-    The seed population is scored in one batched estimator call; each
+    The seed population is scored in one cache call; each
     subsequent cycle evaluates exactly one child, so the evaluation
     budget translates directly into evolution cycles.
     """

@@ -57,18 +57,10 @@ from repro.shard.protocol import (
     SERVICE_TOKEN_ENV,
     ShardProtocolError,
     delete_json,
-    failure_from_wire,
-    failure_to_wire,
     get_json,
-    outcome_from_wire,
-    outcome_to_wire,
     parse_bind,
     post_json,
-    prepared_from_wire,
-    prepared_to_wire,
     resolve_token,
-    task_from_wire,
-    task_to_wire,
     token_matches,
 )
 from repro.shard.transport import CoordinatorTransport
@@ -93,14 +85,6 @@ __all__ = [
     "delete_json",
     "resolve_token",
     "token_matches",
-    "task_to_wire",
-    "task_from_wire",
-    "outcome_to_wire",
-    "outcome_from_wire",
-    "failure_to_wire",
-    "failure_from_wire",
-    "prepared_to_wire",
-    "prepared_from_wire",
     "LeaseBoard",
     "LeaseCoordinator",
     "WorkerRegistry",

@@ -47,18 +47,17 @@ from repro.shard.protocol import (
     ShardProtocolError,
     check_lease_timing,
     number_field,
-    outcome_from_wire,
-    prepared_to_wire,
     require,
     string_list_field,
-    task_to_wire,
     token_matches,
 )
 import repro.telemetry as telemetry
 from repro.sweep.disk_cache import CacheHub, read_cache_records
 from repro.sweep.ledger import (DEFAULT_LEASE_TTL_S, LEASE_COUNTERS, WAKE_SLACK_S,
                                 LeaseBoard, WorkerRegistry, _Cell)
+from repro.sweep.runner import SweepOutcome
 from repro.utils.logging import get_logger
+from repro.utils.serialization import to_jsonable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sweep.runner import PreparedTarget, SweepRunner
@@ -79,7 +78,7 @@ def parse_report(payload: Mapping) -> tuple[str, str, str, dict]:
     if status == "ok":
         wire = require(payload, "outcome", dict)
         try:
-            outcome = outcome_from_wire(wire)
+            outcome = SweepOutcome.from_dict(wire)
         except (KeyError, TypeError, ValueError) as exc:
             raise ShardProtocolError(f"malformed outcome payload: {exc}") from exc
         if outcome.task.uid != uid:
@@ -335,7 +334,7 @@ class LeaseCoordinator:
         artifacts = {index: preparations.get(runner.tasks[index].prep_key)
                      for index in order}
         unique = {a.wire_key: a for a in artifacts.values() if a is not None}
-        wire = {key: prepared_to_wire(a) for key, a in unique.items()
+        wire = {key: a.to_wire() for key, a in unique.items()
                 if key not in self._prepared_wire}
         with self._lock:
             self._boards[job] = board
@@ -519,7 +518,7 @@ class LeaseCoordinator:
                 {
                     "lease_id": cell.lease_id,
                     "uid": cell.task.uid,
-                    "task": task_to_wire(cell.task),
+                    "task": to_jsonable(cell.task),
                     "prep": prep_key,
                     "timeout_s": cell.timeout_s,
                     "job": board.job,

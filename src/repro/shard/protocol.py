@@ -86,7 +86,6 @@ import urllib.request
 from typing import Mapping, Optional
 
 from repro.sweep.ledger import DEFAULT_LEASE_TTL_S, ShardProtocolError  # re-exported
-from repro.sweep.runner import PreparedTarget, SweepFailure, SweepOutcome, SweepTask
 from repro.utils.serialization import to_jsonable
 
 #: Protocol version; a coordinator rejects workers speaking another one.
@@ -152,43 +151,6 @@ def token_matches(expected: Optional[str], provided: Optional[str]) -> bool:
     if not provided:
         return False
     return hmac.compare_digest(expected.encode("utf-8"), provided.encode("utf-8"))
-
-
-# ---------------------------------------------------------------- wire views
-def task_to_wire(task: SweepTask) -> dict:
-    """JSON view of one grid cell (the checkpoint's task encoding)."""
-    return to_jsonable(task)
-
-
-def task_from_wire(payload: Mapping) -> SweepTask:
-    return SweepTask.from_dict(payload)
-
-
-def outcome_to_wire(outcome: SweepOutcome) -> dict:
-    return outcome.as_dict()
-
-
-def outcome_from_wire(payload: Mapping) -> SweepOutcome:
-    return SweepOutcome.from_dict(payload)
-
-
-def failure_to_wire(failure: SweepFailure) -> dict:
-    return failure.as_dict()
-
-
-def failure_from_wire(payload: Mapping) -> SweepFailure:
-    return SweepFailure.from_dict(payload)
-
-
-def prepared_to_wire(prepared: PreparedTarget) -> dict:
-    return prepared.to_wire()
-
-
-def prepared_from_wire(payload: Mapping) -> PreparedTarget:
-    # Backend-tagged: the payload's "backend" key selects the artifact
-    # shape (fpga payloads require coefficients, fit-free ones ship none);
-    # pre-backend payloads carry no tag and default to fpga.
-    return PreparedTarget.from_wire(payload)
 
 
 # -------------------------------------------------------------- HTTP client

@@ -51,16 +51,14 @@ from repro.shard.protocol import (
     MAX_LEASE_WAIT_S,
     PROTOCOL_VERSION,
     ShardProtocolError,
-    outcome_to_wire,
     post_json,
-    prepared_from_wire,
-    task_from_wire,
 )
 import repro.telemetry as telemetry
 from repro.sweep.disk_cache import CacheDirTail, append_cache_records
 from repro.sweep.runner import (
     PreparedTarget,
     SweepOutcome,
+    SweepTask,
     WorkerProcesses,
     execute_cell,
     run_sweep_task,
@@ -228,7 +226,7 @@ class ShardWorker:
         reply = self._post("/v1/lease", payload)
         for key, wire in (reply.get("prepared") or {}).items():
             if key not in self._prepared:
-                self._prepared[key] = prepared_from_wire(wire)
+                self._prepared[key] = PreparedTarget.from_wire(wire)
         if reply.get("done"):
             self._saw_done.set()
         elif wait_s > 0 and not reply.get("cells"):
@@ -251,7 +249,7 @@ class ShardWorker:
         if job is not None:
             payload["job"] = job
         if kind == "ok":
-            payload["outcome"] = outcome_to_wire(value)
+            payload["outcome"] = value.as_dict()
         else:
             payload["error"] = str(value)
             self.reported_errors += 1
@@ -368,7 +366,7 @@ class ShardWorker:
                         with self._lease_lock:
                             self._active_leases.add(lease_id)
                         in_flight[lease_id] = (str(cell["uid"]), cell.get("job"))
-                        task = task_from_wire(cell["task"])
+                        task = SweepTask.from_dict(cell["task"])
                         prepared = self._prepared.get(cell.get("prep") or "")
                         timeout_s = cell.get("timeout_s")
                         # The local drain's rule: only a process can be

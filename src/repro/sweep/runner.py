@@ -988,7 +988,6 @@ class SweepRunner:
         timeout_scale: float = 3.0,
         retries: int = 1,
         retry_backoff_s: float = 0.1,
-        cost_hints: Optional[Mapping[str, float]] = None,
         resume_from: Union[str, pathlib.Path, SweepResult, None] = None,
         task_fn: Callable[..., SweepOutcome] = run_sweep_task,
         transport=None,
@@ -1021,7 +1020,6 @@ class SweepRunner:
         self.timeout_scale = timeout_scale
         self.retries = retries
         self.retry_backoff_s = retry_backoff_s
-        self.cost_hints = dict(cost_hints) if cost_hints else None
         self.resume_from = resume_from
         self.task_fn = task_fn
         if transport is not None and not callable(getattr(transport, "execute", None)):
@@ -1050,19 +1048,12 @@ class SweepRunner:
         return pathlib.Path(self.cache_dir) / TIMINGS_FILENAME
 
     def _load_cost_hints(self) -> dict[str, float]:
-        hints: dict[str, float] = {}
         path = self._timings_path()
-        if path is not None:
-            from repro.sweep.checkpoint import load_timings
+        if path is None:
+            return {}
+        from repro.sweep.checkpoint import load_timings
 
-            hints.update(load_timings(path))
-        if self.cost_hints:
-            hints.update({
-                str(name): float(value)
-                for name, value in self.cost_hints.items()
-                if isinstance(value, (int, float))
-            })
-        return hints
+        return load_timings(path)
 
     def _save_timings(
         self,

@@ -3,9 +3,8 @@
 Covers target-spec parsing and registry errors, the GPU roofline engine
 (population scoring through the cache, golden equivalence against the
 Table 2 GPU baseline), the wire round trip of :class:`PreparedTarget` on
-both backends, the journal invariance of batched SCD unit-move probes,
-mixed-backend sweeps and the legacy FPGA byte-identity contract against a
-checkpoint generated before the backend refactor.
+both backends, mixed-backend sweeps and the legacy FPGA byte-identity
+contract against a checkpoint generated before the backend refactor.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from repro.backend import (
 )
 from repro.core.auto_hls import AutoHLS
 from repro.core.bundle_generation import get_bundle
-from repro.core.constraints import LatencyTarget, ResourceConstraint
+from repro.core.constraints import ResourceConstraint
 from repro.core.dnn_config import DNNConfig
 from repro.detection.task import TINY_DETECTION_TASK
 from repro.experiments.table2 import HOST_OVERHEAD_MS, _gpu_baseline_rows
@@ -39,7 +38,7 @@ from repro.baselines.entries import gpu_contest_entries
 from repro.gpu import GPURooflineEngine, JETSON_TX2, get_gpu_device
 from repro.hw.analytical import AnalyticalModelCoefficients
 from repro.hw.device import PYNQ_Z1
-from repro.search import EvaluationCache, SearchSession, create_explorer
+from repro.search import EvaluationCache
 from repro.sweep import (
     PreparedTarget,
     SweepRunner,
@@ -266,35 +265,6 @@ class TestPreparedTargetWire:
         }
         with pytest.raises(ValueError, match="coefficients"):
             PreparedTarget.from_wire(payload)
-
-
-# ------------------------------------------------------- SCD unit-move batching
-class TestSCDBatchInvariance:
-    def _journal(self, monkeypatch, *, scalar: bool) -> dict:
-        if scalar:
-            # Without a batch entry point the cache scores every unit-move
-            # probe one config at a time.
-            monkeypatch.delattr(AutoHLS, "estimate_batch")
-        session = SearchSession(name="scd-batch-invariance")
-        engine = AutoHLS(PYNQ_Z1)
-        explorer = create_explorer(
-            "scd",
-            estimator=engine.estimate,
-            latency_target=LatencyTarget(fps=40.0, tolerance_ms=10.0),
-            resource_constraint=ResourceConstraint.for_device(PYNQ_Z1),
-            max_iterations=40,
-            rng=7,
-            session=session,
-        )
-        explorer.explore(_configs(1)[0], num_candidates=2)
-        return session.as_dict()
-
-    def test_batched_probes_leave_journal_fingerprint_unchanged(self, monkeypatch):
-        batched = self._journal(monkeypatch, scalar=False)
-        scalar = self._journal(monkeypatch, scalar=True)
-        assert json.dumps(to_jsonable(batched), sort_keys=True) == \
-            json.dumps(to_jsonable(scalar), sort_keys=True)
-        assert batched["records"], "the search must have journaled evaluations"
 
 
 # ------------------------------------------------------- mixed-backend sweeps

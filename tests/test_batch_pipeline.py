@@ -1,25 +1,22 @@
 """Batched-evaluation wiring tests: caches, evaluators, explorers, sweeps.
 
 The FPGA evaluator (tested for bit-exactness in ``test_hw_batch.py``) is
-wired into every layer of the pipeline.  These tests assert the wiring
-contracts:
+wired into every layer of the pipeline through one entry point,
+``estimate(config)``.  These tests assert the wiring contracts:
 
-* ``EvaluationCache`` / ``DiskEvaluationCache`` dispatch whole batches to an
-  estimator's ``estimate_batch`` and keep their hit / miss accounting
-  identical to the scalar path,
-* shard files written by the batched disk path are byte-identical to the
-  scalar ones under a frozen clock,
+* ``EvaluationCache`` / ``DiskEvaluationCache`` deduplicate a batch, score
+  each unique miss with one estimator call and keep their hit / miss
+  accounting identical to one-config requests,
+* shard files written by one batch are byte-identical to those written one
+  config at a time under a frozen clock,
 * ``BundleEvaluator`` records equal the reference ``DNNPerformanceModel``,
 * explorer session journals and whole-sweep fingerprints do not depend on
-  which path scored the candidates — batched or per config, evaluator or
-  reference model.
+  which model scored the candidates — evaluator or reference model.
 """
 
 from __future__ import annotations
 
 import json
-
-import pytest
 
 from repro.core.auto_hls import AutoHLS
 from repro.core.bundle_evaluation import (
@@ -62,72 +59,76 @@ def make_config(pf: int = 8, reps: int = 2, name: str = "") -> DNNConfig:
 
 
 class SpyEstimator:
-    """Scalar + batched estimator counting which path was exercised."""
+    """The FPGA estimator, counting its calls."""
 
     def __init__(self, device=PYNQ_Z1):
         self.auto = AutoHLS(device)
-        self.scalar_calls = 0
-        self.batch_calls = 0
-        self.batched_configs = 0
+        self.calls = 0
 
     def __call__(self, config):
-        self.scalar_calls += 1
+        self.calls += 1
         return self.auto.estimate(config)
+
+    def other(self, config):
+        return self(config)
+
+
+class BatchSpy(SpyEstimator):
+    """A spy that also offers ``estimate_batch``, counting its calls."""
+
+    batch_calls = 0
 
     def estimate_batch(self, configs):
         self.batch_calls += 1
-        self.batched_configs += len(configs)
-        return self.auto.estimate_batch(configs)
+        return [self(config) for config in configs]
 
 
 class TestBatchEntryPoint:
-    """The cache finds the estimator's ``estimate_batch`` once, when built."""
+    """Whatever the estimator offers, the cache calls it once per unique miss.
+
+    No ``estimate_batch`` — the estimator's own or its owner's — is called.
+    """
 
     CONFIGS = [make_config(4), make_config(8), make_config(16)]
 
     def test_object_with_estimate_batch(self):
-        spy = SpyEstimator()
+        spy = BatchSpy()
         EvaluationCache(spy).evaluate_batch(self.CONFIGS)
-        assert (spy.batch_calls, spy.scalar_calls) == (1, 0)
+        assert (spy.batch_calls, spy.calls) == (0, 3)
 
     def test_bound_method_owner(self):
-        spy = SpyEstimator()
+        spy = BatchSpy()
         EvaluationCache(spy.__call__).evaluate_batch(self.CONFIGS)
-        assert (spy.batch_calls, spy.scalar_calls) == (1, 0)
+        assert (spy.batch_calls, spy.calls) == (0, 3)
 
     def test_other_bound_method_stays_scalar(self):
-        class Owner(SpyEstimator):
-            other_calls = 0
-
-            def other(self, config):
-                self.other_calls += 1
-                return self.auto.estimate(config)
-
-        owner = Owner()
-        EvaluationCache(owner.other).evaluate_batch(self.CONFIGS)
-        assert (owner.other_calls, owner.batch_calls) == (3, 0)
+        spy = BatchSpy()
+        EvaluationCache(spy.other).evaluate_batch(self.CONFIGS)
+        assert (spy.batch_calls, spy.calls) == (0, 3)
 
     def test_wrapper_patched_over_estimate_still_pairs(self, monkeypatch):
+        scored, batches = [], []
         estimate = AutoHLS.estimate
-        monkeypatch.setattr(AutoHLS, "estimate", lambda self, config: estimate(self, config))
-        batches = []
+        monkeypatch.setattr(AutoHLS, "estimate",
+                            lambda self, config: scored.append(config) or estimate(self, config))
         estimate_batch = AutoHLS.estimate_batch
         monkeypatch.setattr(AutoHLS, "estimate_batch",
                             lambda self, configs: batches.append(configs) or
                             estimate_batch(self, configs))
         EvaluationCache(AutoHLS(PYNQ_Z1).estimate).evaluate_batch(self.CONFIGS)
-        assert [len(configs) for configs in batches] == [3]
+        # The wrapper sees every config, one at a time and in order.
+        assert scored == self.CONFIGS and batches == []
 
     def test_plain_callable_has_none(self):
-        spy = SpyEstimator()
+        spy = BatchSpy()
         EvaluationCache(lambda config: spy(config)).evaluate_batch(self.CONFIGS)
-        assert (spy.batch_calls, spy.scalar_calls) == (0, 3)
+        assert (spy.batch_calls, spy.calls) == (0, 3)
 
     def test_disk_cache_is_batchable(self, tmp_path):
-        spy = SpyEstimator()
+        spy = BatchSpy()
         disk = DiskEvaluationCache(spy, tmp_path, device="pynq-z1")
         EvaluationCache(disk).evaluate_batch(self.CONFIGS)
-        assert (spy.batch_calls, spy.scalar_calls) == (1, 0)
+        assert (spy.batch_calls, spy.calls) == (0, 3)
         assert disk.disk_stats().misses == 3
 
 
@@ -137,16 +138,15 @@ class TestEvaluationCacheBatch:
         cache = EvaluationCache(spy)
         configs = [make_config(4), make_config(8), make_config(16), make_config(4)]
         results = cache.evaluate_batch(configs)
-        # One vectorized call scored the three unique configs; the in-batch
-        # duplicate was deduplicated before dispatch.
-        assert spy.batch_calls == 1 and spy.batched_configs == 3
-        assert spy.scalar_calls == 0
+        # One estimator call per unique config; the in-batch duplicate was
+        # deduplicated before dispatch.
+        assert spy.calls == 3
         assert cache.misses == 3 and cache.hits == 1
         assert results[0] == results[3]
         # Second pass: pure cache hits, no estimator traffic.
         again = cache.evaluate_batch(configs)
         assert again == results
-        assert spy.batch_calls == 1 and cache.hits == 5
+        assert spy.calls == 3 and cache.hits == 5
 
     def test_batch_results_match_scalar_cache(self):
         configs = [make_config(4), make_config(8), make_config(16)]
@@ -154,12 +154,6 @@ class TestEvaluationCacheBatch:
         scalar_cache = EvaluationCache(AutoHLS(PYNQ_Z1).estimate)
         scalar = [scalar_cache.evaluate(config) for config in configs]
         assert batched == scalar
-
-    def test_single_missing_config_stays_scalar(self):
-        spy = SpyEstimator()
-        cache = EvaluationCache(spy)
-        cache.evaluate_batch([make_config(4)])
-        assert spy.batch_calls == 0 and spy.scalar_calls == 1
 
 
 class TestDiskCacheBatch:
@@ -172,19 +166,20 @@ class TestDiskCacheBatch:
     def test_estimate_batch_accounting_and_persistence(self, tmp_path):
         spy = SpyEstimator()
         disk = self._disk(tmp_path, spy)
-        configs = [make_config(4), make_config(8), make_config(16)]
-        results = disk.estimate_batch(configs)
-        assert spy.batch_calls == 1 and spy.scalar_calls == 0
-        # Disk misses == real estimator invocations, exactly as the scalar path.
+        configs = [make_config(4), make_config(8), make_config(16), make_config(8)]
+        results = disk.evaluate_batch(configs)
+        # Disk misses == real estimator invocations, one per unique config.
+        assert spy.calls == 3
         assert disk.disk_stats().misses == 3 and disk.disk_stats().hits == 0
-        again = disk.estimate_batch(configs)
-        assert again == results
+        assert disk.misses == 3 and disk.hits == 1
+        again = disk.evaluate_batch(configs)
+        assert again == results and spy.calls == 3
         # The memory tier serves the repeats; the disk tier sees none of them.
-        assert disk.hits == 3 and disk.disk_stats().hits == 0
+        assert disk.hits == 5 and disk.disk_stats().hits == 0
         assert disk.disk_stats().misses == 3
         # A fresh instance reloads every record from the shard.
         reloaded = self._disk(tmp_path, spy, shard="other")
-        assert reloaded.estimate_batch(configs) == results
+        assert reloaded.evaluate_batch(configs) == results and spy.calls == 3
         assert reloaded.disk_stats().misses == 0 and reloaded.disk_stats().hits == 3
 
     def test_batched_shard_bytes_match_scalar(self, tmp_path):
@@ -194,7 +189,7 @@ class TestDiskCacheBatch:
         for config in configs:
             scalar_disk.evaluate(config)
         batched_disk = self._disk(batched_dir, SpyEstimator())
-        batched_disk.estimate_batch(configs)
+        batched_disk.evaluate_batch(configs)
         assert (
             scalar_disk.shard_path.read_bytes()
             == batched_disk.shard_path.read_bytes()
@@ -204,7 +199,7 @@ class TestDiskCacheBatch:
     def test_get_many_and_put_many(self, tmp_path):
         auto = AutoHLS(PYNQ_Z1)
         configs = [make_config(4), make_config(8)]
-        estimates = auto.estimate_batch(configs)
+        estimates = [auto.estimate(config) for config in configs]
         disk = self._disk(tmp_path, auto.estimate)
         keys = [disk.key_fn(config) for config in configs]
         assert disk.get_many(keys) == [None, None]
@@ -281,10 +276,6 @@ def _reference_estimate(self, config, coefficients=None, clock_mhz=None):
 def _force_reference(monkeypatch):
     """Route every FPGA evaluator call through the reference model."""
     monkeypatch.setattr(FPGAEvaluator, "estimate", _reference_estimate)
-    monkeypatch.setattr(
-        FPGAEvaluator, "estimate_batch",
-        lambda self, configs, *args: [self.estimate(c, *args) for c in configs],
-    )
 
 
 class TestBundleEvaluatorBatched:
@@ -292,49 +283,39 @@ class TestBundleEvaluatorBatched:
 
     def test_coarse_records_identical(self, monkeypatch):
         bundles = [get_bundle(i) for i in (1, 5, 13)]
-        batched = BundleEvaluator(**self.KWARGS).coarse_evaluate(
+        fast = BundleEvaluator(**self.KWARGS).coarse_evaluate(
             bundles, parallel_factors=(4, 8)
         )
         _force_reference(monkeypatch)
-        scalar = BundleEvaluator(**self.KWARGS).coarse_evaluate(
+        reference = BundleEvaluator(**self.KWARGS).coarse_evaluate(
             bundles, parallel_factors=(4, 8)
         )
-        assert [_evaluation_key(r) for r in batched] == [
-            _evaluation_key(r) for r in scalar
+        assert [_evaluation_key(r) for r in fast] == [
+            _evaluation_key(r) for r in reference
         ]
 
     def test_fine_records_identical(self, monkeypatch):
         bundles = [get_bundle(i) for i in (5, 13)]
-        batched = BundleEvaluator(**self.KWARGS).fine_evaluate(
+        fast = BundleEvaluator(**self.KWARGS).fine_evaluate(
             bundles, repetition_counts=(2, 3)
         )
         _force_reference(monkeypatch)
-        scalar = BundleEvaluator(**self.KWARGS).fine_evaluate(
+        reference = BundleEvaluator(**self.KWARGS).fine_evaluate(
             bundles, repetition_counts=(2, 3)
         )
-        assert [_fine_key(r) for r in batched] == [_fine_key(r) for r in scalar]
+        assert [_fine_key(r) for r in fast] == [_fine_key(r) for r in reference]
 
     def test_selection_identical(self, monkeypatch):
         bundles = [get_bundle(i) for i in (1, 5, 9, 13, 17)]
-        batched_eval = BundleEvaluator(**self.KWARGS)
-        batched = batched_eval.coarse_evaluate(bundles)
+        fast_eval = BundleEvaluator(**self.KWARGS)
+        fast = fast_eval.coarse_evaluate(bundles)
         _force_reference(monkeypatch)
-        scalar_eval = BundleEvaluator(**self.KWARGS)
-        scalar = scalar_eval.coarse_evaluate(bundles)
-        assert batched_eval.pareto_bundles(batched) == scalar_eval.pareto_bundles(scalar)
+        reference_eval = BundleEvaluator(**self.KWARGS)
+        reference = reference_eval.coarse_evaluate(bundles)
+        assert fast_eval.pareto_bundles(fast) == reference_eval.pareto_bundles(reference)
         assert [
-            b.bundle_id for b in batched_eval.select_top_bundles(batched, top_n=3)
-        ] == [b.bundle_id for b in scalar_eval.select_top_bundles(scalar, top_n=3)]
-
-
-def _force_scalar(monkeypatch):
-    """Score every config alone, with the reference model.
-
-    Without ``AutoHLS.estimate_batch``, a cache built on ``auto.estimate``
-    has no batch entry point and calls the scalar estimator per config.
-    """
-    monkeypatch.delattr(AutoHLS, "estimate_batch")
-    _force_reference(monkeypatch)
+            b.bundle_id for b in fast_eval.select_top_bundles(fast, top_n=3)
+        ] == [b.bundle_id for b in reference_eval.select_top_bundles(reference, top_n=3)]
 
 
 class TestJournalInvariance:
@@ -353,10 +334,10 @@ class TestJournalInvariance:
 
     def test_score_generation_journal_is_path_independent(self, monkeypatch):
         configs = [make_config(4), make_config(8), make_config(16), make_config(4)]
-        batched = self._journal_for(configs)
-        _force_scalar(monkeypatch)
-        scalar = self._journal_for(configs)
-        assert batched == scalar
+        fast = self._journal_for(configs)
+        _force_reference(monkeypatch)
+        reference = self._journal_for(configs)
+        assert fast == reference
 
 
 class TestSweepInvariance:
@@ -379,26 +360,26 @@ class TestSweepInvariance:
 
     def test_sweep_fingerprint_is_path_independent(self, monkeypatch):
         tasks = build_grid("pynq-z1", ["random", "scd"], [30.0], **self.GRID)
-        batched = SweepRunner(tasks, workers=1).run()
-        _force_scalar(monkeypatch)
-        scalar = SweepRunner(tasks, workers=1).run()
-        assert batched.ok and scalar.ok
-        assert self._fingerprint(batched) == self._fingerprint(scalar)
+        fast = SweepRunner(tasks, workers=1).run()
+        _force_reference(monkeypatch)
+        reference = SweepRunner(tasks, workers=1).run()
+        assert fast.ok and reference.ok
+        assert self._fingerprint(fast) == self._fingerprint(reference)
 
     def test_disk_cached_sweep_accounting_is_path_independent(
         self, monkeypatch, tmp_path
     ):
         tasks = build_grid("pynq-z1", ["random"], [30.0], **self.GRID)
-        batched = SweepRunner(tasks, workers=1, cache_dir=str(tmp_path / "b")).run()
-        _force_scalar(monkeypatch)
-        scalar = SweepRunner(tasks, workers=1, cache_dir=str(tmp_path / "s")).run()
-        assert batched.ok and scalar.ok
-        assert self._fingerprint(batched) == self._fingerprint(scalar)
-        # Disk misses count real estimator invocations; the batched path
-        # must invoke the estimator for exactly the same configs.
-        assert [o.disk_misses for o in batched.outcomes] == [
-            o.disk_misses for o in scalar.outcomes
+        fast = SweepRunner(tasks, workers=1, cache_dir=str(tmp_path / "b")).run()
+        _force_reference(monkeypatch)
+        reference = SweepRunner(tasks, workers=1, cache_dir=str(tmp_path / "s")).run()
+        assert fast.ok and reference.ok
+        assert self._fingerprint(fast) == self._fingerprint(reference)
+        # Disk misses count real estimator invocations; both models must be
+        # invoked for exactly the same configs.
+        assert [o.disk_misses for o in fast.outcomes] == [
+            o.disk_misses for o in reference.outcomes
         ]
-        assert [o.disk_hits for o in batched.outcomes] == [
-            o.disk_hits for o in scalar.outcomes
+        assert [o.disk_hits for o in fast.outcomes] == [
+            o.disk_hits for o in reference.outcomes
         ]

@@ -213,9 +213,10 @@ class TestCommandRuns:
         assert "0 entries" in capsys.readouterr().out
 
     def test_cache_gc_rejects_bad_budget(self, tmp_path):
-        with pytest.raises(ValueError, match="max_age_days"):
+        with pytest.raises(SystemExit) as excinfo:
             main(["cache", "gc", "--cache-dir", str(tmp_path),
                   "--max-age-days", "0"])
+        assert excinfo.value.code == 2
 
     def test_experiment_fig4(self, capsys):
         assert main(["experiment", "fig4"]) == 0

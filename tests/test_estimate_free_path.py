@@ -40,7 +40,6 @@ from repro.detection.task import TINY_DETECTION_TASK
 from repro.hw.device import PYNQ_Z1
 from repro.hw.hls.synthesis import HLSSynthesisSimulator
 from repro.search import CacheStats, EvaluationCache, SearchSession, config_cache_key
-from repro.shard.protocol import outcome_to_wire
 from repro.sweep import (
     DiskEvaluationCache,
     SweepResult,
@@ -300,7 +299,7 @@ class TestOneJournalWalk:
         assert line == json.dumps(expected, sort_keys=True)
 
     def test_wire_and_report_views_equal_to_jsonable(self, outcome):
-        wire = outcome_to_wire(outcome)
+        wire = outcome.as_dict()
         assert json.dumps(wire) == json.dumps(to_jsonable(outcome))
         result = SweepResult(outcomes=[outcome], workers=1)
         assert result.as_dict()["outcomes"] == [to_jsonable(outcome)]

@@ -1,7 +1,7 @@
 """Golden-equivalence suite for the segment-memoized FPGA evaluator.
 
 The contract of :mod:`repro.hw.evaluator` is bit-exactness: for every config,
-``FPGAEvaluator.estimate`` / ``estimate_batch`` must reproduce the reference
+``FPGAEvaluator.estimate`` must reproduce the reference
 ``DNNPerformanceModel`` estimate to *full float precision* — not within a
 tolerance — whatever the evaluator memoized before.  Journals, checkpoints
 and Pareto selections are byte-identical to the reference model only because
@@ -35,6 +35,7 @@ from repro.hw.analytical import (
 from repro.hw.device import PYNQ_Z1, ULTRA96
 from repro.hw.evaluator import FPGAEvaluator, evaluator_for
 from repro.hw.tile_arch import TileArchAccelerator
+from repro.search.cache import EvaluationCache
 
 # A refit-style coefficient set: every knob off its default, so coefficient
 # mix-ups between the paths cannot cancel out.
@@ -53,20 +54,20 @@ def scalar_estimate(config, device, coefficients, clock_mhz) -> PerformanceEstim
     return DNNPerformanceModel(accelerator, coefficients).estimate()
 
 
-def assert_bit_identical(batched: PerformanceEstimate, scalar: PerformanceEstimate):
-    assert batched.latency_ms == scalar.latency_ms
-    assert batched.compute_ms == scalar.compute_ms
-    assert batched.data_movement_ms == scalar.data_movement_ms
-    assert batched.resources.lut == scalar.resources.lut
-    assert batched.resources.ff == scalar.resources.ff
-    assert batched.resources.dsp == scalar.resources.dsp
-    assert batched.resources.bram == scalar.resources.bram
+def assert_bit_identical(estimate: PerformanceEstimate, reference: PerformanceEstimate):
+    assert estimate.latency_ms == reference.latency_ms
+    assert estimate.compute_ms == reference.compute_ms
+    assert estimate.data_movement_ms == reference.data_movement_ms
+    assert estimate.resources.lut == reference.resources.lut
+    assert estimate.resources.ff == reference.resources.ff
+    assert estimate.resources.dsp == reference.resources.dsp
+    assert estimate.resources.bram == reference.resources.bram
 
 
 def config_grid(task) -> list[DNNConfig]:
-    """A deliberately heterogeneous batch: several bundles, replication
+    """A deliberately heterogeneous stream: several bundles, replication
     counts, elastic Pi / X vectors, activations, bit widths and parallel
-    factors, all mixed into one call."""
+    factors, all scored by one evaluator."""
     configs = []
     cases = [
         # (bundle_id, reps, expansion, downsample, activation, wb, stem)
@@ -109,34 +110,34 @@ class TestGoldenEquivalence:
     def test_batch_matches_scalar_exactly(self, device, clock_mhz, coefficients):
         configs = config_grid(TINY_DETECTION_TASK)
         evaluator = FPGAEvaluator(device)
-        batched = evaluator.estimate_batch(configs, coefficients, clock_mhz)
+        estimates = [evaluator.estimate(config, coefficients, clock_mhz) for config in configs]
         clock = clock_mhz or device.default_clock_mhz
-        assert len(batched) == len(configs)
-        for config, estimate in zip(configs, batched):
+        for config, estimate in zip(configs, estimates):
             reference = scalar_estimate(config, device, coefficients, clock)
             assert_bit_identical(estimate, reference)
-            # The scalar entry point, now on a warm memo, agrees too.
+            # The same config again, now on a memo warmed by the whole stream.
             assert_bit_identical(evaluator.estimate(config, coefficients, clock_mhz), reference)
 
     def test_full_resolution_task(self, device):
         # The DAC-SDC input resolution exercises different tile choices.
-        configs = config_grid(DAC_SDC_TASK)[:8]
-        batched = FPGAEvaluator(device).estimate_batch(configs)
-        for config, estimate in zip(configs, batched):
+        evaluator = FPGAEvaluator(device)
+        for config in config_grid(DAC_SDC_TASK)[:8]:
             assert_bit_identical(
-                estimate,
+                evaluator.estimate(config),
                 scalar_estimate(
                     config, device, DEFAULT_COEFFICIENTS, device.default_clock_mhz
                 ),
             )
 
     def test_empty_batch(self, device):
-        assert FPGAEvaluator(device).estimate_batch([]) == []
+        # A cache handed an empty batch never reaches the evaluator.
+        evaluator = FPGAEvaluator(device)
+        assert EvaluationCache(evaluator.estimate).evaluate_batch([]) == []
+        assert memo_entries(evaluator) == 0
 
     def test_single_config_batch(self, tiny_config, device):
-        [estimate] = FPGAEvaluator(device).estimate_batch([tiny_config])
         assert_bit_identical(
-            estimate,
+            FPGAEvaluator(device).estimate(tiny_config),
             scalar_estimate(
                 tiny_config, device, DEFAULT_COEFFICIENTS, device.default_clock_mhz
             ),
@@ -156,9 +157,9 @@ class TestGoldenEquivalence:
 
     def test_duplicate_configs_share_one_group(self, tiny_config, device):
         evaluator = FPGAEvaluator(device)
-        results = evaluator.estimate_batch([tiny_config, tiny_config])
+        results = [evaluator.estimate(tiny_config), evaluator.estimate(tiny_config)]
         entries = memo_entries(evaluator)
-        results += evaluator.estimate_batch([tiny_config])
+        results.append(evaluator.estimate(tiny_config))
         assert results[0] == results[1] == results[2]
         assert memo_entries(evaluator) == entries
 
@@ -231,7 +232,8 @@ class TestGoldenEquivalence:
         stream = [c for c in neighbours if c is not None]
         order.shuffle(stream)
         warm = FPGAEvaluator(device)
-        warm.estimate_batch(stream, REFIT, 120.0)
+        for neighbour in stream:
+            warm.estimate(neighbour, REFIT, 120.0)
         assert_bit_identical(warm.estimate(config, coefficients, clock_mhz), reference)
 
 
@@ -312,16 +314,16 @@ class TestEstimatorInternals:
             after,
             scalar_estimate(tiny_config, device, refit.coefficients, refit.clock_mhz),
         )
-        assert refit.estimate_batch([tiny_config]) == [after]
         assert stale.estimate(tiny_config) == before
 
     def test_telemetry_counters(self, tiny_config, device):
         telemetry.disable()
         reg = telemetry.enable()
         try:
-            FPGAEvaluator(device).estimate_batch([tiny_config, tiny_config])
+            evaluator = FPGAEvaluator(device)
+            evaluator.estimate(tiny_config)
+            evaluator.estimate(tiny_config)
             assert reg.counter("hw.estimate.count").value == 2
-            assert reg.counter("hw.estimate.batch.calls").value == 1
             evaluator_for(device).estimate(tiny_config)
             assert reg.counter("hw.estimate.count").value == 3
         finally:

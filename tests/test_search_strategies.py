@@ -90,6 +90,13 @@ class TestRegistry:
             cls = explorer_class(name)
             assert cls.strategy_name == name
 
+    def test_every_strategy_class_is_exported(self):
+        import repro.search
+
+        for name in available_strategies():
+            cls = explorer_class(name)
+            assert getattr(repro.search, cls.__name__, None) is cls, name
+
     def test_unknown_strategy_lists_available(self):
         with pytest.raises(KeyError, match="annealing"):
             explorer_class("gradient-descent")

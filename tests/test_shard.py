@@ -25,7 +25,6 @@ from repro.shard import (
     get_json,
     parse_bind,
     post_json,
-    prepared_from_wire,
 )
 from repro.sweep import (
     CHECKPOINT_FILENAME,
@@ -70,7 +69,7 @@ class TestPreparedDeviceWire:
         task = build_grid("pynq-z1", "scd", [40.0], **TINY)[0]
         prepared = prepare_device(task)
         # Through real JSON text, as the HTTP transport ships it.
-        clone = prepared_from_wire(json.loads(json.dumps(prepared.to_wire())))
+        clone = PreparedTarget.from_wire(json.loads(json.dumps(prepared.to_wire())))
         assert clone == prepared, "floats must survive the JSON trip bit-exact"
         assert clone.coefficients == prepared.coefficients
         assert clone.selected_bundle_ids == prepared.selected_bundle_ids
@@ -79,7 +78,7 @@ class TestPreparedDeviceWire:
         """Acceptance: a shipped artifact yields byte-identical journals."""
         task = build_grid("pynq-z1", "random", [40.0], **TINY)[0]
         prepared = prepare_device(task)
-        clone = prepared_from_wire(json.loads(json.dumps(prepared.to_wire())))
+        clone = PreparedTarget.from_wire(json.loads(json.dumps(prepared.to_wire())))
         inline = run_sweep_task(task, str(tmp_path / "a"), prepared=prepared)
         shipped = run_sweep_task(task, str(tmp_path / "b"), prepared=clone)
         assert journal_bytes([inline]) == journal_bytes([shipped])
@@ -126,7 +125,7 @@ class TestPreparedDeviceWire:
                           num_candidates=1, top_bundles=2, seed=1,
                           clocks_mhz=clocks, utilizations=[utilization])[0]
         prepared = prepare_device(task)
-        clone = prepared_from_wire(json.loads(json.dumps(prepared.to_wire())))
+        clone = PreparedTarget.from_wire(json.loads(json.dumps(prepared.to_wire())))
         assert clone == prepared
         inline = run_sweep_task(task, prepared=prepared)
         shipped = run_sweep_task(task, prepared=clone)
@@ -551,7 +550,7 @@ class TestCoordinatorHTTP:
             assert len(reply["cells"]) == 1
             cell = reply["cells"][0]
             assert cell["uid"] == tasks[0].uid
-            shipped = prepared_from_wire(reply["prepared"][cell["prep"]])
+            shipped = PreparedTarget.from_wire(reply["prepared"][cell["prep"]])
             assert shipped == prepared
 
             # A second lease round advertising the prep does not re-ship it.

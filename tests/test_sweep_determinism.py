@@ -14,11 +14,14 @@ space.
 from __future__ import annotations
 
 import json
+import pathlib
+import tempfile
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.sweep import SweepRunner, build_grid, compare
+from repro.sweep import SweepRunner, build_grid, compare, save_timings
+from repro.sweep.runner import TIMINGS_FILENAME
 
 SETTINGS = settings(
     max_examples=4,
@@ -85,10 +88,15 @@ def test_worker_count_invariance(tasks):
 @given(tasks=grids, costs=st.lists(st.floats(min_value=0.001, max_value=1e6),
                                    min_size=8, max_size=8))
 def test_cost_hint_invariance(tasks, costs):
-    """Arbitrary cost hints reorder dispatch, never results."""
-    hints = {task.name: cost for task, cost in zip(tasks, costs)}
-    baseline = SweepRunner(tasks, workers=2).run()
-    hinted = SweepRunner(tasks, workers=2, cost_hints=hints).run()
+    """Arbitrary cost hints in ``_timings.json`` reorder dispatch, never results."""
+    hints = {task.uid: cost for task, cost in zip(tasks, costs)}
+    with tempfile.TemporaryDirectory() as root:
+        plain_dir, hinted_dir = pathlib.Path(root, "plain"), pathlib.Path(root, "hinted")
+        save_timings(hinted_dir / TIMINGS_FILENAME, hints)
+        baseline = SweepRunner(tasks, workers=2, cache_dir=plain_dir).run()
+        runner = SweepRunner(tasks, workers=2, cache_dir=hinted_dir)
+        assert runner._load_cost_hints().keys() == hints.keys()
+        hinted = runner.run()
     assert fingerprint(baseline) == fingerprint(hinted)
     assert [o.task for o in hinted.outcomes] == list(tasks), "task order preserved"
 

@@ -131,6 +131,18 @@ class TestCLI:
         assert excinfo.value.code == 2
         assert "unknown device 'unknown-board'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-age-days", "0"),
+        ("--max-age-days", "-2"),
+        ("--max-size-mb", "-1"),
+        ("--max-size-mb", "0"),
+    ])
+    def test_cache_gc_rejects_non_positive_budgets(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", "gc", "--cache-dir", str(tmp_path), flag, value])
+        assert excinfo.value.code == 2
+        assert f"error: argument {flag}: expected a positive number" in capsys.readouterr().err
+
     def test_closed_stdout_ends_quietly(self):
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ)
