@@ -19,18 +19,11 @@ or from the CLI::
     repro-codesign lint [--json] [--rule no-wall-clock] [PATHS ...]
 
 Violations are fixed, or suppressed *with a justification*
-(``# repro: disable=<rule> -- why this deviation is safe``), or
-grandfathered in the committed baseline (``.repro-lint-baseline.json``).
+(``# repro: disable=<rule> -- why this deviation is safe``).
 See :mod:`repro.analysis.core` for the framework and
 :mod:`repro.analysis.checkers` for the built-in rules.
 """
 
-from repro.analysis.baseline import (
-    BASELINE_FILENAME,
-    discover_baseline,
-    load_baseline,
-    save_baseline,
-)
 from repro.analysis.core import (
     Checker,
     Finding,
@@ -46,19 +39,15 @@ from repro.analysis.core import (
 )
 
 __all__ = [
-    "BASELINE_FILENAME",
     "Checker",
     "Finding",
     "LintReport",
     "ModuleContext",
     "all_checkers",
     "available_rules",
-    "discover_baseline",
     "iter_python_files",
     "lint_file",
     "lint_paths",
-    "load_baseline",
     "parse_suppressions",
     "register",
-    "save_baseline",
 ]

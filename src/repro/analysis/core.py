@@ -7,19 +7,13 @@ zero-cost guards, lock discipline, ...) as a purely lexical rule, so the
 contract is enforced at review time instead of depending on a runtime
 test happening to exercise the offending path.
 
-Three escape hatches keep the gate workable:
-
-* **Inline suppressions** — ``# repro: disable=<rule> -- <justification>``
-  on the offending line (or on a comment line directly above it).  The
-  justification after ``--`` is mandatory; a bare suppression is itself
-  reported as a ``suppression-format`` finding, so every silenced
-  contract violation carries its one-line rationale in the diff.
-* **Baseline** — a committed JSON file of grandfathered finding
-  fingerprints (see :mod:`repro.analysis.baseline`); matching findings
-  are reported separately and do not fail the run.  Fingerprints hash the
-  offending *source line*, not its line number, so unrelated edits above
-  a grandfathered finding do not un-grandfather it.
-* **Rule filter** — ``lint --rule <id>`` runs a subset of the registry.
+A finding is fixed, or suppressed inline with a reason:
+``# repro: disable=<rule> -- <justification>`` on the offending line (or
+on a comment line directly above it).  The justification after ``--`` is
+mandatory; a bare suppression is itself reported as a
+``suppression-format`` finding, so every silenced contract violation
+carries its one-line rationale in the diff.  ``lint --rule <id>`` runs a
+subset of the registry.
 
 Checkers are registered with :func:`register` and discovered via
 ``import repro.analysis.checkers`` (the package imports every built-in
@@ -29,7 +23,6 @@ checker module for its side effect).
 from __future__ import annotations
 
 import ast
-import hashlib
 import pathlib
 import re
 from dataclasses import dataclass, field
@@ -58,18 +51,8 @@ class Finding:
     line: int
     col: int
     message: str
-    #: The stripped source line, used for stable fingerprints and display.
+    #: The stripped source line, for display.
     snippet: str = ""
-
-    def fingerprint(self) -> str:
-        """Line-number-independent identity used by the baseline file.
-
-        Hashes the rule, the file and the offending source text; edits
-        elsewhere in the file do not invalidate a grandfathered finding,
-        while any edit to the flagged line itself does.
-        """
-        payload = f"{self.rule}|{self.path}|{self.snippet}"
-        return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:16]
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
@@ -82,7 +65,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint(),
         }
 
 
@@ -103,9 +85,7 @@ class Suppression:
     justification: str   # empty = malformed (reported, never honoured)
 
     def covers(self, finding: Finding) -> bool:
-        return finding.line == self.line and (
-            finding.rule in self.rules or "*" in self.rules
-        )
+        return finding.line == self.line and finding.rule in self.rules
 
 
 def parse_suppressions(lines: Sequence[str]) -> list[Suppression]:
@@ -284,20 +264,18 @@ class LintReport:
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[tuple[Finding, str]] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
     files: int = 0
     rules: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        """True when nothing unsuppressed and un-grandfathered was found."""
+        """True when nothing unsuppressed was found."""
         return not self.findings
 
     def summary(self) -> str:
         return (
             f"lint: {self.files} file(s), {len(self.rules)} rule(s): "
-            f"{len(self.findings)} finding(s), {len(self.suppressed)} "
-            f"suppressed, {len(self.baselined)} baselined"
+            f"{len(self.findings)} finding(s), {len(self.suppressed)} suppressed"
         )
 
     def render(self) -> str:
@@ -315,7 +293,6 @@ class LintReport:
                 {**finding.as_dict(), "justification": justification}
                 for finding, justification in self.suppressed
             ],
-            "baselined": [finding.as_dict() for finding in self.baselined],
         }
 
 
@@ -392,7 +369,7 @@ def lint_file(
                 snippet=ctx.lines[suppression.comment_line - 1].strip(),
             ))
         for rule in suppression.rules:
-            if rule != "*" and rule not in known:
+            if rule not in known:
                 active.append(Finding(
                     SUPPRESSION_RULE, display, suppression.comment_line, 0,
                     f"suppression names unknown rule '{rule}'",
@@ -415,13 +392,11 @@ def lint_paths(
     paths: Sequence[_PathLike],
     *,
     rules: Optional[Sequence[str]] = None,
-    baseline: Optional[_PathLike] = None,
 ) -> LintReport:
     """Lint every Python file under ``paths``.
 
     ``rules`` restricts the registry to the named rule ids (unknown ids
-    raise ``ValueError``); ``baseline`` points at a grandfathered-findings
-    file whose fingerprints are excused (but still reported separately).
+    raise ``ValueError``).
     """
     checkers = all_checkers()
     if rules:
@@ -433,18 +408,10 @@ def lint_paths(
             )
         checkers = {rule: checkers[rule] for rule in rules}
 
-    from repro.analysis.baseline import load_baseline
-
-    grandfathered = load_baseline(baseline) if baseline is not None else frozenset()
-
     report = LintReport(rules=sorted(checkers))
     for path in iter_python_files(paths):
         report.files += 1
         active, suppressed = lint_file(path, checkers)
+        report.findings.extend(active)
         report.suppressed.extend(suppressed)
-        for finding in active:
-            if finding.fingerprint() in grandfathered:
-                report.baselined.append(finding)
-            else:
-                report.findings.append(finding)
     return report

@@ -452,16 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="run only this rule (repeatable); "
                            "see --list-rules for the registry")
     lint.add_argument("--json", action="store_true",
-                      help="print the full report as JSON (findings, "
-                           "suppressions, baseline state)")
-    lint.add_argument("--baseline", default=None, metavar="PATH",
-                      help="grandfathered-findings file (default: the nearest "
-                           ".repro-lint-baseline.json above the lint root)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore any baseline file (report everything)")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="rewrite the baseline to grandfather the current "
-                           "findings, then exit 0")
+                      help="print the full report as JSON (findings and "
+                           "suppressions)")
     lint.add_argument("--list-rules", action="store_true",
                       help="list the registered rules and the contracts "
                            "they encode")
@@ -1021,12 +1013,7 @@ def _default_lint_paths() -> list[str]:
 def _run_lint(args: argparse.Namespace) -> int:
     import json
 
-    from repro.analysis import (
-        all_checkers,
-        discover_baseline,
-        lint_paths,
-        save_baseline,
-    )
+    from repro.analysis import all_checkers, lint_paths
 
     if args.list_rules:
         for rule, checker in sorted(all_checkers().items()):
@@ -1035,33 +1022,11 @@ def _run_lint(args: argparse.Namespace) -> int:
             print(f"  contract: {checker.contract}")
         return 0
 
-    paths = args.paths or _default_lint_paths()
-    baseline = None
-    if not args.no_baseline:
-        if args.baseline:
-            baseline = args.baseline
-        else:
-            baseline = discover_baseline(paths[0])
     try:
-        report = lint_paths(paths, rules=args.rules, baseline=baseline)
+        report = lint_paths(args.paths or _default_lint_paths(), rules=args.rules)
     except (FileNotFoundError, ValueError) as exc:
         print(f"repro-codesign lint: error: {exc}", file=sys.stderr)
         return 2
-
-    if args.update_baseline:
-        if args.rules:
-            print("repro-codesign lint: error: --update-baseline must run "
-                  "the full rule set (drop --rule)", file=sys.stderr)
-            return 2
-        from repro.analysis import BASELINE_FILENAME
-
-        target = args.baseline or str(baseline or BASELINE_FILENAME)
-        # Grandfather what is active now *plus* what the old baseline still
-        # excuses, so updating never un-grandfathers an untouched finding.
-        path = save_baseline(target, [*report.findings, *report.baselined])
-        print(f"Baseline written to {path} "
-              f"({len(report.findings) + len(report.baselined)} finding(s))")
-        return 0
 
     if args.json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))

@@ -110,18 +110,31 @@ class AutoDNN:
         activation: str = "relu4",
         num_repetitions: int = 3,
     ) -> DNNConfig:
-        """Build the initial candidate ``DNN_i^k0`` for a bundle.
+        """Build the initial candidate ``DNN_i^k0`` for a bundle: the
+        :meth:`initial_config` structure with its parallel factor maximised
+        under the resource constraint."""
+        return self.maximize_parallel_factor(
+            self.initial_config(bundle, activation, num_repetitions)
+        )
+
+    def initial_config(
+        self,
+        bundle: Bundle,
+        activation: str = "relu4",
+        num_repetitions: int = 3,
+    ) -> DNNConfig:
+        """The initial structure of a bundle's DNN, at parallel factor 4.
 
         Channel expansion starts at 2 for standard-convolution bundles (they
         can grow channels cheaply) and 1.5 for depth-wise bundles; initial
         down-sampling layers are inserted between the first replications.
-        The parallel factor is then maximised under the resource constraint.
+        Nothing is estimated.
         """
         has_dw = any(l.kind == "dwconv" for l in bundle.compute_layers)
         init_factor = 1.5 if has_dw else 2.0
         expansion = tuple([init_factor] * num_repetitions)
         downsample = tuple(1 if i < min(num_repetitions, 4) else 0 for i in range(num_repetitions))
-        config = DNNConfig(
+        return DNNConfig(
             bundle=bundle,
             task=self.task,
             num_repetitions=num_repetitions,
@@ -133,7 +146,6 @@ class AutoDNN:
             parallel_factor=4,
             max_channels=self.max_channels,
         )
-        return self.maximize_parallel_factor(config)
 
     def maximize_parallel_factor(
         self, config: DNNConfig, factors: Sequence[int] = (4, 8, 16, 32, 64, 128, 256)

@@ -175,19 +175,18 @@ class CoDesignFlow:
     ) -> Optional[SamplingResult]:
         """Co-Design Step 1: fit the analytical models via Auto-HLS sampling.
 
-        Fit-free backends (the GPU roofline) have nothing to fit; the step
-        is a no-op returning ``None`` so ``run()`` stays backend-agnostic.
+        Each sample is a bundle's initial structure; the fit builds every
+        sample accelerator at one fixed parallel factor, so sampling calls
+        no estimator.  Fit-free backends (the GPU roofline) have nothing to
+        fit; the step is a no-op returning ``None`` so ``run()`` stays
+        backend-agnostic.
         """
         if not self.backend.requires_fit:
             return None
-        samples = []
-        for bundle in self.inputs.bundles:
-            if bundle.bundle_id in sample_bundle_ids:
-                config = self.auto_dnn.initialize(bundle)
-                samples.append(config.to_workload())
-        if not samples:
-            config = self.auto_dnn.initialize(self.inputs.bundles[0])
-            samples.append(config.to_workload())
+        sampled = [bundle for bundle in self.inputs.bundles
+                   if bundle.bundle_id in sample_bundle_ids]
+        samples = [self.auto_dnn.initial_config(bundle).to_workload()
+                   for bundle in sampled or self.inputs.bundles[:1]]
         result = self.auto_hls.fit_models(samples)
         # Propagate the fitted coefficients to the evaluator as well.
         self.evaluator.coefficients = result.coefficients

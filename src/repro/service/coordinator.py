@@ -41,7 +41,6 @@ from repro.shard.coordinator import LeaseCoordinator, _CoordinatorHandler
 from repro.shard.protocol import (
     DEFAULT_HEARTBEAT_S,
     DEFAULT_LEASE_TTL_S,
-    DEFAULT_POLL_S,
     PROTOCOL_VERSION,
     ShardProtocolError,
 )
@@ -144,7 +143,6 @@ class ServiceCoordinator(LeaseCoordinator):
         token: Optional[str] = None,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-        poll_s: float = DEFAULT_POLL_S,
         max_active: int = 4,
         clock: Callable[[], float] = time.time,
         task_fn: Callable = run_sweep_task,
@@ -154,8 +152,7 @@ class ServiceCoordinator(LeaseCoordinator):
         self.root = pathlib.Path(root)
         # The estimator-cache exchange hub shared by every job and worker.
         super().__init__(bind, token=token, lease_ttl_s=lease_ttl_s,
-                         heartbeat_s=heartbeat_s, poll_s=poll_s,
-                         cache_dir=self.root / "cache")
+                         heartbeat_s=heartbeat_s, cache_dir=self.root / "cache")
         self.clock = clock
         self.task_fn = task_fn
         self.queue = JobQueue(self.root, clock=clock)

@@ -50,7 +50,6 @@ from repro.shard.protocol import (
     AUTH_HEADER,
     DEFAULT_HEARTBEAT_S,
     DEFAULT_LEASE_TTL_S,
-    DEFAULT_POLL_S,
     DEFAULT_PORT,
     MAX_LEASE_WAIT_S,
     PROTOCOL_VERSION,
@@ -73,7 +72,6 @@ __all__ = [
     "DEFAULT_PORT",
     "DEFAULT_LEASE_TTL_S",
     "DEFAULT_HEARTBEAT_S",
-    "DEFAULT_POLL_S",
     "MAX_LEASE_WAIT_S",
     "AUTH_HEADER",
     "SERVICE_TOKEN_ENV",

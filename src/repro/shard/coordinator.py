@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Callable, Mapping, Optional
 from repro.shard.protocol import (
     AUTH_HEADER,
     DEFAULT_HEARTBEAT_S,
-    DEFAULT_POLL_S,
     MAX_BODY_BYTES,
     MAX_LEASE_WAIT_S,
     PROTOCOL_VERSION,
@@ -256,14 +255,12 @@ class LeaseCoordinator:
         token: Optional[str] = None,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-        poll_s: float = DEFAULT_POLL_S,
         cache_dir=None,
     ) -> None:
         check_lease_timing(lease_ttl_s, heartbeat_s)
         self.token = token or None
         self.lease_ttl_s = lease_ttl_s
         self.heartbeat_s = heartbeat_s
-        self.poll_s = poll_s
         #: Estimator-cache exchange hub: workers pull this directory's records
         #: in bulk after registering and push back what they compute.
         self.cache_dir = cache_dir
@@ -481,7 +478,6 @@ class LeaseCoordinator:
             "worker_id": self.workers.register(str(payload.get("name") or "worker")),
             "lease_ttl_s": self.lease_ttl_s,
             "heartbeat_s": self.heartbeat_s,
-            "poll_s": self.poll_s,
             "grid_size": sum(board.counts()["cells"] for board in self._attached()),
             "cache": self.cache_dir is not None,
         }
@@ -527,7 +523,6 @@ class LeaseCoordinator:
             ],
             "prepared": prepared,
             "done": self._reply_done(worker_id),
-            "retry_after_s": self.poll_s,
         }
 
     def _lease_round(self, worker_id: str, slots: int) -> list[tuple[LeaseBoard, _Cell]]:

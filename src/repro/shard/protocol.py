@@ -18,7 +18,7 @@ unless noted):
 
 ``/v1/register``
     ``{"name": ...}`` → ``{"worker_id", "lease_ttl_s", "heartbeat_s",
-    "poll_s", "grid_size", "cache": bool}``.  A worker registers once and
+    "grid_size", "cache": bool}``.  A worker registers once and
     uses the returned id in every later call.  ``cache=True`` advertises
     the ``/v1/cache/*`` exchange below.
 
@@ -26,7 +26,7 @@ unless noted):
     ``{"worker_id", "slots", "known_preps": [wire_key, ...], "wait_s"?}``
     → ``{"cells": [{"lease_id", "uid", "task", "prep", "timeout_s",
     "job"}, ...], "prepared": {wire_key: PreparedTarget.to_wire(), ...},
-    "done": bool, "retry_after_s": float}``.  Cells are leased
+    "done": bool}``.  Cells are leased
     longest-expected-first; the serialized :class:`PreparedTarget` for a
     cell's target key ships inline exactly once per worker (the worker
     advertises the keys it already holds).  With ``wait_s`` (long poll,
@@ -96,9 +96,6 @@ DEFAULT_PORT = 8765
 
 #: Default worker heartbeat period (well under :data:`DEFAULT_LEASE_TTL_S`).
 DEFAULT_HEARTBEAT_S = 5.0
-
-#: Retry pacing suggested to workers whose lease found no ready cell.
-DEFAULT_POLL_S = 0.5
 
 #: Longest a long-polling ``/v1/lease`` request is held at the coordinator;
 #: well under a worker's default request timeout.

@@ -27,7 +27,6 @@ from repro.shard.coordinator import LeaseCoordinator
 from repro.shard.protocol import (
     DEFAULT_HEARTBEAT_S,
     DEFAULT_LEASE_TTL_S,
-    DEFAULT_POLL_S,
     check_lease_timing,
 )
 from repro.utils.logging import get_logger
@@ -51,7 +50,6 @@ class CoordinatorTransport:
         *,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
-        poll_s: float = DEFAULT_POLL_S,
         linger_s: float = 2.0,
         on_bound=None,
         token: Optional[str] = None,
@@ -60,7 +58,6 @@ class CoordinatorTransport:
         self.bind = bind
         self.lease_ttl_s = lease_ttl_s
         self.heartbeat_s = heartbeat_s
-        self.poll_s = poll_s
         self.linger_s = linger_s
         self.on_bound = on_bound
         self.token = token or None
@@ -79,7 +76,6 @@ class CoordinatorTransport:
             token=self.token,
             lease_ttl_s=self.lease_ttl_s,
             heartbeat_s=self.heartbeat_s,
-            poll_s=self.poll_s,
             # The run's cache dir doubles as the cache-exchange hub: fresh
             # workers pull it in bulk and push back what they compute.
             cache_dir=runner.cache_dir,

@@ -109,7 +109,6 @@ class ShardWorker:
 
         self.worker_id: Optional[str] = None
         self.heartbeat_s = 5.0
-        self.poll_s = 0.5
         self.executed = 0
         self.reported_errors = 0
         self._prepared: dict[str, PreparedTarget] = {}
@@ -137,7 +136,6 @@ class ShardWorker:
         })
         self.worker_id = str(reply["worker_id"])
         self.heartbeat_s = float(reply.get("heartbeat_s", self.heartbeat_s))
-        self.poll_s = float(reply.get("poll_s", self.poll_s))
         logger.info("shard worker %s registered as %s at %s",
                     self.name, self.worker_id, self.connect)
         self._cache_sync = bool(reply.get("cache")) and self.cache_dir is not None
@@ -222,18 +220,12 @@ class ShardWorker:
         }
         if wait_s > 0:
             payload["wait_s"] = wait_s
-        started = time.monotonic()
         reply = self._post("/v1/lease", payload)
         for key, wire in (reply.get("prepared") or {}).items():
             if key not in self._prepared:
                 self._prepared[key] = PreparedTarget.from_wire(wire)
         if reply.get("done"):
             self._saw_done.set()
-        elif wait_s > 0 and not reply.get("cells"):
-            # A coordinator that does not hold lease requests answers at
-            # once: pace the retry instead of spinning.
-            pace = min(wait_s, float(reply.get("retry_after_s", self.poll_s)))
-            time.sleep(max(pace - (time.monotonic() - started), 0.0))
         return reply
 
     def _report(self, lease_id: str, uid: str, kind: str, value,

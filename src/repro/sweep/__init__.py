@@ -57,13 +57,11 @@ from repro.sweep.checkpoint import (
     CHECKPOINT_FILENAME,
     CheckpointStatus,
     CheckpointWriter,
-    checkpoint_cells,
     compact_checkpoint,
     compact_timings,
     load_checkpoint,
     load_timings,
     save_timings,
-    scan_checkpoint,
 )
 from repro.sweep.compare import (
     DeviceWinner,
@@ -126,8 +124,6 @@ __all__ = [
     "CheckpointStatus",
     "CheckpointWriter",
     "load_checkpoint",
-    "scan_checkpoint",
-    "checkpoint_cells",
     "compact_checkpoint",
     "load_timings",
     "save_timings",

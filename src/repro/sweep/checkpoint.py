@@ -73,8 +73,8 @@ def _iter_checkpoint_lines(path: pathlib.Path):
 def _parse_checkpoint_lines(lines):
     """Yield ``(kind, uid, record)`` per checkpoint line.
 
-    Shared line-level parsing for the loader, the cheap scanner, the
-    incremental :class:`CheckpointCells` view and the compactor:
+    Shared line-level parsing for the loader, the incremental
+    :class:`CheckpointCells` view and the compactor:
     JSON-decode, shape-check and kind/uid-validate every line, yielding
     ``("corrupt", None, None)`` for anything malformed and
     ``("header", None, record)`` for header lines.
@@ -185,55 +185,6 @@ def load_checkpoint(path: _PathLike) -> CheckpointStatus:
     return status
 
 
-def scan_checkpoint(path: _PathLike) -> tuple[int, int, int]:
-    """Cheap ``(outcomes, failures, corrupt_lines)`` count, newest-wins.
-
-    For status displays (``cache stats``) only: validates line shape
-    (JSON dict, known kind, string uid) but does *not* reconstruct the
-    embedded records — a week-long grid's checkpoint embeds every cell's
-    full journal, and rebuilding all of them to report three integers
-    would load the whole sweep into memory.  Payload-level corruption
-    (which :func:`load_checkpoint` counts as corrupt) is therefore
-    classified by its ``kind`` here.
-    """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return 0, 0, 0
-    kinds: dict[str, str] = {}
-    corrupt = 0
-    try:
-        for kind, uid, _record in _iter_checkpoint_lines(path):
-            if kind == "corrupt":
-                corrupt += 1
-            elif kind != "header":
-                kinds[uid] = kind
-    except OSError:  # pragma: no cover - unreadable checkpoint
-        return 0, 0, 0
-    outcomes = sum(1 for kind in kinds.values() if kind == "outcome")
-    return outcomes, len(kinds) - outcomes, corrupt
-
-
-def checkpoint_cells(path: _PathLike) -> dict[str, str]:
-    """Newest-wins ``{uid: "outcome" | "failure"}`` map, without payloads.
-
-    The per-cell counterpart of :func:`scan_checkpoint`: status surfaces
-    (the job service's per-cell progress view) need to know *which* cells
-    settled, not what they produced, so the embedded journals are never
-    reconstructed.
-    """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return {}
-    kinds: dict[str, str] = {}
-    try:
-        for kind, uid, _record in _iter_checkpoint_lines(path):
-            if kind in ("outcome", "failure"):
-                kinds[uid] = kind
-    except OSError:  # pragma: no cover - unreadable checkpoint
-        return {}
-    return kinds
-
-
 class CheckpointCells:
     """Newest-wins view of the cells a growing checkpoint settled, read incrementally.
 
@@ -241,9 +192,10 @@ class CheckpointCells:
     previous one, so polling a settled job's checkpoint decodes nothing,
     and a torn final line counts once it is completed.  A checkpoint that
     vanished, shrank or was replaced (``cache gc``) is folded again from its
-    start.  Kinds follow :func:`checkpoint_cells` (line shape only; outcome
-    journals are never rebuilt); failure records, which embed no journal,
-    are rebuilt as :func:`load_checkpoint` rebuilds them.  Thread-safe.
+    start.  Each record is rebuilt as :func:`load_checkpoint` rebuilds it,
+    so the two count the same lines as outcomes, failures and corrupt; the
+    view keeps only each cell's kind and the failure records, never an
+    outcome's journal.  Thread-safe.
     """
 
     def __init__(self, path: _PathLike) -> None:
@@ -251,31 +203,36 @@ class CheckpointCells:
         self._lock = threading.Lock()
         self._kinds: dict[str, str] = {}
         self._failures: dict[str, SweepFailure] = {}
+        self._corrupt = 0
 
     def _refresh(self) -> None:
         restarted, lines = self._tail.read()
         if restarted:
             self._kinds.clear()
             self._failures.clear()
+            self._corrupt = 0
         for kind, uid, record in _parse_checkpoint_lines(lines):
-            if kind == "outcome":
-                self._kinds[uid] = kind
+            if kind == "header":
+                continue
+            rebuilt = None if kind == "corrupt" else _rebuild(kind, uid, record)
+            if rebuilt is None:
+                self._corrupt += 1
+                continue
+            self._kinds[uid] = kind
+            if kind == "failure":
+                self._failures[uid] = rebuilt
+            else:
                 self._failures.pop(uid, None)
-            elif kind == "failure":
-                self._kinds[uid] = kind
-                failure = _rebuild(kind, uid, record)
-                if failure is not None:
-                    self._failures[uid] = failure
 
     def counts(self) -> tuple[int, int]:
-        """``(outcomes, failures)``, as :func:`scan_checkpoint` counts them."""
+        """``(outcomes, failures)``, as :func:`load_checkpoint` counts them."""
         with self._lock:
             self._refresh()
             outcomes = sum(1 for kind in self._kinds.values() if kind == "outcome")
             return outcomes, len(self._kinds) - outcomes
 
     def cells(self) -> dict[str, str]:
-        """``{uid: "outcome" | "failure"}``, as :func:`checkpoint_cells` maps them."""
+        """``{uid: "outcome" | "failure"}`` for every cell with a current record."""
         with self._lock:
             self._refresh()
             return dict(self._kinds)
@@ -285,6 +242,13 @@ class CheckpointCells:
         with self._lock:
             self._refresh()
             return [self._failures[uid] for uid in sorted(self._failures)]
+
+    def corrupt_lines(self) -> int:
+        """Lines that do not rebuild, a torn final line included, as
+        :func:`load_checkpoint` counts them."""
+        with self._lock:
+            self._refresh()
+            return self._corrupt + int(self._tail.torn)
 
 
 class CheckpointWriter:

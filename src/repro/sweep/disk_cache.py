@@ -397,15 +397,16 @@ def _scan_cache_dir(directory: pathlib.Path):
 def _sidecar_stats(directory: pathlib.Path) -> tuple[int, int, int, int]:
     """(timing entries, checkpoint outcomes, failures, corrupt lines).
 
-    Uses the cheap checkpoint scan — a stats command must not rebuild
-    every recorded journal just to count them.
+    The checkpoint is counted as ``--resume`` reads it, one record at a
+    time, so a stats command never holds every recorded journal at once.
     """
-    from repro.sweep.checkpoint import CHECKPOINT_FILENAME, load_timings, scan_checkpoint
+    from repro.sweep.checkpoint import CHECKPOINT_FILENAME, CheckpointCells, load_timings
     from repro.sweep.runner import TIMINGS_FILENAME
 
     timing_entries = len(load_timings(directory / TIMINGS_FILENAME))
-    outcomes, failures, corrupt = scan_checkpoint(directory / CHECKPOINT_FILENAME)
-    return timing_entries, outcomes, failures, corrupt
+    checkpoint = CheckpointCells(directory / CHECKPOINT_FILENAME)
+    outcomes, failures = checkpoint.counts()
+    return timing_entries, outcomes, failures, checkpoint.corrupt_lines()
 
 
 def cache_dir_stats(directory) -> CacheDirStats:

@@ -85,17 +85,19 @@ class JsonlTail:
 
     Each :meth:`read` returns the complete lines appended since the previous
     call.  A torn final line (no newline yet) stays unread until a later
-    call finds it completed, so it is returned exactly once.  A file that
-    vanished, shrank or was replaced (a new inode, as an atomic
-    temp-file-and-rename rewrite leaves) since the previous call is read
-    again from its start, and the call says so.  Not thread-safe: the
-    owner serialises calls.
+    call finds it completed, so it is returned exactly once; meanwhile
+    :attr:`torn` says one is pending.  A file that vanished, shrank or was
+    replaced (a new inode, as an atomic temp-file-and-rename rewrite leaves)
+    since the previous call is read again from its start, and the call says
+    so.  Not thread-safe: the owner serialises calls.
     """
 
     def __init__(self, path) -> None:
         self.path = pathlib.Path(path)
         self._identity: Optional[tuple[int, int]] = None
         self._offset = 0
+        #: True when the last read ended on a non-blank line without a newline.
+        self.torn = False
 
     def read(self) -> tuple[bool, list[str]]:
         """``(restarted, lines)``: the lines appended since the previous call.
@@ -103,6 +105,7 @@ class JsonlTail:
         ``restarted`` is True when the file read before vanished, shrank or
         was replaced; ``lines`` then starts at the new file's first line.
         """
+        self.torn = False
         try:
             with open(self.path, "rb") as handle:
                 # Identity and size come from the open handle, so a rewrite
@@ -123,4 +126,5 @@ class JsonlTail:
             return restarted, []
         complete = chunk.rfind(b"\n") + 1
         self._offset += complete
+        self.torn = bool(chunk[complete:].strip())
         return restarted, chunk[:complete].decode("utf-8", errors="replace").splitlines()

@@ -3,8 +3,8 @@
 Every checker is proven twice: a fixture that must trigger it and a
 near-miss encoding the blessed idiom that must stay silent.  On top of
 that: the suppression grammar (justified, unjustified, unknown rule),
-the baseline round-trip, and the self-run — the linter must exit clean
-over this very repository, which is the property CI gates on.
+and the self-run — the linter must exit clean over this very repository,
+which is the property CI gates on.
 """
 
 from __future__ import annotations
@@ -15,14 +15,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis import (
-    BASELINE_FILENAME,
-    available_rules,
-    lint_file,
-    lint_paths,
-    load_baseline,
-    save_baseline,
-)
+from repro.analysis import available_rules, lint_file, lint_paths
 from repro.cli import main
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -448,64 +441,20 @@ class TestSuppressions:
         assert [f.rule for f, _ in suppressed] == ["no-wall-clock"]
 
 
-# ------------------------------------------------------------------- baseline
-class TestBaseline:
-    def test_round_trip_grandfathers_existing_findings(self, tmp_path):
-        write(tmp_path / "pkg" / "mod.py", """\
-            import time
-
-            def stamp():
-                return time.time()
-        """)
-        dirty = lint_paths([tmp_path / "pkg"])
-        assert not dirty.ok and len(dirty.findings) == 1
-
-        baseline_path = tmp_path / BASELINE_FILENAME
-        save_baseline(baseline_path, dirty.findings)
-        assert load_baseline(baseline_path) == {
-            finding.fingerprint() for finding in dirty.findings
-        }
-
-        clean = lint_paths([tmp_path / "pkg"], baseline=baseline_path)
-        assert clean.ok
-        assert [f.rule for f in clean.baselined] == ["no-wall-clock"]
-
-    def test_baseline_does_not_excuse_new_findings(self, tmp_path):
-        target = write(tmp_path / "pkg" / "mod.py", """\
-            import time
-
-            def stamp():
-                return time.time()
-        """)
-        baseline_path = tmp_path / BASELINE_FILENAME
-        save_baseline(baseline_path, lint_paths([tmp_path / "pkg"]).findings)
-
-        target.write_text(target.read_text() + textwrap.dedent("""\
-
-            def stamp_ns():
-                return time.time_ns()
-        """))
-        report = lint_paths([tmp_path / "pkg"], baseline=baseline_path)
-        assert not report.ok
-        assert len(report.findings) == 1 and len(report.baselined) == 1
-        assert "time.time_ns" in report.findings[0].snippet
-
-    def test_garbage_baseline_is_ignored_not_trusted(self, tmp_path):
-        baseline_path = tmp_path / BASELINE_FILENAME
-        baseline_path.write_text("{not json")
-        assert load_baseline(baseline_path) == frozenset()
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == frozenset()
-
-
 # -------------------------------------------------------------------- self-run
 class TestSelfRun:
     def test_repo_is_clean_under_its_own_linter(self):
-        report = lint_paths([SRC], baseline=REPO_ROOT / BASELINE_FILENAME)
+        report = lint_paths([SRC])
         assert report.ok, report.render()
         # Every suppression in the tree carries its justification.
         assert all(why for _, why in report.suppressed)
+        # An inline suppression is the only way past the gate, so the
+        # tree's suppressions are pinned: a new one is a test change.
+        assert sorted((pathlib.PurePath(finding.path).name, finding.rule)
+                      for finding, _ in report.suppressed) == [
+            ("jsonl.py", "lock-discipline"),
+            ("jsonl.py", "lock-discipline"),
+        ]
 
     def test_cli_lint_exits_zero_on_repo(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
@@ -517,6 +466,7 @@ class TestSelfRun:
         monkeypatch.chdir(REPO_ROOT)
         assert main(["lint", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"ok", "files", "rules", "findings", "suppressed"}
         assert payload["ok"] is True
         assert set(payload["rules"]) == ALL_RULES
         assert payload["files"] > 50
@@ -538,5 +488,5 @@ class TestSelfRun:
                 return time.time()
         """)
         monkeypatch.chdir(tmp_path)
-        assert main(["lint", "--no-baseline", str(tmp_path)]) == 1
+        assert main(["lint", str(tmp_path)]) == 1
         assert "no-wall-clock" in capsys.readouterr().out

@@ -31,12 +31,10 @@ from repro.shard.protocol import MAX_JOB_CELLS
 from repro.sweep import (
     CHECKPOINT_FILENAME,
     SweepFailure,
-    checkpoint_cells,
     compact_cache_dir,
     load_checkpoint,
     read_cache_records,
     run_sweep_task,
-    scan_checkpoint,
 )
 from repro.sweep.spec import SweepSpec
 from repro.utils.jsonl import JsonlTail
@@ -733,13 +731,12 @@ class TestStatusPolling:
         return detail
 
     def _assert_matches_checkpoint(self, detail: dict, path) -> None:
-        completed, failed, _corrupt = scan_checkpoint(path)
-        assert detail["counts"]["settled"] == completed + failed
-        assert detail["counts"]["failed"] == failed
-        assert {uid: cell["status"] for uid, cell in detail["cells_detail"].items()} == {
-            uid: "completed" if kind == "outcome" else "failed"
-            for uid, kind in checkpoint_cells(path).items()}
         status = load_checkpoint(path)
+        assert detail["counts"]["settled"] == status.settled
+        assert detail["counts"]["failed"] == len(status.failures)
+        assert {uid: cell["status"] for uid, cell in detail["cells_detail"].items()} == {
+            **{uid: "completed" for uid in status.outcomes},
+            **{uid: "failed" for uid in status.failures}}
         assert detail["failures"] == [status.failures[uid].as_dict()
                                       for uid in sorted(status.failures)]
 
@@ -782,12 +779,10 @@ class TestStatusPolling:
                 assert detail[key] == first[key]
 
             # A torn final line waits until it is complete, then counts once.
-            ok_uid = next(u for u, kind in checkpoint_cells(path).items()
-                          if kind == "outcome")
-            task = load_checkpoint(path).outcomes[ok_uid].task
+            ok_uid, ok_outcome = next(iter(load_checkpoint(path).outcomes.items()))
             late = json.dumps({
                 "kind": "failure", "uid": ok_uid, "ts": 0.0,
-                "failure": SweepFailure(task=task, kind="error", error="late",
+                "failure": SweepFailure(task=ok_outcome.task, kind="error", error="late",
                                         attempts=1).as_dict(),
             }, sort_keys=True) + "\n"
             with open(path, "a", encoding="utf-8") as handle:

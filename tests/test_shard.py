@@ -672,7 +672,7 @@ def run_distributed(tasks, *, worker_count=2, worker_workers=1, cache_dir=None,
 
     transport = CoordinatorTransport(
         bind=("127.0.0.1", 0), lease_ttl_s=lease_ttl_s, heartbeat_s=heartbeat_s,
-        poll_s=0.05, linger_s=0.5, on_bound=on_bound,
+        linger_s=0.5, on_bound=on_bound,
     )
     runner = SweepRunner(tasks, workers=1, cache_dir=cache_dir,
                          transport=transport, **(runner_kwargs or {}))
@@ -952,7 +952,7 @@ class TestDistributedSweep:
         bound = threading.Event()
         # A linger longer than the join below: a stopped grid must not wait
         # for workers to hear a "done" that never comes.
-        transport = CoordinatorTransport(poll_s=0.05, linger_s=60.0,
+        transport = CoordinatorTransport(linger_s=60.0,
                                          on_bound=lambda coordinator: bound.set())
         runner = SweepRunner(tasks, workers=1, retries=0, cache_dir=str(tmp_path),
                              transport=transport)

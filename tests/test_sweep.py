@@ -778,6 +778,22 @@ class TestPreparedDevice:
         SweepRunner(tasks, workers=1).run()
         assert len(calls) == 2, "one preparation per device"
 
+    @pytest.mark.parametrize("device", ["pynq-z1", "ultra96"])
+    def test_preparation_calls_no_search_estimator(self, monkeypatch, device):
+        """Step 1 samples each bundle's initial structure as is: an
+        estimate at the default coefficients would be replaced by the fit."""
+        calls = []
+        real = AutoHLS.estimate
+
+        def counting(engine, config):
+            calls.append(config)
+            return real(engine, config)
+
+        monkeypatch.setattr(AutoHLS, "estimate", counting)
+        prepared = prepare_device(build_grid(device, "scd", [40.0], **TINY)[0])
+        assert prepared.coefficients is not None
+        assert calls == []
+
     def test_workers_receive_prepared_artifact(self):
         tasks = build_grid("pynq-z1", "scd,random", [40.0], **TINY)
         result = SweepRunner(tasks, workers=2).run()

@@ -30,13 +30,11 @@ from repro.sweep import (
     SweepTask,
     build_grid,
     cache_dir_stats,
-    checkpoint_cells,
     compact_cache_dir,
     load_checkpoint,
     load_timings,
     run_sweep_task,
     save_timings,
-    scan_checkpoint,
 )
 from repro.sweep.checkpoint import CheckpointCells
 from repro.sweep.runner import TIMINGS_FILENAME
@@ -378,18 +376,45 @@ class TestCheckpointRobustness:
         assert len(status.outcomes) == len(tasks)
 
     def test_incremental_cells_view_follows_truncation_and_removal(self, tmp_path):
-        path = tmp_path / CHECKPOINT_FILENAME
+        tasks, path = self._checkpointed(tmp_path)
+        header, *records = path.read_text().splitlines(keepends=True)
+        late = json.dumps({
+            "kind": "failure", "uid": tasks[0].uid, "ts": 0.0,
+            "failure": SweepFailure(task=tasks[0], kind="error", error="late",
+                                    attempts=1).as_dict(),
+        }) + "\n"
+        path.unlink()
         view = CheckpointCells(path)
         assert view.counts() == (0, 0)
-        header = json.dumps({"kind": "header", "version": 1, "grid": []}) + "\n"
-        lines = [json.dumps({"kind": kind, "uid": uid}) + "\n"
-                 for kind, uid in (("outcome", "a"), ("failure", "b"), ("outcome", "c"))]
-        path.write_text(header + "".join(lines))
-        assert view.counts() == (2, 1) == scan_checkpoint(path)[:2]
-        path.write_text(header + lines[1])  # rewritten in place, shorter
-        assert view.cells() == {"b": "failure"} == checkpoint_cells(path)
+        path.write_text(header + "".join(records) + late)
+        status = load_checkpoint(path)
+        assert view.counts() == (len(status.outcomes), len(status.failures)) == (1, 1)
+        assert view.cells() == {tasks[0].uid: "failure", tasks[1].uid: "outcome"}
+        path.write_text(header + late)  # rewritten in place, shorter
+        assert view.cells() == {tasks[0].uid: "failure"}
+        assert view.failures() == list(load_checkpoint(path).failures.values())
         path.unlink()
         assert view.counts() == (0, 0) and view.cells() == {}
+
+    def test_cells_view_and_cache_stats_count_lines_as_resume_does(self, tmp_path):
+        """A line of the right shape whose record does not rebuild is corrupt
+        to every reader, never a settled cell to some of them."""
+        tasks, path = self._checkpointed(tmp_path)
+        with path.open("a") as handle:
+            handle.write('{"kind": "outcome", "uid": "x", "outcome": {}}\n')
+            handle.write('{"kind": "failure", "uid": "y", "failure": {"task": {}}}\n')
+        status = load_checkpoint(path)
+        assert (len(status.outcomes), len(status.failures), status.corrupt_lines) == (2, 0, 2)
+        view = CheckpointCells(path)
+        assert view.counts() == (2, 0) and view.corrupt_lines() == 2
+        assert view.cells() == {task.uid: "outcome" for task in tasks}
+        stats = cache_dir_stats(tmp_path)
+        assert (stats.checkpoint_outcomes, stats.checkpoint_failures,
+                stats.checkpoint_corrupt_lines) == (2, 0, 2)
+        with path.open("a") as handle:
+            handle.write('{"kind": "outcome", "uid": "half-')  # torn write
+        assert load_checkpoint(path).corrupt_lines == 3
+        assert view.corrupt_lines() == 3 == cache_dir_stats(tmp_path).checkpoint_corrupt_lines
 
     def test_checkpoint_of_changed_grid_reruns_unknown_cells(self, tmp_path, caplog):
         import logging
