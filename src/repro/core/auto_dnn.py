@@ -134,7 +134,7 @@ class AutoDNN:
         init_factor = 1.5 if has_dw else 2.0
         expansion = tuple([init_factor] * num_repetitions)
         downsample = tuple(1 if i < min(num_repetitions, 4) else 0 for i in range(num_repetitions))
-        return DNNConfig(
+        return DNNConfig.interned(
             bundle=bundle,
             task=self.task,
             num_repetitions=num_repetitions,

@@ -135,7 +135,7 @@ class BundleEvaluator:
             raise ValueError("method must be 1 or 2")
         expansion = tuple([1.5] * reps)
         downsample = tuple([1] * min(reps, 4) + [0] * max(reps - 4, 0))
-        return DNNConfig(
+        return DNNConfig.interned(
             bundle=bundle,
             task=self.task,
             num_repetitions=reps,

@@ -13,13 +13,22 @@ The config can be turned into:
 * a trainable :class:`repro.nn.model.Sequential` (:meth:`DNNConfig.to_model`),
 * :class:`repro.detection.accuracy_model.CandidateFeatures` for the surrogate
   accuracy model (:meth:`DNNConfig.features`).
+
+:meth:`DNNConfig.interned` returns the one object a process holds for a
+config's field values (at most :data:`INTERN_LIMIT` of them).  Every search
+move (:meth:`DNNConfig.with_updates`, over the same table) and the search's
+initial configs go through it, so a revisited config is neither built,
+validated nor keyed again.  ``DNNConfig(...)`` and :func:`dataclasses.replace` still build a
+fresh object.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+import operator
+import os
+import threading
+from dataclasses import dataclass, fields, replace
+from typing import Optional, Sequence
 
 from repro.core.bundle import Bundle, LayerSpec
 from repro.detection.accuracy_model import CandidateFeatures
@@ -40,6 +49,12 @@ from repro.utils.rng import RNGLike
 #: Channel counts are rounded to multiples of this value so that the
 #: accelerator's parallel lanes divide them evenly.
 CHANNEL_ROUND = 8
+
+#: Entry cap of the table behind :meth:`DNNConfig.interned`.  A full table is
+#: cleared before its next insert, as the evaluator's memo tables are
+#: (:data:`repro.hw.evaluator.MEMO_LIMIT`); the paper grid's ~3,800 distinct
+#: configs fit.
+INTERN_LIMIT = 8192
 
 
 def _round_channels(value: float, minimum: int = CHANNEL_ROUND) -> int:
@@ -93,6 +108,10 @@ class DNNConfig:
     name: str = ""
 
     def __post_init__(self) -> None:
+        # Integers, flags and factors are stored as int / int / float, so
+        # configs that compare equal also describe (and key) the same.
+        for name in _INT_FIELDS:
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.num_repetitions <= 0:
             raise ValueError("num_repetitions must be positive")
         if self.stem_channels <= 0 or self.max_channels <= 0:
@@ -107,12 +126,12 @@ class DNNConfig:
             raise ValueError("channel_expansion length must equal num_repetitions")
         if len(downsample) != self.num_repetitions:
             raise ValueError("downsample length must equal num_repetitions")
-        if any(f <= 0 for f in expansion):
+        if not all(f > 0 for f in expansion):  # NaN fails too
             raise ValueError("channel expansion factors must be positive")
         if any(flag not in (0, 1) for flag in downsample):
             raise ValueError("downsample entries must be 0 or 1")
-        object.__setattr__(self, "channel_expansion", tuple(expansion))
-        object.__setattr__(self, "downsample", tuple(downsample))
+        object.__setattr__(self, "channel_expansion", tuple(map(float, expansion)))
+        object.__setattr__(self, "downsample", tuple(map(int, downsample)))
 
     # -------------------------------------------------------------- metadata
     @property
@@ -127,9 +146,31 @@ class DNNConfig:
             f"{self.activation}-pf{self.parallel_factor}"
         )
 
+    @classmethod
+    def interned(cls, **values) -> "DNNConfig":
+        """``DNNConfig(**values)``, as the one object this process holds for them.
+
+        The config is looked up by field values (bundle, task and every other
+        field) in one process-wide table before anything is built, so an
+        equal config seen before comes back as the same object, with the
+        cache key it already memoised.  A miss builds through the
+        constructor, which validates, and stores the result.  The table holds
+        at most :data:`INTERN_LIMIT` configs.
+        """
+        return _lookup(tuple({**_DEFAULTS, **values}.values())) or _intern(cls(**values))
+
     def with_updates(self, **kwargs) -> "DNNConfig":
-        """Copy with selected fields replaced (used by the SCD moves)."""
-        return replace(self, **kwargs)
+        """This config with selected fields replaced, :meth:`interned`.
+
+        Every search move and the parallel-factor maximisation build here.
+        """
+        values = list(_field_values(self))
+        try:
+            for name, value in kwargs.items():
+                values[_FIELD_INDEX[name]] = value
+        except KeyError:  # not a field: the constructor raises its TypeError
+            return replace(self, **kwargs)
+        return _lookup(tuple(values)) or _intern(type(self)(*values))
 
     # ------------------------------------------------------------- structure
     def channel_schedule(self) -> list[int]:
@@ -317,3 +358,46 @@ class DNNConfig:
             f"{self.feature_bits}-bit feature map ({self.activation}), "
             f"{self.weight_bits}-bit weights, PF={self.parallel_factor}"
         )
+
+
+_INT_FIELDS = tuple(f.name for f in fields(DNNConfig) if f.type == "int")
+_FIELD_NAMES = tuple(f.name for f in fields(DNNConfig))
+_FIELD_INDEX = {name: index for index, name in enumerate(_FIELD_NAMES)}
+#: Every field's default, ``MISSING`` for bundle and task, in field order.
+_DEFAULTS = {f.name: f.default for f in fields(DNNConfig)}
+_field_values = operator.attrgetter(*_FIELD_NAMES)
+#: Field values (bundle, task and every other field, in field order) -> the
+#: one config this process holds for them.  Keyed on values, never on object
+#: identity.  Lookups take no lock; inserts take ``_intern_lock``, so the
+#: table never exceeds its bound and racing threads store one object.
+_interned: dict[tuple, DNNConfig] = {}
+_intern_lock = threading.Lock()
+
+
+def _forget_lock_in_child() -> None:
+    # The fork copied the lock as another thread left it, held maybe.
+    global _intern_lock
+    _intern_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_lock_in_child)
+
+
+def _lookup(key: tuple) -> Optional[DNNConfig]:
+    """The interned config with field values ``key``, if there is one."""
+    try:
+        return _interned.get(key)
+    except TypeError:  # an unhashable value, e.g. a list the constructor converts
+        return None
+
+
+def _intern(config: DNNConfig) -> DNNConfig:
+    """The interned config equal to ``config``; ``config`` itself when new."""
+    key = _field_values(config)
+    with _intern_lock:
+        interned = _interned.get(key)
+        if interned is None:
+            if len(_interned) >= INTERN_LIMIT:
+                _interned.clear()
+            interned = _interned[key] = config
+    return interned

@@ -44,7 +44,10 @@ def config_cache_key(config: "DNNConfig") -> str:
     outlives a single search.
 
     The key is kept in the config's ``__dict__``, as ``cached_property``
-    does: configs are frozen, and ``with_updates`` builds a new object.
+    does, because configs are frozen.  It is a pure function of the fields,
+    so it is built once per distinct config: ``with_updates`` returns the
+    interned object (:meth:`DNNConfig.interned`), memo included, and a
+    pickled config carries a key that holds in any interpreter.
     """
     memo = config.__dict__
     key = memo.get("_cache_key")

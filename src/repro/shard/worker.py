@@ -171,7 +171,7 @@ class ShardWorker:
         if not self._cache_sync:
             return
         _restarted, appended = self._cache_tail.read()
-        for record in appended:
+        for record, _estimate in appended:
             slot = (record["namespace"], record["key"])
             if slot not in self._cache_pushed:
                 self._cache_unsent[slot] = record

@@ -353,10 +353,14 @@ def _record_estimate(record) -> Optional[PerformanceEstimate]:
     return _estimate_from_payload(record.get("estimate", {}))
 
 
-def _parse_records(lines) -> list[Optional[dict]]:
-    """Each shard line as its record dict; ``None`` when torn or malformed."""
-    return [record if _record_estimate(record) is not None else None
-            for record in parse_lines(lines)]
+def _parse_records(lines) -> list[Optional[tuple[dict, PerformanceEstimate]]]:
+    """Each shard line as its record dict and decoded estimate; ``None`` when
+    torn or malformed.  A line is decoded once, for validation and use alike."""
+    entries: list[Optional[tuple[dict, PerformanceEstimate]]] = []
+    for record in parse_lines(lines):
+        estimate = _record_estimate(record)
+        entries.append(None if estimate is None else (record, estimate))
+    return entries
 
 
 def _scan_cache_dir(directory: pathlib.Path):
@@ -378,10 +382,11 @@ def _scan_cache_dir(directory: pathlib.Path):
         except OSError:  # pragma: no cover - unreadable shard
             continue
         total_bytes += len(text.encode("utf-8"))
-        for record in _parse_records(text.splitlines()):
-            if record is None:
+        for entry in _parse_records(text.splitlines()):
+            if entry is None:
                 corrupt += 1
                 continue
+            record = entry[0]
             if not isinstance(record.get("ts"), (int, float)):
                 record["ts"] = round(mtime, 3)
             slot = (record["namespace"], record["key"])
@@ -592,11 +597,11 @@ class CacheDirTail:
     """Incremental reader over every estimate shard of one cache directory.
 
     Each :meth:`read` returns the valid records appended to any shard since
-    the previous call, in shard-name then file order; a shard that appeared
-    since is read from its start.  Unchanged shards cost one open and
-    ``fstat`` each, never a parse.  A ``prefix`` limits the reader to the
-    shards of one namespace prefix.  Not thread-safe: the owner serialises
-    calls.
+    the previous call, in shard-name then file order, each with its decoded
+    estimate; a shard that appeared since is read from its start.  Unchanged
+    shards cost one open and ``fstat`` each, never a parse.  A ``prefix``
+    limits the reader to the shards of one namespace prefix.  Not
+    thread-safe: the owner serialises calls.
     """
 
     def __init__(self, directory, prefix: str = "") -> None:
@@ -604,8 +609,8 @@ class CacheDirTail:
         self._pattern = f"{prefix}--*.jsonl" if prefix else "*.jsonl"
         self._tails: dict[str, JsonlTail] = {}
 
-    def read(self) -> tuple[bool, list[dict]]:
-        """``(restarted, records)`` appended since the previous call.
+    def read(self) -> tuple[bool, list[tuple[dict, PerformanceEstimate]]]:
+        """``(restarted, [(record, estimate), ...])`` appended since the previous call.
 
         ``restarted`` is True when a shard read before vanished, shrank or
         was replaced (as ``cache gc`` leaves it); a shrunk or replaced
@@ -613,7 +618,7 @@ class CacheDirTail:
         malformed lines are skipped with a warning when first read.
         """
         restarted = False
-        records: list[dict] = []
+        records: list[tuple[dict, PerformanceEstimate]] = []
         present = set()
         for path in _shard_paths(self.directory, self._pattern):
             present.add(path.name)
@@ -623,7 +628,7 @@ class CacheDirTail:
             shard_restarted, lines = tail.read()
             restarted = restarted or shard_restarted
             parsed = _parse_records(lines)
-            records.extend(record for record in parsed if record is not None)
+            records.extend(entry for entry in parsed if entry is not None)
             if None in parsed:
                 logger.warning("disk cache shard %s: skipped %d corrupt line(s); run "
                                "'repro-codesign cache gc' to repair it", path.name, parsed.count(None))
@@ -650,8 +655,7 @@ class _ShardStore:
         if restarted:
             self.tail, self.namespaces = CacheDirTail(self.directory, self.prefix), {}
             _restarted, records = self.tail.read()
-        for record in records:
-            estimate = _estimate_from_payload(record["estimate"])
+        for record, estimate in records:
             self.namespaces.setdefault(record["namespace"], {})[record["key"]] = estimate
 
 
@@ -716,7 +720,7 @@ class CacheHub:
             self._tail = CacheDirTail(self.directory)
             self._keys.clear()
             _restarted, records = self._tail.read()
-        self._keys.update((record["namespace"], record["key"]) for record in records)
+        self._keys.update((record["namespace"], record["key"]) for record, _ in records)
 
     def merge(self, records: Sequence[dict], *, shard: str = "pushed") -> int:
         """Append the valid records whose key is new; returns how many.

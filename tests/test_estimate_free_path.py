@@ -120,7 +120,8 @@ class TestMemoizedKeys:
         for child in (parent.with_updates(parallel_factor=32),
                       parent.with_updates(channel_expansion=(2.0, 1.5)),
                       parent.with_updates()):
-            assert "_cache_key" not in child.__dict__
+            # An interned child may already be keyed, but only by its own key.
+            assert child.__dict__.get("_cache_key", _fresh_key(child)) == _fresh_key(child)
             assert config_cache_key(child) == _fresh_key(child)
         assert config_cache_key(parent.with_updates(parallel_factor=32)) != key
         assert config_cache_key(parent.with_updates()) == key
@@ -169,6 +170,20 @@ class TestProcessStore:
         second = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")
         assert counting.decoded == 3, "a second open decodes nothing new"
         assert all(config in first and config in second for config in configs)
+
+    def test_each_reader_decodes_a_record_once(self, tmp_path, engine, monkeypatch):
+        configs = _seed_records(tmp_path, engine, 3)
+        _seed_records(tmp_path, engine, 4, device="Ultra96")
+        decoded = []
+        decode = disk_cache._estimate_from_payload
+        monkeypatch.setattr(disk_cache, "_estimate_from_payload",
+                            lambda payload: decoded.append(payload) or decode(payload))
+        cache = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")
+        assert len(decoded) == 3, "the store validates and keeps one decode per line"
+        keys = [config_cache_key(config) for config in configs]
+        assert cache.get_many(keys) == [engine.estimate(config) for config in configs]
+        assert len(disk_cache.read_cache_records(tmp_path)) == 7 and len(decoded) == 10
+        assert disk_cache.CacheHub(tmp_path).merge([]) == 0 and len(decoded) == 17
 
     def test_sees_lines_appended_between_opens(self, tmp_path, engine):
         early, late = _config(parallel_factor=4), _config(parallel_factor=8)
