@@ -104,6 +104,22 @@ class Bundle:
                 f"at most {self.max_compute_ips} are allowed"
             )
 
+    def __hash__(self) -> int:
+        # The generated hash would rehash every LayerSpec on each call; a
+        # bundle keys every config intern-table lookup, so hash it once.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            value = self.__dict__["_hash"] = hash(
+                (self.bundle_id, self.layers, self.name, self.max_compute_ips))
+            return value
+
+    def __getstate__(self) -> dict:
+        # A hash holds only under the PYTHONHASHSEED that computed it.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     # ------------------------------------------------------------ properties
     @property
     def compute_layers(self) -> tuple[LayerSpec, ...]:

@@ -43,7 +43,7 @@ from repro.nn import (
     Sequential,
     make_activation,
 )
-from repro.nn.quantization import scheme_for_activation
+from repro.nn.quantization import feature_bits_for_activation
 from repro.utils.rng import RNGLike
 
 #: Channel counts are rounded to multiples of this value so that the
@@ -137,7 +137,7 @@ class DNNConfig:
     @property
     def feature_bits(self) -> int:
         """Feature-map bit width implied by the activation choice."""
-        return scheme_for_activation(self.activation, self.weight_bits).feature_bits
+        return feature_bits_for_activation(self.activation)
 
     @property
     def display_name(self) -> str:

@@ -82,16 +82,23 @@ FLOAT32 = QuantizationScheme("float32", weight_bits=32, feature_bits=32)
 SCHEMES = {s.name: s for s in (W8A8, W8A10, W8A16, W16A16, FLOAT32)}
 
 
-def scheme_for_activation(activation: str, weight_bits: int = 8) -> QuantizationScheme:
-    """Map a ReLU-family activation name to its quantization scheme.
+#: Feature-map bit width of each ReLU-family activation: the paper pairs
+#: ReLU4 with 8-bit feature maps, ReLU8 with 10-bit and unbounded ReLU with
+#: 16-bit feature maps.
+ACTIVATION_FEATURE_BITS = {"relu4": 8, "relu8": 10, "relu": 16}
 
-    The paper pairs ReLU4 with 8-bit feature maps, ReLU8 with 10-bit and
-    unbounded ReLU with 16-bit feature maps.
-    """
-    key = activation.lower()
-    feature_bits = {"relu4": 8, "relu8": 10, "relu": 16}.get(key)
-    if feature_bits is None:
-        raise KeyError(f"No quantization mapping for activation '{activation}'")
+
+def feature_bits_for_activation(activation: str) -> int:
+    """Feature-map bit width of a ReLU-family activation (case-insensitive)."""
+    try:
+        return ACTIVATION_FEATURE_BITS[activation.lower()]
+    except KeyError:
+        raise KeyError(f"No quantization mapping for activation '{activation}'") from None
+
+
+def scheme_for_activation(activation: str, weight_bits: int = 8) -> QuantizationScheme:
+    """Map a ReLU-family activation name to its quantization scheme."""
+    feature_bits = feature_bits_for_activation(activation)
     return QuantizationScheme(f"w{weight_bits}a{feature_bits}", weight_bits, feature_bits)
 
 

@@ -23,7 +23,8 @@ and waits for it to settle:
   nothing requeues.
 
 The coordinator process is crash-only: ``stop()`` (and SIGKILL) abandon
-running jobs without writing a terminal state, and the next start replays
+running jobs without writing a terminal state (``stop()`` answers parked
+workers ``done`` first), and the next start replays
 ``_service.jsonl``, requeues them, and their runners resume from the
 per-job checkpoints — journals stay byte-identical to an uninterrupted
 run.
@@ -181,7 +182,11 @@ class ServiceCoordinator(LeaseCoordinator):
                 self._spawn(job)
 
     def stop(self, join_timeout_s: float = 5.0) -> None:
-        """Hard stop: abandon running jobs (they resume on the next start)."""
+        """Hard stop: abandon running jobs (they resume on the next start).
+
+        Lease requests parked in a long poll are answered ``done``, so idle
+        workers exit 0 instead of retrying a socket that is gone.
+        """
         self._stopping.set()
         self.close(join_timeout_s)  # wakes every job's wait()
         for thread in self._threads:

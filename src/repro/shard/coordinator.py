@@ -16,15 +16,17 @@ and one :class:`~repro.sweep.ledger.WorkerRegistry`.  Workers register
 once and stay job-agnostic: ``/v1/lease`` round-robins one cell per board
 per pass (a wide job cannot starve a small one), ``/v1/report`` routes by
 the echoed ``job`` field (or by uid) and ``/v1/heartbeat`` by the lease-id
-prefix.  A one-shot coordinator answers ``done`` once its board settled
-and stays up until every live worker heard so; the service subclass is
-persistent — never done, and it re-adopts worker ids issued before a
-restart.
+prefix.  A report may also carry the worker's new estimator-cache records
+and ask for its next cells: one round trip per settled cell.  A one-shot
+coordinator answers ``done`` once its board settled and stays up until
+every live worker heard so; the service subclass is persistent — done
+only once it closes, and it re-adopts worker ids issued before a restart.
 
 Nothing polls on a fixed tick.  Board changes, cancellation and shutdown
 wake one condition variable: the lease reaper sleeps until the next lease
 deadline or change, and a ``/v1/lease`` request carrying ``wait_s`` parks
-until a cell is ready, the grid is done or the wait runs out.  Each
+until a cell is ready, the grid is done, the wait runs out or the
+coordinator closes (a closing service answers it ``done``).  Each
 board's queue is primed in the runner's longest-expected-first cost
 order, so remote fleets see the same dispatch policy as local pools.
 """
@@ -89,6 +91,12 @@ def parse_report(payload: Mapping) -> tuple[str, str, str, dict]:
         error = str(payload.get("error") or "unspecified worker error")
         return worker_id, lease_id, uid, {"error": error, "duration_s": duration_s}
     raise ShardProtocolError(f"unknown report status '{status}'")
+
+
+def parse_lease_request(payload: Mapping) -> tuple[int, set[str]]:
+    """``(slots, known_preps)`` of a ``/v1/lease`` body or a report's ``lease`` field."""
+    slots = max(int(number_field(payload, "slots", 1)), 0)
+    return slots, set(string_list_field(payload, "known_preps") or ())
 
 
 class _BodyTooLarge(ShardProtocolError):
@@ -241,10 +249,11 @@ class LeaseCoordinator:
     one-shot grid) and :meth:`wait` blocks the board's owner until it
     settles.  The base class is one-shot: it answers ``done`` once every
     attached board settled.  A :attr:`persistent` subclass (the job
-    service) is never done and re-adopts worker ids from a previous run.
+    service) is done only once it closes and re-adopts worker ids from a
+    previous run.
     """
 
-    #: Never ``done``; re-adopts worker ids issued before a restart.
+    #: ``done`` only once closing; re-adopts worker ids issued before a restart.
     persistent = False
     handler_class: type = _CoordinatorHandler
 
@@ -414,9 +423,10 @@ class LeaseCoordinator:
             return list(self._boards.values())
 
     def _done(self) -> bool:
-        """One-shot: every attached board settled.  Persistent: never."""
+        """One-shot: every attached board settled.  Persistent: once closing,
+        so a stopping service releases the workers it answers."""
         if self.persistent:
-            return False
+            return self._closing
         boards = self._attached()
         return bool(boards) and all(board.done for board in boards)
 
@@ -487,8 +497,7 @@ class LeaseCoordinator:
 
     def handle_lease(self, payload: Mapping) -> dict:
         worker_id = require(payload, "worker_id", str)
-        slots = max(int(number_field(payload, "slots", 1)), 0)
-        known = set(string_list_field(payload, "known_preps") or ())
+        slots, known = parse_lease_request(payload)
         wait_s = number_field(payload, "wait_s", 0.0)
         until = time.monotonic() + min(max(wait_s, 0.0), MAX_LEASE_WAIT_S)
         self.workers.touch(worker_id)
@@ -501,6 +510,11 @@ class LeaseCoordinator:
             # Long poll: park until a board changes or a backoff ends,
             # counting one that ended while this round ran.
             self._await_change(seen, self._attached(), until, since=started)
+        return self._lease_reply(worker_id, leased, known)
+
+    def _lease_reply(self, worker_id: str, leased: list[tuple[LeaseBoard, _Cell]],
+                     known: set[str]) -> dict:
+        """The ``/v1/lease`` reply for ``leased``, shipping the preps not ``known``."""
         if leased:
             self.notify()  # the reapers' next lease deadline moved
         with self._lock:
@@ -526,7 +540,12 @@ class LeaseCoordinator:
         }
 
     def _lease_round(self, worker_id: str, slots: int) -> list[tuple[LeaseBoard, _Cell]]:
-        """Lease up to ``slots`` cells, one per board per pass (fair interleave)."""
+        """Lease up to ``slots`` cells, one per board per pass (fair interleave).
+
+        Nothing once closing: the coordinator would never hear their reports.
+        """
+        if self._closing:
+            return []
         with self._lock:
             boards = list(self._boards.values())
             if boards:
@@ -547,8 +566,26 @@ class LeaseCoordinator:
         return leased
 
     def handle_report(self, payload: Mapping) -> dict:
+        """Settle one reported cell; merge the records and lease the cells it carries.
+
+        The optional ``cache_records`` are the worker's new estimator-cache
+        records (merged as ``/v1/cache/push`` merges them), and the optional
+        ``lease`` (``slots``, ``known_preps``) asks for the worker's next
+        cells: the reply's ``lease`` is then a ``/v1/lease`` reply, leased
+        after the report settled and never parked.  Every field is checked
+        before anything happens, so a 4xx settles, merges and leases nothing.
+        """
         worker_id, lease_id, uid, kwargs = parse_report(payload)
+        lease = payload.get("lease")
+        if lease is not None and not isinstance(lease, dict):
+            raise ShardProtocolError("message field 'lease' must be an object")
+        request = parse_lease_request(lease) if lease is not None else None
+        records = payload.get("cache_records")
+        if records is not None and not isinstance(records, list):
+            raise ShardProtocolError("message field 'cache_records' must be a list")
         self.workers.touch(worker_id)
+        if records:
+            self._merge_cache(records)
         job = payload.get("job")
         if isinstance(job, str) and job:
             board = self.board(job)
@@ -562,8 +599,13 @@ class LeaseCoordinator:
         else:
             accepted, reason = board.report(worker_id, lease_id, uid, **kwargs)
             self.notify()
-        return {"accepted": accepted, "reason": reason,
-                "done": self._reply_done(worker_id)}
+        reply = {"accepted": accepted, "reason": reason}
+        if request is not None:
+            slots, known = request
+            reply["lease"] = self._lease_reply(
+                worker_id, self._lease_round(worker_id, slots), known)
+        reply["done"] = self._reply_done(worker_id)
+        return reply
 
     def handle_heartbeat(self, payload: Mapping) -> dict:
         worker_id = require(payload, "worker_id", str)
@@ -598,17 +640,23 @@ class LeaseCoordinator:
         return {"records": records, "count": len(records), "enabled": True}
 
     def handle_cache_push(self, payload: Mapping) -> dict:
-        """Merge worker-computed estimates into the coordinator's cache.
-
-        The hub dedups against its key index under its own lock, so a push
-        costs O(records pushed plus bytes appended since the last push) and
-        concurrent pushes of one record accept it once.
-        """
+        """Merge the records of a worker that predates report-borne records."""
         require(payload, "worker_id", str)
         records = require(payload, "records", list)
         if self._cache_hub is None:
             return {"accepted": 0, "enabled": False}
+        return {"accepted": self._merge_cache(records), "enabled": True}
+
+    def _merge_cache(self, records: list) -> int:
+        """Merge wire records into the hub; returns how many were new.
+
+        The hub dedups against its key index under its own lock, so a merge
+        costs O(records delivered plus bytes other writers appended since
+        the last one), and concurrent merges of one record accept it once.
+        """
+        if self._cache_hub is None:
+            return 0
         accepted = self._cache_hub.merge(records)
         if accepted:
             telemetry.event("shard.cache.pushed", records=accepted)
-        return {"accepted": accepted, "enabled": True}
+        return accepted

@@ -31,21 +31,31 @@ unless noted):
     cell's target key ships inline exactly once per worker (the worker
     advertises the keys it already holds).  With ``wait_s`` (long poll,
     capped at :data:`MAX_LEASE_WAIT_S`) a request that finds no ready cell
-    is held until one is ready, the grid is done or the wait ran out.
-    ``done=True`` tells the worker the whole grid has settled and it
-    should exit; a persistent service never sends it.  ``job`` is the
+    is held until one is ready, the grid is done, the wait ran out or the
+    coordinator closes.  ``done=True`` tells the worker the whole grid has
+    settled and it should exit; a persistent service sends it only while
+    it stops, to the workers it answers then.  ``job`` is the
     owning job uid under a multi-job service coordinator and ``None``
     (or absent) for a one-shot grid — workers echo it back verbatim.
 
 ``/v1/report``
     ``{"worker_id", "lease_id", "uid", "status": "ok"|"error",
-    "outcome"| "error", "duration_s", "job"?}`` → ``{"accepted": bool,
-    "reason": str?}``.  Duplicate completions (a lease that expired and
+    "outcome"| "error", "duration_s", "job"?, "cache_records"?,
+    "lease"?}`` → ``{"accepted": bool, "reason": str?, "done": bool,
+    "lease"?}``.  Duplicate completions (a lease that expired and
     was re-run elsewhere) are resolved deterministically by uid — the
     first settled record wins and later reports are acknowledged but
     dropped (``accepted=False, reason="duplicate"``), so a settled cell
     is never lost *or* double-counted.  ``job`` routes the report to the
     right job's board; without it the report is routed by ``uid``.
+    ``cache_records`` carries the worker's estimator-cache records the
+    coordinator has not seen (at most :data:`MAX_REPORT_RECORDS`, in the
+    ``/v1/cache/push`` shape; malformed ones are dropped), and ``lease``
+    (``{"slots", "known_preps"}``) asks for the worker's next cells: the
+    reply's ``lease`` is then a ``/v1/lease`` reply, leased after the
+    report settled and never parked.  So a busy worker makes one round
+    trip per settled cell.  Both fields are optional; a coordinator that
+    ignores them leaves the worker to lease through ``/v1/lease``.
 
 ``/v1/heartbeat``
     ``{"worker_id", "lease_ids": [...]}`` → ``{"ok", "lost": [...]}``.
@@ -58,8 +68,10 @@ unless noted):
     of recomputing.  ``pull``: ``{"worker_id", "namespaces"?}`` →
     ``{"records": [...], "count", "enabled"}``.  ``push``:
     ``{"worker_id", "records": [...]}`` → ``{"accepted": int,
-    "enabled"}``.  Records use the ``DiskEvaluationCache`` JSONL shape
-    verbatim (``{"namespace", "key", "estimate", "ts"}``).
+    "enabled"}``, kept for workers that predate report-borne records
+    (upgrade the coordinator first); it merges exactly as a report's
+    ``cache_records`` do.  Records use the ``DiskEvaluationCache`` JSONL
+    shape verbatim (``{"namespace", "key", "estimate", "ts"}``).
 
 ``/v1/status`` (GET)
     Progress counters for dashboards and tests.
@@ -86,7 +98,6 @@ import urllib.request
 from typing import Mapping, Optional
 
 from repro.sweep.ledger import DEFAULT_LEASE_TTL_S, ShardProtocolError  # re-exported
-from repro.utils.serialization import to_jsonable
 
 #: Protocol version; a coordinator rejects workers speaking another one.
 PROTOCOL_VERSION = 1
@@ -105,10 +116,19 @@ MAX_LEASE_WAIT_S = 10.0
 AUTH_HEADER = "X-Repro-Token"
 
 #: Largest request body a coordinator reads (bytes); longer ones get 413.
-#: On the paper grid (seed 2019) the largest ``/v1/report`` body is ~0.6 MB
-#: and the largest ``/v1/cache/push`` ~2.1 MB (a worker pushing the whole
-#: grid's estimator cache at once), so 64 MiB leaves a 30x margin.
+#: On the paper grid (seed 2019) the largest ``/v1/report`` body is ~0.8 MB
+#: (a cell's outcome plus the ~400 cache records it appended), ~2.9 MB when
+#: a worker whose local cache already holds the grid's 4,511 records
+#: reports to a fresh hub, and the largest ``/v1/cache/push`` ~2.3 MB (an
+#: older worker pushing that whole cache at once), so 64 MiB leaves a 20x
+#: margin.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Most estimator-cache records one ``/v1/report`` carries (~0.5 KB each on
+#: the paper grid, so ~10 MB); a worker with more unsent (a local cache the
+#: hub never saw) sends the rest on later reports, so a report stays well
+#: inside :data:`MAX_BODY_BYTES`.
+MAX_REPORT_RECORDS = 20_000
 
 #: Most cells one submitted job may expand to; a larger grid answers 400
 #: before anything is journalled.  The paper grid is 24 cells.
@@ -188,14 +208,18 @@ def post_json(
     timeout_s: float = 10.0,
     token: Optional[str] = None,
 ) -> dict:
-    """POST ``payload`` as JSON to ``base_url + path``; return the JSON reply."""
+    """POST ``payload`` as JSON to ``base_url + path``; return the JSON reply.
+
+    ``payload`` must be JSON-ready (plain dicts, lists, strings, numbers):
+    it is encoded as it is, never walked first.
+    """
     url = base_url.rstrip("/") + path
     headers = {"Content-Type": "application/json"}
     if token:
         headers[AUTH_HEADER] = token
     request = urllib.request.Request(
         url,
-        data=json.dumps(to_jsonable(payload)).encode("utf-8"),
+        data=json.dumps(payload).encode("utf-8"),
         headers=headers,
         method="POST",
     )
@@ -250,10 +274,15 @@ def parse_bind(spec: str, default_port: int = DEFAULT_PORT) -> tuple[str, int]:
 def number_field(payload: Mapping, key: str, default: float) -> float:
     """An optional finite-number message field (``default`` when absent)."""
     value = payload.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
+    try:
+        # A JSON integer past the float range overflows the conversion.
+        number = float(value) if isinstance(value, (int, float)) \
+            and not isinstance(value, bool) else math.nan
+    except OverflowError:
+        number = math.nan
+    if not math.isfinite(number):
         raise ShardProtocolError(f"message field '{key}' must be a finite number")
-    return float(value)
+    return number
 
 
 def string_list_field(payload: Mapping, key: str) -> Optional[list]:

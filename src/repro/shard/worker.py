@@ -2,7 +2,12 @@
 
 A worker is a thin loop around the *existing* single-cell execution path
 (:func:`repro.sweep.runner.run_sweep_task`): register → lease → execute →
-report, with a daemon heartbeat thread keeping the leases alive.  Nothing
+report, with a daemon heartbeat thread keeping the leases alive.  A report
+asks for the worker's next cells too, so a busy worker makes one round trip
+per settled cell; ``/v1/lease`` is only called for the first cell, for the
+idle long poll, and by a pooled worker beside running cells when its
+previous pass settled none.  Against a coordinator that predates this, the
+report's reply carries no lease and the worker leases as before.  Nothing
 about cell execution is distributed-specific — the worker rebuilds the
 :class:`~repro.sweep.runner.PreparedTarget` shipped by the coordinator
 (bit-exact JSON round trip) and calls the same function the local sweep's
@@ -34,9 +39,11 @@ A worker may keep its own ``cache_dir`` for the persistent estimator
 cache (per-machine, like any local sweep); journals do not depend on
 cache warmth, so byte-identity across the fleet is unaffected.  Against a
 coordinator with a cache hub, the worker pulls the hub once at
-registration and, after every report, pushes the records its cells
-appended since the previous push that the hub has not seen — it parses
-only the newly appended shard bytes, never the whole directory.
+registration, and every report carries the records its cells appended
+since the previous delivered report that the hub has not seen (at most
+:data:`~repro.shard.protocol.MAX_REPORT_RECORDS`; the rest ride on later
+reports, as a batch whose report failed does) — it parses only the newly
+appended shard bytes, never the whole directory.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from typing import Callable, Optional
 
 from repro.shard.protocol import (
     MAX_LEASE_WAIT_S,
+    MAX_REPORT_RECORDS,
     PROTOCOL_VERSION,
     ShardProtocolError,
     post_json,
@@ -120,8 +128,9 @@ class ShardWorker:
         self._stop = threading.Event()
         self._idle_since: Optional[float] = None
         self._cache_sync = False
-        self._cache_pushed: set[tuple[str, str]] = set()
-        # Read but not yet delivered (a failed push retries them).
+        # Keys the coordinator holds: pulled, or delivered by a report.
+        self._cache_delivered: set[tuple[str, str]] = set()
+        # Read but not yet delivered (the next report carries them).
         self._cache_unsent: dict[tuple[str, str], dict] = {}
         self._cache_tail = CacheDirTail(self.cache_dir) if self.cache_dir is not None else None
 
@@ -155,8 +164,8 @@ class ShardWorker:
         for record in records:
             namespace, key = record.get("namespace"), record.get("key")
             if isinstance(namespace, str) and isinstance(key, str):
-                # The coordinator already holds these; never push them back.
-                self._cache_pushed.add((namespace, key))
+                # The coordinator already holds these; never send them back.
+                self._cache_delivered.add((namespace, key))
         if not records:
             return
         added = append_cache_records(self.cache_dir, records,
@@ -166,27 +175,18 @@ class ShardWorker:
                         self.worker_id, added)
             telemetry.event("shard.cache.pulled", records=added)
 
-    def _push_cache(self) -> None:
-        """Ship the estimates appended since the last push that the coordinator has not seen."""
+    def _unsent_records(self) -> list[dict]:
+        """The next report's batch: records appended since the last delivery
+        that the coordinator has not seen, at most :data:`MAX_REPORT_RECORDS`."""
         if not self._cache_sync:
-            return
+            return []
         _restarted, appended = self._cache_tail.read()
         for record, _estimate in appended:
             slot = (record["namespace"], record["key"])
-            if slot not in self._cache_pushed:
+            if slot not in self._cache_delivered:
                 self._cache_unsent[slot] = record
-        if not self._cache_unsent:
-            return
-        fresh = [self._cache_unsent[slot] for slot in sorted(self._cache_unsent)]
-        try:
-            self._post("/v1/cache/push",
-                       {"worker_id": self.worker_id, "records": fresh})
-        except ShardProtocolError as exc:
-            logger.debug("shard worker %s: cache push failed: %s",
-                         self.worker_id, exc)
-            return
-        self._cache_pushed.update(self._cache_unsent)
-        self._cache_unsent.clear()
+        batch = sorted(self._cache_unsent)[:MAX_REPORT_RECORDS]
+        return [self._cache_unsent[slot] for slot in batch]
 
     def _heartbeat_loop(self) -> None:
         while not self._stop.wait(self.heartbeat_s):
@@ -212,24 +212,30 @@ class ShardWorker:
                 self._active_leases.difference_update(lost)
                 self._lost_leases.update(lost)
 
-    def _lease(self, slots: int, wait_s: float = 0.0) -> dict:
-        payload = {
-            "worker_id": self.worker_id,
-            "slots": slots,
-            "known_preps": sorted(self._prepared),
-        }
+    def _lease_request(self, slots: int) -> dict:
+        return {"slots": slots, "known_preps": sorted(self._prepared)}
+
+    def _lease(self, slots: int, wait_s: float = 0.0) -> list[dict]:
+        """The cells of one ``/v1/lease`` round trip."""
+        payload = {"worker_id": self.worker_id, **self._lease_request(slots)}
         if wait_s > 0:
             payload["wait_s"] = wait_s
-        reply = self._post("/v1/lease", payload)
+        return self._leased(self._post("/v1/lease", payload))
+
+    def _leased(self, reply: dict) -> list[dict]:
+        """A ``/v1/lease`` reply's cells, noting its preps and ``done``."""
         for key, wire in (reply.get("prepared") or {}).items():
             if key not in self._prepared:
                 self._prepared[key] = PreparedTarget.from_wire(wire)
         if reply.get("done"):
             self._saw_done.set()
-        return reply
+        return reply.get("cells") or []
 
     def _report(self, lease_id: str, uid: str, kind: str, value,
-                duration_s: float, job: Optional[str] = None) -> None:
+                duration_s: float, job: Optional[str] = None,
+                slots: int = 0) -> dict:
+        """Report one settled cell with the unsent cache records; with
+        ``slots``, ask for that many next cells (the reply's ``lease``)."""
         payload = {
             "worker_id": self.worker_id,
             "lease_id": lease_id,
@@ -244,8 +250,18 @@ class ShardWorker:
             payload["outcome"] = value.as_dict()
         else:
             payload["error"] = str(value)
-            self.reported_errors += 1
+        records = self._unsent_records()
+        if records:
+            payload["cache_records"] = records
+        if slots:
+            payload["lease"] = self._lease_request(slots)
         reply = self._post("/v1/report", payload)
+        if kind != "ok":
+            self.reported_errors += 1
+        for record in records:
+            slot = (record["namespace"], record["key"])
+            del self._cache_unsent[slot]
+            self._cache_delivered.add(slot)
         if reply.get("done"):
             self._saw_done.set()
         if not reply.get("accepted"):
@@ -253,7 +269,7 @@ class ShardWorker:
                         self.worker_id, uid, reply.get("reason"))
         with self._lease_lock:
             self._active_leases.discard(lease_id)
-        self._push_cache()
+        return reply
 
     # ------------------------------------------------------------------- main
     def run(self) -> int:
@@ -332,6 +348,9 @@ class ShardWorker:
     def _lease_loop(self, pool: WorkerProcesses) -> int:
         in_flight: dict[str, tuple] = {}  # lease_id -> (uid, job)
         lapses: dict[str, float] = {}  # lease_id -> when its cell's timeout lapses
+        # The cells the last report's reply leased ([] when none was ready);
+        # None when it asked for none, or its coordinator predates such leases.
+        leased: Optional[list[dict]] = None
         try:
             # A worker that heard "done" leaves at once (once its cells
             # settle): the coordinator closes as soon as every live worker
@@ -340,13 +359,15 @@ class ShardWorker:
                 settled = []  # (lease_id, kind, value, duration_s)
                 free = self.workers - len(in_flight)
                 if free > 0:
-                    # Park only when idle: results of running cells
-                    # must not wait behind a long poll.
-                    wait_s = 0.0 if in_flight else self._idle_wait_s()
-                    reply = self._checked(lambda: self._lease(free, wait_s))
-                    if reply is None:
-                        return 0
-                    cells = reply.get("cells") or []
+                    if leased is not None:
+                        cells, leased = leased, None
+                    else:
+                        # Park only when idle: results of running cells
+                        # must not wait behind a long poll.
+                        wait_s = 0.0 if in_flight else self._idle_wait_s()
+                        cells = self._checked(lambda: self._lease(free, wait_s))
+                        if cells is None:
+                            return 0
                     if cells:
                         self._idle_since = None
                     elif not in_flight:
@@ -374,14 +395,20 @@ class ShardWorker:
                     # Bounded wait so freed slots keep leasing while slow cells
                     # run, and lost leases are stopped promptly.
                     settled.extend(pool.wait(timeout=0.5))
-                for lease_id, kind, value, duration in settled:
+                for position, (lease_id, kind, value, duration) in enumerate(settled, 1):
                     uid, job = in_flight.pop(lease_id)
                     self.executed += 1
-                    if self._checked(
-                        lambda lid=lease_id, u=uid, k=kind, v=value,
-                        d=duration, j=job: self._report(lid, u, k, v, d, j) or {}
-                    ) is None:
+                    # The pass's last report asks for every free slot.
+                    slots = self.workers - len(in_flight) if position == len(settled) else 0
+                    reply = self._checked(
+                        lambda lid=lease_id, u=uid, k=kind, v=value, d=duration, j=job,
+                        n=slots: self._report(lid, u, k, v, d, j, n))
+                    if reply is None:
                         return 0
+                    # A coordinator that predates report-borne leases sends none.
+                    lease = reply.get("lease")
+                    if slots and isinstance(lease, dict):
+                        leased = self._leased(lease)
                 # The board revokes a lease when its cell's timeout lapses.
                 # Ask at once, not at the next beat: if that settled the
                 # grid, the coordinator closes before the beat would come.

@@ -37,14 +37,16 @@ since the previous one, so workers still share each other's results.
 The shard protocol exchanges whole records between machines.
 :func:`read_cache_records` exports a directory (``/v1/cache/pull``).
 A :class:`CacheDirTail` hands a worker only the records its cells appended
-since its previous push, and a coordinator's :class:`CacheHub` appends
-pushed records whose key it has not seen, checked against an in-memory key
-index that is refreshed from appended bytes only.  All of these appends
-are best-effort :class:`~repro.utils.jsonl.JsonlLog` writes.
+since its previous delivery, and a coordinator's :class:`CacheHub` appends
+delivered records whose key it has not seen, checked against an in-memory
+key index that is refreshed from bytes other writers appended only.  All
+of these appends are best-effort :class:`~repro.utils.jsonl.JsonlLog`
+writes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -59,7 +61,7 @@ import repro.telemetry as telemetry
 from repro.hw.analytical import PerformanceEstimate
 from repro.hw.resource import ResourceVector
 from repro.search.cache import CacheStats, EvaluationCache, config_cache_key
-from repro.utils.jsonl import JsonlLog, JsonlTail, parse_lines
+from repro.utils.jsonl import Appended, JsonlLog, JsonlTail, parse_lines
 from repro.utils.logging import get_logger
 from repro.utils.serialization import to_jsonable
 
@@ -80,6 +82,7 @@ def coefficients_fingerprint(coefficients: "AnalyticalModelCoefficients") -> str
     return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
 
 
+@functools.lru_cache(maxsize=1024)  # hubs and compaction call it once per record
 def _sanitize(name: str) -> str:
     """Make ``name`` safe as a file-name stem."""
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name).strip("_") or "cache"
@@ -100,8 +103,9 @@ def _estimate_payload(estimate: PerformanceEstimate) -> dict:
 
 
 def _estimate_from_payload(payload) -> Optional[PerformanceEstimate]:
-    # Payloads also arrive from the wire (/v1/cache/push): any shape is
-    # possible, and a malformed one must be rejected, never raise.
+    # Payloads also arrive from the wire (a report's cache_records, or
+    # /v1/cache/push from older workers): any shape is possible, and a
+    # malformed one must be rejected, never raise.
     if not isinstance(payload, dict) or not isinstance(payload.get("resources", {}), dict):
         return None
     try:
@@ -637,6 +641,14 @@ class CacheDirTail:
             restarted = True
         return restarted, records
 
+    def skip_own(self, path: pathlib.Path, span: Appended) -> None:
+        """Never return the lines the owner appended to ``path`` as ``span``
+        (see :meth:`JsonlTail.skip_own`)."""
+        tail = self._tails.get(path.name)
+        if tail is None:
+            tail = self._tails[path.name] = JsonlTail(path)
+        tail.skip_own(span)
+
 
 class _ShardStore:
     """The records in one namespace prefix's shards, each line decoded once.
@@ -700,12 +712,14 @@ class CacheHub:
     """Merge point for wire cache records, deduplicated by an in-memory key index.
 
     The index is the directory's ``(namespace, key)`` set — keys only, never
-    estimates.  Each :meth:`merge` first folds in the bytes appended since
-    the previous one, so records other writers appended are still seen, and
-    rebuilds the index in full when a shard vanished, shrank or was
-    replaced (``cache gc``; compacting a live hub stays unsupported, see
-    :func:`compact_cache_dir`).  One lock serialises the refresh, the dedup
-    and the appends, so concurrent merges never write a key twice.
+    estimates.  A merge indexes the records it appends as it appends them,
+    and its tail skips those bytes, so the hub never reads its own lines
+    back.  Each :meth:`merge` first folds in whatever else was appended
+    since the previous one, by another writer to any shard (the hub's own
+    included), and rebuilds the index in full when a shard vanished, shrank
+    or was replaced (``cache gc``; compacting a live hub stays unsupported,
+    see :func:`compact_cache_dir`).  One lock serialises the refresh, the
+    dedup and the appends, so concurrent merges never write a key twice.
     """
 
     def __init__(self, directory) -> None:
@@ -758,12 +772,13 @@ class CacheHub:
             if fresh:
                 self.directory.mkdir(parents=True, exist_ok=True)
             for prefix, lines in fresh.items():
+                path = self.directory / f"{prefix}--{_sanitize(shard)}.jsonl"
                 # A log per merge: the next merge retries a disk that was full.
-                log = JsonlLog(self.directory / f"{prefix}--{_sanitize(shard)}.jsonl",
-                               best_effort=True)
-                log.write([line + "\n" for line in lines.values()])
-                if not log.failed:
+                span = JsonlLog(path, best_effort=True).write(
+                    [line + "\n" for line in lines.values()], locate=True)
+                if span is not None:
                     self._keys.update(lines)
+                    self._tail.skip_own(path, span)
                     accepted += len(lines)
         return accepted
 

@@ -5,6 +5,9 @@ rules kept here.  :class:`JsonlLog` is the only code that appends to a file,
 :func:`parse_lines` the only line decoder (a torn line decodes as ``None``),
 and :class:`JsonlTail` returns only the complete lines appended since its
 previous read, so status surfaces polling a growing file never re-read it.
+A writer that also tails the file hands the :class:`Appended` span a located
+write returns to :meth:`JsonlTail.skip_own`, so it never reads its own lines
+back.
 """
 
 from __future__ import annotations
@@ -13,13 +16,22 @@ import json
 import os
 import pathlib
 import threading
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
 
-__all__ = ["JsonlLog", "JsonlTail", "parse_lines"]
+__all__ = ["Appended", "JsonlLog", "JsonlTail", "parse_lines"]
+
+
+class Appended(NamedTuple):
+    """The bytes one :meth:`JsonlLog.write` appended: ``[start, end)`` of the
+    file whose ``(st_dev, st_ino)`` is ``identity``."""
+
+    identity: tuple[int, int]
+    start: int
+    end: int
 
 
 class JsonlLog:
@@ -42,12 +54,16 @@ class JsonlLog:
         self._fsync = self.path.name.startswith("_")
         self._lock = threading.Lock()
 
-    def write(self, lines: Sequence[str]) -> None:
-        """Append ``lines``, each ending in a newline, as one write."""
+    def write(self, lines: Sequence[str], *, locate: bool = False) -> Optional[Appended]:
+        """Append ``lines``, each ending in a newline, as one write.
+
+        With ``locate``, returns where they landed (two more system calls);
+        otherwise, or when a best-effort log dropped them, ``None``.
+        """
         data = "".join(lines).encode("utf-8")
         with self._lock:
             if self.failed:
-                return
+                return None
             try:
                 # repro: disable=lock-discipline -- this leaf lock exists to order appends to one file, so the open, write and fsync are what it serialises
                 with open(self.path, "a+b") as handle:
@@ -61,12 +77,18 @@ class JsonlLog:
                     if self._fsync:
                         # repro: disable=lock-discipline -- a sidecar line is durable only once fsynced, and the next append to the file must wait for it
                         os.fsync(handle.fileno())
+                    if locate:
+                        # An append lands at the end whatever tell() said before it.
+                        end = handle.tell()
+                        stat = os.fstat(handle.fileno())
+                        return Appended((stat.st_dev, stat.st_ino), end - len(data), end)
             except OSError as exc:
                 if not self.best_effort:
                     raise
                 self.failed = True
                 logger.warning("%s: append failed (%s); later writes to it are dropped",
                                self.path, exc)
+        return None
 
 
 def parse_lines(lines: Iterable[str]) -> Iterator[Optional[dict]]:
@@ -128,3 +150,15 @@ class JsonlTail:
         self._offset += complete
         self.torn = bool(chunk[complete:].strip())
         return restarted, chunk[:complete].decode("utf-8", errors="replace").splitlines()
+
+    def skip_own(self, span: Appended) -> bool:
+        """Count lines the owner appended itself (``span``) as read; True if it did.
+
+        Only when they come next in the file this tail follows: lines that
+        another writer appended before or after them are still returned by
+        the next :meth:`read`, and so are the owner's own when they are not.
+        """
+        if self._offset != span.start or self._identity not in (None, span.identity):
+            return False
+        self._identity, self._offset = span.identity, span.end
+        return True

@@ -82,6 +82,21 @@ class TestDNNConfigValidation:
         assert relu8.feature_bits == 10
         assert relu.feature_bits == 16
 
+    def test_feature_bits_read_the_table_without_building_a_scheme(self, bundle13, tiny_task,
+                                                                  monkeypatch):
+        from repro.nn.quantization import QuantizationScheme, scheme_for_activation
+
+        built = []
+        monkeypatch.setattr(QuantizationScheme, "__post_init__", lambda self: built.append(self))
+        for activation in ("relu4", "RELU8", "relu"):
+            config = DNNConfig(bundle=bundle13, task=tiny_task, activation=activation)
+            assert config.feature_bits == scheme_for_activation(activation).feature_bits
+        assert len(built) == 3, "only the three scheme_for_activation calls build one"
+        swish = DNNConfig(bundle=bundle13, task=tiny_task, activation="swish")
+        for lookup in (lambda: swish.feature_bits, lambda: scheme_for_activation("swish")):
+            with pytest.raises(KeyError, match="No quantization mapping for activation 'swish'"):
+                lookup()
+
     def test_with_updates_returns_new_config(self, tiny_config):
         updated = tiny_config.with_updates(num_repetitions=3,
                                            channel_expansion=(1.5, 1.5, 1.5),
@@ -342,3 +357,23 @@ class TestInterning:
             assert clone == fresh and hash(clone) == hash(fresh) and len({clone, fresh}) == 1
             assert set(clone.__dict__) <= set(_fields(fresh)) | {"_cache_key"}
             assert config_cache_key(clone) == config_cache_key(dataclasses.replace(fresh))
+
+    def test_a_pickled_bundle_hashes_like_a_fresh_one(self):
+        # Hashed (so its memo is set) under two other hash salts, then loaded here.
+        script = (
+            "import pickle, sys\n"
+            "from repro.core.bundle_generation import get_bundle\n"
+            "bundle = get_bundle(13)\n"
+            "hash(bundle), bundle.signature\n"
+            "sys.stdout.buffer.write(pickle.dumps(bundle))\n"
+        )
+        fresh = dataclasses.replace(get_bundle(13))
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 timeout=120.0)
+            assert run.returncode == 0, run.stderr.decode()
+            clone = pickle.loads(run.stdout)
+            assert clone == fresh and hash(clone) == hash(fresh) and len({clone, fresh}) == 1
+            assert clone.signature == fresh.signature

@@ -333,6 +333,30 @@ class TestServiceLifecycle:
         finally:
             service.stop()
 
+    def test_stop_answers_a_parked_worker_done(self, tmp_path, caplog):
+        service = ServiceCoordinator(tmp_path / "root")
+        service.start()
+        parked = threading.Event()
+        handle_lease = service.handle_lease
+        service.handle_lease = lambda payload: parked.set() or handle_lease(payload)
+        # No idle timeout: only "done" ends this worker's long poll.
+        worker = ShardWorker(service.url, cache_dir=str(tmp_path / "wcache"))
+        exited: list[tuple[int, float]] = []
+        thread = threading.Thread(
+            target=lambda: exited.append((worker.run(), time.monotonic())), daemon=True)
+        try:
+            with caplog.at_level(logging.DEBUG):
+                thread.start()
+                assert parked.wait(timeout=30)
+                stopped = time.monotonic()
+                service.stop()
+                thread.join(timeout=30)
+        finally:
+            service.stop()
+        assert [code for code, _ in exited] == [0]
+        assert exited[0][1] - stopped < 1.0
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
     def test_oversized_job_answers_400_and_journals_nothing(self, tmp_path):
         service = ServiceCoordinator(tmp_path / "root")
         service.start()
@@ -502,16 +526,26 @@ class TestFullDisk:
             return post_json(coordinator.url, "/v1/cache/push",
                              {"worker_id": "w1", "records": [cache_record(k) for k in keys]})
 
+        def report(*keys):
+            # No board holds the cell: the report is acknowledged, its records merged.
+            return post_json(coordinator.url, "/v1/report", {
+                "worker_id": worker, "lease_id": "l1", "uid": "u1", "status": "error",
+                "cache_records": [cache_record(k) for k in keys]})
+
         try:
+            worker = post_json(coordinator.url, "/v1/register", {"name": "w"})["worker_id"]
             disk_full("*--pushed.jsonl")
             with caplog.at_level(logging.WARNING, logger="repro.utils.jsonl"):
                 assert [push("a"), push("b")] == [{"accepted": 0, "enabled": True}] * 2
-            # One WARNING per refused push, never a 500.
-            assert len([r for r in caplog.records if r.name == "repro.utils.jsonl"]) == 2
+                assert report("b")["reason"] == "unknown-job"
+            # One WARNING per refused delivery, never a 500.
+            assert len([r for r in caplog.records if r.name == "repro.utils.jsonl"]) == 3
             assert read_cache_records(tmp_path / "hub") == []
             monkeypatch.undo()  # the disk has room again
             assert push("a", "c") == {"accepted": 2, "enabled": True}
-            assert sorted(r["key"] for r in read_cache_records(tmp_path / "hub")) == ["a", "c"]
+            report("c", "d")
+            assert sorted(r["key"] for r in read_cache_records(tmp_path / "hub")) == \
+                ["a", "c", "d"]
         finally:
             coordinator.close()
 
@@ -598,32 +632,38 @@ class TestCacheExchange:
                 return {"worker_id": "w1", "cache": True}
             if path == "/v1/cache/pull":
                 return {"records": [cache_record(f"hub-{i}") for i in range(3)]}
-            assert path == "/v1/cache/push"
+            assert path == "/v1/report"
             if refusals:
                 raise ShardProtocolError(refusals.pop())
-            pushes.append([record["key"] for record in payload["records"]])
-            return {"accepted": len(payload["records"]), "enabled": True}
+            pushes.append([record["key"] for record in payload.get("cache_records", [])])
+            return {"accepted": True, "reason": "settled", "done": False}
 
         cache_dir = tmp_path / "worker"
         worker = ShardWorker("127.0.0.1:9", cache_dir=str(cache_dir))
         monkeypatch.setattr(worker, "_post", post)
         worker._register()  # pulls the hub's three records into its cache
 
+        def report():
+            worker._report("l1", "u1", "error", "flaky", 0.0)
+
         append_shard(cache_dir, "cell-1", ["b", "a", "hub-0"])
-        worker._push_cache()
-        assert pushes[-1] == ["a", "b"]  # a pulled key is never pushed back
+        report()
+        assert pushes[-1] == ["a", "b"]  # a pulled key is never sent back
         reads.clear()
         append_shard(cache_dir, "cell-2", ["b", "c", "d"])
-        worker._push_cache()
+        report()
         assert reads == [("ns--cell-2.jsonl", 3)]
         assert pushes[-1] == ["c", "d"]
 
-        # A failed push keeps what it read for the next one.
+        # A failed report keeps what it read for the next one.
         append_shard(cache_dir, "cell-3", ["e"])
         refusals.append("connection refused")
-        worker._push_cache()
-        worker._push_cache()
+        with pytest.raises(ShardProtocolError):
+            report()
+        report()
         assert pushes[-1] == ["e"]
+        report()  # nothing new: no records ride on it
+        assert pushes[-1] == []
 
         # cache gc folds every shard into one rewritten file: it is re-read
         # from its start, and only the record appended meanwhile goes out.
@@ -631,10 +671,33 @@ class TestCacheExchange:
             append_shard(cache_dir, f"late-{fresh}", [fresh])
             compact_cache_dir(cache_dir)
             reads.clear()
-            worker._push_cache()
+            report()
             assert pushes[-1] == [fresh]
             assert reads == [("ns--main.jsonl", total)]
-        assert len(pushes) == 5
+        assert len(pushes) == 6
+
+    def test_a_report_carries_at_most_the_record_bound(self, tmp_path, monkeypatch):
+        import repro.shard.worker as shard_worker
+
+        monkeypatch.setattr(shard_worker, "MAX_REPORT_RECORDS", 2)
+        batches: list[list[str]] = []
+
+        def post(path, payload):
+            if path == "/v1/register":
+                return {"worker_id": "w1", "cache": True}
+            if path == "/v1/cache/pull":
+                return {"records": []}
+            batches.append([record["key"] for record in payload.get("cache_records", [])])
+            return {"accepted": True, "reason": "settled", "done": False}
+
+        cache_dir = tmp_path / "worker"
+        worker = ShardWorker("127.0.0.1:9", cache_dir=str(cache_dir))
+        monkeypatch.setattr(worker, "_post", post)
+        worker._register()
+        append_shard(cache_dir, "local", ["e", "d", "c", "b", "a"])
+        for _ in range(4):
+            worker._report("l1", "u1", "error", "flaky", 0.0)
+        assert batches == [["a", "b"], ["c", "d"], ["e"], []]
 
     def test_concurrent_pushes_write_each_record_once(self, tmp_path):
         hub = tmp_path / "hub"
@@ -697,6 +760,157 @@ class TestCacheExchange:
             coordinator.close()
         assert reply == {"accepted": 1, "enabled": True}
         assert shard_slots(tmp_path / "hub") == [("ns", "c")]
+
+
+    def test_hub_never_reads_its_own_lines_back(self, tmp_path, monkeypatch):
+        import repro.sweep.disk_cache as disk_cache
+
+        hub = tmp_path / "hub"
+        coordinator = LeaseCoordinator(cache_dir=hub)
+        reads: list[tuple[str, int]] = []
+        read = JsonlTail.read
+
+        def counting_read(tail):
+            restarted, lines = read(tail)
+            if lines:
+                reads.append((tail.path.name, len(lines)))
+            return restarted, lines
+
+        monkeypatch.setattr(JsonlTail, "read", counting_read)
+
+        def push(*keys) -> int:
+            reply = coordinator.handle_cache_push(
+                {"worker_id": "w1", "records": [cache_record(k) for k in keys]})
+            return reply["accepted"]
+
+        try:
+            assert push("a", "b") == 2
+            assert push("a", "c") == 1 and reads == []
+            # Other writers: one appends to the hub's own shard, one to another.
+            append_shard(hub, "pushed", ["d"])
+            append_shard(hub, "local", ["e"])
+            assert push("d", "e", "f") == 1
+            assert sorted(reads) == [("ns--local.jsonl", 1), ("ns--pushed.jsonl", 1)]
+            # A writer that appends between the hub's refresh and its write
+            # puts its line before the hub's: both are read on the next merge.
+            reads.clear()
+            real_log = disk_cache.JsonlLog
+
+            class RacedLog(real_log):
+                def write(self, lines, **kwargs):
+                    append_shard(hub, "pushed", ["g"])
+                    return super().write(lines, **kwargs)
+
+            monkeypatch.setattr(disk_cache, "JsonlLog", RacedLog)
+            assert push("h") == 1
+            monkeypatch.setattr(disk_cache, "JsonlLog", real_log)
+            assert push("g", "h") == 0
+            assert reads == [("ns--pushed.jsonl", 2)]
+        finally:
+            coordinator.close()
+        slots = shard_slots(hub)
+        assert sorted(slots) == [("ns", k) for k in "abcdefgh"]
+
+
+# ------------------------------------------------- one round trip per cell
+def _counting_posts(monkeypatch) -> list[tuple[str, dict, dict]]:
+    """Record every worker request as ``(path, payload, reply)``."""
+    import repro.shard.worker as shard_worker
+
+    calls: list[tuple[str, dict, dict]] = []  # list.append is atomic
+    real_post = shard_worker.post_json
+
+    def counting_post(base_url, path, payload, **kwargs):
+        reply = real_post(base_url, path, payload, **kwargs)
+        calls.append((path, payload, reply))
+        return reply
+
+    monkeypatch.setattr(shard_worker, "post_json", counting_post)
+    return calls
+
+
+class _PushingWorker(ShardWorker):
+    """A worker that predates report-borne records and leases: its reports
+    carry neither field, and it pushes its records through /v1/cache/push."""
+
+    def _post(self, path, payload):
+        if path != "/v1/report":
+            return super()._post(path, payload)
+        payload = dict(payload)
+        records = payload.pop("cache_records", None)
+        payload.pop("lease", None)
+        reply = super()._post(path, payload)
+        if records:
+            super()._post("/v1/cache/push", {"worker_id": self.worker_id, "records": records})
+        return reply
+
+
+class _IgnoringService(ServiceCoordinator):
+    """A coordinator that predates report-borne records and leases."""
+
+    def handle_report(self, payload):
+        return super().handle_report({key: value for key, value in payload.items()
+                                      if key not in ("cache_records", "lease")})
+
+
+class TestOneRoundTripPerCell:
+    SPEC = dict(strategies="scd,random,annealing")
+
+    def _drain(self, tmp_path, service_class=ServiceCoordinator,
+               worker_class=ShardWorker):
+        service = service_class(tmp_path / "root")
+        service.start()
+        try:
+            client = ServiceClient(service.url)
+            uid = client.submit(tiny_spec(**self.SPEC))["job"]
+            worker = worker_class(service.url, cache_dir=str(tmp_path / "wcache"),
+                                  idle_timeout_s=1.5)
+            assert worker.run() == 0
+            assert client.wait(uid, timeout_s=60, poll_s=0.05)["state"] == "done"
+        finally:
+            service.stop()
+        journals = journal_map(tmp_path / "root" / "jobs" / uid / CHECKPOINT_FILENAME)
+        assert journals == local_journal_map(tiny_spec(**self.SPEC), tmp_path)
+        return len(journals)
+
+    def test_a_serial_worker_reports_each_cell_once_and_leases_once(self, tmp_path,
+                                                                   monkeypatch):
+        calls = _counting_posts(monkeypatch)
+        cells = self._drain(tmp_path)
+        paths = [path for path, _, _ in calls]
+        assert cells == 3 and paths.count("/v1/report") == cells
+        assert "/v1/cache/push" not in paths
+        leases = [(payload, reply) for path, payload, reply in calls if path == "/v1/lease"]
+        # The first cell comes from a lease; every other /v1/lease is an idle poll.
+        assert [len(reply["cells"]) for _, reply in leases if reply["cells"]] == [1]
+        assert all(payload.get("wait_s", 0) > 0 for payload, _ in leases)
+        reports = [reply for path, _, reply in calls if path == "/v1/report"]
+        assert [len(reply["lease"]["cells"]) for reply in reports] == [1] * (cells - 1) + [0]
+        # The reports carried every record the cells appended, each held once.
+        hub_slots = shard_slots(tmp_path / "root" / "cache")
+        assert len(hub_slots) == len(set(hub_slots))
+        assert set(hub_slots) == set(shard_slots(tmp_path / "wcache"))
+
+    def test_a_worker_that_pushes_still_drains_its_job(self, tmp_path, monkeypatch):
+        calls = _counting_posts(monkeypatch)
+        cells = self._drain(tmp_path, worker_class=_PushingWorker)
+        paths = [path for path, _, _ in calls]
+        assert paths.count("/v1/report") == cells and "/v1/cache/push" in paths
+        assert all("lease" not in reply for path, _, reply in calls if path == "/v1/report")
+        assert len([path for path, _, reply in calls
+                    if path == "/v1/lease" and reply["cells"]]) == cells
+        assert set(shard_slots(tmp_path / "root" / "cache")) == \
+            set(shard_slots(tmp_path / "wcache"))
+
+    def test_a_coordinator_that_ignores_both_fields_still_drains_the_job(
+            self, tmp_path, monkeypatch):
+        calls = _counting_posts(monkeypatch)
+        cells = self._drain(tmp_path, service_class=_IgnoringService)
+        assert len([path for path, _, reply in calls
+                    if path == "/v1/lease" and reply["cells"]]) == cells
+        # The records stay on the worker; journals do not depend on them.
+        assert read_cache_records(tmp_path / "root" / "cache") == []
+        assert shard_slots(tmp_path / "wcache")
 
 
 # --------------------------------------------------------- status polling

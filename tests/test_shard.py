@@ -10,7 +10,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hw.device import get_device
@@ -534,6 +534,177 @@ class TestMalformedLeaseFields:
         assert get_json(url, "/v1/status")["version"] == 1, "the server survived"
 
 
+# ------------------------------------------------------------ handler fuzzing
+FUZZ_TOKEN = "fuzz-secret"
+
+#: Every route of both handler tables (the fuzzer adds unknown paths).
+LEASE_ROUTES = [("GET", "/v1/status"), ("GET", "/v1/metrics"),
+                ("POST", "/v1/register"), ("POST", "/v1/lease"), ("POST", "/v1/report"),
+                ("POST", "/v1/heartbeat"), ("POST", "/v1/cache/pull"),
+                ("POST", "/v1/cache/push")]
+SERVICE_ROUTES = LEASE_ROUTES + [("GET", "/v1/jobs"), ("POST", "/v1/jobs"),
+                                 ("GET", "/v1/jobs/{uid}"), ("GET", "/v1/jobs/{uid}/result"),
+                                 ("DELETE", "/v1/jobs/{uid}")]
+#: The message fields each POST route reads.
+ROUTE_FIELDS = {
+    "/v1/register": ["name", "version"],
+    "/v1/lease": ["worker_id", "slots", "known_preps", "wait_s"],
+    "/v1/report": ["worker_id", "lease_id", "uid", "status", "outcome", "error",
+                   "duration_s", "job", "cache_records", "lease"],
+    "/v1/heartbeat": ["worker_id", "lease_ids"],
+    "/v1/cache/pull": ["worker_id", "namespaces"],
+    "/v1/cache/push": ["worker_id", "records"],
+    "/v1/jobs": ["spec", "name"],
+}
+FUZZ_FIELDS = sorted({field for fields in ROUTE_FIELDS.values() for field in fields})
+#: Values of every JSON type, and numbers past the float range.
+ODD_VALUES = [None, True, -1, 10 ** 400, float("nan"), "", [], [None], {"slots": "x"}]
+
+_PATH_TEXT = st.text("abcdefghij0123456789-_./%", max_size=10)
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+           | st.sampled_from(ODD_VALUES))
+_JSON = st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(FUZZ_FIELDS) | st.text(max_size=6), children,
+                      max_size=3),
+    max_leaves=8,
+)
+_FIELDS = st.dictionaries(st.sampled_from(FUZZ_FIELDS) | st.text(max_size=6), _JSON,
+                          max_size=4)
+
+#: Well-formed estimator-cache records, in the wire (and on-disk) shape.
+_RECORDS = st.builds(
+    lambda key, namespace: {"namespace": namespace, "key": key, "ts": 1.0, "estimate": {
+        "latency_ms": 1.0, "resources": {"lut": 1.0, "ff": 2.0, "dsp": 3.0, "bram": 4.0}}},
+    st.text(max_size=6), st.sampled_from(["ns", "ns2"]))
+#: A report's optional fields: arbitrary JSON, or the right shape with fuzzed parts.
+_REPORT_EXTRAS = st.fixed_dictionaries({}, optional={
+    "lease": _JSON | st.fixed_dictionaries({}, optional={
+        "slots": _LEAVES, "known_preps": _JSON, "wait_s": _LEAVES}),
+    "cache_records": _JSON | st.lists(_RECORDS | _JSON, max_size=3),
+})
+
+
+@st.composite
+def _fuzz_request(draw, routes, report_base):
+    method, path = draw(st.sampled_from(routes) | st.tuples(
+        st.sampled_from(["GET", "POST", "DELETE"]), _PATH_TEXT.map(lambda t: "/" + t)))
+    path = path.replace("{uid}", draw(_PATH_TEXT.filter(lambda t: t and "/" not in t)))
+    if draw(st.booleans()):
+        # Fields a route needs, so fuzzed ones reach past "missing field".
+        body = {**report_base, **draw(_REPORT_EXTRAS), **draw(_FIELDS)}
+    else:
+        body = draw(_FIELDS | _JSON)
+    # An empty spec is a valid submission: it would start a real job.
+    if isinstance(body, dict) and body.get("spec") == {}:
+        body["spec"] = {"fps": "x"}
+    raw = draw(st.just(json.dumps(body).encode("utf-8")) | st.binary(max_size=12))
+    length = draw(st.sampled_from(["exact", "exact", "exact", "missing", "negative",
+                                   "junk", "oversized"]))
+    token = draw(st.sampled_from(["right", "right", "wrong", "absent"]))
+    return method, path, raw, length, token
+
+
+def _odd_field_requests(routes, base):
+    """Every POST route's fields, one at a time, holding each odd value: the
+    fuzzer's explicit examples, which random bodies reach too rarely."""
+    fields = [(path, {field: value}) for method, path in routes if method == "POST"
+              for field in ROUTE_FIELDS[path] for value in ODD_VALUES]
+    fields += [("/v1/report", {"lease": {field: value}})
+               for field in ("slots", "known_preps") for value in ODD_VALUES]
+    return [("POST", path, json.dumps({**base, **field}).encode("utf-8"), "exact", "right")
+            for path, field in fields]
+
+
+def _send(address, method, path, raw, length, token) -> int:
+    import http.client
+
+    from repro.shard.protocol import AUTH_HEADER, MAX_BODY_BYTES
+
+    connection = http.client.HTTPConnection(*address, timeout=20.0)
+    try:
+        connection.putrequest(method, path, skip_accept_encoding=True)
+        declared = {"exact": str(len(raw)), "negative": "-5", "junk": "12abc",
+                    "oversized": str(MAX_BODY_BYTES + 1), "missing": None}[length]
+        if declared is not None:
+            connection.putheader("Content-Length", declared)
+        if token != "absent":
+            connection.putheader(AUTH_HEADER, FUZZ_TOKEN if token == "right" else "nope")
+        connection.endheaders(raw)
+        response = connection.getresponse()
+        response.read()
+        return response.status
+    finally:
+        connection.close()
+
+
+def _hub_lines_are_records(hub) -> bool:
+    from repro.sweep.disk_cache import _record_estimate
+
+    lines = [line for path in hub.glob("*.jsonl")
+             for line in path.read_text(encoding="utf-8").splitlines()]
+    return all(_record_estimate(json.loads(line)) is not None for line in lines)
+
+
+@pytest.fixture(scope="class")
+def fuzz_surfaces(tmp_path_factory):
+    """Both handler tables, token-protected, with a leased cell to report on."""
+    from repro.service import ServiceCoordinator
+    from repro.shard import coordinator as coordinator_module
+
+    root = tmp_path_factory.mktemp("fuzz")
+    with pytest.MonkeyPatch.context() as patch:
+        # A stalled body answers 408 quickly, and a long poll parks briefly.
+        patch.setattr(coordinator_module._CoordinatorHandler, "timeout", 1.0)
+        patch.setattr(coordinator_module, "MAX_LEASE_WAIT_S", 0.05)
+        one_shot = LeaseCoordinator(token=FUZZ_TOKEN, cache_dir=root / "hub")
+        board = one_shot.attach(SweepRunner(build_grid("pynq-z1", "scd", [40.0], **TINY),
+                                            retries=1000),
+                                [0], {})
+        service = ServiceCoordinator(root / "service", token=FUZZ_TOKEN)
+        one_shot.start()
+        service.start()
+        try:
+            worker = post_json(one_shot.url, "/v1/register", {"name": "f"},
+                               token=FUZZ_TOKEN)["worker_id"]
+            cell = post_json(one_shot.url, "/v1/lease", {"worker_id": worker},
+                             token=FUZZ_TOKEN)["cells"][0]
+            report = {"worker_id": worker, "lease_id": cell["lease_id"], "uid": cell["uid"],
+                      "status": "error", "error": "fuzzed"}
+            yield {"coordinator": (one_shot, board, report),
+                   "service": (service, None, dict(report, worker_id="w9"))}
+        finally:
+            one_shot.close()
+            service.stop()
+
+
+class TestHandlerFuzz:
+    """Arbitrary requests against both handler tables: a 2xx or a 4xx, never
+    a 500 or a hang, and the server keeps answering."""
+
+    @pytest.mark.parametrize("kind", ["coordinator", "service"])
+    def test_every_request_gets_a_2xx_or_a_4xx(self, fuzz_surfaces, kind):
+        surface, board, report = fuzz_surfaces[kind]
+        routes = LEASE_ROUTES if kind == "coordinator" else SERVICE_ROUTES
+        hub = surface.cache_dir
+
+        @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+        @given(request=_fuzz_request(routes, report))
+        def fuzz(request):
+            before = (board.counts(), board.metrics_counts()) if board is not None else None
+            status = _send(surface.address, *request)
+            assert 200 <= status < 500, request
+            if status >= 400 and board is not None:
+                assert (board.counts(), board.metrics_counts()) == before, request
+            assert _hub_lines_are_records(hub)
+            assert get_json(surface.url, "/v1/status")["version"] == 1
+
+        for request in _odd_field_requests(routes, report):
+            fuzz = example(request=request)(fuzz)
+        fuzz()
+
+
 class TestCoordinatorHTTP:
     def test_protocol_round_trip_over_real_sockets(self):
         tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
@@ -920,9 +1091,9 @@ class TestDistributedSweep:
         assert "timeout kills: 1" in report.render()
 
     def test_lease_loop_round_trips_per_cell(self, monkeypatch):
-        """Folding the serial and pooled loops into one adds no round trips:
-        a serial worker leases and reports each cell once, a pooled one
-        reports each cell once."""
+        """One round trip per settled cell: each report brings back the next
+        lease, so a serial worker leases through ``/v1/lease`` only for its
+        first cell (the last report hears "done"); both report each cell once."""
         import repro.shard.worker as shard_worker
 
         tasks = build_grid("pynq-z1", "scd,random,annealing", [40.0, 60.0], **TINY)
@@ -942,7 +1113,7 @@ class TestDistributedSweep:
             assert codes == [0] and result.ok and len(result) == len(tasks)
             assert paths.count("/v1/report") == len(tasks)
             if worker_workers == 1:
-                assert paths.count("/v1/lease") == len(tasks)
+                assert paths.count("/v1/lease") == 1
 
     def test_a_failed_checkpoint_append_stops_the_grid(self, tmp_path, disk_full):
         """The first report the checkpoint cannot take answers 500 and ends the
