@@ -118,6 +118,8 @@ class DNNConfig:
             raise ValueError("channel counts must be positive")
         if self.parallel_factor <= 0:
             raise ValueError("parallel_factor must be positive")
+        if not 1 <= self.weight_bits <= 32:
+            raise ValueError("weight_bits must be in [1, 32]")
         expansion = self.channel_expansion or tuple([1.5] * self.num_repetitions)
         downsample = self.downsample or tuple(
             1 if i < min(self.num_repetitions, 4) else 0 for i in range(self.num_repetitions)

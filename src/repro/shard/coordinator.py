@@ -573,7 +573,8 @@ class LeaseCoordinator:
         ``lease`` (``slots``, ``known_preps``) asks for the worker's next
         cells: the reply's ``lease`` is then a ``/v1/lease`` reply, leased
         after the report settled and never parked.  Every field is checked
-        before anything happens, so a 4xx settles, merges and leases nothing.
+        before anything happens, so a 4xx settles, merges and leases nothing;
+        a merge that fails is logged, and the report still settles.
         """
         worker_id, lease_id, uid, kwargs = parse_report(payload)
         lease = payload.get("lease")
@@ -585,7 +586,11 @@ class LeaseCoordinator:
             raise ShardProtocolError("message field 'cache_records' must be a list")
         self.workers.touch(worker_id)
         if records:
-            self._merge_cache(records)
+            try:
+                self._merge_cache(records)
+            except Exception:  # noqa: BLE001 - the cache is an optimisation: settle regardless
+                logger.exception("shard: dropped %d cache record(s) reported by %s",
+                                 len(records), worker_id)
         job = payload.get("job")
         if isinstance(job, str) and job:
             board = self.board(job)

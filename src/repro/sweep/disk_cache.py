@@ -46,9 +46,11 @@ writes.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
+import math
 import os
 import pathlib
 import re
@@ -105,12 +107,14 @@ def _estimate_payload(estimate: PerformanceEstimate) -> dict:
 def _estimate_from_payload(payload) -> Optional[PerformanceEstimate]:
     # Payloads also arrive from the wire (a report's cache_records, or
     # /v1/cache/push from older workers): any shape is possible, and a
-    # malformed one must be rejected, never raise.
+    # malformed one must be rejected, never raise.  An integer past the
+    # float range, or a NaN or infinity, is malformed too: no estimator
+    # produces one.
     if not isinstance(payload, dict) or not isinstance(payload.get("resources", {}), dict):
         return None
     try:
         resources = payload.get("resources", {})
-        return PerformanceEstimate(
+        estimate = PerformanceEstimate(
             latency_ms=float(payload["latency_ms"]),
             resources=ResourceVector(
                 lut=float(resources.get("lut", 0.0)),
@@ -121,8 +125,22 @@ def _estimate_from_payload(payload) -> Optional[PerformanceEstimate]:
             compute_ms=float(payload.get("compute_ms", 0.0)),
             data_movement_ms=float(payload.get("data_movement_ms", 0.0)),
         )
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         return None
+    resources = estimate.resources
+    numbers = (estimate.latency_ms, estimate.compute_ms, estimate.data_movement_ms,
+               resources.lut, resources.ff, resources.dsp, resources.bram)
+    return estimate if all(map(math.isfinite, numbers)) else None
+
+
+def _record_ts(ts) -> float:
+    """A wire record's ``ts`` as stored: 0.0 ("oldest") unless a finite number,
+    never this machine's wall clock."""
+    try:
+        ts = float(ts) if isinstance(ts, (int, float)) else 0.0
+    except OverflowError:  # an integer past the float range
+        return 0.0
+    return round(ts, 3) if math.isfinite(ts) else 0.0
 
 
 class DiskEvaluationCache(EvaluationCache):
@@ -745,22 +763,19 @@ class CacheHub:
         files in the exact on-disk format, so a
         :class:`DiskEvaluationCache` opened on the directory picks them up as
         ordinary shards.  Appends are best-effort: a file that cannot take
-        its records (a full disk) logs a WARNING, and they are neither
-        indexed nor counted.
+        its records (a full disk, a directory that cannot be made) logs a
+        WARNING, and they are neither indexed nor counted.
         """
         candidates: list[tuple[tuple[str, str], str]] = []
         for record in records:
             estimate = _record_estimate(record)
             if estimate is None:
                 continue
-            ts = record.get("ts")
             candidates.append(((record["namespace"], record["key"]), json.dumps({
                 "namespace": record["namespace"],
                 "key": record["key"],
                 "estimate": _estimate_payload(estimate),
-                # Keep the producer's timestamp; a missing one falls back to
-                # 0.0 ("oldest"), never to this machine's wall clock.
-                "ts": round(float(ts), 3) if isinstance(ts, (int, float)) else 0.0,
+                "ts": _record_ts(record.get("ts")),
             }, sort_keys=True)))
         accepted = 0
         with self._lock:
@@ -770,12 +785,15 @@ class CacheHub:
                 if slot not in self._keys:
                     fresh.setdefault(_sanitize(slot[0]), {}).setdefault(slot, line)
             if fresh:
-                self.directory.mkdir(parents=True, exist_ok=True)
+                # A directory that cannot be made fails each append below,
+                # which warns.
+                with contextlib.suppress(OSError):
+                    self.directory.mkdir(parents=True, exist_ok=True)
             for prefix, lines in fresh.items():
                 path = self.directory / f"{prefix}--{_sanitize(shard)}.jsonl"
                 # A log per merge: the next merge retries a disk that was full.
                 span = JsonlLog(path, best_effort=True).write(
-                    [line + "\n" for line in lines.values()], locate=True)
+                    [line + "\n" for line in lines.values()])
                 if span is not None:
                     self._keys.update(lines)
                     self._tail.skip_own(path, span)

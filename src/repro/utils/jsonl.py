@@ -5,7 +5,7 @@ rules kept here.  :class:`JsonlLog` is the only code that appends to a file,
 :func:`parse_lines` the only line decoder (a torn line decodes as ``None``),
 and :class:`JsonlTail` returns only the complete lines appended since its
 previous read, so status surfaces polling a growing file never re-read it.
-A writer that also tails the file hands the :class:`Appended` span a located
+A writer that also tails the file hands the :class:`Appended` span each
 write returns to :meth:`JsonlTail.skip_own`, so it never reads its own lines
 back.
 """
@@ -54,11 +54,11 @@ class JsonlLog:
         self._fsync = self.path.name.startswith("_")
         self._lock = threading.Lock()
 
-    def write(self, lines: Sequence[str], *, locate: bool = False) -> Optional[Appended]:
+    def write(self, lines: Sequence[str]) -> Optional[Appended]:
         """Append ``lines``, each ending in a newline, as one write.
 
-        With ``locate``, returns where they landed (two more system calls);
-        otherwise, or when a best-effort log dropped them, ``None``.
+        Returns where they landed, or ``None`` when a best-effort log
+        dropped them.
         """
         data = "".join(lines).encode("utf-8")
         with self._lock:
@@ -77,11 +77,10 @@ class JsonlLog:
                     if self._fsync:
                         # repro: disable=lock-discipline -- a sidecar line is durable only once fsynced, and the next append to the file must wait for it
                         os.fsync(handle.fileno())
-                    if locate:
-                        # An append lands at the end whatever tell() said before it.
-                        end = handle.tell()
-                        stat = os.fstat(handle.fileno())
-                        return Appended((stat.st_dev, stat.st_ino), end - len(data), end)
+                    # An append lands at the end whatever tell() said before it.
+                    end = handle.tell()
+                    stat = os.fstat(handle.fileno())
+                    return Appended((stat.st_dev, stat.st_ino), end - len(data), end)
             except OSError as exc:
                 if not self.best_effort:
                     raise

@@ -53,6 +53,11 @@ class TestDNNConfigValidation:
         with pytest.raises(ValueError):
             DNNConfig(bundle=bundle13, task=tiny_task, num_repetitions=0)
 
+    @pytest.mark.parametrize("weight_bits", [0, 33])
+    def test_weight_bits_out_of_range_rejected(self, bundle13, tiny_task, weight_bits):
+        with pytest.raises(ValueError, match=r"weight_bits must be in \[1, 32\]"):
+            DNNConfig(bundle=bundle13, task=tiny_task, weight_bits=weight_bits)
+
     def test_nan_expansion_factor_rejected(self, bundle13, tiny_task):
         with pytest.raises(ValueError, match="must be positive"):
             DNNConfig(bundle=bundle13, task=tiny_task, num_repetitions=2,

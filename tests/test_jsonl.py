@@ -79,14 +79,14 @@ class TestSkipOwn:
     def test_a_writer_never_reads_its_own_lines_back(self, tmp_path):
         path = tmp_path / "ns--pushed.jsonl"
         log, tail = JsonlLog(path, best_effort=True), JsonlTail(path)
-        assert tail.skip_own(log.write(['{"n":1}\n', '{"n":2}\n'], locate=True))  # a new file
+        assert tail.skip_own(log.write(['{"n":1}\n', '{"n":2}\n']))  # a new file
         assert tail.read() == (False, [])
         with open(path, "ab") as handle:  # another writer, after the tail's offset
             handle.write(b'{"n":3}\n')
-        span = log.write(['{"n":4}\n'], locate=True)
+        span = log.write(['{"n":4}\n'])
         assert not tail.skip_own(span), "another writer's line comes first"
         assert tail.read() == (False, ['{"n":3}', '{"n":4}'])
-        assert tail.skip_own(log.write(['{"n":5}\n'], locate=True))
+        assert tail.skip_own(log.write(['{"n":5}\n']))
         with open(path, "ab") as handle:  # another writer, after the owner's line
             handle.write(b'{"n":6}\n')
         assert tail.read() == (False, ['{"n":6}'])
@@ -94,19 +94,19 @@ class TestSkipOwn:
     def test_a_replaced_file_is_read_afresh(self, tmp_path):
         path = tmp_path / "ns--pushed.jsonl"
         log, tail = JsonlLog(path, best_effort=True), JsonlTail(path)
-        span = log.write(['{"n":1}\n'], locate=True)
+        span = log.write(['{"n":1}\n'])
         assert tail.read() == (False, ['{"n":1}'])
         assert not tail.skip_own(span), "already read"
         replacement = tmp_path / "tmp"
         replacement.write_text('{"n":1}\n', encoding="utf-8")
         replacement.replace(path)  # a new inode, as cache gc leaves it
-        assert not tail.skip_own(log.write(['{"n":2}\n'], locate=True))
+        assert not tail.skip_own(log.write(['{"n":2}\n']))
         assert tail.read() == (True, ['{"n":1}', '{"n":2}'])
 
     def test_a_dropped_write_returns_no_span(self, tmp_path, disk_full):
         log = JsonlLog(tmp_path / "ns--main.jsonl", best_effort=True)
         disk_full("*--*.jsonl")
-        assert log.write(['{"n":1}\n'], locate=True) is None and log.failed
+        assert log.write(['{"n":1}\n']) is None and log.failed
 
 
 def test_parse_lines_skips_blanks_and_marks_torn_and_non_object_lines():

@@ -754,12 +754,61 @@ class TestCacheExchange:
             bad_estimate = dict(cache_record("a"), estimate=[1.0])
             bad_resources = cache_record("b")
             bad_resources["estimate"] = dict(bad_resources["estimate"], resources=5)
+            # Numbers past the float range, NaN and infinity are malformed too.
+            odd_numbers = []
+            for index, value in enumerate([10 ** 400, float("nan"), float("inf")]):
+                latency, lut = cache_record(f"l{index}"), cache_record(f"r{index}")
+                latency["estimate"] = dict(latency["estimate"], latency_ms=value)
+                lut["estimate"] = dict(lut["estimate"], resources={"lut": value})
+                odd_numbers += [latency, lut]
             reply = coordinator.handle_cache_push({"worker_id": "w1", "records": [
-                bad_estimate, bad_resources, "not-a-record", cache_record("c")]})
+                bad_estimate, bad_resources, "not-a-record", *odd_numbers, cache_record("c"),
+                # A timestamp that is not a finite number reads as a missing one.
+                cache_record("t1", ts=10 ** 400), cache_record("t2", ts=float("nan"))]})
         finally:
             coordinator.close()
-        assert reply == {"accepted": 1, "enabled": True}
-        assert shard_slots(tmp_path / "hub") == [("ns", "c")]
+        assert reply == {"accepted": 3, "enabled": True}
+        assert shard_slots(tmp_path / "hub") == [("ns", "c"), ("ns", "t1"), ("ns", "t2")]
+        assert [record["ts"] for record in read_cache_records(tmp_path / "hub")] == \
+            [1.0, 0.0, 0.0]
+
+    def test_a_failing_merge_still_settles_the_report(self, tmp_path, monkeypatch, caplog):
+        """A cache fault drops the report's records, never the report: the
+        worker drains its job and exits 0."""
+        from repro.sweep.disk_cache import CacheHub
+
+        def failing_merge(hub, records, **kwargs):
+            raise RuntimeError("injected hub fault")
+
+        monkeypatch.setattr(CacheHub, "merge", failing_merge)
+        service = ServiceCoordinator(tmp_path / "root")
+        service.start()
+        try:
+            client = ServiceClient(service.url)
+            uid = client.submit(tiny_spec())["job"]
+            with caplog.at_level(logging.ERROR, logger="repro.shard.coordinator"):
+                assert run_worker(service.url, tmp_path / "wcache") == 0
+            assert client.wait(uid, timeout_s=60, poll_s=0.05)["state"] == "done"
+        finally:
+            service.stop()
+        assert any("injected hub fault" in str(record.exc_info[1])
+                   for record in caplog.records if record.exc_info)
+        assert read_cache_records(tmp_path / "root" / "cache") == []
+
+    def test_a_hub_whose_directory_cannot_be_made_refuses_with_a_warning(self, tmp_path,
+                                                                        caplog):
+        hub = tmp_path / "hub"
+        hub.write_text("a file where the directory should be", encoding="utf-8")
+        coordinator = LeaseCoordinator(cache_dir=hub)
+        coordinator.start()
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.utils.jsonl"):
+                reply = post_json(coordinator.url, "/v1/cache/push",
+                                  {"worker_id": "w1", "records": [cache_record("a")]})
+            assert reply == {"accepted": 0, "enabled": True}
+            assert len([r for r in caplog.records if r.name == "repro.utils.jsonl"]) == 1
+        finally:
+            coordinator.close()
 
 
     def test_hub_never_reads_its_own_lines_back(self, tmp_path, monkeypatch):
@@ -797,9 +846,9 @@ class TestCacheExchange:
             real_log = disk_cache.JsonlLog
 
             class RacedLog(real_log):
-                def write(self, lines, **kwargs):
+                def write(self, lines):
                     append_shard(hub, "pushed", ["g"])
-                    return super().write(lines, **kwargs)
+                    return super().write(lines)
 
             monkeypatch.setattr(disk_cache, "JsonlLog", RacedLog)
             assert push("h") == 1

@@ -613,6 +613,13 @@ def _odd_field_requests(routes, base):
               for field in ROUTE_FIELDS[path] for value in ODD_VALUES]
     fields += [("/v1/report", {"lease": {field: value}})
                for field in ("slots", "known_preps") for value in ODD_VALUES]
+    # Records whose timestamp or estimate numbers hold each odd value.
+    record = {"namespace": "ns", "key": "odd", "ts": 1.0, "estimate": {"latency_ms": 1.0}}
+    odd_records = [dict(record, ts=value) for value in ODD_VALUES] + [
+        dict(record, estimate=estimate) for value in ODD_VALUES
+        for estimate in ({"latency_ms": value}, {"latency_ms": 1.0, "resources": {"lut": value}})]
+    fields += [(path, {field: [odd]}) for odd in odd_records
+               for path, field in (("/v1/report", "cache_records"), ("/v1/cache/push", "records"))]
     return [("POST", path, json.dumps({**base, **field}).encode("utf-8"), "exact", "right")
             for path, field in fields]
 
