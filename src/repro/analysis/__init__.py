@@ -30,7 +30,6 @@ from repro.analysis.core import (
     LintReport,
     ModuleContext,
     all_checkers,
-    available_rules,
     iter_python_files,
     lint_file,
     lint_paths,
@@ -44,7 +43,6 @@ __all__ = [
     "LintReport",
     "ModuleContext",
     "all_checkers",
-    "available_rules",
     "iter_python_files",
     "lint_file",
     "lint_paths",

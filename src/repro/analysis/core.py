@@ -26,7 +26,7 @@ import ast
 import pathlib
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from repro.utils.logging import get_logger
 
@@ -211,10 +211,6 @@ def is_compare_to_none(node: ast.AST) -> Optional[tuple[str, bool]]:
     return None
 
 
-def contains(root: ast.AST, target: ast.AST) -> bool:
-    return any(node is target for node in ast.walk(root))
-
-
 # ------------------------------------------------------------------ checkers
 class Checker:
     """Base class: one rule, one contract, one ``run`` pass per module."""
@@ -251,10 +247,6 @@ def all_checkers() -> dict[str, Checker]:
     """The registered checkers, importing the built-ins on first use."""
     import repro.analysis.checkers  # noqa: F401 - registration side effect
     return dict(_REGISTRY)
-
-
-def available_rules() -> list[str]:
-    return sorted(all_checkers())
 
 
 # -------------------------------------------------------------------- runner

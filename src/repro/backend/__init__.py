@@ -15,8 +15,6 @@ from repro.backend.base import (
     backend_name_for,
     get_backend,
     infer_backend,
-    list_backends,
-    parse_target,
     register_backend,
     resolve_targets,
 )
@@ -37,8 +35,6 @@ __all__ = [
     "backend_name_for",
     "get_backend",
     "infer_backend",
-    "list_backends",
-    "parse_target",
     "register_backend",
     "resolve_targets",
 ]

@@ -179,11 +179,6 @@ def get_backend(name: str) -> Backend:
         ) from None
 
 
-def list_backends() -> list[Backend]:
-    """All registered backends, in registration order."""
-    return list(_BACKENDS.values())
-
-
 def backend_catalog() -> str:
     """Human-readable listing of every backend and its devices."""
     parts = [
@@ -197,23 +192,6 @@ DEFAULT_BACKEND = "fpga"
 
 
 # ------------------------------------------------------------------ target specs
-def parse_target(spec: str) -> ResolvedTarget:
-    """Parse one ``backend:device`` (or bare-device) spec token."""
-    token = spec.strip()
-    if not token:
-        raise ValueError(f"Empty target spec in {spec!r}. {backend_catalog()}")
-    if ":" in token:
-        prefix, _, device_name = token.partition(":")
-        backend = _BACKENDS.get(prefix.strip().lower())
-        if backend is None:
-            raise ValueError(
-                f"Unknown backend '{prefix.strip()}' in target '{token}'. {backend_catalog()}"
-            )
-        return ResolvedTarget(backend, backend.resolve_device(device_name.strip()))
-    backend = get_backend(DEFAULT_BACKEND)
-    return ResolvedTarget(backend, backend.resolve_device(token))
-
-
 def resolve_targets(spec: Union[str, Iterable[str]]) -> list[ResolvedTarget]:
     """Resolve a target spec (comma string or sequence) to unique targets.
 

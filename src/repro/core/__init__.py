@@ -16,7 +16,6 @@ Components (Sec. 3.2 of the paper):
 * the overall three-step co-design flow (:mod:`repro.core.codesign`).
 """
 
-from repro.core.design_space import CoDesignSpace, DesignPoint
 from repro.core.bundle import Bundle, LayerSpec
 from repro.core.bundle_generation import default_bundle_catalog, generate_bundles
 from repro.core.dnn_config import DNNConfig
@@ -32,8 +31,6 @@ from repro.core.auto_dnn import AutoDNN, DNNCandidate
 from repro.core.codesign import CoDesignFlow, CoDesignInputs, CoDesignResult
 
 __all__ = [
-    "CoDesignSpace",
-    "DesignPoint",
     "Bundle",
     "LayerSpec",
     "default_bundle_catalog",

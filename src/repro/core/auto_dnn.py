@@ -18,7 +18,7 @@ each selected bundle it
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.auto_hls import AutoHLS, AutoHLSResult

@@ -11,9 +11,8 @@ spots reserved between IPs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
 
 #: Computational layer kinds a bundle may contain.
 _COMPUTE_KINDS = ("conv", "dwconv")
@@ -134,20 +133,6 @@ class Bundle:
         the key used by the surrogate accuracy model and by reports.
         """
         return "+".join(l.ip_key for l in self.compute_layers)
-
-    @property
-    def ip_keys(self) -> list[str]:
-        """Distinct IP templates required to implement the bundle."""
-        keys: list[str] = []
-        for layer in self.layers:
-            if layer.ip_key not in keys:
-                keys.append(layer.ip_key)
-        return keys
-
-    @property
-    def can_expand_channels(self) -> bool:
-        """True when the bundle contains a channel-expanding convolution."""
-        return any(l.kind == "conv" for l in self.layers)
 
     @property
     def display_name(self) -> str:

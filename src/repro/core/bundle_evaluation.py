@@ -17,7 +17,7 @@ the selected bundles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import repro.telemetry as telemetry

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.core.bundle import Bundle
 

@@ -20,14 +20,13 @@ FPGA accelerators, i.e. generated HLS C code plus synthesis reports).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.backend import Backend, infer_backend
 from repro.core.auto_dnn import AutoDNN, DNNCandidate
-from repro.core.auto_hls import AutoHLS
 from repro.core.bundle import Bundle
-from repro.core.bundle_evaluation import BundleEvaluation, BundleEvaluator, FineGrainedEvaluation
+from repro.core.bundle_evaluation import BundleEvaluation, FineGrainedEvaluation
 from repro.core.bundle_generation import default_bundle_catalog
 from repro.core.constraints import LatencyTarget, ResourceConstraint
 from repro.detection.accuracy_model import AccuracyModel, SurrogateAccuracyModel
@@ -77,11 +76,6 @@ class CoDesignResult:
     selected_bundles: list[Bundle]
     candidates: list[DNNCandidate]
     best_per_target: dict[LatencyTarget, Optional[DNNCandidate]]
-
-    @property
-    def final_designs(self) -> list[DNNCandidate]:
-        """The best candidate per latency target (DNN1-3 of the paper)."""
-        return [c for c in self.best_per_target.values() if c is not None]
 
     def summary(self) -> str:
         """Readable multi-line summary of the flow outcome."""

@@ -8,8 +8,6 @@ dataset is not redistributable, so this package provides:
 * :mod:`repro.detection.dataset` — a synthetic single-object dataset
   generator exercising the same input/label format and metric,
 * :mod:`repro.detection.metrics` — IoU computation,
-* :mod:`repro.detection.proxy_trainer` — short proxy-training runs used by
-  bundle evaluation (the paper trains 20 epochs per candidate),
 * :mod:`repro.detection.accuracy_model` — a calibrated surrogate accuracy
   predictor used for full-scale searches where training every candidate
   end-to-end would be prohibitively slow.
@@ -18,7 +16,6 @@ dataset is not redistributable, so this package provides:
 from repro.detection.dataset import DetectionSample, SyntheticDetectionDataset
 from repro.detection.metrics import box_iou, mean_iou
 from repro.detection.task import DetectionTask, DAC_SDC_TASK
-from repro.detection.proxy_trainer import ProxyTrainer, ProxyTrainingResult
 from repro.detection.accuracy_model import AccuracyModel, SurrogateAccuracyModel
 
 __all__ = [
@@ -28,8 +25,6 @@ __all__ = [
     "mean_iou",
     "DetectionTask",
     "DAC_SDC_TASK",
-    "ProxyTrainer",
-    "ProxyTrainingResult",
     "AccuracyModel",
     "SurrogateAccuracyModel",
 ]

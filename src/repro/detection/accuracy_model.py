@@ -6,9 +6,8 @@ afford full training during search: the paper uses short proxy training (20
 epochs) for bundle evaluation and full training only for the final
 candidates.  We mirror this with two accuracy sources:
 
-* :class:`repro.detection.proxy_trainer.ProxyTrainer` — actual training of
-  the numpy model on synthetic data (used by tests, examples, and
-  small-scale flows), and
+* :class:`repro.nn.Trainer` — actual training of the numpy model on
+  synthetic data (used by the train-and-deploy example), and
 * :class:`SurrogateAccuracyModel` (this module) — an analytical IoU
   predictor calibrated to the paper's reported numbers (Figs. 4-6, Table 2),
   used by the full-scale experiment drivers.
@@ -33,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.utils.rng import ensure_rng
 
@@ -256,14 +254,3 @@ class SurrogateAccuracyModel(AccuracyModel):
         )
         value += self._jitter(features)
         return float(min(max(value, 0.0), 1.0))
-
-
-def blend(
-    surrogate: float, trained: Optional[float], trained_weight: float = 0.5
-) -> float:
-    """Blend surrogate and (optional) trained accuracy estimates."""
-    if trained is None or math.isnan(trained):
-        return surrogate
-    if not 0.0 <= trained_weight <= 1.0:
-        raise ValueError("trained_weight must be in [0, 1]")
-    return (1.0 - trained_weight) * surrogate + trained_weight * trained

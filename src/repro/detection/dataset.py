@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.utils.rng import RNGLike, ensure_rng
+from repro.utils.rng import ensure_rng
 
 _SHAPES = ("rectangle", "ellipse", "cross")
 

@@ -52,17 +52,6 @@ class DetectionTask:
         _, h, w = self.input_shape
         return h * w
 
-    def scaled(self, height: int, width: int) -> "DetectionTask":
-        """Return a copy of the task at a different input resolution."""
-        c, _, _ = self.input_shape
-        return DetectionTask(
-            name=self.name,
-            input_shape=(c, height, width),
-            num_outputs=self.num_outputs,
-            dataset_size=self.dataset_size,
-            metric=self.metric,
-        )
-
 
 #: The DAC-SDC 2018 object-detection task used throughout the paper.
 #: Input frames are resized to 160x320 (the aspect ratio of the 360x640

@@ -16,7 +16,7 @@ quantifying beyond the paper's headline results:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.baselines.topdown import TopDownFlow

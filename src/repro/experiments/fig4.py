@@ -11,7 +11,7 @@ bundle selection — is checked explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.bundle import Bundle

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from repro.core.bundle import Bundle
 from repro.core.bundle_evaluation import BundleEvaluator, FineGrainedEvaluation
-from repro.core.bundle_generation import default_bundle_catalog, get_bundle
+from repro.core.bundle_generation import get_bundle
 from repro.detection.accuracy_model import AccuracyModel
 from repro.detection.task import DAC_SDC_TASK, DetectionTask
 from repro.experiments.reporting import ExperimentReport

@@ -21,9 +21,6 @@ class ExperimentReport:
     def add_kv(self, title: str, mapping: dict[str, object]) -> None:
         self.sections.append(render_kv(title, mapping))
 
-    def add_text(self, text: str) -> None:
-        self.sections.append(text)
-
     def render(self) -> str:
         """Full report as plain text."""
         bar = "=" * max(len(self.title), 20)

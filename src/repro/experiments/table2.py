@@ -14,7 +14,7 @@ training pipelines are outside the scope of this reproduction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.baselines.entries import ContestEntry, fpga_contest_entries, gpu_contest_entries

@@ -43,11 +43,6 @@ class GPUDevice:
         """Peak multiply-accumulate throughput (one MAC per core per cycle)."""
         return self.cuda_cores * self.clock_mhz * 1e6
 
-    @property
-    def peak_gflops(self) -> float:
-        """Peak single-precision GFLOPs (2 FLOPs per MAC)."""
-        return 2.0 * self.peak_macs_per_second / 1e9
-
     def validate_clock(self, clock_mhz: float) -> float:
         """GPU targets run at a fixed board clock; only that clock is valid.
 

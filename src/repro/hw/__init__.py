@@ -24,7 +24,7 @@ from repro.hw.resource import ResourceVector, ResourceUtilization
 from repro.hw.device import FPGADevice, PYNQ_Z1, ULTRA96, ZC706, get_device
 from repro.hw.ip import IPConfig, IPInstance, IPTemplate
 from repro.hw.ip_library import IPLibrary, default_ip_library
-from repro.hw.workload import LayerWorkload, NetworkWorkload, workload_from_model
+from repro.hw.workload import LayerWorkload, NetworkWorkload
 from repro.hw.tiling import TileConfig, choose_tile_config
 from repro.hw.tile_arch import TileArchAccelerator, BundleHardware
 from repro.hw.pipeline import TilePipelineSimulator, PipelineTrace
@@ -52,7 +52,6 @@ __all__ = [
     "default_ip_library",
     "LayerWorkload",
     "NetworkWorkload",
-    "workload_from_model",
     "TileConfig",
     "choose_tile_config",
     "TileArchAccelerator",

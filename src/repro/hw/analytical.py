@@ -18,10 +18,9 @@ The equations implemented here:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import repro.telemetry as telemetry
-from repro.hw.device import FPGADevice
 from repro.hw.memory import DRAMTrafficModel
 from repro.hw.resource import ResourceVector
 from repro.hw.tile_arch import CONTROL_OVERHEAD, BundleHardware, TileArchAccelerator

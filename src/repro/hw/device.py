@@ -69,10 +69,6 @@ class FPGADevice:
         """True when ``usage`` fits within ``margin`` of the device capacity."""
         return usage.fits_within(self.resources.scale(margin))
 
-    def bram_bits(self) -> float:
-        """Total on-chip BRAM capacity in bits (18Kb per block)."""
-        return self.resources.bram * 18 * 1024
-
     def validate_clock(self, clock_mhz: float) -> float:
         """Validate an accelerator clock against this device's range.
 

@@ -23,7 +23,7 @@ HLS-style line-buffered convolution engine:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.hw.resource import ResourceVector
 from repro.hw.workload import LayerWorkload
@@ -136,21 +136,13 @@ class IPInstance:
         fill = self.template.pipeline_depth * max(pipelined_calls, 1)
         return compute + fill
 
-    def cycles_for_layer_tile(self, layer: LayerWorkload, tile_pixels: int) -> float:
-        """Cycles to process one data tile (``tile_pixels`` output pixels) of a layer."""
-        out_pixels = layer.out_height * layer.out_width
-        if out_pixels <= 0:
-            return float(self.template.pipeline_depth)
-        frac = min(tile_pixels / out_pixels, 1.0)
-        return self.cycles_for(layer.macs * frac, pipelined_calls=1)
-
     def cycles_for_layer_share(self, layer: LayerWorkload, num_tiles: int) -> float:
         """Cycles for one of ``num_tiles`` equal shares of a layer's work.
 
-        Unlike :meth:`cycles_for_layer_tile`, the per-tile work is derived by
-        dividing the layer's total MACs by the tile count, so summing over
-        all tiles reproduces the layer's exact MAC count even when the tile
-        grid does not divide the feature map evenly.
+        The per-tile work is the layer's total MACs divided by the tile
+        count, so summing over all tiles reproduces the layer's exact MAC
+        count even when the tile grid does not divide the feature map
+        evenly.
         """
         share = layer.macs / max(num_tiles, 1)
         return self.cycles_for(share, pipelined_calls=1)

@@ -8,7 +8,7 @@ pooling, normalisation and activation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.hw.ip import IPTemplate
 from repro.hw.workload import LayerWorkload
@@ -40,10 +40,6 @@ class IPLibrary:
 
     def names(self) -> list[str]:
         return sorted(self.templates)
-
-    def compute_templates(self) -> list[IPTemplate]:
-        """Templates implementing multiply-accumulate layers (conv / dwconv)."""
-        return [t for t in self.templates.values() if t.kind in ("conv", "dwconv")]
 
     def template_for_layer(self, layer: LayerWorkload) -> IPTemplate:
         """Find the template that executes ``layer``; raises if none exists."""

@@ -15,7 +15,7 @@ schedule recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.hw.memory import DRAMTrafficModel, layer_tile_traffic_bytes
 from repro.hw.tile_arch import TileArchAccelerator
@@ -60,13 +60,6 @@ class PipelineTrace:
     @property
     def compute_cycles(self) -> float:
         return sum(t.compute_cycles for t in self.bundle_traces)
-
-    @property
-    def pipeline_efficiency(self) -> float:
-        """Ratio of pure compute cycles to total cycles (1.0 = perfectly hidden)."""
-        if self.total_cycles <= 0:
-            return 0.0
-        return min(self.compute_cycles / self.total_cycles, 1.0)
 
 
 class TilePipelineSimulator:

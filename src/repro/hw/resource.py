@@ -73,28 +73,10 @@ class ResourceVector:
             and self.bram <= budget.bram
         )
 
-    def dominates(self, other: "ResourceVector") -> bool:
-        """True when every component is <= the other's (uses fewer resources)."""
-        return other.fits_within(self)
-
-    def max_with(self, other: "ResourceVector") -> "ResourceVector":
-        """Component-wise maximum (used when IP instances are time-shared)."""
-        return ResourceVector(
-            lut=max(self.lut, other.lut),
-            ff=max(self.ff, other.ff),
-            dsp=max(self.dsp, other.dsp),
-            bram=max(self.bram, other.bram),
-        )
-
     # --------------------------------------------------------------- exports
     def as_dict(self) -> dict[str, float]:
         """Dictionary form (keys ``lut``, ``ff``, ``dsp``, ``bram``)."""
         return {"lut": self.lut, "ff": self.ff, "dsp": self.dsp, "bram": self.bram}
-
-    def total_weighted(self, weights: dict[str, float] | None = None) -> float:
-        """Weighted scalarisation used for resource-based grouping of bundles."""
-        weights = weights or {"lut": 1.0 / 53200, "ff": 1.0 / 106400, "dsp": 1.0 / 220, "bram": 1.0 / 280}
-        return sum(self.as_dict()[k] * w for k, w in weights.items())
 
     @staticmethod
     def zero() -> "ResourceVector":
@@ -114,10 +96,6 @@ class ResourceUtilization:
     def max_fraction(self) -> float:
         """The binding (largest) utilization fraction."""
         return max(self.lut, self.ff, self.dsp, self.bram)
-
-    def within_budget(self, limit: float = 1.0) -> bool:
-        """True if every fraction is at or below ``limit``."""
-        return self.max_fraction <= limit
 
     def as_dict(self) -> dict[str, float]:
         return {"lut": self.lut, "ff": self.ff, "dsp": self.dsp, "bram": self.bram}

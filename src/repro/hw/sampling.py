@@ -16,12 +16,10 @@ import numpy as np
 
 from repro.hw.analytical import (
     AnalyticalModelCoefficients,
-    BundlePerformanceModel,
     DEFAULT_COEFFICIENTS,
     DNNPerformanceModel,
 )
 from repro.hw.device import FPGADevice
-from repro.hw.memory import DRAMTrafficModel
 from repro.hw.pipeline import TilePipelineSimulator
 from repro.hw.tile_arch import TileArchAccelerator
 from repro.hw.workload import NetworkWorkload
@@ -111,16 +109,3 @@ def fit_coefficients(
     predictions = design @ np.array([alpha, beta])
     rel_err = float(np.mean(np.abs(predictions - target) / np.maximum(target, 1e-9)))
     return SamplingResult(coefficients=fitted, samples=samples, mean_relative_error=rel_err)
-
-
-def validate_against_simulator(
-    workload: NetworkWorkload,
-    device: FPGADevice,
-    coefficients: AnalyticalModelCoefficients,
-    parallel_factor: int = 8,
-) -> tuple[float, float]:
-    """Return ``(analytical_ms, simulated_ms)`` for one workload."""
-    accelerator = TileArchAccelerator.build(workload, device, parallel_factor=parallel_factor)
-    analytical = DNNPerformanceModel(accelerator, coefficients).latency_ms()
-    simulated = TilePipelineSimulator(accelerator).latency_ms()
-    return analytical, simulated

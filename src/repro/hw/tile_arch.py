@@ -20,7 +20,7 @@ behaviour is simulated by :class:`repro.hw.pipeline.TilePipelineSimulator`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.hw.device import FPGADevice
@@ -212,18 +212,6 @@ class TileArchAccelerator:
     def tiles_per_layer(self, layer: LayerWorkload) -> int:
         """Number of tiles processed for one layer (IP reuse count per layer)."""
         return self.tile.num_tiles(layer.out_height, layer.out_width)
-
-    def ip_reuse_counts(self) -> dict[str, int]:
-        """Total number of invocations of each IP instance across the DNN.
-
-        This is the ``reuse_j`` quantity of Eq. 3: the number of (layer, tile)
-        pairs served by each IP instance.
-        """
-        counts: dict[str, int] = {inst.name: 0 for inst in self.bundle_hw.instances}
-        for layer in self.workload.layers:
-            instance = self.bundle_hw.instance_for(layer)
-            counts[instance.name] += self.tiles_per_layer(layer)
-        return counts
 
     def describe(self) -> str:
         """Readable multi-line description of the accelerator configuration."""

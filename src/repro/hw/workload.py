@@ -3,15 +3,15 @@
 The hardware models do not operate on trained numpy models directly; they
 consume lightweight *workload* descriptions of the computation: for every
 layer, its type, kernel size, channel counts, spatial dimensions and stride.
-Workloads can be built either from a :class:`repro.nn.model.Sequential`
-instance (:func:`workload_from_model`) or directly by the co-design engine
-from a design-point description without ever instantiating weights.
+The co-design engine builds them from a DNN configuration
+(:meth:`repro.core.dnn_config.DNNConfig.to_workload`) without ever
+instantiating weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterator
 
 #: Computational layer kinds known to the IP library.
 COMPUTE_KINDS = ("conv", "dwconv")
@@ -198,12 +198,6 @@ class NetworkWorkload:
     def num_downsamples(self) -> int:
         return sum(1 for layer in self.layers if layer.stride > 1)
 
-    @property
-    def num_bundles(self) -> int:
-        """Number of Bundle repetitions present in the workload."""
-        indices = {l.bundle_index for l in self.layers if l.bundle_index >= 0}
-        return len(indices)
-
     def layers_in_bundle(self, bundle_index: int) -> list[LayerWorkload]:
         """Layers belonging to one Bundle repetition."""
         return [l for l in self.layers if l.bundle_index == bundle_index]
@@ -212,81 +206,6 @@ class NetworkWorkload:
         """Sorted list of bundle repetition indices present in the workload."""
         return sorted({l.bundle_index for l in self.layers if l.bundle_index >= 0})
 
-    def ip_keys(self) -> list[str]:
-        """Distinct IP template keys required to execute this workload."""
-        seen: list[str] = []
-        for layer in self.layers:
-            key = layer.ip_key
-            if key not in seen:
-                seen.append(key)
-        return seen
-
     def weight_bytes(self) -> float:
         """Total weight storage in bytes after quantization."""
         return self.total_params * self.weight_bits / 8.0
-
-    def feature_bytes(self) -> float:
-        """Total feature-map traffic (inputs + outputs of every layer) in bytes."""
-        elements = sum(l.input_elements + l.output_elements for l in self.layers)
-        return elements * self.feature_bits / 8.0
-
-
-def workload_from_model(
-    model,
-    input_shape: tuple[int, int, int],
-    weight_bits: int = 16,
-    feature_bits: int = 16,
-    name: Optional[str] = None,
-) -> NetworkWorkload:
-    """Build a :class:`NetworkWorkload` from a ``repro.nn`` Sequential model.
-
-    Only layer types known to the IP library are mapped; reshape-style layers
-    are skipped because they are free on the accelerator.
-    """
-    layers: list[LayerWorkload] = []
-    shape = input_shape
-    for layer in model:
-        c, h, w = shape
-        layer_type = getattr(layer, "layer_type", "generic")
-        if layer_type == "conv":
-            layers.append(LayerWorkload(
-                kind="conv", kernel=layer.kernel_size, in_channels=layer.in_channels,
-                out_channels=layer.out_channels, in_height=h, in_width=w, stride=layer.stride,
-            ))
-        elif layer_type == "dwconv":
-            layers.append(LayerWorkload(
-                kind="dwconv", kernel=layer.kernel_size, in_channels=c,
-                out_channels=c, in_height=h, in_width=w, stride=layer.stride,
-            ))
-        elif layer_type == "pool":
-            kernel = getattr(layer, "kernel_size", max(h, w))
-            stride = getattr(layer, "stride", kernel)
-            layers.append(LayerWorkload(
-                kind="pool", kernel=kernel, in_channels=c, out_channels=c,
-                in_height=h, in_width=w, stride=stride,
-            ))
-        elif layer_type == "norm":
-            layers.append(LayerWorkload(
-                kind="norm", kernel=1, in_channels=c, out_channels=c,
-                in_height=h, in_width=w,
-            ))
-        elif layer_type == "activation":
-            layers.append(LayerWorkload(
-                kind="activation", kernel=1, in_channels=c, out_channels=c,
-                in_height=h, in_width=w,
-            ))
-        elif layer_type == "head":
-            layers.append(LayerWorkload(
-                kind="head", kernel=1, in_channels=c, out_channels=4,
-                in_height=h, in_width=w,
-            ))
-        # dense / flatten / dropout are either absent from searched DNNs or
-        # negligible on the accelerator; they are intentionally not mapped.
-        shape = layer.output_shape(shape)
-    return NetworkWorkload(
-        layers=layers,
-        input_shape=input_shape,
-        weight_bits=weight_bits,
-        feature_bits=feature_bits,
-        name=name or getattr(model, "name", "dnn"),
-    )

@@ -8,15 +8,11 @@ DNNs can be trained end to end.
 """
 
 from repro.nn.layers import (
-    AvgPool2D,
     BatchNorm2D,
     BBoxHead,
     ClippedReLU,
     Conv2D,
-    Dense,
     DepthwiseConv2D,
-    Dropout,
-    Flatten,
     GlobalAvgPool2D,
     Layer,
     MaxPool2D,
@@ -29,7 +25,7 @@ from repro.nn.layers import (
 from repro.nn.layers.activation import make_activation
 from repro.nn.losses import IoULoss, L1Loss, MSELoss, SmoothL1Loss, make_loss
 from repro.nn.model import Sequential
-from repro.nn.optim import SGD, Adam, StepLR
+from repro.nn.optim import Adam
 from repro.nn.quantization import (
     FLOAT32,
     W8A8,
@@ -50,7 +46,6 @@ __all__ = [
     "Conv2D",
     "DepthwiseConv2D",
     "MaxPool2D",
-    "AvgPool2D",
     "GlobalAvgPool2D",
     "BatchNorm2D",
     "ReLU",
@@ -58,9 +53,6 @@ __all__ = [
     "ReLU8",
     "ClippedReLU",
     "Sigmoid",
-    "Dense",
-    "Dropout",
-    "Flatten",
     "BBoxHead",
     "make_activation",
     "MSELoss",
@@ -68,9 +60,7 @@ __all__ = [
     "SmoothL1Loss",
     "IoULoss",
     "make_loss",
-    "SGD",
     "Adam",
-    "StepLR",
     "Trainer",
     "TrainingHistory",
     "iterate_minibatches",

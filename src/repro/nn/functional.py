@@ -228,29 +228,6 @@ def max_pool_backward(
     return col2im(grad_col, x_shape, kernel, kernel, stride, 0)
 
 
-def avg_pool_forward(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Average pooling forward pass."""
-    n, c, h, w = x.shape
-    out_h = conv_output_size(h, kernel, stride, 0)
-    out_w = conv_output_size(w, kernel, stride, 0)
-    col = im2col(x, kernel, kernel, stride, 0).reshape(n * out_h * out_w, c, kernel * kernel)
-    out = col.mean(axis=2)
-    return out.reshape(n, out_h, out_w, c).transpose(0, 3, 1, 2)
-
-
-def avg_pool_backward(
-    grad_out: np.ndarray, x_shape: tuple[int, int, int, int], kernel: int, stride: int
-) -> np.ndarray:
-    """Backward pass for average pooling."""
-    n, c, h, w = x_shape
-    out_h = conv_output_size(h, kernel, stride, 0)
-    out_w = conv_output_size(w, kernel, stride, 0)
-    grad_flat = grad_out.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, c, 1)
-    grad_col = np.repeat(grad_flat / (kernel * kernel), kernel * kernel, axis=2)
-    grad_col = grad_col.reshape(n * out_h * out_w, c * kernel * kernel)
-    return col2im(grad_col, x_shape, kernel, kernel, stride, 0)
-
-
 def clipped_relu(x: np.ndarray, clip: float | None) -> np.ndarray:
     """ReLU with an optional upper clip (ReLU4 / ReLU8 in the paper)."""
     out = np.maximum(x, 0.0)

@@ -78,15 +78,6 @@ class Sequential(Layer):
             shape = layer.output_shape(shape)
         return shape
 
-    def layer_shapes(self, input_shape: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Output shape after each layer (length equals ``len(self.layers)``)."""
-        shapes = []
-        shape = input_shape
-        for layer in self.layers:
-            shape = layer.output_shape(shape)
-            shapes.append(shape)
-        return shapes
-
     def num_params(self) -> int:
         return sum(p.size for p in self.parameters())
 
@@ -120,33 +111,3 @@ class Sequential(Layer):
         lines.append("-" * len(header))
         lines.append(f"Total params: {total_params:,}   Total MACs: {total_ops:,}")
         return "\n".join(lines)
-
-    # ---------------------------------------------------------- (de)serialise
-    def state_dict(self) -> dict[str, np.ndarray]:
-        """Flat mapping of parameter name to value (copies)."""
-        state = {}
-        for i, layer in enumerate(self.layers):
-            for j, param in enumerate(layer.parameters()):
-                state[f"{i}.{j}.{param.name}"] = param.value.copy()
-        return state
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Load parameter values previously produced by :meth:`state_dict`."""
-        own = {}
-        for i, layer in enumerate(self.layers):
-            for j, param in enumerate(layer.parameters()):
-                own[f"{i}.{j}.{param.name}"] = param
-        missing = set(own) - set(state)
-        unexpected = set(state) - set(own)
-        if missing or unexpected:
-            raise KeyError(
-                f"state_dict mismatch; missing={sorted(missing)}, unexpected={sorted(unexpected)}"
-            )
-        for key, param in own.items():
-            value = np.asarray(state[key], dtype=np.float32)
-            if value.shape != param.value.shape:
-                raise ValueError(
-                    f"Shape mismatch for {key}: expected {param.value.shape}, got {value.shape}"
-                )
-            param.value = value.copy()
-            param.grad = np.zeros_like(param.value)

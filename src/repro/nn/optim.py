@@ -28,36 +28,6 @@ class Optimizer:
             p.zero_grad()
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.value) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, v in zip(self.parameters, self._velocity):
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.value
-            if self.momentum:
-                v *= self.momentum
-                v -= self.lr * grad
-                p.value += v
-            else:
-                p.value -= self.lr * grad
-
-
 class Adam(Optimizer):
     """Adam optimizer."""
 
@@ -94,23 +64,3 @@ class Adam(Optimizer):
             m_hat = m / (1 - beta1**self._t)
             v_hat = v / (1 - beta2**self._t)
             p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class StepLR:
-    """Decay an optimizer's learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1) -> None:
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError("gamma must be in (0, 1]")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-
-    def step(self) -> None:
-        """Advance one epoch and decay the learning rate when due."""
-        self._epoch += 1
-        if self._epoch % self.step_size == 0:
-            self.optimizer.lr *= self.gamma

@@ -63,11 +63,6 @@ class QuantizationScheme:
         """Bytes per weight after quantization."""
         return self.weight_bits / 8.0
 
-    @property
-    def feature_bytes(self) -> float:
-        """Bytes per feature-map element after quantization."""
-        return self.feature_bits / 8.0
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
 
@@ -144,17 +139,6 @@ class FixedPointQuantizer:
     def dequantize(self, q: np.ndarray, scale: float) -> np.ndarray:
         """Map integer values back to floating point."""
         return (q.astype(np.float32)) * scale
-
-    def fake_quantize(self, tensor: np.ndarray) -> np.ndarray:
-        """Quantize-then-dequantize; used to simulate quantized inference."""
-        q, scale = self.quantize(tensor)
-        return self.dequantize(q, scale)
-
-    def quantization_error(self, tensor: np.ndarray) -> float:
-        """RMS error introduced by quantizing ``tensor``."""
-        if tensor.size == 0:
-            return 0.0
-        return float(np.sqrt(np.mean((tensor - self.fake_quantize(tensor)) ** 2)))
 
 
 def quantize_model_weights(model, scheme: QuantizationScheme) -> dict[str, float]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.nn.losses import Loss, make_loss
 from repro.nn.model import Sequential
-from repro.nn.optim import Adam, Optimizer, StepLR
+from repro.nn.optim import Adam
 from repro.utils.logging import get_logger
 from repro.utils.rng import RNGLike, ensure_rng
 
@@ -60,26 +60,20 @@ def iterate_minibatches(
 
 
 class Trainer:
-    """Mini-batch gradient-descent trainer for :class:`Sequential` models."""
+    """Mini-batch Adam trainer for :class:`Sequential` models."""
 
     def __init__(
         self,
         model: Sequential,
         loss: Loss | str = "smooth_l1",
-        optimizer: Optional[Optimizer] = None,
         lr: float = 1e-3,
         batch_size: int = 16,
-        lr_step: Optional[int] = None,
-        lr_gamma: float = 0.5,
         metric_fn: Optional[Callable[[np.ndarray, np.ndarray], float]] = None,
         rng: RNGLike = None,
     ) -> None:
         self.model = model
         self.loss = make_loss(loss) if isinstance(loss, str) else loss
-        self.optimizer = optimizer or Adam(model.parameters(), lr=lr)
-        self.scheduler = (
-            StepLR(self.optimizer, step_size=lr_step, gamma=lr_gamma) if lr_step else None
-        )
+        self.optimizer = Adam(model.parameters(), lr=lr)
         self.batch_size = batch_size
         self.metric_fn = metric_fn
         self.rng = ensure_rng(rng)
@@ -133,6 +127,4 @@ class Trainer:
                     )
             elif verbose:
                 logger.info("epoch %d: train_loss=%.4f", epoch, train_loss)
-            if self.scheduler is not None:
-                self.scheduler.step()
         return history

@@ -12,8 +12,8 @@ every invocation.
 from __future__ import annotations
 
 import pathlib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 from repro.search.cache import CacheStats
 from repro.utils.serialization import dump_json, load_json, to_jsonable

@@ -79,9 +79,6 @@ class ServiceClient:
     def cancel(self, uid: str) -> dict:
         return self._delete(f"/v1/jobs/{uid}")
 
-    def service_status(self) -> dict:
-        return self._get("/v1/status")
-
     def metrics(self) -> dict:
         return self._get("/v1/metrics")
 

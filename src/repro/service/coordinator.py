@@ -81,6 +81,12 @@ class _JobTransport:
             # A failed checkpoint append stops the job too: run() raises it.
             service.wait(board, stopped=lambda: service._stopping.is_set()
                          or job.cancel.is_set() or runner._write_error is not None)
+            if board.done and runner._write_error is None:
+                # The checkpoint holds every cell now: this board's and the
+                # ones a resume reused.  Keep the counts before the board
+                # goes, so no status poll has to decode the checkpoint.
+                failed = board.counts()["failed"]
+                job.final_counts = (job.total_cells - failed, failed)
         finally:
             service.detach(board)
         if not board.done and runner._write_error is None:
@@ -387,7 +393,7 @@ class ServiceCoordinator(LeaseCoordinator):
                 "workers": len(self.workers),
             }
         else:
-            completed, failed = job.settled.counts()
+            completed, failed = job.final_counts or job.settled.counts()
             summary["counts"] = {
                 "cells": job.total_cells,
                 "pending": max(job.total_cells - completed - failed, 0),

@@ -96,6 +96,11 @@ class Job:
         #: Which cells the job checkpoint settled, read incrementally by
         #: status polls (a settled job's checkpoint is decoded once).
         self.settled = CheckpointCells(directory / CHECKPOINT_FILENAME)
+        #: ``(completed, failed)`` once this process's board for the job
+        #: settled every cell.  ``None`` for a job run before a restart,
+        #: cancelled with cells unsettled, or whose checkpoint append
+        #: failed: those are counted from :attr:`settled` instead.
+        self.final_counts: Optional[tuple[int, int]] = None
         #: True when this queue instance re-admitted the job after a crash.
         self.recovered = False
 

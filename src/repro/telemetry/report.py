@@ -98,11 +98,6 @@ class TelemetryReport:
     telemetry_corrupt: int = 0
 
     @property
-    def has_data(self) -> bool:
-        return bool(self.checkpoint_records or self.telemetry_records
-                    or self.cells_completed or self.cells_failed)
-
-    @property
     def memory_hit_rate(self) -> float:
         total = self.memory_hits + self.memory_misses
         return self.memory_hits / total if total else 0.0

@@ -8,7 +8,7 @@ end to end.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -31,10 +31,3 @@ def ensure_rng(rng: RNGLike = None) -> np.random.Generator:
     if isinstance(rng, (int, np.integer)):
         return np.random.default_rng(int(rng))
     raise TypeError(f"Cannot build a Generator from {type(rng).__name__}")
-
-
-def spawn_rngs(rng: RNGLike, count: int) -> list[np.random.Generator]:
-    """Derive ``count`` independent child generators from ``rng``."""
-    base = ensure_rng(rng)
-    seeds = base.integers(0, 2**63 - 1, size=count)
-    return [np.random.default_rng(int(s)) for s in seeds]

@@ -15,7 +15,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis import available_rules, lint_file, lint_paths
+from repro.analysis import all_checkers, lint_file, lint_paths
 from repro.cli import main
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -49,7 +49,7 @@ def lint_source(path: pathlib.Path, source: str) -> list:
 # ------------------------------------------------------------------ registry
 class TestRegistry:
     def test_all_six_rules_registered(self):
-        assert set(available_rules()) == ALL_RULES
+        assert set(all_checkers()) == ALL_RULES
 
     def test_unknown_rule_filter_raises(self, tmp_path):
         with pytest.raises(ValueError, match="unknown rule"):

@@ -25,7 +25,6 @@ from repro.backend import (
     backend_name_for,
     get_backend,
     infer_backend,
-    parse_target,
     resolve_targets,
 )
 from repro.core.auto_hls import AutoHLS
@@ -81,13 +80,13 @@ def _configs(n=6):
 # --------------------------------------------------------------- target specs
 class TestTargetSpecs:
     def test_bare_name_defaults_to_fpga(self):
-        target = parse_target("pynq-z1")
+        [target] = resolve_targets("pynq-z1")
         assert target.backend.name == "fpga"
         assert target.canonical == "PYNQ-Z1"
 
     def test_prefixed_specs_resolve(self):
-        assert parse_target("fpga:ultra96").canonical == "Ultra96"
-        assert parse_target("gpu:jetson-tx2").canonical == "gpu:jetson-tx2"
+        assert [t.canonical for t in resolve_targets("fpga:ultra96")] == ["Ultra96"]
+        assert [t.canonical for t in resolve_targets("gpu:jetson-tx2")] == ["gpu:jetson-tx2"]
 
     def test_mixed_spec_resolves_and_dedupes(self):
         targets = resolve_targets("fpga:pynq-z1,gpu:jetson-tx2,pynq-z1")

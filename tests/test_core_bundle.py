@@ -47,7 +47,7 @@ class TestBundle:
 
     def test_dw_only_bundle_cannot_expand(self):
         bundle = Bundle.from_signature(10, "dwconv3x3")
-        assert not bundle.can_expand_channels
+        assert not any(layer.expand for layer in bundle.layers)
 
     def test_max_two_compute_ips(self):
         with pytest.raises(ValueError):
@@ -56,10 +56,6 @@ class TestBundle:
     def test_needs_compute_layer(self):
         with pytest.raises(ValueError):
             Bundle(bundle_id=1, layers=(LayerSpec("activation"),))
-
-    def test_ip_keys_deduplicated(self):
-        bundle = Bundle.from_signature(2, "conv3x3+conv3x3")
-        assert bundle.ip_keys == ["conv3x3", "activation"]
 
     def test_display_name(self):
         bundle = Bundle.from_signature(13, "dwconv3x3+conv1x1")

@@ -138,7 +138,7 @@ class TestWorkloadBuilder:
         wl = tiny_config.to_workload()
         assert wl.layers[0].kind == "conv" and wl.layers[0].stride == 2  # stem
         assert wl.layers[-1].kind == "head"
-        assert wl.num_bundles == tiny_config.num_repetitions
+        assert len(wl.bundle_indices()) == tiny_config.num_repetitions
         assert wl.feature_bits == tiny_config.feature_bits
         assert wl.bundle_signature == tiny_config.bundle.signature
 

@@ -1,4 +1,4 @@
-"""Tests for Pareto utilities, constraints and the design-space description."""
+"""Tests for Pareto utilities and constraints."""
 
 from __future__ import annotations
 
@@ -6,13 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bundle_generation import get_bundle
 from repro.core.constraints import LatencyTarget, ResourceConstraint
-from repro.core.design_space import CoDesignSpace, DesignPoint, IPInstanceSpec
 from repro.core.pareto import group_by, pareto_front
 from repro.hw.device import PYNQ_Z1
 from repro.hw.resource import ResourceVector
-from repro.nn.quantization import W8A8
 
 
 class TestParetoFront:
@@ -195,49 +192,3 @@ class TestResourceConstraint:
     def test_invalid_limit(self):
         with pytest.raises(ValueError):
             ResourceConstraint.for_device(PYNQ_Z1, utilization_limit=0.0)
-
-
-class TestDesignSpace:
-    def _point(self) -> DesignPoint:
-        return DesignPoint(
-            num_layers=12,
-            ip_templates=("conv3x3", "conv1x1", "dwconv3x3"),
-            ip_instances=(
-                IPInstanceSpec("dwconv3x3", parallel_factor=16, quantization=W8A8, layers=(1, 3)),
-                IPInstanceSpec("conv1x1", parallel_factor=16, quantization=W8A8, layers=(2, 4)),
-            ),
-            channel_expansion=(2.0, 1.5, 1.3),
-            downsample_layers=(1, 2),
-            bundle=get_bundle(13),
-        )
-
-    def test_design_point_describe(self):
-        text = self._point().describe()
-        assert "L=12" in text
-        assert "PF=16" in text
-        assert "Bundle 13" in text
-
-    def test_design_point_affects_all_objectives(self):
-        affects = self._point().affects
-        assert affects["channel_expansion"] == ("accuracy", "performance", "resource")
-        assert "accuracy" not in affects["ip_instances"]
-
-    def test_design_point_validation(self):
-        with pytest.raises(ValueError):
-            DesignPoint(num_layers=0, ip_templates=(), ip_instances=(),
-                        channel_expansion=(), downsample_layers=())
-        with pytest.raises(ValueError):
-            IPInstanceSpec("conv3x3", parallel_factor=0, quantization=W8A8)
-
-    def test_codesign_space_size_grows_with_bundles(self):
-        small = CoDesignSpace(bundles=(get_bundle(13),))
-        large = CoDesignSpace(bundles=(get_bundle(13), get_bundle(1), get_bundle(3)))
-        assert large.approximate_size == pytest.approx(3 * small.approximate_size)
-
-    def test_codesign_space_validation(self):
-        with pytest.raises(ValueError):
-            CoDesignSpace(bundles=())
-
-    def test_codesign_space_is_combinatorial(self):
-        space = CoDesignSpace(bundles=tuple(get_bundle(i) for i in (1, 3, 13)))
-        assert space.approximate_size > 1e6

@@ -1,4 +1,4 @@
-"""Tests for the surrogate accuracy model and the proxy trainer."""
+"""Tests for the surrogate accuracy model."""
 
 from __future__ import annotations
 
@@ -13,12 +13,8 @@ from repro.detection.accuracy_model import (
     BUNDLE_CEILINGS,
     CandidateFeatures,
     SurrogateAccuracyModel,
-    blend,
     bundle_ceiling,
 )
-from repro.detection.proxy_trainer import ProxyTrainer
-from repro.detection.task import TINY_DETECTION_TASK
-from repro.nn import BBoxHead, Conv2D, ReLU4, Sequential
 
 
 def make_features(**overrides) -> CandidateFeatures:
@@ -142,41 +138,3 @@ class TestCalibration:
         model = SurrogateAccuracyModel()
         values = [model.predict(c.features(epochs=200)) for c in reference_designs()]
         assert values[0] > values[1] > values[2]
-
-
-class TestBlend:
-    def test_blend_without_trained(self):
-        assert blend(0.6, None) == 0.6
-        assert blend(0.6, float("nan")) == 0.6
-
-    def test_blend_weighting(self):
-        assert blend(0.6, 0.4, trained_weight=0.5) == pytest.approx(0.5)
-        assert blend(0.6, 0.4, trained_weight=1.0) == pytest.approx(0.4)
-
-    def test_blend_invalid_weight(self):
-        with pytest.raises(ValueError):
-            blend(0.6, 0.4, trained_weight=2.0)
-
-
-class TestProxyTrainer:
-    def test_proxy_training_improves_over_untrained(self):
-        task = TINY_DETECTION_TASK
-        model = Sequential([
-            Conv2D(3, 8, 3, stride=2, rng=0), ReLU4(),
-            Conv2D(8, 16, 3, stride=2, rng=1), ReLU4(),
-            BBoxHead(16, rng=2),
-        ])
-        trainer = ProxyTrainer(task, num_samples=48, epochs=4, batch_size=8, seed=0)
-        untrained_iou = trainer.evaluate(model)
-        result = trainer.train(model)
-        # A handful of epochs on a tiny model is noisy; the run must produce a
-        # usable (finite, non-trivial) IoU estimate and a full history.
-        assert 0.0 < result.iou <= 1.0
-        assert 0.0 <= untrained_iou <= 1.0
-        assert result.num_params == model.num_params()
-        assert result.history.epochs == 4
-        assert len(result.history.val_metric) == 4
-
-    def test_invalid_epochs(self):
-        with pytest.raises(ValueError):
-            ProxyTrainer(TINY_DETECTION_TASK, epochs=0)

@@ -146,11 +146,6 @@ class TestDetectionTask:
         assert DAC_SDC_TASK.dataset_size == 50_000
         assert DAC_SDC_TASK.input_pixels == 160 * 320
 
-    def test_scaled(self):
-        scaled = DAC_SDC_TASK.scaled(80, 160)
-        assert scaled.input_shape == (3, 80, 160)
-        assert scaled.dataset_size == DAC_SDC_TASK.dataset_size
-
     def test_validation(self):
         with pytest.raises(ValueError):
             DetectionTask(name="bad", input_shape=(3, 0, 10))

@@ -42,9 +42,8 @@ class TestReporting:
         report = ExperimentReport("Demo")
         report.add_table(["a", "b"], [[1, 2]])
         report.add_kv("facts", {"x": 1})
-        report.add_text("note")
         text = report.render()
-        assert "Demo" in text and "facts" in text and "note" in text
+        assert "Demo" in text and "facts" in text
 
     def test_latency_gap_constant_reasonable(self):
         assert 1.0 <= MODEL_TO_BOARD_LATENCY_GAP <= 5.0

@@ -12,7 +12,7 @@ from repro.hw.analytical import (
 )
 from repro.hw.device import PYNQ_Z1
 from repro.hw.pipeline import TilePipelineSimulator
-from repro.hw.sampling import fit_coefficients, validate_against_simulator
+from repro.hw.sampling import fit_coefficients
 from repro.hw.tile_arch import TileArchAccelerator
 
 from tests.test_hw_tile_arch_pipeline import make_workload
@@ -117,9 +117,10 @@ class TestSampling:
     def test_fitted_model_tracks_simulator_on_unseen_workload(self):
         workloads = [make_workload(channels=c, reps=r) for c, r in ((16, 1), (32, 2), (48, 3))]
         result = fit_coefficients(workloads, PYNQ_Z1, parallel_factor=16)
-        analytical, simulated = validate_against_simulator(
-            make_workload(channels=40, reps=2), PYNQ_Z1, result.coefficients, parallel_factor=16
-        )
+        accelerator = TileArchAccelerator.build(
+            make_workload(channels=40, reps=2), PYNQ_Z1, parallel_factor=16)
+        analytical = DNNPerformanceModel(accelerator, result.coefficients).latency_ms()
+        simulated = TilePipelineSimulator(accelerator).latency_ms()
         assert analytical == pytest.approx(simulated, rel=0.5)
 
     def test_empty_sample_list_rejected(self):

@@ -28,9 +28,6 @@ class TestIPLibrary:
                      "dwconv7x7", "pool", "norm", "activation"):
             assert name in library
 
-    def test_compute_templates(self, library):
-        assert len(library.compute_templates()) == 6
-
     def test_template_lookup_for_layers(self, library):
         assert library.template_for_layer(conv_layer(3)).name == "conv3x3"
         assert library.template_for_layer(conv_layer(5)).name == "conv5x5"

@@ -5,16 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.hw.workload import LayerWorkload, NetworkWorkload, workload_from_model
-from repro.nn import (
-    BBoxHead,
-    BatchNorm2D,
-    Conv2D,
-    DepthwiseConv2D,
-    MaxPool2D,
-    ReLU4,
-    Sequential,
-)
+from repro.hw.workload import LayerWorkload, NetworkWorkload
 
 
 def conv(kernel=3, c_in=8, c_out=16, h=16, w=32, stride=1, bundle=-1) -> LayerWorkload:
@@ -93,47 +84,14 @@ class TestNetworkWorkload:
 
     def test_bundle_grouping(self):
         wl = self._workload()
-        assert wl.num_bundles == 2
         assert wl.bundle_indices() == [0, 1]
         assert len(wl.layers_in_bundle(0)) == 2
         assert len(wl.layers_in_bundle(5)) == 0
 
-    def test_ip_keys_unique_and_ordered(self):
-        wl = self._workload()
-        keys = wl.ip_keys()
-        assert keys[0] == "conv3x3"
-        assert len(keys) == len(set(keys))
-
     def test_byte_accounting(self):
         wl = self._workload()
         assert wl.weight_bytes() == pytest.approx(wl.total_params * 1.0)
-        assert wl.feature_bytes() > 0
 
     def test_empty_workload_rejected(self):
         with pytest.raises(ValueError):
             NetworkWorkload(layers=[], input_shape=(3, 8, 8))
-
-
-class TestWorkloadFromModel:
-    def test_model_conversion_matches_ops(self, rng):
-        model = Sequential([
-            Conv2D(3, 8, 3, stride=2, rng=0),
-            BatchNorm2D(8),
-            ReLU4(),
-            DepthwiseConv2D(8, 3, rng=0),
-            Conv2D(8, 16, 1, rng=0),
-            MaxPool2D(2),
-            BBoxHead(16, rng=0),
-        ])
-        wl = workload_from_model(model, (3, 16, 32), weight_bits=8, feature_bits=8)
-        kinds = [l.kind for l in wl.layers]
-        assert kinds == ["conv", "norm", "activation", "dwconv", "conv", "pool", "head"]
-        # The conv/dwconv MAC counts agree with the model's own accounting.
-        conv_macs = sum(l.macs for l in wl.layers if l.kind in ("conv", "dwconv", "head"))
-        model_ops = model.num_ops((3, 16, 32))
-        assert conv_macs == pytest.approx(model_ops, rel=0.15)
-
-    def test_quantization_metadata_propagates(self, rng):
-        model = Sequential([Conv2D(3, 4, 3, rng=0)])
-        wl = workload_from_model(model, (3, 8, 8), weight_bits=8, feature_bits=16, name="x")
-        assert wl.weight_bits == 8 and wl.feature_bits == 16 and wl.name == "x"

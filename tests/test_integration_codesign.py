@@ -1,7 +1,7 @@
 """Integration tests: the three-step co-design flow end to end.
 
 The flow is exercised on the full DAC-SDC task with a reduced bundle set and
-iteration budget so the test stays fast, and on the tiny task with real proxy
+iteration budget so the test stays fast, and on the tiny task with real
 training to show the trained-accuracy path works end to end.
 """
 
@@ -15,11 +15,12 @@ from repro.core.bundle_generation import get_bundle
 from repro.core.codesign import CoDesignFlow, CoDesignInputs, CoDesignResult
 from repro.core.constraints import LatencyTarget
 from repro.detection.accuracy_model import SurrogateAccuracyModel
+from repro.detection.dataset import SyntheticDetectionDataset
 from repro.detection.metrics import mean_iou
-from repro.detection.proxy_trainer import ProxyTrainer
 from repro.detection.task import DAC_SDC_TASK, TINY_DETECTION_TASK
 from repro.hw.device import PYNQ_Z1
 from repro.nn.quantization import quantize_model_weights, scheme_for_activation
+from repro.nn.training import Trainer
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +61,8 @@ class TestCoDesignFlow:
 
     def test_final_designs_meet_constraints(self, flow_result):
         constraint = flow_result.inputs.resource_constraint
-        for candidate in flow_result.final_designs:
+        final_designs = [c for c in flow_result.best_per_target.values() if c is not None]
+        for candidate in final_designs:
             assert constraint.satisfied_by(candidate.estimate.resources)
             assert 0.0 < candidate.accuracy < 1.0
 
@@ -86,11 +88,17 @@ class TestTrainedPathIntegration:
             activation="relu4", parallel_factor=16, max_channels=64,
         )
 
-        # Software side: train the numpy model for a few epochs.
+        # Software side: train the numpy model for a few epochs, as
+        # examples/train_and_deploy.py does.
+        dataset = SyntheticDetectionDataset(
+            image_shape=TINY_DETECTION_TASK.input_shape, num_samples=64, seed=1)
+        (x_train, y_train), (x_val, y_val) = dataset.train_val_split()
         model = config.to_model(rng=0)
-        trainer = ProxyTrainer(TINY_DETECTION_TASK, num_samples=64, epochs=6, batch_size=8, seed=1)
-        result = trainer.train(model)
-        assert 0.0 <= result.iou <= 1.0
+        trainer = Trainer(model, loss="smooth_l1", lr=2e-3, batch_size=8,
+                          metric_fn=mean_iou, rng=1)
+        history = trainer.fit(x_train, y_train, x_val, y_val, epochs=6)
+        assert history.epochs == 6
+        assert 0.0 <= history.val_metric[-1] <= 1.0
 
         # Quantize the trained weights with the scheme implied by the config.
         scheme = scheme_for_activation(config.activation, config.weight_bits)
@@ -99,7 +107,7 @@ class TestTrainedPathIntegration:
 
         # The quantized model still produces valid boxes.
         model.eval()
-        images, boxes = trainer._dataset.as_arrays(range(8))
+        images, boxes = dataset.as_arrays(range(8))
         pred = model.forward(images)
         assert np.all((pred >= 0.0) & (pred <= 1.0))
         assert 0.0 <= mean_iou(pred, boxes) <= 1.0

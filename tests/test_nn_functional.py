@@ -154,17 +154,6 @@ class TestPooling:
             expected = x[:, c].reshape(2, 2, 2, 2, 2).max(axis=(2, 4))
             np.testing.assert_allclose(out[:, c], expected, rtol=1e-6)
 
-    def test_avg_pool_values(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-        out = F.avg_pool_forward(x, 2, 2)
-        np.testing.assert_allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avg_pool_backward_spreads_gradient(self):
-        x = np.ones((1, 1, 4, 4), dtype=np.float32)
-        out = F.avg_pool_forward(x, 2, 2)
-        grad = F.avg_pool_backward(np.ones_like(out), x.shape, 2, 2)
-        np.testing.assert_allclose(grad, np.full_like(x, 0.25))
-
 
 class TestActivations:
     def test_clipped_relu_bounds(self):

@@ -1,4 +1,4 @@
-"""Unit tests for the layer zoo (conv, pooling, norm, core, head)."""
+"""Unit tests for the layer zoo (conv, pooling, norm, head)."""
 
 from __future__ import annotations
 
@@ -6,14 +6,10 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    AvgPool2D,
     BatchNorm2D,
     BBoxHead,
     Conv2D,
-    Dense,
     DepthwiseConv2D,
-    Dropout,
-    Flatten,
     GlobalAvgPool2D,
     MaxPool2D,
     ReLU,
@@ -98,14 +94,6 @@ class TestPoolingLayers:
     def test_maxpool_shape(self):
         assert MaxPool2D(2).output_shape((4, 8, 8)) == (4, 4, 4)
 
-    def test_avgpool_forward_backward(self, rng):
-        layer = AvgPool2D(2)
-        x = rng.normal(size=(1, 2, 8, 8)).astype(np.float32)
-        out = layer(x)
-        grad = layer.backward(np.ones_like(out))
-        assert grad.shape == x.shape
-        assert grad.sum() == pytest.approx(out.size, rel=1e-5)
-
     def test_global_avg_pool(self, rng):
         layer = GlobalAvgPool2D()
         x = rng.normal(size=(3, 5, 4, 6)).astype(np.float32)
@@ -180,46 +168,6 @@ class TestBatchNorm:
     def test_invalid_momentum(self):
         with pytest.raises(ValueError):
             BatchNorm2D(3, momentum=1.5)
-
-
-class TestCoreLayers:
-    def test_flatten_roundtrip(self, rng):
-        layer = Flatten()
-        x = rng.normal(size=(2, 3, 4, 5)).astype(np.float32)
-        out = layer(x)
-        assert out.shape == (2, 60)
-        assert layer.backward(out).shape == x.shape
-
-    def test_dense_forward_backward(self, rng):
-        layer = Dense(10, 4, rng=0)
-        x = rng.normal(size=(3, 10)).astype(np.float32)
-        out = layer(x)
-        assert out.shape == (3, 4)
-        grad = layer.backward(np.ones_like(out))
-        assert grad.shape == x.shape
-        assert layer.num_params() == 10 * 4 + 4
-
-    def test_dense_input_validation(self, rng):
-        layer = Dense(10, 4, rng=0)
-        with pytest.raises(ValueError):
-            layer(rng.normal(size=(3, 7)).astype(np.float32))
-
-    def test_dropout_inference_identity(self, rng):
-        layer = Dropout(0.5, rng=0)
-        layer.eval()
-        x = rng.normal(size=(4, 10)).astype(np.float32)
-        np.testing.assert_array_equal(layer(x), x)
-
-    def test_dropout_training_masks(self, rng):
-        layer = Dropout(0.5, rng=0)
-        x = np.ones((1, 1000), dtype=np.float32)
-        out = layer(x)
-        dropped = np.sum(out == 0.0)
-        assert 300 < dropped < 700
-
-    def test_dropout_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
 
 
 class TestBBoxHead:

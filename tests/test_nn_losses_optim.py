@@ -1,4 +1,4 @@
-"""Tests for losses, optimizers and LR schedules."""
+"""Tests for losses and the optimizer."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.nn.layers.base import Parameter
 from repro.nn.losses import IoULoss, L1Loss, MSELoss, SmoothL1Loss, make_loss
-from repro.nn.optim import SGD, Adam, Optimizer, StepLR
+from repro.nn.optim import Adam, Optimizer
 
 
 class TestLosses:
@@ -73,27 +73,6 @@ def _step(optimizer: Optimizer, param: Parameter) -> float:
 
 
 class TestOptimizers:
-    def test_sgd_converges(self):
-        param = _quadratic_problem()
-        opt = SGD([param], lr=0.1)
-        losses = [_step(opt, param) for _ in range(100)]
-        assert losses[-1] < 1e-4
-        assert losses[-1] < losses[0]
-
-    def test_sgd_momentum_converges(self):
-        param = _quadratic_problem()
-        opt = SGD([param], lr=0.05, momentum=0.9)
-        for _ in range(200):
-            _step(opt, param)
-        assert float(param.value[0]) == pytest.approx(3.0, abs=1e-2)
-
-    def test_sgd_weight_decay_shrinks(self):
-        param = Parameter(np.array([5.0], dtype=np.float32))
-        opt = SGD([param], lr=0.1, weight_decay=0.5)
-        opt.zero_grad()
-        opt.step()
-        assert float(param.value[0]) < 5.0
-
     def test_adam_converges(self):
         param = _quadratic_problem()
         opt = Adam([param], lr=0.2)
@@ -103,34 +82,8 @@ class TestOptimizers:
 
     def test_invalid_lr(self):
         with pytest.raises(ValueError):
-            SGD([_quadratic_problem()], lr=0.0)
+            Adam([_quadratic_problem()], lr=0.0)
 
     def test_empty_parameters(self):
         with pytest.raises(ValueError):
             Adam([], lr=0.1)
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ValueError):
-            SGD([_quadratic_problem()], lr=0.1, momentum=1.0)
-
-
-class TestStepLR:
-    def test_decays_on_schedule(self):
-        param = _quadratic_problem()
-        opt = SGD([param], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.5)
-        sched.step()
-        assert opt.lr == 1.0
-        sched.step()
-        assert opt.lr == 0.5
-        sched.step()
-        sched.step()
-        assert opt.lr == 0.25
-
-    def test_invalid_arguments(self):
-        param = _quadratic_problem()
-        opt = SGD([param], lr=1.0)
-        with pytest.raises(ValueError):
-            StepLR(opt, step_size=0)
-        with pytest.raises(ValueError):
-            StepLR(opt, step_size=1, gamma=0.0)

@@ -38,12 +38,6 @@ class TestSequential:
     def test_output_shape_static(self, small_model):
         assert small_model.output_shape((3, 16, 32)) == (4,)
 
-    def test_layer_shapes_length(self, small_model):
-        shapes = small_model.layer_shapes((3, 16, 32))
-        assert len(shapes) == len(small_model)
-        assert shapes[0] == (8, 8, 16)
-        assert shapes[-1] == (4,)
-
     def test_num_params_positive_and_consistent(self, small_model):
         total = sum(p.size for p in small_model.parameters())
         assert small_model.num_params() == total > 0
@@ -84,39 +78,3 @@ class TestSequential:
     def test_getitem_and_iter(self, small_model):
         assert isinstance(small_model[0], Conv2D)
         assert len(list(iter(small_model))) == len(small_model)
-
-
-class TestStateDict:
-    def test_roundtrip(self, small_model, rng):
-        x = rng.normal(size=(1, 3, 16, 32)).astype(np.float32)
-        before = small_model.forward(x)
-        state = small_model.state_dict()
-
-        # Perturb all parameters, then restore.
-        for p in small_model.parameters():
-            p.value += 1.0
-        perturbed = small_model.forward(x)
-        assert not np.allclose(before, perturbed)
-
-        small_model.load_state_dict(state)
-        after = small_model.forward(x)
-        np.testing.assert_allclose(before, after, rtol=1e-5)
-
-    def test_state_dict_returns_copies(self, small_model):
-        state = small_model.state_dict()
-        key = next(iter(state))
-        state[key][...] = 123.0
-        assert not np.allclose(small_model.state_dict()[key], 123.0)
-
-    def test_mismatched_keys_raise(self, small_model):
-        state = small_model.state_dict()
-        state.pop(next(iter(state)))
-        with pytest.raises(KeyError):
-            small_model.load_state_dict(state)
-
-    def test_mismatched_shape_raises(self, small_model):
-        state = small_model.state_dict()
-        key = next(iter(state))
-        state[key] = np.zeros((1, 2, 3), dtype=np.float32)
-        with pytest.raises((ValueError, KeyError)):
-            small_model.load_state_dict(state)

@@ -987,7 +987,7 @@ class TestStatusPolling:
     def _poll_all(self, client: ServiceClient, uid: str) -> dict:
         """One poll of every route that summarises jobs; returns ``uid``'s view."""
         listed = {job["job"]: job for job in client.jobs()}[uid]
-        client.service_status()
+        get_json(client.base_url, "/v1/status", token=client.token)
         metered = {job["job"]: job for job in client.metrics()["jobs"]}[uid]
         detail = client.status(uid)
         assert listed["counts"] == metered["counts"] == detail["counts"]
@@ -1002,6 +1002,33 @@ class TestStatusPolling:
             **{uid: "failed" for uid in status.failures}}
         assert detail["failures"] == [status.failures[uid].as_dict()
                                       for uid in sorted(status.failures)]
+
+    def test_job_summaries_here_decode_no_checkpoint(self, tmp_path, monkeypatch):
+        # The process that ran a job counts it from its board: listing jobs
+        # or scraping metrics decodes no checkpoint line once it settles.
+        counter = _CountingJson()
+        monkeypatch.setattr(jsonl_module, "json", counter)
+        root = tmp_path / "root"
+        spec = tiny_spec(strategies="scd,random", retries=0, retry_backoff_s=0.0)
+        service = ServiceCoordinator(root)
+        service.start()
+        try:
+            client = ServiceClient(service.url)
+            uid = client.submit(spec)["job"]
+            assert run_worker(service.url, tmp_path / "wcache",
+                              task_fn=_fail_random) == 0
+            counter.decoded = 0
+            assert wait_for(lambda: {job["job"]: job for job in client.jobs()}[uid]
+                            ["state"] == "failed")
+            listed = {job["job"]: job for job in client.jobs()}[uid]
+            metered = {job["job"]: job for job in client.metrics()["jobs"]}[uid]
+            assert counter.decoded == 0
+        finally:
+            service.stop()
+        status = load_checkpoint(root / "jobs" / uid / CHECKPOINT_FILENAME)
+        assert listed["counts"] == metered["counts"]
+        assert listed["counts"]["settled"] == status.settled == 2
+        assert listed["counts"]["failed"] == len(status.failures) == 1
 
     def test_settled_checkpoints_are_decoded_once(self, tmp_path, monkeypatch):
         counter = _CountingJson()

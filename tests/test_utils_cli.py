@@ -14,7 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.utils.logging import configure_logging, get_logger
-from repro.utils.rng import ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 from repro.utils.tables import render_kv, render_table
 
 
@@ -71,12 +71,6 @@ class TestRngUtils:
     def test_ensure_rng_invalid_type(self):
         with pytest.raises(TypeError):
             ensure_rng("seed")
-
-    def test_spawn_rngs_independent(self):
-        children = spawn_rngs(0, 3)
-        assert len(children) == 3
-        values = [c.random() for c in children]
-        assert len(set(values)) == 3
 
 
 class TestTables:
