@@ -630,43 +630,43 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 def _run_shard(args: argparse.Namespace) -> int:
     if args.role == "coordinator":
-        from repro.shard import CoordinatorTransport
+        from repro.shard import LeaseCoordinator
         from repro.shard.protocol import resolve_token
 
         bind = _lease_surface_bind(args, "shard coordinator")
         if bind is None:
             return 2
-
-        transport = CoordinatorTransport(
-            bind=bind,
-            lease_ttl_s=args.lease_ttl_s,
-            heartbeat_s=args.heartbeat_s,
-            token=resolve_token(args.token),
-            on_bound=lambda coordinator: print(
-                f"Coordinator listening on {coordinator.url} "
-                f"(lease TTL {args.lease_ttl_s:g}s); waiting for workers...",
-                flush=True,
-            ),
-        )
-        runner = _build_sweep_runner(args, transport=transport)
         try:
+            # The run's cache dir doubles as the cache-exchange hub.
+            coordinator = LeaseCoordinator(
+                bind, token=resolve_token(args.token), lease_ttl_s=args.lease_ttl_s,
+                heartbeat_s=args.heartbeat_s, cache_dir=args.cache_dir)
+        except OSError as exc:  # the address is taken or not this host's
+            print(f"repro-codesign shard coordinator: error: {exc}", file=sys.stderr)
+            return 1
+        try:
+            runner = _build_sweep_runner(args, transport=coordinator)
+            coordinator.start()
+            print(f"Coordinator listening on {coordinator.url} "
+                  f"(lease TTL {args.lease_ttl_s:g}s); waiting for workers...", flush=True)
             result = runner.run()
         except OSError as exc:  # a checkpoint append failed (a full disk)
             print(f"repro-codesign shard coordinator: error: {exc}", file=sys.stderr)
             return 1
-        counts = transport.final_counts
-        if counts:
+        finally:
+            # execute() closes it once the cells settled; this covers every other exit.
+            coordinator.close()
+        print(
+            "Shard leases: granted={granted} completed={completed} "
+            "requeued={requeued} expired={expired} revoked={revoked} "
+            "duplicates={duplicates} failed={failed}".format(**coordinator.lease_metrics())
+        )
+        for entry in coordinator.workers.stats():
             print(
-                "Shard leases: granted={granted} completed={completed} "
-                "requeued={requeued} expired={expired} revoked={revoked} "
-                "duplicates={duplicates} failed={failed}".format(**counts)
+                f"  worker {entry['worker_id']} ({entry['name']}): "
+                f"leased={entry['leased']} completed={entry['completed']} "
+                f"errors={entry['errors']} busy={entry['busy_s']:.1f}s"
             )
-            for entry in transport.final_workers or []:
-                print(
-                    f"  worker {entry['worker_id']} ({entry['name']}): "
-                    f"leased={entry['leased']} completed={entry['completed']} "
-                    f"errors={entry['errors']} busy={entry['busy_s']:.1f}s"
-                )
         return _report_sweep_result(result, args)
     if args.role == "status":
         return _run_shard_status(args)
@@ -687,13 +687,6 @@ def _run_shard(args: argparse.Namespace) -> int:
               f"{worker.reported_errors} error(s) reported, exit {code}")
         return code
     raise ValueError(f"Unknown shard role {args.role}")  # pragma: no cover
-
-
-def _service_base(connect: str) -> str:
-    base = connect.rstrip("/")
-    if not base.startswith(("http://", "https://")):
-        base = "http://" + base
-    return base
 
 
 def _render_shard_metrics(base: str, payload: dict) -> None:
@@ -747,9 +740,9 @@ def _run_shard_status(args: argparse.Namespace) -> int:
     import json
     import time as _time
 
-    from repro.shard.protocol import ShardProtocolError, get_json
+    from repro.shard.protocol import ShardProtocolError, connect_url, get_json
 
-    base = _service_base(args.connect)
+    base = connect_url(args.connect)
     while True:
         try:
             payload = get_json(base, "/v1/metrics")
@@ -804,10 +797,10 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 def _run_submit(args: argparse.Namespace) -> int:
     from repro.service import ServiceClient
-    from repro.shard.protocol import ShardProtocolError, resolve_token
+    from repro.shard.protocol import ShardProtocolError, connect_url, resolve_token
     from repro.sweep.spec import SweepSpec
 
-    client = ServiceClient(_service_base(args.connect),
+    client = ServiceClient(connect_url(args.connect),
                            token=resolve_token(args.token))
     spec = SweepSpec.from_args(args)
     try:
@@ -846,10 +839,10 @@ def _run_jobs(args: argparse.Namespace) -> int:
     import json
 
     from repro.service import ServiceClient
-    from repro.shard.protocol import ShardProtocolError, resolve_token
+    from repro.shard.protocol import ShardProtocolError, connect_url, resolve_token
     from repro.utils.tables import render_table
 
-    client = ServiceClient(_service_base(args.connect),
+    client = ServiceClient(connect_url(args.connect),
                            token=resolve_token(args.token))
     try:
         jobs = client.jobs()
@@ -869,7 +862,7 @@ def _run_jobs(args: argparse.Namespace) -> int:
             "yes" if job.get("recovered") else "",
         ])
     print(render_table(["job", "name", "state", "settled", "failed", "recovered"],
-                       rows, title=f"Jobs on {_service_base(args.connect)}"))
+                       rows, title=f"Jobs on {client.base_url}"))
     return 0
 
 
@@ -877,9 +870,9 @@ def _run_job(args: argparse.Namespace) -> int:
     import json
 
     from repro.service import ServiceClient
-    from repro.shard.protocol import ShardProtocolError, resolve_token
+    from repro.shard.protocol import ShardProtocolError, connect_url, resolve_token
 
-    client = ServiceClient(_service_base(args.connect),
+    client = ServiceClient(connect_url(args.connect),
                            token=resolve_token(args.token))
     try:
         if args.action == "cancel":

@@ -20,7 +20,6 @@ from repro.core.dnn_config import DNNConfig
 from repro.hw.analytical import (
     AnalyticalModelCoefficients,
     DEFAULT_COEFFICIENTS,
-    DNNPerformanceModel,
     PerformanceEstimate,
 )
 from repro.hw.device import FPGADevice
@@ -40,8 +39,8 @@ logger = get_logger(__name__)
 class AutoHLSResult:
     """Everything Auto-HLS produces for one candidate DNN.
 
-    Only what rebuilds the rest is stored: ``accelerator``, ``report``,
-    ``design`` and ``analytical`` are built on first access, at the clock
+    Only what rebuilds the rest is stored: ``accelerator``, ``report`` and
+    ``design`` are built on first access, at the clock
     :meth:`AutoHLS.generate` resolved.  A search reads only ``latency_ms``.
     When ``generate`` was handed the latency of an earlier synthesis of the
     same config (a sweep cell's synth tier), ``latency_ms`` returns it and
@@ -76,11 +75,6 @@ class AutoHLSResult:
 
             design.extra_files.update(generate_support_files(design, self.accelerator))
         return design
-
-    @cached_property
-    def analytical(self) -> PerformanceEstimate:
-        """The analytical model's estimate of the same accelerator."""
-        return DNNPerformanceModel(self.accelerator, self.coefficients).estimate()
 
     @property
     def latency_ms(self) -> float:

@@ -57,10 +57,6 @@ class PipelineTrace:
         """End-to-end single-frame latency in milliseconds."""
         return self.total_cycles / (self.clock_mhz * 1e3)
 
-    @property
-    def compute_cycles(self) -> float:
-        return sum(t.compute_cycles for t in self.bundle_traces)
-
 
 class TilePipelineSimulator:
     """Simulate the tile-level pipeline of a Tile-Arch accelerator."""

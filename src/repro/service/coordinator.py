@@ -16,8 +16,7 @@ and waits for it to settle:
   issued by a previous incarnation are re-adopted on first contact;
 * ``/v1/lease`` round-robins one cell at a time across the running jobs
   (fair interleaving: a wide job cannot starve a small one);
-* ``/v1/report`` routes by the payload's ``job`` field (falling back to
-  uid search for job-oblivious workers);
+* ``/v1/report`` routes by the payload's ``job`` field;
 * cancellation detaches the board — lease revocation by omission: the
   board stops granting, in-flight leases die with their heartbeats, and
   nothing requeues.
@@ -38,7 +37,7 @@ import time
 from typing import Callable, Mapping, Optional
 
 from repro.service.jobs import TERMINAL_STATES, Job, JobQueue, JournalError
-from repro.shard.coordinator import LeaseCoordinator, _CoordinatorHandler
+from repro.shard.coordinator import JOIN_TIMEOUT_S, LeaseCoordinator, _CoordinatorHandler
 from repro.shard.protocol import (
     DEFAULT_HEARTBEAT_S,
     DEFAULT_LEASE_TTL_S,
@@ -47,7 +46,7 @@ from repro.shard.protocol import (
 )
 import repro.telemetry as telemetry
 from repro.sweep.checkpoint import CHECKPOINT_FILENAME, load_checkpoint
-from repro.sweep.runner import SweepResult, run_sweep_task
+from repro.sweep.runner import SweepResult
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
@@ -86,7 +85,7 @@ class _JobTransport:
                 # ones a resume reused.  Keep the counts before the board
                 # goes, so no status poll has to decode the checkpoint.
                 failed = board.counts()["failed"]
-                job.final_counts = (job.total_cells - failed, failed)
+                job.board_counts = (job.total_cells - failed, failed)
         finally:
             service.detach(board)
         if not board.done and runner._write_error is None:
@@ -152,7 +151,6 @@ class ServiceCoordinator(LeaseCoordinator):
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         max_active: int = 4,
         clock: Callable[[], float] = time.time,
-        task_fn: Callable = run_sweep_task,
     ) -> None:
         if max_active < 1:
             raise ValueError("max_active must be >= 1")
@@ -161,7 +159,6 @@ class ServiceCoordinator(LeaseCoordinator):
         super().__init__(bind, token=token, lease_ttl_s=lease_ttl_s,
                          heartbeat_s=heartbeat_s, cache_dir=self.root / "cache")
         self.clock = clock
-        self.task_fn = task_fn
         self.queue = JobQueue(self.root, clock=clock)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self._stopping = threading.Event()
@@ -187,16 +184,16 @@ class ServiceCoordinator(LeaseCoordinator):
             if job.state == "queued":
                 self._spawn(job)
 
-    def stop(self, join_timeout_s: float = 5.0) -> None:
+    def stop(self) -> None:
         """Hard stop: abandon running jobs (they resume on the next start).
 
         Lease requests parked in a long poll are answered ``done``, so idle
         workers exit 0 instead of retrying a socket that is gone.
         """
         self._stopping.set()
-        self.close(join_timeout_s)  # wakes every job's wait()
+        self.close()  # wakes every job's wait()
         for thread in self._threads:
-            thread.join(timeout=join_timeout_s)
+            thread.join(timeout=JOIN_TIMEOUT_S)
         if self._sink is not None:
             telemetry.set_sink(None)
             self._sink = None
@@ -234,7 +231,6 @@ class ServiceCoordinator(LeaseCoordinator):
                 cache_dir=str(job.directory),
                 transport=_JobTransport(self, job),
                 resume_from=resume,
-                task_fn=self.task_fn,
                 clock=self.clock,
             )
             result = runner.run()
@@ -393,7 +389,7 @@ class ServiceCoordinator(LeaseCoordinator):
                 "workers": len(self.workers),
             }
         else:
-            completed, failed = job.final_counts or job.settled.counts()
+            completed, failed = job.board_counts or job.settled.counts()
             summary["counts"] = {
                 "cells": job.total_cells,
                 "pending": max(job.total_cells - completed - failed, 0),

@@ -100,7 +100,7 @@ class Job:
         #: settled every cell.  ``None`` for a job run before a restart,
         #: cancelled with cells unsettled, or whose checkpoint append
         #: failed: those are counted from :attr:`settled` instead.
-        self.final_counts: Optional[tuple[int, int]] = None
+        self.board_counts: Optional[tuple[int, int]] = None
         #: True when this queue instance re-admitted the job after a crash.
         self.recovered = False
 

@@ -31,18 +31,19 @@ Quickstart (two terminals)::
     # terminal 2..N — workers on any machine that can reach it
     repro-codesign shard worker --connect coordinator-host:8765 --workers 4
 
-Programmatically the distributed tier is one argument —
-:class:`CoordinatorTransport`, the only transport class; without it the
-runner executes the cells locally::
+Programmatically the distributed tier is one argument — a started
+:class:`LeaseCoordinator` as the runner's ``transport``; without it the
+runner executes the cells locally.  Workers may register as soon as the
+coordinator serves, and it closes once the run's cells settled::
 
-    from repro.shard import CoordinatorTransport
+    from repro.shard import LeaseCoordinator
     from repro.sweep import SweepRunner, build_grid
 
     tasks = build_grid("pynq-z1,ultra96", "scd,random", [20.0, 30.0])
-    result = SweepRunner(
-        tasks, cache_dir=".sweep-cache",
-        transport=CoordinatorTransport(bind=("0.0.0.0", 8765)),
-    ).run()
+    coordinator = LeaseCoordinator(("0.0.0.0", 8765), cache_dir=".sweep-cache")
+    coordinator.start()
+    result = SweepRunner(tasks, cache_dir=".sweep-cache",
+                         transport=coordinator).run()
 """
 
 from repro.shard.coordinator import LeaseCoordinator, parse_report
@@ -62,7 +63,6 @@ from repro.shard.protocol import (
     resolve_token,
     token_matches,
 )
-from repro.shard.transport import CoordinatorTransport
 from repro.shard.worker import ShardWorker
 from repro.sweep.ledger import LeaseBoard, WorkerRegistry
 from repro.sweep.runner import execute_cell
@@ -86,7 +86,6 @@ __all__ = [
     "LeaseBoard",
     "LeaseCoordinator",
     "WorkerRegistry",
-    "CoordinatorTransport",
     "ShardWorker",
     "execute_cell",
 ]

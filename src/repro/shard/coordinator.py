@@ -15,12 +15,15 @@ byte for byte.
 and one :class:`~repro.sweep.ledger.WorkerRegistry`.  Workers register
 once and stay job-agnostic: ``/v1/lease`` round-robins one cell per board
 per pass (a wide job cannot starve a small one), ``/v1/report`` routes by
-the echoed ``job`` field (or by uid) and ``/v1/heartbeat`` by the lease-id
-prefix.  A report may also carry the worker's new estimator-cache records
-and ask for its next cells: one round trip per settled cell.  A one-shot
-coordinator answers ``done`` once its board settled and stays up until
-every live worker heard so; the service subclass is persistent — done
-only once it closes, and it re-adopts worker ids issued before a restart.
+the echoed ``job`` field (null for a one-shot grid) and ``/v1/heartbeat``
+by the lease-id prefix.  A report may also carry the worker's new
+estimator-cache records and ask for its next cells: one round trip per
+settled cell.  A one-shot coordinator is a
+:class:`~repro.sweep.runner.SweepRunner`'s transport: :meth:`execute`
+answers ``done`` once the run's board settled, stays up until every live
+worker heard so (at most :data:`LINGER_S`) and closes.  The service
+subclass is persistent — done only once it closes, and it re-adopts
+worker ids issued before a restart.
 
 Nothing polls on a fixed tick.  Board changes, cancellation and shutdown
 wake one condition variable: the lease reaper sleeps until the next lease
@@ -45,6 +48,7 @@ from repro.shard.protocol import (
     MAX_BODY_BYTES,
     MAX_LEASE_WAIT_S,
     PROTOCOL_VERSION,
+    REQUEST_TIMEOUT_S,
     ShardProtocolError,
     check_lease_timing,
     number_field,
@@ -64,6 +68,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sweep.runner import PreparedTarget, SweepRunner
 
 logger = get_logger(__name__)
+
+#: Longest a one-shot coordinator keeps answering ``done`` after its grid
+#: settled, for live workers to hear it.  Shorter than the default 5 s
+#: heartbeat period: a worker asks about a lapsed cell at once, not at a beat.
+LINGER_S = 2.0
+
+#: Longest :meth:`LeaseCoordinator.close` waits for the HTTP thread to stop.
+JOIN_TIMEOUT_S = 5.0
+
 
 def parse_report(payload: Mapping) -> tuple[str, str, str, dict]:
     """Validate one ``/v1/report`` body into ``LeaseBoard.report`` arguments.
@@ -119,9 +132,9 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-shard"
     protocol_version = "HTTP/1.1"
-    #: Seconds any one socket read or write may block (the workers' default
-    #: request timeout), so a stalled client cannot hold its thread forever.
-    timeout = 30.0
+    #: Seconds any one socket read or write may block (the workers' request
+    #: timeout), so a stalled client cannot hold its thread forever.
+    timeout = REQUEST_TIMEOUT_S
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         logger.debug("shard http: " + format, *args)
@@ -194,8 +207,6 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
             return self.coordinator.handle_heartbeat(payload)
         if route == "/v1/cache/pull":
             return self.coordinator.handle_cache_pull(payload)
-        if route == "/v1/cache/push":
-            return self.coordinator.handle_cache_push(payload)
         return None
 
     def _handle_delete(self, route: str) -> Optional[dict]:
@@ -248,9 +259,10 @@ class LeaseCoordinator:
     pending cells into a board (keyed by its job uid, ``None`` for a
     one-shot grid) and :meth:`wait` blocks the board's owner until it
     settles.  The base class is one-shot: it answers ``done`` once every
-    attached board settled.  A :attr:`persistent` subclass (the job
-    service) is done only once it closes and re-adopts worker ids from a
-    previous run.
+    attached board settled, and a started one is a runner's ``transport``
+    (:meth:`execute`), so workers may register before the run begins.  A
+    :attr:`persistent` subclass (the job service) is done only once it
+    closes and re-adopts worker ids from a previous run.
     """
 
     #: ``done`` only once closing; re-adopts worker ids issued before a restart.
@@ -271,7 +283,7 @@ class LeaseCoordinator:
         self.lease_ttl_s = lease_ttl_s
         self.heartbeat_s = heartbeat_s
         #: Estimator-cache exchange hub: workers pull this directory's records
-        #: in bulk after registering and push back what they compute.
+        #: in bulk after registering, and their reports carry what they compute.
         self.cache_dir = cache_dir
         self._cache_hub = CacheHub(cache_dir) if cache_dir is not None else None
         self.workers = WorkerRegistry(adopt_unknown=self.persistent)
@@ -309,7 +321,7 @@ class LeaseCoordinator:
         )
         self._server_thread.start()
 
-    def close(self, join_timeout_s: float = 5.0) -> None:
+    def close(self) -> None:
         """Stop serving: release parked requests and waiters, close the socket."""
         with self._changed:
             self._closing = True
@@ -317,8 +329,28 @@ class LeaseCoordinator:
             self._changed.notify_all()
         if self._server_thread is not None:
             self.server.shutdown()
-            self._server_thread.join(timeout=join_timeout_s)
+            self._server_thread.join(timeout=JOIN_TIMEOUT_S)
         self.server.server_close()
+
+    def execute(self, runner: "SweepRunner", order: list[int],
+                preparations: Mapping[tuple, "PreparedTarget"]):
+        """Serve ``runner``'s pending cells to the workers, then close.
+
+        The :class:`~repro.sweep.runner.SweepRunner` transport: attach the
+        cells as the one board, wait until they settle, keep answering
+        ``done`` until every live worker heard it (at most :data:`LINGER_S`)
+        and close.  Returns ``(outcomes_by_index, failures_by_index)``.
+        """
+        try:
+            board = self.attach(runner, order, preparations)
+            logger.info("shard: coordinator serving %d cell(s) on %s", len(order), self.url)
+            # A failed checkpoint append stops the grid: run() raises it.
+            self.wait(board, stopped=lambda: runner._write_error is not None)
+            if board.done:
+                self.linger(LINGER_S)
+            return dict(board.outcomes), dict(board.failures)
+        finally:
+            self.close()
 
     # ----------------------------------------------------------------- boards
     def attach(
@@ -484,16 +516,11 @@ class LeaseCoordinator:
             raise ShardProtocolError(
                 f"worker speaks protocol v{version}, coordinator is v{PROTOCOL_VERSION}"
             )
-        reply = {
+        return {
             "worker_id": self.workers.register(str(payload.get("name") or "worker")),
-            "lease_ttl_s": self.lease_ttl_s,
             "heartbeat_s": self.heartbeat_s,
-            "grid_size": sum(board.counts()["cells"] for board in self._attached()),
             "cache": self.cache_dir is not None,
         }
-        if self.persistent:
-            reply["service"] = True
-        return reply
 
     def handle_lease(self, payload: Mapping) -> dict:
         worker_id = require(payload, "worker_id", str)
@@ -568,15 +595,19 @@ class LeaseCoordinator:
     def handle_report(self, payload: Mapping) -> dict:
         """Settle one reported cell; merge the records and lease the cells it carries.
 
+        ``job`` names the board: null (or absent) is the one-shot grid's.
         The optional ``cache_records`` are the worker's new estimator-cache
-        records (merged as ``/v1/cache/push`` merges them), and the optional
-        ``lease`` (``slots``, ``known_preps``) asks for the worker's next
-        cells: the reply's ``lease`` is then a ``/v1/lease`` reply, leased
-        after the report settled and never parked.  Every field is checked
-        before anything happens, so a 4xx settles, merges and leases nothing;
-        a merge that fails is logged, and the report still settles.
+        records, and the optional ``lease`` (``slots``, ``known_preps``) asks
+        for the worker's next cells: the reply's ``lease`` is then a
+        ``/v1/lease`` reply, leased after the report settled and never
+        parked.  Every field is checked before anything happens, so a 4xx
+        settles, merges and leases nothing; a merge that fails is logged,
+        and the report still settles.
         """
         worker_id, lease_id, uid, kwargs = parse_report(payload)
+        job = payload.get("job")
+        if job is not None and not isinstance(job, str):
+            raise ShardProtocolError("message field 'job' must be a string or null")
         lease = payload.get("lease")
         if lease is not None and not isinstance(lease, dict):
             raise ShardProtocolError("message field 'lease' must be an object")
@@ -591,12 +622,7 @@ class LeaseCoordinator:
             except Exception:  # noqa: BLE001 - the cache is an optimisation: settle regardless
                 logger.exception("shard: dropped %d cache record(s) reported by %s",
                                  len(records), worker_id)
-        job = payload.get("job")
-        if isinstance(job, str) and job:
-            board = self.board(job)
-        else:
-            # One-shot grids and job-oblivious workers route by uid.
-            board = next((b for b in self._attached() if b.has_cell(uid)), None)
+        board = self.board(job)
         if board is None:
             # Cancelled / settled / unknown job: acknowledge without acting,
             # exactly like a duplicate — requeue suppression on cancel.
@@ -638,30 +664,20 @@ class LeaseCoordinator:
     def handle_cache_pull(self, payload: Mapping) -> dict:
         """Bulk ``DiskEvaluationCache`` export so fresh workers warm-start."""
         require(payload, "worker_id", str)
-        namespaces = string_list_field(payload, "namespaces")
         if self.cache_dir is None:
             return {"records": [], "count": 0, "enabled": False}
-        records = read_cache_records(self.cache_dir, namespaces=namespaces)
+        records = read_cache_records(self.cache_dir)
         return {"records": records, "count": len(records), "enabled": True}
 
-    def handle_cache_push(self, payload: Mapping) -> dict:
-        """Merge the records of a worker that predates report-borne records."""
-        require(payload, "worker_id", str)
-        records = require(payload, "records", list)
-        if self._cache_hub is None:
-            return {"accepted": 0, "enabled": False}
-        return {"accepted": self._merge_cache(records), "enabled": True}
-
-    def _merge_cache(self, records: list) -> int:
-        """Merge wire records into the hub; returns how many were new.
+    def _merge_cache(self, records: list) -> None:
+        """Merge a report's wire records into the hub (dropped without one).
 
         The hub dedups against its key index under its own lock, so a merge
         costs O(records delivered plus bytes other writers appended since
         the last one), and concurrent merges of one record accept it once.
         """
         if self._cache_hub is None:
-            return 0
+            return
         accepted = self._cache_hub.merge(records)
         if accepted:
             telemetry.event("shard.cache.pushed", records=accepted)
-        return accepted

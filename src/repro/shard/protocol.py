@@ -17,10 +17,11 @@ Endpoints (all under ``/v1``; requests are ``POST`` with a JSON body
 unless noted):
 
 ``/v1/register``
-    ``{"name": ...}`` → ``{"worker_id", "lease_ttl_s", "heartbeat_s",
-    "grid_size", "cache": bool}``.  A worker registers once and
-    uses the returned id in every later call.  ``cache=True`` advertises
-    the ``/v1/cache/*`` exchange below.
+    ``{"name", "version"}`` → ``{"worker_id", "heartbeat_s", "cache":
+    bool}``.  A worker registers once and uses the returned id in every
+    later call; a worker speaking another :data:`PROTOCOL_VERSION` is
+    refused with 400.  ``cache=True`` advertises the estimator-cache
+    exchange below.
 
 ``/v1/lease``
     ``{"worker_id", "slots", "known_preps": [wire_key, ...], "wait_s"?}``
@@ -36,7 +37,7 @@ unless noted):
     settled and it should exit; a persistent service sends it only while
     it stops, to the workers it answers then.  ``job`` is the
     owning job uid under a multi-job service coordinator and ``None``
-    (or absent) for a one-shot grid — workers echo it back verbatim.
+    for a one-shot grid — workers echo it back verbatim.
 
 ``/v1/report``
     ``{"worker_id", "lease_id", "uid", "status": "ok"|"error",
@@ -47,15 +48,14 @@ unless noted):
     first settled record wins and later reports are acknowledged but
     dropped (``accepted=False, reason="duplicate"``), so a settled cell
     is never lost *or* double-counted.  ``job`` routes the report to the
-    right job's board; without it the report is routed by ``uid``.
-    ``cache_records`` carries the worker's estimator-cache records the
-    coordinator has not seen (at most :data:`MAX_REPORT_RECORDS`, in the
-    ``/v1/cache/push`` shape; malformed ones are dropped), and ``lease``
+    right job's board (null or absent: the one-shot grid's; any other
+    non-string answers 400).  ``cache_records`` carries the worker's
+    estimator-cache records the coordinator has not seen (at most
+    :data:`MAX_REPORT_RECORDS`; malformed ones are dropped), and ``lease``
     (``{"slots", "known_preps"}``) asks for the worker's next cells: the
     reply's ``lease`` is then a ``/v1/lease`` reply, leased after the
     report settled and never parked.  So a busy worker makes one round
-    trip per settled cell.  Both fields are optional; a coordinator that
-    ignores them leaves the worker to lease through ``/v1/lease``.
+    trip per settled cell.  Both fields are optional.
 
 ``/v1/heartbeat``
     ``{"worker_id", "lease_ids": [...]}`` → ``{"ok", "lost": [...]}``.
@@ -63,14 +63,11 @@ unless noted):
     (timed out) or expired comes back in ``lost``, and a ``--workers N``
     worker kills its process without reporting the charged attempt.
 
-``/v1/cache/pull`` / ``/v1/cache/push``
-    Bulk estimator-cache exchange so a fresh worker warm-starts instead
-    of recomputing.  ``pull``: ``{"worker_id", "namespaces"?}`` →
-    ``{"records": [...], "count", "enabled"}``.  ``push``:
-    ``{"worker_id", "records": [...]}`` → ``{"accepted": int,
-    "enabled"}``, kept for workers that predate report-borne records
-    (upgrade the coordinator first); it merges exactly as a report's
-    ``cache_records`` do.  Records use the ``DiskEvaluationCache`` JSONL
+``/v1/cache/pull``
+    ``{"worker_id"}`` → ``{"records": [...], "count", "enabled"}``: the
+    hub's whole estimator cache, so a fresh worker warm-starts instead of
+    recomputing; what it computes goes back on its reports'
+    ``cache_records``.  Records use the ``DiskEvaluationCache`` JSONL
     shape verbatim (``{"namespace", "key", "estimate", "ts"}``).
 
 ``/v1/status`` (GET)
@@ -100,7 +97,7 @@ from typing import Mapping, Optional
 from repro.sweep.ledger import DEFAULT_LEASE_TTL_S, ShardProtocolError  # re-exported
 
 #: Protocol version; a coordinator rejects workers speaking another one.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Default coordinator port (unassigned by IANA, outside ephemeral range).
 DEFAULT_PORT = 8765
@@ -109,8 +106,12 @@ DEFAULT_PORT = 8765
 DEFAULT_HEARTBEAT_S = 5.0
 
 #: Longest a long-polling ``/v1/lease`` request is held at the coordinator;
-#: well under a worker's default request timeout.
+#: well under :data:`REQUEST_TIMEOUT_S`.
 MAX_LEASE_WAIT_S = 10.0
+
+#: Seconds a worker waits for one reply, and a coordinator for one socket
+#: read or write of a request.
+REQUEST_TIMEOUT_S = 30.0
 
 #: Header carrying the shared secret on mutating requests.
 AUTH_HEADER = "X-Repro-Token"
@@ -119,9 +120,7 @@ AUTH_HEADER = "X-Repro-Token"
 #: On the paper grid (seed 2019) the largest ``/v1/report`` body is ~0.8 MB
 #: (a cell's outcome plus the ~400 cache records it appended), ~2.9 MB when
 #: a worker whose local cache already holds the grid's 4,511 records
-#: reports to a fresh hub, and the largest ``/v1/cache/push`` ~2.3 MB (an
-#: older worker pushing that whole cache at once), so 64 MiB leaves a 20x
-#: margin.
+#: reports to a fresh hub, so 64 MiB leaves a 20x margin.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Most estimator-cache records one ``/v1/report`` carries (~0.5 KB each on
@@ -252,14 +251,20 @@ def delete_json(
     return _fetch_json(url, request, timeout_s)
 
 
-def parse_bind(spec: str, default_port: int = DEFAULT_PORT) -> tuple[str, int]:
+def connect_url(connect: str) -> str:
+    """The base URL of a ``--connect`` value: ``host:port`` gains ``http://``."""
+    base = connect.rstrip("/")
+    return base if base.startswith(("http://", "https://")) else "http://" + base
+
+
+def parse_bind(spec: str) -> tuple[str, int]:
     """Parse a ``host:port`` / ``host`` / ``:port`` bind spec."""
     spec = (spec or "").strip()
     if not spec:
-        return ("127.0.0.1", default_port)
+        return ("127.0.0.1", DEFAULT_PORT)
     host, sep, port_text = spec.rpartition(":")
     if not sep:
-        return (spec, default_port)
+        return (spec, DEFAULT_PORT)
     if not host:
         host = "127.0.0.1"
     try:

@@ -6,9 +6,8 @@ report, with a daemon heartbeat thread keeping the leases alive.  A report
 asks for the worker's next cells too, so a busy worker makes one round trip
 per settled cell; ``/v1/lease`` is only called for the first cell, for the
 idle long poll, and by a pooled worker beside running cells when its
-previous pass settled none.  Against a coordinator that predates this, the
-report's reply carries no lease and the worker leases as before.  Nothing
-about cell execution is distributed-specific — the worker rebuilds the
+previous pass settled none.  Nothing about cell execution is
+distributed-specific — the worker rebuilds the
 :class:`~repro.sweep.runner.PreparedTarget` shipped by the coordinator
 (bit-exact JSON round trip) and calls the same function the local sweep's
 drain calls, so a cell's journal is byte-identical no matter which
@@ -32,8 +31,9 @@ and keeps going; it never retries a cell on its own (that would skew the
 board's bounded per-cell attempt accounting), and it kills the process of
 a lease a heartbeat returns as lost; when a running cell's timeout lapses,
 it sends that heartbeat at once.  A worker that loses its coordinator
-exits non-zero after bounded reconnect attempts — unless it already
-observed ``done=True``, which is the normal shutdown path.
+exits non-zero after :data:`MAX_CONNECT_FAILURES` failed attempts in a
+row — unless it already observed ``done=True``, which is the normal
+shutdown path.
 
 A worker may keep its own ``cache_dir`` for the persistent estimator
 cache (per-machine, like any local sweep); journals do not depend on
@@ -58,7 +58,9 @@ from repro.shard.protocol import (
     MAX_LEASE_WAIT_S,
     MAX_REPORT_RECORDS,
     PROTOCOL_VERSION,
+    REQUEST_TIMEOUT_S,
     ShardProtocolError,
+    connect_url,
     post_json,
 )
 import repro.telemetry as telemetry
@@ -75,6 +77,12 @@ from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
 
+#: Failed round trips in a row after which a worker gives its coordinator up.
+MAX_CONNECT_FAILURES = 10
+
+#: Seconds between those attempts.
+RECONNECT_DELAY_S = 0.5
+
 
 class ShardWorker:
     """One worker process in a distributed sweep fleet."""
@@ -87,28 +95,18 @@ class ShardWorker:
         cache_dir: Optional[str] = None,
         name: Optional[str] = None,
         task_fn: Callable[..., SweepOutcome] = run_sweep_task,
-        request_timeout_s: float = 30.0,
-        max_connect_failures: int = 10,
-        reconnect_delay_s: float = 0.5,
         token: Optional[str] = None,
         idle_timeout_s: Optional[float] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if max_connect_failures < 1:
-            raise ValueError("max_connect_failures must be >= 1")
         if idle_timeout_s is not None and idle_timeout_s < 0:
             raise ValueError("idle_timeout_s must be >= 0")
-        self.connect = connect.rstrip("/")
-        if not self.connect.startswith(("http://", "https://")):
-            self.connect = "http://" + self.connect
+        self.connect = connect_url(connect)
         self.workers = workers
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.name = name or f"{socket.gethostname()}-{os.getpid()}"
         self.task_fn = task_fn
-        self.request_timeout_s = request_timeout_s
-        self.max_connect_failures = max_connect_failures
-        self.reconnect_delay_s = reconnect_delay_s
         self.token = token or None
         # None keeps the one-shot contract (exit only on done); a number
         # makes an idle worker (no work in any job) exit 0 after that many
@@ -137,7 +135,7 @@ class ShardWorker:
     # ----------------------------------------------------------------- wire io
     def _post(self, path: str, payload: dict) -> dict:
         return post_json(self.connect, path, payload,
-                         timeout_s=self.request_timeout_s, token=self.token)
+                         timeout_s=REQUEST_TIMEOUT_S, token=self.token)
 
     def _register(self) -> None:
         reply = self._post("/v1/register", {
@@ -285,11 +283,11 @@ class ShardWorker:
                 break
             except ShardProtocolError as exc:
                 failures += 1
-                if failures >= self.max_connect_failures:
+                if failures >= MAX_CONNECT_FAILURES:
                     logger.error("shard worker %s: cannot reach coordinator: %s",
                                  self.name, exc)
                     return 1
-                time.sleep(self.reconnect_delay_s)
+                time.sleep(RECONNECT_DELAY_S)
 
         heartbeat = threading.Thread(target=self._heartbeat_loop, daemon=True)
         heartbeat.start()
@@ -311,11 +309,11 @@ class ShardWorker:
                 if self._saw_done.is_set():
                     return None  # grid finished; the socket is simply gone
                 failures += 1
-                if failures >= self.max_connect_failures:
+                if failures >= MAX_CONNECT_FAILURES:
                     logger.error("shard worker %s: lost the coordinator: %s",
                                  self.worker_id or self.name, exc)
                     raise
-                time.sleep(self.reconnect_delay_s)
+                time.sleep(RECONNECT_DELAY_S)
 
     def _idle_wait_s(self) -> float:
         """Start the idle clock; how long a lease with nothing in flight may park.
@@ -329,7 +327,7 @@ class ShardWorker:
         now = time.monotonic()
         if self._idle_since is None:
             self._idle_since = now
-        wait_s = min(MAX_LEASE_WAIT_S, self.request_timeout_s / 2)
+        wait_s = min(MAX_LEASE_WAIT_S, REQUEST_TIMEOUT_S / 2)
         if self.idle_timeout_s is not None:
             wait_s = min(wait_s, self.idle_timeout_s - (now - self._idle_since))
         return max(wait_s, 0.0)
@@ -349,7 +347,7 @@ class ShardWorker:
         in_flight: dict[str, tuple] = {}  # lease_id -> (uid, job)
         lapses: dict[str, float] = {}  # lease_id -> when its cell's timeout lapses
         # The cells the last report's reply leased ([] when none was ready);
-        # None when it asked for none, or its coordinator predates such leases.
+        # None when it asked for none.
         leased: Optional[list[dict]] = None
         try:
             # A worker that heard "done" leaves at once (once its cells
@@ -405,7 +403,6 @@ class ShardWorker:
                         n=slots: self._report(lid, u, k, v, d, j, n))
                     if reply is None:
                         return 0
-                    # A coordinator that predates report-borne leases sends none.
                     lease = reply.get("lease")
                     if slots and isinstance(lease, dict):
                         leased = self._leased(lease)

@@ -32,8 +32,8 @@ limits at once:
   :func:`diff_results`: checkpoint-aware per-uid delta table between two
   saved runs.
 
-Cross-machine distribution lives in :mod:`repro.shard`: pass
-``SweepRunner(transport=repro.shard.CoordinatorTransport(...))`` and the
+Cross-machine distribution lives in :mod:`repro.shard`: pass a started
+``repro.shard.LeaseCoordinator`` as ``SweepRunner(transport=...)`` and the
 same grid is leased to remote workers over stdlib HTTP, checkpointed into
 the same ``_checkpoint.jsonl``, byte-identical to a local run.
 

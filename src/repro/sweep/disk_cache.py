@@ -105,11 +105,10 @@ def _estimate_payload(estimate: PerformanceEstimate) -> dict:
 
 
 def _estimate_from_payload(payload) -> Optional[PerformanceEstimate]:
-    # Payloads also arrive from the wire (a report's cache_records, or
-    # /v1/cache/push from older workers): any shape is possible, and a
-    # malformed one must be rejected, never raise.  An integer past the
-    # float range, or a NaN or infinity, is malformed too: no estimator
-    # produces one.
+    # Payloads also arrive from the wire (a report's cache_records): any
+    # shape is possible, and a malformed one must be rejected, never raise.
+    # An integer past the float range, or a NaN or infinity, is malformed
+    # too: no estimator produces one.
     if not isinstance(payload, dict) or not isinstance(payload.get("resources", {}), dict):
         return None
     try:
@@ -595,24 +594,19 @@ def compact_cache_dir(
 
 
 # ------------------------------------------------------------- wire exchange
-def read_cache_records(directory, namespaces: Optional[Sequence[str]] = None) -> list[dict]:
+def read_cache_records(directory) -> list[dict]:
     """Export a cache directory's records as wire-ready JSON dicts.
 
-    Deduplicated (newest per ``(namespace, key)``), deterministically
-    ordered, optionally filtered to ``namespaces``.  This is the payload of
-    the shard protocol's ``/v1/cache/pull`` — the record shape is exactly
-    the on-disk JSONL line, so the receiving side can append verbatim.
+    Deduplicated (newest per ``(namespace, key)``) and deterministically
+    ordered.  This is the payload of the shard protocol's
+    ``/v1/cache/pull`` — the record shape is exactly the on-disk JSONL
+    line, so the receiving side can append verbatim.
     """
     directory = pathlib.Path(directory)
     if not directory.is_dir():
         return []
     records, _corrupt, _dups, _bytes, _shards = _scan_cache_dir(directory)
-    wanted = set(namespaces) if namespaces is not None else None
-    return [
-        record
-        for (namespace, _key), record in sorted(records.items())
-        if wanted is None or namespace in wanted
-    ]
+    return [record for _slot, record in sorted(records.items())]
 
 
 class CacheDirTail:

@@ -272,10 +272,6 @@ class LeaseBoard:
                 for cell in sorted(self._cells.values(), key=lambda c: c.index)
             ]
 
-    def has_cell(self, uid: str) -> bool:
-        with self._lock:
-            return uid in self._by_uid
-
     # --------------------------------------------------------------- protocol
     def lease(self, worker_id: str, slots: int) -> list[_Cell]:
         """Lease up to ``slots`` ready cells to ``worker_id``."""

@@ -368,13 +368,12 @@ class PreparedTarget:
     def from_wire(cls, payload: Mapping) -> "PreparedTarget":
         """Rebuild a shipped artifact from its :meth:`to_wire` JSON view.
 
-        Payloads from pre-backend coordinators carry no ``backend`` key and
-        default to ``fpga`` — for which the fitted coefficients remain
-        mandatory; fit-free backends ship without them.
+        The ``fpga`` backend needs its fitted coefficients; fit-free
+        backends ship without them.
         """
         from repro.hw.analytical import AnalyticalModelCoefficients
 
-        backend = str(payload.get("backend", "fpga"))
+        backend = str(payload["backend"])
         coefficients_payload = payload.get("coefficients")
         if isinstance(coefficients_payload, Mapping):
             coefficients: Optional[AnalyticalModelCoefficients] = (
@@ -958,11 +957,11 @@ class SweepRunner:
     ``execute(runner, order, preparations)`` method receives the cost-
     ordered cell indices still to run and returns
     ``(outcomes_by_index, failures_by_index)``.  ``transport=None`` (the
-    default) drains ``runner.board(order, ...)`` in process;
-    :class:`repro.shard.CoordinatorTransport` serves that same board to
-    remote workers over HTTP instead, so every mode shares one retry,
-    backoff and timeout policy and streams each settled cell into the
-    incremental checkpoint.
+    default) drains ``runner.board(order, ...)`` in process; a started
+    :class:`repro.shard.LeaseCoordinator` serves that same board to remote
+    workers over HTTP instead and closes once it settled, so every mode
+    shares one retry, backoff and timeout policy and streams each settled
+    cell into the incremental checkpoint.
 
     :meth:`run` raises the ``OSError`` of the first checkpoint append that
     failed (a full disk) instead of returning a result the checkpoint lost.

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Optional
 
 from repro.backend import resolve_targets
-from repro.sweep.runner import SweepRunner, SweepTask, build_grid, run_sweep_task
+from repro.sweep.runner import SweepRunner, SweepTask, build_grid
 
 __all__ = ["SweepSpec"]
 
@@ -95,7 +95,6 @@ class SweepSpec:
         workers: int = 1,
         transport=None,
         resume_from=None,
-        task_fn: Callable = run_sweep_task,
         clock: Callable[[], float] = time.time,
     ) -> SweepRunner:
         """Construct the runner this spec describes (knobs applied verbatim)."""
@@ -108,7 +107,6 @@ class SweepSpec:
             retries=self.retries,
             retry_backoff_s=self.retry_backoff_s,
             resume_from=resume_from,
-            task_fn=task_fn,
             transport=transport,
             clock=clock,
         )

@@ -442,29 +442,51 @@ class TestSuppressions:
 
 
 # -------------------------------------------------------------------- self-run
+@pytest.fixture(scope="module")
+def repo_report():
+    """One lint pass over the tree, shared by the self-run checks."""
+    return lint_paths([SRC])
+
+
+@pytest.fixture
+def cli_lint(monkeypatch, repo_report):
+    """``lint`` run at the repo root, answered from the shared pass; the
+    list it returns collects the ``(paths, rules)`` the CLI asked for."""
+    import repro.analysis
+
+    asked = []
+
+    def shared_pass(paths, *, rules=None):
+        asked.append(([REPO_ROOT / path for path in paths], rules))
+        return repo_report
+
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.setattr(repro.analysis, "lint_paths", shared_pass)
+    return asked
+
+
 class TestSelfRun:
-    def test_repo_is_clean_under_its_own_linter(self):
-        report = lint_paths([SRC])
-        assert report.ok, report.render()
+    def test_repo_is_clean_under_its_own_linter(self, repo_report):
+        assert repo_report.ok, repo_report.render()
         # Every suppression in the tree carries its justification.
-        assert all(why for _, why in report.suppressed)
+        assert all(why for _, why in repo_report.suppressed)
         # An inline suppression is the only way past the gate, so the
         # tree's suppressions are pinned: a new one is a test change.
         assert sorted((pathlib.PurePath(finding.path).name, finding.rule)
-                      for finding, _ in report.suppressed) == [
+                      for finding, _ in repo_report.suppressed) == [
             ("jsonl.py", "lock-discipline"),
             ("jsonl.py", "lock-discipline"),
         ]
 
-    def test_cli_lint_exits_zero_on_repo(self, capsys, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
+    def test_cli_lint_exits_zero_on_repo(self, capsys, cli_lint):
         assert main(["lint"]) == 0
+        assert cli_lint == [([SRC], None)], "the CLI lints its default paths"
         out = capsys.readouterr().out
         assert "0 finding(s)" in out
 
-    def test_cli_json_report_shape(self, capsys, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
+    def test_cli_json_report_shape(self, capsys, cli_lint):
         assert main(["lint", "--json"]) == 0
+        assert cli_lint == [([SRC], None)], "the CLI lints its default paths"
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"ok", "files", "rules", "findings", "suppressed"}
         assert payload["ok"] is True

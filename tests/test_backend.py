@@ -261,6 +261,7 @@ class TestPreparedTargetWire:
         payload = {
             "device": "PYNQ-Z1", "clock_mhz": 100.0, "utilization": 1.0,
             "top_bundles": 2, "selected_bundle_ids": [13], "fingerprint": "x",
+            "backend": "fpga",
         }
         with pytest.raises(ValueError, match="coefficients"):
             PreparedTarget.from_wire(payload)

@@ -36,6 +36,7 @@ from repro.sweep import (
     read_cache_records,
     run_sweep_task,
 )
+from repro.sweep.disk_cache import CacheHub
 from repro.sweep.spec import SweepSpec
 from repro.utils.jsonl import JsonlTail
 from repro.utils.serialization import to_jsonable
@@ -519,33 +520,29 @@ class TestFullDisk:
 
     def test_full_hub_refuses_pushes_until_the_disk_has_room(self, tmp_path, monkeypatch,
                                                             disk_full, caplog):
-        coordinator = LeaseCoordinator(cache_dir=tmp_path / "hub")
+        hub = tmp_path / "hub"
+        coordinator = LeaseCoordinator(cache_dir=hub)
         coordinator.start()
-
-        def push(*keys):
-            return post_json(coordinator.url, "/v1/cache/push",
-                             {"worker_id": "w1", "records": [cache_record(k) for k in keys]})
 
         def report(*keys):
             # No board holds the cell: the report is acknowledged, its records merged.
             return post_json(coordinator.url, "/v1/report", {
                 "worker_id": worker, "lease_id": "l1", "uid": "u1", "status": "error",
-                "cache_records": [cache_record(k) for k in keys]})
+                "job": None, "cache_records": [cache_record(k) for k in keys]})
 
         try:
             worker = post_json(coordinator.url, "/v1/register", {"name": "w"})["worker_id"]
             disk_full("*--pushed.jsonl")
             with caplog.at_level(logging.WARNING, logger="repro.utils.jsonl"):
-                assert [push("a"), push("b")] == [{"accepted": 0, "enabled": True}] * 2
-                assert report("b")["reason"] == "unknown-job"
+                assert [report(k)["reason"] for k in "abb"] == ["unknown-job"] * 3
             # One WARNING per refused delivery, never a 500.
             assert len([r for r in caplog.records if r.name == "repro.utils.jsonl"]) == 3
-            assert read_cache_records(tmp_path / "hub") == []
+            assert read_cache_records(hub) == []
             monkeypatch.undo()  # the disk has room again
-            assert push("a", "c") == {"accepted": 2, "enabled": True}
+            report("a", "c")
+            assert sorted(shard_slots(hub)) == [("ns", "a"), ("ns", "c")]
             report("c", "d")
-            assert sorted(r["key"] for r in read_cache_records(tmp_path / "hub")) == \
-                ["a", "c", "d"]
+            assert sorted(shard_slots(hub)) == [("ns", "a"), ("ns", "c"), ("ns", "d")]
         finally:
             coordinator.close()
 
@@ -701,15 +698,14 @@ class TestCacheExchange:
 
     def test_concurrent_pushes_write_each_record_once(self, tmp_path):
         hub = tmp_path / "hub"
-        coordinator = LeaseCoordinator(cache_dir=hub)
+        merging = CacheHub(hub)
         records = [cache_record(f"k{i}", namespace=f"ns{i % 2}") for i in range(3000)]
         start = threading.Barrier(8)
         accepted: list[int] = []
 
         def push():
             start.wait(timeout=30)
-            reply = coordinator.handle_cache_push({"worker_id": "w1", "records": records})
-            accepted.append(reply["accepted"])
+            accepted.append(merging.merge(records))
 
         threads = [threading.Thread(target=push) for _ in range(8)]
         interval = sys.getswitchinterval()
@@ -721,7 +717,6 @@ class TestCacheExchange:
                 thread.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-            coordinator.close()
         assert not any(thread.is_alive() for thread in threads)
         slots = shard_slots(hub)
         assert len(slots) == len(set(slots)) == len(records)
@@ -729,45 +724,33 @@ class TestCacheExchange:
 
     def test_hub_index_sees_other_writers_and_follows_gc(self, tmp_path):
         hub = tmp_path / "hub"
-        coordinator = LeaseCoordinator(cache_dir=hub)
-
-        def push(*records) -> int:
-            reply = coordinator.handle_cache_push({"worker_id": "w1", "records": list(records)})
-            return reply["accepted"]
-
-        try:
-            assert push(cache_record("a"), cache_record("keep", ts=time.time())) == 2
-            append_shard(hub, "local", ["b"])  # another writer on the hub directory
-            assert push(cache_record("a"), cache_record("b"), cache_record("c")) == 1
-            # gc evicts the old records and rewrites the survivor into a new
-            # shard: evicted keys are accepted again, the survivor is not.
-            compact_cache_dir(hub, max_age_days=1)
-            assert shard_slots(hub) == [("ns", "keep")]
-            assert push(cache_record("a"), cache_record("keep")) == 1
-        finally:
-            coordinator.close()
+        push = CacheHub(hub).merge
+        assert push([cache_record("a"), cache_record("keep", ts=time.time())]) == 2
+        append_shard(hub, "local", ["b"])  # another writer on the hub directory
+        assert push([cache_record("a"), cache_record("b"), cache_record("c")]) == 1
+        # gc evicts the old records and rewrites the survivor into a new
+        # shard: evicted keys are accepted again, the survivor is not.
+        compact_cache_dir(hub, max_age_days=1)
+        assert shard_slots(hub) == [("ns", "keep")]
+        assert push([cache_record("a"), cache_record("keep")]) == 1
         assert sorted(shard_slots(hub)) == [("ns", "a"), ("ns", "keep")]
 
     def test_malformed_push_records_are_dropped(self, tmp_path):
-        coordinator = LeaseCoordinator(cache_dir=tmp_path / "hub")
-        try:
-            bad_estimate = dict(cache_record("a"), estimate=[1.0])
-            bad_resources = cache_record("b")
-            bad_resources["estimate"] = dict(bad_resources["estimate"], resources=5)
-            # Numbers past the float range, NaN and infinity are malformed too.
-            odd_numbers = []
-            for index, value in enumerate([10 ** 400, float("nan"), float("inf")]):
-                latency, lut = cache_record(f"l{index}"), cache_record(f"r{index}")
-                latency["estimate"] = dict(latency["estimate"], latency_ms=value)
-                lut["estimate"] = dict(lut["estimate"], resources={"lut": value})
-                odd_numbers += [latency, lut]
-            reply = coordinator.handle_cache_push({"worker_id": "w1", "records": [
-                bad_estimate, bad_resources, "not-a-record", *odd_numbers, cache_record("c"),
-                # A timestamp that is not a finite number reads as a missing one.
-                cache_record("t1", ts=10 ** 400), cache_record("t2", ts=float("nan"))]})
-        finally:
-            coordinator.close()
-        assert reply == {"accepted": 3, "enabled": True}
+        bad_estimate = dict(cache_record("a"), estimate=[1.0])
+        bad_resources = cache_record("b")
+        bad_resources["estimate"] = dict(bad_resources["estimate"], resources=5)
+        # Numbers past the float range, NaN and infinity are malformed too.
+        odd_numbers = []
+        for index, value in enumerate([10 ** 400, float("nan"), float("inf")]):
+            latency, lut = cache_record(f"l{index}"), cache_record(f"r{index}")
+            latency["estimate"] = dict(latency["estimate"], latency_ms=value)
+            lut["estimate"] = dict(lut["estimate"], resources={"lut": value})
+            odd_numbers += [latency, lut]
+        accepted = CacheHub(tmp_path / "hub").merge([
+            bad_estimate, bad_resources, "not-a-record", *odd_numbers, cache_record("c"),
+            # A timestamp that is not a finite number reads as a missing one.
+            cache_record("t1", ts=10 ** 400), cache_record("t2", ts=float("nan"))])
+        assert accepted == 3
         assert shard_slots(tmp_path / "hub") == [("ns", "c"), ("ns", "t1"), ("ns", "t2")]
         assert [record["ts"] for record in read_cache_records(tmp_path / "hub")] == \
             [1.0, 0.0, 0.0]
@@ -802,20 +785,23 @@ class TestCacheExchange:
         coordinator = LeaseCoordinator(cache_dir=hub)
         coordinator.start()
         try:
+            worker = post_json(coordinator.url, "/v1/register", {"name": "w"})["worker_id"]
             with caplog.at_level(logging.WARNING, logger="repro.utils.jsonl"):
-                reply = post_json(coordinator.url, "/v1/cache/push",
-                                  {"worker_id": "w1", "records": [cache_record("a")]})
-            assert reply == {"accepted": 0, "enabled": True}
+                reply = post_json(coordinator.url, "/v1/report", {
+                    "worker_id": worker, "lease_id": "l1", "uid": "u1", "status": "error",
+                    "cache_records": [cache_record("a")]})
+            assert reply["reason"] == "unknown-job"
             assert len([r for r in caplog.records if r.name == "repro.utils.jsonl"]) == 1
         finally:
             coordinator.close()
+        assert hub.read_text(encoding="utf-8") == "a file where the directory should be"
 
 
     def test_hub_never_reads_its_own_lines_back(self, tmp_path, monkeypatch):
         import repro.sweep.disk_cache as disk_cache
 
         hub = tmp_path / "hub"
-        coordinator = LeaseCoordinator(cache_dir=hub)
+        merging = CacheHub(hub)
         reads: list[tuple[str, int]] = []
         read = JsonlTail.read
 
@@ -828,35 +814,30 @@ class TestCacheExchange:
         monkeypatch.setattr(JsonlTail, "read", counting_read)
 
         def push(*keys) -> int:
-            reply = coordinator.handle_cache_push(
-                {"worker_id": "w1", "records": [cache_record(k) for k in keys]})
-            return reply["accepted"]
+            return merging.merge([cache_record(k) for k in keys])
 
-        try:
-            assert push("a", "b") == 2
-            assert push("a", "c") == 1 and reads == []
-            # Other writers: one appends to the hub's own shard, one to another.
-            append_shard(hub, "pushed", ["d"])
-            append_shard(hub, "local", ["e"])
-            assert push("d", "e", "f") == 1
-            assert sorted(reads) == [("ns--local.jsonl", 1), ("ns--pushed.jsonl", 1)]
-            # A writer that appends between the hub's refresh and its write
-            # puts its line before the hub's: both are read on the next merge.
-            reads.clear()
-            real_log = disk_cache.JsonlLog
+        assert push("a", "b") == 2
+        assert push("a", "c") == 1 and reads == []
+        # Other writers: one appends to the hub's own shard, one to another.
+        append_shard(hub, "pushed", ["d"])
+        append_shard(hub, "local", ["e"])
+        assert push("d", "e", "f") == 1
+        assert sorted(reads) == [("ns--local.jsonl", 1), ("ns--pushed.jsonl", 1)]
+        # A writer that appends between the hub's refresh and its write
+        # puts its line before the hub's: both are read on the next merge.
+        reads.clear()
+        real_log = disk_cache.JsonlLog
 
-            class RacedLog(real_log):
-                def write(self, lines):
-                    append_shard(hub, "pushed", ["g"])
-                    return super().write(lines)
+        class RacedLog(real_log):
+            def write(self, lines):
+                append_shard(hub, "pushed", ["g"])
+                return super().write(lines)
 
-            monkeypatch.setattr(disk_cache, "JsonlLog", RacedLog)
-            assert push("h") == 1
-            monkeypatch.setattr(disk_cache, "JsonlLog", real_log)
-            assert push("g", "h") == 0
-            assert reads == [("ns--pushed.jsonl", 2)]
-        finally:
-            coordinator.close()
+        monkeypatch.setattr(disk_cache, "JsonlLog", RacedLog)
+        assert push("h") == 1
+        monkeypatch.setattr(disk_cache, "JsonlLog", real_log)
+        assert push("g", "h") == 0
+        assert reads == [("ns--pushed.jsonl", 2)]
         slots = shard_slots(hub)
         assert sorted(slots) == [("ns", k) for k in "abcdefgh"]
 
@@ -878,24 +859,18 @@ def _counting_posts(monkeypatch) -> list[tuple[str, dict, dict]]:
     return calls
 
 
-class _PushingWorker(ShardWorker):
-    """A worker that predates report-borne records and leases: its reports
-    carry neither field, and it pushes its records through /v1/cache/push."""
+class _BareWorker(ShardWorker):
+    """A worker whose reports carry neither optional field."""
 
     def _post(self, path, payload):
-        if path != "/v1/report":
-            return super()._post(path, payload)
-        payload = dict(payload)
-        records = payload.pop("cache_records", None)
-        payload.pop("lease", None)
-        reply = super()._post(path, payload)
-        if records:
-            super()._post("/v1/cache/push", {"worker_id": self.worker_id, "records": records})
-        return reply
+        if path == "/v1/report":
+            payload = {key: value for key, value in payload.items()
+                       if key not in ("cache_records", "lease")}
+        return super()._post(path, payload)
 
 
 class _IgnoringService(ServiceCoordinator):
-    """A coordinator that predates report-borne records and leases."""
+    """A coordinator that ignores a report's optional fields."""
 
     def handle_report(self, payload):
         return super().handle_report({key: value for key, value in payload.items()
@@ -940,16 +915,17 @@ class TestOneRoundTripPerCell:
         assert len(hub_slots) == len(set(hub_slots))
         assert set(hub_slots) == set(shard_slots(tmp_path / "wcache"))
 
-    def test_a_worker_that_pushes_still_drains_its_job(self, tmp_path, monkeypatch):
+    def test_reports_without_optional_fields_drain_the_job(self, tmp_path, monkeypatch):
         calls = _counting_posts(monkeypatch)
-        cells = self._drain(tmp_path, worker_class=_PushingWorker)
+        cells = self._drain(tmp_path, worker_class=_BareWorker)
         paths = [path for path, _, _ in calls]
-        assert paths.count("/v1/report") == cells and "/v1/cache/push" in paths
+        assert paths.count("/v1/report") == cells
         assert all("lease" not in reply for path, _, reply in calls if path == "/v1/report")
         assert len([path for path, _, reply in calls
                     if path == "/v1/lease" and reply["cells"]]) == cells
-        assert set(shard_slots(tmp_path / "root" / "cache")) == \
-            set(shard_slots(tmp_path / "wcache"))
+        # The records stay on the worker; journals do not depend on them.
+        assert read_cache_records(tmp_path / "root" / "cache") == []
+        assert shard_slots(tmp_path / "wcache")
 
     def test_a_coordinator_that_ignores_both_fields_still_drains_the_job(
             self, tmp_path, monkeypatch):

@@ -14,9 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hw.device import get_device
+import repro.shard.coordinator as coordinator_module
+import repro.shard.worker as shard_worker
 from repro.shard import (
     DEFAULT_HEARTBEAT_S,
-    CoordinatorTransport,
+    PROTOCOL_VERSION,
     LeaseBoard,
     LeaseCoordinator,
     ShardProtocolError,
@@ -516,7 +518,6 @@ MALFORMED_FIELDS = [
     ("/v1/heartbeat", {"lease_ids": 5}, "lease_ids"),
     ("/v1/report", {"duration_s": "x"}, "duration_s"),
     ("/v1/report", {"duration_s": None}, "duration_s"),
-    ("/v1/cache/pull", {"namespaces": [{}]}, "namespaces"),
 ]
 
 
@@ -531,7 +532,24 @@ class TestMalformedLeaseFields:
                 **fields}
         with pytest.raises(ShardProtocolError, match=rf"HTTP 400.*'{name}'"):
             post_json(url, route, body)
-        assert get_json(url, "/v1/status")["version"] == 1, "the server survived"
+        assert get_json(url, "/v1/status")["version"] == PROTOCOL_VERSION, \
+            "the server survived"
+
+
+class TestProtocolVersion:
+    """Every peer ships from one tree, so each message has one v2 path."""
+
+    def test_a_v1_worker_is_refused_naming_both_versions(self, lease_surface):
+        with pytest.raises(ShardProtocolError,
+                           match=r"HTTP 400.*protocol v1, coordinator is v2"):
+            post_json(lease_surface.url, "/v1/register", {"name": "old", "version": 1})
+        assert lease_surface.status()["workers"] == 0
+
+    def test_cache_push_is_not_a_route(self, lease_surface):
+        worker = post_json(lease_surface.url, "/v1/register", {"name": "t"})["worker_id"]
+        with pytest.raises(ShardProtocolError, match="HTTP 404"):
+            post_json(lease_surface.url, "/v1/cache/push",
+                      {"worker_id": worker, "records": []})
 
 
 # ------------------------------------------------------------ handler fuzzing
@@ -540,8 +558,7 @@ FUZZ_TOKEN = "fuzz-secret"
 #: Every route of both handler tables (the fuzzer adds unknown paths).
 LEASE_ROUTES = [("GET", "/v1/status"), ("GET", "/v1/metrics"),
                 ("POST", "/v1/register"), ("POST", "/v1/lease"), ("POST", "/v1/report"),
-                ("POST", "/v1/heartbeat"), ("POST", "/v1/cache/pull"),
-                ("POST", "/v1/cache/push")]
+                ("POST", "/v1/heartbeat"), ("POST", "/v1/cache/pull")]
 SERVICE_ROUTES = LEASE_ROUTES + [("GET", "/v1/jobs"), ("POST", "/v1/jobs"),
                                  ("GET", "/v1/jobs/{uid}"), ("GET", "/v1/jobs/{uid}/result"),
                                  ("DELETE", "/v1/jobs/{uid}")]
@@ -552,8 +569,7 @@ ROUTE_FIELDS = {
     "/v1/report": ["worker_id", "lease_id", "uid", "status", "outcome", "error",
                    "duration_s", "job", "cache_records", "lease"],
     "/v1/heartbeat": ["worker_id", "lease_ids"],
-    "/v1/cache/pull": ["worker_id", "namespaces"],
-    "/v1/cache/push": ["worker_id", "records"],
+    "/v1/cache/pull": ["worker_id"],
     "/v1/jobs": ["spec", "name"],
 }
 FUZZ_FIELDS = sorted({field for fields in ROUTE_FIELDS.values() for field in fields})
@@ -618,8 +634,7 @@ def _odd_field_requests(routes, base):
     odd_records = [dict(record, ts=value) for value in ODD_VALUES] + [
         dict(record, estimate=estimate) for value in ODD_VALUES
         for estimate in ({"latency_ms": value}, {"latency_ms": 1.0, "resources": {"lut": value}})]
-    fields += [(path, {field: [odd]}) for odd in odd_records
-               for path, field in (("/v1/report", "cache_records"), ("/v1/cache/push", "records"))]
+    fields += [("/v1/report", {"cache_records": [odd]}) for odd in odd_records]
     return [("POST", path, json.dumps({**base, **field}).encode("utf-8"), "exact", "right")
             for path, field in fields]
 
@@ -658,7 +673,6 @@ def _hub_lines_are_records(hub) -> bool:
 def fuzz_surfaces(tmp_path_factory):
     """Both handler tables, token-protected, with a leased cell to report on."""
     from repro.service import ServiceCoordinator
-    from repro.shard import coordinator as coordinator_module
 
     root = tmp_path_factory.mktemp("fuzz")
     with pytest.MonkeyPatch.context() as patch:
@@ -705,11 +719,23 @@ class TestHandlerFuzz:
             if status >= 400 and board is not None:
                 assert (board.counts(), board.metrics_counts()) == before, request
             assert _hub_lines_are_records(hub)
-            assert get_json(surface.url, "/v1/status")["version"] == 1
+            assert get_json(surface.url, "/v1/status")["version"] == PROTOCOL_VERSION
 
         for request in _odd_field_requests(routes, report):
             fuzz = example(request=request)(fuzz)
         fuzz()
+
+    @pytest.mark.parametrize("kind", ["coordinator", "service"])
+    def test_a_report_whose_job_is_not_a_string_answers_400(self, fuzz_surfaces, kind):
+        """``job`` null is the one-shot board; any other non-string is refused
+        before the report settles anything."""
+        surface, board, report = fuzz_surfaces[kind]
+        before = (board.counts(), board.metrics_counts()) if board is not None else None
+        for job in (5, True, 1.5, [], {"job": None}):
+            with pytest.raises(ShardProtocolError, match=r"HTTP 400.*'job'"):
+                post_json(surface.url, "/v1/report", dict(report, job=job), token=FUZZ_TOKEN)
+        if board is not None:
+            assert (board.counts(), board.metrics_counts()) == before
 
 
 class TestCoordinatorHTTP:
@@ -719,9 +745,11 @@ class TestCoordinatorHTTP:
         coordinator = serve(tasks, {tasks[0].prep_key: prepared})
         try:
             url = coordinator.url
-            registration = post_json(url, "/v1/register", {"name": "t", "version": 1})
+            registration = post_json(url, "/v1/register",
+                                     {"name": "t", "version": PROTOCOL_VERSION})
             worker_id = registration["worker_id"]
-            assert registration["grid_size"] == 1
+            # Exactly what a worker reads.
+            assert set(registration) == {"worker_id", "heartbeat_s", "cache"}
 
             reply = post_json(url, "/v1/lease",
                               {"worker_id": worker_id, "slots": 1, "known_preps": []})
@@ -839,34 +867,20 @@ class TestCoordinatorHTTP:
 # -------------------------------------------------------------------- end to end
 def run_distributed(tasks, *, worker_count=2, worker_workers=1, cache_dir=None,
                     runner_kwargs=None, worker_hook=None, lease_ttl_s=10.0,
-                    heartbeat_s=0.2, task_fn=run_sweep_task, worker_kwargs=None):
-    """One coordinator (in a thread) + N in-process serial workers."""
-    bound = threading.Event()
-    holder = {}
-
-    def on_bound(coordinator):
-        holder["url"] = coordinator.url
-        bound.set()
-
-    transport = CoordinatorTransport(
-        bind=("127.0.0.1", 0), lease_ttl_s=lease_ttl_s, heartbeat_s=heartbeat_s,
-        linger_s=0.5, on_bound=on_bound,
-    )
+                    heartbeat_s=0.2, task_fn=run_sweep_task):
+    """A started coordinator as the run's transport (run in a thread) + N
+    in-process workers; the coordinator lingers at most 0.5 s."""
+    coordinator = LeaseCoordinator(lease_ttl_s=lease_ttl_s, heartbeat_s=heartbeat_s,
+                                   cache_dir=cache_dir)
+    coordinator.start()
     runner = SweepRunner(tasks, workers=1, cache_dir=cache_dir,
-                         transport=transport, **(runner_kwargs or {}))
+                         transport=coordinator, **(runner_kwargs or {}))
     result_holder = {}
-
-    def coordinate():
-        result_holder["result"] = runner.run()
-
-    coordinator_thread = threading.Thread(target=coordinate, daemon=True)
-    coordinator_thread.start()
-    assert bound.wait(timeout=60.0), "coordinator never bound its socket"
-    if worker_hook is not None:
-        worker_hook(holder["url"])
+    coordinator_thread = threading.Thread(
+        target=lambda: result_holder.update(result=runner.run()), daemon=True)
     workers = [
-        ShardWorker(holder["url"], workers=worker_workers, name=f"test-{i}",
-                    cache_dir=None, task_fn=task_fn, **(worker_kwargs or {}))
+        ShardWorker(coordinator.url, workers=worker_workers, name=f"test-{i}",
+                    cache_dir=None, task_fn=task_fn)
         for i in range(worker_count)
     ]
     codes = []
@@ -874,9 +888,14 @@ def run_distributed(tasks, *, worker_count=2, worker_workers=1, cache_dir=None,
         threading.Thread(target=lambda w=w: codes.append(w.run()), daemon=True)
         for w in workers
     ]
-    for thread in threads:
-        thread.start()
-    coordinator_thread.join(timeout=180.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coordinator_module, "LINGER_S", 0.5)
+        coordinator_thread.start()
+        if worker_hook is not None:
+            worker_hook(coordinator.url)
+        for thread in threads:
+            thread.start()
+        coordinator_thread.join(timeout=180.0)
     assert not coordinator_thread.is_alive(), "coordinator did not finish"
     for thread in threads:
         thread.join(timeout=60.0)
@@ -938,10 +957,11 @@ class TestDistributedSweep:
             # A "worker" that leases the most expensive cell and dies
             # without ever reporting or heartbeating.
             registration = post_json(url, "/v1/register", {"name": "doomed"})
+            # Parked until the run attaches its cells.
             reply = post_json(url, "/v1/lease", {
                 "worker_id": registration["worker_id"], "slots": 1,
-                "known_preps": [],
-            })
+                "known_preps": [], "wait_s": 8.0,
+            }, timeout_s=30.0)
             assert len(reply["cells"]) == 1
 
         result, workers, codes = run_distributed(
@@ -969,10 +989,11 @@ class TestDistributedSweep:
 
         def grab_and_abandon(url):
             registration = post_json(url, "/v1/register", {"name": "doomed"})
+            # Parked until the run attaches its cells.
             reply = post_json(url, "/v1/lease", {
                 "worker_id": registration["worker_id"], "slots": 1,
-                "known_preps": [],
-            })
+                "known_preps": [], "wait_s": 8.0,
+            }, timeout_s=30.0)
             assert len(reply["cells"]) == 1
 
         distributed, _, codes = run_distributed(
@@ -1036,16 +1057,16 @@ class TestDistributedSweep:
         assert workers[0].reported_errors == 1
         assert multiprocessing.active_children() == []
 
-    def test_pooled_worker_kills_a_revoked_cell_and_exits(self):
+    def test_pooled_worker_kills_a_revoked_cell_and_exits(self, monkeypatch):
         """A cell revoked for its timeout loses its process on a pooled
         worker, so the worker exits 0 once the grid settles instead of
         waiting on stalled processes forever."""
         tasks = build_grid("pynq-z1", "scd,random,annealing,evolutionary", [40.0], **TINY)
         assert STALLING_CELL in {task.name for task in tasks}
+        monkeypatch.setattr(shard_worker, "REQUEST_TIMEOUT_S", 5.0)
         result, _, codes = run_distributed(
             tasks, worker_count=1, worker_workers=2, task_fn=_stalling_task,
-            runner_kwargs={"timeout_s": 2.0, "retries": 1},
-            worker_kwargs={"request_timeout_s": 5.0})
+            runner_kwargs={"timeout_s": 2.0, "retries": 1})
         assert codes == [0], "the worker must return once the grid settled"
         assert len(result.outcomes) == 3
         assert [(f.task.name, f.kind, f.attempts) for f in result.failures] == \
@@ -1071,7 +1092,7 @@ class TestDistributedSweep:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("mode", ["shard", "local"])
-    def test_telemetry_report_counts_timeout_kills(self, tmp_path, mode):
+    def test_telemetry_report_counts_timeout_kills(self, tmp_path, mode, monkeypatch):
         """Every mode's timeout goes through the ledger's lease revocation,
         so ``telemetry report`` counts it as a kill."""
         from repro import telemetry
@@ -1082,10 +1103,10 @@ class TestDistributedSweep:
         telemetry.enable(fresh=True)
         try:
             if mode == "shard":
+                monkeypatch.setattr(shard_worker, "REQUEST_TIMEOUT_S", 5.0)
                 result, _, codes = run_distributed(
                     tasks, worker_count=1, worker_workers=2, cache_dir=str(tmp_path),
-                    task_fn=_stalling_task, runner_kwargs=timeouts,
-                    worker_kwargs={"request_timeout_s": 5.0})
+                    task_fn=_stalling_task, runner_kwargs=timeouts)
                 assert codes == [0]
             else:
                 result = SweepRunner(tasks, workers=1, cache_dir=tmp_path,
@@ -1101,8 +1122,6 @@ class TestDistributedSweep:
         """One round trip per settled cell: each report brings back the next
         lease, so a serial worker leases through ``/v1/lease`` only for its
         first cell (the last report hears "done"); both report each cell once."""
-        import repro.shard.worker as shard_worker
-
         tasks = build_grid("pynq-z1", "scd,random,annealing", [40.0, 60.0], **TINY)
         assert len(tasks) == 6
         paths = []  # list.append is atomic; the heartbeat thread posts too
@@ -1122,18 +1141,19 @@ class TestDistributedSweep:
             if worker_workers == 1:
                 assert paths.count("/v1/lease") == 1
 
-    def test_a_failed_checkpoint_append_stops_the_grid(self, tmp_path, disk_full):
+    def test_a_failed_checkpoint_append_stops_the_grid(self, tmp_path, disk_full,
+                                                       monkeypatch):
         """The first report the checkpoint cannot take answers 500 and ends the
         run at once: no further cell is leased, and run() raises the error."""
         tasks = build_grid("pynq-z1", "scd,random,annealing", [40.0], **TINY)
         disk_full(CHECKPOINT_FILENAME)
-        bound = threading.Event()
         # A linger longer than the join below: a stopped grid must not wait
         # for workers to hear a "done" that never comes.
-        transport = CoordinatorTransport(linger_s=60.0,
-                                         on_bound=lambda coordinator: bound.set())
+        monkeypatch.setattr(coordinator_module, "LINGER_S", 60.0)
+        coordinator = LeaseCoordinator()
+        coordinator.start()
         runner = SweepRunner(tasks, workers=1, retries=0, cache_dir=str(tmp_path),
-                             transport=transport)
+                             transport=coordinator)
         raised = []
 
         def coordinate():
@@ -1144,10 +1164,11 @@ class TestDistributedSweep:
 
         thread = threading.Thread(target=coordinate, daemon=True)
         thread.start()
-        assert bound.wait(timeout=60.0), "coordinator never bound its socket"
-        url = transport.coordinator.url
+        url = coordinator.url
         worker = post_json(url, "/v1/register", {"name": "w"})["worker_id"]
-        cell = post_json(url, "/v1/lease", {"worker_id": worker})["cells"][0]
+        # Parked until the run attaches its cells.
+        cell = post_json(url, "/v1/lease", {"worker_id": worker, "wait_s": 8.0},
+                         timeout_s=30.0)["cells"][0]
         with pytest.raises(ShardProtocolError, match="HTTP 500"):
             post_json(url, "/v1/report", {
                 "worker_id": worker, "lease_id": cell["lease_id"],
@@ -1156,7 +1177,30 @@ class TestDistributedSweep:
         thread.join(timeout=10.0)
         assert not thread.is_alive(), "the run kept serving after a failed append"
         assert [exc.errno for exc in raised] == [errno.ENOSPC]
-        assert transport.final_counts["granted"] == 1
+        assert coordinator.lease_metrics()["granted"] == 1
+
+    def test_a_worker_registered_before_the_run_drains_it(self):
+        """The coordinator serves before run(): a worker registers and parks
+        first, the run's cells then drain through it, and run() closes it."""
+        tasks = build_grid("pynq-z1", "scd,random", [40.0], **TINY)
+        coordinator = LeaseCoordinator(heartbeat_s=0.2)
+        parked = threading.Event()
+        handle_lease = coordinator.handle_lease
+        coordinator.handle_lease = lambda payload: parked.set() or handle_lease(payload)
+        coordinator.start()
+        worker = ShardWorker(coordinator.url, name="early")
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(worker.run()), daemon=True)
+        thread.start()
+        assert parked.wait(timeout=30.0), "the worker never asked for a lease"
+        assert coordinator.status()["workers"] == 1
+        result = SweepRunner(tasks, transport=coordinator).run()
+        thread.join(timeout=60.0)
+        assert codes == [0] and result.ok and len(result) == len(tasks)
+        assert worker.executed == len(tasks)
+        assert coordinator.lease_metrics()["completed"] == len(tasks)
+        with pytest.raises(ShardProtocolError, match="could not reach"):
+            get_json(coordinator.url, "/v1/status", timeout_s=2.0)
 
 
 # ----------------------------------------------------------- transport wiring
@@ -1168,18 +1212,18 @@ class TestTransportWiring:
 
     def test_transport_validation(self):
         with pytest.raises(ValueError, match="heartbeat_s"):
-            CoordinatorTransport(lease_ttl_s=1.0, heartbeat_s=2.0)
+            LeaseCoordinator(lease_ttl_s=1.0, heartbeat_s=2.0)
         with pytest.raises(ValueError, match="lease_ttl_s"):
-            CoordinatorTransport(lease_ttl_s=0.0)
+            LeaseCoordinator(lease_ttl_s=0.0)
 
     def test_worker_validation(self):
         with pytest.raises(ValueError, match="workers"):
             ShardWorker("127.0.0.1:1", workers=0)
 
-    def test_worker_without_coordinator_exits_nonzero(self):
-        worker = ShardWorker("127.0.0.1:9", workers=1,
-                             max_connect_failures=2, reconnect_delay_s=0.01)
-        assert worker.run() == 1
+    def test_worker_without_coordinator_exits_nonzero(self, monkeypatch):
+        monkeypatch.setattr(shard_worker, "MAX_CONNECT_FAILURES", 2)
+        monkeypatch.setattr(shard_worker, "RECONNECT_DELAY_S", 0.01)
+        assert ShardWorker("127.0.0.1:9", workers=1).run() == 1
 
     def test_execute_cell_classifies_errors(self):
         from repro.shard import execute_cell
@@ -1220,6 +1264,20 @@ class TestShardCLI:
         assert "--heartbeat-s" in capsys.readouterr().err
         assert main(["shard", "coordinator", "--bind", "host:notaport"]) == 2
         assert "--bind" in capsys.readouterr().err
+
+    def test_a_bind_failure_is_one_error_line_and_exit_1(self, capsys):
+        import socket
+
+        from repro.cli import main
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            assert main(["shard", "coordinator", "--bind", f"127.0.0.1:{port}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro-codesign shard coordinator: error: ")
+        assert captured.err.count("\n") == 1 and "listening" not in captured.out
 
     def test_cli_coordinator_and_worker_round_trip(self, tmp_path, capsys):
         """The two CLI entry points drive a full distributed sweep."""
