@@ -57,7 +57,7 @@ from repro.shard.protocol import (
     token_matches,
 )
 import repro.telemetry as telemetry
-from repro.sweep.disk_cache import CacheHub, read_cache_records
+from repro.sweep.disk_cache import CacheIndex, read_cache_records
 from repro.sweep.ledger import (DEFAULT_LEASE_TTL_S, LEASE_COUNTERS, WAKE_SLACK_S,
                                 LeaseBoard, WorkerRegistry, _Cell)
 from repro.sweep.runner import SweepOutcome
@@ -285,7 +285,7 @@ class LeaseCoordinator:
         #: Estimator-cache exchange hub: workers pull this directory's records
         #: in bulk after registering, and their reports carry what they compute.
         self.cache_dir = cache_dir
-        self._cache_hub = CacheHub(cache_dir) if cache_dir is not None else None
+        self._cache_hub = CacheIndex(cache_dir) if cache_dir is not None else None
         self.workers = WorkerRegistry(adopt_unknown=self.persistent)
         # Leaf lock over the board tables: no board method runs under it.
         self._lock = threading.Lock()
@@ -672,9 +672,9 @@ class LeaseCoordinator:
     def _merge_cache(self, records: list) -> None:
         """Merge a report's wire records into the hub (dropped without one).
 
-        The hub dedups against its key index under its own lock, so a merge
-        costs O(records delivered plus bytes other writers appended since
-        the last one), and concurrent merges of one record accept it once.
+        The hub owns its :class:`CacheIndex` (a worker in this process
+        reads another), which dedups under its lock, so concurrent merges
+        of one record accept it once.
         """
         if self._cache_hub is None:
             return

@@ -354,8 +354,8 @@ def compact_checkpoint(
     Returns ``(records_kept, records_pruned, corrupt_lines_dropped)``.
     The newest header is preserved; records older than ``max_age_days``
     (by their line timestamp, falling back to the file's mtime) are
-    evicted.  The rewrite is atomic (temp file + rename).  A missing file
-    is a no-op.
+    evicted.  The rewrite is atomic and durable (fsynced temp file +
+    rename), as every appended line is.  A missing file is a no-op.
     """
     path = pathlib.Path(path)
     if not path.exists():
@@ -401,7 +401,10 @@ def compact_checkpoint(
     for uid in sorted(kept, key=lambda u: (kept[u]["ts"], u)):
         payload_lines.append(json.dumps(kept[uid], sort_keys=True))
     tmp = path.with_suffix(".jsonl.tmp")
-    tmp.write_text("".join(line + "\n" for line in payload_lines), encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write("".join(line + "\n" for line in payload_lines))
+        handle.flush()
+        os.fsync(handle.fileno())
     os.replace(tmp, path)
     return len(kept), pruned, corrupt
 

@@ -30,18 +30,18 @@ computed under, so the context should embed a coefficients fingerprint
 coefficient, so its namespace is ``device @ clock | synth``.  Writes go to
 a per-instance shard file, which keeps concurrent sweep workers from
 interleaving appends; a failed append (a full disk) warns once and leaves
-the estimate in memory.  Reads go through one store per process that
-decodes each shard line once: an open folds in only the bytes appended
-since the previous one, so workers still share each other's results.
+the estimate in memory.  The caches a process opens on a directory share
+one :class:`CacheIndex` of it, which decodes each line other writers
+appended once and none the process wrote, so workers still share each
+other's results and opens in one process never append a key twice.
 
 The shard protocol exchanges whole records between machines.
 :func:`read_cache_records` exports a directory (``/v1/cache/pull``).
 A :class:`CacheDirTail` hands a worker only the records its cells appended
-since its previous delivery, and a coordinator's :class:`CacheHub` appends
-delivered records whose key it has not seen, checked against an in-memory
-key index that is refreshed from bytes other writers appended only.  All
-of these appends are best-effort :class:`~repro.utils.jsonl.JsonlLog`
-writes.
+since its previous delivery; :meth:`CacheIndex.merge` appends delivered
+records whose key the directory does not hold, into a coordinator's own
+index or, for a worker's pull, the one its cells read.  All of these
+appends are best-effort :class:`~repro.utils.jsonl.JsonlLog` writes.
 """
 
 from __future__ import annotations
@@ -147,9 +147,10 @@ class DiskEvaluationCache(EvaluationCache):
 
     The memory tier and its counters (``hits``, ``misses``, :meth:`stats`)
     are the base class's.  This class adds the disk tier behind its two
-    hooks: :meth:`get_many` answers memory misses from the records the
-    namespace held when this instance opened, and :meth:`put_many` appends
-    what the estimator then scored to this instance's shard.
+    hooks: :meth:`get_many` answers memory misses from the namespace's live
+    records in the process's :class:`CacheIndex` of the directory, and
+    :meth:`put_many` appends what the estimator then scored, unless an
+    open in this process already did, to this instance's shard.
     :meth:`disk_stats` counts that tier: hits served from disk, and misses,
     which are the real estimator invocations.
 
@@ -191,7 +192,6 @@ class DiskEvaluationCache(EvaluationCache):
     ) -> None:
         super().__init__(estimator, key_fn)
         self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         self.namespace = f"{device}@{clock_mhz:g}MHz"
         if context:
             self.namespace += f"|{context}"
@@ -202,7 +202,9 @@ class DiskEvaluationCache(EvaluationCache):
         self._estimator_calls = 0
         self._clock = clock
         self._log = JsonlLog(self.shard_path, best_effort=True)
-        self._records = _namespace_records(self.directory, self.namespace)
+        self._index = _process_index(self.directory)  # makes the directory
+        # Live: every open of the namespace in this process shares it.
+        self._records = self._index.namespace(self.namespace)
         if self._records:
             logger.debug("disk cache loaded %d entries for %s", len(self._records), self.namespace)
 
@@ -233,34 +235,21 @@ class DiskEvaluationCache(EvaluationCache):
         """Record freshly estimated entries, one estimator call (disk miss) each."""
         with self._lock:
             self._estimator_calls += len(entries)
-            fresh = [(key, value) for key, value in entries if key not in self._records]
-            self._records.update(fresh)
-            self._append_many(fresh)
+        self._append_many(entries)
         reg = telemetry.registry()
         if reg is not None:
             reg.counter("sweep.disk_cache.misses").inc(len(entries))
 
     def _append_many(self, entries: Sequence[tuple[str, PerformanceEstimate]]) -> None:
-        """Append records with one shard-file write (and one ``ts``).
+        """Append the records the index lacks with one shard-file write (and one ``ts``).
 
         Best-effort, because the cache is only an optimisation: after the
         first failure (a full disk) this instance's estimates stay in memory.
         """
-        if not entries:
-            return
-        ts = round(self._clock(), 3)
-        self._log.write([
-            json.dumps(
-                {
-                    "namespace": self.namespace,
-                    "key": key,
-                    "estimate": _estimate_payload(estimate),
-                    "ts": ts,
-                },
-                sort_keys=True,
-            ) + "\n"
-            for key, estimate in entries
-        ])
+        if entries:
+            ts = round(self._clock(), 3)
+            self._index.append(self._log, self._prefix,
+                               [(self.namespace, key, estimate, ts) for key, estimate in entries])
 
     # ------------------------------------------------------------ bookkeeping
     def disk_stats(self) -> CacheStats:
@@ -269,7 +258,7 @@ class DiskEvaluationCache(EvaluationCache):
             return CacheStats(hits=self._disk_hits, misses=self._estimator_calls,
                               size=len(self._records))
 
-    # The disk tier holds every memory-tier entry as well.
+    # The disk tier: every record of the namespace the process's index holds.
     def __len__(self) -> int:
         return len(self._records)
 
@@ -658,147 +647,139 @@ class CacheDirTail:
         (see :meth:`JsonlTail.skip_own`)."""
         tail = self._tails.get(path.name)
         if tail is None:
-            tail = self._tails[path.name] = JsonlTail(path)
+            tail = self._tails[path.name] = JsonlTail(self.directory / path.name)
         tail.skip_own(span)
 
 
-class _ShardStore:
-    """The records in one namespace prefix's shards, each line decoded once.
+class CacheIndex:
+    """The records of one cache directory, each shard line decoded once.
 
-    Fed by a :class:`CacheDirTail`; rebuilt when a shard vanished, shrank
-    or was replaced (``cache gc``), as :meth:`CacheHub._refresh` does.
-    """
-
-    def __init__(self, directory: str, prefix: str) -> None:
-        self.directory, self.prefix = directory, prefix
-        self.tail = CacheDirTail(directory, prefix)
-        self.namespaces: dict[str, dict[str, PerformanceEstimate]] = {}
-
-    def refresh(self) -> None:
-        restarted, records = self.tail.read()
-        if restarted:
-            self.tail, self.namespaces = CacheDirTail(self.directory, self.prefix), {}
-            _restarted, records = self.tail.read()
-        for record, estimate in records:
-            self.namespaces.setdefault(record["namespace"], {})[record["key"]] = estimate
-
-
-#: The stores (by prefix) of the last directory this process opened: one
-#: directory at a time, so a process that opens many holds one's records.
-_process_dir: Optional[tuple] = None
-_process_stores: dict[str, _ShardStore] = {}
-_process_store_lock = threading.Lock()
-
-
-def _forget_stores_in_child() -> None:
-    # The fork copied the lock as another thread left it, mid-refresh maybe.
-    global _process_dir, _process_stores, _process_store_lock
-    _process_dir, _process_stores, _process_store_lock = None, {}, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_stores_in_child)
-
-
-def _namespace_records(directory: pathlib.Path, namespace: str) -> dict[str, PerformanceEstimate]:
-    """A copy of ``namespace``'s records, read through the process store.
-
-    A copy, because an instance must not see what others append after it
-    opened: each one counts and appends its own misses.
-    """
-    global _process_dir
-    stat = directory.stat()
-    identity = (os.path.abspath(directory), stat.st_dev, stat.st_ino)
-    prefix = _sanitize(namespace)
-    with _process_store_lock:
-        if identity != _process_dir:
-            _process_dir = identity
-            _process_stores.clear()
-        store = _process_stores.get(prefix)
-        if store is None:
-            store = _process_stores[prefix] = _ShardStore(identity[0], prefix)
-        store.refresh()
-        return dict(store.namespaces.get(namespace, {}))
-
-
-class CacheHub:
-    """Merge point for wire cache records, deduplicated by an in-memory key index.
-
-    The index is the directory's ``(namespace, key)`` set — keys only, never
-    estimates.  A merge indexes the records it appends as it appends them,
-    and its tail skips those bytes, so the hub never reads its own lines
-    back.  Each :meth:`merge` first folds in whatever else was appended
-    since the previous one, by another writer to any shard (the hub's own
-    included), and rebuilds the index in full when a shard vanished, shrank
-    or was replaced (``cache gc``; compacting a live hub stays unsupported,
-    see :func:`compact_cache_dir`).  One lock serialises the refresh, the
-    dedup and the appends, so concurrent merges never write a key twice.
+    For each namespace prefix asked about, the index tails the prefix's
+    shards and holds ``{namespace: {key: estimate}}``; when one of them
+    vanished, shrank or was replaced (by ``cache gc``, an offline operation:
+    see :func:`compact_cache_dir`), the prefix's namespace dicts are cleared
+    in place and refilled from the start, so every holder of one sees the
+    directory as it now is.  The index's own appends are indexed as they
+    land and skipped by its tails, so it decodes only the lines other
+    writers appended, to any shard.  One lock serialises the refreshes and
+    each dedup-and-append, so an index never writes a key twice.  A process
+    keeps one for its caches (:func:`_process_index`); a hub owns its own.
     """
 
     def __init__(self, directory) -> None:
         self.directory = pathlib.Path(directory)
         self._lock = threading.Lock()
-        self._tail = CacheDirTail(self.directory)
-        self._keys: set[tuple[str, str]] = set()
+        self._tails: dict[str, CacheDirTail] = {}
+        self._namespaces: dict[str, dict[str, PerformanceEstimate]] = {}
 
-    def _refresh(self) -> None:
-        restarted, records = self._tail.read()
-        if restarted:
-            self._tail = CacheDirTail(self.directory)
-            self._keys.clear()
-            _restarted, records = self._tail.read()
-        self._keys.update((record["namespace"], record["key"]) for record, _ in records)
+    def namespace(self, namespace: str) -> dict[str, PerformanceEstimate]:
+        """``namespace``'s records, refreshed now, as the index's live dict."""
+        with self._lock:
+            self._refresh(_sanitize(namespace))
+            return self._namespaces.setdefault(namespace, {})
+
+    def append(self, log: JsonlLog, prefix: str, entries: Sequence[tuple]) -> int:
+        """Append the ``(namespace, key, estimate, ts)`` entries whose key is
+        new through ``log``, a shard of the refreshed ``prefix``, as one
+        write; index what landed and skip it in the tail.  Returns how many."""
+        with self._lock:
+            fresh: dict[tuple[str, str], tuple] = {}
+            for entry in entries:
+                if entry[1] not in self._namespaces.get(entry[0], ()):
+                    fresh.setdefault(entry[:2], entry)
+            if not fresh:
+                return 0
+            span = log.write([
+                json.dumps({"namespace": namespace, "key": key, "ts": ts,
+                            "estimate": _estimate_payload(estimate)}, sort_keys=True) + "\n"
+                for namespace, key, estimate, ts in fresh.values()])
+            if span is None:
+                return 0
+            for namespace, key, estimate, _ts in fresh.values():
+                self._namespaces.setdefault(namespace, {})[key] = estimate
+            self._tails[prefix].skip_own(log.path, span)
+            return len(fresh)
 
     def merge(self, records: Sequence[dict], *, shard: str = "pushed") -> int:
-        """Append the valid records whose key is new; returns how many.
+        """Append the valid wire records whose key is new; returns how many.
 
         Malformed records are dropped, records whose ``(namespace, key)`` the
         directory already holds are skipped (merges are idempotent), and
         fresh records are appended to per-namespace ``<ns>--<shard>.jsonl``
         files in the exact on-disk format, so a
         :class:`DiskEvaluationCache` opened on the directory picks them up as
-        ordinary shards.  Appends are best-effort: a file that cannot take
-        its records (a full disk, a directory that cannot be made) logs a
-        WARNING, and they are neither indexed nor counted.
+        ordinary shards.  Only the prefixes the records name are refreshed.
+        Appends are best-effort: a file that cannot take its records (a full
+        disk, a directory that cannot be made) logs a WARNING, and they are
+        neither indexed nor counted.
         """
-        candidates: list[tuple[tuple[str, str], str]] = []
+        by_prefix: dict[str, list[tuple]] = {}
         for record in records:
             estimate = _record_estimate(record)
-            if estimate is None:
-                continue
-            candidates.append(((record["namespace"], record["key"]), json.dumps({
-                "namespace": record["namespace"],
-                "key": record["key"],
-                "estimate": _estimate_payload(estimate),
-                "ts": _record_ts(record.get("ts")),
-            }, sort_keys=True)))
+            if estimate is not None:
+                by_prefix.setdefault(_sanitize(record["namespace"]), []).append(
+                    (record["namespace"], record["key"], estimate, _record_ts(record.get("ts"))))
+        if by_prefix:
+            # A directory that cannot be made fails each append, which warns.
+            with contextlib.suppress(OSError):
+                self.directory.mkdir(parents=True, exist_ok=True)
         accepted = 0
-        with self._lock:
-            self._refresh()
-            fresh: dict[str, dict[tuple[str, str], str]] = {}
-            for slot, line in candidates:
-                if slot not in self._keys:
-                    fresh.setdefault(_sanitize(slot[0]), {}).setdefault(slot, line)
-            if fresh:
-                # A directory that cannot be made fails each append below,
-                # which warns.
-                with contextlib.suppress(OSError):
-                    self.directory.mkdir(parents=True, exist_ok=True)
-            for prefix, lines in fresh.items():
-                path = self.directory / f"{prefix}--{_sanitize(shard)}.jsonl"
-                # A log per merge: the next merge retries a disk that was full.
-                span = JsonlLog(path, best_effort=True).write(
-                    [line + "\n" for line in lines.values()])
-                if span is not None:
-                    self._keys.update(lines)
-                    self._tail.skip_own(path, span)
-                    accepted += len(lines)
+        for prefix, entries in by_prefix.items():
+            with self._lock:
+                self._refresh(prefix)
+            # A log per merge: the next merge retries a disk that was full.
+            log = JsonlLog(self.directory / f"{prefix}--{_sanitize(shard)}.jsonl", best_effort=True)
+            accepted += self.append(log, prefix, entries)
         return accepted
+
+    def _refresh(self, prefix: str) -> None:
+        """Fold in what was appended to ``prefix``'s shards since its last
+        refresh; all of them afresh when one was rewritten.  Holds the lock."""
+        tail = self._tails.get(prefix)
+        restarted, records = tail.read() if tail is not None else (True, [])
+        if restarted:
+            for namespace, held in self._namespaces.items():
+                if _sanitize(namespace) == prefix:
+                    held.clear()
+            tail = self._tails[prefix] = CacheDirTail(self.directory, prefix)
+            _restarted, records = tail.read()
+        for record, estimate in records:
+            self._namespaces.setdefault(record["namespace"], {})[record["key"]] = estimate
+
+
+#: ``(identity, index)`` of the last directory this process's caches opened:
+#: one directory at a time, so a process that opens many holds one's records.
+_process_slot: Optional[tuple[tuple, CacheIndex]] = None
+_process_slot_lock = threading.Lock()
+
+
+def _forget_index_in_child() -> None:
+    # The fork copied the locks as other threads left them, mid-refresh maybe.
+    global _process_slot, _process_slot_lock
+    _process_slot, _process_slot_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_index_in_child)
+
+
+def _process_index(directory: pathlib.Path) -> CacheIndex:
+    """The process's index of ``directory`` (made if missing); it replaces the
+    one the process held of another directory."""
+    global _process_slot
+    directory.mkdir(parents=True, exist_ok=True)
+    stat = directory.stat()
+    identity = (os.path.abspath(directory), stat.st_dev, stat.st_ino)
+    with _process_slot_lock:
+        if _process_slot is None or _process_slot[0] != identity:
+            _process_slot = (identity, CacheIndex(identity[0]))
+        return _process_slot[1]
 
 
 def append_cache_records(directory, records: Sequence[dict], *, shard: str = "pushed") -> int:
-    """Merge wire cache records into ``directory`` once; returns how many were new.
-
-    A one-off :meth:`CacheHub.merge` (it reads the whole directory); a
-    long-lived merge point keeps one :class:`CacheHub` instead.
-    """
-    return CacheHub(directory).merge(records, shard=shard)
+    """Merge wire cache records into ``directory`` through the process's index
+    of it, the one its caches read; returns how many were new."""
+    try:
+        index = _process_index(pathlib.Path(directory))
+    except OSError:  # a directory that cannot be made: the appends warn
+        index = CacheIndex(directory)
+    return index.merge(records, shard=shard)

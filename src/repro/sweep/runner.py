@@ -761,8 +761,8 @@ class SweepResult:
     def load(cls, path) -> "SweepResult":
         """Load a result previously written by :meth:`save`.
 
-        Outcomes and failures round-trip fully (journals included) and the
-        loaded result can seed ``SweepRunner(resume_from=...)``.  Also
+        Outcomes and failures round-trip fully (journals included), and
+        ``SweepRunner(resume_from=path)`` resumes from the same file.  Also
         accepts the ``{"sweep": ..., "comparison": ...}`` report files the
         CLI writes.  ``preparations`` are *not* reconstructed: the fitted
         coefficients are pickle-only and deliberately excluded from the
@@ -849,7 +849,7 @@ class WorkerProcesses:
     ``task_fn`` is bound as a ``Process`` argument when a process forks.
     An attempt goes to an idle process; one forks only when none is idle,
     and a process is replaced only after it dies or is killed.
-    Per-process state (the evaluator memo, the shard store) thus carries
+    Per-process state (the evaluator memo, the cache index) thus carries
     over from cell to cell.  :meth:`close` reaps every process, so their
     CPU time reaches the parent's ``RUSAGE_CHILDREN``.
     """
@@ -942,14 +942,13 @@ class SweepRunner:
     every mode, and each task's journal is independent of the execution
     mode, so all modes are interchangeable.
 
-    ``resume_from`` accepts a checkpoint file (``_checkpoint.jsonl``), a
+    ``resume_from`` accepts a checkpoint file (``_checkpoint.jsonl``) or a
     saved result JSON (:meth:`SweepResult.save`, or the CLI's report
-    file) or an in-memory :class:`SweepResult`: cells with a recorded
-    outcome are reused verbatim and only the failed / missing cells
-    execute.  ``retry_backoff_s`` is the base of the deterministic
-    exponential retry backoff (0 disables it); ``timeout_scale`` scales
-    the per-cell timeout from the cell's recorded cost hint, with
-    ``timeout_s`` as the floor.
+    file): cells with a recorded outcome are reused verbatim and only the
+    failed / missing cells execute.  ``retry_backoff_s`` is the base of
+    the deterministic exponential retry backoff (0 disables it);
+    ``timeout_scale`` scales the per-cell timeout from the cell's recorded
+    cost hint, with ``timeout_s`` as the floor.
 
     ``transport`` swaps the execution phase out without touching any of
     the surrounding machinery (grid validation, shared preparation,
@@ -987,7 +986,7 @@ class SweepRunner:
         timeout_scale: float = 3.0,
         retries: int = 1,
         retry_backoff_s: float = 0.1,
-        resume_from: Union[str, pathlib.Path, SweepResult, None] = None,
+        resume_from: Union[str, pathlib.Path, None] = None,
         task_fn: Callable[..., SweepOutcome] = run_sweep_task,
         transport=None,
         clock: Callable[[], float] = time.time,
@@ -1119,28 +1118,25 @@ class SweepRunner:
         self._resume_checkpoint = None
         if self.resume_from is None:
             return {}
-        if isinstance(self.resume_from, SweepResult):
-            prior = {o.task.uid: o for o in self.resume_from.outcomes}
-        else:
-            path = pathlib.Path(self.resume_from)
-            if not path.exists():
-                raise FileNotFoundError(f"resume source {path} does not exist")
-            if path.suffix == ".jsonl":
-                from repro.sweep.checkpoint import load_checkpoint
+        path = pathlib.Path(self.resume_from)
+        if not path.exists():
+            raise FileNotFoundError(f"resume source {path} does not exist")
+        if path.suffix == ".jsonl":
+            from repro.sweep.checkpoint import load_checkpoint
 
-                status = load_checkpoint(path)
-                prior = dict(status.outcomes)
-                if status.grid and set(status.grid) != {t.uid for t in self.tasks}:
-                    logger.warning(
-                        "resume: checkpoint %s was written for a different grid "
-                        "(%d recorded vs %d current cells); only matching cells "
-                        "are reused", path, len(status.grid), len(self.tasks),
-                    )
-                # Remember what the file holds so _open_checkpoint need not
-                # parse it a second time when it is this run's checkpoint.
-                self._resume_checkpoint = (path.resolve(), set(prior))
-            else:
-                prior = {o.task.uid: o for o in SweepResult.load(path).outcomes}
+            status = load_checkpoint(path)
+            prior = dict(status.outcomes)
+            if status.grid and set(status.grid) != {t.uid for t in self.tasks}:
+                logger.warning(
+                    "resume: checkpoint %s was written for a different grid "
+                    "(%d recorded vs %d current cells); only matching cells "
+                    "are reused", path, len(status.grid), len(self.tasks),
+                )
+            # Remember what the file holds so _open_checkpoint need not
+            # parse it a second time when it is this run's checkpoint.
+            self._resume_checkpoint = (path.resolve(), set(prior))
+        else:
+            prior = {o.task.uid: o for o in SweepResult.load(path).outcomes}
         by_uid = {task.uid: index for index, task in enumerate(self.tasks)}
         reused: dict[int, SweepOutcome] = {}
         unknown = 0
@@ -1178,9 +1174,9 @@ class SweepRunner:
             recorded=recorded,
             clock=self.clock,
         )
-        # A resume seeded from a result JSON (or an in-memory result) may
-        # target a cache dir whose checkpoint lacks the reused cells; back
-        # them in so this run's checkpoint is itself complete and resumable.
+        # A resume seeded from a result JSON may target a cache dir whose
+        # checkpoint lacks the reused cells; back them in so this run's
+        # checkpoint is itself complete and resumable.
         for outcome in reused.values():
             if not writer.has_outcome(outcome.task.uid):
                 writer.record_outcome(outcome)

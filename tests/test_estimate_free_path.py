@@ -6,8 +6,9 @@ savings on that path to the results they must not change:
 
 * a config's cache key is built once per object and always equals the key
   formula computed afresh;
-* a process decodes each cache-shard line once, yet every open still sees
-  other writers' appends and never an evicted key;
+* a process decodes each cache-shard line another writer appended once and
+  none it appended itself, yet every open sees other writers' appends and
+  never an evicted key, and two opens of one namespace append a key once;
 * a journal is converted to JSON once, and every hop (checkpoint line,
   wire view, sweep report) carries exactly what ``to_jsonable`` gives;
 * a full disk under the cache shards costs the cache, never the cell;
@@ -45,6 +46,7 @@ from repro.sweep import (
     SweepResult,
     SweepRunner,
     build_grid,
+    cache_dir_stats,
     compact_cache_dir,
     run_sweep_task,
 )
@@ -145,9 +147,13 @@ class TestMemoizedKeys:
             get_bundle(19)
 
 
-# --------------------------------------------------------- process shard store
+# --------------------------------------------------------- process cache index
+def _seed_configs(count: int) -> list[DNNConfig]:
+    return [_config(parallel_factor=pf) for pf in (4, 8, 16, 32)][:count]
+
+
 def _seed_records(directory, engine, count: int, device: str = "PYNQ-Z1") -> list[DNNConfig]:
-    configs = [_config(parallel_factor=pf) for pf in (4, 8, 16, 32)][:count]
+    configs = _seed_configs(count)
     writer = DiskEvaluationCache(engine.estimate, directory, device=device, shard="seed")
     for config in configs:
         writer.evaluate(config)
@@ -159,31 +165,50 @@ def _open_in_child(engine, directory: str, configs) -> None:
     os._exit(0 if all(config in cache for config in configs) else 1)
 
 
+def _seed_in_child(directory, engine, count: int, device: str = "PYNQ-Z1") -> list[DNNConfig]:
+    """:func:`_seed_records` in a forked child: lines this process never wrote."""
+    child = multiprocessing.get_context("fork").Process(
+        target=_seed_records, args=(directory, engine, count, device))
+    child.start()
+    child.join(timeout=60)
+    assert child.exitcode == 0
+    return _seed_configs(count)
+
+
 class TestProcessStore:
     def test_each_shard_line_is_decoded_once_per_process(self, tmp_path, engine, monkeypatch):
-        configs = _seed_records(tmp_path, engine, 3)
-        _seed_records(tmp_path, engine, 4, device="Ultra96")
+        configs = _seed_in_child(tmp_path, engine, 3)
+        _seed_in_child(tmp_path, engine, 4, device="Ultra96")
         counting = CountingJson()
         monkeypatch.setattr(jsonl, "json", counting)
         first = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")
-        assert counting.decoded == 3, "the three lines of its own namespace, no other"
-        second = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")
+        assert counting.decoded == 3, "another writer's three lines of its namespace, no other"
+        second = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1",
+                                     shard="second")
         assert counting.decoded == 3, "a second open decodes nothing new"
         assert all(config in first and config in second for config in configs)
+        fresh = _config(stem_channels=24)
+        second.evaluate(fresh)
+        third = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")
+        assert fresh in third and counting.decoded == 3, "a line it wrote is never decoded"
 
     def test_each_reader_decodes_a_record_once(self, tmp_path, engine, monkeypatch):
-        configs = _seed_records(tmp_path, engine, 3)
-        _seed_records(tmp_path, engine, 4, device="Ultra96")
+        configs = _seed_in_child(tmp_path, engine, 3)
+        _seed_in_child(tmp_path, engine, 4, device="Ultra96")
         decoded = []
         decode = disk_cache._estimate_from_payload
         monkeypatch.setattr(disk_cache, "_estimate_from_payload",
                             lambda payload: decoded.append(payload) or decode(payload))
         cache = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")
-        assert len(decoded) == 3, "the store validates and keeps one decode per line"
+        assert len(decoded) == 3, "the index validates and keeps one decode per line"
         keys = [config_cache_key(config) for config in configs]
         assert cache.get_many(keys) == [engine.estimate(config) for config in configs]
-        assert len(disk_cache.read_cache_records(tmp_path)) == 7 and len(decoded) == 10
-        assert disk_cache.CacheHub(tmp_path).merge([]) == 0 and len(decoded) == 17
+        records = disk_cache.read_cache_records(tmp_path)
+        assert len(records) == 7 and len(decoded) == 10
+        assert disk_cache.CacheIndex(tmp_path).merge([]) == 0 and len(decoded) == 10
+        ultra96 = [record for record in records if record["namespace"].startswith("Ultra96")]
+        assert disk_cache.CacheIndex(tmp_path).merge(ultra96[:1]) == 0
+        assert len(decoded) == 15, "the record, then only the prefix it names"
 
     def test_sees_lines_appended_between_opens(self, tmp_path, engine):
         early, late = _config(parallel_factor=4), _config(parallel_factor=8)
@@ -198,7 +223,7 @@ class TestProcessStore:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
         after = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")
         assert early in after and late in after
-        assert late not in before, "an open keeps the records it started with"
+        assert late in before, "every open of the namespace reads one live view"
 
     def test_serves_no_evicted_key_after_compaction(self, tmp_path, engine):
         now = time.time()
@@ -213,6 +238,7 @@ class TestProcessStore:
         assert report.evicted_by_age == 1
         reopened = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")
         assert old not in reopened and kept in reopened
+        assert old not in warm and kept in warm, "the live view was refilled in place"
 
     def test_holds_only_the_last_directory_opened(self, tmp_path, engine, monkeypatch):
         first, second = tmp_path / "first", tmp_path / "second"
@@ -226,13 +252,15 @@ class TestProcessStore:
 
     def test_concurrent_writers_and_opens_lose_no_record(self, tmp_path, engine):
         # More threads than cores, switching often: an open must see every
-        # record appended before it started, whatever the other threads do.
+        # record appended before it started, whatever the other threads do,
+        # and a config every thread estimates is appended once.
         def worker(index: int, errors: list) -> None:
             try:
                 for step in range(8):
                     config = _config(stem_channels=8 * (1 + index * 8 + step))
+                    shared = _config(stem_channels=8 * (1 + step), parallel_factor=8)
                     DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1",
-                                        shard=f"t{index}").evaluate(config)
+                                        shard=f"t{index}").evaluate_batch([config, shared])
                     for _ in range(4):
                         if config not in DiskEvaluationCache(engine.estimate, tmp_path,
                                                              device="PYNQ-Z1"):
@@ -253,14 +281,15 @@ class TestProcessStore:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")) == 40
+        assert len(DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")) == 48
+        assert cache_dir_stats(tmp_path).duplicates == 0
 
     def test_forked_child_never_inherits_a_held_store_lock(self, tmp_path, engine):
         configs = _seed_records(tmp_path, engine, 2)
-        DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")
+        index = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")._index
         context = multiprocessing.get_context("fork")
-        # Fork while the lock is held, as a thread mid-refresh would hold it.
-        with disk_cache._process_store_lock:
+        # Fork while the locks are held, as a thread mid-refresh would hold them.
+        with disk_cache._process_slot_lock, index._lock:
             child = context.Process(target=_open_in_child,
                                     args=(engine, str(tmp_path), configs))
             child.start()
@@ -268,6 +297,26 @@ class TestProcessStore:
         if child.is_alive():
             child.kill()
         assert child.exitcode == 0
+
+    def test_a_cold_serial_sweep_decodes_no_line_it_appended(self, tmp_path, monkeypatch):
+        decoded = []
+        decode = disk_cache._estimate_from_payload
+        monkeypatch.setattr(disk_cache, "_estimate_from_payload",
+                            lambda payload: decoded.append(payload) or decode(payload))
+        tasks = build_grid("pynq-z1", "scd,random,evolutionary", [40.0], **SMALL)
+        cold = SweepRunner(tasks, workers=1, cache_dir=str(tmp_path)).run()
+        assert cold.ok and cold.estimator_calls > 0 and list(tmp_path.glob("PYNQ*.jsonl"))
+        assert len(decoded) == 0, "later cells read earlier cells' lines from the index"
+
+    def test_two_opens_of_one_namespace_append_a_key_once(self, tmp_path, engine):
+        config = _config(parallel_factor=8)
+        first, second = (DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1",
+                                              shard=shard) for shard in ("a", "b"))
+        assert first.evaluate(config) == second.evaluate(config)
+        assert (first.disk_stats().misses, second.disk_stats().hits) == (1, 1)
+        lines = [line for path in tmp_path.glob("*.jsonl")
+                 for line in path.read_text().splitlines()]
+        assert len(lines) == 1 and cache_dir_stats(tmp_path).duplicates == 0
 
     def test_warns_about_a_corrupt_line_once(self, tmp_path, engine, caplog):
         configs = _seed_records(tmp_path, engine, 1)

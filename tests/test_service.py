@@ -36,7 +36,7 @@ from repro.sweep import (
     read_cache_records,
     run_sweep_task,
 )
-from repro.sweep.disk_cache import CacheHub
+from repro.sweep.disk_cache import CacheIndex
 from repro.sweep.spec import SweepSpec
 from repro.utils.jsonl import JsonlTail
 from repro.utils.serialization import to_jsonable
@@ -415,6 +415,17 @@ class TestCrashRecovery:
         spec = tiny_spec(strategies="scd,random", fps=(10.0, 15.0))
         root = tmp_path / "root"
         checkpoint = None
+        # The first worker runs one cell and holds the next until the
+        # coordinator is dead, so the kill lands mid-run however the
+        # threads are scheduled.
+        killed = threading.Event()
+        ran: list[str] = []
+
+        def one_cell_then_hold(task, cache_dir, prepared=None):
+            if ran:
+                killed.wait(timeout=60)
+            ran.append(task.uid)
+            return run_sweep_task(task, cache_dir, prepared)
 
         service = ServiceCoordinator(root)
         service.start()
@@ -422,11 +433,12 @@ class TestCrashRecovery:
         checkpoint = root / "jobs" / uid / CHECKPOINT_FILENAME
         worker = threading.Thread(
             target=run_worker, args=(service.url, tmp_path / "w1"),
-            kwargs={"idle_timeout_s": 30.0}, daemon=True)
+            kwargs={"idle_timeout_s": 30.0, "task_fn": one_cell_then_hold}, daemon=True)
         worker.start()
         # Let at least one cell settle, then die without a terminal state.
         assert wait_for(lambda: len(journal_map(checkpoint)) >= 1)
         service.stop()
+        killed.set()
         settled_before = len(journal_map(checkpoint))
         assert settled_before < len(spec.build_tasks()), (
             "the kill must land mid-run for this test to exercise resume")
@@ -698,7 +710,7 @@ class TestCacheExchange:
 
     def test_concurrent_pushes_write_each_record_once(self, tmp_path):
         hub = tmp_path / "hub"
-        merging = CacheHub(hub)
+        merging = CacheIndex(hub)
         records = [cache_record(f"k{i}", namespace=f"ns{i % 2}") for i in range(3000)]
         start = threading.Barrier(8)
         accepted: list[int] = []
@@ -724,7 +736,7 @@ class TestCacheExchange:
 
     def test_hub_index_sees_other_writers_and_follows_gc(self, tmp_path):
         hub = tmp_path / "hub"
-        push = CacheHub(hub).merge
+        push = CacheIndex(hub).merge
         assert push([cache_record("a"), cache_record("keep", ts=time.time())]) == 2
         append_shard(hub, "local", ["b"])  # another writer on the hub directory
         assert push([cache_record("a"), cache_record("b"), cache_record("c")]) == 1
@@ -746,7 +758,7 @@ class TestCacheExchange:
             latency["estimate"] = dict(latency["estimate"], latency_ms=value)
             lut["estimate"] = dict(lut["estimate"], resources={"lut": value})
             odd_numbers += [latency, lut]
-        accepted = CacheHub(tmp_path / "hub").merge([
+        accepted = CacheIndex(tmp_path / "hub").merge([
             bad_estimate, bad_resources, "not-a-record", *odd_numbers, cache_record("c"),
             # A timestamp that is not a finite number reads as a missing one.
             cache_record("t1", ts=10 ** 400), cache_record("t2", ts=float("nan"))])
@@ -758,12 +770,12 @@ class TestCacheExchange:
     def test_a_failing_merge_still_settles_the_report(self, tmp_path, monkeypatch, caplog):
         """A cache fault drops the report's records, never the report: the
         worker drains its job and exits 0."""
-        from repro.sweep.disk_cache import CacheHub
+        from repro.sweep.disk_cache import CacheIndex
 
         def failing_merge(hub, records, **kwargs):
             raise RuntimeError("injected hub fault")
 
-        monkeypatch.setattr(CacheHub, "merge", failing_merge)
+        monkeypatch.setattr(CacheIndex, "merge", failing_merge)
         service = ServiceCoordinator(tmp_path / "root")
         service.start()
         try:
@@ -801,7 +813,7 @@ class TestCacheExchange:
         import repro.sweep.disk_cache as disk_cache
 
         hub = tmp_path / "hub"
-        merging = CacheHub(hub)
+        merging = CacheIndex(hub)
         reads: list[tuple[str, int]] = []
         read = JsonlTail.read
 

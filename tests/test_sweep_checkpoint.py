@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import errno
 import json
+import os
 import time
 
 import pytest
@@ -638,6 +639,30 @@ class TestSidecarGC:
         assert stats.checkpoint_records == 1
         assert stats.timing_entries == 1
         assert all("_checkpoint" not in ns.namespace for ns in stats.namespaces)
+
+    def test_gc_fsyncs_the_rewritten_checkpoint_before_replacing_it(self, tmp_path,
+                                                                     monkeypatch):
+        """Every checkpoint record is one fsynced line, so the compacted
+        file must reach the disk before it replaces the old one."""
+        tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
+        SweepRunner(tasks, workers=1, cache_dir=tmp_path).run()
+        calls: list[tuple] = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            calls.append(("replace", os.stat(src).st_ino, os.path.basename(dst)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        compact_cache_dir(tmp_path)
+        inode = (tmp_path / CHECKPOINT_FILENAME).stat().st_ino
+        replaced = calls.index(("replace", inode, CHECKPOINT_FILENAME))
+        assert ("fsync", inode) in calls[:replaced], calls
 
     def test_gc_does_not_delete_the_checkpoint_file(self, tmp_path):
         tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import multiprocessing
 import os
 import time
 
@@ -245,17 +246,26 @@ class TestCorruptShards:
 
 
 # ------------------------------------------------------------ compaction / GC
+def _estimate_in_child(engine, directory, shard: str, config) -> None:
+    cache = DiskEvaluationCache(engine.estimate, directory, device="PYNQ-Z1", shard=shard)
+    cache.evaluate(config)
+    os._exit(0 if cache.disk_stats().misses == 1 else 1)
+
+
 class TestCompaction:
     def test_dedup_collapses_parallel_shards(self, tmp_path, engine, initial):
-        # Two concurrent writers (cold sweep cells of one device) estimate
-        # the same config into separate shards; compaction folds the shards
-        # into one and drops the duplicate without losing the entry.
+        # Two concurrent writers (cold sweep cells of one device in two
+        # processes, as at workers=2) estimate the same config into separate
+        # shards; compaction folds the shards into one and drops the
+        # duplicate without losing the entry.
         a = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1",
                                 shard="task-a")
-        b = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1",
-                                shard="task-b")
+        child = multiprocessing.get_context("fork").Process(
+            target=_estimate_in_child, args=(engine, tmp_path, "task-b", initial))
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
         a.evaluate(initial)
-        b.evaluate(initial)
         before = cache_dir_stats(tmp_path)
         assert before.duplicates == 1 and before.total_shards == 2
         report = compact_cache_dir(tmp_path)
