@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.hw.device import FPGADevice
@@ -59,9 +60,9 @@ class ResourceConstraint:
         """Build the constraint corresponding to a device's full capacity."""
         return cls(budget=device.resources, utilization_limit=utilization_limit)
 
-    @property
+    @functools.cached_property
     def effective_budget(self) -> ResourceVector:
-        """The budget scaled by the utilization limit."""
+        """The budget scaled by the utilization limit, built once per constraint."""
         return self.budget.scale(self.utilization_limit)
 
     def satisfied_by(self, usage: ResourceVector) -> bool:

@@ -21,7 +21,8 @@ runs it and reports it before it leases again (easiest to debug and test;
 a custom ``task_fn`` need not be picklable).  Every other cell runs on
 :class:`~repro.sweep.runner.WorkerProcesses`, the local sweep's process
 model: one shard worker per machine, up to ``workers`` long-lived
-processes, each running many cells.  A cell whose process dies is
+processes, each running many cells, an attempt going to the idle process
+that last ran its prep key.  A cell whose process dies is
 reported as an error and the process is replaced; the others keep
 running.
 
@@ -64,7 +65,7 @@ from repro.shard.protocol import (
     post_json,
 )
 import repro.telemetry as telemetry
-from repro.sweep.disk_cache import CacheDirTail, append_cache_records
+from repro.sweep.disk_cache import CacheDirTail, CacheIndex
 from repro.sweep.runner import (
     PreparedTarget,
     SweepOutcome,
@@ -166,8 +167,9 @@ class ShardWorker:
                 self._cache_delivered.add((namespace, key))
         if not records:
             return
-        added = append_cache_records(self.cache_dir, records,
-                                     shard=f"pulled-{self.worker_id}")
+        # Through an index dropped after the merge: a cell's cache reads the
+        # pulled shard as any other, in this process or a forked one.
+        added = CacheIndex(self.cache_dir).merge(records, shard=f"pulled-{self.worker_id}")
         if added:
             logger.info("shard worker %s: warm-started %d cached estimate(s)",
                         self.worker_id, added)

@@ -79,7 +79,6 @@ from repro.sweep.disk_cache import (
     CompactionReport,
     DiskEvaluationCache,
     NamespaceStats,
-    append_cache_records,
     cache_dir_stats,
     coefficients_fingerprint,
     compact_cache_dir,
@@ -118,7 +117,6 @@ __all__ = [
     "coefficients_fingerprint",
     "compact_cache_dir",
     "read_cache_records",
-    "append_cache_records",
     "SweepSpec",
     "CHECKPOINT_FILENAME",
     "CheckpointStatus",

@@ -39,9 +39,9 @@ The shard protocol exchanges whole records between machines.
 :func:`read_cache_records` exports a directory (``/v1/cache/pull``).
 A :class:`CacheDirTail` hands a worker only the records its cells appended
 since its previous delivery; :meth:`CacheIndex.merge` appends delivered
-records whose key the directory does not hold, into a coordinator's own
-index or, for a worker's pull, the one its cells read.  All of these
-appends are best-effort :class:`~repro.utils.jsonl.JsonlLog` writes.
+records whose key the directory does not hold, through a coordinator's
+own index or, for a worker's pull, one dropped after the merge.  All of
+these appends are best-effort :class:`~repro.utils.jsonl.JsonlLog` writes.
 """
 
 from __future__ import annotations
@@ -773,13 +773,3 @@ def _process_index(directory: pathlib.Path) -> CacheIndex:
         if _process_slot is None or _process_slot[0] != identity:
             _process_slot = (identity, CacheIndex(identity[0]))
         return _process_slot[1]
-
-
-def append_cache_records(directory, records: Sequence[dict], *, shard: str = "pushed") -> int:
-    """Merge wire cache records into ``directory`` through the process's index
-    of it, the one its caches read; returns how many were new."""
-    try:
-        index = _process_index(pathlib.Path(directory))
-    except OSError:  # a directory that cannot be made: the appends warn
-        index = CacheIndex(directory)
-    return index.merge(records, shard=shard)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import repro.telemetry as telemetry
 from repro.sweep.runner import SweepFailure, SweepOutcome, SweepTask
@@ -42,6 +42,10 @@ LEASE_COUNTERS = ("granted", "heartbeats", "completed", "failed", "requeued",
 #: Added to timed waits so a wake-up lands strictly past the deadline it
 #: was computed for (lease expiry compares with ``>``).
 WAKE_SLACK_S = 0.001
+
+#: An affine lease looks only at the ready cells expected to cost at least
+#: this share of the first one, so it leaves no much longer cell waiting.
+AFFINITY_BAND = 0.5
 
 
 class ShardProtocolError(RuntimeError):
@@ -143,12 +147,13 @@ class _Cell:
     __slots__ = (
         "index", "task", "attempts", "spent_s", "ready_at", "lease_id",
         "worker_id", "lease_started", "expires_at", "deadline_at",
-        "timeout_s", "issued_leases", "status",
+        "timeout_s", "issued_leases", "status", "cost",
     )
 
-    def __init__(self, index: int, task: SweepTask, timeout_s: Optional[float]) -> None:
+    def __init__(self, index: int, task: SweepTask, timeout_s: Optional[float], cost: float) -> None:
         self.index = index
         self.task = task
+        self.cost = cost
         self.attempts = 0
         self.spent_s = 0.0
         self.ready_at = 0.0
@@ -162,10 +167,27 @@ class _Cell:
         self.status = "pending"  # pending | leased | settled
 
 
+def _affine(ready: Iterator[_Cell], key: Optional[tuple], held: set) -> Optional[_Cell]:
+    """The cell a slot whose process last ran ``key`` leases from ``ready``
+    (queue order), read only as far as :data:`AFFINITY_BAND` reaches."""
+    first = unheld = None
+    for cell in ready:
+        if first is None:
+            first = cell
+        elif cell.cost < AFFINITY_BAND * first.cost:
+            break
+        if cell.task.prep_key == key:
+            return cell
+        if unheld is None and cell.task.prep_key not in held:
+            unheld = cell
+    return unheld or first
+
+
 class LeaseBoard:
     """Thread-safe lease-based work queue over (part of) a sweep grid.
 
-    The queue is primed with ``order``.  Workers come from the shared
+    The queue is primed with ``order``, and ``costs`` holds each cell's
+    expected cost (all equal when absent).  Workers come from the shared
     :class:`WorkerRegistry`.  ``on_outcome`` / ``on_failure`` fire exactly
     once per cell, in the thread that settled it (the checkpoint writer
     behind them is thread-safe).  A board owned by a service job carries
@@ -182,6 +204,7 @@ class LeaseBoard:
         retries: int = 1,
         backoff: Callable[[int], float] = lambda attempts: 0.0,
         timeouts: Optional[Mapping[int, Optional[float]]] = None,
+        costs: Optional[Mapping[int, float]] = None,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         on_outcome: Optional[Callable[[int, SweepOutcome], None]] = None,
         on_failure: Optional[Callable[[int, SweepFailure], None]] = None,
@@ -202,7 +225,7 @@ class LeaseBoard:
         self._lock = threading.Lock()
         self._cells: dict[int, _Cell] = {
             index: _Cell(index, tasks[index],
-                         (timeouts or {}).get(index))
+                         (timeouts or {}).get(index), (costs or {}).get(index, 0.0))
             for index in order
         }
         self._by_uid: dict[str, int] = {
@@ -273,23 +296,34 @@ class LeaseBoard:
             ]
 
     # --------------------------------------------------------------- protocol
-    def lease(self, worker_id: str, slots: int) -> list[_Cell]:
-        """Lease up to ``slots`` ready cells to ``worker_id``."""
+    def lease(self, worker_id: str, slots: int,
+              keys: Optional[Sequence[Optional[tuple]]] = None) -> list[_Cell]:
+        """Lease up to ``slots`` ready cells to ``worker_id``, first ready first.
+
+        ``keys`` (the local drain's, at ``workers >= 2``) holds one entry
+        per slot: the :attr:`SweepTask.prep_key` its process last ran, or
+        ``None`` for a slot with no process yet.  Among the ready cells in
+        :data:`AFFINITY_BAND` of the first one's cost, each slot then takes
+        a cell of its key, else one of a key no leased cell holds, else the
+        first ready cell, so a process stays on the device it warmed.
+        """
         self.workers.touch(worker_id)
         now = time.monotonic()
         self._expire_locked_leases(now)
         leased: list[_Cell] = []
         with self._lock:
+            held = None if keys is None else {
+                cell.task.prep_key for cell in self._cells.values() if cell.status == "leased"}
             while len(leased) < max(slots, 0):
-                position = next(
-                    (p for p, index in enumerate(self._queue)
-                     if self._cells[index].ready_at <= now),
-                    None,
-                )
-                if position is None:
+                ready = (self._cells[index] for index in self._queue
+                         if self._cells[index].ready_at <= now)
+                cell = next(ready, None) if keys is None \
+                    else _affine(ready, keys[len(leased)], held)
+                if cell is None:
                     break
-                index = self._queue.pop(position)
-                cell = self._cells[index]
+                self._queue.remove(cell.index)
+                if held is not None:
+                    held.add(cell.task.prep_key)
                 self._lease_seq += 1
                 cell.lease_id = f"{self.lease_prefix}{self._lease_seq}"
                 cell.issued_leases.add(cell.lease_id)

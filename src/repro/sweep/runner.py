@@ -22,10 +22,13 @@ Execution is a **two-phase schedule**:
    timeout calls each cell in-process, in grid order; otherwise each
    attempt is a call on long-lived :class:`WorkerProcesses`, leased
    longest-expected-first to up to ``workers`` slots (work stealing), and
-   a process whose lease was revoked for its timeout is killed.  Expected
-   costs come from the previous run's journal timings when a cache
-   directory is given (``_timings.json``) and fall back to a deterministic
-   budget heuristic.
+   a process whose lease was revoked for its timeout is killed.  At
+   ``workers >= 2`` the stealing is device-affine (locality-guided, after
+   Acar, Blelloch and Blumofe, SPAA 2000; see
+   :meth:`~repro.sweep.ledger.LeaseBoard.lease`), so each process mostly
+   warms one device's memo and cache index.  Expected costs come from the
+   previous run's journal timings when a cache directory is given
+   (``_timings.json``) and fall back to a deterministic budget heuristic.
 
 A cell that keeps failing (timeout, raise, crash or a garbage return
 value) ends up as a structured :class:`SweepFailure` in the
@@ -847,11 +850,12 @@ class WorkerProcesses:
     """Long-lived forked processes, each running many attempts of one ``task_fn``.
 
     ``task_fn`` is bound as a ``Process`` argument when a process forks.
-    An attempt goes to an idle process; one forks only when none is idle,
-    and a process is replaced only after it dies or is killed.
-    Per-process state (the evaluator memo, the cache index) thus carries
-    over from cell to cell.  :meth:`close` reaps every process, so their
-    CPU time reaches the parent's ``RUSAGE_CHILDREN``.
+    An attempt goes to an idle process, the one that last ran its prep key
+    if any; one forks only when none is idle, and a process is replaced
+    only after it dies or is killed.  Per-process state (the evaluator
+    memo, the cache index) thus carries over from cell to cell.
+    :meth:`close` reaps every process, so their CPU time reaches the
+    parent's ``RUSAGE_CHILDREN``.
     """
 
     def __init__(self, task_fn: Callable) -> None:
@@ -859,28 +863,37 @@ class WorkerProcesses:
 
         self._task_fn = task_fn
         self._context = multiprocessing.get_context()
-        self._idle: list[tuple] = []  # (process, conn)
-        self._busy: dict = {}  # key -> (process, conn, monotonic start)
+        self._idle: list[tuple] = []  # (process, conn, prep key it last ran)
+        self._busy: dict = {}  # key -> (process, conn, monotonic start, prep key)
 
     @property
     def busy(self) -> int:
         """Attempts in flight."""
         return len(self._busy)
 
+    def free_keys(self, slots: int) -> list[Optional[tuple]]:
+        """One entry per free slot, for :meth:`LeaseBoard.lease`: the prep key
+        each idle process last ran, then ``None`` for each slot with no process."""
+        keys = [prep_key for _, _, prep_key in self._idle]
+        return keys + [None] * (slots - len(keys))
+
     def submit(self, key, task, cache_dir, prepared) -> None:
-        """Start one attempt on an idle process, forking one if none is idle."""
+        """Start one attempt on an idle process, preferring the one that last
+        ran ``task``'s prep key; fork one if none is idle."""
         if self._idle:
-            process, conn = self._idle.pop()
+            position = next((i for i, idle in enumerate(self._idle)
+                             if idle[2] == task.prep_key), -1)
+            process, conn, _ = self._idle.pop(position)
         else:
             conn, child_end = self._context.Pipe()
-            inherited = [conn] + [end for _, end, _ in self._busy.values()]
+            inherited = [conn] + [end for _, end, _, _ in self._busy.values()]
             process = self._context.Process(
                 target=_serve, args=(self._task_fn, child_end, inherited), daemon=True)
             process.start()
             child_end.close()
         with suppress(OSError):  # it died while idle: wait() reads the EOF as a crash
             conn.send((task, cache_dir, prepared))
-        self._busy[key] = (process, conn, time.monotonic())
+        self._busy[key] = (process, conn, time.monotonic(), task.prep_key)
 
     def wait(self, timeout: Optional[float] = None) -> list[tuple]:
         """Attempts settled within ``timeout``, as ``(key, kind, value, seconds)``:
@@ -888,9 +901,9 @@ class WorkerProcesses:
         without a reply.  Each attempt's telemetry snapshot is merged here."""
         from multiprocessing import connection
 
-        ready = connection.wait([conn for _, conn, _ in self._busy.values()], timeout)
+        ready = connection.wait([conn for _, conn, _, _ in self._busy.values()], timeout)
         settled = []
-        for key, (process, conn, started) in list(self._busy.items()):
+        for key, (process, conn, started, prep_key) in list(self._busy.items()):
             # Re-poll the rest: a reply that landed after the wait() snapshot
             # must be reported before the timeout verdict the caller asks for next.
             if conn not in ready and not conn.poll():
@@ -903,24 +916,24 @@ class WorkerProcesses:
                 kind, value = "crash", "worker process died without a result"
             else:
                 telemetry.merge(snapshot)
-                self._idle.append((process, conn))
+                self._idle.append((process, conn, prep_key))
             settled.append((key, kind, value, time.monotonic() - started))
         return settled
 
     def kill(self, key) -> None:
         """Stop the process running ``key``'s attempt; the next submit forks anew."""
-        process, conn, _ = self._busy.pop(key)
+        process, conn, _, _ = self._busy.pop(key)
         process.terminate()
         _reap(process, conn)
 
     def close(self) -> None:
         """Stop idle processes by message and busy ones by signal; reap all."""
-        for _, conn in self._idle:
+        for _, conn, _ in self._idle:
             with suppress(OSError):
                 conn.send(None)
         for key in list(self._busy):
             self.kill(key)
-        for process, conn in self._idle:
+        for process, conn, _ in self._idle:
             _reap(process, conn)
         self._idle.clear()
 
@@ -932,7 +945,8 @@ class SweepRunner:
     order (serial, easiest to debug); otherwise the attempts run on
     :class:`WorkerProcesses`, up to ``workers`` long-lived processes reaped
     before :meth:`run` returns: cells go longest-expected-first, an idle
-    process pulls the next one, and each attempt runs under the per-task
+    process pulls the next one (at ``workers >= 2``, preferring one of the
+    device it last ran), and each attempt runs under the per-task
     wall-clock ``timeout_s``.  Either way the run's :meth:`board` retries
     a failed attempt up to ``retries`` times, after a backoff.
 
@@ -1232,6 +1246,7 @@ class SweepRunner:
             backoff=self._backoff_delay,
             timeouts={index: self._effective_timeout(self.tasks[index], self._hints)
                       for index in order},
+            costs={index: expected_cost(self.tasks[index], self._hints) for index in order},
             lease_ttl_s=lease_ttl_s,
             on_outcome=lambda index, outcome: self.settle_outcome(outcome),
             on_failure=lambda index, failure: self.settle_failure(failure),
@@ -1365,10 +1380,11 @@ class SweepRunner:
         ``workers=1`` without a timeout queues ``order`` in grid order and
         calls each cell in-process (anything but an ``Exception``, such as
         ``KeyboardInterrupt``, propagates); otherwise each attempt runs on
-        one of ``workers`` :class:`WorkerProcesses` slots.  The heartbeat
-        after leasing returns revoked leases, whose processes are killed.
-        What settled is reported before the next heartbeat, so a reply that
-        landed beats its timeout.
+        one of ``workers`` :class:`WorkerProcesses` slots, which at
+        ``workers >= 2`` lease by the prep key their processes last ran.
+        The heartbeat after leasing returns revoked leases, whose processes
+        are killed.  What settled is reported before the next heartbeat, so
+        a reply that landed beats its timeout.
         """
         from repro.sweep.ledger import WAKE_SLACK_S, WorkerRegistry
 
@@ -1383,7 +1399,9 @@ class SweepRunner:
         try:
             while not board.done:
                 settled = []  # (lease id, uid, kind, value, seconds)
-                for cell in board.lease(worker, self.workers - len(running)):
+                free = self.workers - len(running)
+                keys = pool.free_keys(free) if self.workers > 1 else None
+                for cell in board.lease(worker, free, keys):
                     args = (cell.task, self.cache_dir, preparations.get(cell.task.prep_key))
                     if inline:
                         settled.append((cell.lease_id, cell.task.uid,

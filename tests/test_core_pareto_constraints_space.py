@@ -192,3 +192,21 @@ class TestResourceConstraint:
     def test_invalid_limit(self):
         with pytest.raises(ValueError):
             ResourceConstraint.for_device(PYNQ_Z1, utilization_limit=0.0)
+
+    def test_effective_budget_is_scaled_once_per_constraint(self, monkeypatch):
+        import pickle
+
+        scales = []
+        scale = ResourceVector.scale
+        monkeypatch.setattr(ResourceVector, "scale",
+                            lambda vector, factor: scales.append(factor) or scale(vector, factor))
+        constraint = ResourceConstraint.for_device(PYNQ_Z1, utilization_limit=0.5)
+        fresh = ResourceConstraint.for_device(PYNQ_Z1, utilization_limit=0.5)
+        usages = range(0, 400, 2)
+        checks = [constraint.satisfied_by(ResourceVector(dsp=dsp)) for dsp in usages]
+        assert scales == [0.5]
+        assert checks == [dsp <= PYNQ_Z1.resources.dsp * 0.5 for dsp in usages]
+        # The memo is no field: equality, hashing, repr and pickling ignore it.
+        assert constraint == fresh and hash(constraint) == hash(fresh)
+        assert repr(constraint) == repr(fresh)
+        assert pickle.loads(pickle.dumps(constraint)) == fresh

@@ -622,6 +622,50 @@ class TestCacheExchange:
         outcomes = load_checkpoint(tmp_path / "root" / "jobs" / second / CHECKPOINT_FILENAME)
         assert [o.estimator_calls for o in outcomes.outcomes.values()] == [0]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_pull_keeps_no_index_and_its_cells_hit_the_pulled_keys(
+            self, tmp_path, monkeypatch, workers):
+        """The pull merges through an index it then drops, so the worker's
+        process keeps no index of its directory; a cell, in process at
+        ``workers=1`` and in a forked child otherwise, hits the pulled keys."""
+        import os
+
+        import repro.sweep.disk_cache as disk_cache
+        from repro.sweep import build_grid
+        from repro.sweep.runner import WorkerProcesses
+
+        task = build_grid("pynq-z1", "scd", [40.0], **TINY)[0]
+        assert run_sweep_task(task, str(tmp_path / "hub")).estimator_calls > 0
+        records = read_cache_records(tmp_path / "hub")
+
+        def post(path, payload):
+            if path == "/v1/register":
+                return {"worker_id": "w1", "cache": True}
+            assert path == "/v1/cache/pull"
+            return {"records": records}
+
+        cache_dir = tmp_path / "worker"
+        worker = ShardWorker("127.0.0.1:9", workers=workers, cache_dir=str(cache_dir))
+        monkeypatch.setattr(worker, "_post", post)
+        worker._register()
+        assert len(read_cache_records(cache_dir)) == len(records)
+        slot = disk_cache._process_slot
+        assert slot is None or slot[0][0] != os.path.abspath(cache_dir)
+        if workers == 1:
+            outcome = run_sweep_task(task, str(cache_dir))
+        else:
+            pool = WorkerProcesses(run_sweep_task)
+            try:
+                pool.submit("cell", task, str(cache_dir), None)
+                settled = []
+                while not settled:
+                    settled = pool.wait(timeout=60.0)
+            finally:
+                pool.close()
+            (_key, kind, outcome, _seconds), = settled
+            assert kind == "ok", outcome
+        assert outcome.estimator_calls == 0 and outcome.disk_hits > 0
+
     def test_worker_push_parses_only_new_shard_bytes(self, tmp_path, monkeypatch):
         reads: list[tuple[str, int]] = []
         read = JsonlTail.read

@@ -328,6 +328,95 @@ class TestLeaseBoard:
         assert board.lease(worker, 1), "cell must come back after the backoff"
 
 
+class TestLeaseAffinity:
+    """``LeaseBoard.lease`` with per-slot prep keys, as the local drain leases
+    at ``workers >= 2``: cells 0 and 1 are PYNQ-Z1's (key X), 2 and 3
+    Ultra96's (key Y), and 4 and 5 ZC706's (key Z) when that device is in."""
+
+    def board(self, order=(0, 1, 2, 3), devices="pynq-z1,ultra96", **kwargs):
+        tasks = build_grid(devices, "scd,random", [40.0], **TINY)
+        self.x, self.y = tasks[0].prep_key, tasks[2].prep_key
+        board = LeaseBoard(dict(enumerate(tasks)), list(order),
+                           workers=WorkerRegistry(), **kwargs)
+        return board, board.workers.register("local")
+
+    def test_a_slot_keeps_to_its_key_while_one_is_ready(self):
+        board, worker = self.board()
+        # Cell 0 (X) is first in cost order; a slot warmed on Y passes it by.
+        assert [c.index for c in board.lease(worker, 1, [self.y])] == [2]
+        assert [c.index for c in board.lease(worker, 1, [self.y])] == [3]
+        assert [c.index for c in board.lease(worker, 2, [self.x, self.x])] == [0, 1]
+
+    def test_a_fresh_slot_takes_a_key_no_leased_cell_holds(self):
+        board, worker = self.board()
+        assert [c.index for c in board.lease(worker, 2, [None, None])] == [0, 2]
+        board, worker = self.board()
+        assert [c.index for c in board.lease(worker, 1, [self.x])] == [0]
+        assert [c.index for c in board.lease(worker, 1, [None])] == [2]
+
+    def test_a_slot_out_of_cells_of_its_key_takes_an_unheld_key(self):
+        board, worker = self.board(order=range(6), devices="pynq-z1,ultra96,zc706")
+        assert [c.index for c in board.lease(worker, 2, [None, None])] == [0, 2]
+        assert [c.index for c in board.lease(worker, 1, [self.x])] == [1]
+        # X has no ready cell left: Z, which no leased cell holds, beats cell
+        # 3, the first ready, whose key Y a running cell holds.
+        assert [c.index for c in board.lease(worker, 1, [self.x])] == [4]
+
+    def test_a_slot_keeps_to_its_key_only_within_the_cost_band(self):
+        # Two long X cells and two short Y ones: both fresh slots start a
+        # long cell, as cost order does, rather than leave one waiting.
+        board, worker = self.board(costs={0: 5.0, 1: 5.0, 2: 0.5, 3: 0.5})
+        assert [c.index for c in board.lease(worker, 2, [None, None])] == [0, 1]
+        # Cell 2 costs at least half of cell 0, the first ready; cell 3 does not.
+        board, worker = self.board(costs={0: 1.0, 1: 1.0, 2: 0.6, 3: 0.4})
+        assert [c.index for c in board.lease(worker, 1, [self.y])] == [2]
+        assert [c.index for c in board.lease(worker, 1, [self.y])] == [0]
+
+    def test_otherwise_a_slot_takes_the_first_ready_cell(self):
+        board, worker = self.board(order=(2, 0, 3, 1))
+        # Both keys held: the third fresh slot gets the first ready cell.
+        assert [c.index for c in board.lease(worker, 3, [None, None, None])] == [2, 0, 3]
+        # No ready cell of Y is left: the Y slot takes the first ready one.
+        assert [c.index for c in board.lease(worker, 1, [self.y])] == [1]
+
+    def test_a_backing_off_cell_is_never_leased_early(self):
+        board, worker = self.board(retries=1, backoff=lambda attempts: 3600.0)
+        cell = board.lease(worker, 1, [self.y])[0]
+        assert cell.index == 2
+        board.report(worker, cell.lease_id, cell.task.uid, error="flaky")
+        # Cell 2 is Y's, requeued and backing off: Y's slot takes cell 3,
+        # then the first ready cells, and never cell 2.
+        leased = [c.index for c in board.lease(worker, 2, [self.y, self.y])]
+        leased += [c.index for c in board.lease(worker, 2, [self.y, None])]
+        assert leased == [3, 0, 1]
+        assert board.lease(worker, 1, [self.y]) == []
+        assert board.next_deadline(time.monotonic()) is not None
+
+    @settings(max_examples=25, deadline=None)
+    @given(order=st.permutations(range(4)),
+           slots=st.lists(st.integers(min_value=0, max_value=3), min_size=4, max_size=4),
+           failed=st.integers(min_value=0, max_value=3),
+           costs=st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=4, max_size=4))
+    def test_lease_without_keys_keeps_queue_order(self, order, slots, failed, costs):
+        """Without keys, every lease is the first ready cells in queue order,
+        a requeued cell at the back, whatever keys the leased cells hold and
+        whatever the cells cost."""
+        board, worker = self.board(order=order, retries=1, costs=dict(enumerate(costs)))
+        queue, leased = list(order), []
+        for count in slots:
+            cells = board.lease(worker, count)
+            assert [c.index for c in cells] == queue[:count]
+            del queue[:count]
+            leased.extend(cells)
+            failing = next((c for c in leased if c.index == failed), None)
+            if failing is not None:  # its one failure requeues it at the back
+                board.report(worker, failing.lease_id, failing.task.uid, error="boom")
+                leased.remove(failing)
+                queue.append(failed)
+                failed = -1
+        assert [c.index for c in board.lease(worker, 4)] == queue
+
+
 class TestWorkerRegistry:
     def test_concurrent_leases_across_boards_tally_each_cell_once(self):
         """Stress: more leasing threads than cores over two boards sharing one
@@ -931,8 +1020,16 @@ class TestDistributedSweep:
         tasks = build_grid("pynq-z1,ultra96", "scd,random", [40.0], **TINY)
         local = SweepRunner(tasks, workers=1,
                             cache_dir=tmp_path / "local").run()
+        # Each worker holds its leased cell until the other holds one too, so
+        # every round leases one cell to each, however the threads are scheduled.
+        rounds = threading.Barrier(2)
+
+        def in_rounds(task, cache_dir, prepared):
+            rounds.wait(timeout=60.0)
+            return run_sweep_task(task, cache_dir, prepared)
+
         distributed, workers, codes = run_distributed(
-            tasks, worker_count=2, cache_dir=str(tmp_path / "shard"))
+            tasks, worker_count=2, cache_dir=str(tmp_path / "shard"), task_fn=in_rounds)
         assert codes == [0, 0]
         assert distributed.ok and len(distributed) == len(tasks)
         assert [o.task for o in distributed.outcomes] == tasks

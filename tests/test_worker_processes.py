@@ -8,6 +8,7 @@ SIGKILLed parent leaves no process behind.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import pathlib
@@ -18,7 +19,15 @@ import time
 
 import pytest
 
-from repro.sweep import CHECKPOINT_FILENAME, SweepRunner, build_grid, run_sweep_task
+from repro.sweep import (
+    CHECKPOINT_FILENAME,
+    SweepOutcome,
+    SweepRunner,
+    build_grid,
+    load_checkpoint,
+    run_sweep_task,
+)
+from repro.sweep.runner import WorkerProcesses
 
 TINY = dict(tolerance_ms=10.0, iterations=25, num_candidates=1, top_bundles=2, seed=1)
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -45,6 +54,15 @@ def _pid_stalling_task(task, cache_dir, prepared):
     if task.name == STALLING_CELL:
         time.sleep(3600.0)
     return run_sweep_task(task, cache_dir, prepared)
+
+
+def _pid_task(task, cache_dir, prepared):
+    """A stand-in cell whose outcome carries ``os.getpid()`` as its journal."""
+    return SweepOutcome(
+        task=task, journal={"pid": os.getpid()}, selected_bundles=[], num_candidates=0,
+        best_latency_ms=None, best_gap_ms=None, evaluations=0, memory_hits=0,
+        memory_misses=0, disk_hits=0, disk_misses=0, estimator_calls=0, duration_s=0.0,
+    )
 
 
 def _recorded_runs(pid_dir: pathlib.Path) -> list[tuple[int, str]]:
@@ -89,6 +107,45 @@ class TestReuseAndReaping:
         assert killed not in later, "a killed process must never run another cell"
         assert len(later) == 1, "the cells after the kill share one replacement"
         assert multiprocessing.active_children() == []
+
+    def test_an_attempt_goes_to_the_process_that_last_ran_its_prep_key(self):
+        x, y = build_grid("pynq-z1,ultra96", "scd", [40.0], **TINY)
+        assert x.prep_key != y.prep_key
+        pool = WorkerProcesses(_pid_task)
+
+        def settle(count):
+            """``[(key, pid)]`` of ``count`` attempts, in the order they went idle."""
+            settled = []
+            while len(settled) < count:
+                settled.extend((key, value.journal["pid"])
+                               for key, kind, value, _ in pool.wait(timeout=30.0))
+            return settled
+
+        try:
+            pool.submit("x", x, None, None)
+            pool.submit("y", y, None, None)
+            first = settle(2)
+            pids = dict(first)
+            assert pids["x"] != pids["y"]
+            # Resubmit in the order the processes went idle: the process that
+            # went idle last is not the one that ran the first resubmitted key.
+            for key, _ in first:
+                pool.submit(key * 2, {"x": x, "y": y}[key], None, None)
+            assert dict(settle(2)) == {"xx": pids["x"], "yy": pids["y"]}
+        finally:
+            pool.close()
+        assert multiprocessing.active_children() == []
+
+    def test_a_two_device_grid_at_two_workers_matches_serial(self, tmp_path):
+        grid = build_grid("pynq-z1,ultra96", "scd,random,annealing", [40.0], **TINY)
+        serial = SweepRunner(grid, workers=1, cache_dir=tmp_path / "serial").run()
+        pooled = SweepRunner(grid, workers=2, cache_dir=tmp_path / "pooled").run()
+        assert serial.ok and pooled.ok
+        assert [json.dumps(o.journal, sort_keys=True) for o in pooled.outcomes] == \
+            [json.dumps(o.journal, sort_keys=True) for o in serial.outcomes]
+        cells = [set(load_checkpoint(tmp_path / side / CHECKPOINT_FILENAME).outcomes)
+                 for side in ("serial", "pooled")]
+        assert cells[0] == cells[1] == {task.uid for task in grid}
 
     def test_serial_in_process_sweep_starts_no_process(self):
         grid = build_grid("pynq-z1", "scd", [40.0], **TINY)
