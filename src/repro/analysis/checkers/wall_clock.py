@@ -58,7 +58,7 @@ class WallClockChecker(Checker):
     )
     contract = (
         "PR 6: every persisted timestamp flows through one injected clock "
-        "(CheckpointWriter/save_timings/TelemetrySink) so frozen-clock tests "
+        "(CheckpointWriter/TelemetrySink) so frozen-clock tests "
         "can reproduce artefact bytes"
     )
 

@@ -87,6 +87,21 @@ def _existing_path(text: str) -> str:
     return text
 
 
+def _existing_checkpoint(text: str) -> str:
+    if os.path.splitext(_existing_path(text))[1] != ".jsonl":
+        raise argparse.ArgumentTypeError(
+            f"'{text}' is not a checkpoint: resume from a _checkpoint.jsonl "
+            "(compare --diff reads result JSON)"
+        )
+    return text
+
+
+def _existing_dir(text: str) -> str:
+    if not os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"no such directory: '{text}'")
+    return text
+
+
 def _device_name(text: str) -> str:
     try:
         get_device(text)
@@ -176,8 +191,8 @@ def _add_grid_args(parser: argparse.ArgumentParser) -> None:
 def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
     """Timeout / retry knobs shared by ``sweep`` and ``shard coordinator``."""
     parser.add_argument("--timeout-s", type=_positive_float, default=None,
-                        help="per-cell wall-clock timeout floor; scaled up per cell "
-                             "from recorded cost hints")
+                        help="per-cell wall-clock timeout floor; a resume scales it up "
+                             "for a cell from its recorded failed attempts")
     parser.add_argument("--timeout-scale", type=_positive_float, default=3.0,
                         help="multiplier over a cell's recorded duration when computing "
                              "its effective timeout (--timeout-s is the floor)")
@@ -201,9 +216,9 @@ def _add_persistence_args(parser: argparse.ArgumentParser) -> None:
                         help="resume from <cache-dir>/_checkpoint.jsonl: reuse completed "
                              "cells, re-run only failed/missing ones")
     parser.add_argument("--from", dest="resume_from", default=None, metavar="PATH",
-                        type=_existing_path,
-                        help="explicit resume source: a _checkpoint.jsonl or a saved "
-                             "sweep result/report JSON (implies --resume)")
+                        type=_existing_checkpoint,
+                        help="explicit resume source: a _checkpoint.jsonl, this "
+                             "run's or another directory's (implies --resume)")
     parser.add_argument("--cache-dir", default=None,
                         help="persistent evaluation-cache directory (JSON-lines shards)")
     parser.add_argument("--report", default=None,
@@ -407,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="summarise a sweep's checkpoint + _telemetry.jsonl sidecar",
         parents=[common],
     )
-    tele_report.add_argument("--cache-dir", required=True,
+    tele_report.add_argument("--cache-dir", required=True, type=_existing_dir,
                              help="sweep cache directory (holds the checkpoint "
                                   "and telemetry sidecar)")
     tele_report.add_argument("--top", type=_positive_int, default=5,
@@ -433,7 +448,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cache.add_argument("action", choices=["stats", "gc"],
                        help="stats: summarise the directory; gc: compact and evict")
-    cache.add_argument("--cache-dir", required=True, help="cache directory to operate on")
+    cache.add_argument("--cache-dir", required=True, type=_existing_dir,
+                       help="cache directory to operate on")
     cache.add_argument("--max-age-days", type=_positive_float, default=None,
                        help="gc: evict entries older than this many days")
     cache.add_argument("--max-size-mb", type=_positive_float, default=None,
@@ -537,6 +553,19 @@ def _run_search(args: argparse.Namespace) -> int:
     return 0
 
 
+def _resume_lacks_source(args: argparse.Namespace, command: str) -> bool:
+    """True, after printing a usage error, when ``--resume`` has no checkpoint
+    to read: neither ``--cache-dir`` nor ``--from``."""
+    if not args.resume or args.resume_from or args.cache_dir is not None:
+        return False
+    print(
+        f"repro-codesign {command}: error: argument --resume: needs --cache-dir "
+        "(the checkpoint lives there) or an explicit --from <_checkpoint.jsonl>",
+        file=sys.stderr,
+    )
+    return True
+
+
 def _resolve_resume_source(args: argparse.Namespace):
     """Where a ``--resume`` run reads prior outcomes from (None = fresh)."""
     import pathlib
@@ -547,11 +576,6 @@ def _resolve_resume_source(args: argparse.Namespace):
         return args.resume_from
     if not args.resume:
         return None
-    if args.cache_dir is None:
-        raise ValueError(
-            "--resume needs --cache-dir (the checkpoint lives there) "
-            "or an explicit --from <checkpoint|result.json>"
-        )
     checkpoint = pathlib.Path(args.cache_dir) / CHECKPOINT_FILENAME
     if not checkpoint.exists():
         # First run of a resumable pipeline: nothing to resume yet.
@@ -619,6 +643,8 @@ def _report_sweep_result(result, args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
+    if _resume_lacks_source(args, "sweep"):
+        return 2
     runner = _build_sweep_runner(args)
     try:
         result = runner.run()
@@ -634,7 +660,7 @@ def _run_shard(args: argparse.Namespace) -> int:
         from repro.shard.protocol import resolve_token
 
         bind = _lease_surface_bind(args, "shard coordinator")
-        if bind is None:
+        if bind is None or _resume_lacks_source(args, "shard coordinator"):
             return 2
         try:
             # The run's cache dir doubles as the cache-exchange hub.
@@ -970,8 +996,6 @@ def _run_cache(args: argparse.Namespace) -> int:
         f"{stats.total_bytes} bytes, {stats.corrupt_lines} corrupt lines, "
         f"{stats.duplicates} duplicates"
     )
-    if stats.timing_entries:
-        print(f"Timing hints: {stats.timing_entries} cost hint(s) in _timings.json")
     if stats.checkpoint_records or stats.checkpoint_corrupt_lines:
         print(
             f"Checkpoint: {stats.checkpoint_outcomes} completed, "

@@ -73,7 +73,7 @@ class TilePipelineSimulator:
         ms = self.dram.transfer_latency_ms(num_bytes, bursts=bursts)
         return ms * self._cycles_per_ms()
 
-    def _stage_timings(self, layers: list[LayerWorkload], num_tiles: int) -> list[StageTiming]:
+    def _tile_stages(self, layers: list[LayerWorkload], num_tiles: int) -> list[StageTiming]:
         """Per-tile cycle counts for the load / compute / write stages of a bundle."""
         acc = self.accelerator
         tile_pixels = acc.tile.pixels
@@ -102,7 +102,7 @@ class TilePipelineSimulator:
         # The number of tiles is set by the layer with the largest output map
         # inside this repetition (all layers share the common tile size).
         num_tiles = max(acc.tiles_per_layer(layer) for layer in layers)
-        stages = self._stage_timings(layers, num_tiles)
+        stages = self._tile_stages(layers, num_tiles)
 
         # finish[s] holds the finish time of the previous tile on stage s.
         finish = [0.0] * len(stages)

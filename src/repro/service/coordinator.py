@@ -7,10 +7,11 @@ single worker registry and the fair cross-board leasing a one-shot
 ``/v1/jobs`` routes.  Every admitted job is driven by a stock
 :class:`~repro.sweep.runner.SweepRunner` in its own daemon thread, with a
 :class:`_JobTransport` plugged in — so grid validation, shared
-preparation, resume, cost ordering, checkpointing and timings are the
-battle-tested single-run machinery, unchanged.  The transport attaches
-the job's pending cells as one board (lease ids prefixed ``<job_uid>:``)
-and waits for it to settle:
+preparation, resume, cost ordering and checkpointing are the
+battle-tested single-run machinery, unchanged (a restarted job's resume
+takes its cost hints from the job's own checkpoint).  The transport
+attaches the job's pending cells as one board (lease ids prefixed
+``<job_uid>:``) and waits for it to settle:
 
 * workers register once with the service and stay job-agnostic; ids
   issued by a previous incarnation are re-adopted on first contact;

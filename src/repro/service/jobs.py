@@ -6,10 +6,9 @@ A **job** is one named sweep (grid spec + runner knobs, carried as a
     queued → preparing → running → done | failed | cancelled
 
 Each job owns ``<root>/jobs/<uid>/``: the spec as ``job.json`` plus the
-standard sweep sidecars (``_checkpoint.jsonl``, ``_timings.json``,
-``_telemetry.jsonl``) in their PR 4/6 formats — ``repro-codesign sweep
---resume``, ``compare`` and ``telemetry report`` work on a job directory
-exactly as on any local sweep's cache dir.
+standard sweep sidecars (``_checkpoint.jsonl``, ``_telemetry.jsonl``), so
+``repro-codesign sweep --resume``, ``compare`` and ``telemetry report``
+work on a job directory exactly as on any local sweep's cache dir.
 
 Every queue change is first one fsynced line in ``<root>/_service.jsonl``
 (a durable :class:`~repro.utils.jsonl.JsonlLog`), then applied in memory; a

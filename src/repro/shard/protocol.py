@@ -10,8 +10,9 @@ persists (``SweepTask.from_dict``, ``SweepOutcome.from_dict``,
 ``SweepFailure.from_dict``, ``PreparedTarget.to_wire``), so the
 distributed tier introduces **no second serialization format**: what a
 worker streams back is exactly what the coordinator appends to
-``_checkpoint.jsonl``, and ``--resume`` / ``SweepResult.load`` /
-``compare`` work on distributed runs unchanged.
+``_checkpoint.jsonl``, so ``--resume`` reads a distributed run's
+checkpoint, and ``SweepResult.load`` / ``compare`` its saved result,
+unchanged.
 
 Endpoints (all under ``/v1``; requests are ``POST`` with a JSON body
 unless noted):

@@ -24,9 +24,10 @@ limits at once:
   :func:`compact_cache_dir` compaction / GC (dedup, corrupt-line repair,
   age and size eviction),
 * :mod:`repro.sweep.checkpoint` — incremental sweep checkpoint
-  (``_checkpoint.jsonl``, appended atomically as each cell settles) and
-  the timestamped ``_timings.json`` cost-hint sidecar; powers
+  (``_checkpoint.jsonl``, appended atomically as each cell settles), the
+  one on-disk record of a settled cell; powers
   ``SweepRunner(resume_from=...)`` / ``repro-codesign sweep --resume``,
+  whose re-run cells take their cost hints from its failure records,
 * :mod:`repro.sweep.compare` — :func:`compare`: journal-driven
   cross-strategy / cross-device report (text and JSON), and
   :func:`diff_results`: checkpoint-aware per-uid delta table between two
@@ -58,10 +59,7 @@ from repro.sweep.checkpoint import (
     CheckpointStatus,
     CheckpointWriter,
     compact_checkpoint,
-    compact_timings,
     load_checkpoint,
-    load_timings,
-    save_timings,
 )
 from repro.sweep.compare import (
     DeviceWinner,
@@ -123,9 +121,6 @@ __all__ = [
     "CheckpointWriter",
     "load_checkpoint",
     "compact_checkpoint",
-    "load_timings",
-    "save_timings",
-    "compact_timings",
     "SweepComparison",
     "StrategySummary",
     "DeviceWinner",

@@ -1,32 +1,22 @@
-"""Incremental sweep checkpoint and timing-hint sidecar persistence.
+"""Incremental sweep checkpoint: the one on-disk record of a settled cell.
 
-A long multi-device sweep writes two small sidecar files next to the
-evaluation-cache shards inside its ``--cache-dir``:
+A sweep with a ``--cache-dir`` keeps ``_checkpoint.jsonl`` next to the
+evaluation-cache shards: one JSON line per *settled* grid cell, appended
+by the parent the moment the cell's
+:class:`~repro.sweep.runner.SweepOutcome` or
+:class:`~repro.sweep.runner.SweepFailure` is final, as one fsynced line of
+a durable :class:`~repro.utils.jsonl.JsonlLog`.  A sweep killed at any
+point (OOM, preemption, ^C) leaves every cell that finished before the
+kill, possibly followed by one torn line, which the loader skips, and a
+failed append (a full disk) raises.  ``SweepRunner(resume_from=...)``
+replays the recorded outcomes verbatim and re-runs only the failed and
+missing cells; each failure line's ``duration_s`` per attempt is the cost
+hint that orders and times out the cell's re-run.
 
-``_checkpoint.jsonl``
-    One JSON line per *settled* grid cell, appended by the parent the
-    moment the cell's :class:`~repro.sweep.runner.SweepOutcome` or
-    :class:`~repro.sweep.runner.SweepFailure` is final, as one fsynced line
-    of a durable :class:`~repro.utils.jsonl.JsonlLog`: a sweep killed at any
-    point (OOM, preemption, ^C) leaves every cell that finished before the
-    kill, possibly followed by one torn line, which the loader skips, and a
-    failed append (a full disk) raises.  ``SweepRunner(resume_from=...)``
-    replays the recorded outcomes verbatim and re-runs only the failed
-    and missing cells.
-
-``_timings.json``
-    Per-cell wall-clock durations feeding the cost model
-    (longest-expected-first dispatch and cost-hint-scaled timeouts).
-    Each entry is ``{"duration_s": ..., "ts": ...}`` keyed by the task
-    :attr:`~repro.sweep.runner.SweepTask.uid`; the write timestamp lets
-    ``repro-codesign cache gc`` age-prune hints of grids that no longer
-    run.  Legacy files holding plain floats still load (their timestamp
-    is inherited from the file's mtime during compaction).
-
-Both files are keyed by the task *uid* — the fully qualified cell
-identity including the search budget and seed — never by the shorter
-display name, so cells differing only in ``iterations`` or ``seed`` can
-never alias each other's records.
+Records are keyed by the task *uid* — the fully qualified cell identity
+including the search budget and seed — never by the shorter display name,
+so cells differing only in ``iterations`` or ``seed`` can never alias
+each other's records.
 
 Records are reconstructed through ``SweepOutcome.from_dict`` /
 ``SweepFailure.from_dict``; any line that fails to parse or rebuild is
@@ -44,7 +34,7 @@ import pathlib
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from repro.sweep.runner import SweepFailure, SweepOutcome
 from repro.utils.jsonl import JsonlLog, JsonlTail, parse_lines
@@ -407,121 +397,3 @@ def compact_checkpoint(
         os.fsync(handle.fileno())
     os.replace(tmp, path)
     return len(kept), pruned, corrupt
-
-
-# ------------------------------------------------------------- timing sidecar
-def _normalize_timing(value, fallback_ts: float) -> Optional[dict]:
-    """Coerce one raw timings entry into ``{"duration_s", "ts"}`` or None."""
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (int, float)):
-        return {"duration_s": float(value), "ts": round(fallback_ts, 3)}
-    if isinstance(value, dict) and isinstance(value.get("duration_s"), (int, float)) \
-            and not isinstance(value.get("duration_s"), bool):
-        ts = value.get("ts")
-        return {
-            "duration_s": float(value["duration_s"]),
-            "ts": round(float(ts), 3) if isinstance(ts, (int, float)) else round(fallback_ts, 3),
-        }
-    return None
-
-
-def _read_raw_timings(path: pathlib.Path) -> Optional[dict]:
-    if not path.exists():
-        return {}
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        logger.warning("ignoring unreadable timings file %s", path)
-        return None
-    if not isinstance(payload, dict):
-        logger.warning("ignoring malformed timings file %s", path)
-        return None
-    return payload
-
-
-def load_timings(path: _PathLike) -> dict[str, float]:
-    """Load cost hints: ``{task uid: duration seconds}``.
-
-    Accepts both the timestamped record format and legacy plain-float
-    files; garbage entries are silently dropped.
-    """
-    path = pathlib.Path(path)
-    raw = _read_raw_timings(path)
-    if not raw:
-        return {}
-    hints: dict[str, float] = {}
-    for name, value in raw.items():
-        record = _normalize_timing(value, 0.0)
-        if record is not None:
-            hints[str(name)] = record["duration_s"]
-    return hints
-
-
-def save_timings(
-    path: _PathLike,
-    durations: Mapping[str, float],
-    now: Optional[float] = None,
-) -> None:
-    """Merge ``durations`` (uid -> seconds) into the timings file atomically."""
-    if not durations:
-        return
-    path = pathlib.Path(path)
-    now = time.time() if now is None else float(now)
-    raw = _read_raw_timings(path)
-    merged: dict[str, dict] = {}
-    if raw:
-        mtime = path.stat().st_mtime if path.exists() else now
-        for name, value in raw.items():
-            record = _normalize_timing(value, mtime)
-            if record is not None:
-                merged[str(name)] = record
-    for uid, duration in durations.items():
-        merged[str(uid)] = {"duration_s": round(float(duration), 6),
-                            "ts": round(now, 3)}
-    tmp = path.with_suffix(".json.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(json.dumps(merged, sort_keys=True, indent=0) + "\n",
-                       encoding="utf-8")
-        os.replace(tmp, path)
-    except OSError:  # pragma: no cover - best-effort persistence
-        logger.warning("could not persist sweep timings to %s", path)
-
-
-def compact_timings(
-    path: _PathLike,
-    *,
-    max_age_days: Optional[float] = None,
-    now: Optional[float] = None,
-) -> tuple[int, int]:
-    """Prune the timings file: drop garbage entries and age-evict stale ones.
-
-    Stale cost hints accumulate forever otherwise — every grid ever swept
-    against a cache directory leaves its task uids behind.  Entries whose
-    timestamp (or the file's mtime, for legacy plain-float entries) is
-    older than ``max_age_days`` are evicted.  Returns ``(kept, pruned)``;
-    a missing or unreadable file is a no-op.
-    """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return 0, 0
-    now = time.time() if now is None else float(now)
-    raw = _read_raw_timings(path)
-    if raw is None:
-        return 0, 0
-    mtime = path.stat().st_mtime
-    kept: dict[str, dict] = {}
-    total = len(raw)
-    for name, value in raw.items():
-        record = _normalize_timing(value, mtime)
-        if record is None:
-            continue
-        if max_age_days is not None and record["ts"] < now - max_age_days * 86400.0:
-            continue
-        kept[str(name)] = record
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(kept, sort_keys=True, indent=0) + "\n",
-                   encoding="utf-8")
-    os.replace(tmp, path)
-    return len(kept), total - len(kept)

@@ -174,7 +174,7 @@ class DiskEvaluationCache(EvaluationCache):
     clock:
         Wall-clock source for the per-record ``ts`` timestamps (default
         :func:`time.time`) — the same injected-clock contract as the
-        checkpoint, timings and telemetry sidecars, so frozen-clock tests
+        checkpoint and telemetry sidecars, so frozen-clock tests
         get byte-stable shard records.
     """
 
@@ -281,8 +281,6 @@ class CompactionReport:
     evicted_by_size: int
     bytes_before: int
     bytes_after: int
-    #: Stale / garbage ``_timings.json`` cost hints dropped.
-    timing_entries_pruned: int = 0
     #: Superseded / corrupt / aged ``_checkpoint.jsonl`` records dropped.
     checkpoint_records_pruned: int = 0
 
@@ -295,11 +293,8 @@ class CompactionReport:
             f"{self.evicted_by_age} age-evicted, {self.evicted_by_size} size-evicted), "
             f"{self.bytes_before} -> {self.bytes_after} bytes"
         )
-        if self.timing_entries_pruned or self.checkpoint_records_pruned:
-            line += (
-                f"; sidecars: {self.timing_entries_pruned} timing hint(s) and "
-                f"{self.checkpoint_records_pruned} checkpoint record(s) pruned"
-            )
+        if self.checkpoint_records_pruned:
+            line += f"; sidecars: {self.checkpoint_records_pruned} checkpoint record(s) pruned"
         return line
 
 
@@ -327,8 +322,6 @@ class CacheDirStats:
     duplicates: int = 0
     total_shards: int = 0
     total_bytes: int = 0
-    #: Cost hints in the ``_timings.json`` sidecar (0 when absent).
-    timing_entries: int = 0
     #: Settled cells currently recorded in ``_checkpoint.jsonl``.
     checkpoint_outcomes: int = 0
     checkpoint_failures: int = 0
@@ -346,7 +339,7 @@ class CacheDirStats:
 def _shard_paths(directory: pathlib.Path, pattern: str = "*.jsonl") -> list[pathlib.Path]:
     """The directory's estimate shards (matching ``pattern``), sorted by name.
 
-    Underscore-prefixed files are sidecars (checkpoint, timings tempfiles),
+    Underscore-prefixed files are sidecars (checkpoint, telemetry),
     not estimate shards: scanning them would misreport every checkpoint
     line as corrupt — and compaction would delete the file.
     """
@@ -409,26 +402,24 @@ def _scan_cache_dir(directory: pathlib.Path):
     return records, corrupt, duplicates, total_bytes, shard_paths
 
 
-def _sidecar_stats(directory: pathlib.Path) -> tuple[int, int, int, int]:
-    """(timing entries, checkpoint outcomes, failures, corrupt lines).
+def _checkpoint_stats(directory: pathlib.Path) -> tuple[int, int, int]:
+    """(checkpoint outcomes, failures, corrupt lines).
 
     The checkpoint is counted as ``--resume`` reads it, one record at a
     time, so a stats command never holds every recorded journal at once.
     """
-    from repro.sweep.checkpoint import CHECKPOINT_FILENAME, CheckpointCells, load_timings
-    from repro.sweep.runner import TIMINGS_FILENAME
+    from repro.sweep.checkpoint import CHECKPOINT_FILENAME, CheckpointCells
 
-    timing_entries = len(load_timings(directory / TIMINGS_FILENAME))
     checkpoint = CheckpointCells(directory / CHECKPOINT_FILENAME)
     outcomes, failures = checkpoint.counts()
-    return timing_entries, outcomes, failures, checkpoint.corrupt_lines()
+    return outcomes, failures, checkpoint.corrupt_lines()
 
 
 def cache_dir_stats(directory) -> CacheDirStats:
     """Summarise a cache directory (sidecars included) without modifying it."""
     directory = pathlib.Path(directory)
     records, corrupt, duplicates, total_bytes, shard_paths = _scan_cache_dir(directory)
-    timing_entries, ck_outcomes, ck_failures, ck_corrupt = _sidecar_stats(directory)
+    ck_outcomes, ck_failures, ck_corrupt = _checkpoint_stats(directory)
     by_namespace: dict[str, dict] = {}
     for (namespace, _key), record in records.items():
         info = by_namespace.setdefault(namespace, {"entries": 0, "bytes": 0})
@@ -452,7 +443,6 @@ def cache_dir_stats(directory) -> CacheDirStats:
         duplicates=duplicates,
         total_shards=len(shard_paths),
         total_bytes=total_bytes,
-        timing_entries=timing_entries,
         checkpoint_outcomes=ck_outcomes,
         checkpoint_failures=ck_failures,
         checkpoint_corrupt_lines=ck_corrupt,
@@ -474,11 +464,10 @@ def compact_cache_dir(
     entries are evicted until the directory fits ``max_size_mb``.  Each
     namespace is rewritten as a single ``<prefix>--main.jsonl`` shard
     (atomically: temp file + rename), and stale shard files are removed.
-    The sidecars are pruned in the same pass: garbage and (under
-    ``max_age_days``) stale ``_timings.json`` cost hints of grids that no
-    longer run, plus superseded / corrupt / aged ``_checkpoint.jsonl``
-    records — without this, every grid ever swept against the directory
-    leaves its task uids behind forever.
+    The checkpoint is pruned in the same pass: superseded, corrupt and
+    (under ``max_age_days``) aged ``_checkpoint.jsonl`` records go —
+    without this, every cell ever swept against the directory leaves its
+    record behind forever.
 
     Run this offline — concurrent sweep writers appending to a shard being
     rewritten would lose their appends.
@@ -540,16 +529,8 @@ def compact_cache_dir(
             except OSError:  # pragma: no cover - already gone
                 pass
 
-    from repro.sweep.checkpoint import (
-        CHECKPOINT_FILENAME,
-        compact_checkpoint,
-        compact_timings,
-    )
-    from repro.sweep.runner import TIMINGS_FILENAME
+    from repro.sweep.checkpoint import CHECKPOINT_FILENAME, compact_checkpoint
 
-    _, timings_pruned = compact_timings(
-        directory / TIMINGS_FILENAME, max_age_days=max_age_days, now=now,
-    )
     _, ck_pruned, ck_corrupt = compact_checkpoint(
         directory / CHECKPOINT_FILENAME, max_age_days=max_age_days, now=now,
     )
@@ -575,7 +556,6 @@ def compact_cache_dir(
         evicted_by_size=evicted_size,
         bytes_before=bytes_before,
         bytes_after=bytes_after,
-        timing_entries_pruned=timings_pruned,
         checkpoint_records_pruned=ck_pruned + ck_corrupt,
     )
     logger.info("%s", report.summary())

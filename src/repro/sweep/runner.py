@@ -26,9 +26,9 @@ Execution is a **two-phase schedule**:
    ``workers >= 2`` the stealing is device-affine (locality-guided, after
    Acar, Blelloch and Blumofe, SPAA 2000; see
    :meth:`~repro.sweep.ledger.LeaseBoard.lease`), so each process mostly
-   warms one device's memo and cache index.  Expected costs come from the
-   previous run's journal timings when a cache directory is given
-   (``_timings.json``) and fall back to a deterministic budget heuristic.
+   warms one device's memo and cache index.  Expected costs come from a
+   deterministic budget heuristic, except for the cells a resume re-runs
+   after a recorded failure, which cost what their failed attempts took.
 
 A cell that keeps failing (timeout, raise, crash or a garbage return
 value) ends up as a structured :class:`SweepFailure` in the
@@ -47,18 +47,18 @@ When a cache directory is given, each cell's evaluation cache is a
 a persistent tier, so repeated sweeps and re-runs skip estimator calls
 entirely.
 
-The cache directory also hosts two sidecars (see
-:mod:`repro.sweep.checkpoint`): an **incremental checkpoint**
-(``_checkpoint.jsonl``) the parent appends to the moment each cell
-settles, and the journal-timings cost model (``_timings.json``).  A sweep
-that dies mid-run — OOM, preemption, a poisoned cell exhausting its
-retries — is restarted with ``SweepRunner(resume_from=...)`` (CLI:
-``repro-codesign sweep --resume``): checkpointed outcomes are reused
-verbatim (byte-identical journals) and only the failed and missing cells
-re-execute.  Timing hints are also recorded for *failed* attempts, so a
-cell that keeps timing out carries its real cost into the next run, where
-the per-cell timeout scales with the hint (``timeout_s`` acts as a floor
-under ``timeout_scale x expected seconds``) and retries back off
+The cache directory also hosts the **incremental checkpoint**
+(``_checkpoint.jsonl``, see :mod:`repro.sweep.checkpoint`), the one
+on-disk record of each settled cell, which the parent appends to the
+moment the cell settles.  A sweep that dies mid-run — OOM, preemption, a
+poisoned cell exhausting its retries — is restarted with
+``SweepRunner(resume_from=...)`` (CLI: ``repro-codesign sweep
+--resume``): checkpointed outcomes are reused verbatim (byte-identical
+journals) and only the failed and missing cells re-execute.  A failure
+record carries the time its attempts took, so a cell that kept timing out
+brings its real cost into the resume: it is dispatched first, its
+timeout scales with the time per attempt (``timeout_s`` acts as a floor
+under ``timeout_scale x recorded seconds``), and retries back off
 exponentially (deterministic, no jitter).
 """
 
@@ -84,8 +84,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 logger = get_logger(__name__)
 
-#: Name of the per-cache-dir journal-timings file feeding the cost model.
-TIMINGS_FILENAME = "_timings.json"
 
 def _fields_payload(cls, payload: Mapping) -> dict:
     """The subset of ``payload`` matching ``cls``'s dataclass fields.
@@ -135,7 +133,7 @@ class SweepTask:
 
         Deliberately *not* unique across search budgets — two cells
         differing only in ``iterations`` or ``seed`` share a name.  Every
-        persistent keying (timings, disk-cache shards, checkpoints) uses
+        persistent keying (disk-cache shards, checkpoints) uses
         :attr:`uid` instead.
         """
         name = f"{self.device}-{self.strategy}-{self.fps:g}fps"
@@ -152,8 +150,7 @@ class SweepTask:
         Folds in every remaining field (``tolerance_ms``, ``iterations``,
         ``num_candidates``, ``top_bundles``, ``seed``) so tasks that
         differ *only* in those can never alias each other in the
-        ``_timings.json`` cost hints, the disk-cache shard names, or the
-        checkpoint records.
+        disk-cache shard names or the checkpoint records.
         """
         return (
             f"{self.name}-t{self.tolerance_ms:g}-i{self.iterations}"
@@ -555,6 +552,10 @@ class SweepFailure:
         task = data.get("task")
         if not isinstance(task, Mapping):
             raise ValueError("failure record is missing its task")
+        # A resume divides the duration by the attempts for the cell's cost hint.
+        if not isinstance(data.get("attempts"), int) \
+                or not isinstance(data.get("duration_s", 0.0), (int, float)):
+            raise ValueError("failure record has a malformed attempt count or duration")
         data["task"] = SweepTask.from_dict(task)
         return cls(**data)
 
@@ -685,19 +686,14 @@ def _run_sweep_task(
 def expected_cost(task: SweepTask, hints: Optional[Mapping[str, float]] = None) -> float:
     """Expected wall-clock cost of one cell, for longest-expected-first order.
 
-    Prior journal timings (``hints``, keyed by task uid, with the display
-    name accepted as a legacy fallback) win when present; otherwise a
-    deterministic budget heuristic — evaluation budget scaled by the
-    candidate count — keeps the ordering stable across runs.
+    A recorded time per attempt (``hints``, keyed by task uid: the failure
+    records a resume read) wins when present; otherwise a deterministic
+    budget heuristic — evaluation budget scaled by the candidate count —
+    keeps the ordering stable across runs.
     """
-    if hints:
-        for key in (task.uid, task.name):
-            hinted = hints.get(key)
-            if hinted is not None:
-                try:
-                    return float(hinted)
-                except (TypeError, ValueError):
-                    continue
+    hinted = (hints or {}).get(task.uid)
+    if isinstance(hinted, (int, float)) and not isinstance(hinted, bool):
+        return float(hinted)
     return float(task.iterations * task.num_candidates * task.top_bundles)
 
 
@@ -712,7 +708,7 @@ class SweepResult:
     failures: list[SweepFailure] = field(default_factory=list)
     preparations: list[PreparedTarget] = field(default_factory=list)
     prep_time_s: float = 0.0
-    #: Cells reused verbatim from a checkpoint / prior result (resume).
+    #: Cells reused verbatim from a checkpoint (resume).
     reused: int = 0
 
     def __len__(self) -> int:
@@ -762,14 +758,13 @@ class SweepResult:
 
     @classmethod
     def load(cls, path) -> "SweepResult":
-        """Load a result previously written by :meth:`save`.
+        """Load a result previously written by :meth:`save`, for ``compare``.
 
-        Outcomes and failures round-trip fully (journals included), and
-        ``SweepRunner(resume_from=path)`` resumes from the same file.  Also
-        accepts the ``{"sweep": ..., "comparison": ...}`` report files the
-        CLI writes.  ``preparations`` are *not* reconstructed: the fitted
-        coefficients are pickle-only and deliberately excluded from the
-        JSON view.
+        Outcomes and failures round-trip fully (journals included); a
+        resume reads the checkpoint instead.  Also accepts the
+        ``{"sweep": ..., "comparison": ...}`` report files the CLI writes.
+        ``preparations`` are *not* reconstructed: the fitted coefficients
+        are pickle-only and deliberately excluded from the JSON view.
         """
         payload = load_json(path)
         if not isinstance(payload, dict):
@@ -956,13 +951,14 @@ class SweepRunner:
     every mode, and each task's journal is independent of the execution
     mode, so all modes are interchangeable.
 
-    ``resume_from`` accepts a checkpoint file (``_checkpoint.jsonl``) or a
-    saved result JSON (:meth:`SweepResult.save`, or the CLI's report
-    file): cells with a recorded outcome are reused verbatim and only the
-    failed / missing cells execute.  ``retry_backoff_s`` is the base of
-    the deterministic exponential retry backoff (0 disables it);
-    ``timeout_scale`` scales the per-cell timeout from the cell's recorded
-    cost hint, with ``timeout_s`` as the floor.
+    ``resume_from`` is a checkpoint file (``_checkpoint.jsonl``, this
+    run's or another directory's): cells with a recorded outcome are
+    reused verbatim and only the failed / missing cells execute, each
+    recorded failure's time per attempt being that cell's cost hint.  A
+    fresh run (``resume_from=None``) takes no hints.  ``retry_backoff_s``
+    is the base of the deterministic exponential retry backoff (0
+    disables it); ``timeout_scale`` scales the per-cell timeout from the
+    cell's cost hint, with ``timeout_s`` as the floor.
 
     ``transport`` swaps the execution phase out without touching any of
     the surrounding machinery (grid validation, shared preparation,
@@ -1022,7 +1018,7 @@ class SweepRunner:
             if task.uid in seen:
                 raise ValueError(
                     f"duplicate sweep task '{task.uid}': identical cells would "
-                    "race on the same cache shard, timing hint and checkpoint record"
+                    "race on the same cache shard and checkpoint record"
                 )
             seen.add(task.uid)
         self.tasks = list(tasks)
@@ -1032,6 +1028,11 @@ class SweepRunner:
         self.timeout_scale = timeout_scale
         self.retries = retries
         self.retry_backoff_s = retry_backoff_s
+        if resume_from is not None and pathlib.Path(resume_from).suffix != ".jsonl":
+            raise ValueError(
+                f"resume source {resume_from} is not a checkpoint: resume from "
+                "a _checkpoint.jsonl (compare --diff reads result JSON)"
+            )
         self.resume_from = resume_from
         self.task_fn = task_fn
         if transport is not None and not callable(getattr(transport, "execute", None)):
@@ -1042,55 +1043,17 @@ class SweepRunner:
         if not callable(clock):
             raise TypeError("clock must be a callable returning seconds since the epoch")
         #: Wall-clock source for every persisted timestamp (checkpoint
-        #: records, timing hints, telemetry sidecar).  Injected so tests can
+        #: records, telemetry sidecar).  Injected so tests can
         #: freeze time and so telemetry ``ts`` values correlate with
         #: checkpoint ``ts`` values.
         self.clock = clock
-        # Per-run state (filled by run()): the cost hints that scale board()
-        # timeouts, the incremental checkpoint writer and the resume source.
+        # Per-run state (filled by run()): the resumed failures' cost hints
+        # that order board() and scale its timeouts, the incremental
+        # checkpoint writer and the resume source.
         self._hints: dict[str, float] = {}
         self._writer = None
         self._write_error: Optional[OSError] = None
         self._resume_checkpoint: Optional[tuple[pathlib.Path, set[str]]] = None
-
-    # ------------------------------------------------------------ cost hints
-    def _timings_path(self) -> Optional[pathlib.Path]:
-        if self.cache_dir is None:
-            return None
-        return pathlib.Path(self.cache_dir) / TIMINGS_FILENAME
-
-    def _load_cost_hints(self) -> dict[str, float]:
-        path = self._timings_path()
-        if path is None:
-            return {}
-        from repro.sweep.checkpoint import load_timings
-
-        return load_timings(path)
-
-    def _save_timings(
-        self,
-        outcomes: Sequence[SweepOutcome],
-        failures: Sequence[SweepFailure] = (),
-    ) -> None:
-        """Persist per-cell durations — including *failed* attempts.
-
-        A cell that keeps timing out used to carry no hint at all and kept
-        being scheduled (and timed out) as if it were cheap; recording the
-        wall-clock spent per attempt lets the next run dispatch it first
-        and scale its timeout up (see :meth:`_effective_timeout`).
-        """
-        path = self._timings_path()
-        if path is None:
-            return
-        durations = {o.task.uid: o.duration_s for o in outcomes}
-        for failure in failures:
-            if failure.duration_s > 0 and failure.attempts > 0:
-                durations[failure.task.uid] = failure.duration_s / failure.attempts
-        if not durations:
-            return
-        from repro.sweep.checkpoint import save_timings
-
-        save_timings(path, durations, now=self.clock())
 
     # ------------------------------------------------------- adaptive knobs
     def _effective_timeout(self, task: SweepTask, hints: Mapping[str, float]) -> Optional[float]:
@@ -1106,7 +1069,7 @@ class SweepRunner:
         """
         if self.timeout_s is None:
             return None
-        hinted = hints.get(task.uid, hints.get(task.name))
+        hinted = hints.get(task.uid)
         if isinstance(hinted, (int, float)) and not isinstance(hinted, bool) and hinted > 0:
             return min(
                 max(self.timeout_s, self.timeout_scale * float(hinted)),
@@ -1127,30 +1090,35 @@ class SweepRunner:
 
         Records whose uid is not in the current grid (the checkpoint
         belongs to a different / edited grid) are ignored with a warning;
-        prior *failures* are never reused — those cells re-run.
+        prior *failures* are never reused — those cells re-run, and each
+        one's time per attempt becomes its cost hint.  A fresh run reads
+        no checkpoint and takes no hints.
         """
         self._resume_checkpoint = None
+        self._hints = {}
         if self.resume_from is None:
             return {}
         path = pathlib.Path(self.resume_from)
         if not path.exists():
             raise FileNotFoundError(f"resume source {path} does not exist")
-        if path.suffix == ".jsonl":
-            from repro.sweep.checkpoint import load_checkpoint
+        from repro.sweep.checkpoint import load_checkpoint
 
-            status = load_checkpoint(path)
-            prior = dict(status.outcomes)
-            if status.grid and set(status.grid) != {t.uid for t in self.tasks}:
-                logger.warning(
-                    "resume: checkpoint %s was written for a different grid "
-                    "(%d recorded vs %d current cells); only matching cells "
-                    "are reused", path, len(status.grid), len(self.tasks),
-                )
-            # Remember what the file holds so _open_checkpoint need not
-            # parse it a second time when it is this run's checkpoint.
-            self._resume_checkpoint = (path.resolve(), set(prior))
-        else:
-            prior = {o.task.uid: o for o in SweepResult.load(path).outcomes}
+        status = load_checkpoint(path)
+        prior = dict(status.outcomes)
+        self._hints = {
+            uid: failure.duration_s / failure.attempts
+            for uid, failure in status.failures.items()
+            if failure.duration_s > 0 and failure.attempts > 0
+        }
+        if status.grid and set(status.grid) != {t.uid for t in self.tasks}:
+            logger.warning(
+                "resume: checkpoint %s was written for a different grid "
+                "(%d recorded vs %d current cells); only matching cells "
+                "are reused", path, len(status.grid), len(self.tasks),
+            )
+        # Remember what the file holds so _open_checkpoint need not
+        # parse it a second time when it is this run's checkpoint.
+        self._resume_checkpoint = (path.resolve(), set(prior))
         by_uid = {task.uid: index for index, task in enumerate(self.tasks)}
         reused: dict[int, SweepOutcome] = {}
         unknown = 0
@@ -1188,9 +1156,9 @@ class SweepRunner:
             recorded=recorded,
             clock=self.clock,
         )
-        # A resume seeded from a result JSON may target a cache dir whose
-        # checkpoint lacks the reused cells; back them in so this run's
-        # checkpoint is itself complete and resumable.
+        # A resume from another directory's checkpoint leaves this one
+        # without the reused cells; back them in so this run's checkpoint
+        # is itself complete and resumable.
         for outcome in reused.values():
             if not writer.has_outcome(outcome.task.uid):
                 writer.record_outcome(outcome)
@@ -1328,10 +1296,9 @@ class SweepRunner:
                 prep_span.annotate(preparations=len(preparations))
         prep_time = time.perf_counter() - start
 
-        self._hints = hints = self._load_cost_hints()
         order = sorted(
             to_run,
-            key=lambda index: (-expected_cost(self.tasks[index], hints), index),
+            key=lambda index: (-expected_cost(self.tasks[index], self._hints), index),
         )
 
         self._write_error = None
@@ -1350,12 +1317,7 @@ class SweepRunner:
         if self._write_error is not None:  # raised on a transport's thread
             raise self._write_error
 
-        executed = [outcomes_by_index[i] for i in sorted(outcomes_by_index)]
         failures = [failures_by_index[i] for i in sorted(failures_by_index)]
-        # Reused outcomes re-persist their recorded durations: an
-        # interrupted sweep never reached _save_timings, so without this a
-        # resume would leave every reused cell hint-less next run.
-        self._save_timings(executed + list(reused.values()), failures)
         outcomes_by_index.update(reused)
         outcomes = [outcomes_by_index[i] for i in sorted(outcomes_by_index)]
         wall = time.perf_counter() - start

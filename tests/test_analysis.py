@@ -82,7 +82,7 @@ class TestNoWallClock:
                 def append(self, record):
                     record["ts"] = self._clock()
 
-            def save_timings(rows, now=None):
+            def stamp_rows(rows, now=None):
                 now = time.time() if now is None else float(now)
                 return [dict(row, ts=now) for row in rows]
 

@@ -9,6 +9,7 @@ status 2, ``--help`` with 0).
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -21,6 +22,10 @@ BUDGET = ["--fps", "40", "--tolerance-ms", "10", "--top-bundles", "2",
 
 ALL_COMMANDS = ["codesign", "search", "sweep", "cache", "experiment",
                 "codegen", "bundles", "telemetry"]
+
+#: A directory that exists, and one that does not, for ``--cache-dir``.
+HERE = os.path.dirname(os.path.abspath(__file__))
+MISSING_DIR = os.path.join(HERE, "no-such-cache-dir")
 
 
 def _exit_code(argv):
@@ -52,17 +57,20 @@ class TestArgumentParsing:
         ["sweep", "--schedule", "steal"],              # removed option
         ["cache"],                                     # missing action
         ["cache", "stats"],                            # missing --cache-dir
-        ["cache", "defrag", "--cache-dir", "x"],       # bad action
+        ["cache", "defrag", "--cache-dir", HERE],      # bad action
         ["experiment"],                                # missing name
         ["experiment", "fig99"],                       # bad choice
         ["codegen", "--design", "DNN9"],               # bad choice
         ["codesign", "--iterations"],                  # missing value
         ["telemetry"],                                 # missing action
         ["telemetry", "report"],                       # missing --cache-dir
-        ["telemetry", "report", "--cache-dir", "x", "--top", "0"],  # bad value
+        ["telemetry", "report", "--cache-dir", HERE, "--top", "0"],  # bad value
         ["shard", "status"],                           # missing --connect
         ["sweep", "--log-level", "loud"],              # bad choice
         ["sweep", "--per-cell-prep"],                  # removed option
+        ["cache", "stats", "--cache-dir", MISSING_DIR],  # mistyped directory
+        ["cache", "gc", "--cache-dir", MISSING_DIR],     # mistyped directory
+        ["telemetry", "report", "--cache-dir", MISSING_DIR],  # mistyped directory
     ])
     def test_parse_errors_exit_2(self, argv, capsys):
         assert _exit_code(argv) == 2
@@ -182,12 +190,14 @@ class TestCommandRuns:
         assert "No space left on device" in line and "_checkpoint.jsonl" in line
 
     def test_sweep_resume_from_report_json(self, tmp_path, capsys):
+        """A report is no resume source: ``--from`` takes a checkpoint only."""
         report = tmp_path / "report.json"
         argv = ["sweep", "--devices", "pynq-z1", "--strategies", "scd"] + BUDGET
         assert main(argv + ["--report", str(report)]) == 0
         capsys.readouterr()
-        assert main(argv + ["--from", str(report)]) == 0
-        assert "1 reused from checkpoint" in capsys.readouterr().out
+        assert _exit_code(argv + ["--from", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert "error: argument --from:" in err and str(report) in err
 
     def test_sweep_resume_without_checkpoint_starts_fresh(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
@@ -198,9 +208,13 @@ class TestCommandRuns:
         assert "No checkpoint at" in out
         assert "Sweep: 1 tasks" in out
 
-    def test_sweep_resume_requires_cache_dir_or_from(self):
-        with pytest.raises(ValueError, match="--resume needs --cache-dir"):
-            main(["sweep", "--resume"] + BUDGET)
+    def test_sweep_resume_requires_cache_dir_or_from(self, capsys):
+        for command in (["sweep"], ["shard", "coordinator", "--bind", "127.0.0.1:0"]):
+            assert main(command + ["--resume"] + BUDGET) == 2
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1
+            assert "error: argument --resume: needs --cache-dir" in err
+            assert "result.json" not in err
 
     def test_sweep_grid_axes_flags(self, capsys):
         code = main(["sweep", "--devices", "pynq-z1", "--strategies", "scd",

@@ -13,6 +13,7 @@ from repro.detection.task import TINY_DETECTION_TASK
 from repro.hw.device import PYNQ_Z1, resolve_devices
 from repro.search import EvaluationCache
 from repro.sweep import (
+    CHECKPOINT_FILENAME,
     DiskEvaluationCache,
     SweepFailure,
     SweepOutcome,
@@ -845,35 +846,17 @@ class TestCostOrdering:
     def test_journal_timings_override_heuristic(self):
         task = SweepTask(device="PYNQ-Z1", strategy="scd", fps=40.0)
         assert expected_cost(task, {task.uid: 12.5}) == 12.5
-        # The display name still works as a legacy-hint fallback, but the
-        # uid wins when both are present (budget-aliasing bugfix).
-        assert expected_cost(task, {task.name: 12.5}) == 12.5
+        # Hints are keyed by uid only: the display name aliases cells of
+        # other budgets, so it never stands in for the uid.
+        assert expected_cost(task, {task.name: 12.5}) == expected_cost(task)
         assert expected_cost(task, {task.uid: 7.5, task.name: 12.5}) == 7.5
         assert expected_cost(task, {"other": 12.5}) == expected_cost(task)
         assert expected_cost(task, {task.uid: "garbage"}) == expected_cost(task)
 
-    def test_timings_file_written_and_reloaded(self, tmp_path):
-        tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
-        SweepRunner(tasks, workers=1, cache_dir=tmp_path).run()
-        timings = json.loads((tmp_path / "_timings.json").read_text())
-        # Entries are uid-keyed, timestamped records (age-prunable by gc).
-        assert set(timings) == {tasks[0].uid}
-        assert timings[tasks[0].uid]["duration_s"] > 0
-        assert timings[tasks[0].uid]["ts"] > 0
-        runner = SweepRunner(tasks, workers=1, cache_dir=tmp_path)
-        assert runner._load_cost_hints() == \
-            {tasks[0].uid: timings[tasks[0].uid]["duration_s"]}
-
-    def test_corrupt_timings_file_ignored(self, tmp_path):
-        (tmp_path / "_timings.json").write_text("{not json")
-        tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
-        runner = SweepRunner(tasks, workers=1, cache_dir=tmp_path)
-        assert runner._load_cost_hints() == {}
-        result = runner.run()  # and the sweep itself is unaffected
-        assert result.ok
-
     def test_timings_not_loaded_by_disk_cache(self, tmp_path, engine, initial):
-        (tmp_path / "_timings.json").write_text('{"PYNQ-Z1-scd-40fps": 1.0}')
+        """The checkpoint sidecar is never read as an estimate shard."""
+        (tmp_path / CHECKPOINT_FILENAME).write_text(
+            '{"kind": "header", "version": 1, "grid": ["PYNQ-Z1-scd-40fps"]}\n')
         cache = DiskEvaluationCache(engine.estimate, tmp_path, device="PYNQ-Z1")
         assert len(cache) == 0
 

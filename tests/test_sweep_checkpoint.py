@@ -6,8 +6,8 @@ deterministic content — journals included — is byte-identical to an
 uninterrupted run, while re-executing *only* the unfinished cells.
 Alongside: robustness against truncated/corrupt checkpoints and grids
 that changed under a checkpoint, plus regression tests for the PR's
-bugfixes (SweepTask-name aliasing, failure timings feeding the cost
-model, unbounded sidecar growth).
+bugfixes (SweepTask-name aliasing, failure records feeding the cost
+model of a resume, unbounded checkpoint growth).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import errno
 import json
+import math
 import os
 import time
 
@@ -33,12 +34,11 @@ from repro.sweep import (
     cache_dir_stats,
     compact_cache_dir,
     load_checkpoint,
-    load_timings,
     run_sweep_task,
-    save_timings,
 )
+from repro.sweep import checkpoint as checkpoint_module
 from repro.sweep.checkpoint import CheckpointCells
-from repro.sweep.runner import TIMINGS_FILENAME
+from repro.sweep.ledger import WorkerRegistry
 
 TINY = dict(tolerance_ms=10.0, iterations=25, num_candidates=1, top_bundles=2, seed=1)
 
@@ -168,41 +168,25 @@ class TestCheckpointResume:
         assert canonical(resumed) == canonical(clean)
 
     def test_resume_from_saved_result_json(self, tmp_path):
-        tasks = self.grid()
-        first = SweepRunner(tasks, workers=1).run()
-        path = first.save(tmp_path / "result.json")
-        fn = RecordingTaskFn()
-        resumed = SweepRunner(tasks, workers=1, resume_from=path, task_fn=fn).run()
-        assert fn.executed == []
-        assert resumed.reused == len(tasks)
-        assert canonical(resumed) == canonical(first)
+        """A saved result is no resume source (``compare`` reads it); the
+        runner refuses it, naming the file, before running anything."""
+        tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
+        path = SweepRunner(tasks, workers=1).run().save(tmp_path / "result.json")
+        with pytest.raises(ValueError, match=r"result\.json is not a checkpoint"):
+            SweepRunner(tasks, workers=1, resume_from=path)
 
-    def test_resume_from_result_seeds_checkpoint(self, tmp_path):
-        """Resuming from a result JSON into a cache dir backfills the
+    def test_foreign_checkpoint_resume_seeds_checkpoint(self, tmp_path):
+        """Resuming from another directory's checkpoint backfills this run's
         checkpoint so the resumed run is itself resumable."""
         tasks = self.grid()
-        first = SweepRunner(tasks, workers=1).run()
-        path = first.save(tmp_path / "result.json")
-        cache = tmp_path / "cache"
-        SweepRunner(tasks, workers=1, cache_dir=cache, resume_from=path).run()
+        first, cache = tmp_path / "a", tmp_path / "b"
+        SweepRunner(tasks, workers=1, cache_dir=first).run()
+        fn = RecordingTaskFn()
+        resumed = SweepRunner(tasks, workers=1, cache_dir=cache,
+                              resume_from=first / CHECKPOINT_FILENAME, task_fn=fn).run()
+        assert fn.executed == [] and resumed.reused == len(tasks)
         status = load_checkpoint(cache / CHECKPOINT_FILENAME)
         assert set(status.outcomes) == {t.uid for t in tasks}
-
-    def test_resume_persists_reused_cell_timings(self, tmp_path):
-        """An interrupted sweep never reaches _save_timings; the resume must
-        re-persist the reused cells' recorded durations, or the next run
-        would fall back to the budget heuristic for almost every cell."""
-        tasks = self.grid()
-        work = tmp_path / "work"
-        with pytest.raises(KeyboardInterrupt):
-            SweepRunner(tasks, workers=1, cache_dir=work,
-                        task_fn=RecordingTaskFn(kill_after=3)).run()
-        assert not (work / TIMINGS_FILENAME).exists()
-        SweepRunner(tasks, workers=1, cache_dir=work,
-                    resume_from=work / CHECKPOINT_FILENAME).run()
-        timings = load_timings(work / TIMINGS_FILENAME)
-        assert set(timings) == {t.uid for t in tasks}, \
-            "reused and re-executed cells all carry cost hints"
 
     def test_resume_refreshes_the_checkpoint_grid_header(self, tmp_path):
         """A resume appends a header for the *current* grid (newest wins),
@@ -227,6 +211,19 @@ class TestCheckpointResume:
         full = SweepRunner(tasks, workers=1, cache_dir=tmp_path / "full").run()
         assert resumed.reused == 2
         assert canonical(resumed) == canonical(full)
+
+    def test_fresh_run_never_parses_the_old_checkpoint(self, tmp_path, monkeypatch):
+        """A fresh run takes no cost hints, so it truncates the directory's
+        checkpoint without reading it."""
+        tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
+        SweepRunner(tasks, workers=1, cache_dir=tmp_path).run()
+
+        def refuse(path):
+            raise AssertionError(f"a fresh run parsed {path}")
+
+        monkeypatch.setattr(checkpoint_module, "load_checkpoint", refuse)
+        result = SweepRunner(tasks, workers=1, cache_dir=tmp_path).run()
+        assert result.ok and result.reused == 0
 
     def test_fresh_run_truncates_stale_checkpoint(self, tmp_path):
         tasks = self.grid()
@@ -261,7 +258,7 @@ class TestCheckpointResume:
 
     def test_pre_change_report_with_schedule_key_still_loads(self, tmp_path, capsys):
         """Reports written while ``SweepResult`` still carried a schedule
-        (``"schedule": "chunked"``) load, resume and diff unchanged."""
+        (``"schedule": "chunked"``) load and diff unchanged."""
         from repro.cli import main
         from repro.utils.serialization import dump_json
 
@@ -367,13 +364,18 @@ class TestCheckpointRobustness:
 
     def test_garbage_lines_and_wrong_kinds_are_counted(self, tmp_path):
         tasks, path = self._checkpointed(tmp_path)
+        # A resume divides a failure's duration by its attempts: a failure
+        # whose numbers are not numbers is corrupt, not a crash.
+        failure = SweepFailure(tasks[0], "timeout", "slow", attempts=1).as_dict()
         with path.open("a") as handle:
             handle.write("[1, 2, 3]\n")                       # not a dict
             handle.write('{"kind": "party"}\n')               # unknown kind
             handle.write('{"kind": "outcome", "uid": 7}\n')   # bad uid
             handle.write('{"kind": "outcome", "uid": "x", "outcome": {}}\n')
+            handle.write(json.dumps({"kind": "failure", "uid": tasks[0].uid,
+                                     "failure": {**failure, "duration_s": "slow"}}) + "\n")
         status = load_checkpoint(path)
-        assert status.corrupt_lines == 4
+        assert status.corrupt_lines == 5
         assert len(status.outcomes) == len(tasks)
 
     def test_incremental_cells_view_follows_truncation_and_removal(self, tmp_path):
@@ -487,13 +489,18 @@ class TestTaskUidAliasing:
 
     def test_same_name_tasks_get_separate_timings_and_checkpoints(self, tmp_path):
         """Regression: cells differing only in seed used to collide in
-        ``_timings.json``, the disk-cache shard name and the checkpoint."""
+        their cost hints, the disk-cache shard name and the checkpoint."""
         a = build_grid("pynq-z1", "scd", [40.0], **TINY)[0]
         b = dataclasses.replace(a, seed=99)
         result = SweepRunner([a, b], workers=1, cache_dir=tmp_path).run()
         assert result.ok
-        timings = load_timings(tmp_path / TIMINGS_FILENAME)
-        assert set(timings) == {a.uid, b.uid}
+        failed = tmp_path / "failed" / CHECKPOINT_FILENAME
+        writer = CheckpointWriter(failed, grid=[a.uid, b.uid])
+        writer.record_failure(SweepFailure(a, "timeout", "slow", attempts=1, duration_s=1.0))
+        writer.record_failure(SweepFailure(b, "timeout", "slow", attempts=2, duration_s=6.0))
+        resumer = SweepRunner([a, b], resume_from=failed)
+        resumer._load_resume()
+        assert resumer._hints == {a.uid: 1.0, b.uid: 3.0}
         status = load_checkpoint(tmp_path / CHECKPOINT_FILENAME)
         assert set(status.outcomes) == {a.uid, b.uid}
         # Shard files are uid-suffixed (a shard only appears once its cell
@@ -507,23 +514,67 @@ class TestTaskUidAliasing:
             "the display name must no longer key the shard"
 
 
+class TimeoutProbe:
+    """Transport that records the timeout the runner's board gives each
+    cell, then returns without running any (the cells stay unsettled)."""
+
+    def __init__(self):
+        self.timeouts: dict[str, float] = {}
+
+    def execute(self, runner, order, preparations):
+        registry = WorkerRegistry()
+        board = runner.board(order, workers=registry, lease_ttl_s=math.inf)
+        for cell in board.lease(registry.register("probe"), len(order)):
+            self.timeouts[cell.task.uid] = cell.timeout_s
+        return {}, {}
+
+
 class TestFailureTimings:
     def test_failed_cell_records_cost_hint(self, tmp_path):
         """Regression: the cost model used to learn nothing from failures,
         so a repeatedly timing-out cell kept being scheduled as cheap.
-        Failed cells feed it whether the attempts ran in-process
-        (``workers=1``) or in forked processes (``workers=2``)."""
+        A failed cell's checkpoint record hints its resume whether the
+        attempts ran in-process (``workers=1``) or in forked processes
+        (``workers=2``); a reused cell needs no hint."""
         tasks = build_grid("pynq-z1", "scd,random", [40.0], **TINY)
         for workers in (1, 2):
             cache = tmp_path / f"workers-{workers}"
             result = SweepRunner(tasks, workers=workers, cache_dir=cache, retries=1,
                                  retry_backoff_s=0.0, task_fn=_failing_task).run()
             assert not result.ok
-            assert result.failures[0].duration_s > 0
-            timings = load_timings(cache / TIMINGS_FILENAME)
-            assert tasks[1].uid in timings, "failure durations must persist"
-            assert timings[tasks[1].uid] >= 0
-            assert tasks[0].uid in timings
+            failure = result.failures[0]
+            assert failure.duration_s > 0
+            resumer = SweepRunner(tasks, workers=workers, cache_dir=cache,
+                                  resume_from=cache / CHECKPOINT_FILENAME)
+            assert resumer.run().ok
+            hints = resumer._hints
+            assert tasks[1].uid in hints, "failure durations must persist"
+            assert hints[tasks[1].uid] == failure.duration_s / failure.attempts
+            assert tasks[0].uid not in hints
+
+    def test_killed_run_resume_scales_timeout_of_failed_cell(self, tmp_path):
+        """A run killed after a slow cell failed leaves no record but the
+        checkpoint; its resume gives that cell ``timeout_scale x`` the
+        attempt's time as its timeout, not the ``timeout_s`` floor."""
+        tasks = build_grid("pynq-z1", "scd,random", [40.0], **TINY)
+
+        def fail_slowly_then_die(task, cache_dir, prepared):
+            if task.uid == tasks[0].uid:
+                time.sleep(0.2)
+                raise RuntimeError("slow failure")
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            SweepRunner(tasks, workers=1, cache_dir=tmp_path, retries=0,
+                        task_fn=fail_slowly_then_die).run()
+        failure = load_checkpoint(tmp_path / CHECKPOINT_FILENAME).failures[tasks[0].uid]
+        assert failure.attempts == 1 and failure.duration_s >= 0.2
+        probe = TimeoutProbe()
+        SweepRunner(tasks, workers=1, cache_dir=tmp_path, timeout_s=0.1,
+                    timeout_scale=3.0, resume_from=tmp_path / CHECKPOINT_FILENAME,
+                    transport=probe).run()
+        scaled = min(3.0 * failure.duration_s, 0.1 * SweepRunner.MAX_TIMEOUT_GROWTH)
+        assert probe.timeouts == {tasks[0].uid: scaled, tasks[1].uid: 0.1}
 
     def test_effective_timeout_scales_from_hint(self):
         tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
@@ -533,7 +584,8 @@ class TestFailureTimings:
         assert runner._effective_timeout(task, {task.uid: 5.0}) == 15.0
         assert runner._effective_timeout(task, {task.uid: 0.1}) == 2.0, \
             "timeout_s is a floor, never lowered by a cheap hint"
-        assert runner._effective_timeout(task, {task.name: 4.0}) == 12.0
+        assert runner._effective_timeout(task, {task.name: 4.0}) == 2.0, \
+            "hints are keyed by uid only, never by the display name"
         # A permanently stuck cell records ~its own timeout as the hint;
         # the growth must stay bounded across resumed runs.
         assert runner._effective_timeout(task, {task.uid: 1000.0}) \
@@ -552,37 +604,8 @@ class TestFailureTimings:
         with pytest.raises(ValueError, match="timeout_scale"):
             SweepRunner(tasks, timeout_scale=0.0)
 
-    def test_legacy_plain_float_timings_still_load(self, tmp_path):
-        path = tmp_path / TIMINGS_FILENAME
-        path.write_text('{"PYNQ-Z1-scd-40fps": 1.5, "bogus": "x"}')
-        assert load_timings(path) == {"PYNQ-Z1-scd-40fps": 1.5}
-        tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
-        runner = SweepRunner(tasks, workers=1, cache_dir=tmp_path)
-        # Legacy name-keyed hints still steer the cost model (fallback).
-        assert runner._load_cost_hints() == {"PYNQ-Z1-scd-40fps": 1.5}
-        from repro.sweep import expected_cost
-        assert expected_cost(tasks[0], runner._load_cost_hints()) == 1.5
-
 
 class TestSidecarGC:
-    def test_gc_prunes_stale_timings_and_checkpoint(self, tmp_path):
-        """Regression: ``cache gc`` used to touch only ``*.jsonl`` shards,
-        so stale task uids accumulated in the sidecars forever."""
-        tasks = build_grid("pynq-z1", "scd,random", [40.0], **TINY)
-        SweepRunner(tasks, workers=1, cache_dir=tmp_path).run()
-        # Inject entries from a long-gone grid, 100 days old.
-        old_ts = time.time() - 100 * 86400
-        save_timings(tmp_path / TIMINGS_FILENAME,
-                     {"OLD-GRID-uid": 3.0}, now=old_ts)
-        before = cache_dir_stats(tmp_path)
-        assert before.timing_entries == len(tasks) + 1
-        report = compact_cache_dir(tmp_path, max_age_days=30.0)
-        assert report.timing_entries_pruned == 1
-        after = cache_dir_stats(tmp_path)
-        assert after.timing_entries == len(tasks)
-        assert set(load_timings(tmp_path / TIMINGS_FILENAME)) \
-            == {t.uid for t in tasks}
-
     def test_gc_dedups_and_repairs_checkpoint(self, tmp_path):
         tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
         SweepRunner(tasks, workers=1, cache_dir=tmp_path).run()
@@ -637,7 +660,6 @@ class TestSidecarGC:
         assert stats.corrupt_lines == 0
         assert stats.checkpoint_outcomes == 1
         assert stats.checkpoint_records == 1
-        assert stats.timing_entries == 1
         assert all("_checkpoint" not in ns.namespace for ns in stats.namespaces)
 
     def test_gc_fsyncs_the_rewritten_checkpoint_before_replacing_it(self, tmp_path,

@@ -1,10 +1,10 @@
 """Property-style determinism tests for the sweep engine (hypothesis).
 
 The sweep's core contract is that a cell's journal depends only on the cell
-itself: worker count (in-process vs forked attempts) and cost hints are
-pure execution-mode knobs.  These properties drive randomized
-grids through the different execution modes and require byte-identical
-journals and identical comparison winners.
+itself: worker count (in-process vs forked attempts) and the cost hints a
+resume takes from recorded failures are pure execution-mode knobs.  These
+properties drive randomized grids through the different execution modes
+and require byte-identical journals and identical comparison winners.
 
 Budgets are tiny (a cell runs in ~50 ms) and ``max_examples`` is small so
 the suite stays fast while still sampling the strategy / device / seed
@@ -20,8 +20,14 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.sweep import SweepRunner, build_grid, compare, save_timings
-from repro.sweep.runner import TIMINGS_FILENAME
+from repro.sweep import (
+    CHECKPOINT_FILENAME,
+    CheckpointWriter,
+    SweepFailure,
+    SweepRunner,
+    build_grid,
+    compare,
+)
 
 SETTINGS = settings(
     max_examples=4,
@@ -88,15 +94,20 @@ def test_worker_count_invariance(tasks):
 @given(tasks=grids, costs=st.lists(st.floats(min_value=0.001, max_value=1e6),
                                    min_size=8, max_size=8))
 def test_cost_hint_invariance(tasks, costs):
-    """Arbitrary cost hints in ``_timings.json`` reorder dispatch, never results."""
+    """Arbitrary durations recorded as checkpoint failures reorder a resume's
+    dispatch, never its results."""
     hints = {task.uid: cost for task, cost in zip(tasks, costs)}
     with tempfile.TemporaryDirectory() as root:
         plain_dir, hinted_dir = pathlib.Path(root, "plain"), pathlib.Path(root, "hinted")
-        save_timings(hinted_dir / TIMINGS_FILENAME, hints)
+        checkpoint = hinted_dir / CHECKPOINT_FILENAME
+        writer = CheckpointWriter(checkpoint, grid=[task.uid for task in tasks])
+        for task in tasks:
+            writer.record_failure(SweepFailure(task, "timeout", "seeded", attempts=1,
+                                               duration_s=hints[task.uid]))
         baseline = SweepRunner(tasks, workers=2, cache_dir=plain_dir).run()
-        runner = SweepRunner(tasks, workers=2, cache_dir=hinted_dir)
-        assert runner._load_cost_hints().keys() == hints.keys()
+        runner = SweepRunner(tasks, workers=2, cache_dir=hinted_dir, resume_from=checkpoint)
         hinted = runner.run()
+        assert runner._hints == hints
     assert fingerprint(baseline) == fingerprint(hinted)
     assert [o.task for o in hinted.outcomes] == list(tasks), "task order preserved"
 

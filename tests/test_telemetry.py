@@ -6,8 +6,8 @@ enable/disable switch (zero-cost-when-disabled contract), the fsynced
 sweep instrumentation (serial and pooled), the lease-lifecycle counters
 on the shard coordinator with its ``/v1/metrics`` endpoint, the
 aggregated ``telemetry report``, and the acceptance property that
-telemetry never perturbs results: checkpoints, timing hints and journals
-are byte-identical with telemetry on or off.
+telemetry never perturbs results: checkpoints and journals are
+byte-identical with telemetry on or off.
 """
 
 from __future__ import annotations
@@ -32,12 +32,8 @@ from repro.shard import (
     post_json,
 )
 from repro.sweep import SweepRunner, build_grid, prepare_device
-from repro.sweep.checkpoint import (
-    CHECKPOINT_FILENAME,
-    CheckpointWriter,
-    save_timings,
-)
-from repro.sweep.runner import TIMINGS_FILENAME, SweepOutcome
+from repro.sweep.checkpoint import CHECKPOINT_FILENAME, CheckpointWriter
+from repro.sweep.runner import SweepOutcome
 from repro.telemetry import (
     TELEMETRY_FILENAME,
     TELEMETRY_VERSION,
@@ -337,12 +333,6 @@ class TestInjectedClocks:
                   for line in path.read_text().splitlines()]
         assert stamps == [1234.5, 1234.5]
 
-    def test_save_timings_stamps_from_injected_now(self, tmp_path):
-        path = tmp_path / TIMINGS_FILENAME
-        save_timings(path, {"uid-a": 0.5}, now=1234.5)
-        payload = json.loads(path.read_text())
-        assert payload["uid-a"] == {"duration_s": 0.5, "ts": 1234.5}
-
     def test_runner_rejects_non_callable_clock(self):
         tasks = build_grid("pynq-z1", "scd", [40.0], **TINY)
         with pytest.raises(TypeError, match="clock"):
@@ -355,10 +345,10 @@ class TestNonPerturbation:
     @given(strategy=st.sampled_from(["scd", "random"]),
            seed=st.sampled_from([1, 2]))
     def test_checkpoints_and_journals_identical_on_vs_off(self, strategy, seed):
-        """Acceptance: with wall clocks frozen, a telemetry-on run leaves
-        byte-identical ``_checkpoint.jsonl`` / ``_timings.json`` files and
-        byte-identical journals to a telemetry-off run — observation must
-        never perturb the observed sweep."""
+        """Acceptance: with wall clocks frozen, a telemetry-on run leaves a
+        byte-identical ``_checkpoint.jsonl`` and byte-identical journals to
+        a telemetry-off run — observation must never perturb the observed
+        sweep."""
         budget = dict(TINY, seed=seed)
         tasks = build_grid("pynq-z1", strategy, [40.0], **budget)
         frozen = lambda: 1234.5
@@ -378,10 +368,9 @@ class TestNonPerturbation:
                 telemetry.disable()
                 assert journal_bytes(off_result.outcomes) == \
                     journal_bytes(on_result.outcomes)
-                for name in (CHECKPOINT_FILENAME, TIMINGS_FILENAME):
-                    off_bytes = open(os.path.join(off_dir, name), "rb").read()
-                    on_bytes = open(os.path.join(on_dir, name), "rb").read()
-                    assert off_bytes == on_bytes, f"{name} differs with telemetry on"
+                off_bytes = open(os.path.join(off_dir, CHECKPOINT_FILENAME), "rb").read()
+                on_bytes = open(os.path.join(on_dir, CHECKPOINT_FILENAME), "rb").read()
+                assert off_bytes == on_bytes, "the checkpoint differs with telemetry on"
                 assert os.path.exists(os.path.join(on_dir, TELEMETRY_FILENAME))
                 assert not os.path.exists(os.path.join(off_dir, TELEMETRY_FILENAME))
         finally:
